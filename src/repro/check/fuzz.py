@@ -5,7 +5,8 @@ must agree and returns ``None`` (agreement) or a failure message:
 
 - ``cms``        — CMS translator+VLIW pipeline vs the golden
                    interpreter on :func:`repro.isa.randprog` programs
-                   (bit-identical architectural state);
+                   (bit-identical architectural state and identical
+                   dynamic statistics);
 - ``traversal``  — batched vectorised treecode traversal vs the naive
                    per-group reference walk (bit-identical
                    accelerations and work counters);
@@ -50,8 +51,19 @@ class Oracle:
         return iter(())
 
 
+def _locations(state) -> Dict[str, Any]:
+    """Every architectural location of a guest state, by name."""
+    out: Dict[str, Any] = {**state.iregs, **state.fregs}
+    out.update(
+        (f"mem[{addr}]", value)
+        for addr, value in state.mem.snapshot().items()
+    )
+    out["halted"] = state.halted
+    return out
+
+
 class CmsOracle(Oracle):
-    """Translator-vs-interpreter architectural equivalence."""
+    """Translator-vs-interpreter equivalence: state and statistics."""
 
     name = "cms"
 
@@ -75,7 +87,7 @@ class CmsOracle(Oracle):
             params["seed"], blocks=params["blocks"],
             block_len=params["block_len"],
         )
-        golden, _ = run_program(
+        golden, golden_stats = run_program(
             program, random_state(params["seed"]), max_steps=10**6
         )
         cms = CodeMorphingSoftware(CmsConfig(
@@ -86,18 +98,24 @@ class CmsOracle(Oracle):
         result = cms.run(
             program, random_state(params["seed"]), max_steps=10**6
         )
-        mine = result.state.architectural_view()
-        ref = golden.architectural_view()
-        if mine != ref:
+        if (result.state.architectural_view()
+                != golden.architectural_view()):
+            mine, ref = _locations(result.state), _locations(golden)
+            # repr, not ==: -0.0 and 0.0 differ, two NaNs do not.
             diffs = [
                 key for key in sorted(set(mine) | set(ref))
-                if mine.get(key) != ref.get(key)
+                if repr(mine.get(key)) != repr(ref.get(key))
             ]
+            first = diffs[0] if diffs else None
             return (
                 f"CMS state diverges from golden interpreter on "
-                f"{len(diffs)} location(s), first: {diffs[0]!r} "
-                f"(cms={mine.get(diffs[0])!r}, "
-                f"golden={ref.get(diffs[0])!r})"
+                f"{len(diffs)} location(s), first: {first!r} "
+                f"(cms={mine.get(first)!r}, golden={ref.get(first)!r})"
+            )
+        if result.guest_stats != golden_stats:
+            return (
+                f"CMS guest statistics diverge from the golden run "
+                f"(cms={result.guest_stats!r}, golden={golden_stats!r})"
             )
         return None
 

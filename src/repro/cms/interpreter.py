@@ -1,7 +1,7 @@
 """The CMS interpreter module.
 
-Executes guest instructions one at a time on the golden machine while
-charging an interpretation overhead per instruction to the VLIW clock.
+Executes guest blocks on the golden machine while charging an
+interpretation overhead per instruction to the VLIW clock.
 Interpretation is how cold code runs; it filters infrequently executed
 code from being needlessly optimised while feeding the profiler.
 """
@@ -47,13 +47,9 @@ class GuestInterpreter:
         state advances exactly as the golden machine dictates; the VLIW
         clock is charged the interpretation cost.
         """
-        block = program.basic_block_at(machine.state.pc)
-        executed = 0
-        for _ in block:
-            if not machine.step(program):
-                executed += 1
-                break
-            executed += 1
+        executed = machine.run_block(
+            machine.block(program, machine.state.pc)
+        )
         cycles = executed * self.cycles_per_instr
         self.engine.charge(cycles)
         self.stats.guest_instructions += executed

@@ -24,9 +24,10 @@ are dominated by highly regular loops); this is noted in DESIGN.md.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.isa.instructions import Instr, Op, OpClass, Program
 from repro.isa.machine import ExecStats, Machine, MachineState
@@ -70,9 +71,9 @@ class PortTimeline:
 
     def probe(self, ready: int, occupancy: int) -> tuple:
         """Earliest (insert_index, start) with a gap >= occupancy."""
-        from bisect import bisect_right
-
         starts, ends = self.starts, self.ends
+        if not ends or ends[-1] <= ready:
+            return len(ends), ready       # idle from `ready` on: append
         i = bisect_right(starts, ready)
         s = ready
         if i > 0 and ends[i - 1] > s:
@@ -96,6 +97,20 @@ class PortTimeline:
         index, start = self.probe(ready, occupancy)
         self.commit(index, start, occupancy)
         return start
+
+
+class PortRecord(NamedTuple):
+    """One predecoded instruction, as the issue model consumes it."""
+
+    latency: int
+    occupancy: int                      # FMADD cracking applied
+    ports: Tuple[PortTimeline, ...]     # candidate calendars
+    srcs: Tuple[str, ...]
+    dst: Optional[str]
+    is_load: bool
+    is_store: bool
+    base: Optional[str]                 # address register, memory ops only
+    offset: int
 
 
 class PortSimulator:
@@ -128,7 +143,8 @@ class PortSimulator:
         self._store_issue_by_addr: Dict[int, int] = {}
         self._horizon = 0
 
-    def _issue(self, instr: Instr, mem_addr: Optional[int]) -> None:
+    def _decode(self, instr: Instr) -> PortRecord:
+        """Everything :meth:`_issue` needs of *instr*, looked up once."""
         spec = self.table.spec(instr.opclass)
         latency, occupancy = spec.latency, spec.occupancy
         if instr.op is Op.FMADD and not self.has_fma:
@@ -137,56 +153,77 @@ class PortSimulator:
             add_spec = self.table.spec(OpClass.FPADD)
             latency = spec.latency + add_spec.latency
             occupancy = spec.occupancy + 1
+        is_load = instr.opclass is OpClass.LOAD
+        is_store = instr.opclass is OpClass.STORE
+        return PortRecord(
+            latency=latency,
+            occupancy=occupancy,
+            ports=tuple(self._ports[p] for p in spec.ports),
+            srcs=instr.srcs,
+            dst=instr.dst,
+            is_load=is_load,
+            is_store=is_store,
+            base=instr.srcs[0] if is_load or is_store else None,
+            offset=instr.imm,
+        )
+
+    def _issue(self, record: PortRecord, mem_addr: Optional[int]) -> None:
+        (latency, occupancy, ports, srcs, dst, is_load, is_store,
+         _, _) = record
 
         # --- dispatch (in-order, fetch- and ROB-bounded) ---
+        dispatch_ring = self._dispatch_ring
         dispatch = 0
-        if len(self._dispatch_ring) == self._dispatch_ring.maxlen:
-            dispatch = max(dispatch, self._dispatch_ring[0] + 1)
-        if self._dispatch_ring:
-            dispatch = max(dispatch, self._dispatch_ring[-1])
-        if self.window > 0:
-            if len(self._retire_ring) == self._retire_ring.maxlen:
-                dispatch = max(dispatch, self._retire_ring[0])
-        self._dispatch_ring.append(dispatch)
+        if dispatch_ring:
+            dispatch = dispatch_ring[-1]
+            if len(dispatch_ring) == dispatch_ring.maxlen:
+                oldest = dispatch_ring[0] + 1
+                if oldest > dispatch:
+                    dispatch = oldest
+        window = self.window
+        if window > 0:
+            retire_ring = self._retire_ring
+            if len(retire_ring) == window and retire_ring[0] > dispatch:
+                dispatch = retire_ring[0]
+        dispatch_ring.append(dispatch)
 
         # --- issue (data- and resource-driven) ---
         t = dispatch
-        for src in instr.reads():
-            t = max(t, self._reg_ready.get(src, 0))
-        if instr.opclass is OpClass.LOAD and mem_addr is not None:
-            t = max(t, self._store_issue_by_addr.get(mem_addr, 0))
-        if self.window == 0:
+        reg_ready = self._reg_ready
+        for src in srcs:
+            ready = reg_ready.get(src, 0)
+            if ready > t:
+                t = ready
+        if is_load and mem_addr is not None:
+            ready = self._store_issue_by_addr.get(mem_addr, 0)
+            if ready > t:
+                t = ready
+        if window == 0 and self._last_issue > t:
             # Strict in-order issue: cannot overtake older instructions.
-            t = max(t, self._last_issue)
+            t = self._last_issue
         # Book the port whose calendar offers the earliest start.
-        best = None
-        for p in spec.ports:
-            index, start = self._ports[p].probe(t, occupancy)
-            if best is None or start < best[2]:
-                best = (p, index, start)
-        port, index, start = best
-        self._ports[port].commit(index, start, occupancy)
+        port = ports[0]
+        index, start = port.probe(t, occupancy)
+        for other in ports[1:]:
+            other_index, other_start = other.probe(t, occupancy)
+            if other_start < start:
+                port, index, start = other, other_index, other_start
+        port.commit(index, start, occupancy)
         t = start
         self._last_issue = t
 
         # --- complete / retire ---
         done = t + latency
-        dst = instr.writes()
         if dst is not None:
-            self._reg_ready[dst] = done
-        if instr.opclass is OpClass.STORE and mem_addr is not None:
+            reg_ready[dst] = done
+        if is_store and mem_addr is not None:
             self._store_issue_by_addr[mem_addr] = t
-        retire = max(self._last_retire, done)
+        retire = done if done > self._last_retire else self._last_retire
         self._last_retire = retire
-        if self.window > 0:
-            self._retire_ring.append(retire)
-        self._horizon = max(self._horizon, done)
-
-    @staticmethod
-    def _effective_address(instr: Instr, state: MachineState) -> Optional[int]:
-        if instr.opclass in (OpClass.LOAD, OpClass.STORE):
-            return state.iregs[instr.srcs[0]] + instr.imm
-        return None
+        if window > 0:
+            retire_ring.append(retire)
+        if done > self._horizon:
+            self._horizon = done
 
     def simulate(self, program: Program,
                  state: Optional[MachineState] = None,
@@ -194,12 +231,17 @@ class PortSimulator:
         """Run *program*, feeding every retired instruction to the model."""
         self._reset()
         machine = Machine(state=state, max_steps=max_steps)
+        st = machine.state
+        records: Dict[int, PortRecord] = {}    # per executed pc, this run
         steps = 0
-        while not machine.state.halted:
-            instr = program[machine.state.pc]
-            addr = self._effective_address(instr, machine.state)
+        while not st.halted:
+            record = records.get(st.pc)
+            if record is None:
+                record = records[st.pc] = self._decode(machine.fetch(program))
+            base = record.base
+            addr = None if base is None else st.iregs[base] + record.offset
             machine.step(program)
-            self._issue(instr, addr)
+            self._issue(record, addr)
             steps += 1
             if steps > max_steps:
                 raise RuntimeError(

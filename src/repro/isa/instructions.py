@@ -83,6 +83,11 @@ class Op(enum.Enum):
     NOP = "nop"
     HALT = "halt"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent - and it is C code, where Enum.__hash__ is a Python
+    # call paid by every opcode-keyed lookup (decode table, block ends).
+    __hash__ = object.__hash__
+
 
 class OpClass(enum.Enum):
     """Coarse resource classes used by every performance model.
@@ -102,6 +107,9 @@ class OpClass(enum.Enum):
     STORE = "store"
     BRANCH = "branch"
     NOP = "nop"
+
+    # As for Op: per-class counters hash these once per executed block.
+    __hash__ = object.__hash__
 
 
 _OP_CLASS = {
@@ -215,14 +223,19 @@ class Instr:
     imm: int = 0
     fimm: float = 0.0
 
+    #: Constant per-instruction facts, computed once at construction so
+    #: no executor pays an enum-keyed lookup per dynamic instruction.
+    #: Not part of equality, hash or repr.
+    opclass: OpClass = field(init=False, compare=False, repr=False)
+    #: Number of floating-point operations this instruction counts as.
+    flops: int = field(init=False, compare=False, repr=False)
+
     def __post_init__(self) -> None:
         for reg in (self.dst, *self.srcs):
             if reg is not None and reg not in IREG_NAMES and reg not in FREG_NAMES:
                 raise ValueError(f"unknown register {reg!r} in {self.op}")
-
-    @property
-    def opclass(self) -> OpClass:
-        return op_class(self.op)
+        object.__setattr__(self, "opclass", _OP_CLASS[self.op])
+        object.__setattr__(self, "flops", FLOP_OPS.get(self.op, 0))
 
     @property
     def is_branch(self) -> bool:
@@ -231,11 +244,6 @@ class Instr:
     @property
     def ends_block(self) -> bool:
         return self.op in BLOCK_ENDERS
-
-    @property
-    def flops(self) -> int:
-        """Number of floating-point operations this instruction counts as."""
-        return FLOP_OPS.get(self.op, 0)
 
     def reads(self) -> Tuple[str, ...]:
         """Registers read by this instruction."""

@@ -9,8 +9,9 @@ that invariant with property-based random programs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from repro.isa.instructions import (
     FREG_NAMES,
@@ -145,27 +146,324 @@ class ExecStats:
     by_class: Dict[OpClass, int] = field(default_factory=dict)
     taken_branches: int = 0
 
-    def count(self, instr: Instr, taken: bool = False) -> None:
-        self.instructions += 1
-        self.flops += instr.flops
-        self.by_class[instr.opclass] = self.by_class.get(instr.opclass, 0) + 1
-        if taken:
-            self.taken_branches += 1
 
-    def merge(self, other: "ExecStats") -> None:
-        self.instructions += other.instructions
-        self.flops += other.flops
-        self.taken_branches += other.taken_branches
-        for cls, n in other.by_class.items():
-            self.by_class[cls] = self.by_class.get(cls, 0) + n
+# -- decode: one handler per instruction ---------------------------------
+#
+# A handler is a closure ``h(iregs, fregs, mem)`` with the instruction's
+# operands, immediates and fall-through pc bound in.  It applies the
+# instruction and says where control goes next:
+#
+# - fall-through (including an untaken branch): the next pc, ``>= 0``;
+# - taken branch to ``target``: ``~target`` (negative, so a branch to
+#   ``pc + 1`` still reads as taken);
+# - HALT: ``None``.
+#
+# A fault is raised before anything is written, so a faulting handler
+# leaves registers and memory untouched.
+
+Handler = Callable[[Dict[str, int], Dict[str, float], Memory], Optional[int]]
+
+_INT_MIN = -_INT_SIGN
+_INT_MAX = _INT_SIGN - 1
+
+
+# Decoders take ``(dst, srcs, imm, fimm, fall-through pc)``.  Families
+# that differ only in the operator share one; the rest are spelled out.
+
+def _int_rr(fn):
+    """``rd <- fn(rs1, rs2)`` wrapped to 64 bits."""
+    def make(d, s, imm, fimm, nxt):
+        a, b = s
+
+        def h(ir, fr, mem):
+            v = fn(ir[a], ir[b])
+            ir[d] = v if _INT_MIN <= v <= _INT_MAX else _wrap64(v)
+            return nxt
+        return h
+    return make
+
+
+def _int_ri(fn, imm_mask=-1):
+    """``rd <- fn(rs1, imm & imm_mask)`` wrapped to 64 bits."""
+    def make(d, s, imm, fimm, nxt):
+        a, = s
+        imm &= imm_mask
+
+        def h(ir, fr, mem):
+            v = fn(ir[a], imm)
+            ir[d] = v if _INT_MIN <= v <= _INT_MAX else _wrap64(v)
+            return nxt
+        return h
+    return make
+
+
+def _fp_rr(fn):
+    """``fd <- fn(fs1, fs2)``."""
+    def make(d, s, imm, fimm, nxt):
+        a, b = s
+
+        def h(ir, fr, mem):
+            fr[d] = fn(fr[a], fr[b])
+            return nxt
+        return h
+    return make
+
+
+def _fp_r(fn):
+    """``fd <- fn(fs1)``."""
+    def make(d, s, imm, fimm, nxt):
+        a, = s
+
+        def h(ir, fr, mem):
+            fr[d] = fn(fr[a])
+            return nxt
+        return h
+    return make
+
+
+def _branch(test, fp=False):
+    """Branch to ``imm`` if ``test(s1, s2)`` on integer or fp registers."""
+    def make(d, s, imm, fimm, nxt):
+        a, b = s
+        taken = ~imm
+        if fp:
+            def h(ir, fr, mem):
+                return taken if test(fr[a], fr[b]) else nxt
+        else:
+            def h(ir, fr, mem):
+                return taken if test(ir[a], ir[b]) else nxt
+        return h
+    return make
+
+
+def _d_beqz(d, s, imm, fimm, nxt):
+    a, = s
+    taken = ~imm
+
+    def h(ir, fr, mem):
+        return taken if ir[a] == 0 else nxt
+    return h
+
+
+def _d_bnez(d, s, imm, fimm, nxt):
+    a, = s
+    taken = ~imm
+
+    def h(ir, fr, mem):
+        return taken if ir[a] != 0 else nxt
+    return h
+
+
+def _d_jmp(d, s, imm, fimm, nxt):
+    taken = ~imm
+    return lambda ir, fr, mem: taken
+
+
+def _d_li(d, s, imm, fimm, nxt):
+    value = _wrap64(imm)
+
+    def h(ir, fr, mem):
+        ir[d] = value
+        return nxt
+    return h
+
+
+def _d_mov(d, s, imm, fimm, nxt):
+    a, = s
+
+    def h(ir, fr, mem):
+        ir[d] = ir[a]
+        return nxt
+    return h
+
+
+def _d_fli(d, s, imm, fimm, nxt):
+    def h(ir, fr, mem):
+        fr[d] = fimm
+        return nxt
+    return h
+
+
+def _d_fmov(d, s, imm, fimm, nxt):
+    a, = s
+
+    def h(ir, fr, mem):
+        fr[d] = fr[a]
+        return nxt
+    return h
+
+
+def _d_fdiv(d, s, imm, fimm, nxt):
+    a, b = s
+
+    def h(ir, fr, mem):
+        denom = fr[b]
+        if denom == 0.0:
+            raise GuestFault("floating-point divide by zero")
+        fr[d] = fr[a] / denom
+        return nxt
+    return h
+
+
+def _d_fsqrt(d, s, imm, fimm, nxt):
+    a, = s
+
+    def h(ir, fr, mem):
+        val = fr[a]
+        if val < 0.0:
+            raise GuestFault("fsqrt of negative value")
+        fr[d] = math.sqrt(val)
+        return nxt
+    return h
+
+
+def _d_fmadd(d, s, imm, fimm, nxt):
+    a, b, c = s
+
+    def h(ir, fr, mem):
+        fr[d] = fr[a] * fr[b] + fr[c]
+        return nxt
+    return h
+
+
+def _d_itof(d, s, imm, fimm, nxt):
+    a, = s
+
+    def h(ir, fr, mem):
+        fr[d] = float(ir[a])
+        return nxt
+    return h
+
+
+def _d_ftoi(d, s, imm, fimm, nxt):
+    a, = s
+
+    def h(ir, fr, mem):
+        ir[d] = _wrap64(int(fr[a]))
+        return nxt
+    return h
+
+
+def _d_ld(d, s, imm, fimm, nxt):
+    base, = s
+
+    def h(ir, fr, mem):
+        ir[d] = mem.load_int(ir[base] + imm)
+        return nxt
+    return h
+
+
+def _d_st(d, s, imm, fimm, nxt):
+    base, src = s
+
+    def h(ir, fr, mem):
+        mem.store_int(ir[base] + imm, ir[src])
+        return nxt
+    return h
+
+
+def _d_fld(d, s, imm, fimm, nxt):
+    base, = s
+
+    def h(ir, fr, mem):
+        fr[d] = mem.load_fp(ir[base] + imm)
+        return nxt
+    return h
+
+
+def _d_fst(d, s, imm, fimm, nxt):
+    base, src = s
+
+    def h(ir, fr, mem):
+        mem.store_fp(ir[base] + imm, fr[src])
+        return nxt
+    return h
+
+
+_DECODERS = {
+    Op.ADD: _int_rr(operator.add),
+    Op.SUB: _int_rr(operator.sub),
+    Op.MUL: _int_rr(operator.mul),
+    Op.AND: _int_rr(operator.and_),
+    Op.OR: _int_rr(operator.or_),
+    Op.XOR: _int_rr(operator.xor),
+    Op.ADDI: _int_ri(operator.add),
+    Op.SUBI: _int_ri(operator.sub),
+    Op.MULI: _int_ri(operator.mul),
+    Op.SHL: _int_ri(operator.lshift, imm_mask=63),
+    Op.SHR: _int_ri(operator.rshift, imm_mask=63),
+    Op.LI: _d_li,
+    Op.MOV: _d_mov,
+    Op.FADD: _fp_rr(operator.add),
+    Op.FSUB: _fp_rr(operator.sub),
+    Op.FMUL: _fp_rr(operator.mul),
+    Op.FDIV: _d_fdiv,
+    Op.FSQRT: _d_fsqrt,
+    Op.FMADD: _d_fmadd,
+    Op.FNEG: _fp_r(operator.neg),
+    Op.FABS: _fp_r(abs),
+    Op.FLI: _d_fli,
+    Op.FMOV: _d_fmov,
+    Op.ITOF: _d_itof,
+    Op.FTOI: _d_ftoi,
+    Op.LD: _d_ld,
+    Op.ST: _d_st,
+    Op.FLD: _d_fld,
+    Op.FST: _d_fst,
+    Op.JMP: _d_jmp,
+    Op.BEQ: _branch(operator.eq),
+    Op.BNE: _branch(operator.ne),
+    Op.BLT: _branch(operator.lt),
+    Op.BGE: _branch(operator.ge),
+    Op.BEQZ: _d_beqz,
+    Op.BNEZ: _d_bnez,
+    Op.FBLT: _branch(operator.lt, fp=True),
+    Op.FBGE: _branch(operator.ge, fp=True),
+    Op.NOP: lambda d, s, imm, fimm, nxt: lambda ir, fr, mem: nxt,
+    Op.HALT: lambda d, s, imm, fimm, nxt: lambda ir, fr, mem: None,
+}
+
+
+def _instr_at(program: Program, pc: int) -> Instr:
+    if not 0 <= pc < len(program):
+        raise GuestFault(f"pc {pc} outside program {program.name}")
+    return program.instrs[pc]
+
+
+def decode(instr: Instr, pc: int) -> Handler:
+    """Build the handler of *instr* sitting at *pc*."""
+    return _DECODERS[instr.op](
+        instr.dst, instr.srcs, instr.imm, instr.fimm, pc + 1
+    )
+
+
+class GuestBlock(NamedTuple):
+    """A decoded straight-line block: what one execution of it does.
+
+    Same extent as :meth:`Program.basic_block_at`.  ``flops`` and
+    ``classes`` are the block's totals, so executing it costs its
+    handlers plus one statistics update.
+    """
+
+    entry_pc: int
+    instrs: Tuple[Instr, ...]
+    body: Tuple[Handler, ...]       # every instruction but the last
+    last: Handler
+    length: int
+    flops: int
+    classes: Tuple[Tuple[OpClass, int], ...]
 
 
 class Machine:
-    """Executes guest programs one instruction at a time.
+    """Executes guest programs; the golden model.
 
-    This is the golden model: simple, slow, obviously correct.  It also
-    exposes :meth:`step` so the CMS interpreter module can reuse its
-    semantics while layering its own cost model and profiling on top.
+    Each instruction is decoded once per run into a handler (see
+    :func:`decode`) and each straight-line block once into a
+    :class:`GuestBlock`.  Both live on the machine, never on the
+    :class:`Program`, so they die with the run.  :meth:`step` and
+    :meth:`run_block` share the handlers, which is how the CMS
+    interpreter, the VLIW engine and the port simulators reuse these
+    semantics while layering their own cost models on top.
     """
 
     def __init__(self, state: Optional[MachineState] = None,
@@ -173,24 +471,146 @@ class Machine:
         self.state = state if state is not None else MachineState()
         self.max_steps = max_steps
         self.stats = ExecStats()
+        #: The program the decoded tables below belong to.
+        self._program: Optional[Program] = None
+        self._decoded: Dict[int, Tuple[Handler, Instr]] = {}
+        self._blocks: Dict[int, GuestBlock] = {}
 
-    # -- single-instruction semantics ------------------------------------
+    # -- decode, once per executed pc --------------------------------------
+
+    def fetch(self, program: Program) -> Instr:
+        """The instruction at the current pc; faults if there is none."""
+        return _instr_at(program, self.state.pc)
+
+    def _bind(self, program: Program) -> None:
+        """Decoded state belongs to one program; drop it for another."""
+        if program is not self._program:
+            self._program = program
+            self._decoded = {}
+            self._blocks = {}
+
+    def _decode(self, program: Program, pc: int) -> Tuple[Handler, Instr]:
+        entry = self._decoded.get(pc)
+        if entry is None:
+            instr = _instr_at(program, pc)
+            entry = self._decoded[pc] = (decode(instr, pc), instr)
+        return entry
+
+    def block(self, program: Program, pc: int) -> GuestBlock:
+        """The decoded straight-line block starting at *pc*."""
+        self._bind(program)
+        block = self._blocks.get(pc)
+        if block is None:
+            self._decode(program, pc)   # faults unless pc is in the program
+            instrs = program.basic_block_at(pc)
+            handlers = [
+                self._decode(program, at)[0]
+                for at in range(pc, pc + len(instrs))
+            ]
+            classes: Dict[OpClass, int] = {}
+            for instr in instrs:
+                classes[instr.opclass] = classes.get(instr.opclass, 0) + 1
+            block = self._blocks[pc] = GuestBlock(
+                entry_pc=pc,
+                instrs=instrs,
+                body=tuple(handlers[:-1]),
+                last=handlers[-1],
+                length=len(instrs),
+                flops=sum(instr.flops for instr in instrs),
+                classes=tuple(classes.items()),
+            )
+        return block
+
+    # -- execution ---------------------------------------------------------
 
     def step(self, program: Program) -> bool:
         """Execute one instruction; return ``False`` once halted."""
         st = self.state
         if st.halted:
             return False
-        if not 0 <= st.pc < len(program):
-            raise GuestFault(f"pc {st.pc} outside program {program.name}")
-        instr = program[st.pc]
-        taken = self._execute(instr)
-        self.stats.count(instr, taken)
-        return not st.halted
+        pc = st.pc
+        entry = self._decoded.get(pc) if program is self._program else None
+        if entry is None:
+            self._bind(program)
+            entry = self._decode(program, pc)
+        handler, instr = entry
+        nxt = handler(st.iregs, st.fregs, st.mem)
+        stats = self.stats
+        stats.instructions += 1
+        stats.flops += instr.flops
+        by_class = stats.by_class
+        by_class[instr.opclass] = by_class.get(instr.opclass, 0) + 1
+        if nxt is None:
+            st.pc = pc + 1
+            st.halted = True
+            return False
+        if nxt < 0:
+            st.pc = ~nxt
+            stats.taken_branches += 1
+        else:
+            st.pc = nxt
+        return True
+
+    def run_block(self, block: GuestBlock) -> int:
+        """Execute *block*, which must start at the current pc.
+
+        Returns the number of instructions executed (0 once halted) and
+        updates the statistics once for the whole block.  If the k-th
+        instruction raises, state and statistics are left exactly as
+        k - 1 calls of :meth:`step` leave them, with ``pc`` at the
+        instruction that raised.
+        """
+        st = self.state
+        if st.halted:
+            return 0
+        entry_pc, instrs, body, last, length, flops, classes = block
+        if st.pc != entry_pc:
+            raise ValueError(
+                f"machine pc {st.pc} does not match block entry {entry_pc}"
+            )
+        stats = self.stats
+        by_class = stats.by_class
+        ir, fr, mem = st.iregs, st.fregs, st.mem
+        pc = entry_pc
+        try:
+            for handler in body:
+                pc = handler(ir, fr, mem)
+            nxt = last(ir, fr, mem)
+        except BaseException:
+            # Every body handler returns its fall-through, so pc is the
+            # instruction that raised; count the ones before it.
+            for instr in instrs[:pc - entry_pc]:
+                stats.instructions += 1
+                stats.flops += instr.flops
+                by_class[instr.opclass] = by_class.get(instr.opclass, 0) + 1
+            st.pc = pc
+            raise
+        stats.instructions += length
+        stats.flops += flops
+        for cls, n in classes:
+            by_class[cls] = by_class.get(cls, 0) + n
+        if nxt is None:
+            st.pc = entry_pc + length
+            st.halted = True
+        elif nxt < 0:
+            st.pc = ~nxt
+            stats.taken_branches += 1
+        else:
+            st.pc = nxt
+        return length
 
     def run(self, program: Program) -> ExecStats:
         """Run *program* from the current PC until HALT."""
+        st = self.state
         steps = 0
+        # Whole blocks while the budget covers them ...
+        while not st.halted:
+            block = self.block(program, st.pc)
+            if steps + block.length > self.max_steps:
+                break
+            steps += self.run_block(block)
+        # ... then one instruction at a time, so the guard trips on
+        # exactly the instruction it always did.
         while self.step(program):
             steps += 1
             if steps > self.max_steps:
@@ -198,121 +618,6 @@ class Machine:
                     f"exceeded max_steps={self.max_steps} in {program.name}"
                 )
         return self.stats
-
-    # -- semantics of each opcode ----------------------------------------
-
-    def _execute(self, instr: Instr) -> bool:
-        """Apply *instr* to the state; returns True if a branch was taken."""
-        st = self.state
-        op = instr.op
-        ir, fr, mem = st.iregs, st.fregs, st.mem
-        s = instr.srcs
-        next_pc = st.pc + 1
-        taken = False
-
-        if op is Op.ADD:
-            ir[instr.dst] = _wrap64(ir[s[0]] + ir[s[1]])
-        elif op is Op.SUB:
-            ir[instr.dst] = _wrap64(ir[s[0]] - ir[s[1]])
-        elif op is Op.ADDI:
-            ir[instr.dst] = _wrap64(ir[s[0]] + instr.imm)
-        elif op is Op.SUBI:
-            ir[instr.dst] = _wrap64(ir[s[0]] - instr.imm)
-        elif op is Op.MUL:
-            ir[instr.dst] = _wrap64(ir[s[0]] * ir[s[1]])
-        elif op is Op.MULI:
-            ir[instr.dst] = _wrap64(ir[s[0]] * instr.imm)
-        elif op is Op.AND:
-            ir[instr.dst] = _wrap64(ir[s[0]] & ir[s[1]])
-        elif op is Op.OR:
-            ir[instr.dst] = _wrap64(ir[s[0]] | ir[s[1]])
-        elif op is Op.XOR:
-            ir[instr.dst] = _wrap64(ir[s[0]] ^ ir[s[1]])
-        elif op is Op.SHL:
-            ir[instr.dst] = _wrap64(ir[s[0]] << (instr.imm & 63))
-        elif op is Op.SHR:
-            ir[instr.dst] = _wrap64(ir[s[0]] >> (instr.imm & 63))
-        elif op is Op.LI:
-            ir[instr.dst] = _wrap64(instr.imm)
-        elif op is Op.MOV:
-            ir[instr.dst] = ir[s[0]]
-
-        elif op is Op.FADD:
-            fr[instr.dst] = fr[s[0]] + fr[s[1]]
-        elif op is Op.FSUB:
-            fr[instr.dst] = fr[s[0]] - fr[s[1]]
-        elif op is Op.FMUL:
-            fr[instr.dst] = fr[s[0]] * fr[s[1]]
-        elif op is Op.FDIV:
-            denom = fr[s[1]]
-            if denom == 0.0:
-                raise GuestFault("floating-point divide by zero")
-            fr[instr.dst] = fr[s[0]] / denom
-        elif op is Op.FSQRT:
-            val = fr[s[0]]
-            if val < 0.0:
-                raise GuestFault("fsqrt of negative value")
-            fr[instr.dst] = math.sqrt(val)
-        elif op is Op.FMADD:
-            fr[instr.dst] = fr[s[0]] * fr[s[1]] + fr[s[2]]
-        elif op is Op.FNEG:
-            fr[instr.dst] = -fr[s[0]]
-        elif op is Op.FABS:
-            fr[instr.dst] = abs(fr[s[0]])
-        elif op is Op.FLI:
-            fr[instr.dst] = instr.fimm
-        elif op is Op.FMOV:
-            fr[instr.dst] = fr[s[0]]
-        elif op is Op.ITOF:
-            fr[instr.dst] = float(ir[s[0]])
-        elif op is Op.FTOI:
-            ir[instr.dst] = _wrap64(int(fr[s[0]]))
-
-        elif op is Op.LD:
-            ir[instr.dst] = mem.load_int(ir[s[0]] + instr.imm)
-        elif op is Op.ST:
-            mem.store_int(ir[s[0]] + instr.imm, ir[s[1]])
-        elif op is Op.FLD:
-            fr[instr.dst] = mem.load_fp(ir[s[0]] + instr.imm)
-        elif op is Op.FST:
-            mem.store_fp(ir[s[0]] + instr.imm, fr[s[1]])
-
-        elif op is Op.JMP:
-            next_pc, taken = instr.imm, True
-        elif op is Op.BEQ:
-            if ir[s[0]] == ir[s[1]]:
-                next_pc, taken = instr.imm, True
-        elif op is Op.BNE:
-            if ir[s[0]] != ir[s[1]]:
-                next_pc, taken = instr.imm, True
-        elif op is Op.BLT:
-            if ir[s[0]] < ir[s[1]]:
-                next_pc, taken = instr.imm, True
-        elif op is Op.BGE:
-            if ir[s[0]] >= ir[s[1]]:
-                next_pc, taken = instr.imm, True
-        elif op is Op.BEQZ:
-            if ir[s[0]] == 0:
-                next_pc, taken = instr.imm, True
-        elif op is Op.BNEZ:
-            if ir[s[0]] != 0:
-                next_pc, taken = instr.imm, True
-        elif op is Op.FBLT:
-            if fr[s[0]] < fr[s[1]]:
-                next_pc, taken = instr.imm, True
-        elif op is Op.FBGE:
-            if fr[s[0]] >= fr[s[1]]:
-                next_pc, taken = instr.imm, True
-
-        elif op is Op.NOP:
-            pass
-        elif op is Op.HALT:
-            st.halted = True
-        else:  # pragma: no cover - exhaustiveness guard
-            raise GuestFault(f"unimplemented opcode {op}")
-
-        st.pc = next_pc
-        return taken
 
 
 def run_program(program: Program, state: Optional[MachineState] = None,

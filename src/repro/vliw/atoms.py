@@ -9,7 +9,7 @@ CMS translations must be architecturally transparent to x86 software.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.isa.instructions import Instr, OpClass
@@ -28,10 +28,11 @@ class Atom:
     instr: Instr
     seq: int
     latency: int
+    #: The functional unit the molecule format routes this atom to.
+    unit: UnitKind = field(init=False, compare=False, repr=False)
 
-    @property
-    def unit(self) -> UnitKind:
-        return UNIT_FOR_CLASS[self.instr.opclass]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "unit", UNIT_FOR_CLASS[self.instr.opclass])
 
     @property
     def opclass(self) -> OpClass:

@@ -15,8 +15,9 @@ transparent - the property real CMS must also guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Tuple
 
 from repro.isa.instructions import OpClass, Program
 from repro.isa.machine import Machine
@@ -27,6 +28,14 @@ from repro.vliw.units import TM5600_LATENCIES, LatencyTable, UnitKind
 
 #: Operation classes that monopolise the FPU for their full latency.
 _UNPIPELINED = frozenset({OpClass.FPDIV, OpClass.FPSQRT})
+
+
+#: Per molecule: the source registers its atoms read, whether any atom
+#: needs the FPU, ``(dst, latency)`` per writing atom in atom order, and
+#: the latencies of its unpipelined atoms.
+MoleculePlan = Tuple[
+    Tuple[str, ...], bool, Tuple[Tuple[str, int], ...], Tuple[int, ...]
+]
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,30 @@ class TranslatedBlock:
     def code_bytes(self) -> int:
         """Encoded size, for translation-cache capacity accounting."""
         return sum(m.width_bits // 8 for m in self.molecules)
+
+    @cached_property
+    def issue_plan(self) -> Tuple[Tuple[MoleculePlan, ...], int]:
+        """What the scoreboard needs of each molecule, and the atom total.
+
+        Derived on first execution and kept with the translation, so
+        re-running a cached block never revisits its atoms.
+        """
+        return tuple(
+            (
+                # each source register once, in first-read order
+                tuple({src: None for a in molecule for src in a.reads()}),
+                any(a.unit is UnitKind.FPU for a in molecule),
+                tuple(
+                    (a.writes(), a.latency)
+                    for a in molecule if a.writes() is not None
+                ),
+                tuple(
+                    a.latency for a in molecule
+                    if a.opclass in _UNPIPELINED
+                ),
+            )
+            for molecule in self.molecules
+        ), sum(len(molecule) for molecule in self.molecules)
 
 
 def translate_block(program: Program, entry_pc: int,
@@ -101,34 +134,44 @@ class VliwEngine:
         golden machine (so ``machine.state`` and ``machine.stats`` are
         identical to a pure-interpreter run).
         """
-        start = self.clock
-        t_prev = self.clock - 1
-        ideal = len(tb.molecules)
-        for molecule in tb.molecules:
-            t = t_prev + 1
-            for atom in molecule:
-                for src in atom.reads():
-                    t = max(t, self._reg_ready.get(src, 0))
-                if atom.unit is UnitKind.FPU:
-                    t = max(t, self._fpu_free)
-            for atom in molecule:
-                dst = atom.writes()
-                if dst is not None:
-                    self._reg_ready[dst] = t + atom.latency
-                if atom.opclass in _UNPIPELINED:
-                    self._fpu_free = t + atom.latency
-            t_prev = t
-            self.stats.molecules_issued += 1
-            self.stats.atoms_executed += len(molecule)
-        self.clock = t_prev + 1
-        self.stats.blocks_executed += 1
-        self.stats.stall_cycles += (self.clock - start) - ideal
-
         if machine.state.pc != tb.entry_pc:
             raise ValueError(
                 f"machine pc {machine.state.pc} does not match block entry "
                 f"{tb.entry_pc}"
             )
-        for _ in range(tb.guest_count):
-            machine.step(program)
-        return self.clock - start
+        block = machine.block(program, tb.entry_pc)
+        if block.length != tb.guest_count:
+            raise ValueError(
+                f"translation at {tb.entry_pc} covers {tb.guest_count} "
+                f"guest instructions, the block has {block.length}"
+            )
+
+        plan, atom_total = tb.issue_plan
+        reg_ready = self._reg_ready
+        ready_at = reg_ready.get
+        fpu_free = self._fpu_free
+        start = self.clock
+        t = start - 1
+        for srcs, needs_fpu, writes, unpipelined in plan:
+            t += 1
+            for src in srcs:
+                ready = ready_at(src, 0)
+                if ready > t:
+                    t = ready
+            if needs_fpu and fpu_free > t:
+                t = fpu_free
+            for dst, latency in writes:
+                reg_ready[dst] = t + latency
+            for latency in unpipelined:
+                fpu_free = t + latency
+        self._fpu_free = fpu_free
+        self.clock = t + 1
+        cycles = self.clock - start
+        stats = self.stats
+        stats.molecules_issued += len(plan)
+        stats.atoms_executed += atom_total
+        stats.blocks_executed += 1
+        stats.stall_cycles += cycles - len(plan)
+
+        machine.run_block(block)
+        return cycles

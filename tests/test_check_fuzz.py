@@ -125,3 +125,31 @@ def test_sched_oracle_catches_invariant_violations(monkeypatch):
         message = run_fuzz_case("sched", params)
     assert message is not None
     assert "planted ledger rot" in message
+
+
+def test_cms_oracle_catches_state_and_statistics_divergence(monkeypatch):
+    from repro.vliw.engine import VliwEngine
+
+    params = {"seed": 11, "blocks": 2, "block_len": 6, "threshold": 1,
+              "tcache_bytes": 1 << 20, "narrow": False}
+    assert run_fuzz_case("cms", params) is None
+    real = VliwEngine.execute_block
+
+    def miscounts(self, tb, program, machine):
+        cycles = real(self, tb, program, machine)
+        machine.stats.taken_branches += 1
+        return cycles
+
+    def corrupts(self, tb, program, machine):
+        cycles = real(self, tb, program, machine)
+        machine.state.iregs["r13"] += 1   # untouched by random bodies
+        return cycles
+
+    with monkeypatch.context() as patch:
+        patch.setattr(VliwEngine, "execute_block", miscounts)
+        message = run_fuzz_case("cms", params)
+    assert "guest statistics diverge" in message
+    with monkeypatch.context() as patch:
+        patch.setattr(VliwEngine, "execute_block", corrupts)
+        message = run_fuzz_case("cms", params)
+    assert "state diverges" in message and "'r13'" in message

@@ -1,5 +1,9 @@
 """Code Morphing Software: interpreter, translator, cache, orchestrator."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cms import CmsConfig, CodeMorphingSoftware
@@ -7,7 +11,7 @@ from repro.cms.tcache import TranslationCache
 from repro.cms.translator import Translation
 from repro.isa import programs
 from repro.isa.assembler import assemble
-from repro.isa.machine import run_program
+from repro.isa.machine import GuestFault, run_program
 from repro.vliw.engine import translate_block
 
 
@@ -138,3 +142,40 @@ def test_small_tcache_still_correct(micro_karp):
     )
     result = cms.run(micro_karp.program, micro_karp.make_state())
     assert result.state.architectural_view() == golden.architectural_view()
+
+
+_RUNS_OFF_ITS_END = """
+from repro.cms import CmsConfig, CodeMorphingSoftware
+from repro.isa.assembler import assemble
+from repro.isa.machine import GuestFault
+
+program = assemble("li r1, 5\\naddi r1, r1, 1")
+cms = CodeMorphingSoftware(CmsConfig(hot_threshold=1))
+# The first run interprets the block (and translates it), the second
+# enters it through the translation cache: both must fault.
+for route in ("interpreted", "translated"):
+    try:
+        cms.run(program, max_steps=1000)
+    except GuestFault as fault:
+        print(route, fault)
+"""
+
+
+def test_guest_running_off_its_end_faults_instead_of_hanging():
+    """Hostile input fails loudly: the golden model's fault, never a hang.
+
+    Runs in a child process so that a regression is a timeout, not a
+    test session that never ends.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", _RUNS_OFF_ITS_END],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    message = "pc 2 outside program <asm>"
+    assert done.stdout.splitlines() == [
+        f"interpreted {message}", f"translated {message}",
+    ]
+    with pytest.raises(GuestFault, match=message):
+        run_program(assemble("li r1, 5\naddi r1, r1, 1"))

@@ -18,7 +18,9 @@ from repro.cpus.ports import PortSpec, PortTable, make_port_table
 from repro.cpus.portsim import HardwareProcessor, PortSimulator, PortTimeline
 from repro.cpus.power import FailureModel, PowerModel, ThermalModel
 from repro.isa import programs
+from repro.isa.assembler import assemble
 from repro.isa.instructions import OpClass
+from repro.isa.machine import GuestFault
 
 
 def test_port_spec_validation():
@@ -56,6 +58,21 @@ def test_simulator_rejects_bad_parameters():
         PortSimulator(table, issue_width=0)
     with pytest.raises(ValueError):
         PortSimulator(table, issue_width=2, window=-1)
+
+
+@pytest.mark.parametrize(
+    "cpu",
+    [PENTIUM_III_500, ALPHA_EV56_533, POWER3_375, ATHLON_MP_1200],
+    ids=lambda c: c.name,
+)
+def test_guest_running_off_its_end_faults_like_the_golden_model(cpu):
+    program = assemble("li r1, 5\naddi r1, r1, 1")
+    sim = PortSimulator(
+        cpu.table, issue_width=cpu.spec.issue_width,
+        window=cpu.window, has_fma=cpu.has_fma,
+    )
+    with pytest.raises(GuestFault, match="pc 2 outside program"):
+        sim.simulate(program)
 
 
 def test_wider_issue_is_never_slower(micro_karp):

@@ -146,6 +146,16 @@ def test_engine_pc_mismatch_rejected(micro_math):
         engine.execute_block(tb, micro_math.program, machine)
 
 
+def test_engine_rejects_translation_that_does_not_cover_the_block():
+    short = assemble("addi r1, r1, 1\nhalt")
+    longer = assemble("addi r1, r1, 1\naddi r1, r1, 1\nhalt")
+    engine = VliwEngine()
+    machine = Machine()
+    with pytest.raises(ValueError, match="covers 2 guest instructions"):
+        engine.execute_block(translate_block(short, 0), longer, machine)
+    assert engine.clock == 0 and machine.stats.instructions == 0
+
+
 def test_unpipelined_divide_occupies_fpu():
     source = "fdiv f1, f2, f3\nfdiv f4, f5, f6\nhalt"
     program = assemble(source)
