@@ -380,6 +380,15 @@ SIMMPI_DEFAULTS: Dict[str, Any] = {
     "flop_rate": 88e6,
     "fail_rank": None,
     "fail_at": 0.0,
+    # The fabric under the world: "star" (MetaBlade) or "rack" (the
+    # two-level Green Destiny network, ``nodes_per_chassis`` blades an
+    # enclosure).  ``chassis_down`` = [chassis, start_s, end_s] puts
+    # one uplink outage on a rack's fault timeline, so the reroute
+    # path is on the record.  Manifests recorded before these keys
+    # existed mean the star.
+    "fabric": "star",
+    "nodes_per_chassis": 24,
+    "chassis_down": None,
 }
 
 
@@ -416,12 +425,37 @@ def _simmpi_program(params: Dict[str, Any]) -> Callable:
     return program
 
 
-def record_simmpi_manifest(seed: int = 2001,
-                           **overrides: Any) -> RunManifest:
-    """Record one canonical SimMPI world (optionally with a failure)."""
+def _simmpi_runtime(params: Dict[str, Any]):
+    """The world a simmpi manifest describes (record and replay share it)."""
+    from repro.network.faults import FaultTimeline, chassis_resource
+    from repro.network.multilevel import RackFabricConfig, RackTopology
     from repro.network.timing import star_fabric
     from repro.simmpi import SimMpiRuntime
 
+    ranks = params["ranks"]
+    if params.get("fabric", "star") == "rack":
+        fabric = RackTopology(ranks, RackFabricConfig(
+            nodes_per_chassis=params["nodes_per_chassis"]
+        ))
+        outage = params.get("chassis_down")
+        if outage is not None:
+            chassis, start_s, end_s = outage
+            timeline = FaultTimeline()
+            timeline.add(chassis_resource(chassis), start_s, end_s)
+            fabric.attach_faults(timeline)
+    else:
+        fabric = star_fabric(ranks)
+    runtime = SimMpiRuntime(
+        ranks, fabric=fabric, flop_rate=params["flop_rate"]
+    )
+    if params["fail_rank"] is not None:
+        runtime.fail_at(params["fail_at"], params["fail_rank"])
+    return runtime
+
+
+def record_simmpi_manifest(seed: int = 2001,
+                           **overrides: Any) -> RunManifest:
+    """Record one canonical SimMPI world (optionally with a failure)."""
     params = dict(SIMMPI_DEFAULTS)
     unknown = set(overrides) - set(params)
     if unknown:
@@ -429,13 +463,7 @@ def record_simmpi_manifest(seed: int = 2001,
     params.update(overrides)
     params["seed"] = seed
 
-    runtime = SimMpiRuntime(
-        params["ranks"],
-        fabric=star_fabric(params["ranks"]),
-        flop_rate=params["flop_rate"],
-    )
-    if params["fail_rank"] is not None:
-        runtime.fail_at(params["fail_at"], params["fail_rank"])
+    runtime = _simmpi_runtime(params)
     with TraceRecorder(runtime.kernel) as recorder:
         runtime.run(_simmpi_program(params))
     return RunManifest.make(
@@ -444,17 +472,8 @@ def record_simmpi_manifest(seed: int = 2001,
 
 
 def _replay_simmpi(manifest: RunManifest) -> ReplayReport:
-    from repro.network.timing import star_fabric
-    from repro.simmpi import SimMpiRuntime
-
     params = manifest.params
-    runtime = SimMpiRuntime(
-        params["ranks"],
-        fabric=star_fabric(params["ranks"]),
-        flop_rate=params["flop_rate"],
-    )
-    if params["fail_rank"] is not None:
-        runtime.fail_at(params["fail_at"], params["fail_rank"])
+    runtime = _simmpi_runtime(params)
 
     def context() -> Dict[str, Any]:
         comms = runtime._comms or ()

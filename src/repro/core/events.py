@@ -269,8 +269,16 @@ class EventKernel:
     @property
     def tracing(self) -> bool:
         """True when trace() actually does something (timeline kept or
-        at least one observer registered) — producers guard any
-        non-trivial field computation behind this."""
+        at least one observer registered).
+
+        The contract for producers on a per-message or per-event path:
+        read this once, and call :meth:`trace` — whose keyword fields
+        cost a dict and often a formatted resource name to build —
+        only when it is true.  Observers may attach between any two
+        events, so the value is read per message, never cached across
+        them.  Rare paths (failures, retransmissions, world start and
+        end) may call :meth:`trace` unguarded.
+        """
         return self.record_timeline or bool(self._observers)
 
     def add_observer(self, fn: Callable[[TimelineEvent], None]) -> None:

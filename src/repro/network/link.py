@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 
@@ -48,15 +49,25 @@ class Calendar:
     earlier in virtual time.  A calendar books each transfer into the
     earliest idle gap at-or-after its ready time instead.
 
-    Pruning keeps the interval list bounded, but a pruned interval must
-    never be double-booked by a late-arriving early-``ready`` request:
-    the calendar remembers the end of the newest pruned interval as a
-    *floor* and clamps every subsequent ``ready`` to it.  Because the
-    intervals are non-overlapping and sorted, every retained interval
-    starts at-or-after the floor, so clamped bookings see exactly the
-    timeline an unpruned calendar would (whenever ``ready`` is at-or-
-    after the floor, the clamp is a no-op and the answers are
-    identical).
+    Bookings that touch exactly (one ends at the float the next starts
+    at) are stored as one busy *run*: ``starts``/``ends`` hold the
+    sorted, strictly separated runs, not the individual bookings.  A
+    saturated wire is mostly back-to-back frames, so a booking steps
+    over one run where it used to step over every frame in it.  The
+    union of busy time is unchanged by the merge, and so is every
+    positive-length booking's start (``tests/test_netfault.py`` holds
+    the unmerged rule as the oracle).  A zero-length booking whose
+    ready time falls inside a run starts at the run's end — the first
+    idle instant.
+
+    Pruning keeps the run list bounded, but a pruned run must never be
+    double-booked by a late-arriving early-``ready`` request: the
+    calendar remembers the end of the newest pruned run as a *floor*
+    and clamps every subsequent ``ready`` to it.  Because the runs are
+    non-overlapping and sorted, every retained run starts at-or-after
+    the floor, so clamped bookings see exactly the timeline an unpruned
+    calendar would (whenever ``ready`` is at-or-after the floor, the
+    clamp is a no-op and the answers are identical).
     """
 
     __slots__ = ("starts", "ends", "busy_s", "transfers", "_floor")
@@ -77,29 +88,41 @@ class Calendar:
 
     def book(self, ready: float, duration: float) -> float:
         """Reserve *duration* at the earliest start >= ready."""
-        from bisect import bisect_right
-
         if ready < self._floor:
             ready = self._floor
         starts, ends = self.starts, self.ends
+        n = len(starts)
         i = bisect_right(starts, ready)
         s = ready
-        if i > 0 and ends[i - 1] > s:
+        if i and ends[i - 1] > s:
             s = ends[i - 1]
-        while i < len(starts) and starts[i] < s + duration:
-            if ends[i] > s:
-                s = ends[i]
+        end = s + duration
+        # Runs are strictly separated, so each one the booking cannot
+        # fit in front of pushes it to that run's end.
+        while i < n and starts[i] < end:
+            s = ends[i]
+            end = s + duration
             i += 1
-        starts.insert(i, s)
-        ends.insert(i, s + duration)
-        if len(starts) > self._PRUNE_AT:
-            keep = self._PRUNE_AT // 2
-            # Non-overlapping sorted intervals: ends is sorted too, so
-            # the end of the last dropped interval bounds every dropped
-            # busy period from above.
-            self._floor = max(self._floor, ends[-keep - 1])
-            del starts[:-keep]
-            del ends[:-keep]
+        if i and ends[i - 1] == s:
+            if i < n and starts[i] == end:
+                ends[i - 1] = ends[i]       # the booking closes a gap
+                del starts[i]
+                del ends[i]
+            else:
+                ends[i - 1] = end
+        elif i < n and starts[i] == end:
+            starts[i] = s
+        else:
+            starts.insert(i, s)
+            ends.insert(i, end)
+            if n >= self._PRUNE_AT:
+                keep = self._PRUNE_AT // 2
+                # Sorted disjoint runs: ends is sorted too, so the end
+                # of the last dropped run bounds every dropped busy
+                # period from above.
+                self._floor = max(self._floor, ends[-keep - 1])
+                del starts[:-keep]
+                del ends[:-keep]
         self.busy_s += duration
         self.transfers += 1
         return s

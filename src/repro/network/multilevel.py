@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.events import EventKernel
-from repro.network.link import Link, LinkSchedule
+from repro.network.faults import chassis_resource, link_resource
+from repro.network.link import FAST_ETHERNET, Calendar, Link, LinkSchedule
 from repro.network.nic import Nic
 from repro.network.switch import BackplaneSchedule, Switch
-from repro.network.topology import Transfer
+from repro.network.topology import Transfer, endpoint_error
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,6 @@ class RackTopology:
             config = RackFabricConfig()
         self.nodes = nodes
         self.config = config
-        per = config.nodes_per_chassis
-        self._chassis_map: Optional[Tuple[int, ...]] = None
         if chassis_map is not None:
             if len(chassis_map) != nodes:
                 raise ValueError(
@@ -91,23 +90,24 @@ class RackTopology:
                 )
             if any(c < 0 for c in chassis_map):
                 raise ValueError("chassis indices cannot be negative")
-            self._chassis_map = tuple(chassis_map)
-            self.chassis_count = max(self._chassis_map) + 1
+            chassis = tuple(chassis_map)
         else:
-            self.chassis_count = (nodes + per - 1) // per
-        nic_link = config.nic.link
-        self._up: List[LinkSchedule] = [
-            LinkSchedule(nic_link) for _ in range(nodes)
+            per = config.nodes_per_chassis
+            chassis = tuple(n // per for n in range(nodes))
+        #: Chassis index behind each endpoint.
+        self._chassis: Tuple[int, ...] = chassis
+        self.chassis_count = max(chassis) + 1
+        # One wire calendar per direction of every blade's NIC link
+        # and of every chassis' uplink to the aggregation switch.
+        # send() books them itself, with one serialisation time per
+        # link class a message crosses.
+        self._up: List[Calendar] = [Calendar() for _ in range(nodes)]
+        self._down: List[Calendar] = [Calendar() for _ in range(nodes)]
+        self._chassis_up: List[Calendar] = [
+            Calendar() for _ in range(self.chassis_count)
         ]
-        self._down: List[LinkSchedule] = [
-            LinkSchedule(nic_link) for _ in range(nodes)
-        ]
-        # Per-chassis uplink/downlink to the aggregation switch.
-        self._chassis_up: List[LinkSchedule] = [
-            LinkSchedule(config.uplink) for _ in range(self.chassis_count)
-        ]
-        self._chassis_down: List[LinkSchedule] = [
-            LinkSchedule(config.uplink) for _ in range(self.chassis_count)
+        self._chassis_down: List[Calendar] = [
+            Calendar() for _ in range(self.chassis_count)
         ]
         agg = Switch(
             name="rack aggregation",
@@ -124,6 +124,7 @@ class RackTopology:
         self._kernel: Optional[EventKernel] = None
         self._faults = None
         self._fault_resources: List[str] = []
+        self._chassis_fault_resources: List[str] = []
         # Backup chassis uplinks (lazily built): each RLX chassis also
         # carries the blades' management Fast Ethernet interfaces (the
         # blades have three 100 Mb/s ports; only one is the compute
@@ -150,7 +151,6 @@ class RackTopology:
         degraded bandwidth instead — the rack's graceful-degradation
         story.
         """
-        from repro.network.faults import link_resource
         if resources is not None and len(resources) != self.nodes:
             raise ValueError(
                 f"{len(resources)} fault resources for {self.nodes} nodes"
@@ -160,111 +160,116 @@ class RackTopology:
             list(resources) if resources is not None
             else [link_resource(n) for n in range(self.nodes)]
         )
+        self._chassis_fault_resources = [
+            chassis_resource(c) for c in range(self.chassis_count)
+        ]
 
     def _backup(self, table: dict, chassis: int) -> LinkSchedule:
         sched = table.get(chassis)
         if sched is None:
-            from repro.network.link import FAST_ETHERNET
             sched = LinkSchedule(FAST_ETHERNET)
             table[chassis] = sched
         return sched
 
     def chassis_of(self, node: int) -> int:
-        if self._chassis_map is not None:
-            return self._chassis_map[node]
-        return node // self.config.nodes_per_chassis
+        return self._chassis[node]
 
     def reset(self) -> None:
-        for sched in (*self._up, *self._down,
-                      *self._chassis_up, *self._chassis_down,
-                      *self._backup_up.values(),
-                      *self._backup_down.values()):
-            sched.reset()
-        self._agg.reset()
+        for resource in (*self._up, *self._down,
+                         *self._chassis_up, *self._chassis_down,
+                         *self._backup_up.values(),
+                         *self._backup_down.values(), self._agg):
+            resource.reset()
         self.transfers.clear()
         self.reroutes = 0
 
     def send(self, src: int, dst: int, nbytes: int,
              post_time: float) -> Transfer:
-        self._check(src)
-        self._check(dst)
-        nic = self.config.nic
+        nodes = self.nodes
+        if not (0 <= src < nodes and 0 <= dst < nodes):
+            raise endpoint_error(src, dst, nodes)
+        config = self.config
+        nic = config.nic
         if src == dst:
             # Loopback: host stack only (send overhead was already
             # charged by the caller).
-            arrive = post_time + nic.recv_overhead_s
-            t = Transfer(src, dst, nbytes, post_time, post_time, arrive)
+            t = Transfer(src, dst, nbytes, post_time, post_time,
+                         post_time + nic.recv_overhead_s)
             self.transfers.append(t)
             return t
-        # post_time is the NIC-accept instant: the wire is ready then.
-        depart, t_cursor = self._up[src].occupy(post_time, nbytes)
-        up_done = t_cursor
-        src_ch = self.chassis_of(src)
-        dst_ch = self.chassis_of(dst)
+        kernel = self._kernel
+        tracing = kernel is not None and kernel.tracing
         faults = self._faults
+        nic_link = nic.link
+        # The blade's uplink and downlink are one link class: one
+        # serialisation time.  post_time is the NIC-accept instant:
+        # the wire is ready then.
+        ser = nic_link.serialization_s(nbytes)
+        depart = self._up[src].book(post_time, ser)
+        up_done = depart + ser + nic_link.latency_s
+        t_cursor = up_done + config.forward_latency_s
+        src_ch = self._chassis[src]
+        dst_ch = self._chassis[dst]
         rerouted = False
         if src_ch != dst_ch:
             # Chassis switch forwards up, aggregation forwards across,
             # destination chassis switch forwards down.  A faulted
             # chassis uplink/downlink detours over the management Fast
             # Ethernet path instead of losing the frame.
-            from repro.network.faults import chassis_resource
-            t_cursor += self.config.forward_latency_s
+            uplink = config.uplink
+            uplink_ser = uplink.serialization_s(nbytes)
             if faults is not None and faults.down_at(
-                    chassis_resource(src_ch), t_cursor):
+                    self._chassis_fault_resources[src_ch], t_cursor):
                 rerouted = True
                 _, t_cursor = self._backup(
                     self._backup_up, src_ch).occupy(t_cursor, nbytes)
             else:
-                _, t_cursor = self._chassis_up[src_ch].occupy(
-                    t_cursor, nbytes
+                t_cursor = (
+                    self._chassis_up[src_ch].book(t_cursor, uplink_ser)
+                    + uplink_ser + uplink.latency_s
                 )
-            if self._kernel is not None:
-                self._kernel.trace(
+            if tracing:
+                kernel.trace(
                     "chassis-uplink", time=t_cursor, src=src, dst=dst,
                     nbytes=nbytes, resource=f"chassis{src_ch}-up",
                 )
             t_cursor = self._agg.occupy(t_cursor, nbytes)
             if faults is not None and faults.down_at(
-                    chassis_resource(dst_ch), t_cursor):
+                    self._chassis_fault_resources[dst_ch], t_cursor):
                 rerouted = True
                 _, t_cursor = self._backup(
                     self._backup_down, dst_ch).occupy(t_cursor, nbytes)
             else:
-                _, t_cursor = self._chassis_down[dst_ch].occupy(
-                    t_cursor, nbytes
+                t_cursor = (
+                    self._chassis_down[dst_ch].book(t_cursor, uplink_ser)
+                    + uplink_ser + uplink.latency_s
                 )
-        else:
-            t_cursor += self.config.forward_latency_s
-        down_depart, t_cursor = self._down[dst].occupy(t_cursor, nbytes)
-        arrive = t_cursor + nic.recv_overhead_s
+        down_depart = self._down[dst].book(t_cursor, ser)
+        down_done = down_depart + ser + nic_link.latency_s
+        arrive = down_done + nic.recv_overhead_s
         lost = False
         if faults is not None:
             res = self._fault_resources
             lost = (
                 faults.down_during(res[src], depart, up_done)
-                or faults.down_during(res[dst], down_depart, t_cursor)
+                or faults.down_during(res[dst], down_depart, down_done)
             )
         if rerouted:
             self.reroutes += 1
-            if self._kernel is not None:
-                self._kernel.trace(
+            if tracing:
+                kernel.trace(
                     "net-reroute", time=arrive, src=src, dst=dst,
                     nbytes=nbytes, resource=f"chassis{src_ch}-backup",
                 )
         t = Transfer(src, dst, nbytes, post_time, depart, arrive,
-                     lost=lost, rerouted=rerouted)
+                     lost, rerouted)
         self.transfers.append(t)
-        if self._kernel is not None:
-            self._kernel.trace(
+        if tracing:
+            kernel.trace(
                 "link-up", time=depart, src=src, dst=dst, nbytes=nbytes,
                 resource=f"uplink{src}",
             )
         return t
-
-    def _check(self, node: int) -> None:
-        if not 0 <= node < self.nodes:
-            raise ValueError(f"node {node} outside 0..{self.nodes - 1}")
 
     # -- diagnostics -------------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional, Protocol, runtime_checkable
 
 from repro.core.events import EventKernel
-from repro.network.topology import StarTopology, Transfer
+from repro.network.topology import StarTopology, Transfer, endpoint_error
 
 
 @runtime_checkable
@@ -50,10 +50,14 @@ class IdealFabric:
 
     def send(self, src: int, dst: int, nbytes: int,
              post_time: float) -> Transfer:
+        nodes = self.nodes
+        if not (0 <= src < nodes and 0 <= dst < nodes):
+            raise endpoint_error(src, dst, nodes)
         t = Transfer(src, dst, nbytes, post_time, post_time, post_time)
         self.transfers.append(t)
-        if self._kernel is not None:
-            self._kernel.trace(
+        kernel = self._kernel
+        if kernel is not None and kernel.tracing:
+            kernel.trace(
                 "link-up", time=post_time, src=src, dst=dst,
                 nbytes=nbytes, resource="ideal",
             )
@@ -76,11 +80,13 @@ def publish_fabric_metrics(registry, fabric,
     registry.counter("fabric.transfers", fabric=fabric_name).inc(
         len(transfers)
     )
+    if not transfers:
+        return
+    nbytes = registry.counter("fabric.bytes", fabric=fabric_name)
+    latency = registry.histogram("fabric.latency_s", fabric=fabric_name)
     for t in transfers:
-        registry.counter("fabric.bytes", fabric=fabric_name).inc(t.nbytes)
-        registry.histogram(
-            "fabric.latency_s", fabric=fabric_name
-        ).observe(t.arrive_time - t.post_time)
+        nbytes.inc(t.nbytes)
+        latency.observe(t.arrive_time - t.post_time)
 
 
 def star_fabric(nodes: int) -> StarTopology:

@@ -10,17 +10,16 @@ compose from the same parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.core.events import EventKernel
-from repro.network.link import LinkSchedule
+from repro.network.faults import link_resource
+from repro.network.link import Calendar
 from repro.network.nic import Nic
 from repro.network.switch import BackplaneSchedule, Switch
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     """Resolved timing of one node-to-node message."""
 
     src: int
@@ -36,6 +35,12 @@ class Transfer:
     lost: bool = False
     #: The frame detoured over a backup path (rack fabrics only).
     rerouted: bool = False
+
+
+def endpoint_error(src: int, dst: int, nodes: int) -> ValueError:
+    """What every fabric raises for an endpoint that is not on it."""
+    bad = dst if 0 <= src < nodes else src
+    return ValueError(f"node {bad} outside 0..{nodes - 1}")
 
 
 class StarTopology:
@@ -64,13 +69,11 @@ class StarTopology:
         self.nodes = nodes
         self.nic = nic
         self.switch = switch
-        # Per-direction schedules: node -> switch and switch -> node.
-        self._up: Dict[int, LinkSchedule] = {
-            n: LinkSchedule(nic.link) for n in range(nodes)
-        }
-        self._down: Dict[int, LinkSchedule] = {
-            n: LinkSchedule(nic.link) for n in range(nodes)
-        }
+        # One wire calendar per direction of every NIC link: node ->
+        # switch and switch -> node.  send() books them itself, with
+        # the one serialisation time both hops of a message share.
+        self._up: List[Calendar] = [Calendar() for _ in range(nodes)]
+        self._down: List[Calendar] = [Calendar() for _ in range(nodes)]
         self._backplane = BackplaneSchedule(switch)
         self.transfers: List[Transfer] = []
         self._kernel: Optional[EventKernel] = None
@@ -93,7 +96,6 @@ class StarTopology:
         frame clocked into a dead port still occupied the sender's
         wire.
         """
-        from repro.network.faults import link_resource
         if resources is not None and len(resources) != self.nodes:
             raise ValueError(
                 f"{len(resources)} fault resources for {self.nodes} nodes"
@@ -105,11 +107,8 @@ class StarTopology:
         )
 
     def reset(self) -> None:
-        for sched in self._up.values():
-            sched.reset()
-        for sched in self._down.values():
-            sched.reset()
-        self._backplane.reset()
+        for resource in (*self._up, *self._down, self._backplane):
+            resource.reset()
         self.transfers.clear()
 
     def send(self, src: int, dst: int, nbytes: int,
@@ -122,50 +121,53 @@ class StarTopology:
         the returned ``arrive_time`` includes the receiver-side
         overhead.
         """
-        self._check(src)
-        self._check(dst)
+        nodes = self.nodes
+        if not (0 <= src < nodes and 0 <= dst < nodes):
+            raise endpoint_error(src, dst, nodes)
+        nic = self.nic
         if src == dst:
             # Loopback: host stack only, no wire (send overhead was
             # already charged by the caller).
-            arrive = post_time + self.nic.recv_overhead_s
-            t = Transfer(src, dst, nbytes, post_time, post_time, arrive)
+            t = Transfer(src, dst, nbytes, post_time, post_time,
+                         post_time + nic.recv_overhead_s)
             self.transfers.append(t)
             return t
-        depart, up_done = self._up[src].occupy(post_time, nbytes)
+        # Uplink and downlink are one link class: one serialisation time.
+        link = nic.link
+        ser = link.serialization_s(nbytes)
+        depart = self._up[src].book(post_time, ser)
+        up_done = depart + ser + link.latency_s
         fwd_done = self._backplane.occupy(up_done, nbytes)
-        down_depart, down_done = self._down[dst].occupy(fwd_done, nbytes)
-        arrive = down_done + self.nic.recv_overhead_s
+        down_depart = self._down[dst].book(fwd_done, ser)
+        down_done = down_depart + ser + link.latency_s
+        arrive = down_done + nic.recv_overhead_s
         lost = False
-        if self._faults is not None:
+        faults = self._faults
+        if faults is not None:
             res = self._fault_resources
             # The frame dies if either endpoint's link/port is down
             # while the frame traverses it.
             lost = (
-                self._faults.down_during(res[src], depart, up_done)
-                or self._faults.down_during(res[dst], down_depart,
-                                            down_done)
+                faults.down_during(res[src], depart, up_done)
+                or faults.down_during(res[dst], down_depart, down_done)
             )
-        t = Transfer(src, dst, nbytes, post_time, depart, arrive,
-                     lost=lost)
+        t = Transfer(src, dst, nbytes, post_time, depart, arrive, lost)
         self.transfers.append(t)
-        if self._kernel is not None:
-            self._kernel.trace(
+        kernel = self._kernel
+        if kernel is not None and kernel.tracing:
+            kernel.trace(
                 "link-up", time=depart, src=src, dst=dst, nbytes=nbytes,
                 resource=f"uplink{src}",
             )
-            self._kernel.trace(
+            kernel.trace(
                 "switch", time=up_done, src=src, dst=dst, nbytes=nbytes,
                 resource=self.switch.name,
             )
-            self._kernel.trace(
+            kernel.trace(
                 "link-down", time=down_done, src=src, dst=dst,
                 nbytes=nbytes, resource=f"downlink{dst}",
             )
         return t
-
-    def _check(self, node: int) -> None:
-        if not 0 <= node < self.nodes:
-            raise ValueError(f"node {node} outside 0..{self.nodes - 1}")
 
     # -- diagnostics -----------------------------------------------------
 

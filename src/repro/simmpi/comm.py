@@ -157,7 +157,7 @@ def payload_nbytes(obj: Any) -> int:
     return nbytes
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """An in-flight or delivered message.
 
@@ -241,13 +241,17 @@ class RankComm:
         while True:
             msg = self._runtime.match(self.rank, src, tag)
             if msg is not None:
-                self.clock = max(self.clock, msg.arrive_time)
-                self.stats.recvs += 1
-                self.stats.bytes_received += msg.nbytes
-                self._runtime.kernel.trace(
-                    "recv", time=self.clock, rank=self.rank, src=msg.src,
-                    tag=msg.tag, nbytes=msg.nbytes,
-                )
+                if msg.arrive_time > self.clock:
+                    self.clock = msg.arrive_time
+                stats = self.stats
+                stats.recvs += 1
+                stats.bytes_received += msg.nbytes
+                kernel = self._runtime.kernel
+                if kernel.tracing:
+                    kernel.trace(
+                        "recv", time=self.clock, rank=self.rank,
+                        src=msg.src, tag=msg.tag, nbytes=msg.nbytes,
+                    )
                 return msg.payload
             if src is not ANY_SOURCE and self._runtime.rank_failed(src):
                 raise NodeFailureError(

@@ -43,40 +43,47 @@ from repro.simmpi.trace import CommStats
 class _Mailbox:
     """One destination rank's undelivered messages, indexed for match.
 
-    The old mailbox was a flat list scanned linearly per receive; this
-    one keeps the same messages in four views keyed by the four match
+    The messages sit in up to four views keyed by the four match
     patterns a receive can pose — exact ``(src, tag)``, src-only,
-    tag-only, and fully wild.  Every deque preserves posting order, so
-    "oldest matching message wins" (MPI's non-overtaking rule for a
-    fixed pattern) falls out of popping from the front.  A message
-    consumed through one view is lazily skipped by the others via its
-    ``consumed`` flag.
+    tag-only, and fully wild (``order``).  Every deque preserves
+    posting order, so "oldest matching message wins" (MPI's
+    non-overtaking rule for a fixed pattern) falls out of popping from
+    the front.  A message consumed through one view is lazily skipped
+    by the others via its ``consumed`` flag.
+
+    Every receive a collective posts is exact, so ``append`` feeds only
+    ``by_exact`` and ``order``; the src-only and tag-only views are
+    built from ``order`` by the first receive that asks for one and fed
+    from then on.  Consumed messages a view never pops are dropped by
+    :meth:`_compact` once they outnumber the live ones, so a mailbox
+    holds at most ``2 * live + _SLACK`` entries per view however long
+    the world runs.
     """
 
-    __slots__ = ("order", "by_exact", "by_src", "by_tag", "live")
+    __slots__ = ("order", "by_exact", "by_src", "by_tag", "live", "_stale")
+
+    _SLACK = 64
 
     def __init__(self) -> None:
         self.order: Deque[Message] = deque()
         self.by_exact: Dict[Tuple[int, int], Deque[Message]] = {}
-        self.by_src: Dict[int, Deque[Message]] = {}
-        self.by_tag: Dict[int, Deque[Message]] = {}
+        self.by_src: Optional[Dict[int, Deque[Message]]] = None
+        self.by_tag: Optional[Dict[int, Deque[Message]]] = None
         self.live = 0
+        self._stale = 0           # consumed since the last compaction
 
     def append(self, msg: Message) -> None:
         self.order.append(msg)
         key = (msg.src, msg.tag)
         queue = self.by_exact.get(key)
         if queue is None:
-            queue = self.by_exact[key] = deque()
-        queue.append(msg)
-        queue = self.by_src.get(msg.src)
-        if queue is None:
-            queue = self.by_src[msg.src] = deque()
-        queue.append(msg)
-        queue = self.by_tag.get(msg.tag)
-        if queue is None:
-            queue = self.by_tag[msg.tag] = deque()
-        queue.append(msg)
+            self.by_exact[key] = deque((msg,))
+        else:
+            queue.append(msg)
+        if self.by_src is not None:
+            self.by_src.setdefault(msg.src, deque()).append(msg)
+        if self.by_tag is not None:
+            self.by_tag.setdefault(msg.tag, deque()).append(msg)
         self.live += 1
 
     def take(self, src: Optional[int], tag: Optional[int]
@@ -86,8 +93,12 @@ class _Mailbox:
             if tag is not None:
                 queue = self.by_exact.get((src, tag))
             else:
+                if self.by_src is None:
+                    self.by_src = self._group(lambda m: m.src)
                 queue = self.by_src.get(src)
         elif tag is not None:
+            if self.by_tag is None:
+                self.by_tag = self._group(lambda m: m.tag)
             queue = self.by_tag.get(tag)
         else:
             queue = self.order
@@ -99,8 +110,30 @@ class _Mailbox:
                 continue
             msg.consumed = True
             self.live -= 1
+            self._stale += 1
+            if self._stale > self.live + self._SLACK:
+                self._compact()
             return msg
         return None
+
+    def _group(self, key) -> Dict[Any, Deque[Message]]:
+        """The live messages, in posting order, grouped by ``key(msg)``."""
+        view: Dict[Any, Deque[Message]] = {}
+        for msg in self.order:
+            if not msg.consumed:
+                view.setdefault(key(msg), deque()).append(msg)
+        return view
+
+    def _compact(self) -> None:
+        """Rebuild the views from the live messages alone.
+
+        Runs once per ``live + _SLACK`` consumptions at least and costs
+        one pass over at most twice that many entries: amortised O(1).
+        """
+        self.order = deque(m for m in self.order if not m.consumed)
+        self.by_exact = self._group(lambda m: (m.src, m.tag))
+        self.by_src = self.by_tag = None
+        self._stale = 0
 
     def live_messages(self) -> List[Message]:
         """Undelivered messages in posting order (diagnostics)."""
@@ -175,6 +208,12 @@ class SimMpiRuntime:
         #: sender.  ``None`` (default) keeps the legacy direct path —
         #: every byte of fault-free behaviour unchanged.
         self.net_fault = net_fault
+        # The host send stack every post is charged before the fabric
+        # sees the message; a fabric without a ``nic`` charges none.
+        nic = getattr(self.fabric, "nic", None)
+        self._send_overhead_s = (
+            nic.send_overhead_s if nic is not None else 0.0
+        )
         attach = getattr(self.fabric, "attach_kernel", None)
         if attach is not None:
             attach(self.kernel)
@@ -199,54 +238,56 @@ class SimMpiRuntime:
         if not 0 <= dst < self.size:
             raise ValueError(f"destination {dst} outside 0..{self.size - 1}")
         nbytes = payload_nbytes(obj)
+        src = comm.rank
         # Sender-side cost first: the NIC accepts the message only once
         # the host stack has run, so the fabric's post_time is the
         # post-overhead clock — not the instant the program called send.
-        comm.clock += self._send_overhead()
+        comm.clock += self._send_overhead_s
         if self.net_fault is None:
-            transfer = self.fabric.send(comm.rank, dst, nbytes, comm.clock)
+            transfer = self.fabric.send(src, dst, nbytes, comm.clock)
             mid = None
         else:
             transfer, mid = self._reliable_send(comm, dst, tag, nbytes)
-        comm.stats.sends += 1
-        comm.stats.bytes_sent += nbytes
-        msg = Message(
-            src=comm.rank,
-            dst=dst,
-            tag=tag,
-            payload=obj,
-            nbytes=nbytes,
-            post_time=transfer.post_time,
-            arrive_time=transfer.arrive_time,
-        )
+        stats = comm.stats
+        stats.sends += 1
+        stats.bytes_sent += nbytes
+        arrive = transfer.arrive_time
+        msg = Message(src, dst, tag, obj, nbytes, transfer.post_time, arrive)
         self._posted += 1
-        if mid is None:
-            self.kernel.trace(
-                "send", time=msg.post_time, src=msg.src, dst=dst, tag=tag,
-                nbytes=nbytes, arrive=msg.arrive_time,
-            )
-        else:
-            # Under the reliable-delivery layer the logical-message id
-            # ties this delivery to its retry ledger (net-drop events).
-            self.kernel.trace(
-                "send", time=msg.post_time, src=msg.src, dst=dst, tag=tag,
-                nbytes=nbytes, arrive=msg.arrive_time, mid=mid,
-            )
-        tasks = self._tasks
-        if (dst in self._failed and tasks is not None
-                and not tasks[dst].alive):
-            # The destination's node is already dead: the frame left
-            # the sender's NIC but nobody will ever drain it.  Account
-            # for it explicitly instead of buffering it forever (the
-            # conservation auditor balances drops separately from
-            # undelivered mail).
-            self._dropped += 1
-            comm.stats.drops += 1
-            self.kernel.trace(
-                "drop", time=msg.arrive_time, src=msg.src, dst=dst,
-                tag=tag, nbytes=nbytes,
-            )
-            return
+        # One read per message: trace fields are built only for a
+        # kernel that has somebody listening.
+        kernel = self.kernel
+        tracing = kernel.tracing
+        if tracing:
+            if mid is None:
+                kernel.trace(
+                    "send", time=transfer.post_time, src=src, dst=dst,
+                    tag=tag, nbytes=nbytes, arrive=arrive,
+                )
+            else:
+                # Under the reliable-delivery layer the logical-message
+                # id ties this delivery to its retry ledger (net-drop
+                # events).
+                kernel.trace(
+                    "send", time=transfer.post_time, src=src, dst=dst,
+                    tag=tag, nbytes=nbytes, arrive=arrive, mid=mid,
+                )
+        if dst in self._failed:
+            tasks = self._tasks
+            if tasks is not None and not tasks[dst].alive:
+                # The destination's node is already dead: the frame
+                # left the sender's NIC but nobody will ever drain it.
+                # Account for it explicitly instead of buffering it
+                # forever (the conservation auditor balances drops
+                # separately from undelivered mail).
+                self._dropped += 1
+                stats.drops += 1
+                if tracing:
+                    kernel.trace(
+                        "drop", time=arrive, src=src, dst=dst, tag=tag,
+                        nbytes=nbytes,
+                    )
+                return
         box = self._mailboxes.get(dst)
         if box is None:
             box = self._mailboxes[dst] = _Mailbox()
@@ -254,11 +295,11 @@ class SimMpiRuntime:
         waiter = self._waiters.get(dst)
         if waiter is not None and waiter[0].matches(msg):
             del self._waiters[dst]
-            self.kernel.trace(
-                "wake", time=msg.arrive_time, rank=dst, src=msg.src,
-                tag=msg.tag,
-            )
-            waiter[1].wake(time=msg.arrive_time)
+            if tracing:
+                kernel.trace(
+                    "wake", time=arrive, rank=dst, src=src, tag=tag,
+                )
+            waiter[1].wake(time=arrive)
 
     def _reliable_send(self, comm: RankComm, dst: int, tag: int,
                        nbytes: int) -> Tuple[Any, int]:
@@ -297,7 +338,7 @@ class SimMpiRuntime:
             # Ack timeout: the sender learns of the loss only after the
             # RTO expires, then re-runs its host send stack.
             comm.clock = give_time + policy.timeout_s(attempt)
-            comm.clock += self._send_overhead()
+            comm.clock += self._send_overhead_s
             attempt += 1
 
     def match(self, dst: int, src: Optional[int],
@@ -309,10 +350,6 @@ class SimMpiRuntime:
         if msg is not None:
             self._consumed += 1
         return msg
-
-    def _send_overhead(self) -> float:
-        nic = getattr(self.fabric, "nic", None)
-        return nic.send_overhead_s if nic is not None else 0.0
 
     # -- failure injection -------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Golden-trace regression: committed manifests must regenerate exactly.
 
 ``tests/data`` holds committed manifests for the paper's two headline
-artifacts (a small Table 2 scaling sweep, a small Fig. 3 run) and one
-full batch-scheduler trace with failures and checkpointing enabled.
+artifacts (a small Table 2 scaling sweep, a small Fig. 3 run), one
+full batch-scheduler trace with failures and checkpointing enabled,
+and one SimMPI world on the rack fabric with a chassis uplink outage.
 Any change that moves a number in those tables — or a single event in
 the scheduler trace — fails here, naming the first divergent row or
 event instead of just a hash.
@@ -44,6 +45,23 @@ def test_committed_sched_trace_replays_clean():
     assert report.replayed_events == len(manifest.events)
 
 
+def test_committed_rack_storm_replays_clean():
+    # The only committed trace of the two-level fabric: an 8-blade,
+    # two-chassis world whose chassis 1 uplink is down for 2 ms, so the
+    # stream holds ``chassis-uplink`` and ``net-reroute`` beside the
+    # rack's ``link-up``.  Recorded on the commit before the message
+    # path was rebuilt (PR 13); regenerate after an *intentional*
+    # change with ``record_simmpi_manifest(seed=2001, **params)`` on
+    # the manifest's own ``params``.
+    manifest = _load("manifest_rack_storm.json")
+    assert manifest.params["fabric"] == "rack"
+    kinds = {event.kind for event in manifest.events}
+    assert {"chassis-uplink", "net-reroute", "link-up"} <= kinds
+    report = replay_manifest(manifest)
+    assert report.ok, report.format()
+    assert report.replayed_events == len(manifest.events)
+
+
 def test_golden_payloads_have_the_expected_shape():
     table2 = _load("golden_table2.json")
     assert table2.payload["headers"]
@@ -75,7 +93,7 @@ def test_tampered_golden_scalar_is_named():
 def test_committed_files_are_valid_canonical_json():
     # Manifests only: tests/data also holds guest_cycles_golden.json.
     manifests = [*DATA.glob("golden_*.json"), *DATA.glob("manifest_*.json")]
-    assert len(manifests) >= 3
+    assert len(manifests) >= 4
     for path in sorted(manifests):
         doc = json.loads(path.read_text())
         assert doc["version"] == 1

@@ -122,3 +122,46 @@ def test_wildcards_respect_posting_order_across_views():
     # exact: the src-1 message is still live through its exact view.
     assert box.take(1, 7).payload == 2
     assert box.take(ANY_SOURCE, None) is None
+
+
+def _entries(view) -> int:
+    """Messages (live or consumed) a view still references."""
+    if view is None:                    # a wildcard view nobody asked for
+        return 0
+    if isinstance(view, dict):
+        return sum(len(queue) for queue in view.values())
+    return len(view)
+
+
+@pytest.mark.parametrize("wildcards_first", [False, True])
+def test_views_stay_bounded_under_exact_match_traffic(wildcards_first):
+    # Collectives receive by exact (src, tag) only, under a fresh tag
+    # per call.  Such a world used to keep every consumed message (and
+    # its payload) referenced from the three wildcard views for the
+    # life of the runtime, and one empty deque per (src, tag) ever seen.
+    box = _Mailbox()
+    parked = [(9, 1), (9, 2), (8, 1), (8, 3)]      # never received
+    for serial, (src, tag) in enumerate(parked):
+        box.append(_message(serial, src, tag))
+    if wildcards_first:
+        # Build the src-only and tag-only views before the traffic.
+        box.append(_message(-1, 7, 1))
+        box.append(_message(-2, 7, 2))
+        assert box.take(7, None).payload == -1
+        assert box.take(ANY_SOURCE, 2).payload == 1     # the parked (9, 2)
+        parked.remove((9, 2))
+        assert box.take(7, 2).payload == -2
+    for n in range(100_000):
+        src, tag = n % 7, -(n // 7) - 1
+        box.append(_message(n, src, tag))
+        assert box.take(src, tag).payload == n
+    live = box.live
+    assert live == len(parked)
+    bound = 2 * live + 130
+    for view in (box.order, box.by_exact, box.by_src, box.by_tag):
+        assert _entries(view) <= bound
+        if isinstance(view, dict):
+            assert len(view) <= bound
+    # Nothing live was lost on the way, and order survived compaction.
+    assert [(m.src, m.tag) for m in box.live_messages()] == parked
+    assert box.take(ANY_SOURCE, None).payload == 0

@@ -10,6 +10,7 @@ from repro.network.switch import (
     FAST_ETHERNET_SWITCH_24,
     Switch,
 )
+from repro.network.multilevel import RackFabricConfig, RackTopology
 from repro.network.timing import IdealFabric, star_fabric
 from repro.network.topology import StarTopology
 
@@ -133,6 +134,33 @@ def test_ideal_fabric_is_free():
     fabric = IdealFabric(nodes=8)
     t = fabric.send(0, 7, nbytes=10**9, post_time=5.0)
     assert t.arrive_time == 5.0
+
+
+@pytest.mark.parametrize("build", [
+    IdealFabric, StarTopology,
+    lambda nodes: RackTopology(
+        nodes, RackFabricConfig(nodes_per_chassis=2)),
+])
+def test_every_fabric_names_the_endpoint_it_rejects(build):
+    fabric = build(4)
+    for src, dst, bad in [(0, 4, 4), (-1, 2, -1), (7, 9, 7), (4, 4, 4)]:
+        with pytest.raises(ValueError, match=f"node {bad} outside 0..3"):
+            fabric.send(src, dst, 10, 0.0)
+    assert fabric.transfers == []
+
+
+def test_zero_length_frame_waits_for_a_back_to_back_busy_wire():
+    # Two frames queued back to back on node 0's uplink form one busy
+    # run.  A zero-byte frame that becomes ready inside the first of
+    # them leaves when the wire falls idle; the calendar that kept
+    # every booking apart let it leave between the two.
+    star = StarTopology(nodes=3)
+    first = star.send(0, 1, nbytes=125_000, post_time=0.0)
+    second = star.send(0, 2, nbytes=125_000, post_time=0.0)
+    wire = FAST_ETHERNET.serialization_s(125_000)
+    assert second.depart_time == first.depart_time + wire
+    empty = star.send(0, 1, nbytes=0, post_time=wire / 2)
+    assert empty.depart_time == second.depart_time + wire
 
 
 def test_star_fabric_helper():
