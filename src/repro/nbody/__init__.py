@@ -34,7 +34,11 @@ from repro.nbody.traversal import tree_accelerations, TraversalStats
 from repro.nbody.ic import plummer_sphere, uniform_cube, two_clusters
 from repro.nbody.integrator import leapfrog_step, total_energy
 from repro.nbody.sim import NBodySimulation, SimConfig, density_image
-from repro.nbody.parallel import parallel_nbody_step, scaling_study
+from repro.nbody.parallel import (
+    ReplicatedStep,
+    parallel_nbody_step,
+    scaling_study,
+)
 from repro.nbody.multipole import quadrupole_tensor
 from repro.nbody.vortex import VortexSystem, vortex_ring
 from repro.nbody.sph import SphSystem, ball_query
@@ -44,6 +48,7 @@ __all__ = [
     "INTERACTION_FLOPS",
     "KarpTable",
     "NBodySimulation",
+    "ReplicatedStep",
     "SimConfig",
     "SphSystem",
     "VortexSystem",

@@ -18,20 +18,28 @@ falls back to equal counts).  Each timestep:
 Because every rank computes the same tree and the same per-group
 accelerations, trajectories are bit-identical for any rank count -
 a property the test suite checks.
+
+The replication is in the *modelled* algorithm, not something the host
+has to repeat: :class:`ReplicatedStep` computes what the ranks of one
+world derive identically (tree, partition, per-group forces) once and
+hands every rank its slice, while each rank's virtual clock is still
+charged for the full replicated build and its own interactions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.network.timing import IdealFabric, star_fabric
+from repro.nbody.kernels import INTERACTION_FLOPS
 from repro.nbody.sim import BUILD_FLOPS_PER_PARTICLE, SimConfig
 from repro.nbody.tree import HashedOctree, TreeBuildCache
 from repro.nbody.traversal import (
     leaf_aligned_partition,
+    leaf_run,
     tree_accelerations,
 )
 from repro.runner import parallel_map
@@ -49,21 +57,139 @@ class ScalingPoint:
     comm_fraction: float
 
 
+class SliceForces(NamedTuple):
+    """One rank's share of a whole-tree force evaluation.
+
+    Arrays are views into the world's shared evaluation - read, never
+    written - in **sorted** particle order over the rank's ``[lo, hi)``.
+    """
+
+    acc: np.ndarray                           # (hi - lo, 3)
+    #: per-particle work: each group's interactions spread evenly over
+    #: its particles - next step's decomposition weights.
+    work: np.ndarray                          # (hi - lo,)
+    interactions: int
+    #: ``(lo, hi, interactions)`` per leaf group of the slice.
+    group_work: List[Tuple[int, int, int]]
+
+    @property
+    def flops(self) -> int:
+        return self.interactions * INTERACTION_FLOPS
+
+
+class ReplicatedStep:
+    """What every rank of one replicated-tree world computes identically.
+
+    The ranks of a world gather the same particles each step, so they
+    would build the same octree, cut it into the same leaf-aligned
+    slices and walk it with the same parameters.  One ``ReplicatedStep``
+    per world (per *attempt*, for a restartable job) does each of those
+    once, for the first rank that asks, and serves the rest from memory:
+
+    - :meth:`tree` - through a :class:`TreeBuildCache`, which compares
+      particle content, so a rank holding different particles gets its
+      own (correct) build;
+    - :meth:`partition` - memoised on the tree object and the weights;
+    - :meth:`forces` - **one whole-tree evaluation** memoised on the
+      tree object and the walk parameters; each rank takes its
+      ``[lo, hi)`` rows.  A leaf group's accelerations and interaction
+      count depend only on the tree and the group (chunks and blocks of
+      the batched evaluator always end on target boundaries and padding
+      adds exact zeros), never on which other groups were evaluated
+      with it, so the slice is bit-identical to evaluating
+      ``target_slice=(lo, hi)`` alone.
+
+    Memos key on tree *identity*: ranks that ever disagreed about the
+    particles would hold different trees and simply recompute.  Only
+    host work is shared - callers still charge every rank the full
+    build and its own slice's interactions.
+    """
+
+    def __init__(self) -> None:
+        self._trees = TreeBuildCache()
+        # (tree, parts, work, spans) of the last partition.
+        self._partition: Optional[tuple] = None
+        # (tree, walk parameters, acc, work, group_work) of the last
+        # whole-tree evaluation, the arrays in sorted order.
+        self._forces: Optional[tuple] = None
+
+    def tree(self, pos: np.ndarray, mass: np.ndarray,
+             leaf_size: int) -> HashedOctree:
+        """The replicated tree over the gathered particles."""
+        return self._trees.build(pos, mass, leaf_size=leaf_size)
+
+    def partition(self, tree: HashedOctree, parts: int,
+                  work: Optional[np.ndarray] = None
+                  ) -> List[Tuple[int, int]]:
+        """Leaf-aligned slices of *tree*, one per rank.
+
+        *work* is last step's per-particle interaction count in
+        **original** order (``None``: equal particle counts).
+        """
+        memo = self._partition
+        if memo is not None and memo[0] is tree and memo[1] == parts:
+            held = memo[2]
+            if work is held or (work is not None and held is not None
+                                and np.array_equal(work, held)):
+                return memo[3]
+        weights = None if work is None else work[tree.order]
+        spans = leaf_aligned_partition(tree, parts, weights)
+        self._partition = (tree, parts, work, spans)
+        return spans
+
+    def forces(self, tree: HashedOctree, span: Tuple[int, int],
+               theta: float, softening: float,
+               use_karp: bool = False) -> SliceForces:
+        """Accelerations and work of the leaf-aligned slice *span*."""
+        lo, hi = span
+        first, last = leaf_run(tree, lo, hi)
+        walk = (theta, softening, use_karp)
+        memo = self._forces
+        if memo is None or memo[0] is not tree or memo[1] != walk:
+            memo = self._forces = (tree, walk, *self._evaluate(tree, *walk))
+        _, _, acc, work, group_work = memo
+        # Every leaf is one group, in leaf order.
+        groups = group_work[first:last]
+        return SliceForces(
+            acc[lo:hi], work[lo:hi], sum(g[2] for g in groups), groups
+        )
+
+    @staticmethod
+    def _evaluate(tree: HashedOctree, theta: float, softening: float,
+                  use_karp: bool) -> tuple:
+        """The one whole-tree walk every rank's slice is cut from."""
+        acc, stats = tree_accelerations(
+            tree, theta=theta, softening=softening, use_karp=use_karp,
+            target_slice=(0, tree.n_particles),
+        )
+        group_lo, group_hi, inter = np.array(
+            stats.group_work, dtype=np.int64
+        ).T
+        sizes = group_hi - group_lo
+        # Groups tile the sorted range.  int64 / int64 is the same
+        # correctly rounded quotient as the Python int / int it
+        # replaces (both far below 2**53).
+        work = np.repeat(inter / sizes, sizes)
+        # Not marked read-only although every rank slices them: pickle
+        # sizes a read-only buffer 4 bytes shorter, and payload sizes
+        # feed fabric timing.
+        return acc, work, stats.group_work
+
+
 def parallel_nbody_step(comm, pos_local, vel_local, mass_local,
                         config: SimConfig, flop_rate: float,
-                        balance: str = "work",
-                        tree_cache: Optional[TreeBuildCache] = None):
+                        shared: ReplicatedStep,
+                        balance: str = "work"):
     """SPMD program: advance the local slice by ``config.steps`` steps.
 
     Written generator-style for SimMPI; returns the final local
     ``(pos, vel)`` slice.  ``balance`` picks the decomposition:
     ``"work"`` (Warren-Salmon work counters) or ``"count"``.
 
-    ``tree_cache`` shares octree builds between ranks: every rank
-    constructs the *replicated* tree over the same gathered particles,
-    so after one rank pays for the build the rest take the full-reuse
-    path.  Purely a host-side optimisation — the modelled build flops
-    are still charged to every rank's virtual clock.
+    ``shared`` is the world's :class:`ReplicatedStep` - the same object
+    on every rank.  It saves host work only: the modelled build flops
+    and each rank's own interaction flops are charged to every rank's
+    virtual clock as if it had computed them alone.
     """
     if balance not in ("work", "count"):
         raise ValueError("balance must be 'work' or 'count'")
@@ -74,45 +200,31 @@ def parallel_nbody_step(comm, pos_local, vel_local, mass_local,
         gathered = yield from comm.allgather((pos, mass, work))
         all_pos = np.vstack([g[0] for g in gathered])
         all_mass = np.concatenate([g[1] for g in gathered])
-        all_work = np.concatenate([g[2] for g in gathered])
         offsets = np.cumsum([0] + [len(g[0]) for g in gathered])
         my_lo, my_hi = offsets[comm.rank], offsets[comm.rank + 1]
 
-        if tree_cache is None:
-            tree = HashedOctree(
-                all_pos, all_mass, leaf_size=config.leaf_size
-            )
-        else:
-            tree = tree_cache.build(
-                all_pos, all_mass, leaf_size=config.leaf_size
-            )
+        tree = shared.tree(all_pos, all_mass, config.leaf_size)
         comm.compute_flops(
             BUILD_FLOPS_PER_PARTICLE * len(all_pos), flop_rate
         )
 
-        weights = all_work[tree.order] if balance == "work" else None
-        spans = leaf_aligned_partition(tree, comm.size, weights)
-        lo, hi = spans[comm.rank]
-        acc_sorted, stats = tree_accelerations(
-            tree,
-            theta=config.theta,
-            softening=config.softening,
-            target_slice=(lo, hi),
+        all_work = (
+            np.concatenate([g[2] for g in gathered])
+            if balance == "work" else None
+        )
+        lo, hi = shared.partition(tree, comm.size, all_work)[comm.rank]
+        mine = shared.forces(
+            tree, (lo, hi), config.theta, config.softening,
             use_karp=config.use_karp,
         )
-        comm.compute_flops(stats.flops, flop_rate)
+        comm.compute_flops(mine.flops, flop_rate)
 
-        # Fresh per-particle work for next step's decomposition.
-        work_span = np.zeros(hi - lo)
-        for glo, ghi, inter in stats.group_work:
-            if ghi > glo:
-                work_span[glo - lo:ghi - lo] = inter / (ghi - glo)
-
-        # Exchange accelerations (and work) so each rank gets its own
-        # particles back: ownership is by original index.
+        # Exchange accelerations (and fresh per-particle work for next
+        # step's decomposition) so each rank gets its own particles
+        # back: ownership is by original index.
         my_sorted_idx = tree.order[lo:hi]          # original indices
         acc_parts = yield from comm.allgather(
-            (my_sorted_idx, acc_sorted, work_span)
+            (my_sorted_idx, mine.acc, mine.work)
         )
         acc_full = np.zeros_like(all_pos)
         work_full = np.zeros(len(all_pos))
@@ -161,9 +273,7 @@ def run_parallel_nbody(config: SimConfig, cpus: int, flop_rate: float,
     pos_parts = _split(pos, cpus)
     vel_parts = _split(vel, cpus)
     mass_parts = _split(mass, cpus)
-    # All ranks build the same replicated tree over the same gathered
-    # particles, in the same interleaved process: share the builds.
-    tree_cache = TreeBuildCache()
+    shared = ReplicatedStep()
 
     def program(comm):
         result = yield from parallel_nbody_step(
@@ -173,8 +283,8 @@ def run_parallel_nbody(config: SimConfig, cpus: int, flop_rate: float,
             mass_parts[comm.rank],
             config,
             flop_rate,
+            shared,
             balance=balance,
-            tree_cache=tree_cache,
         )
         return result
 

@@ -103,10 +103,10 @@ class TraversalStats:
         registry.counter("nbody.tree_rebuilds").inc(self.tree_rebuilds)
         registry.counter("nbody.tree_reuses").inc(self.tree_reuses)
         registry.counter("nbody.flops").inc(self.flops)
-        for lo, hi, interactions in self.group_work:
-            registry.histogram("nbody.group_interactions").observe(
-                interactions
-            )
+        if self.group_work:
+            observe = registry.histogram("nbody.group_interactions").observe
+            for _lo, _hi, interactions in self.group_work:
+                observe(interactions)
 
 
 def _group_geometry(tree: HashedOctree,
@@ -657,6 +657,28 @@ def _batched_accelerations(
     return rows, acc
 
 
+def leaf_run(tree: HashedOctree, lo: int, hi: int) -> Tuple[int, int]:
+    """Positions ``[first, last)`` in ``tree.leaf_order`` of the leaves
+    tiling sorted range ``[lo, hi)``; refuses a range no run tiles.
+
+    Leaves tile ``[0, N)`` in curve order and none is empty, so their
+    starts and ends both ascend and two bisections find the run that
+    overlaps the range; only its first and last leaf can stick out.
+    """
+    if not 0 <= lo <= hi <= tree.n_particles:
+        raise ValueError(f"bad target slice [{lo}, {hi})")
+    leaves = tree.leaf_order
+    first = int(np.searchsorted(tree.node_hi[leaves], lo, side="right"))
+    last = int(np.searchsorted(tree.node_lo[leaves], hi, side="left"))
+    if last > first and (tree.node_lo[leaves[first]] < lo
+                         or tree.node_hi[leaves[last - 1]] > hi):
+        raise ValueError(
+            "target slice must align with leaf boundaries; use "
+            "HashedOctree leaves() to pick boundaries"
+        )
+    return first, last
+
+
 def tree_accelerations(
     tree: HashedOctree,
     theta: float = 0.7,
@@ -687,25 +709,13 @@ def tree_accelerations(
     stats = TraversalStats()
     n = tree.n_particles
     lo, hi = target_slice if target_slice is not None else (0, n)
-    if not 0 <= lo <= hi <= n:
-        raise ValueError(f"bad target slice [{lo}, {hi})")
+    first, last = leaf_run(tree, lo, hi)
+    groups = tree.leaf_order[first:last]
     acc_sorted = np.zeros((hi - lo, 3))
 
-    group_leaves: List[TreeNode] = []
-    for leaf in tree.leaves():
-        if leaf.hi <= lo or leaf.lo >= hi:
-            continue
-        if leaf.lo < lo or leaf.hi > hi:
-            raise ValueError(
-                "target slice must align with leaf boundaries; use "
-                "HashedOctree leaves() to pick boundaries"
-            )
-        if leaf.count == 0:
-            continue
-        group_leaves.append(leaf)
-
     if naive:
-        for leaf in group_leaves:
+        for key in tree.node_key[groups].tolist():
+            leaf = tree.nodes[key]
             before = stats.interactions
             cells, direct = interaction_lists(tree, leaf, theta, stats)
             acc_sorted[leaf.lo - lo:leaf.hi - lo] = _evaluate_group(
@@ -716,10 +726,10 @@ def tree_accelerations(
             stats.group_work.append(
                 (leaf.lo, leaf.hi, stats.interactions - before)
             )
-    elif group_leaves:
+    elif len(groups):
         rows, acc = _batched_accelerations(
-            tree, [leaf.index for leaf in group_leaves], theta, softening,
-            g, use_karp, use_quadrupole, stats,
+            tree, groups, theta, softening, g, use_karp, use_quadrupole,
+            stats,
         )
         acc_sorted[rows - lo] = acc
 
@@ -755,14 +765,21 @@ def leaf_aligned_partition(
             weights = np.ones(n)
     cum = np.concatenate(([0.0], np.cumsum(weights)))
     total = cum[-1]
-    edges = [0]
-    leaf_ends = [leaf.hi for leaf in tree.leaves()]
+    # The first leaf end at or past each work target, in turn: one
+    # bisection per cut over the (non-decreasing) work at leaf ends.
+    leaf_ends = tree.node_hi[tree.leaf_order]
+    work_at_end = cum[leaf_ends]
     target = total / parts
-    want = target
-    for end in leaf_ends:
-        if cum[end] >= want and len(edges) < parts:
-            edges.append(end)
-            want = target * len(edges)
+    edges = [0]
+    nxt = 0
+    while len(edges) < parts:
+        nxt += int(np.searchsorted(
+            work_at_end[nxt:], target * len(edges), side="left"
+        ))
+        if nxt == len(leaf_ends):
+            break
+        edges.append(int(leaf_ends[nxt]))
+        nxt += 1
     while len(edges) < parts + 1:
         edges.append(n)
     edges[-1] = n

@@ -26,9 +26,8 @@ from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.nbody.parallel import ReplicatedStep
 from repro.nbody.sim import BUILD_FLOPS_PER_PARTICLE, SimConfig
-from repro.nbody.tree import HashedOctree
-from repro.nbody.traversal import leaf_aligned_partition, tree_accelerations
 
 #: Rough flops per particle-particle interaction (walltime estimates).
 _FLOPS_PER_INTERACTION = 28.0
@@ -155,6 +154,9 @@ class TreecodeJob(Workload):
             ]
         else:
             parts = list(states)
+        # One per attempt: a requeued job never sees a killed
+        # attempt's trees or forces.
+        shared = ReplicatedStep()
 
         def program(comm):
             pos_l, vel_l, mass_l = (
@@ -169,25 +171,19 @@ class TreecodeJob(Workload):
                 )
                 my_lo, my_hi = offsets[comm.rank], offsets[comm.rank + 1]
 
-                tree = HashedOctree(
-                    all_pos, all_mass, leaf_size=config.leaf_size
-                )
+                tree = shared.tree(all_pos, all_mass, config.leaf_size)
                 comm.compute_flops(
                     BUILD_FLOPS_PER_PARTICLE * len(all_pos), flop_rate
                 )
-                spans = leaf_aligned_partition(tree, comm.size, None)
-                lo, hi = spans[comm.rank]
-                acc_sorted, stats = tree_accelerations(
-                    tree,
-                    theta=config.theta,
-                    softening=config.softening,
-                    target_slice=(lo, hi),
+                lo, hi = shared.partition(tree, comm.size)[comm.rank]
+                mine = shared.forces(
+                    tree, (lo, hi), config.theta, config.softening
                 )
-                comm.compute_flops(stats.flops, flop_rate)
+                comm.compute_flops(mine.flops, flop_rate)
 
                 my_sorted_idx = tree.order[lo:hi]
                 acc_parts = yield from comm.allgather(
-                    (my_sorted_idx, acc_sorted)
+                    (my_sorted_idx, mine.acc)
                 )
                 acc_full = np.zeros_like(all_pos)
                 for idx, part in acc_parts:

@@ -125,11 +125,18 @@ def allgather(comm, obj: Any) -> Iterator:
         return out
     right = (rank + 1) % size
     left = (rank - 1) % size
-    block = obj
+    stats = comm.stats
+    comm.send(right, obj, tag)
     for step in range(size - 1):
-        comm.send(right, block, tag)
+        received = stats.bytes_received
         block = yield from comm.recv(left, tag)
         out[(rank - step - 1) % size] = block
+        if step < size - 2:
+            # Forward the block at the size the receive just counted:
+            # one payload sizing per rank per collective, not per hop.
+            comm._send_sized(
+                right, block, tag, stats.bytes_received - received
+            )
     return out
 
 

@@ -235,6 +235,13 @@ class RankComm:
         """Eagerly post a message (buffered send; never blocks)."""
         self._runtime.post(self, dst, obj, tag)
 
+    def _send_sized(self, dst: int, obj: Any, tag: int,
+                    nbytes: int) -> None:
+        """:meth:`send` for a payload whose wire size the caller already
+        holds (store-and-forward collectives: sizing a payload can mean
+        pickling it, and a forwarded block's size cannot have changed)."""
+        self._runtime.post(self, dst, obj, tag, nbytes)
+
     def recv(self, src: Optional[int] = ANY_SOURCE,
              tag: Optional[int] = None) -> Iterator:
         """Blocking receive; use as ``obj = yield from comm.recv(src)``."""

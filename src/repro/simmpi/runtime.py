@@ -234,10 +234,14 @@ class SimMpiRuntime:
 
     # -- message plumbing (called by RankComm) -----------------------------
 
-    def post(self, comm: RankComm, dst: int, obj: Any, tag: int) -> None:
+    def post(self, comm: RankComm, dst: int, obj: Any, tag: int,
+             nbytes: Optional[int] = None) -> None:
+        """Send *obj*; *nbytes* is its wire size when the caller already
+        holds it (a forwarded message), else it is measured here."""
         if not 0 <= dst < self.size:
             raise ValueError(f"destination {dst} outside 0..{self.size - 1}")
-        nbytes = payload_nbytes(obj)
+        if nbytes is None:
+            nbytes = payload_nbytes(obj)
         src = comm.rank
         # Sender-side cost first: the NIC accepts the message only once
         # the host stack has run, so the fabric's post_time is the

@@ -24,7 +24,11 @@ from repro.cpus.longrun import (
     LongRunStep,
     dvfs_trajectory_study,
 )
-from repro.nbody.parallel import _split, parallel_nbody_step
+from repro.nbody.parallel import (
+    ReplicatedStep,
+    _split,
+    parallel_nbody_step,
+)
 from repro.nbody.sim import SimConfig
 from repro.network.timing import star_fabric
 from repro.simmpi import (
@@ -205,6 +209,7 @@ def _treecode_program(config: SimConfig, cpus: int, flop_rate: float):
     pos_parts = _split(pos, cpus)
     vel_parts = _split(vel, cpus)
     mass_parts = _split(mass, cpus)
+    shared = ReplicatedStep()       # one world per program built here
 
     def program(comm):
         pos_new, vel_new = yield from parallel_nbody_step(
@@ -214,6 +219,7 @@ def _treecode_program(config: SimConfig, cpus: int, flop_rate: float):
             mass_parts[comm.rank],
             config,
             flop_rate,
+            shared,
         )
         ke_local = float(
             0.5 * np.sum(mass_parts[comm.rank]

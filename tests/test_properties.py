@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cms import CmsConfig, CodeMorphingSoftware
 from repro.isa import programs
@@ -13,7 +13,7 @@ from repro.cluster import METABLADE, TABLE5_CLUSTERS
 from repro.network.timing import star_fabric
 from repro.simmpi import SimMpiRuntime
 from repro.vliw.atoms import atoms_from_block
-from repro.vliw.molecules import FULL_FORMAT, NARROW_FORMAT
+from repro.vliw.molecules import FULL_FORMAT, NARROW_FORMAT, Molecule
 from repro.vliw.scheduler import dependence_graph, schedule_block
 from repro.vliw.units import TM5600_LATENCIES
 
@@ -55,8 +55,34 @@ def test_schedule_is_a_permutation_respecting_dependences(seed, limits):
 
 
 @given(seed=st.integers(0, 10_000))
+@example(seed=1475)     # wide 26 557 cycles, narrow 26 556
+@example(seed=9144)     # wide 31 663 cycles, narrow 31 662
 @settings(max_examples=30, deadline=None)
 def test_narrow_format_never_faster(seed):
+    """Narrowing the molecule format never *buys* more than scheduling
+    noise - it is not true that it never buys anything.
+
+    "The wide machine is at least as fast" holds for an optimal
+    scheduler only.  Ours is a greedy per-block list scheduler, and
+    list scheduling is not monotone in issue width (Graham's
+    anomalies): packing an atom a molecule earlier can leave a
+    long-latency result in flight at the block's end, where the
+    scoreboard carries it into the next back-to-back execution and
+    stalls that one's first molecule.  The two pinned seeds do exactly
+    this - the third consecutive run of one block takes 5 cycles wide
+    against 4 narrow (7 against 6 for seed 9144).
+
+    What is true, and asserted:
+
+    - every narrow molecule is a legal full-format molecule (the
+      limits only grow), so the narrow schedule is always *available*
+      to the wide machine and the format itself is never the handicap;
+    - the wide run loses at most one cycle per native block execution.
+      The second is an observed bound, not a theorem: it was checked
+      on every seed this test can draw (all 10 001; the worst excess
+      is the single cycle of the two pinned seeds), so a stale
+      ``.hypothesis`` database has no counterexample left to replay.
+    """
     program = random_program(seed, blocks=2, block_len=10)
     wide = CodeMorphingSoftware(
         CmsConfig(hot_threshold=1, limits=FULL_FORMAT)
@@ -64,7 +90,12 @@ def test_narrow_format_never_faster(seed):
     narrow = CodeMorphingSoftware(
         CmsConfig(hot_threshold=1, limits=NARROW_FORMAT)
     ).run(program, random_state(seed), max_steps=10**6)
-    assert wide.cycles <= narrow.cycles
+    assert wide.native_blocks == narrow.native_blocks
+    assert wide.cycles <= narrow.cycles + wide.native_blocks
+
+    atoms = atoms_from_block(program.basic_block_at(0), TM5600_LATENCIES)
+    for molecule in schedule_block(atoms, NARROW_FORMAT):
+        Molecule(atoms=molecule.atoms, limits=FULL_FORMAT)   # validates
 
 
 # --- guest suite kernels ----------------------------------------------------

@@ -240,6 +240,44 @@ def test_collectives_cost_grows_with_size():
     assert t16 > t4
 
 
+def test_ring_allgather_sizes_each_block_once(monkeypatch):
+    # Blocks of different sizes, of the tuple-of-arrays kind whose wire
+    # size costs a pickle: every rank sizes its own block, and a
+    # forwarded block keeps the size it was posted with.
+    from repro.simmpi import runtime as runtime_module
+
+    sized = []
+
+    def counting_nbytes(obj):
+        sized.append(obj)
+        return payload_nbytes(obj)
+
+    monkeypatch.setattr(runtime_module, "payload_nbytes", counting_nbytes)
+    size, rounds = 6, 3
+
+    def block(rank):
+        return (np.arange(10 + rank), np.zeros((3 + rank, 3)))
+
+    def prog(comm):
+        for _ in range(rounds):
+            gathered = yield from comm.allgather(block(comm.rank))
+            assert [len(g[0]) for g in gathered] == [
+                10 + r for r in range(comm.size)
+            ]
+        return None
+
+    result = run(size, prog)
+    assert len(sized) == size * rounds
+    nbytes = [payload_nbytes(block(r)) for r in range(size)]
+    assert len(set(nbytes)) == size
+    for rank, stats in enumerate(result.stats):
+        # A rank sends every block but its right neighbour's, and
+        # receives every block but its own.
+        right = (rank + 1) % size
+        assert stats.bytes_sent == rounds * (sum(nbytes) - nbytes[right])
+        assert stats.bytes_received == rounds * (sum(nbytes) - nbytes[rank])
+
+
 def test_ideal_fabric_is_faster():
     def prog(comm):
         _ = yield from comm.allgather(np.zeros(10_000))
