@@ -17,9 +17,9 @@ configuration).
 import time
 
 from repro.cluster.catalog import METABLADE
-from repro.core.system import BladedBeowulf
 from repro.metrics.report import format_table
 from repro.metrics.throughput import throughput_report
+from repro.platform.registry import METABLADE_PLATFORM
 from repro.runner import bench_quick, write_bench_json
 from repro.sched import (
     BatchScheduler,
@@ -37,17 +37,17 @@ MTBF_S = 0.04
 
 
 def _serve(policy_name: str, fail: bool):
-    machine = BladedBeowulf.metablade()
+    platform = METABLADE_PLATFORM
     specs = synthetic_stream(
         jobs=JOBS,
-        max_nodes=machine.cluster.nodes,
-        flop_rate=machine.node_flop_rate(),
+        max_nodes=platform.nodes,
+        flop_rate=platform.node_flop_rate(),
         seed=SEED,
         mean_interarrival_s=INTERARRIVAL_S,
     )
     config = SchedConfig(checkpoint_every=1 if fail else None)
     sched = BatchScheduler(
-        machine=machine, policy=policy_by_name(policy_name), config=config
+        platform=platform, policy=policy_by_name(policy_name), config=config
     )
     sched.submit_stream(specs)
     if fail:

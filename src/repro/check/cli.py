@@ -24,6 +24,83 @@ from __future__ import annotations
 
 import argparse
 from pathlib import Path
+from typing import Any, Dict
+
+
+def add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
+    """The scheduler-campaign flags, declared once.
+
+    ``repro.cli sched`` runs what they describe and ``check --record``
+    records it, so anything one can run the other can pin.
+    """
+    from repro.network.faults import DEFAULT_NET_MTBF_S, DEFAULT_NET_MTTR_S
+    from repro.platform.registry import platform_names
+
+    parser.add_argument("--jobs", type=int, default=60,
+                        help="jobs in the synthetic Poisson stream")
+    parser.add_argument("--policy", default="fcfs",
+                        choices=["fcfs", "backfill", "easy"])
+    parser.add_argument("--seed", type=int, default=2001,
+                        help="stream (and failure) RNG seed")
+    parser.add_argument("--interarrival", type=float, default=0.004,
+                        help="mean virtual seconds between arrivals")
+    parser.add_argument("--fail-inject", action="store_true",
+                        help="inject Poisson node failures during the run")
+    parser.add_argument("--mtbf", type=float, default=0.05,
+                        help="accelerated MTBF (virtual s) for "
+                             "--fail-inject")
+    parser.add_argument("--checkpoint", type=int, default=0,
+                        help="checkpoint every N units (0 disables)")
+    parser.add_argument("--max-retries", type=int, default=3,
+                        help="requeues before a killed job is abandoned")
+    parser.add_argument("--platform", default="metablade",
+                        choices=platform_names(),
+                        help="registry platform to schedule on; picks "
+                             "node count, node rate AND fabric (its "
+                             "content-hash is recorded so replay detects "
+                             "platform drift)")
+    parser.add_argument("--thermal", action="store_true",
+                        help="model blade temperatures (lumped-RC "
+                             "network, coolest-first placement, thermal "
+                             "throttling)")
+    parser.add_argument("--thermal-accel", type=float, default=1.0,
+                        help="thermal time-constant compression factor "
+                             "(default 1)")
+    parser.add_argument("--thermal-fail", action="store_true",
+                        help="temperature-modulated fault injection via "
+                             "the Arrhenius intensity (implies --thermal; "
+                             "uses --mtbf as the 40 C baseline)")
+    parser.add_argument("--no-throttle", action="store_true",
+                        help="disable the trip-point frequency clamp (hot "
+                             "blades run to the overtemp kill point)")
+    parser.add_argument("--net-fault", action="store_true",
+                        help="inject seeded link/uplink outages; SimMPI "
+                             "retransmits with timeout/backoff, long node "
+                             "outages partition the blade (plan seed is "
+                             "--seed + 3)")
+    parser.add_argument("--net-mtbf", type=float,
+                        default=DEFAULT_NET_MTBF_S, metavar="S",
+                        help="per-link mean time between outages, "
+                             "virtual seconds (default 2.0)")
+    parser.add_argument("--net-mttr", type=float,
+                        default=DEFAULT_NET_MTTR_S, metavar="S",
+                        help="mean outage repair time, virtual seconds "
+                             "(default 0.002)")
+
+
+def campaign_overrides(args) -> Dict[str, Any]:
+    """Parsed campaign flags as ``check.replay`` manifest parameters."""
+    from repro.check.replay import SCHED_DEFAULTS
+
+    # Every manifest parameter but the cache knob has a flag of its name;
+    # two are spelled differently on the command line.
+    params = {
+        key: getattr(args, key) for key in SCHED_DEFAULTS
+        if key not in ("throttle", "profile_cache")
+    }
+    params["thermal"] = args.thermal or args.thermal_fail
+    params["throttle"] = not args.no_throttle
+    return params
 
 
 def add_check_arguments(parser: argparse.ArgumentParser) -> None:
@@ -43,48 +120,16 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kind", default="sched",
                         choices=["sched", "simmpi", "table2", "fig3"],
                         help="what --record records (default: sched)")
-    parser.add_argument("--seed", type=int, default=2001,
-                        help="campaign / manifest seed")
     parser.add_argument("--cases", type=int, default=None,
                         help="fuzz cases (default: 216 quick, 600 full)")
     parser.add_argument("--quick", action="store_true",
                         help="small fuzz parameter ranges (CI smoke)")
     parser.add_argument("--out", metavar="DIR", default="check_reports",
                         help="directory for divergence/fuzz reports")
-    parser.add_argument("--jobs", type=int, default=8,
-                        help="sched recording: jobs in the stream")
-    parser.add_argument("--policy", default="fcfs",
-                        choices=["fcfs", "backfill", "easy"],
-                        help="sched recording: queue policy")
-    parser.add_argument("--fail-inject", action="store_true",
-                        help="sched recording: inject Poisson failures")
-    parser.add_argument("--checkpoint", type=int, default=0,
-                        help="sched recording: checkpoint every N units")
-    parser.add_argument("--platform", default="metablade",
-                        help="sched recording: registry platform to "
-                             "run on (its content-hash is recorded so "
-                             "replay detects platform drift)")
-    parser.add_argument("--thermal", action="store_true",
-                        help="sched recording: model blade temperatures "
-                             "(lumped-RC network, thermal throttling)")
-    parser.add_argument("--thermal-accel", type=float, default=1.0,
-                        help="sched recording: thermal time-constant "
-                             "compression factor (default 1)")
-    parser.add_argument("--thermal-fail", action="store_true",
-                        help="sched recording: temperature-modulated "
-                             "fault injection (implies --thermal)")
-    parser.add_argument("--no-throttle", action="store_true",
-                        help="sched recording: disable the trip-point "
-                             "frequency clamp (run to the kill point)")
-    parser.add_argument("--net-fault", action="store_true",
-                        help="sched recording: inject seeded link/uplink "
-                             "outages with SimMPI retransmission")
-    parser.add_argument("--net-mtbf", type=float, default=2.0,
-                        help="sched recording: per-link outage MTBF in "
-                             "virtual seconds (default 2.0)")
-    parser.add_argument("--net-mttr", type=float, default=0.002,
-                        help="sched recording: mean outage repair time "
-                             "in virtual seconds (default 0.002)")
+    # What --record --kind sched records (--seed also seeds the fuzz
+    # campaign and the audits; --jobs sizes the audits' streams).
+    add_campaign_arguments(parser)
+    parser.set_defaults(jobs=8)
 
 
 def _write_report(out_dir: str, name: str, text: str) -> Path:
@@ -150,17 +195,7 @@ def cmd_check(args) -> int:
     if args.record is not None:
         if args.kind == "sched":
             manifest = record_sched_manifest(
-                seed=args.seed, jobs=args.jobs, policy=args.policy,
-                fail_inject=args.fail_inject,
-                checkpoint=args.checkpoint,
-                platform=getattr(args, "platform", "metablade"),
-                thermal=args.thermal or args.thermal_fail,
-                thermal_accel=args.thermal_accel,
-                thermal_fail=args.thermal_fail,
-                throttle=not args.no_throttle,
-                net_fault=args.net_fault,
-                net_mtbf=args.net_mtbf,
-                net_mttr=args.net_mttr,
+                seed=args.seed, **campaign_overrides(args)
             )
         elif args.kind == "simmpi":
             manifest = record_simmpi_manifest(seed=args.seed)

@@ -141,70 +141,31 @@ def _cmd_thermal(args) -> None:
     print(table)
 
 
-def _sched_block(params) -> str:
+def _sched_block(run) -> str:
     """One scheduler run rendered as text; module-level for the pool.
 
-    The platform travels as a registry *name* so the params tuple stays
-    picklable across the process pool.
+    *run* is the campaign's manifest parameters — the recipe
+    ``check --record`` builds from too, the platform travelling as a
+    registry *name* so the dict stays picklable across the process
+    pool — plus the presentation settings ``width`` and ``telemetry``.
     """
-    (jobs, policy, seed, interarrival, fail_inject, mtbf, checkpoint,
-     max_retries, width, platform, thermal, thermal_accel, thermal_fail,
-     throttle, telemetry, net_fault, net_mtbf, net_mttr) = params
+    from repro.check.replay import _build_sched, _sched_params
     from repro.metrics.throughput import throughput_report
-    from repro.network.faults import NetFaultConfig
-    from repro.platform.registry import platform_by_name
-    from repro.sched import (
-        BatchScheduler,
-        SchedConfig,
-        policy_by_name,
-        render_gantt,
-        synthetic_stream,
-    )
+    from repro.sched import render_gantt
 
-    spec = platform_by_name(platform if platform is not None else "metablade")
-    specs = synthetic_stream(
-        jobs=jobs,
-        max_nodes=spec.nodes,
-        flop_rate=spec.node_flop_rate(),
-        seed=seed,
-        mean_interarrival_s=interarrival,
-    )
-    config = SchedConfig(
-        checkpoint_every=checkpoint if checkpoint > 0 else None,
-        max_retries=max_retries,
-        thermal=thermal or thermal_fail,
-        thermal_accel=thermal_accel,
-        throttle=throttle,
-    )
-    horizon = specs[-1].arrival_s + jobs * interarrival
-    net = None
-    if net_fault:
-        # Seed convention: poisson failures use seed+1, thermal seed+2,
-        # the network fault plan seed+3.
-        net = NetFaultConfig(
-            mtbf_s=net_mtbf, mttr_s=net_mttr,
-            seed=seed + 3, horizon_s=horizon,
-        )
-    sched = BatchScheduler(
-        platform=spec, policy=policy_by_name(policy), config=config,
-        net_fault=net,
-    )
-    sched.submit_stream(specs)
-    if fail_inject:
-        sched.inject_poisson_failures(
-            horizon_s=horizon, mtbf_s=mtbf, seed=seed + 1
-        )
-    if thermal_fail:
-        sched.inject_thermal_failures(
-            horizon_s=horizon, mtbf_s=mtbf, seed=seed + 2
-        )
+    overrides = dict(run)
+    seed = overrides.pop("seed")
+    width = overrides.pop("width")
+    telemetry = overrides.pop("telemetry")
+    sched = _build_sched(_sched_params(seed, overrides))
+    spec = sched.platform
     tel = None
     if telemetry is not None:
         from repro.telemetry import Telemetry
         tel = Telemetry()
         tel.attach(sched.kernel)
-        with tel.wall_span("sched.run", jobs=jobs, policy=policy,
-                           seed=seed):
+        with tel.wall_span("sched.run", jobs=overrides["jobs"],
+                           policy=overrides["policy"], seed=seed):
             outcome = sched.run()
         tel.detach()
         tel.ingest_sched(outcome, platform=spec)
@@ -228,39 +189,26 @@ def _sched_block(params) -> str:
 
 
 def _cmd_sched(args) -> None:
-    from repro.network.faults import DEFAULT_NET_MTBF_S, DEFAULT_NET_MTTR_S
+    from repro.check.cli import campaign_overrides
     from repro.runner import parallel_map
 
-    seeds = getattr(args, "seeds", None) or [args.seed]
+    seeds = args.seeds or [args.seed]
 
     def _tel_dir(seed: int):
         # One subdirectory per seed on sweeps, so pooled workers never
         # write over each other; a single-seed run exports flat.
-        base = getattr(args, "telemetry", None)
-        if base is None:
-            return None
-        if len(seeds) == 1:
-            return base
-        return str(Path(base) / f"seed-{seed}")
+        if args.telemetry is None or len(seeds) == 1:
+            return args.telemetry
+        return str(Path(args.telemetry) / f"seed-{seed}")
 
     blocks = parallel_map(
         _sched_block,
         [
-            (args.jobs, args.policy, seed, args.interarrival,
-             args.fail_inject, args.mtbf, args.checkpoint,
-             args.max_retries, args.width,
-             getattr(args, "platform", None),
-             getattr(args, "thermal", False),
-             getattr(args, "thermal_accel", 1.0),
-             getattr(args, "thermal_fail", False),
-             not getattr(args, "no_throttle", False),
-             _tel_dir(seed),
-             getattr(args, "net_fault", False),
-             getattr(args, "net_mtbf", DEFAULT_NET_MTBF_S),
-             getattr(args, "net_mttr", DEFAULT_NET_MTTR_S))
+            dict(campaign_overrides(args), seed=seed, width=args.width,
+                 telemetry=_tel_dir(seed))
             for seed in seeds
         ],
-        jobs=getattr(args, "pool_jobs", 1),
+        jobs=args.pool_jobs,
     )
     print("\n\n".join(blocks))
 
@@ -457,22 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser(
         "sched", help="serve a batch job stream on a registry platform"
     )
-    ps.add_argument("--jobs", type=int, default=60,
-                    help="jobs in the synthetic Poisson stream")
-    ps.add_argument("--policy", default="fcfs",
-                    choices=["fcfs", "backfill", "easy"])
-    ps.add_argument("--seed", type=int, default=2001,
-                    help="stream (and failure) RNG seed")
-    ps.add_argument("--interarrival", type=float, default=0.004,
-                    help="mean virtual seconds between arrivals")
-    ps.add_argument("--fail-inject", action="store_true",
-                    help="inject Poisson node failures during the run")
-    ps.add_argument("--mtbf", type=float, default=0.05,
-                    help="accelerated MTBF (virtual s) for --fail-inject")
-    ps.add_argument("--checkpoint", type=int, default=0,
-                    help="checkpoint every N units (0 disables)")
-    ps.add_argument("--max-retries", type=int, default=3,
-                    help="requeues before a killed job is abandoned")
+    from repro.check.cli import add_campaign_arguments, add_check_arguments
+    add_campaign_arguments(ps)
     ps.add_argument("--width", type=int, default=72,
                     help="Gantt chart width in columns")
     ps.add_argument("--seeds", type=int, nargs="+", default=None,
@@ -481,36 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="N",
                     help="host processes for the --seeds sweep "
                          "(--jobs is the stream length here)")
-    ps.add_argument("--platform", default=None, choices=platforms,
-                    help="registry platform to schedule on; picks node "
-                         "count, node rate AND fabric (default: metablade)")
-    ps.add_argument("--thermal", action="store_true",
-                    help="model blade temperatures (lumped-RC network, "
-                         "coolest-first placement, thermal throttling)")
-    ps.add_argument("--thermal-accel", type=float, default=1.0,
-                    help="thermal time-constant compression factor "
-                         "(default 1)")
-    ps.add_argument("--thermal-fail", action="store_true",
-                    help="temperature-modulated fault injection via the "
-                         "Arrhenius intensity (implies --thermal; uses "
-                         "--mtbf as the 40 C baseline)")
-    ps.add_argument("--no-throttle", dest="no_throttle",
-                    action="store_true",
-                    help="disable the trip-point frequency clamp (hot "
-                         "blades run to the overtemp kill point)")
-    ps.add_argument("--net-fault", dest="net_fault", action="store_true",
-                    help="inject seeded link/uplink outages; SimMPI "
-                         "retransmits with timeout/backoff, long node "
-                         "outages partition the blade (plan seed is "
-                         "--seed + 3)")
-    ps.add_argument("--net-mtbf", dest="net_mtbf", type=float,
-                    default=2.0, metavar="S",
-                    help="per-link mean time between outages, virtual "
-                         "seconds (default 2.0)")
-    ps.add_argument("--net-mttr", dest="net_mttr", type=float,
-                    default=0.002, metavar="S",
-                    help="mean outage repair time, virtual seconds "
-                         "(default 0.002)")
     ps.add_argument("--telemetry", default=None, metavar="DIR",
                     help="export metrics.jsonl + Perfetto-loadable "
                          "trace.json of the run to this directory "
@@ -543,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="deterministic replay, invariant audit, differential fuzz",
     )
-    from repro.check.cli import add_check_arguments
     add_check_arguments(pc)
     pa = sub.add_parser("all", help="everything (takes minutes)")
     pa.add_argument("--particles", type=int, default=3000)

@@ -25,10 +25,24 @@ a dead port and a dead NIC are indistinguishable to the frame), and
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+
+def require_finite_positive(name: str, value: float) -> None:
+    """Reject a mean or horizon no seeded process can be drawn over.
+
+    NaN compares false with everything, so a bare ``<= 0`` guard lets
+    it through — and a renewal loop stepping by NaN, or towards an
+    infinite horizon, never terminates.
+    """
+    if not 0 < value < math.inf:
+        raise ValueError(
+            f"{name} must be finite and positive, got {value!r}"
+        )
 
 
 def link_resource(node: int) -> str:
@@ -179,8 +193,9 @@ def draw_fault_plan(
     """
     if not resources:
         return FaultTimeline()
-    if mtbf_s <= 0 or mttr_s <= 0:
-        raise ValueError("mtbf and mttr must be positive")
+    require_finite_positive("mtbf_s", mtbf_s)
+    require_finite_positive("mttr_s", mttr_s)
+    require_finite_positive("horizon_s", horizon_s)
     rng = random.Random(seed)
     rate = len(resources) / mtbf_s
     timeline = FaultTimeline()
@@ -237,6 +252,11 @@ class NetFaultConfig:
     horizon_s: float = 1.0
     policy: RetryPolicy = field(default_factory=RetryPolicy)
     windows: Optional[Tuple[Tuple[str, float, float], ...]] = None
+
+    def __post_init__(self) -> None:
+        require_finite_positive("mtbf_s", self.mtbf_s)
+        require_finite_positive("mttr_s", self.mttr_s)
+        require_finite_positive("horizon_s", self.horizon_s)
 
     def build_timeline(self, resources: Iterable[str]) -> FaultTimeline:
         if self.windows is not None:

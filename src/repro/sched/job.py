@@ -11,10 +11,12 @@ population — the "heavy traffic" the scheduler benches replay.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.network.faults import require_finite_positive
 from repro.sched.workloads import (
     MicrokernelSweep,
     NpbKernelJob,
@@ -43,8 +45,11 @@ class JobSpec:
     def __post_init__(self) -> None:
         if self.nodes < 1:
             raise ValueError("a job needs at least one node")
-        if self.arrival_s < 0:
-            raise ValueError("arrival time cannot be negative")
+        if not 0 <= self.arrival_s < math.inf:
+            raise ValueError(
+                "arrival_s must be finite and non-negative, "
+                f"got {self.arrival_s!r}"
+            )
         if self.walltime_est_s <= 0:
             raise ValueError("walltime estimate must be positive")
 
@@ -159,6 +164,7 @@ def synthetic_stream(jobs: int, max_nodes: int, flop_rate: float,
     """
     if jobs < 1:
         raise ValueError("need at least one job")
+    require_finite_positive("mean_interarrival_s", mean_interarrival_s)
     rng = random.Random(seed)
     t = 0.0
     specs: List[JobSpec] = []

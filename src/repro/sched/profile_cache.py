@@ -13,31 +13,30 @@ Correctness rests on **normalized execution**, not on shifting deltas:
 
 - An *eligible* job (see ``BatchScheduler._fastpath_eligible``) is
   always simulated in a scratch :class:`~repro.core.events.EventKernel`
-  at virtual ``t=0`` — whether the cache is enabled or not.  Its
-  measured :class:`JobProfile` (duration, per-rank clocks, comm stats,
+  at virtual ``t=0`` — whether the cache is enabled or not — by the
+  same launch routine that puts every other job's world on the shared
+  kernel.  Its measured :class:`JobProfile` (duration, result, compute,
   checkpoint billing, energy) is then replayed onto the shared clock
   at dispatch time.
 - The ``enabled`` flag toggles *memoization only*: cache-on and
   cache-off runs execute the identical normalized computation, so
   every outcome field is bit-identical by construction.  (A delta
   *recorded* at one start time and *shifted* to another would not be —
-  ``fl(t0+a)+b != fl(t0+(a+b))`` in IEEE-754 — which is why the fast
-  path never records from the live interleaved timeline.)
+  ``fl(t0+a)+b != fl(t0+(a+b))`` in IEEE-754 — which is why a profile
+  is never recorded from the live interleaved timeline.)
 - Anything that can perturb a job mid-flight — tracing observers or
   fire hooks, ``record_timeline``, invariant auditing, injected or
   thermal failures, thermal throttling/DVFS, a non-cacheable workload
-  — bypasses the fast path entirely and runs on the legacy shared-
-  kernel route.  Committed golden manifests are recorded under a
-  tracing observer, so they take the legacy route on every replay and
+  — bypasses the cache entirely: that job's world runs on the shared
+  kernel.  Committed golden manifests are recorded under a tracing
+  observer, so they take the shared-kernel route on every replay and
   stay byte-identical with the cache on and off.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
-
-from repro.simmpi.trace import CommStats
 
 #: Cache-key token for the attempt's frequency plan.  Fast-path jobs
 #: always run unthrottled at the platform's nominal rate (a DVFS
@@ -52,28 +51,16 @@ class JobProfile:
 
     All times are relative to the job's virtual start (the scratch
     world ran at ``t=0``); the scheduler adds its dispatch time when
-    replaying.  ``stats`` holds per-rank :class:`CommStats` snapshots —
-    frozen copies, never the live objects of the measuring world.
+    replaying.
     """
 
     elapsed_s: float
-    clocks: Tuple[float, ...]
     result0: Any
     compute_s: float
     flops: float
     energy_j: float
     checkpoints: int
     checkpoint_io_s: float
-    stats: Tuple[CommStats, ...] = ()
-    resumptions: int = 0
-
-    @property
-    def messages(self) -> int:
-        return sum(s.sends for s in self.stats)
-
-    @property
-    def bytes_sent(self) -> int:
-        return sum(s.bytes_sent for s in self.stats)
 
 
 def job_profile_key(spec, platform, blades: Sequence[int], config,
@@ -128,7 +115,7 @@ class ProfileCache:
     ``enabled=False`` turns the store off but keeps the counters: every
     eligible dispatch then counts as a miss (it runs the normalized
     simulation and discards nothing — there is simply nothing to reuse),
-    and ``bypasses`` counts attempts routed down the legacy path.
+    and ``bypasses`` counts attempts whose world ran on the shared kernel.
     """
 
     enabled: bool = True
@@ -149,10 +136,6 @@ class ProfileCache:
     def put(self, key: Tuple[Any, ...], profile: JobProfile) -> None:
         if self.enabled:
             self._store[key] = profile
-
-    def replayed_stats(self, profile: JobProfile) -> Tuple[CommStats, ...]:
-        """Fresh per-rank stats copies (callers may mutate them)."""
-        return tuple(replace(s) for s in profile.stats)
 
     def invalidate(self) -> int:
         """Drop every stored profile; returns how many were evicted."""

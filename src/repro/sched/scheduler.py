@@ -35,18 +35,18 @@ import random
 from bisect import insort
 
 import numpy as np
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.management import EventKind, ManagementEvent, ManagementHub
 from repro.core.events import EventKernel
-from repro.core.system import BladedBeowulf
 from repro.network.faults import (
     FaultTimeline,
     FaultWindow,
     NetFaultConfig,
     chassis_resource,
     link_resource,
+    require_finite_positive,
 )
 from repro.sched.allocator import BladeAllocator
 from repro.sched.job import Attempt, JobRecord, JobSpec, JobState
@@ -110,9 +110,6 @@ class SchedConfig:
     #: virtual seconds, so benches shrink tau to match (cf. the
     #: accelerated MTBF of :meth:`BatchScheduler.inject_poisson_failures`).
     thermal_accel: float = 1.0
-    #: Blade placement under thermal modelling: ``"coolest"`` prefers
-    #: the coldest free blades, ``"packed"`` keeps lowest-index first-fit.
-    thermal_placement: str = "coolest"
     #: Clamp frequency at the trip temperature.  Disabled, blades run
     #: full speed until the kill point — the paper's "no safeguards"
     #: counterfactual.
@@ -128,13 +125,7 @@ class SchedConfig:
     profile_cache: bool = True
 
     def __post_init__(self) -> None:
-        if self.thermal_accel <= 0:
-            raise ValueError("thermal_accel must be positive")
-        if self.thermal_placement not in ("coolest", "packed"):
-            raise ValueError(
-                "thermal_placement must be 'coolest' or 'packed', "
-                f"got {self.thermal_placement!r}"
-            )
+        require_finite_positive("thermal_accel", self.thermal_accel)
 
     def checkpoint_io_s(self, nbytes: int) -> float:
         return self.checkpoint_latency_s + nbytes / self.checkpoint_bandwidth_bps
@@ -180,7 +171,7 @@ class SchedOutcome:
     #: was given (the default), so legacy outcomes are unchanged.
     net: Optional[NetFaultSummary] = None
     #: Profile-cache accounting: dispatches served from cache, measured
-    #: normalized runs, and attempts routed down the legacy path.
+    #: normalized runs, and attempts whose world ran on the shared kernel.
     cache_hits: int = 0
     cache_misses: int = 0
     cache_bypasses: int = 0
@@ -209,12 +200,12 @@ class _QueueEntry:
 @dataclass
 class _RunningJob:
     record: JobRecord
-    #: ``None`` for fast-path jobs: their world already ran (or was
-    #: replayed from cache) in a scratch kernel, so nothing lives on
-    #: the shared clock but their finish event.
-    runtime: Optional[SimMpiRuntime]
     blades: Tuple[int, ...]
     attempt: Attempt
+    #: The attempt's world.  ``None`` on the memoised route: that world
+    #: ran (or was replayed from cache) on a scratch kernel at ``t=0``,
+    #: so nothing lives on the shared clock but the finish event.
+    runtime: Optional[SimMpiRuntime] = None
     #: Partial checkpoints: unit -> {rank: (state, rank clock)}.
     pending: Dict[int, Dict[int, Tuple[Any, float]]] = field(
         default_factory=dict
@@ -234,35 +225,22 @@ class BatchScheduler:
     compute rate, power model, packaging, and — crucially — the fabric
     each job's SimMPI world runs on (MetaBlade's star or Green
     Destiny's chassis-behind-aggregation rack network, per the spec).
-    ``machine`` remains accepted for back-compatibility and is adapted
-    into a star-fabric platform; passing both is an error.
     """
 
-    def __init__(self, machine: Optional[BladedBeowulf] = None,
-                 policy: Optional[Policy] = None,
+    def __init__(self, policy: Optional[Policy] = None,
                  config: Optional[SchedConfig] = None,
-                 kernel: Optional[EventKernel] = None,
                  record_timeline: bool = False,
                  platform=None,
                  net_fault: Optional[NetFaultConfig] = None) -> None:
         from repro.sched.policy import Fcfs
 
-        if platform is not None and machine is not None:
-            raise ValueError("pass either platform= or machine=, not both")
         if platform is None:
-            if machine is None:
-                from repro.platform.registry import METABLADE_PLATFORM
-                platform = METABLADE_PLATFORM
-            else:
-                from repro.platform.spec import PlatformSpec
-                platform = PlatformSpec.for_cluster(machine.cluster)
+            from repro.platform.registry import METABLADE_PLATFORM
+            platform = METABLADE_PLATFORM
         self.platform = platform
-        self.machine = machine if machine is not None else platform.machine()
         self.policy = policy if policy is not None else Fcfs()
         self.config = config if config is not None else SchedConfig()
-        self.kernel = kernel if kernel is not None else EventKernel(
-            record_timeline=record_timeline
-        )
+        self.kernel = EventKernel(record_timeline=record_timeline)
         self.nodes = platform.nodes
         self.flop_rate = platform.node_flop_rate()
         self.allocator = platform.build_allocator()
@@ -357,9 +335,22 @@ class BatchScheduler:
 
     def inject_failure(self, time_s: float, blade: int,
                        detail: str = "injected fault") -> None:
-        """Schedule a blade failure at a virtual time."""
+        """Schedule a blade failure at a virtual time.
+
+        Legal before :meth:`run` and between ``run(until=...)`` calls,
+        but not while a job dispatched fault-free is still in flight on
+        the memoised route: its whole attempt was settled on a scratch
+        kernel, so no world is left on the shared clock to kill.
+        """
         if not 0 <= blade < self.nodes:
             raise ValueError(f"blade {blade} outside 0..{self.nodes - 1}")
+        memoised = [j for j, r in self._running.items() if r.runtime is None]
+        if memoised:
+            raise RuntimeError(
+                f"inject_failure called while jobs {memoised} are in flight "
+                "on the memoised route; inject the first failure before "
+                "run(), while nothing is dispatched"
+            )
         self.failures_injected += 1
         self.kernel.at(time_s, self._node_fail, blade, detail)
 
@@ -371,8 +362,8 @@ class BatchScheduler:
         profiles of :mod:`repro.cluster.reliability` would never fire;
         the bench compresses MTBF to seconds instead.
         """
-        if mtbf_s <= 0:
-            raise ValueError("MTBF must be positive")
+        require_finite_positive("mtbf_s", mtbf_s)
+        require_finite_positive("horizon_s", horizon_s)
         rng = random.Random(seed)
         t = 0.0
         plan: List[Tuple[float, int]] = []
@@ -401,8 +392,8 @@ class BatchScheduler:
             raise RuntimeError(
                 "thermal failure injection needs SchedConfig(thermal=True)"
             )
-        if mtbf_s <= 0:
-            raise ValueError("MTBF must be positive")
+        require_finite_positive("mtbf_s", mtbf_s)
+        require_finite_positive("horizon_s", horizon_s)
 
         def on_failure(time_s: float, blade: int) -> None:
             self.failures_injected += 1
@@ -549,21 +540,14 @@ class BatchScheduler:
         for entry in starting:
             self._start(entry, now)
 
-    def _placement_order(self, now: float) -> Optional[List[int]]:
-        """Thermal-aware blade preference, or ``None`` for first-fit."""
-        if self.thermal is None or self.config.thermal_placement != "coolest":
-            return None
-        return self.thermal.coolest_first(now)
-
-    # -- the profile-cache fast path ---------------------------------------
+    # -- one attempt, two kernels -------------------------------------------
 
     def _fastpath_eligible(self, record: JobRecord) -> bool:
-        """Whether this dispatch may take the normalized fast path.
+        """Whether this attempt may be settled on a scratch kernel.
 
         Every condition here is an *invalidation trigger* of the
         profile cache: anything that can observe or perturb the job
-        mid-flight forces the legacy shared-kernel route, where the
-        behaviour is identical to the pre-cache scheduler.
+        mid-flight needs its world on the shared kernel.
         """
         if self.config.audit or self.thermal is not None:
             return False                 # auditors / thermal throttling
@@ -580,118 +564,170 @@ class BatchScheduler:
             return False                 # defensive: never a fresh start
         return True
 
-    def _start_fast(self, entry: _QueueEntry, now: float) -> None:
-        """Dispatch an eligible job without touching the shared kernel.
+    def _start(self, entry: _QueueEntry, now: float) -> None:
+        """Open an attempt and put its world on a kernel.
 
-        The job's world runs (or replays) in a scratch kernel at
-        ``t=0``; the shared clock sees exactly one event — the finish
-        at ``now + elapsed`` — so a 10k-job campaign schedules O(jobs)
-        shared events instead of O(messages).
+        An eligible job's world runs (or is replayed from the profile
+        cache) on a scratch kernel at ``t=0`` and the shared clock sees
+        one event, the finish at ``now + elapsed`` — a 10k-job campaign
+        schedules O(jobs) shared events instead of O(messages).  Any
+        other job's world is launched on the shared kernel at ``now``.
         """
         record = entry.record
         spec = record.spec
-        blades = self.allocator.allocate(spec.job_id, spec.nodes, now)
+        blades = self.allocator.allocate(
+            spec.job_id, spec.nodes, now,
+            # Under thermal modelling the coldest free blades go first.
+            order=(self.thermal.coolest_first(now)
+                   if self.thermal is not None else None),
+        )
         record.wait_s += now - entry.ready_s
-        attempt = Attempt(start_s=now, start_unit=0)
+        start_unit, states = self._restore_point(spec.job_id)
+        attempt = Attempt(start_s=now, start_unit=start_unit)
         record.attempts.append(attempt)
         record.state = JobState.RUNNING
-        if self._platform_hash is None:
-            self._platform_hash = self.platform.content_hash()
-        key = job_profile_key(
-            spec, self.platform, blades, self.config,
-            platform_hash=self._platform_hash,
-        )
-        profile = self.profile_cache.get(key)
-        if profile is None:
-            profile = self._profile_job(spec, blades)
-            self.profile_cache.put(key, profile)
-        running = _RunningJob(
-            record=record, runtime=None, blades=blades, attempt=attempt
-        )
+        running = _RunningJob(record=record, blades=blades, attempt=attempt)
         self._running[spec.job_id] = running
-        self.kernel.at(
-            now + profile.elapsed_s, self._finish_fast, running, profile
+        if self._fastpath_eligible(record):
+            if self._platform_hash is None:
+                self._platform_hash = self.platform.content_hash()
+            key = job_profile_key(
+                spec, self.platform, blades, self.config,
+                platform_hash=self._platform_hash,
+            )
+            profile = self.profile_cache.get(key)
+            if profile is None:
+                profile = self._profile_job(spec, blades)
+                self.profile_cache.put(key, profile)
+            self.kernel.at(
+                now + profile.elapsed_s, self._finish_memoised, running,
+                profile,
+            )
+            return
+        self.profile_cache.bypasses += 1
+        # Thermal planning happens *here*, at the attempt-start event:
+        # every transition of the attempt (trip clamp, kill) is solved
+        # and inserted before any rank of the job resumes, so lazily
+        # billed compute can never outrun a frequency change.
+        governor = None
+        if self.thermal is not None:
+            for blade in blades:
+                self.thermal.set_busy(blade, now)
+            plan = plan_attempt(
+                self.thermal, blades, now, throttle=self.config.throttle
+            )
+            if plan.trip_at_s is not None:
+                governor = ThermalThrottleGovernor(self.power.node_watts)
+                governor.clamp_at(
+                    plan.trip_at_s, self.thermal.spec.throttle_scale
+                )
+                running.thermal_events.append(
+                    self.kernel.at(plan.trip_at_s, self._thermal_trip, running)
+                )
+            if plan.kill_at_s is not None:
+                running.thermal_events.append(
+                    self.kernel.at(plan.kill_at_s, self._overtemp_kill, running)
+                )
+        self.kernel.trace(
+            "job-start", job=spec.job_id, nodes=spec.nodes,
+            blades=",".join(str(b) for b in blades), unit=start_unit,
+        )
+        self._launch(
+            running, self.kernel, now, states, governor,
+            lambda result: self._world_done(running, result),
+        )
+
+    def _launch(self, running: _RunningJob, kernel: EventKernel,
+                start_s: float, states: Optional[Tuple[Any, ...]],
+                governor, on_complete) -> None:
+        """Build the attempt's world and start it on *kernel* at *start_s*.
+
+        The world runs on the platform's declared fabric, its endpoints
+        placed into the chassis of the blades the attempt was actually
+        allocated (matters on multi-level rack fabrics).
+        """
+        spec = running.record.spec
+        fabric = self.platform.build_fabric(spec.nodes, blades=running.blades)
+        net_policy = None
+        if self.net_fault is not None:
+            net_policy = self.net_fault.policy
+            # Endpoint i of this job is cluster blade blades[i]: frame
+            # fate resolves against the cluster-level fault timeline.
+            attach = getattr(fabric, "attach_faults", None)
+            if attach is not None:
+                attach(
+                    self._net_timeline,
+                    resources=[link_resource(b) for b in running.blades],
+                )
+        running.runtime = SimMpiRuntime(
+            spec.nodes,
+            fabric=fabric,
+            flop_rate=self.flop_rate,
+            kernel=kernel,
+            governor=governor,
+            net_fault=net_policy,
+        )
+        ctx = JobContext(
+            start_unit=running.attempt.start_unit,
+            states=states,
+            on_unit=lambda comm, unit, state: self._on_unit(
+                running, comm, unit, state
+            ),
+        )
+        program = spec.workload.make_program(self.flop_rate, spec.nodes, ctx)
+        running.runtime.launch(
+            program, start_time=start_s, on_complete=on_complete
         )
 
     def _profile_job(self, spec: JobSpec,
                      blades: Tuple[int, ...]) -> JobProfile:
-        """Measure one job in a scratch world at virtual ``t=0``.
+        """Measure one job's world on a scratch kernel at virtual ``t=0``.
 
-        This is the normalized execution both cache states share: the
-        world is simulated on a private kernel with the same fabric
-        (placed on the actually-allocated blades), flop rate and
-        checkpoint billing as the legacy path — only the time origin
-        differs, which is what makes the profile reusable.
+        The same launch, fabric placement, flop rate and checkpoint
+        billing as on the shared kernel — only the time origin differs,
+        which is what makes the profile reusable (and why the two
+        routes cannot be one: ``fl(t0+a)+b != fl(t0+(a+b))``).  The
+        scratch record collects what :meth:`_on_unit` bills.
         """
         kernel = EventKernel()
-        runtime = SimMpiRuntime(
-            spec.nodes,
-            fabric=self.platform.build_fabric(spec.nodes, blades=blades),
-            flop_rate=self.flop_rate,
-            kernel=kernel,
+        scratch = _RunningJob(
+            record=JobRecord(spec=spec), blades=blades,
+            attempt=Attempt(start_s=0.0),
         )
-        workload = spec.workload
-        every = self.config.checkpoint_every
-        checkpoint_io = [0.0]
-        checkpoints = [0]
-        pending: Dict[int, set] = {}
-
-        def on_unit(comm, unit: int, state: Any) -> None:
-            # Mirrors _on_unit's billing exactly: the I/O stall shapes
-            # the rank clocks (hence the profile's duration), and the
-            # counters land on the record at replay.  The states are
-            # not kept — a fast-path job can never be killed, so no
-            # restore point is ever read.
-            done = unit + 1
-            if (
-                every is None or state is None or not workload.checkpointable
-                or done >= workload.units or done % every
-            ):
-                return
-            io_s = self.config.checkpoint_io_s(_payload_nbytes(state))
-            comm.stall(io_s)
-            checkpoint_io[0] += io_s
-            ranks = pending.setdefault(done, set())
-            ranks.add(comm.rank)
-            if len(ranks) == spec.nodes:
-                checkpoints[0] += 1
-                del pending[done]
-
-        ctx = JobContext(start_unit=0, states=None, on_unit=on_unit)
-        program = workload.make_program(self.flop_rate, spec.nodes, ctx)
-        done_results: List[Any] = []
-        runtime.launch(
-            program, start_time=0.0, on_complete=done_results.append
-        )
+        done: List[Any] = []
+        self._launch(scratch, kernel, 0.0, None, None, done.append)
         kernel.run()
-        if not done_results:
-            blocked = [
-                r for r, t in enumerate(runtime._tasks or []) if t.alive
-            ]
-            raise runtime._deadlock_error(blocked)
-        result = done_results[0]
+        # A memoised attempt is never killed, so the restore points
+        # _on_unit filed for it are never read.
+        self._checkpoints.pop(spec.job_id, None)
+        if not done:
+            runtime = scratch.runtime
+            raise runtime._deadlock_error(list(runtime.unfinished_ranks()))
+        result = done[0]
         return JobProfile(
             elapsed_s=result.elapsed_s,
-            clocks=result.clocks,
             result0=result.results[0] if result.results else None,
             compute_s=sum(s.compute_s for s in result.stats),
             flops=sum(s.flops for s in result.stats),
             energy_j=spec.nodes * self.power.energy_joules(result.elapsed_s),
-            checkpoints=checkpoints[0],
-            checkpoint_io_s=checkpoint_io[0],
-            stats=tuple(replace(s) for s in result.stats),
-            resumptions=result.resumptions,
+            checkpoints=scratch.record.checkpoints,
+            checkpoint_io_s=scratch.record.checkpoint_io_s,
         )
 
-    def _finish_fast(self, running: _RunningJob,
-                     profile: JobProfile) -> None:
-        """Settle a fast-path job: replay its profile onto the ledger."""
+    def _close_attempt(self, running: _RunningJob) -> float:
+        """Release the attempt's blades at the current instant."""
         now = self.kernel.now
-        record = running.record
-        spec = record.spec
-        self._running.pop(spec.job_id, None)
-        self.allocator.release(spec.job_id, now)
+        job_id = running.record.spec.job_id
+        self._running.pop(job_id, None)
+        self.allocator.release(job_id, now)
         running.attempt.end_s = now
+        return now
+
+    def _finish_memoised(self, running: _RunningJob,
+                         profile: JobProfile) -> None:
+        """Settle a scratch-kernel attempt: its profile onto the ledger."""
+        now = self._close_attempt(running)
+        record = running.record
         record.state = JobState.COMPLETED
         record.end_s = now
         result0 = profile.result0
@@ -705,95 +741,6 @@ class BatchScheduler:
         record.checkpoints += profile.checkpoints
         record.checkpoint_io_s += profile.checkpoint_io_s
         self._dispatch()
-
-    # -- the legacy (shared-kernel) dispatch path ---------------------------
-
-    def _start(self, entry: _QueueEntry, now: float) -> None:
-        if self._fastpath_eligible(entry.record):
-            self._start_fast(entry, now)
-            return
-        self.profile_cache.bypasses += 1
-        record = entry.record
-        spec = record.spec
-        blades = self.allocator.allocate(
-            spec.job_id, spec.nodes, now, order=self._placement_order(now)
-        )
-        record.wait_s += now - entry.ready_s
-        start_unit, states = self._restore_point(spec.job_id)
-        attempt = Attempt(start_s=now, start_unit=start_unit)
-        record.attempts.append(attempt)
-        record.state = JobState.RUNNING
-        # Thermal planning happens *here*, at the attempt-start event:
-        # every transition of the attempt (trip clamp, kill) is solved
-        # and inserted before any rank of the job resumes, so lazily
-        # billed compute can never outrun a frequency change.
-        governor = None
-        plan = None
-        if self.thermal is not None:
-            for blade in blades:
-                self.thermal.set_busy(blade, now)
-            plan = plan_attempt(
-                self.thermal, blades, now, throttle=self.config.throttle
-            )
-            if plan.trip_at_s is not None:
-                governor = ThermalThrottleGovernor(self.power.node_watts)
-                governor.clamp_at(
-                    plan.trip_at_s, self.thermal.spec.throttle_scale
-                )
-        # The job's world runs on the platform's declared fabric, its
-        # endpoints placed into the chassis of the blades it was
-        # actually allocated (matters on multi-level rack fabrics).
-        fabric = self.platform.build_fabric(spec.nodes, blades=blades)
-        if self._net_timeline is not None:
-            # Endpoint i of this job is cluster blade blades[i]: frame
-            # fate resolves against the cluster-level fault timeline.
-            attach = getattr(fabric, "attach_faults", None)
-            if attach is not None:
-                attach(
-                    self._net_timeline,
-                    resources=[link_resource(b) for b in blades],
-                )
-        runtime = SimMpiRuntime(
-            spec.nodes,
-            fabric=fabric,
-            flop_rate=self.flop_rate,
-            kernel=self.kernel,
-            governor=governor,
-            net_fault=(
-                self.net_fault.policy if self.net_fault is not None
-                else None
-            ),
-        )
-        running = _RunningJob(
-            record=record, runtime=runtime, blades=blades, attempt=attempt
-        )
-        self._running[spec.job_id] = running
-        if plan is not None:
-            if plan.trip_at_s is not None:
-                running.thermal_events.append(
-                    self.kernel.at(plan.trip_at_s, self._thermal_trip, running)
-                )
-            if plan.kill_at_s is not None:
-                running.thermal_events.append(
-                    self.kernel.at(plan.kill_at_s, self._overtemp_kill, running)
-                )
-        ctx = JobContext(
-            start_unit=start_unit,
-            states=states,
-            on_unit=lambda comm, unit, state: self._on_unit(
-                running, comm, unit, state
-            ),
-        )
-        program = spec.workload.make_program(self.flop_rate, spec.nodes, ctx)
-        self.kernel.trace(
-            "job-start", job=spec.job_id, nodes=spec.nodes,
-            blades=",".join(str(b) for b in blades), unit=start_unit,
-        )
-        runtime.launch(
-            program,
-            start_time=now,
-            on_complete=lambda result: self._world_done(running, result),
-        )
 
     def _world_done(self, running: _RunningJob, result) -> None:
         """The job's world finalized; settle at its *virtual* end time.
@@ -810,22 +757,19 @@ class BatchScheduler:
         self.kernel.at(max(end, self.kernel.now), self._finish, running, result)
 
     def _finish(self, running: _RunningJob, result) -> None:
-        now = self.kernel.now
+        """Settle a shared-kernel attempt at its virtual end time."""
+        now = self._close_attempt(running)
         record = running.record
         spec = record.spec
-        self._running.pop(spec.job_id, None)
-        self.allocator.release(spec.job_id, now)
-        running.attempt.end_s = now
         duration = now - running.attempt.start_s
         if self.net_fault is not None:
             self._net_retransmits += sum(
                 s.retransmits for s in result.stats
             )
             self._net_drops += sum(s.drops for s in result.stats)
-            if running.runtime is not None:
-                self._net_reroutes += getattr(
-                    running.runtime.fabric, "reroutes", 0
-                )
+            self._net_reroutes += getattr(
+                running.runtime.fabric, "reroutes", 0
+            )
             if running.killed_at is None and result.failed_ranks:
                 # A rank died of retry exhaustion (LinkDownError)
                 # without any node-failure kill: the partition tore the
@@ -886,6 +830,23 @@ class BatchScheduler:
 
     def _node_fail(self, blade: int, detail: str) -> None:
         now = self.kernel.now
+        self.kernel.trace("node-down", node=blade, detail=detail)
+        # The repair is scheduled before the kill wakes any rank: event
+        # sequence numbers are part of every recorded run.
+        self.kernel.at(now + self.config.repair_s, self._node_repair, blade)
+        self._lose_blade(blade, detail)
+
+    def _lose_blade(self, blade: int, detail: str) -> None:
+        """A blade drops out of service: log, mark down, kill resident."""
+        now = self.kernel.now
+        job_id = self.allocator.job_on(blade)
+        self._blade_down(blade, now, detail)
+        running = self._running.get(job_id)
+        if running is not None and running.killed_at is None:
+            self._kill(running, blade, now, detail)
+
+    def _blade_down(self, blade: int, now: float, detail: str) -> None:
+        """Log the fault on the hub and take the blade out of service."""
         time_h = now / 3600.0
         self.hub.record(ManagementEvent(time_h, EventKind.FAILURE, blade, detail))
         self.hub.record(
@@ -894,32 +855,22 @@ class BatchScheduler:
                 EventKind.DETECTED, blade, detail,
             )
         )
-        self.kernel.trace("node-down", node=blade, detail=detail)
-        job_id = self.allocator.job_on(blade)
         self.allocator.mark_down(blade, now, detail)
-        self.kernel.at(now + self.config.repair_s, self._node_repair, blade)
-        if job_id is None:
-            return
-        running = self._running.get(job_id)
-        if running is None or running.killed_at is not None:
-            return
-        if running.runtime is None:
-            # Unreachable by construction: any failure injection bumps
-            # failures_injected before the kernel runs, which disables
-            # fast-path eligibility for every subsequent dispatch.
-            raise RuntimeError(
-                f"failure injected into fast-path job {job_id}; "
-                "profile-cache eligibility is stale"
-            )
+
+    def _kill(self, running: _RunningJob, blade: int, now: float,
+              detail: str) -> bool:
+        """Tear down the attempt's world; settled at its finish event.
+
+        False when the world already finalized (its last event fired at
+        or before now): the job completed before the blade was lost.
+        """
         victim_rank = running.blades.index(blade)
-        killed = running.runtime.kill_all(victim_rank, now, detail=detail)
-        if killed == 0:
-            # The world already finalized (its last event fired at or
-            # before now); the job completed before the blade died.
-            return
+        if not running.runtime.kill_all(victim_rank, now, detail=detail):
+            return False
         running.killed_at = now
         running.killed_by_blade = blade
         running.record.failures += 1
+        return True
 
     def _node_repair(self, blade: int) -> None:
         self.allocator.mark_up(blade, self.kernel.now)
@@ -940,7 +891,6 @@ class BatchScheduler:
         windows never kill — the rack fabric reroutes over the backup
         path at degraded bandwidth.
         """
-        now = self.kernel.now
         self.kernel.trace(
             "net-down", resource=window.resource, until=window.end_s
         )
@@ -950,39 +900,7 @@ class BatchScheduler:
         if window.duration_s <= self.net_fault.policy.ride_through_s:
             return
         self._net_partitions += 1
-        detail = "link partition"
-        time_h = now / 3600.0
-        self.hub.record(
-            ManagementEvent(time_h, EventKind.FAILURE, blade, detail)
-        )
-        self.hub.record(
-            ManagementEvent(
-                time_h + self.hub.detection_latency_h,
-                EventKind.DETECTED, blade, detail,
-            )
-        )
-        job_id = self.allocator.job_on(blade)
-        self.allocator.mark_down(blade, now, detail)
-        if job_id is None:
-            return
-        running = self._running.get(job_id)
-        if running is None or running.killed_at is not None:
-            return
-        if running.runtime is None:
-            # Unreachable by construction: a net_fault config disables
-            # fast-path eligibility for every dispatch.
-            raise RuntimeError(
-                f"net fault hit fast-path job {job_id}; "
-                "profile-cache eligibility is stale"
-            )
-        victim_rank = running.blades.index(blade)
-        killed = running.runtime.kill_all(victim_rank, now, detail=detail)
-        if killed == 0:
-            # The world already finalized; the job beat the outage.
-            return
-        running.killed_at = now
-        running.killed_by_blade = blade
-        running.record.failures += 1
+        self._lose_blade(blade, "link partition")
 
     def _net_window_end(self, window: FaultWindow) -> None:
         """The outage repairs: partitioned blades rejoin the pool."""
@@ -1027,28 +945,13 @@ class BatchScheduler:
             running.blades,
             key=lambda b: (self.thermal.temperature(b, now), -b),
         )
-        victim_rank = running.blades.index(victim)
-        killed = running.runtime.kill_all(victim_rank, now, detail="overtemp")
-        if killed == 0:
-            # The world already finalized at or before now: the job
-            # beat its kill time, and its blades are about to go idle.
+        if not self._kill(running, victim, now, "overtemp"):
+            # The job beat its kill time, and its blades are about to
+            # go idle: nothing overheated, so nothing is logged or lost.
             return
-        running.killed_at = now
-        running.killed_by_blade = victim
         running.overtemp = True
-        running.record.failures += 1
         self._overtemp_kills += 1
-        time_h = now / 3600.0
-        self.hub.record(
-            ManagementEvent(time_h, EventKind.FAILURE, victim, "overtemp")
-        )
-        self.hub.record(
-            ManagementEvent(
-                time_h + self.hub.detection_latency_h,
-                EventKind.DETECTED, victim, "overtemp",
-            )
-        )
-        self.allocator.mark_down(victim, now, "overtemp")
+        self._blade_down(victim, now, "overtemp")
         self.kernel.trace("overtemp-kill", job=job_id, node=victim)
 
     def _end_attempt_thermal(self, running: _RunningJob, now: float) -> None:
@@ -1123,4 +1026,4 @@ class BatchScheduler:
         )
         record.checkpoints += 1
         del running.pending[done]
-        self.kernel.trace("checkpoint", job=spec.job_id, unit=done)
+        running.runtime.kernel.trace("checkpoint", job=spec.job_id, unit=done)

@@ -263,21 +263,10 @@ def test_sched_runs_audited_on_green_destiny_240():
     assert outcome.nodes == 240
 
 
-def test_sched_rejects_platform_and_machine_together():
-    from repro.core.system import BladedBeowulf
-
-    with pytest.raises(ValueError, match="not both"):
-        BatchScheduler(
-            machine=BladedBeowulf.metablade(),
-            platform=METABLADE_PLATFORM,
-        )
-
-
 def test_sched_default_is_the_metablade_platform():
     sched = BatchScheduler()
     assert sched.platform is METABLADE_PLATFORM
     assert sched.nodes == 24
-    assert sched.machine.cluster == METABLADE
 
 
 def test_timeline_runs_on_a_rack_platform():

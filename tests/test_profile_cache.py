@@ -250,7 +250,7 @@ def test_key_rack_fabric_sees_chassis_grouping():
 
 def _profile():
     return JobProfile(
-        elapsed_s=1.0, clocks=(1.0, 1.0), result0=0.0, compute_s=0.5,
+        elapsed_s=1.0, result0=0.0, compute_s=0.5,
         flops=1e6, energy_j=2.0, checkpoints=0, checkpoint_io_s=0.0,
     )
 

@@ -1,9 +1,13 @@
 """The batch workload manager: queue, allocator, dispatcher, accounting."""
 
+import math
+import signal
+
 import pytest
 
-from repro.core.system import BladedBeowulf
 from repro.metrics.throughput import throughput_report
+from repro.network.faults import NetFaultConfig
+from repro.platform.registry import METABLADE_PLATFORM
 from repro.sched import (
     BatchScheduler,
     BladeAllocator,
@@ -21,13 +25,12 @@ from repro.sched import (
 from repro.sched.policy import QueuedJob, RunningJob
 
 
-MACHINE = BladedBeowulf.metablade()
-RATE = MACHINE.node_flop_rate()
+RATE = METABLADE_PLATFORM.node_flop_rate()
 
 
 def make_sched(policy=None, config=None):
     return BatchScheduler(
-        machine=MACHINE,
+        platform=METABLADE_PLATFORM,
         policy=policy if policy is not None else Fcfs(),
         config=config,
     )
@@ -372,3 +375,69 @@ def test_scheduler_rejects_bad_submissions():
         sched.inject_failure(0.0, blade=24)
     with pytest.raises(ValueError):
         sched.inject_poisson_failures(1.0, mtbf_s=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Hostile inputs: a named error at the call, never a hang
+# ---------------------------------------------------------------------------
+
+def _thermal_sched():
+    return make_sched(config=SchedConfig(thermal=True))
+
+
+#: (field the error must name, call taking the hostile value).
+_NON_FINITE = [
+    ("mtbf_s", lambda v: make_sched().inject_poisson_failures(1.0, v)),
+    ("horizon_s", lambda v: make_sched().inject_poisson_failures(v, 0.1)),
+    ("mtbf_s", lambda v: _thermal_sched().inject_thermal_failures(1.0, v)),
+    ("horizon_s", lambda v: _thermal_sched().inject_thermal_failures(v, 0.1)),
+    ("mean_interarrival_s",
+     lambda v: synthetic_stream(3, 4, RATE, mean_interarrival_s=v)),
+    ("mtbf_s", lambda v: NetFaultConfig(mtbf_s=v)),
+    ("mttr_s", lambda v: NetFaultConfig(mttr_s=v)),
+    ("horizon_s", lambda v: NetFaultConfig(horizon_s=v)),
+    ("arrival_s", lambda v: JobSpec(0, v, 1, 1.0, MicrokernelSweep())),
+    ("thermal_accel", lambda v: SchedConfig(thermal_accel=v)),
+]
+
+
+@pytest.fixture
+def hard_timeout():
+    def expired(signum, frame):
+        raise TimeoutError("hung on a hostile input instead of raising")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0.0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "field, call, value",
+    [
+        pytest.param(field, call, value, id=f"{index}-{field}={value}")
+        for index, (field, call) in enumerate(_NON_FINITE)
+        for value in (math.nan, math.inf, -1.0, 0.0)
+        if (field, value) != ("arrival_s", 0.0)
+    ],
+)
+def test_non_finite_inputs_raise_naming_the_field(hard_timeout, field, call,
+                                                  value):
+    with pytest.raises(ValueError, match=field):
+        call(value)
+
+
+def test_failure_injected_under_a_memoised_job_is_refused_at_the_call():
+    sched = make_sched(policy=EasyBackfill())
+    sched.submit_stream(synthetic_stream(20, 12, RATE, seed=1))
+    sched.run(until=0.02)
+    memoised = next(iter(sched._running.values()))
+    assert memoised.runtime is None
+    with pytest.raises(RuntimeError, match="memoised route"):
+        sched.inject_failure(0.0201, memoised.blades[0])
+    assert sched.failures_injected == 0
+    outcome = sched.run()
+    assert len(outcome.completed) == 20
+    # Once the in-flight memoised jobs have drained, injection is legal.
+    sched.inject_failure(outcome.makespan_s + 1.0, blade=0)
