@@ -63,10 +63,11 @@ class TimelineEvent:
 class Event:
     """A scheduled callback; ``cancel()`` makes it a no-op.
 
-    ``key`` is the frozen ``(time, seq)`` heap priority, computed once
-    at construction so every heap comparison is a plain tuple compare
-    instead of allocating two fresh tuples per ``__lt__`` call — the
-    single hottest allocation site of the old kernel loop.
+    The kernel queues it as a ``(time, seq, event)`` tuple: ``seq`` is
+    unique, so a sift never reaches the event and every heap comparison
+    stays inside the C tuple compare.  ``time`` and ``seq`` are kept on
+    the event for fire hooks and diagnostics; the queue order is the
+    tuple's, fixed when the event is scheduled.
 
     ``kernel`` back-references the owning kernel while the event sits
     in its heap, which is what keeps the kernel's live/cancelled
@@ -76,7 +77,7 @@ class Event:
     counter-neutral.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "key", "kernel")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "kernel")
 
     def __init__(self, time: float, seq: int,
                  fn: Callable[..., Any], args: Tuple[Any, ...],
@@ -86,7 +87,6 @@ class Event:
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self.key = (time, seq)
         self.kernel = kernel
 
     def cancel(self) -> None:
@@ -97,9 +97,6 @@ class Event:
         if kernel is not None:
             kernel._note_cancel()
 
-    def __lt__(self, other: "Event") -> bool:
-        return self.key < other.key
-
 
 class EventKernel:
     """Global virtual clock + binary-heap event queue."""
@@ -109,7 +106,7 @@ class EventKernel:
         self.fired = 0
         self.record_timeline = record_timeline
         self.timeline: List[TimelineEvent] = []
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         #: Live (non-cancelled) events in the heap, and cancelled
         #: entries still awaiting lazy deletion.  Together they make
@@ -128,20 +125,27 @@ class EventKernel:
     # -- scheduling --------------------------------------------------------
 
     def at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at virtual *time*."""
-        if time < 0:
-            raise ValueError("cannot schedule at negative virtual time")
-        self._seq += 1
-        event = Event(time, self._seq, fn, args, self)
-        heapq.heappush(self._heap, event)
+        """Schedule ``fn(*args)`` at virtual *time*.
+
+        NaN is refused along with negative times: it compares false
+        against everything, so one NaN entry would break the heap
+        invariant and silently misorder the events around it.
+        """
+        if not time >= 0:
+            raise ValueError(
+                f"virtual time must be non-negative, got {time!r}"
+            )
+        self._seq = seq = self._seq + 1
+        event = Event(time, seq, fn, args, self)
+        heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
     def after(self, delay: float, fn: Callable[..., Any],
               *args: Any) -> Event:
         """Schedule ``fn(*args)`` *delay* after the current clock."""
-        if delay < 0:
-            raise ValueError("delay cannot be negative")
+        if not delay >= 0:
+            raise ValueError(f"delay must be non-negative, got {delay!r}")
         return self.at(self.now + delay, fn, *args)
 
     def pending(self) -> int:
@@ -174,7 +178,7 @@ class EventKernel:
         Mutates the heap list *in place*: the run loop holds a local
         alias of ``_heap``, so rebinding would silently fork the queue.
         """
-        self._heap[:] = [e for e in self._heap if not e.cancelled]
+        self._heap[:] = [e for e in self._heap if not e[2].cancelled]
         heapq.heapify(self._heap)
         self._dead = 0
 
@@ -184,7 +188,7 @@ class EventKernel:
         """Fire the next event; False when the queue is drained."""
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)
+            event = heapq.heappop(heap)[2]
             if event.cancelled:
                 self._dead -= 1
                 continue
@@ -220,7 +224,7 @@ class EventKernel:
         pop = heapq.heappop
         if until is None:
             while heap:
-                event = pop(heap)
+                event = pop(heap)[2]
                 if event.cancelled:
                     self._dead -= 1
                     continue
@@ -237,7 +241,7 @@ class EventKernel:
         while heap:
             if self._next_time() > until:
                 break
-            event = pop(heap)
+            event = pop(heap)[2]
             if event.cancelled:
                 self._dead -= 1
                 continue
@@ -254,15 +258,16 @@ class EventKernel:
 
     def _next_time(self) -> float:
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
             self._dead -= 1
-        return heap[0].time if heap else float("inf")
+        return heap[0][0] if heap else float("inf")
 
     def next_times(self, limit: int = 3) -> List[float]:
         """Fire times of the next few live events (diagnostics)."""
-        keys = sorted(e.key for e in self._heap if not e.cancelled)
-        return [t for t, _ in keys[:limit]]
+        return sorted(
+            t for t, _, e in self._heap if not e.cancelled
+        )[:limit]
 
     # -- timeline ----------------------------------------------------------
 

@@ -18,7 +18,7 @@ into the headline operator numbers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from typing import Optional, Tuple, TYPE_CHECKING
 
 from repro.cluster.catalog import Cluster
 from repro.metrics.report import format_table
@@ -60,6 +60,8 @@ class ThroughputReport:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_bypasses: int = 0
+    #: ``cache_bypasses`` by veto reason, sorted ``(reason, count)`` pairs.
+    cache_bypass_reasons: Tuple[Tuple[str, int], ...] = ()
 
     def format(self) -> str:
         rows = [
@@ -94,6 +96,8 @@ class ThroughputReport:
             rows.append(("profile-cache hits", self.cache_hits))
             rows.append(("profile-cache misses", self.cache_misses))
             rows.append(("profile-cache bypasses", self.cache_bypasses))
+            for reason, count in self.cache_bypass_reasons:
+                rows.append((f"  bypassed: {reason}", count))
         return format_table(
             ("metric", "value"), rows,
             title=f"Job-stream accounting ({self.policy})",
@@ -169,4 +173,7 @@ def throughput_report(outcome: "SchedOutcome",
         cache_hits=getattr(outcome, "cache_hits", 0),
         cache_misses=getattr(outcome, "cache_misses", 0),
         cache_bypasses=getattr(outcome, "cache_bypasses", 0),
+        cache_bypass_reasons=tuple(
+            sorted(getattr(outcome, "cache_bypass_reasons", {}).items())
+        ),
     )

@@ -14,12 +14,10 @@ the data behind :func:`repro.sched.gantt.render_gantt`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 
-@dataclass(frozen=True)
-class BladeInterval:
+class BladeInterval(NamedTuple):
     """One closed interval of a blade's history."""
 
     blade: int
@@ -95,10 +93,11 @@ class BladeAllocator:
                     f"{len(preferred)} free blades, needs {nodes}"
                 )
             blades = tuple(sorted(preferred[:nodes]))
+        opened = (now, "busy", str(job_id))
         for blade in blades:
             self._free.remove(blade)
             self._blade_job[blade] = job_id
-            self._open[blade] = (now, "busy", str(job_id))
+            self._open[blade] = opened
         self._job_blades[job_id] = blades
         return blades
 

@@ -54,7 +54,7 @@ class JobSpec:
             raise ValueError("walltime estimate must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class Attempt:
     """One execution attempt of a job."""
 
@@ -64,7 +64,7 @@ class Attempt:
     killed_by_node: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class JobRecord:
     """Full accounting trail of one job."""
 

@@ -63,49 +63,77 @@ class JobProfile:
     checkpoint_io_s: float
 
 
-def job_profile_key(spec, platform, blades: Sequence[int], config,
-                    platform_hash: Optional[str] = None) -> Tuple[Any, ...]:
-    """The content identity of one job execution.
+class ProfileKeys:
+    """The content identity of job executions on one platform and config.
 
     Two dispatches with equal keys are guaranteed the same normalized
-    simulation, so one may replay the other's profile:
+    simulation, so one may replay the other's profile.  A key is
+    ``(content, width, placement)``:
 
-    - the workload's exact class and frozen-dataclass ``repr`` (its
-      full declarative content — particle counts, seeds, kernel names);
+    - *content* is everything that does not change between dispatches
+      of one workload object: its exact class and frozen-dataclass
+      ``repr`` (its full declarative content — particle counts, seeds,
+      kernel names); the platform's content-hash (covers node rate,
+      NIC/switch/link parameters, power model — everything the fabric
+      and billing read); the checkpoint plan (cadence, latency,
+      bandwidth), which stalls rank clocks mid-run; and the frequency
+      plan (constant: governed attempts bypass);
     - the job width (``spec.nodes``);
-    - the platform's content-hash (covers node rate, NIC/switch/link
-      parameters, power model — everything the fabric and billing read);
     - the fabric *placement signature*: on a two-level rack fabric the
       chassis grouping of the allocated blades changes message timing,
       so it is part of the identity (star/ideal fabrics are placement-
-      invariant and contribute a constant);
-    - the checkpoint plan (cadence, latency, bandwidth), which stalls
-      rank clocks mid-run;
-    - the frequency plan (constant: governed attempts bypass).
+      invariant and contribute a constant).
 
     ``arrival_s``, ``walltime_est_s`` and ``job_id`` are deliberately
     absent — they steer queueing, not execution.
+
+    The content tuple is built once per workload *object* and found
+    again by ``id()``; the table holds the object, so its ``id`` cannot
+    be handed to another workload while the entry lives.  Equal-content
+    objects get equal tuples and therefore still share a profile.
     """
-    workload = spec.workload
-    fabric = platform.fabric
-    if fabric.kind == "rack":
-        placement: Any = tuple(
-            b // fabric.nodes_per_chassis for b in blades
+
+    def __init__(self, platform, config) -> None:
+        fabric = platform.fabric
+        self._kind = fabric.kind
+        self._per_chassis = (
+            fabric.nodes_per_chassis if fabric.kind == "rack" else None
         )
-    else:
-        placement = fabric.kind
-    return (
-        type(workload).__module__,
-        type(workload).__qualname__,
-        repr(workload),
-        spec.nodes,
-        platform_hash if platform_hash is not None
-        else platform.content_hash(),
-        placement,
-        (config.checkpoint_every, config.checkpoint_latency_s,
-         config.checkpoint_bandwidth_bps),
-        NOMINAL_FREQUENCY_PLAN,
-    )
+        #: What every workload's content tuple ends with.
+        self._plan = (
+            platform.content_hash(),
+            (config.checkpoint_every, config.checkpoint_latency_s,
+             config.checkpoint_bandwidth_bps),
+            NOMINAL_FREQUENCY_PLAN,
+        )
+        #: id(workload) -> (workload, content tuple)
+        self._interned: Dict[int, Tuple[Any, Tuple[Any, ...]]] = {}
+
+    def _intern(self, workload) -> Tuple[Any, ...]:
+        content = (
+            type(workload).__module__,
+            type(workload).__qualname__,
+            repr(workload),
+            *self._plan,
+        )
+        self._interned[id(workload)] = (workload, content)
+        return content
+
+    def key(self, spec, blades: Sequence[int]) -> Tuple[Any, ...]:
+        workload = spec.workload
+        held = self._interned.get(id(workload))
+        content = held[1] if held is not None else self._intern(workload)
+        per_chassis = self._per_chassis
+        if per_chassis is None:
+            return (content, spec.nodes, self._kind)
+        return (content, spec.nodes,
+                tuple(b // per_chassis for b in blades))
+
+
+def job_profile_key(spec, platform, blades: Sequence[int],
+                    config) -> Tuple[Any, ...]:
+    """One key built from scratch (see :class:`ProfileKeys`)."""
+    return ProfileKeys(platform, config).key(spec, blades)
 
 
 @dataclass
@@ -115,14 +143,23 @@ class ProfileCache:
     ``enabled=False`` turns the store off but keeps the counters: every
     eligible dispatch then counts as a miss (it runs the normalized
     simulation and discards nothing — there is simply nothing to reuse),
-    and ``bypasses`` counts attempts whose world ran on the shared kernel.
+    and ``bypass_reasons`` counts, by veto reason, the attempts whose
+    world ran on the shared kernel.
     """
 
     enabled: bool = True
     hits: int = 0
     misses: int = 0
-    bypasses: int = 0
+    bypass_reasons: Dict[str, int] = field(default_factory=dict)
     _store: Dict[Tuple[Any, ...], JobProfile] = field(default_factory=dict)
+
+    @property
+    def bypasses(self) -> int:
+        return sum(self.bypass_reasons.values())
+
+    def bypass(self, reason: str) -> None:
+        reasons = self.bypass_reasons
+        reasons[reason] = reasons.get(reason, 0) + 1
 
     def get(self, key: Tuple[Any, ...]) -> Optional[JobProfile]:
         if self.enabled:

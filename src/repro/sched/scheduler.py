@@ -54,7 +54,7 @@ from repro.sched.policy import Policy, QueuedJob, RunningJob
 from repro.sched.profile_cache import (
     JobProfile,
     ProfileCache,
-    job_profile_key,
+    ProfileKeys,
 )
 from repro.sched.workloads import JobContext
 from repro.simmpi import SimMpiRuntime
@@ -175,6 +175,9 @@ class SchedOutcome:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_bypasses: int = 0
+    #: ``cache_bypasses`` split by the veto that sent the attempt to the
+    #: shared kernel (see :meth:`BatchScheduler._fastpath_eligible`).
+    cache_bypass_reasons: Dict[str, int] = field(default_factory=dict)
 
     @property
     def completed(self) -> List[JobRecord]:
@@ -185,23 +188,26 @@ class SchedOutcome:
         return [r for r in self.records if r.state is JobState.ABANDONED]
 
 
-@dataclass
+@dataclass(slots=True)
 class _QueueEntry:
     """Queue position: FCFS order is (original arrival, job id)."""
 
     key: Tuple[float, int]
     record: JobRecord
     ready_s: float               # arrival or most recent requeue time
+    view: QueuedJob              # what policies see, built once
 
     def __lt__(self, other: "_QueueEntry") -> bool:
         return self.key < other.key
 
 
-@dataclass
+@dataclass(slots=True)
 class _RunningJob:
     record: JobRecord
     blades: Tuple[int, ...]
     attempt: Attempt
+    #: What policies see of this attempt, built once at :meth:`_start`.
+    view: Optional[RunningJob] = None
     #: The attempt's world.  ``None`` on the memoised route: that world
     #: ran (or was replayed from cache) on a scratch kernel at ``t=0``,
     #: so nothing lives on the shared clock but the finish event.
@@ -252,7 +258,7 @@ class BatchScheduler:
         #: ``SchedConfig.profile_cache=False`` keeps the normalized
         #: fast path but disables memoization.
         self.profile_cache = ProfileCache(enabled=self.config.profile_cache)
-        self._platform_hash: Optional[str] = None
+        self._profile_keys = ProfileKeys(platform, self.config)
         self._queue: List[_QueueEntry] = []
         self._running: Dict[int, _RunningJob] = {}
         #: Complete checkpoints: job id -> [(unit, states, write-done clock)].
@@ -475,6 +481,7 @@ class BatchScheduler:
             cache_hits=self.profile_cache.hits,
             cache_misses=self.profile_cache.misses,
             cache_bypasses=self.profile_cache.bypasses,
+            cache_bypass_reasons=dict(self.profile_cache.bypass_reasons),
         )
         if self._auditors and until is None:
             from repro.check.auditors import (
@@ -500,10 +507,16 @@ class BatchScheduler:
 
     def _enqueue(self, record: JobRecord, ready_s: float) -> None:
         record.state = JobState.QUEUED
+        spec = record.spec
         entry = _QueueEntry(
-            key=(record.spec.arrival_s, record.spec.job_id),
+            key=(spec.arrival_s, spec.job_id),
             record=record,
             ready_s=ready_s,
+            view=QueuedJob(
+                job_id=spec.job_id,
+                nodes=spec.nodes,
+                est_runtime_s=spec.walltime_est_s,
+            ),
         )
         insort(self._queue, entry)
 
@@ -511,58 +524,46 @@ class BatchScheduler:
         if not self._queue:
             return
         now = self.kernel.now
-        queue_view = [
-            QueuedJob(
-                job_id=e.record.spec.job_id,
-                nodes=e.record.spec.nodes,
-                est_runtime_s=e.record.spec.walltime_est_s,
-            )
-            for e in self._queue
-        ]
-        running_view = [
-            RunningJob(
-                job_id=run.record.spec.job_id,
-                nodes=run.record.spec.nodes,
-                est_end_s=run.attempt.start_s + run.record.spec.walltime_est_s,
-            )
-            for run in self._running.values()
-        ]
         picked = self.policy.pick(
-            queue_view, self.allocator.free_count, now, running_view
+            [e.view for e in self._queue], self.allocator.free_count, now,
+            [run.view for run in self._running.values()],
         )
         if not picked:
             return
         chosen = {q.job_id for q in picked}
-        starting = [e for e in self._queue if e.record.spec.job_id in chosen]
+        starting = [e for e in self._queue if e.view.job_id in chosen]
         self._queue = [
-            e for e in self._queue if e.record.spec.job_id not in chosen
+            e for e in self._queue if e.view.job_id not in chosen
         ]
         for entry in starting:
             self._start(entry, now)
 
     # -- one attempt, two kernels -------------------------------------------
 
-    def _fastpath_eligible(self, record: JobRecord) -> bool:
-        """Whether this attempt may be settled on a scratch kernel.
+    def _fastpath_eligible(self, record: JobRecord) -> Optional[str]:
+        """Why this attempt may *not* be settled on a scratch kernel.
 
-        Every condition here is an *invalidation trigger* of the
-        profile cache: anything that can observe or perturb the job
-        mid-flight needs its world on the shared kernel.
+        ``None`` means eligible.  Every reason here is an *invalidation
+        trigger* of the profile cache: anything that can observe or
+        perturb the job mid-flight needs its world on the shared
+        kernel.  The first that applies is the one counted.
         """
-        if self.config.audit or self.thermal is not None:
-            return False                 # auditors / thermal throttling
+        if self.config.audit:
+            return "audit"               # auditors watch every event
+        if self.thermal is not None:
+            return "thermal"             # throttling re-times the world
         if self.failures_injected or self._thermal_injector is not None:
-            return False                 # mid-run kills possible
+            return "kill-possible"       # mid-run kills possible
         if self.net_fault is not None:
-            return False                 # fault timeline perturbs worlds
+            return "net-fault"           # fault timeline perturbs worlds
         kernel = self.kernel
         if kernel.record_timeline or kernel._observers or kernel._fire_hooks:
-            return False                 # tracing or kernel auditors
+            return "observer"            # tracing or kernel hooks
         if not getattr(record.spec.workload, "cacheable", False):
-            return False                 # payload opted out
+            return "uncacheable"         # payload opted out
         if record.failures or record.requeues:
-            return False                 # defensive: never a fresh start
-        return True
+            return "restart"             # defensive: never a fresh start
+        return None
 
     def _start(self, entry: _QueueEntry, now: float) -> None:
         """Open an attempt and put its world on a kernel.
@@ -586,15 +587,18 @@ class BatchScheduler:
         attempt = Attempt(start_s=now, start_unit=start_unit)
         record.attempts.append(attempt)
         record.state = JobState.RUNNING
-        running = _RunningJob(record=record, blades=blades, attempt=attempt)
+        running = _RunningJob(
+            record=record, blades=blades, attempt=attempt,
+            view=RunningJob(
+                job_id=spec.job_id,
+                nodes=spec.nodes,
+                est_end_s=now + spec.walltime_est_s,
+            ),
+        )
         self._running[spec.job_id] = running
-        if self._fastpath_eligible(record):
-            if self._platform_hash is None:
-                self._platform_hash = self.platform.content_hash()
-            key = job_profile_key(
-                spec, self.platform, blades, self.config,
-                platform_hash=self._platform_hash,
-            )
+        veto = self._fastpath_eligible(record)
+        if veto is None:
+            key = self._profile_keys.key(spec, blades)
             profile = self.profile_cache.get(key)
             if profile is None:
                 profile = self._profile_job(spec, blades)
@@ -604,7 +608,7 @@ class BatchScheduler:
                 profile,
             )
             return
-        self.profile_cache.bypasses += 1
+        self.profile_cache.bypass(veto)
         # Thermal planning happens *here*, at the attempt-start event:
         # every transition of the attempt (trip clamp, kill) is solved
         # and inserted before any rank of the job resumes, so lazily
@@ -704,9 +708,14 @@ class BatchScheduler:
             runtime = scratch.runtime
             raise runtime._deadlock_error(list(runtime.unfinished_ranks()))
         result = done[0]
+        result0 = result.results[0] if result.results else None
+        if isinstance(result0, np.ndarray):
+            # Every replay hands this one array to its record; frozen,
+            # so no record can corrupt the result of another.
+            result0.setflags(write=False)
         return JobProfile(
             elapsed_s=result.elapsed_s,
-            result0=result.results[0] if result.results else None,
+            result0=result0,
             compute_s=sum(s.compute_s for s in result.stats),
             flops=sum(s.flops for s in result.stats),
             energy_j=spec.nodes * self.power.energy_joules(result.elapsed_s),
@@ -730,11 +739,7 @@ class BatchScheduler:
         record = running.record
         record.state = JobState.COMPLETED
         record.end_s = now
-        result0 = profile.result0
-        if isinstance(result0, np.ndarray):
-            # Replayed records must not alias one shared array.
-            result0 = result0.copy()
-        record.result = result0
+        record.result = profile.result0
         record.energy_j += profile.energy_j
         record.compute_s += profile.compute_s
         record.flops += profile.flops

@@ -41,7 +41,8 @@ def ingest_sched_outcome(registry: Registry, outcome: Any,
     )
     registry.counter("sched.cache.hits").inc(outcome.cache_hits)
     registry.counter("sched.cache.misses").inc(outcome.cache_misses)
-    registry.counter("sched.cache.bypasses").inc(outcome.cache_bypasses)
+    for reason, count in sorted(outcome.cache_bypass_reasons.items()):
+        registry.counter("sched.cache.bypasses", reason=reason).inc(count)
     for record in outcome.records:
         state = record.state.value
         registry.counter("sched.jobs", state=state).inc()

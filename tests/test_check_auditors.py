@@ -61,7 +61,7 @@ def test_backwards_clock_is_caught():
         # in the past drags ``now`` backwards instead of clamping.
         def step(self):
             while self._heap:
-                event = heapq.heappop(self._heap)
+                event = heapq.heappop(self._heap)[2]
                 if event.cancelled:
                     continue
                 self.now = event.time          # missing max(now, ...)

@@ -10,6 +10,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import (
     BLADED_OUTAGES,
@@ -99,6 +100,102 @@ def test_negative_times_rejected():
         kernel.at(-1.0, lambda: None)
     with pytest.raises(ValueError):
         kernel.after(-0.5, lambda: None)
+
+
+def test_nan_times_rejected_before_they_can_misorder_the_heap():
+    # NaN compares false against everything: pushed between 2.0 and
+    # 1.0 it used to pass the ``time < 0`` guard, break the heap
+    # invariant, and make 1.0 fire *before* 0.5.
+    kernel = EventKernel()
+    fired = []
+    kernel.at(2.0, fired.append, 2.0)
+    with pytest.raises(ValueError, match="nan"):
+        kernel.at(float("nan"), fired.append, "nan")
+    kernel.at(1.0, fired.append, 1.0)
+    kernel.at(0.5, fired.append, 0.5)
+    with pytest.raises(ValueError, match="nan"):
+        kernel.after(float("nan"), fired.append, "nan")
+    assert kernel.pending() == 3
+    kernel.run()
+    assert fired == [0.5, 1.0, 2.0]
+
+
+#: A handful of instants, so equal-time ties are the common case.
+_TICKS = st.integers(0, 6).map(lambda k: 0.25 * k)
+_KERNEL_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("at"), _TICKS),
+        st.tuples(st.just("after"), _TICKS),
+        st.tuples(st.just("cancel"), st.integers(0, 10_000)),
+        st.tuples(st.just("run"), _TICKS),
+        # Schedule many, cancel most: crosses the compaction threshold.
+        st.tuples(st.just("burst"), st.integers(3, 5)),
+    ),
+    max_size=60,
+)
+
+
+@given(ops=_KERNEL_OPS)
+@settings(max_examples=150, deadline=None)
+def test_fire_order_matches_sorted_reference_under_cancel_and_until(ops):
+    kernel = EventKernel()
+    fired = []
+    events = []                  # every Event ever scheduled, by ident
+    waiting = {}                 # ident -> (time, seq) still to fire
+    expected = []
+    now = 0.0
+
+    def schedule(time):
+        ident = len(events)
+        events.append(kernel.at(time, fired.append, ident))
+        assert (events[-1].time, events[-1].seq) == (time, ident + 1)
+        waiting[ident] = (time, ident + 1)
+
+    def cancel(ident):
+        events[ident].cancel()   # counter-neutral once fired/cancelled
+        waiting.pop(ident, None)
+
+    def run(until=None):
+        nonlocal now
+        due = sorted(
+            (key, ident) for ident, key in waiting.items()
+            if until is None or key[0] <= until
+        )
+        for (time, _seq), ident in due:
+            expected.append(ident)
+            now = max(now, time)
+            del waiting[ident]
+        assert kernel.run(until) == now
+
+    for op, arg in ops:
+        if op == "at":
+            schedule(arg)
+        elif op == "after":
+            schedule(now + arg)
+        elif op == "cancel":
+            if events:
+                cancel(arg % len(events))
+        elif op == "run":
+            run(until=arg)
+        else:
+            first = len(events)
+            for k in range(160):
+                schedule(0.25 * (k % 7))
+            for k in range(160):
+                if k % arg:
+                    cancel(first + k)
+        assert kernel.pending() == len(waiting)
+        assert kernel.idle == (not waiting)
+        assert len(kernel._heap) == kernel._live + kernel._dead
+        # Compaction keeps the corpses bounded by the live entries.
+        assert kernel._dead <= max(64, kernel._live)
+        assert fired == expected
+        assert kernel.next_times(3) == sorted(
+            t for t, _ in waiting.values()
+        )[:3]
+    run()
+    assert fired == expected
+    assert kernel.pending() == 0 and kernel._heap == []
 
 
 def test_clock_never_moves_backwards():

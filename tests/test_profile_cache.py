@@ -16,9 +16,10 @@ from repro.sched import (
     MicrokernelSweep,
     ProfileCache,
     SchedConfig,
+    TreecodeJob,
     job_profile_key,
 )
-from repro.sched.profile_cache import JobProfile
+from repro.sched.profile_cache import JobProfile, ProfileKeys
 
 METABLADE = platform_by_name("metablade")
 RACK = platform_by_name("green-destiny-240")
@@ -88,9 +89,14 @@ def test_cache_on_off_outcomes_bit_identical(seed, overrides):
         assert on.cache_hits == 0 and on.cache_misses == 0
         # Requeued attempts each count a bypass, so >= the job count.
         assert on.cache_bypasses >= len(on.records)
+        assert set(on.cache_bypass_reasons) == {
+            "thermal" if overrides.get("thermal") else "kill-possible"
+        }
     else:
         assert on.cache_bypasses == 0
+        assert on.cache_bypass_reasons == {}
         assert on.cache_misses > 0
+    assert sum(on.cache_bypass_reasons.values()) == on.cache_bypasses
 
 
 @pytest.mark.parametrize(
@@ -140,35 +146,50 @@ def test_disabled_cache_keeps_fast_path_but_stores_nothing():
 # Bypass triggers: one test per condition
 # ---------------------------------------------------------------------------
 
-def _assert_all_bypassed(outcome):
+def _assert_all_bypassed(outcome, reason):
     assert outcome.cache_hits == 0
     assert outcome.cache_misses == 0
     assert outcome.cache_bypasses == len(outcome.records)
+    assert outcome.cache_bypass_reasons == {reason: len(outcome.records)}
 
 
 def test_audit_mode_bypasses():
-    _assert_all_bypassed(run_templates(config=SchedConfig(audit=True)))
+    _assert_all_bypassed(
+        run_templates(config=SchedConfig(audit=True)), "audit"
+    )
 
 
 def test_thermal_model_bypasses():
     _assert_all_bypassed(
-        run_templates(config=SchedConfig(thermal=True, thermal_accel=150.0))
+        run_templates(config=SchedConfig(thermal=True, thermal_accel=150.0)),
+        "thermal",
     )
 
 
 def test_timeline_recording_bypasses():
-    _assert_all_bypassed(run_templates(record_timeline=True))
+    _assert_all_bypassed(run_templates(record_timeline=True), "observer")
 
 
 def test_observer_bypasses():
     _assert_all_bypassed(
-        run_templates(prep=lambda s: s.kernel.add_observer(lambda e: None))
+        run_templates(prep=lambda s: s.kernel.add_observer(lambda e: None)),
+        "observer",
     )
 
 
 def test_fire_hook_bypasses():
     _assert_all_bypassed(
-        run_templates(prep=lambda s: s.kernel.add_fire_hook(lambda e: None))
+        run_templates(prep=lambda s: s.kernel.add_fire_hook(lambda e: None)),
+        "observer",
+    )
+
+
+def test_net_fault_campaign_bypasses():
+    from repro.network.faults import NetFaultConfig
+
+    _assert_all_bypassed(
+        run_templates(net_fault=NetFaultConfig(mtbf_s=1e6, mttr_s=0.01)),
+        "net-fault",
     )
 
 
@@ -183,6 +204,9 @@ def test_failure_injection_bypasses():
     assert outcome.cache_hits == 0
     assert outcome.cache_misses == 0
     assert outcome.cache_bypasses >= len(outcome.records)
+    assert outcome.cache_bypass_reasons == {
+        "kill-possible": outcome.cache_bypasses
+    }
 
 
 def test_uncacheable_workload_bypasses():
@@ -190,7 +214,32 @@ def test_uncacheable_workload_bypasses():
         cacheable = False
 
     specs = template_specs(workload=OpaqueSweep(passes=2))
-    _assert_all_bypassed(run_templates(specs=specs))
+    _assert_all_bypassed(run_templates(specs=specs), "uncacheable")
+
+
+def test_requeued_attempt_is_vetoed_as_restart():
+    sched = BatchScheduler(platform=METABLADE)
+    record, = sched.submit_stream(template_specs(count=1))
+    assert sched._fastpath_eligible(record) is None
+    record.requeues = 1
+    assert sched._fastpath_eligible(record) == "restart"
+
+
+def test_bypass_reasons_reach_report_and_telemetry_but_not_the_digest():
+    from repro.metrics.throughput import throughput_report
+    from repro.telemetry import Registry
+    from repro.telemetry.ingest import ingest_sched_outcome
+
+    outcome = run_templates(config=SchedConfig(audit=True))
+    report = throughput_report(outcome)
+    assert report.cache_bypass_reasons == (("audit", 3),)
+    assert "bypassed: audit" in report.format()
+    registry = Registry()
+    ingest_sched_outcome(registry, outcome)
+    assert registry.get("sched.cache.bypasses", reason="audit").value == 3
+    before = sched_outcome_digest(outcome)
+    outcome.cache_bypass_reasons["audit"] += 1
+    assert sched_outcome_digest(outcome) == before
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +291,98 @@ def test_key_rack_fabric_sees_chassis_grouping():
     split = job_profile_key(_spec(), RACK, (0, npc), config)
     assert same_chassis == same_grouping
     assert same_chassis != split
+
+
+# ---------------------------------------------------------------------------
+# Interned keys: content found by object identity, shared by equality
+# ---------------------------------------------------------------------------
+
+def _specs(workloads, widths=None):
+    widths = widths if widths is not None else [2] * len(workloads)
+    return [
+        _spec(job_id=i, nodes=nodes, workload=wl)
+        for i, (wl, nodes) in enumerate(zip(workloads, widths))
+    ]
+
+
+def test_equal_content_distinct_objects_share_one_profile():
+    a, b = TreecodeJob(n=48, steps=1), TreecodeJob(n=48, steps=1)
+    assert a is not b and a == b
+    outcome = run_templates(specs=_specs([a, b]))
+    assert (outcome.cache_misses, outcome.cache_hits) == (1, 1)
+    first, second = outcome.records
+    assert first.result == second.result
+
+
+def test_differing_content_or_width_never_shares():
+    outcome = run_templates(specs=_specs(
+        [TreecodeJob(n=48, steps=1), TreecodeJob(n=48, steps=1, seed=9)]
+    ))
+    assert (outcome.cache_misses, outcome.cache_hits) == (2, 0)
+    workload = TreecodeJob(n=48, steps=1)
+    outcome = run_templates(specs=_specs([workload] * 2, widths=(2, 3)))
+    assert (outcome.cache_misses, outcome.cache_hits) == (2, 0)
+
+
+def test_rack_placement_separates_profiles_of_one_workload():
+    npc = RACK.fabric.nodes_per_chassis
+    keys = ProfileKeys(RACK, SchedConfig())
+    spec = _spec()
+    assert keys.key(spec, (0, 1)) == keys.key(spec, (2, 3))
+    assert keys.key(spec, (0, 1)) != keys.key(spec, (0, npc))
+    # The same through a scheduler: two jobs side by side in chassis 0
+    # share, a third pushed across the chassis boundary does not.
+    sched = BatchScheduler(platform=RACK)
+    sched.submit_stream(_specs(
+        [MicrokernelSweep(passes=2)] * 4, widths=(2, 2, npc - 5, 2)
+    ))
+    outcome = sched.run()
+    assert (outcome.cache_misses, outcome.cache_hits) == (3, 1)
+
+
+def test_interned_key_equals_key_built_from_scratch():
+    config = SchedConfig(checkpoint_every=2)
+    keys = ProfileKeys(METABLADE, config)
+    spec = _spec()
+    first = keys.key(spec, (0, 1))
+    assert keys.key(spec, (4, 7)) == first       # served by identity
+    assert first == job_profile_key(spec, METABLADE, (0, 1), config)
+
+
+def test_short_lived_workloads_never_meet_a_stale_token():
+    # CPython hands a freed object's address to the next allocation of
+    # the same size, so ids repeat within a few iterations of this loop
+    # unless the table keeps its workloads alive.
+    keys = ProfileKeys(METABLADE, SchedConfig())
+    seen_ids = set()
+    for passes in range(1, 3001):
+        workload = MicrokernelSweep(passes=passes)
+        key = keys.key(_spec(workload=workload), (0, 1))
+        assert key[0][2] == repr(workload)
+        assert id(workload) not in seen_ids
+        seen_ids.add(id(workload))
+        del workload
+
+
+def test_replayed_records_share_a_result_no_record_can_corrupt():
+    import numpy as np
+
+    class ArraySweep(MicrokernelSweep):
+        def make_program(self, flop_rate, nodes, ctx):
+            inner = super().make_program(flop_rate, nodes, ctx)
+
+            def program(comm):
+                tally = yield from inner(comm)
+                return np.full(4, tally)
+            return program
+
+    outcome = run_templates(specs=template_specs(workload=ArraySweep(2)))
+    assert (outcome.cache_misses, outcome.cache_hits) == (1, 2)
+    first, second, third = (r.result for r in outcome.records)
+    assert first is second is third
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = -1.0
+    assert np.array_equal(third, np.full(4, third[0]))
 
 
 # ---------------------------------------------------------------------------

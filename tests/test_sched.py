@@ -239,6 +239,62 @@ def test_backfill_beats_fcfs_on_contended_stream():
 # Failures, requeues, checkpoints
 # ---------------------------------------------------------------------------
 
+class _ViewAudit(EasyBackfill):
+    """Backfill that checks every view it is handed against a rebuild."""
+
+    sched = None                 # set once the scheduler exists
+    dispatches = 0
+    saw_requeue = False
+
+    def pick(self, queue, free, now, running):
+        sched = self.sched
+        assert queue == [
+            QueuedJob(
+                job_id=e.record.spec.job_id,
+                nodes=e.record.spec.nodes,
+                est_runtime_s=e.record.spec.walltime_est_s,
+            )
+            for e in sched._queue
+        ]
+        assert running == [
+            RunningJob(
+                job_id=run.record.spec.job_id,
+                nodes=run.record.spec.nodes,
+                est_end_s=(run.attempt.start_s
+                           + run.record.spec.walltime_est_s),
+            )
+            for run in sched._running.values()
+        ]
+        self.dispatches += 1
+        self.saw_requeue |= any(e.record.requeues for e in sched._queue)
+        return super().pick(queue, free, now, running)
+
+
+@pytest.mark.parametrize("platform", ["metablade", "green-destiny-240"])
+def test_build_once_policy_views_equal_views_rebuilt_per_dispatch(platform):
+    from repro.platform.registry import platform_by_name
+
+    spec = platform_by_name(platform)
+    policy = _ViewAudit()
+    policy.sched = sched = BatchScheduler(
+        platform=spec, policy=policy,
+        config=SchedConfig(checkpoint_every=1, max_retries=6),
+    )
+    stream = synthetic_stream(
+        30, min(12, spec.nodes), spec.node_flop_rate(), seed=5,
+        mean_interarrival_s=0.002,
+    )
+    sched.submit_stream(stream)
+    sched.inject_poisson_failures(
+        horizon_s=stream[-1].arrival_s + 0.3, mtbf_s=0.004, seed=6
+    )
+    outcome = sched.run()
+    assert policy.dispatches > len(stream)
+    assert policy.saw_requeue
+    assert sum(r.requeues for r in outcome.records) > 0
+    assert sum(r.checkpoints for r in outcome.records) > 0
+
+
 def test_failure_kills_requeues_and_completes():
     job = MicrokernelSweep(passes=8, flops_per_pass=2.5e6)
     spec = JobSpec(0, 0.0, 4, job.est_runtime_s(4, RATE) * 2, job)
