@@ -93,10 +93,11 @@ class ReplicatedStep:
     - :meth:`forces` - **one whole-tree evaluation** memoised on the
       tree object and the walk parameters; each rank takes its
       ``[lo, hi)`` rows.  A leaf group's accelerations and interaction
-      count depend only on the tree and the group (chunks and blocks of
-      the batched evaluator always end on target boundaries and padding
-      adds exact zeros), never on which other groups were evaluated
-      with it, so the slice is bit-identical to evaluating
+      count depend only on the tree and the group (the batched
+      evaluator sums each target's terms sequentially in source order,
+      carrying the accumulator across its tiles, and padding adds exact
+      zeros), never on which other groups were evaluated with it, so
+      the slice is bit-identical to evaluating
       ``target_slice=(lo, hi)`` alone.
 
     Memos key on tree *identity*: ranks that ever disagreed about the

@@ -28,17 +28,19 @@ Two implementations of the same walk coexist:
 
 The two are bit-identical - same accelerations, same interaction
 counts, same ``group_work`` records - which the equivalence tests
-assert.  The batched evaluator is careful to replicate the reference
-path's floating-point operation order: distances use the same einsum
-contraction, per-target reductions use ``np.bincount`` (sequential
-accumulation in pair order, matching einsum's inner loop), pairs are
-laid out target-major with sources in depth-first tree order (the
-order the sequential walk appends them in), and chunking always splits
-between targets, never inside one.
+assert.  The batched evaluators are careful to replicate the reference
+path's floating-point operation order: squared distances associate as
+the reference einsum contraction does, every per-target sum adds its
+sources sequentially in depth-first tree order (the order the
+sequential walk appends them in) - ``np.bincount`` over target-major
+pairs for the cell family, whose chunks split between targets; a
+row-by-row reduction with a carried accumulator for the direct family,
+whose tiles split inside a target's source list.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -53,10 +55,15 @@ from repro.nbody.tree import HashedOctree, TreeNode
 #: Shared zero-safe reciprocal square root (see :mod:`repro.nbody.karp`).
 _rsqrt = masked_rsqrt
 
-#: Pair-batch size for the batched evaluators.  Sized so one batch's
+#: Pair-batch size for the cell-family evaluator.  Sized so one batch's
 #: working set stays cache-resident; batches always end on a target
 #: boundary so partial accumulation never changes any summation order.
 _PAIR_CHUNK = 1 << 16
+
+#: Pair budget of one tile of the direct-sum kernel: five float64 per
+#: pair of scratch, so a tile's working set stays L2-resident.  Results
+#: do not depend on it (the accumulator is carried across tiles).
+_PAIR_TILE = 1 << 14
 
 
 @dataclass
@@ -83,14 +90,6 @@ class TraversalStats:
     @property
     def flops(self) -> int:
         return self.interactions * INTERACTION_FLOPS
-
-    def merge(self, other: "TraversalStats") -> None:
-        self.particle_cell += other.particle_cell
-        self.particle_particle += other.particle_particle
-        self.groups += other.groups
-        self.nodes_opened += other.nodes_opened
-        self.tree_rebuilds += other.tree_rebuilds
-        self.tree_reuses += other.tree_reuses
 
     def publish_metrics(self, registry) -> None:
         """Fold this evaluation's work counters into a telemetry Registry."""
@@ -343,26 +342,11 @@ def _batched_interaction_pairs(
     return cn, cell_count, direct_src, direct_count
 
 
-def _fast_rsqrt(r2: np.ndarray, use_karp: bool, positive: bool) -> np.ndarray:
-    """``masked_rsqrt`` minus the positivity scan when ``positive``.
-
-    The batched evaluators know ``r2 = |d|^2 + eps2 >= eps2 > 0``
-    whenever softening is nonzero, so the mask pass can be skipped;
-    the values computed are identical either way.
-    """
-    if not positive:
-        return masked_rsqrt(r2, use_karp)
-    if use_karp:
-        return karp_rsqrt(r2)
-    out = np.sqrt(r2)
-    np.divide(1.0, out, out=out)
-    return out
-
-
-#: Persistent scratch buffers for the batched evaluators.  The block
-#: arithmetic is memory-bound, and re-acquiring megabytes from the
-#: allocator on every force evaluation measurably dominates the block
-#: math itself; keeping the arenas alive across calls removes that.
+#: Persistent scratch buffers for the batched evaluators.  The chunk
+#: and tile arithmetic is memory-bound, and re-acquiring its
+#: intermediates from the allocator on every force evaluation costs
+#: more than the math on a small tree; keeping the arenas alive across
+#: calls removes that.
 #: Values are only ever read through freshly written views, so reuse
 #: cannot leak state between evaluations.  (Not thread-safe, like the
 #: rest of this module.)
@@ -380,12 +364,20 @@ def _scratch(name: str, size: int, dtype) -> np.ndarray:
 
 def _fast_rsqrt_inplace(r2: np.ndarray, use_karp: bool,
                         positive: bool) -> np.ndarray:
-    """:func:`_fast_rsqrt` writing into ``r2`` when the path allows it."""
-    if positive and not use_karp:
-        np.sqrt(r2, out=r2)
-        np.divide(1.0, r2, out=r2)
-        return r2
-    return _fast_rsqrt(r2, use_karp, positive)
+    """``masked_rsqrt`` minus the positivity scan when ``positive``,
+    written into ``r2`` where the path allows it.
+
+    The batched evaluators know ``r2 = |d|^2 + eps2 >= eps2 > 0``
+    whenever softening is nonzero, so the mask pass can be skipped;
+    the values computed are identical either way.
+    """
+    if not positive:
+        return masked_rsqrt(r2, use_karp)
+    if use_karp:
+        return karp_rsqrt(r2)
+    np.sqrt(r2, out=r2)
+    np.divide(1.0, r2, out=r2)
+    return r2
 
 
 def _segment_accumulate(
@@ -461,7 +453,7 @@ def _segment_accumulate(
         t0 = t1
 
 
-def _blocked_direct(
+def _source_major_direct(
     out: np.ndarray,
     tree: HashedOctree,
     glo: np.ndarray,
@@ -473,101 +465,107 @@ def _blocked_direct(
     eps2: float,
     use_karp: bool,
 ) -> None:
-    """Direct-sum evaluation in group blocks (the dominant pair family).
+    """Direct-sum evaluation, source-major (the dominant pair family).
 
-    Every particle of a leaf group interacts with the same source list,
-    so instead of expanding pairs per target the groups are stacked
-    into ``(block, targets, sources, 3)`` einsum blocks: sources are
-    gathered once per group and broadcast over its targets, and the
-    per-target reduction is an einsum contraction - bit-identical to
-    the reference per-group expression, with no scatter pass.
+    Every particle of a leaf group interacts with the same source list.
+    Groups are bucketed by target count ``t`` and sorted by source count
+    ``m``; a bucket is swept in **tiles** of ``r`` consecutive source
+    slots (rows) by ``(t, a)`` columns, ``a`` the groups whose list is
+    not yet exhausted.  Finished groups drop off the front, so padding
+    is confined to the tile a group ends in and scratch is bounded by
+    the tile.  Displacements are an ``(r, 3, t, a)`` array, so every
+    ufunc inner loop runs along the group axis (the reference layout
+    ``(targets, sources, 3)`` has inner loops of length 3); sources are
+    gathered once per ``(slot, group)`` and broadcast over the targets.
 
-    Groups are bucketed by target count and sorted by source count so
-    stacking wastes little padding.  Padded source slots point at a
-    sentinel pseudo-particle of mass 0 placed strictly below every
-    coordinate in the system: each padded term is then exactly
-    ``+0.0 * negative = -0.0``, and adding ``-0.0`` never changes an
-    IEEE sum (``x + -0.0 == x`` for every x, including both zeros) -
-    so padding cannot perturb a single bit.
+    Three things keep this bit-identical to the reference per-group
+    expression ``einsum("ij,ijk->ik", m * rinv**3, diff)``:
 
-    All large intermediates live in buffers reused across blocks: the
-    arithmetic is memory-bound, and letting numpy allocate fresh
-    megabyte arrays per block roughly doubles the wall time.
+    - ``r2`` is spelled ``(dx*dx + dz*dz) + dy*dy``: that is the
+      association of the reference's ``einsum("ijk,ijk->ij")`` over a
+      length-3 axis (a test pins it against the installed numpy);
+    - the per-target sum is a leading-axis ``np.add.reduce`` over a
+      buffer whose row 0 holds the running accumulator (``+0.0`` at
+      first, as einsum's output starts): with more than one column that
+      is a row-by-row, i.e. source-order, accumulation, carried across
+      tiles.  The three components ride in one reduction, so there are
+      never fewer than three columns - a single column would collapse
+      to a contiguous 1-D sum, which numpy adds *pairwise*;
+    - padded slots point at a sentinel pseudo-particle of mass 0 placed
+      strictly below every coordinate: each padded term is exactly
+      ``+0.0 * negative = -0.0``, and adding ``-0.0`` never changes an
+      IEEE sum.
+
+    A group's result therefore never depends on which groups share its
+    tiles, which is what lets :class:`repro.nbody.parallel.ReplicatedStep`
+    cut rank slices out of one whole-tree evaluation.
     """
-    n_groups = len(glo)
     positive = eps2 > 0.0
+    n = tree.n_particles
+    # Rows x, y, z, mass; column n is the sentinel pseudo-particle.
+    table = np.empty((4, n + 1))
+    table[:3, :n] = tree.pos.T
+    table[:3, n] = tree.pos.min(axis=0) - 1.0
+    table[3, :n] = tree.mass
+    table[3, n] = 0.0
+    last = len(direct_src) - 1
+    steps = np.arange(int(direct_count.max()), dtype=np.int64)[:, None]
     order = np.lexsort((direct_count, sizes))
-    pos = np.concatenate((tree.pos, tree.pos.min(axis=0)[None] - 1.0))
-    mass = np.concatenate((tree.mass, [0.0]))
-    sentinel = len(tree.pos)
-    # One group alone can exceed the pair budget (a big leaf against a
-    # long source list); it then forms a singleton block, so the
-    # buffers must hold the largest single group.
-    cap = _PAIR_CHUNK
-    if n_groups:
-        cap = max(cap, int((sizes * direct_count).max()))
-    diff_buf = _scratch("direct_diff", cap * 3, np.float64)
-    r2_buf = _scratch("direct_r2", cap, np.float64)
-    w_buf = _scratch("direct_w", cap, np.float64)
-    spos_buf = _scratch("direct_spos", cap * 3, np.float64)
-    smass_buf = _scratch("direct_smass", cap, np.float64)
-    idx_buf = _scratch("direct_idx", cap, np.int64)
-    src_buf = _scratch("direct_src", cap, np.int64)
-    pad_buf = _scratch("direct_pad", cap, np.bool_)
-    i = 0
-    while i < n_groups:
-        t = int(sizes[order[i]])
-        j = i
-        while j < n_groups and sizes[order[j]] == t:
-            j += 1
-        k0 = i
-        while k0 < j:
-            # Grow the block while the padded pair count stays in budget.
-            m_pad = int(direct_count[order[k0]])
-            b = 1
-            while k0 + b < j:
-                m_next = max(m_pad, int(direct_count[order[k0 + b]]))
-                if (b + 1) * t * m_next > _PAIR_CHUNK:
-                    break
-                m_pad = m_next
-                b += 1
-            gs = order[k0:k0 + b]
-            counts = direct_count[gs]
-            col = np.arange(m_pad, dtype=np.int64)[None, :]
-            idx = idx_buf[:b * m_pad].reshape(b, m_pad)
-            np.minimum(col, (counts - 1)[:, None], out=idx)
-            np.add(idx, direct_ptr[gs][:, None], out=idx)
-            src = src_buf[:b * m_pad].reshape(b, m_pad)
-            np.take(direct_src, idx, out=src)
-            pad = pad_buf[:b * m_pad].reshape(b, m_pad)
-            np.greater_equal(col, counts[:, None], out=pad)
-            np.copyto(src, sentinel, where=pad)
-            rows = (row_ptr[gs][:, None]
-                    + np.arange(t, dtype=np.int64)[None, :]).ravel()
-            tgt = pos[
-                (glo[gs][:, None]
-                 + np.arange(t, dtype=np.int64)[None, :]).ravel()
-            ].reshape(b, t, 3)
-            src_pos = spos_buf[:b * m_pad * 3].reshape(b, m_pad, 3)
-            np.take(pos, src, axis=0, out=src_pos)
-            src_mass = smass_buf[:b * m_pad].reshape(b, m_pad)
-            np.take(mass, src, out=src_mass)
-            n_pairs = b * t * m_pad
-            diff = diff_buf[:n_pairs * 3].reshape(b, t, m_pad, 3)
-            np.subtract(src_pos[:, None, :, :], tgt[:, :, None, :], out=diff)
-            r2 = r2_buf[:n_pairs].reshape(b, t, m_pad)
-            np.einsum("btmc,btmc->btm", diff, diff, out=r2)
+    t_sorted = sizes[order]
+    buckets = np.split(order, np.flatnonzero(t_sorted[1:] != t_sorted[:-1]) + 1)
+    for gs in buckets:
+        t = int(sizes[gs[0]])
+        width = len(gs)
+        counts = direct_count[gs]
+        count_list = counts.tolist()
+        m_max = count_list[-1]
+        ptr = direct_ptr[gs]
+        lanes = np.arange(t, dtype=np.int64)[:, None]
+        tgt = table[:3, glo[gs] + lanes]                     # (3, t, width)
+        acc = np.zeros((3, t, width))
+        done = 0
+        j0 = bisect_right(count_list, 0)
+        while done < m_max:
+            a = width - j0
+            cols = t * a
+            r = min(max(1, _PAIR_TILE // cols), m_max - done)
+            pairs = r * cols
+            slot = steps[:r]
+            idx = slot + (ptr[j0:] + done)
+            np.minimum(idx, last, out=idx)
+            src = np.take(direct_src, idx)                   # (r, a)
+            # Groups ending inside this tile: the only padded columns.
+            k = bisect_left(count_list, done + r, j0) - j0
+            if k:
+                np.copyto(src[:, :k], n,
+                          where=slot >= counts[j0:j0 + k] - done)
+            sp = np.take(table, src, axis=1)                 # (4, r, a)
+            buf = _scratch("direct_buf", 3 * (pairs + cols), np.float64)[
+                :3 * (pairs + cols)].reshape(r + 1, 3, t, a)
+            d = buf[1:]
+            np.subtract(sp[:3].transpose(1, 0, 2)[:, :, None, :],
+                        tgt[:, :, j0:], out=d)
+            r2 = _scratch("direct_r2", pairs, np.float64)[
+                :pairs].reshape(r, t, a)
+            w = _scratch("direct_w", pairs, np.float64)[
+                :pairs].reshape(r, t, a)
+            dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+            np.multiply(dx, dx, out=r2)
+            np.multiply(dz, dz, out=w)
+            r2 += w
+            np.multiply(dy, dy, out=w)
+            r2 += w
             r2 += eps2
             rinv = _fast_rsqrt_inplace(r2, use_karp, positive)
-            weight = w_buf[:n_pairs].reshape(b, t, m_pad)
-            np.multiply(rinv, rinv, out=weight)
-            np.multiply(weight, rinv, out=weight)
-            np.multiply(weight, src_mass[:, None, :], out=weight)
-            out[rows] = np.einsum("btm,btmc->btc", weight, diff).reshape(
-                b * t, 3
-            )
-            k0 += b
-        i = j
+            np.multiply(rinv, rinv, out=w)
+            np.multiply(w, rinv, out=w)
+            np.multiply(w, sp[3][:, None, :], out=w)
+            np.multiply(d, w[:, None], out=d)
+            buf[0] = acc[:, :, j0:]
+            np.add.reduce(buf, axis=0, out=acc[:, :, j0:])
+            done += r
+            j0 = bisect_right(count_list, done, j0)
+        out[(row_ptr[gs] + lanes).ravel()] = acc.reshape(3, t * width).T
 
 
 def _batched_accelerations(
@@ -631,7 +629,7 @@ def _batched_accelerations(
         tree.node_quad if use_quadrupole else None, quad_sum, g,
     )
     direct_sum = np.empty((n_targets, 3))
-    _blocked_direct(
+    _source_major_direct(
         direct_sum, tree, glo, sizes, row_ptr, direct_src, direct_ptr,
         direct_count, eps2, use_karp,
     )

@@ -10,17 +10,20 @@ Moments are monopole (mass + centre of mass); the acceptance criterion
 in :mod:`repro.nbody.traversal` compensates with a conservative opening
 angle, which is the standard Barnes-Hut trade-off.
 
-Two layouts coexist and describe the same tree:
+Two layouts describe the same tree:
 
-- the **hash table** of :class:`TreeNode` objects (``tree.nodes``),
-  the random-access API the rest of the package navigates by key;
 - **flat arrays** (``node_mass``, ``node_com``, ``node_size``,
-  ``child_ptr``/``child_index``, ...) indexed by *creation order*,
-  which the batched traversal gathers from without touching Python
-  objects.  Creation order is exactly the depth-first pop order the
-  per-group walk visits nodes in, so a node's flat index doubles as
-  its DFS rank - sorting any subset of nodes by flat index reproduces
-  the sequential walk's visit order.
+  ``child_ptr``/``child_index``, ...) indexed by *creation order* -
+  these *are* the tree: a build produces nothing else, and the batched
+  traversal gathers from them without touching Python objects.
+  Creation order is exactly the depth-first pop order the per-group
+  walk visits nodes in, so a node's flat index doubles as its DFS
+  rank - sorting any subset of nodes by flat index reproduces the
+  sequential walk's visit order;
+- the **hash table** of :class:`TreeNode` objects (``tree.nodes``),
+  the random-access API the rest of the package navigates by key (the
+  naive walk, SPH, vortex, ``leaves``/``lookup``/``validate``): a view
+  of the flat arrays, materialised on first access.
 
 Between integrator steps most of this work can be reused:
 :class:`TreeBuildCache` keeps the last build and skips, in order of
@@ -35,6 +38,7 @@ from-scratch build; the cache only removes redundant work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -50,14 +54,15 @@ from repro.nbody.morton import (
 )
 
 _EYE3 = np.eye(3)
+_OCTANTS = np.arange(1, 8, dtype=np.uint64)
 
 
 @dataclass(slots=True)
 class TreeNode:
     """One cell of the octree.
 
-    Allocated in bulk (one per cell, every rebuild), hence
-    ``slots=True``: no per-instance ``__dict__``.
+    Allocated in bulk (one per cell, when ``tree.nodes`` is first
+    asked for), hence ``slots=True``: no per-instance ``__dict__``.
     """
 
     key: int
@@ -123,6 +128,13 @@ class HashedOctree:
             raise ValueError("pos must be (N,3) and mass (N,)")
         if leaf_size < 1:
             raise ValueError("leaf_size must be >= 1")
+        # One NaN coordinate poisons every acceleration and one NaN mass
+        # zeroes them all (no node passes ``mass > 0``), silently.
+        for name, finite in (("position", np.isfinite(pos)),
+                             ("mass", np.isfinite(mass))):
+            if not finite.all():
+                first = int(np.argmin(finite.reshape(n, -1).all(axis=1)))
+                raise ValueError(f"particle {first} has a non-finite {name}")
         self.leaf_size = leaf_size
         self.depth = min(depth, MAX_DEPTH)
 
@@ -183,8 +195,6 @@ class HashedOctree:
         else:
             self._topology = self._build_topology()
 
-        self.nodes: Dict[int, TreeNode] = {}
-        self._leaf_keys: List[int] = []
         self._finalize(self._topology)
 
     # -- construction ------------------------------------------------------
@@ -222,15 +232,10 @@ class HashedOctree:
                 continue
             shift = np.uint64(3 * (self.depth - level - 1))
             base = key << 3
-            boundaries = [lo]
-            for octant in range(1, 8):
-                probe = np.uint64(base + octant) << shift
-                boundaries.append(
-                    lo + int(np.searchsorted(
-                        keys[lo:hi], probe, side="left"
-                    ))
-                )
-            boundaries.append(hi)
+            # First key of octants 1..7: one bisection for all seven.
+            probes = (np.uint64(base) + _OCTANTS) << shift
+            cuts = np.searchsorted(keys[lo:hi], probes, side="left")
+            boundaries = [lo, *(lo + cuts).tolist(), hi]
             for octant in range(8):
                 clo, chi = boundaries[octant], boundaries[octant + 1]
                 if chi > clo:
@@ -328,44 +333,39 @@ class HashedOctree:
         self.leaf_order = topo.leaf_order
         self.root_index = 0
 
-        key_ints = topo.key.tolist()
-        level_ints = topo.level.tolist()
-        lo_ints = lo.tolist()
-        hi_ints = hi.tolist()
-        leaf_flags = topo.is_leaf.tolist()
-        mass_floats = mass.tolist()
-        size_floats = size.tolist()
-        pos_flags = positive.tolist()
-        cptr = topo.child_ptr
-        cidx = topo.child_index
-        nodes = self.nodes
-        leaf_keys = self._leaf_keys
-        for i, key in enumerate(key_ints):
-            children = tuple(
-                key_ints[j] for j in cidx[cptr[i]:cptr[i + 1]]
-            )
-            node = TreeNode(
-                key=key,
-                level=level_ints[i],
-                lo=lo_ints[i],
-                hi=hi_ints[i],
-                mass=mass_floats[i],
-                com=com[i],
-                centre=centre[i],
-                size=size_floats[i],
-                is_leaf=leaf_flags[i],
-                index=i,
-                children=children,
+    # -- queries -----------------------------------------------------------
+
+    @cached_property
+    def nodes(self) -> Dict[int, TreeNode]:
+        """The hash table, keyed by cell key, in creation order.
+
+        Built from the flat arrays on first access (``com``, ``centre``
+        and ``quadrupole`` are views into them); a tree that is only
+        ever walked by the batched traversal never pays for it.
+        """
+        keys = self.node_key.tolist()
+        children = self.child_index.tolist()
+        cptr = self.child_ptr.tolist()
+        com, centre, quad = self.node_com, self.node_centre, self.node_quad
+        return {
+            key: TreeNode(
+                key=key, level=level, lo=lo, hi=hi, mass=mass,
+                com=com[i], centre=centre[i], size=size,
+                is_leaf=is_leaf, index=i,
+                children=tuple(
+                    keys[j] for j in children[cptr[i]:cptr[i + 1]]
+                ),
                 quadrupole=(
-                    quad[i]
-                    if quad is not None and pos_flags[i] else None
+                    quad[i] if quad is not None and mass > 0.0 else None
                 ),
             )
-            nodes[key] = node
-            if leaf_flags[i]:
-                leaf_keys.append(key)
-
-    # -- queries -----------------------------------------------------------
+            for i, (key, level, lo, hi, mass, size, is_leaf) in enumerate(
+                zip(keys, self.node_level.tolist(),
+                    self.node_lo.tolist(), self.node_hi.tolist(),
+                    self.node_mass.tolist(), self.node_size.tolist(),
+                    self.node_is_leaf.tolist())
+            )
+        }
 
     @property
     def root(self) -> TreeNode:
@@ -387,7 +387,7 @@ class HashedOctree:
             yield self.nodes[int(key[i])]
 
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.node_key)
 
     def lookup(self, key: int) -> TreeNode:
         """O(1) cell lookup by key - the point of the hashed design."""

@@ -12,7 +12,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.nbody import traversal
 from repro.nbody.ic import plummer_sphere, two_clusters
 from repro.nbody.sim import NBodySimulation, SimConfig
 from repro.nbody.traversal import (
@@ -120,6 +122,133 @@ def test_fuzz_oracle_randomized_equivalence():
     for seed in (0, 1, 2, 3, 4, 5):
         params = oracle.draw(random.Random(seed), quick=True)
         assert oracle.run(params) is None, params
+
+
+# -- the source-major direct kernel ----------------------------------------
+
+
+def _lumpy(n, seed, clump=0):
+    """Normal cloud with *clump* particles stacked on particle 0: equal
+    keys, so one fat leaf at the depth cap whatever ``leaf_size`` says."""
+    rng = np.random.default_rng(seed)
+    pos = rng.normal(size=(n, 3))
+    pos[1:1 + clump] = pos[0]
+    return pos, rng.uniform(0.5, 1.5, size=n)
+
+
+def test_einsum_squared_norm_association_is_the_one_the_kernel_spells():
+    # The reference walk takes r2 from einsum over a length-3 axis; the
+    # direct kernel has no such axis and writes the sum out by hand.
+    rng = np.random.default_rng(0)
+    d = rng.normal(size=(50_000, 3)) * 10.0 ** rng.integers(-3, 4, (50_000, 1))
+    x, y, z = (d * d).T
+    assert np.array_equal(np.einsum("ij,ij->i", d, d), (x + z) + y), (
+        "this numpy's einsum no longer sums a length-3 axis as "
+        "(x*x + z*z) + y*y: traversal._source_major_direct spells that "
+        "order, and every nbody golden (golden_table2/fig3, the spine's "
+        "expected/*.json, replicated_worlds_golden) is tied to it"
+    )
+    blocks = d.reshape(50, 1000, 3)
+    assert np.array_equal(np.einsum("ijk,ijk->ij", blocks, blocks),
+                          ((x + z) + y).reshape(50, 1000))
+
+
+@pytest.mark.parametrize("softening,use_karp",
+                         [(0.0, False), (1e-2, True)])
+def test_direct_kernel_is_independent_of_the_tile_budget(
+        monkeypatch, softening, use_karp):
+    # 63 coincident particles make a 64-target group that sees ~490 of
+    # the 600 particles directly: 31 000 pairs, about two default tiles
+    # on its own.  At budget 8 every tile is a single source row
+    # (R = 1): the accumulator is carried across hundreds of tile
+    # boundaries and no slot is ever padded.  At 1 << 20 every bucket is
+    # one tile, each group padded with sentinel sources up to the
+    # bucket's longest list - equal bytes say padding adds nothing,
+    # with zero softening too (the sentinel coincides with no target).
+    pos, mass = _lumpy(600, seed=3, clump=63)
+    tree = HashedOctree(pos, mass, leaf_size=8)
+    kw = dict(theta=0.3, softening=softening, use_karp=use_karp)
+    acc_n, st_n = tree_accelerations(tree, naive=True, **kw)
+    fat = max(st_n.group_work, key=lambda g: g[2])
+    assert fat[1] - fat[0] == 64 and fat[2] > 1.5 * traversal._PAIR_TILE
+    sorted_n = acc_n[tree.order]
+    spans = leaf_aligned_partition(tree, 3)
+    for budget in (8, 64, traversal._PAIR_TILE, 1 << 20):
+        monkeypatch.setattr(traversal, "_PAIR_TILE", budget)
+        acc_b, st_b = tree_accelerations(tree, **kw)
+        assert acc_b.tobytes() == acc_n.tobytes(), budget
+        _assert_stats_equal(st_n, st_b)
+        for lo, hi in spans:
+            part, _ = tree_accelerations(tree, target_slice=(lo, hi), **kw)
+            assert part.tobytes() == sorted_n[lo:hi].tobytes(), (
+                budget, lo, hi)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_direct_kernel_equals_naive_on_random_leaf_aligned_slices(
+        monkeypatch, seed):
+    # A budget most groups overflow: tiles end inside source lists.
+    monkeypatch.setattr(traversal, "_PAIR_TILE", 512)
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(2, 400))
+    pos, mass = _lumpy(n, seed, clump=int(rng.integers(0, min(n, 30))))
+    mass[rng.integers(0, n, size=n // 10)] = 0.0    # massless: legal
+    tree = HashedOctree(pos, mass, leaf_size=int(rng.integers(1, 24)))
+    ends = [0] + [leaf.hi for leaf in tree.leaves()]
+    for softening in (0.0, 1e-3):
+        for use_karp in (False, True):
+            lo, hi = sorted(rng.choice(ends, size=2))
+            kw = dict(theta=float(rng.choice([0.3, 0.7, 1.2])),
+                      softening=softening, use_karp=use_karp,
+                      target_slice=(int(lo), int(hi)))
+            (acc_n, st_n), (acc_b, st_b) = _both_paths(tree, **kw)
+            assert acc_n.tobytes() == acc_b.tobytes(), kw
+            _assert_stats_equal(st_n, st_b)
+
+
+# -- tree.nodes is a view built on demand ------------------------------------
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 200),
+       leaf_size=st.integers(1, 12), quadrupoles=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_node_table_is_lazy_and_equals_the_flat_arrays(
+        seed, n, leaf_size, quadrupoles):
+    pos, mass = _lumpy(n, seed, clump=min(n - 1, seed % 7))
+    mass[seed % n] = 0.0
+    tree = HashedOctree(pos, mass, leaf_size=leaf_size,
+                        quadrupoles=quadrupoles)
+    # Building, counting and the batched evaluation never ask for it.
+    assert tree.node_count() == len(tree.node_key)
+    tree_accelerations(tree, use_quadrupole=quadrupoles)
+    tree_accelerations(tree, target_slice=(0, n))
+    assert "nodes" not in vars(tree)
+    nodes = tree.nodes
+    assert tree.nodes is nodes                      # built once
+    assert list(nodes) == tree.node_key.tolist()    # creation order
+    for i, node in enumerate(nodes.values()):
+        assert (node.key, node.level, node.lo, node.hi, node.index) == (
+            int(tree.node_key[i]), int(tree.node_level[i]),
+            int(tree.node_lo[i]), int(tree.node_hi[i]), i)
+        assert (node.mass, node.size, node.is_leaf) == (
+            float(tree.node_mass[i]), float(tree.node_size[i]),
+            bool(tree.node_is_leaf[i]))
+        assert all(type(v) is int for v in (node.key, node.level, node.lo))
+        assert type(node.mass) is float and type(node.is_leaf) is bool
+        assert node.com.tobytes() == tree.node_com[i].tobytes()
+        assert node.centre.tobytes() == tree.node_centre[i].tobytes()
+        kids = tree.child_index[tree.child_ptr[i]:tree.child_ptr[i + 1]]
+        assert node.children == tuple(tree.node_key[kids].tolist())
+        if quadrupoles and node.mass > 0.0:
+            assert node.quadrupole.tobytes() == tree.node_quad[i].tobytes()
+        else:
+            assert node.quadrupole is None
+    tree.validate()
+    assert [leaf.index for leaf in tree.leaves()] == tree.leaf_order.tolist()
+    # The reference walk, which navigates the table, still agrees.
+    (acc_n, st_n), (acc_b, st_b) = _both_paths(tree, theta=0.6)
+    assert acc_n.tobytes() == acc_b.tobytes()
+    _assert_stats_equal(st_n, st_b)
 
 
 # -- helper properties -----------------------------------------------------

@@ -159,3 +159,85 @@ def test_tree_input_validation():
         HashedOctree(np.zeros((5, 3)), np.zeros(5), leaf_size=0)
     with pytest.raises(ValueError):
         HashedOctree(np.zeros((5, 2)), np.zeros(5))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("pos", np.nan), ("pos", np.inf), ("mass", np.nan), ("mass", -np.inf),
+])
+def test_non_finite_particles_are_refused(field, value):
+    # A NaN coordinate used to come back as 50 NaN accelerations; a NaN
+    # mass as 0 interactions and all-zero accelerations - no error.
+    from repro.nbody.tree import TreeBuildCache
+
+    rng = np.random.default_rng(4)
+    pos, mass = rng.normal(size=(50, 3)), np.ones(50)
+    if field == "pos":
+        pos[[17, 31], [1, 0]] = value
+        message = "particle 17 has a non-finite position"
+    else:
+        mass[[23, 40]] = value
+        message = "particle 23 has a non-finite mass"
+    for build in (HashedOctree, TreeBuildCache().build):
+        with pytest.raises(ValueError, match=message):
+            build(pos, mass)
+    # Negative and zero masses stay legal.
+    mass = np.where(np.isfinite(mass), mass, -0.5)
+    pos = np.where(np.isfinite(pos), pos, 0.0)
+    mass[0] = 0.0
+    assert HashedOctree(pos, mass).n_particles == 50
+
+
+def _reference_topology(keys, leaf_size, depth):
+    """The stack walk with its seven scalar bisections per internal node,
+    as ``HashedOctree._build_topology`` ran it before they became one
+    ``searchsorted`` call."""
+    records, stack = [], [(ROOT_KEY, 0, 0, len(keys), -1)]
+    while stack:
+        key, level, lo, hi, parent = stack.pop()
+        index = len(records)
+        is_leaf = hi - lo <= leaf_size or level >= depth
+        records.append((key, level, lo, hi, is_leaf, parent))
+        if is_leaf:
+            continue
+        shift = np.uint64(3 * (depth - level - 1))
+        cuts = [lo] + [
+            lo + int(np.searchsorted(
+                keys[lo:hi], np.uint64((key << 3) + octant) << shift
+            ))
+            for octant in range(1, 8)
+        ] + [hi]
+        for octant in range(8):
+            if cuts[octant + 1] > cuts[octant]:
+                stack.append(((key << 3) | octant, level + 1,
+                              cuts[octant], cuts[octant + 1], index))
+    children = [[] for _ in records]
+    for index, record in enumerate(records):
+        if record[5] >= 0:
+            children[record[5]].insert(0, index)     # octant-ascending
+    leaves = [i for i, record in enumerate(records) if record[4]]
+    return {
+        "node_key": [r[0] for r in records],
+        "node_level": [r[1] for r in records],
+        "node_lo": [r[2] for r in records],
+        "node_hi": [r[3] for r in records],
+        "node_is_leaf": [r[4] for r in records],
+        "child_ptr": np.cumsum([0] + [len(c) for c in children]).tolist(),
+        "child_index": [i for c in children for i in c],
+        "leaf_order": sorted(leaves, key=lambda i: records[i][2]),
+    }
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_topology_equals_the_per_octant_walk(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 600))
+    pos = rng.normal(size=(n, 3))
+    if seed % 2 and n > 8:
+        # Coincident particles: equal keys, a fat leaf at the depth cap.
+        pos[n // 3:n // 3 + int(rng.integers(2, 40))] = pos[0]
+    depth = (MAX_DEPTH, 4)[seed % 3 == 2]
+    tree = HashedOctree(pos, np.ones(n), leaf_size=int(rng.integers(1, 20)),
+                        depth=depth)
+    expected = _reference_topology(tree.keys, tree.leaf_size, tree.depth)
+    for name, values in expected.items():
+        assert getattr(tree, name).tolist() == values, name

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.check import sched_outcome_digest
 from repro.nbody import parallel, traversal
@@ -136,6 +136,9 @@ def _reference_partition(tree, parts, weights):
     balance=st.sampled_from(["work", "count", "skewed"]),
     use_karp=st.booleans(),
 )
+# Rank 1 gets the slice (4, 5): see the one-target test below.
+@example(seed=0, n=7, leaf_size=1, theta=0.3, ranks=3, balance="work",
+         use_karp=False)
 @settings(max_examples=60, deadline=None)
 def test_slices_of_the_shared_evaluation_equal_per_rank_evaluations(
         seed, n, leaf_size, theta, ranks, balance, use_karp):
@@ -180,6 +183,28 @@ def test_slices_of_the_shared_evaluation_equal_per_rank_evaluations(
         total += mine.interactions
     whole = traversal.tree_accelerations(tree, **kwargs)[1]
     assert total == whole.interactions
+
+
+def test_one_target_slice_is_summed_in_source_order():
+    # One target against seven sources is one column of eight addends
+    # (accumulator + 7 terms).  numpy reduces a lone column as a
+    # contiguous 1-D array - pairwise from eight elements up - where
+    # the whole-tree evaluation, with other columns beside it, adds row
+    # by row: the last bit differed until the kernel stopped ever
+    # reducing fewer than three columns.
+    rng = np.random.default_rng(0)
+    pos, mass = rng.normal(size=(7, 3)), rng.uniform(0.5, 1.5, size=7)
+    tree = HashedOctree(pos, mass, leaf_size=1)
+    kwargs = dict(theta=0.3, softening=1e-2)
+    alone, stats = traversal.tree_accelerations(
+        tree, target_slice=(4, 5), **kwargs)
+    assert (stats.groups, stats.particle_particle, stats.particle_cell) == (
+        1, 7, 0)
+    whole = traversal.tree_accelerations(
+        tree, target_slice=(0, 7), **kwargs)[0]
+    naive = traversal.tree_accelerations(
+        tree, target_slice=(4, 5), naive=True, **kwargs)[0]
+    assert alone.tobytes() == whole[4:5].tobytes() == naive.tobytes()
 
 
 def _some_tree(n=300, leaf_size=8, seed=5):
