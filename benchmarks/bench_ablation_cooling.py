@@ -11,12 +11,11 @@
 
 import pytest
 
-from repro.cluster import METABLADE, TABLE5_CLUSTERS, ClusterReliability
+from repro.cluster import ClusterReliability
 from repro.cpus.power import FailureModel, ThermalModel
 from repro.metrics import CostParameters, tco_for
 from repro.metrics.report import format_table
-
-P4_BEOWULF = TABLE5_CLUSTERS[3]
+from repro.platform.registry import METABLADE, P4_BEOWULF
 
 
 def _thermal_study():

@@ -11,10 +11,10 @@ import os
 import numpy as np
 import pytest
 
-from repro.cluster import TABLE5_CLUSTERS
 from repro.cluster.management import ClusterOperationSim, LiveFailureInjector
 from repro.metrics.report import format_table
 from repro.network.timing import star_fabric
+from repro.platform.registry import TABLE5
 from repro.simmpi import SimMpiRuntime
 from repro.simmpi.comm import NodeFailureError
 
@@ -25,7 +25,7 @@ SEEDS = 8 if os.environ.get("REPRO_BENCH_QUICK") else 25
 
 def _study():
     rows = []
-    for cluster in TABLE5_CLUSTERS:
+    for cluster in TABLE5:
         expected = ClusterOperationSim(cluster).expected_lost_cpu_hours(
             HOURS
         )
@@ -37,7 +37,7 @@ def _study():
         avail = float(np.mean([r.availability for r in reports]))
         rows.append(
             [
-                cluster.name,
+                cluster.title,
                 round(expected, 1),
                 round(lost, 1),
                 f"{avail:.4%}",

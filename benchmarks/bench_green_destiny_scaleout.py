@@ -11,13 +11,13 @@ traditional packaging pays ~$80K - "33 times more expensive".
 
 import pytest
 
-from repro.cluster import GREEN_DESTINY
 from repro.metrics.costs import DEFAULT_COSTS
 from repro.metrics.report import format_table
 from repro.nbody.parallel import run_parallel_nbody
 from repro.nbody.sim import SimConfig
 from repro.network.link import FAST_ETHERNET, GIGABIT_ETHERNET
 from repro.network.multilevel import green_destiny_fabric
+from repro.platform.registry import GREEN_DESTINY
 from repro.perfmodel.calibration import metablade_node_rate
 
 CONFIG = SimConfig(n=9000, steps=1, theta=0.7, softening=1e-2)

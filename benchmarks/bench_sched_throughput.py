@@ -16,10 +16,9 @@ configuration).
 
 import time
 
-from repro.cluster.catalog import METABLADE
 from repro.metrics.report import format_table
 from repro.metrics.throughput import throughput_report
-from repro.platform.registry import METABLADE_PLATFORM
+from repro.platform.registry import METABLADE
 from repro.runner import bench_quick, write_bench_json
 from repro.sched import (
     BatchScheduler,
@@ -37,7 +36,7 @@ MTBF_S = 0.04
 
 
 def _serve(policy_name: str, fail: bool):
-    platform = METABLADE_PLATFORM
+    platform = METABLADE
     specs = synthetic_stream(
         jobs=JOBS,
         max_nodes=platform.nodes,
@@ -54,7 +53,7 @@ def _serve(policy_name: str, fail: bool):
         horizon = specs[-1].arrival_s + JOBS * INTERARRIVAL_S
         sched.inject_poisson_failures(horizon, MTBF_S, seed=SEED + 1)
     outcome = sched.run()
-    return outcome, throughput_report(outcome, METABLADE)
+    return outcome, throughput_report(outcome, platform=platform)
 
 
 def _study():

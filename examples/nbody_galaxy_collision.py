@@ -13,13 +13,13 @@ import sys
 
 import numpy as np
 
-from repro.core import BladedBeowulf
 from repro.nbody.sim import (
     NBodySimulation,
     SimConfig,
     ascii_render,
     density_image,
 )
+from repro.platform.registry import METABLADE
 
 
 def main(n: int = 5000) -> None:
@@ -37,8 +37,9 @@ def main(n: int = 5000) -> None:
     print(ascii_render(image))
     print()
 
-    machine = BladedBeowulf.metablade()
-    rate = machine.sustained_gflops() * 1e9
+    sustained = METABLADE.sustained_gflops()
+    peak = METABLADE.peak_gflops()
+    rate = sustained * 1e9
     print(f"interactions ledger : {result.total_flops:.3e} flops")
     for record in result.records:
         print(
@@ -48,9 +49,9 @@ def main(n: int = 5000) -> None:
     print(f"energy drift        : {result.energy_drift:.2e}")
     print()
     print("Projected onto MetaBlade (paper Section 3.3 accounting):")
-    print(f"  sustained          : {machine.sustained_gflops():.2f} Gflops")
-    print(f"  peak               : {machine.peak_gflops():.1f} Gflops")
-    print(f"  percent of peak    : {machine.percent_of_peak():.0f}%")
+    print(f"  sustained          : {sustained:.2f} Gflops")
+    print(f"  peak               : {peak:.1f} Gflops")
+    print(f"  percent of peak    : {100.0 * sustained / peak:.0f}%")
     print(f"  virtual wall time  : {result.virtual_seconds(rate):.2f} s")
 
 

@@ -9,23 +9,22 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
-    BladedBeowulf,
     METABLADE,
+    experiment_summary,
     experiment_table5,
     experiment_topper,
 )
+from repro.cluster import build_hardware
 
 
 def main() -> None:
-    machine = BladedBeowulf.metablade()
-
     print("=" * 64)
     print("The machine (paper Sections 2-3)")
     print("=" * 64)
-    print(machine.summary())
+    print(experiment_summary(METABLADE))
     print()
 
-    chassis_racks = METABLADE.build_hardware()
+    chassis_racks = build_hardware(METABLADE)
     chassis = chassis_racks[0].chassis[0]
     print(
         f"Physically: {len(chassis)} ServerBlades in one "

@@ -9,17 +9,17 @@ parameters - the knob the paper says dominates the answer.
 Run:  python examples/tco_procurement_study.py
 """
 
-from repro.cluster import METABLADE, TABLE5_CLUSTERS
 from repro.metrics import CostParameters, format_table, tco_for, topper
+from repro.platform.registry import METABLADE, PIII_BEOWULF
 
 BUDGET = 120_000.0
 BLADE_PERF_FACTOR = 0.75      # paper: blades sustain ~75% per dollar-peer
 
 
 def study(params: CostParameters, label: str) -> None:
-    piii = TABLE5_CLUSTERS[2]             # the comparably-clocked peer
     rows = []
-    for cluster, gflops in ((piii, 2.8), (METABLADE, 2.1)):
+    # The PIII Beowulf is the comparably-clocked peer.
+    for cluster, gflops in ((PIII_BEOWULF, 2.8), (METABLADE, 2.1)):
         breakdown = tco_for(cluster, params)
         units = int(BUDGET // breakdown.total)
         fleet_gflops = units * gflops
@@ -27,7 +27,7 @@ def study(params: CostParameters, label: str) -> None:
         rating = topper(cluster, gflops, params)
         rows.append(
             [
-                cluster.name,
+                cluster.title,
                 f"${breakdown.total / 1000:.0f}K",
                 f"${rating.usd_per_gflop / 1000:.1f}K",
                 units,

@@ -12,23 +12,26 @@ a simulator faithful enough to regenerate the paper's evaluation:
   EV56, Power3, Athlon MP, ...) as trace-driven port/ROB models;
 - :mod:`repro.cluster` / :mod:`repro.network` / :mod:`repro.simmpi` -
   blades, chassis, racks, the Fast Ethernet star and a simulated MPI;
+- :mod:`repro.platform` - the one hardware description: every machine
+  the paper compares, as a :class:`~repro.platform.PlatformSpec`;
 - :mod:`repro.nbody` - Karp's reciprocal square root and the hashed
   oct-tree treecode (serial and parallel);
 - :mod:`repro.npb` - NAS-parallel-benchmark work-alikes;
 - :mod:`repro.metrics` - TCO, ToPPeR, performance/space and
   performance/power;
-- :mod:`repro.core` - the façade plus one regenerator per table/figure.
+- :mod:`repro.core` - the event kernel plus one regenerator per
+  table/figure.
 
 Quickstart::
 
-    from repro.core import BladedBeowulf, experiment_table5
-    print(BladedBeowulf.metablade().summary())
+    from repro.core import experiment_summary, experiment_table5
+    print(experiment_summary())
     print(experiment_table5().text)
 """
 
 from repro.core import (
-    BladedBeowulf,
     experiment_fig3,
+    experiment_summary,
     experiment_table1,
     experiment_table2,
     experiment_table3,
@@ -38,13 +41,12 @@ from repro.core import (
     experiment_table7,
     experiment_topper,
 )
-from repro.cluster import GREEN_DESTINY, METABLADE, METABLADE2
+from repro.platform.registry import GREEN_DESTINY, METABLADE, METABLADE2
 from repro.metrics import CostParameters, ToPPeR, tco_for, topper
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BladedBeowulf",
     "CostParameters",
     "GREEN_DESTINY",
     "METABLADE",
@@ -52,6 +54,7 @@ __all__ = [
     "ToPPeR",
     "__version__",
     "experiment_fig3",
+    "experiment_summary",
     "experiment_table1",
     "experiment_table2",
     "experiment_table3",

@@ -34,7 +34,7 @@ def add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
     records it, so anything one can run the other can pin.
     """
     from repro.network.faults import DEFAULT_NET_MTBF_S, DEFAULT_NET_MTTR_S
-    from repro.platform.registry import platform_names
+    from repro.platform.registry import DEFAULT_PLATFORM, platform_names
 
     parser.add_argument("--jobs", type=int, default=60,
                         help="jobs in the synthetic Poisson stream")
@@ -53,7 +53,7 @@ def add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
                         help="checkpoint every N units (0 disables)")
     parser.add_argument("--max-retries", type=int, default=3,
                         help="requeues before a killed job is abandoned")
-    parser.add_argument("--platform", default="metablade",
+    parser.add_argument("--platform", default=DEFAULT_PLATFORM,
                         choices=platform_names(),
                         help="registry platform to schedule on; picks "
                              "node count, node rate AND fabric (its "

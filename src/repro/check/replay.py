@@ -21,6 +21,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.events import EventKernel, TimelineEvent
 from repro.check.manifest import RunManifest, TraceRecorder, normalize_event
 from repro.network.faults import DEFAULT_NET_MTBF_S, DEFAULT_NET_MTTR_S
+from repro.platform.registry import DEFAULT_PLATFORM, platform_by_name
 
 
 @dataclass
@@ -169,7 +170,7 @@ SCHED_DEFAULTS: Dict[str, Any] = {
     "mtbf": 0.05,
     "checkpoint": 0,
     "max_retries": 3,
-    "platform": "metablade",
+    "platform": DEFAULT_PLATFORM,
     # Thermal modelling (repro.thermal).  ``thermal`` builds the RC
     # network; ``thermal_accel`` compresses its time constant to the
     # stream's virtual-seconds scale; ``thermal_fail`` swaps the flat
@@ -218,12 +219,11 @@ def _build_sched(params: Dict[str, Any], audit: bool = False):
     mean the MetaBlade default.
     """
     from repro.network.faults import NetFaultConfig
-    from repro.platform.registry import platform_by_name
     from repro.sched import (
         BatchScheduler, SchedConfig, policy_by_name, synthetic_stream,
     )
 
-    spec = platform_by_name(params.get("platform", "metablade"))
+    spec = platform_by_name(params.get("platform", DEFAULT_PLATFORM))
     specs = synthetic_stream(
         jobs=params["jobs"],
         max_nodes=spec.nodes,
@@ -328,9 +328,8 @@ def _check_platform_drift(manifest: RunManifest) -> Optional[str]:
     recorded = manifest.payload.get("platform_hash")
     if recorded is None:
         return None
-    from repro.platform.registry import platform_by_name
     name = manifest.payload.get(
-        "platform", manifest.params.get("platform", "metablade")
+        "platform", manifest.params.get("platform", DEFAULT_PLATFORM)
     )
     try:
         current = platform_by_name(name).content_hash()

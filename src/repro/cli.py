@@ -35,8 +35,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.core import (
-    BladedBeowulf,
     experiment_fig3,
+    experiment_summary,
     experiment_table1,
     experiment_table2,
     experiment_table3,
@@ -52,7 +52,7 @@ from repro.nbody.sim import SimConfig
 
 
 def _cmd_summary(_args) -> None:
-    print(BladedBeowulf.metablade().summary())
+    print(experiment_summary())
 
 
 def _cmd_table1(_args) -> None:

@@ -1,8 +1,10 @@
-"""Physical cluster models: nodes, blades, chassis, racks, clusters.
+"""Physical cluster parts: nodes, blades, chassis, racks, and how
+clusters fail and are managed.
 
-Carries the attributes the paper's Section 4 metrics consume: node
-counts, power draw at load, cooling needs, footprint, acquisition cost
-and failure behaviour - for both packaging styles:
+The machines themselves — MetaBlade, Green Destiny, Avalon, the Table-5
+Beowulfs — live in :mod:`repro.platform.registry` as
+:class:`~repro.platform.spec.PlatformSpec` values; this package holds
+what is physical and shared by both packaging styles:
 
 - **traditional Beowulf**: tower/rackmount minitowers on shelves,
   actively cooled, ~20 sq ft per 24 nodes, a whole-cluster outage when
@@ -12,23 +14,10 @@ and failure behaviour - for both packaging styles:
   a failure takes down one node only.
 """
 
-from repro.cluster.node import ComputeNode, NodeConfig
+from repro.cluster.node import ComputeNode, NodeConfig, Packaging
 from repro.cluster.blade import ServerBlade, BLADE_FORM_FACTOR
 from repro.cluster.chassis import RlxSystem324, ChassisError
-from repro.cluster.rack import Rack, RACK_FOOTPRINT_SQFT
-from repro.cluster.catalog import (
-    AVALON,
-    CLUSTER_CATALOG,
-    GREEN_DESTINY,
-    LOKI,
-    METABLADE,
-    METABLADE2,
-    TABLE5_CLUSTERS,
-    Cluster,
-    Packaging,
-    cluster_by_name,
-    traditional_beowulf,
-)
+from repro.cluster.rack import Rack, RACK_FOOTPRINT_SQFT, build_hardware
 from repro.cluster.management import (
     ClusterOperationSim,
     LiveFailureInjector,
@@ -43,20 +32,13 @@ from repro.cluster.reliability import (
 )
 
 __all__ = [
-    "AVALON",
     "BLADED_OUTAGES",
     "BLADE_FORM_FACTOR",
-    "CLUSTER_CATALOG",
     "ChassisError",
-    "Cluster",
     "ClusterOperationSim",
     "ClusterReliability",
     "ComputeNode",
-    "GREEN_DESTINY",
-    "LOKI",
     "LiveFailureInjector",
-    "METABLADE",
-    "METABLADE2",
     "ManagementHub",
     "NodeConfig",
     "OutageProfile",
@@ -66,8 +48,6 @@ __all__ = [
     "Rack",
     "RlxSystem324",
     "ServerBlade",
-    "TABLE5_CLUSTERS",
-    "cluster_by_name",
+    "build_hardware",
     "sample_failure_times",
-    "traditional_beowulf",
 ]

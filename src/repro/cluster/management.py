@@ -32,9 +32,9 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.cluster.catalog import Cluster, Packaging
+from repro.cluster.node import Packaging
 from repro.cluster.reliability import (
     BLADED_OUTAGES,
     TRADITIONAL_OUTAGES,
@@ -43,6 +43,9 @@ from repro.cluster.reliability import (
     sample_failure_times,
 )
 from repro.core.events import EventKernel
+
+if TYPE_CHECKING:                                    # pragma: no cover
+    from repro.platform.spec import PlatformSpec
 
 
 class EventKind(enum.Enum):
@@ -136,7 +139,7 @@ class OperationReport:
 class ClusterOperationSim:
     """Seeded Monte-Carlo operation of one cluster."""
 
-    def __init__(self, cluster: Cluster, seed: int = 0,
+    def __init__(self, cluster: PlatformSpec, seed: int = 0,
                  failures_per_year: Optional[float] = None) -> None:
         self.cluster = cluster
         self.rng = random.Random(seed)
@@ -287,7 +290,7 @@ class LiveFailureInjector:
         return len(self.hub.failures()) * per_failure
 
 
-def inject_failure(cluster: Cluster, hub: ManagementHub, node: int,
+def inject_failure(cluster: PlatformSpec, hub: ManagementHub, node: int,
                    time_h: float) -> float:
     """Deterministically inject one failure; returns lost CPU-hours.
 

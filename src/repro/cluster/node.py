@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 
 from repro.cpus.base import ProcessorSpec
 from repro.cpus.power import PowerModel
+
+
+class Packaging(enum.Enum):
+    """How nodes are physically integrated."""
+
+    TRADITIONAL = "traditional"     # minitowers / rackmount boxes, fans
+    BLADED = "bladed"               # RLX chassis, passive blades
 
 
 @dataclass(frozen=True)

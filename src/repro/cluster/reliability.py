@@ -14,9 +14,13 @@ Encodes the paper's two outage regimes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.cluster.catalog import Cluster, Packaging
+from repro.cluster.node import Packaging
 from repro.cpus.power import FailureModel, ThermalModel
+
+if TYPE_CHECKING:                                    # pragma: no cover
+    from repro.platform.spec import PlatformSpec
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,7 @@ class ClusterReliability:
     """Reliability view of a cluster, combining the empirical outage
     profiles with the Arrhenius failure-rate model for what-if studies."""
 
-    cluster: Cluster
+    cluster: PlatformSpec
     thermal: ThermalModel = ThermalModel()
     failure_model: FailureModel = FailureModel()
 

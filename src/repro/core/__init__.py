@@ -1,17 +1,16 @@
-"""Top-level façade: the Bladed Beowulf system and experiment index.
+"""The event kernel and the experiment index.
 
-:class:`~repro.core.system.BladedBeowulf` wires the packages together
-the way the paper's Section 2-4 narrative does; :mod:`~repro.core.experiments`
-regenerates every table and figure of the evaluation;
-:mod:`~repro.core.events` is the discrete-event kernel every
+:mod:`~repro.core.experiments` regenerates every table and figure of
+the evaluation (and :func:`experiment_summary`, one machine's headline
+numbers); :mod:`~repro.core.events` is the discrete-event kernel every
 time-bearing layer shares.
 """
 
 from repro.core.events import Event, EventKernel, Process, TimelineEvent
-from repro.core.system import BladedBeowulf, PEAK_FLOPS_PER_CYCLE, peak_gflops
 from repro.core.experiments import (
     Table4Row,
     experiment_fig3,
+    experiment_summary,
     experiment_table1,
     experiment_table2,
     experiment_table3,
@@ -24,14 +23,13 @@ from repro.core.experiments import (
 )
 
 __all__ = [
-    "BladedBeowulf",
     "Event",
     "EventKernel",
-    "PEAK_FLOPS_PER_CYCLE",
     "Process",
     "Table4Row",
     "TimelineEvent",
     "experiment_fig3",
+    "experiment_summary",
     "experiment_table1",
     "experiment_table2",
     "experiment_table3",
@@ -41,5 +39,4 @@ __all__ = [
     "experiment_table7",
     "experiment_timeline",
     "experiment_topper",
-    "peak_gflops",
 ]

@@ -13,20 +13,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.catalog import (
-    AVALON,
-    GREEN_DESTINY,
-    LOKI,
-    METABLADE,
-    METABLADE2,
-    TABLE5_CLUSTERS,
-    Cluster,
-)
 from repro.cpus.catalog import TABLE1_CPUS, TABLE3_CPUS
 from repro.metrics.ratios import perf_power_table, perf_space_table
 from repro.metrics.report import format_table
-from repro.metrics.tco import tco_table
-from repro.metrics.topper import paper_headline_claim
+from repro.metrics.tco import tco_for, tco_table
+from repro.metrics.topper import paper_headline_claim, topper
 from repro.nbody.sim import (
     NBodySimulation,
     SimConfig,
@@ -40,7 +31,16 @@ from repro.perfmodel.calibration import (
     table1_mflops,
 )
 from repro.perfmodel.projector import table3_mops
-from repro.core.system import BladedBeowulf, peak_gflops
+from repro.platform.registry import (
+    AVALON,
+    DEFAULT_PLATFORM,
+    LOKI,
+    METABLADE,
+    METABLADE2,
+    TABLE5,
+    platform_by_name,
+)
+from repro.platform.spec import PlatformSpec
 
 
 @dataclass
@@ -118,9 +118,10 @@ def experiment_table2(
     import warnings
 
     from repro.nbody.parallel import scaling_study
-    from repro.platform.registry import platform_by_name
 
-    spec = platform_by_name(platform if platform is not None else "metablade")
+    spec = platform_by_name(
+        platform if platform is not None else DEFAULT_PLATFORM
+    )
     config = SimConfig(n=n, steps=steps, seed=seed, theta=0.7, softening=1e-2)
     counts = tuple(c for c in cpu_counts if c <= spec.nodes)
     dropped = tuple(c for c in cpu_counts if c > spec.nodes)
@@ -234,7 +235,6 @@ HISTORICAL_TREECODE: Tuple[Table4Row, ...] = (
 
 def modelled_treecode_rows() -> List[Table4Row]:
     """Machines our processor models cover, rated by the perf model."""
-    from repro.cpus.catalog import CPU_CATALOG
     rows = []
     for cluster, label in (
         (METABLADE2, "SC'01 MetaBlade2"),
@@ -242,8 +242,7 @@ def modelled_treecode_rows() -> List[Table4Row]:
         (METABLADE, "LANL MetaBlade"),
         (LOKI, "LANL Loki"),
     ):
-        cpu = CPU_CATALOG[cluster.processor.name]
-        per_proc = sustained_treecode_mflops(cpu)
+        per_proc = sustained_treecode_mflops(cluster.processor_model())
         rows.append(
             Table4Row(
                 machine=label,
@@ -276,7 +275,7 @@ def experiment_table4() -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def experiment_table5(
-    clusters: Sequence[Cluster] = TABLE5_CLUSTERS,
+    clusters: Sequence[PlatformSpec] = TABLE5,
 ) -> ExperimentResult:
     rows = []
     for breakdown in tco_table(clusters):
@@ -341,10 +340,9 @@ def experiment_fig3(config: Optional[SimConfig] = None,
     )
     sim = NBodySimulation(cfg)
     result = sim.run()
-    machine = BladedBeowulf.metablade()
-    sustained = machine.sustained_gflops()
-    peak = machine.peak_gflops()
-    pct = machine.percent_of_peak()
+    sustained = METABLADE.sustained_gflops()
+    peak = METABLADE.peak_gflops()
+    pct = 100.0 * sustained / peak
     virtual_s = result.total_flops / (sustained * 1e9)
 
     image = density_image(result.pos, result.mass, bins=image_bins)
@@ -426,10 +424,11 @@ def experiment_timeline(
 
     from repro.core.events import EventKernel
     from repro.nbody.parallel import run_parallel_nbody
-    from repro.platform.registry import platform_by_name
     from repro.simmpi import SimMpiRuntime, render_timeline
 
-    spec = platform_by_name(platform if platform is not None else "metablade")
+    spec = platform_by_name(
+        platform if platform is not None else DEFAULT_PLATFORM
+    )
     if ranks > spec.nodes:
         raise ValueError(
             f"{ranks} ranks exceed {spec.name}'s {spec.nodes} nodes"
@@ -581,6 +580,31 @@ def experiment_timeline(
         text=text,
         extras=extras,
     )
+
+
+# ---------------------------------------------------------------------------
+# One machine's headline numbers
+# ---------------------------------------------------------------------------
+
+def experiment_summary(spec: PlatformSpec = METABLADE) -> str:
+    """Everything the paper measures about one machine, in five lines."""
+    sustained = spec.sustained_gflops()
+    peak = spec.peak_gflops()
+    t = tco_for(spec)
+    lines = [
+        f"{spec.title}: {spec.nodes}x {spec.processor.clock_mhz:.0f}-MHz "
+        f"{spec.processor.name} ({spec.packaging.value})",
+        f"  sustained {sustained:.2f} Gflops "
+        f"({100.0 * sustained / peak:.0f}% of {peak:.1f} peak)",
+        f"  power {spec.power_kw:.2f} kW, footprint "
+        f"{spec.footprint_sqft:.0f} sq ft",
+        f"  4-year TCO ${t.total / 1000:.0f}K "
+        f"(acquisition ${t.acquisition / 1000:.0f}K, "
+        f"operating ${t.operating / 1000:.0f}K)",
+        f"  ToPPeR ${topper(spec, sustained).usd_per_gflop / 1000:.1f}K "
+        f"per Gflop",
+    ]
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

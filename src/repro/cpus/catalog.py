@@ -275,6 +275,20 @@ CPU_CATALOG: Dict[str, Processor] = {
     )
 }
 
+#: Peak double-precision flops per cycle per processor (for the paper's
+#: percent-of-peak accounting; 24 x 633 MHz x 1 = the 15.2 Gflops peak
+#: it quotes for MetaBlade).
+PEAK_FLOPS_PER_CYCLE: Dict[str, float] = {
+    "Transmeta TM5600": 1.0,
+    "Transmeta TM5800": 1.0,
+    "Intel Pentium III": 1.0,
+    "Compaq Alpha EV56": 2.0,
+    "IBM Power3": 4.0,
+    "AMD Athlon MP": 2.0,
+    "Intel Pentium 4": 2.0,
+    "Intel Pentium Pro": 1.0,
+}
+
 #: The five CPUs of Table 1 in the paper's row order.
 TABLE1_CPUS = (
     PENTIUM_III_500,

@@ -16,29 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
-from repro.cluster.catalog import (
-    AVALON,
-    Cluster,
-    GREEN_DESTINY,
-    LOKI,
-    METABLADE,
-    METABLADE2,
-)
-from repro.core.system import peak_gflops
+from repro.platform.registry import GREEN500_FIELD
+from repro.platform.spec import PlatformSpec
 
 #: Fraction of peak a tuned Linpack sustains on these clusters.
 LINPACK_EFFICIENCY = 0.55
 
-#: Default contest field.
-DEFAULT_FIELD = (AVALON, METABLADE, METABLADE2, GREEN_DESTINY, LOKI)
 
-
-def linpack_gflops(cluster: Cluster,
+def linpack_gflops(cluster: PlatformSpec,
                    efficiency: float = LINPACK_EFFICIENCY) -> float:
     """Modelled Linpack rating of *cluster* (Gflops)."""
     if not 0 < efficiency <= 1:
         raise ValueError("efficiency must be in (0, 1]")
-    return peak_gflops(cluster) * efficiency
+    return cluster.peak_gflops() * efficiency
 
 
 @dataclass(frozen=True)
@@ -53,12 +43,12 @@ class RankedCluster:
         return self.gflops / self.power_kw
 
 
-def _field(clusters: Sequence[Cluster]) -> List[Cluster]:
-    return list(clusters) if clusters else list(DEFAULT_FIELD)
+def _field(clusters: Sequence[PlatformSpec]) -> List[PlatformSpec]:
+    return list(clusters) if clusters else list(GREEN500_FIELD)
 
 
 def top500_list(
-    clusters: Sequence[Cluster] = DEFAULT_FIELD,
+    clusters: Sequence[PlatformSpec] = GREEN500_FIELD,
 ) -> List[RankedCluster]:
     """Rank by Linpack flops, the Top500 criterion the paper critiques."""
     rated = sorted(
@@ -69,7 +59,7 @@ def top500_list(
     return [
         RankedCluster(
             rank=i + 1,
-            name=c.name,
+            name=c.title,
             gflops=linpack_gflops(c),
             power_kw=c.power_kw,
         )
@@ -78,7 +68,7 @@ def top500_list(
 
 
 def green500_list(
-    clusters: Sequence[Cluster] = DEFAULT_FIELD,
+    clusters: Sequence[PlatformSpec] = GREEN500_FIELD,
 ) -> List[RankedCluster]:
     """Rank by Linpack flops per watt - the Green500 criterion."""
     rated = sorted(
@@ -89,7 +79,7 @@ def green500_list(
     return [
         RankedCluster(
             rank=i + 1,
-            name=c.name,
+            name=c.title,
             gflops=linpack_gflops(c),
             power_kw=c.power_kw,
         )

@@ -8,17 +8,10 @@ measurable facts of the hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
-from repro.cluster.catalog import (
-    AVALON,
-    Cluster,
-    GREEN_DESTINY,
-    METABLADE,
-)
-
-#: Table 6/7 machine set in the paper's column order.
-TABLE67_CLUSTERS: Tuple[Cluster, ...] = (AVALON, METABLADE, GREEN_DESTINY)
+from repro.platform.registry import TABLE67
+from repro.platform.spec import PlatformSpec
 
 
 @dataclass(frozen=True)
@@ -38,16 +31,16 @@ class PerfPowerRow:
 
 
 def perf_space_table(
-    clusters: Iterable[Cluster] = TABLE67_CLUSTERS,
+    clusters: Iterable[PlatformSpec] = TABLE67,
 ) -> List[PerfSpaceRow]:
     """Regenerate Table 6."""
     rows = []
     for c in clusters:
         if c.treecode_gflops is None:
-            raise ValueError(f"{c.name} has no performance rating")
+            raise ValueError(f"{c.title} has no performance rating")
         rows.append(
             PerfSpaceRow(
-                machine=c.name,
+                machine=c.title,
                 gflops=c.treecode_gflops,
                 area_sqft=c.footprint_sqft,
                 mflops_per_sqft=c.perf_space_mflops_per_sqft,
@@ -57,16 +50,16 @@ def perf_space_table(
 
 
 def perf_power_table(
-    clusters: Iterable[Cluster] = TABLE67_CLUSTERS,
+    clusters: Iterable[PlatformSpec] = TABLE67,
 ) -> List[PerfPowerRow]:
     """Regenerate Table 7."""
     rows = []
     for c in clusters:
         if c.treecode_gflops is None:
-            raise ValueError(f"{c.name} has no performance rating")
+            raise ValueError(f"{c.title} has no performance rating")
         rows.append(
             PerfPowerRow(
-                machine=c.name,
+                machine=c.title,
                 gflops=c.treecode_gflops,
                 power_kw=c.power_kw,
                 gflops_per_kw=c.perf_power_gflops_per_kw,

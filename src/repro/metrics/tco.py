@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
-from repro.cluster.catalog import Cluster, Packaging
+from repro.cluster.node import Packaging
 from repro.cluster.reliability import ClusterReliability
 from repro.metrics.costs import DEFAULT_COSTS, CostParameters
+from repro.platform.spec import PlatformSpec
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class TcoBreakdown:
         return tuple(int(round(c / 1000.0)) for c in cells)
 
 
-def sysadmin_cost(cluster: Cluster,
+def sysadmin_cost(cluster: PlatformSpec,
                   params: CostParameters = DEFAULT_COSTS) -> float:
     """SAC: recurring labor and materials.
 
@@ -65,7 +66,7 @@ def sysadmin_cost(cluster: Cluster,
     return params.traditional_admin_usd_per_year * params.years
 
 
-def power_cooling_cost(cluster: Cluster,
+def power_cooling_cost(cluster: PlatformSpec,
                        params: CostParameters = DEFAULT_COSTS) -> float:
     """PCC: utility cost of powering (and, if needed, cooling) the nodes."""
     return (
@@ -75,7 +76,7 @@ def power_cooling_cost(cluster: Cluster,
     )
 
 
-def space_cost(cluster: Cluster,
+def space_cost(cluster: PlatformSpec,
                params: CostParameters = DEFAULT_COSTS) -> float:
     """SCC: leased floor space over the lifetime."""
     return (
@@ -85,7 +86,7 @@ def space_cost(cluster: Cluster,
     )
 
 
-def downtime_cost(cluster: Cluster,
+def downtime_cost(cluster: PlatformSpec,
                   params: CostParameters = DEFAULT_COSTS) -> float:
     """DTC: lost CPU-hours billed at the machine-time rate."""
     reliability = ClusterReliability(cluster)
@@ -93,11 +94,11 @@ def downtime_cost(cluster: Cluster,
     return lost_cpu_hours * params.downtime_usd_per_cpu_hour
 
 
-def tco_for(cluster: Cluster,
+def tco_for(cluster: PlatformSpec,
             params: CostParameters = DEFAULT_COSTS) -> TcoBreakdown:
     """Full TCO breakdown for one cluster."""
     return TcoBreakdown(
-        cluster_name=cluster.name,
+        cluster_name=cluster.title,
         acquisition=cluster.acquisition_usd + params.software_usd,
         sysadmin=sysadmin_cost(cluster, params),
         power_cooling=power_cooling_cost(cluster, params),
@@ -106,7 +107,7 @@ def tco_for(cluster: Cluster,
     )
 
 
-def tco_table(clusters: Iterable[Cluster],
+def tco_table(clusters: Iterable[PlatformSpec],
               params: CostParameters = DEFAULT_COSTS) -> List[TcoBreakdown]:
     """TCO breakdowns for a set of clusters (Table 5 generator)."""
     return [tco_for(c, params) for c in clusters]

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple, TYPE_CHECKING
 
-from repro.cluster.catalog import Cluster
 from repro.metrics.report import format_table
 from repro.metrics.topper import ToPPeR, topper
+from repro.platform.spec import PlatformSpec
 
 if TYPE_CHECKING:                                    # pragma: no cover
     from repro.sched.scheduler import SchedOutcome
@@ -104,22 +104,17 @@ class ThroughputReport:
         )
 
 
-def throughput_report(outcome: "SchedOutcome",
-                      cluster: Optional[Cluster] = None,
-                      platform=None) -> ThroughputReport:
+def throughput_report(
+    outcome: "SchedOutcome", platform: Optional[PlatformSpec] = None,
+) -> ThroughputReport:
     """Fold a scheduling outcome into the operator numbers.
 
-    Pass the *cluster* catalog entry — or the
-    :class:`~repro.platform.spec.PlatformSpec` the run was scheduled on
-    — to also price the run: operational ToPPeR divides the machine's
-    TCO (whose denominators — sq ft, watts, dollars — come from the
-    spec) by the Gflops the job stream actually sustained (skipped when
-    nothing completed — a zero-work run has no price-performance).
+    Pass the *platform* the run was scheduled on to also price the
+    run: operational ToPPeR divides the machine's TCO (whose
+    denominators — sq ft, watts, dollars — come from the spec) by the
+    Gflops the job stream actually sustained (skipped when nothing
+    completed — a zero-work run has no price-performance).
     """
-    if platform is not None:
-        if cluster is not None:
-            raise ValueError("pass either cluster= or platform=, not both")
-        cluster = platform.cluster()
     records = outcome.records
     completed = outcome.completed
     makespan = outcome.makespan_s
@@ -134,8 +129,8 @@ def throughput_report(outcome: "SchedOutcome",
     )
     offered = outcome.nodes * makespan
     operational_topper = None
-    if cluster is not None and operational_gflops > 0:
-        operational_topper = topper(cluster, operational_gflops)
+    if platform is not None and operational_gflops > 0:
+        operational_topper = topper(platform, operational_gflops)
     return ThroughputReport(
         policy=outcome.policy,
         nodes=outcome.nodes,

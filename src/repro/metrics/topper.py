@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster.catalog import Cluster, METABLADE
 from repro.metrics.costs import DEFAULT_COSTS, CostParameters
 from repro.metrics.tco import TcoBreakdown, tco_for
+from repro.platform.registry import METABLADE, PIII_BEOWULF
+from repro.platform.spec import PlatformSpec
 
 #: Paper Section 4.1: the Bladed Beowulf's performance is ~75% of a
 #: comparably-clocked traditional Beowulf's.
@@ -35,13 +36,8 @@ class ToPPeR:
             raise ValueError("performance must be positive")
         return self.tco_usd / self.sustained_gflops
 
-    @property
-    def acquisition_style_ratio(self) -> float:
-        """Alias making 'lower is better' explicit in reports."""
-        return self.usd_per_gflop
 
-
-def topper(cluster: Cluster, sustained_gflops: float = None,
+def topper(cluster: PlatformSpec, sustained_gflops: float = None,
            params: CostParameters = DEFAULT_COSTS) -> ToPPeR:
     """Compute ToPPeR for *cluster*.
 
@@ -52,22 +48,14 @@ def topper(cluster: Cluster, sustained_gflops: float = None,
         perf = cluster.treecode_gflops
     if perf is None:
         raise ValueError(
-            f"{cluster.name} has no performance rating; pass sustained_gflops"
+            f"{cluster.title} has no performance rating; pass sustained_gflops"
         )
     breakdown: TcoBreakdown = tco_for(cluster, params)
     return ToPPeR(
-        cluster_name=cluster.name,
+        cluster_name=cluster.title,
         tco_usd=breakdown.total,
         sustained_gflops=perf,
     )
-
-
-def topper_for_platform(platform, sustained_gflops: float = None,
-                        params: CostParameters = DEFAULT_COSTS) -> ToPPeR:
-    """ToPPeR with every denominator read from a declarative
-    :class:`~repro.platform.spec.PlatformSpec` (footprint, power and
-    acquisition cost flow through its physical-economics view)."""
-    return topper(platform.cluster(), sustained_gflops, params)
 
 
 def topper_advantage(blade: ToPPeR, traditional: ToPPeR) -> float:
@@ -91,8 +79,8 @@ class HeadlineClaim:
 
 
 def paper_headline_claim(
-    blade_cluster: Cluster = METABLADE,
-    traditional_cluster: Cluster = None,
+    blade_cluster: PlatformSpec = METABLADE,
+    traditional_cluster: PlatformSpec = PIII_BEOWULF,
     params: CostParameters = DEFAULT_COSTS,
 ) -> HeadlineClaim:
     """Reproduce the paper's ToPPeR argument.
@@ -101,9 +89,6 @@ def paper_headline_claim(
     (the comparably-clocked machine), whose sustained performance is
     the blade's divided by :data:`BLADE_RELATIVE_PERFORMANCE`.
     """
-    if traditional_cluster is None:
-        from repro.cluster.catalog import TABLE5_CLUSTERS
-        traditional_cluster = TABLE5_CLUSTERS[2]     # PIII Beowulf
     blade_perf = blade_cluster.treecode_gflops
     if blade_perf is None:
         raise ValueError("blade cluster needs a performance rating")

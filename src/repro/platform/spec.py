@@ -1,21 +1,25 @@
 """The declarative platform spec: one frozen description of a machine.
 
 The paper's whole argument (Tables 5-7, ToPPeR) is a comparison *across
-machines*, yet hardware description used to be scattered: processors in
-:mod:`repro.cpus.catalog`, physical clusters in
-:mod:`repro.cluster.catalog`, fabrics in :mod:`repro.network`, and the
-scheduler hard-coding a star network.  A :class:`PlatformSpec` unifies
-them: processor spec + node config + packaging + fabric topology +
-power model inputs + counts, all in one validated, hashable value from
-which every consumer is *derived*:
+machines*, so a machine is written down once: a :class:`PlatformSpec`
+is processor spec + node config + packaging + fabric topology + power
+model inputs + counts, in one validated, hashable value from which
+every consumer is *derived*:
 
 - :meth:`PlatformSpec.build_fabric` — the SimMPI interconnect (star,
   multi-level rack, or ideal, chosen by the spec);
 - :meth:`PlatformSpec.build_allocator` — the scheduler's blade set;
 - :meth:`PlatformSpec.node_flop_rate` — the node compute rate;
 - :meth:`PlatformSpec.power_model` — the energy-accounting model;
-- :meth:`PlatformSpec.cluster` — the physical denominators (sq ft,
-  watts, dollars) consumed by :mod:`repro.metrics` for Tables 5-7.
+- ``chassis_count``, ``power_kw``, ``cooling_kw``, ``total_power_kw``,
+  ``perf_space_mflops_per_sqft``, ``perf_power_gflops_per_kw``,
+  :meth:`PlatformSpec.peak_gflops`, :meth:`PlatformSpec.sustained_gflops`
+  — the physical denominators (sq ft, watts, dollars) and ratings
+  :mod:`repro.metrics` and :mod:`repro.hpl` read for Tables 5-7.
+
+This module imports nothing from :mod:`repro.metrics`, :mod:`repro.hpl`
+or :mod:`repro.core.experiments`: they import the registry at module
+level, and ``repro/__init__`` reaches them before it reaches here.
 
 Because the spec serializes canonically (:meth:`PlatformSpec.to_dict` /
 :meth:`PlatformSpec.content_hash`), a run manifest can record *which
@@ -34,13 +38,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, Optional, Sequence, Tuple
+import math
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Optional, Sequence
 
-from repro.cluster.catalog import Cluster, Packaging
-from repro.cluster.node import NodeConfig
+from repro.cluster.chassis import RlxSystem324
+from repro.cluster.node import NodeConfig, Packaging
+from repro.cluster.rack import RACK_GEAR_WATTS
 from repro.cpus.base import ProcessorSpec
-from repro.cpus.power import PowerModel
+from repro.cpus.catalog import CPU_CATALOG, PEAK_FLOPS_PER_CYCLE, cpu_by_name
+from repro.cpus.power import COOLING_OVERHEAD_PER_WATT, PowerModel
 from repro.network.link import FAST_ETHERNET, GIGABIT_ETHERNET, Link
 from repro.network.multilevel import RackFabricConfig, RackTopology
 from repro.network.nic import FAST_ETHERNET_NIC, Nic
@@ -261,7 +268,6 @@ class PlatformSpec:
                 f"{self.name}: {self.nodes} nodes exceed the "
                 f"{self.fabric.switch.name}'s {ceiling} ports"
             )
-        from repro.cpus.catalog import CPU_CATALOG
         if self.processor.name not in CPU_CATALOG:
             known = ", ".join(sorted(CPU_CATALOG))
             raise ValueError(
@@ -273,7 +279,6 @@ class PlatformSpec:
 
     def processor_model(self):
         """The calibrated processor model behind this platform's nodes."""
-        from repro.cpus.catalog import cpu_by_name
         return cpu_by_name(self.processor.name)
 
     def node_flop_rate(self) -> float:
@@ -313,34 +318,64 @@ class PlatformSpec:
             return self.thermal
         return ThermalSpec.for_power_model(self.power_model())
 
-    def cluster(self) -> Cluster:
-        """The physical-economics view: the denominators of Tables 5-7."""
-        return Cluster(
-            name=self.title,
-            processor=self.processor,
-            nodes=self.nodes,
-            packaging=self.packaging,
-            footprint_sqft=self.footprint_sqft,
-            acquisition_usd=self.acquisition_usd,
-            year=self.year,
-            treecode_gflops=self.treecode_gflops,
-            power_kw_override=self.power_kw_override,
-        )
+    # -- performance ------------------------------------------------------
 
-    def machine(self):
-        """The :class:`~repro.core.system.BladedBeowulf` wrapper."""
-        from repro.core.system import BladedBeowulf
-        return BladedBeowulf(cluster=self.cluster())
+    def sustained_gflops(self) -> float:
+        """Whole-machine sustained treecode rating (calibrated model)."""
+        return self.node_flop_rate() * self.nodes / 1e9
 
-    # -- physical denominators (shortcuts into the cluster view) ----------
+    def peak_gflops(self) -> float:
+        """Theoretical peak in Gflops (percent-of-peak accounting)."""
+        per_cycle = PEAK_FLOPS_PER_CYCLE.get(self.processor.name, 1.0)
+        return self.nodes * self.processor.clock_hz * per_cycle / 1e9
+
+    @property
+    def perf_space_mflops_per_sqft(self) -> Optional[float]:
+        """The paper's performance/space metric (Table 6)."""
+        if self.treecode_gflops is None:
+            return None
+        return self.treecode_gflops * 1000.0 / self.footprint_sqft
+
+    @property
+    def perf_power_gflops_per_kw(self) -> Optional[float]:
+        """The paper's performance/power metric (Table 7)."""
+        if self.treecode_gflops is None:
+            return None
+        return self.treecode_gflops / self.power_kw
+
+    # -- physical denominators --------------------------------------------
+
+    @property
+    def chassis_count(self) -> int:
+        """Number of RLX chassis (bladed packaging only)."""
+        if self.packaging is not Packaging.BLADED:
+            return 0
+        return math.ceil(self.nodes / RlxSystem324.SLOTS)
 
     @property
     def power_kw(self) -> float:
-        return self.cluster().power_kw
+        """Draw at load, excluding machine-room cooling."""
+        if self.power_kw_override is not None:
+            return self.power_kw_override
+        node_watts = self.nodes * self.processor.node_watts
+        if self.packaging is Packaging.BLADED:
+            overhead = self.chassis_count * RlxSystem324.OVERHEAD_WATTS
+            if self.chassis_count > 1:
+                overhead += RACK_GEAR_WATTS
+            return (node_watts + overhead) / 1000.0
+        return node_watts / 1000.0
+
+    @property
+    def cooling_kw(self) -> float:
+        """Machine-room cooling burden (paper: +0.5 W per W, traditional
+        clusters only; blades need no active cooling)."""
+        if self.packaging is Packaging.BLADED:
+            return 0.0
+        return self.power_kw * COOLING_OVERHEAD_PER_WATT
 
     @property
     def total_power_kw(self) -> float:
-        return self.cluster().total_power_kw
+        return self.power_kw + self.cooling_kw
 
     # -- identity ---------------------------------------------------------
 
@@ -393,54 +428,3 @@ class PlatformSpec:
         so replay can tell "platform changed" from trace divergence.
         """
         return _canonical_hash(self.to_dict())
-
-    def with_nodes(self, nodes: int, **updates: Any) -> "PlatformSpec":
-        """A resized variant (scenario exploration helper)."""
-        return replace(self, nodes=nodes, **updates)
-
-    # -- interop ----------------------------------------------------------
-
-    @classmethod
-    def for_cluster(cls, cluster: Cluster,
-                    fabric: Optional[FabricSpec] = None,
-                    name: Optional[str] = None) -> "PlatformSpec":
-        """Adapt a catalog :class:`Cluster` into a platform.
-
-        The fabric defaults to the MetaBlade star (scaled to the node
-        count when it outgrows the 24-port switch) — exactly what the
-        scheduler hard-coded before the platform layer existed.
-        """
-        if fabric is None:
-            if cluster.nodes <= FAST_ETHERNET_SWITCH_24.ports:
-                fabric = METABLADE_FABRIC
-            else:
-                fabric = replace(
-                    METABLADE_FABRIC,
-                    switch=scaled_star_switch(cluster.nodes),
-                )
-        return cls(
-            name=name or cluster.name.lower().replace(" ", "-"),
-            title=cluster.name,
-            processor=cluster.processor,
-            nodes=cluster.nodes,
-            packaging=cluster.packaging,
-            fabric=fabric,
-            footprint_sqft=cluster.footprint_sqft,
-            acquisition_usd=cluster.acquisition_usd,
-            year=cluster.year,
-            treecode_gflops=cluster.treecode_gflops,
-            power_kw_override=cluster.power_kw_override,
-        )
-
-    def describe(self) -> str:
-        c = self.cluster()
-        fabric = self.fabric.kind
-        if fabric == "rack":
-            chassis = -(-self.nodes // self.fabric.nodes_per_chassis)
-            fabric = f"rack ({chassis} chassis, {self.fabric.uplink.name})"
-        return (
-            f"{self.name}: {self.nodes}x {self.processor.clock_mhz:.0f}-MHz "
-            f"{self.processor.name}, {fabric} fabric, "
-            f"{c.power_kw:.2f} kW, {c.footprint_sqft:.0f} sq ft, "
-            f"${c.acquisition_usd / 1000:.0f}K"
-        )

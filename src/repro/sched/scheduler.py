@@ -241,8 +241,8 @@ class BatchScheduler:
         from repro.sched.policy import Fcfs
 
         if platform is None:
-            from repro.platform.registry import METABLADE_PLATFORM
-            platform = METABLADE_PLATFORM
+            from repro.platform.registry import METABLADE
+            platform = METABLADE
         self.platform = platform
         self.policy = policy if policy is not None else Fcfs()
         self.config = config if config is not None else SchedConfig()

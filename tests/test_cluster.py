@@ -1,29 +1,31 @@
-"""Physical cluster models: nodes, blades, chassis, racks, catalog."""
+"""Physical cluster models: nodes, blades, chassis, racks, and the
+registry machines' physical figures."""
 
-import math
+from dataclasses import replace
 
 import pytest
 
 from repro.cluster import (
-    AVALON,
-    GREEN_DESTINY,
-    METABLADE,
-    METABLADE2,
-    TABLE5_CLUSTERS,
-    Cluster,
     ClusterReliability,
     ComputeNode,
-    NodeConfig,
     Packaging,
     RlxSystem324,
     ServerBlade,
-    cluster_by_name,
-    traditional_beowulf,
+    build_hardware,
 )
 from repro.cluster.chassis import ChassisError
 from repro.cluster.rack import Rack
 from repro.cluster.reliability import BLADED_OUTAGES, TRADITIONAL_OUTAGES
 from repro.cpus.catalog import TM5600_633
+from repro.platform.registry import (
+    ALPHA_BEOWULF,
+    AVALON,
+    GREEN_DESTINY,
+    METABLADE,
+    METABLADE2,
+    P4_BEOWULF,
+    platform_by_name,
+)
 
 
 def _blade():
@@ -100,7 +102,7 @@ def test_green_destiny_is_a_full_rack():
     assert GREEN_DESTINY.chassis_count == 10
     assert GREEN_DESTINY.footprint_sqft == 6.0
     assert GREEN_DESTINY.power_kw == pytest.approx(5.2)
-    racks = GREEN_DESTINY.build_hardware()
+    racks = build_hardware(GREEN_DESTINY)
     assert len(racks) == 1
     assert racks[0].node_count == 240
     assert racks[0].watts_at_load == pytest.approx(
@@ -109,17 +111,17 @@ def test_green_destiny_is_a_full_rack():
 
 
 def test_build_hardware_matches_power_property():
-    racks = METABLADE.build_hardware()
+    racks = build_hardware(METABLADE)
     total = sum(r.watts_at_load for r in racks)
     assert total == pytest.approx(METABLADE.power_kw * 1000)
 
 
 def test_traditional_cluster_cooling():
-    alpha = TABLE5_CLUSTERS[0]
+    alpha = ALPHA_BEOWULF
     assert alpha.packaging is Packaging.TRADITIONAL
     assert alpha.cooling_kw == pytest.approx(0.5 * alpha.power_kw)
-    with pytest.raises(ValueError):
-        alpha.build_hardware()
+    with pytest.raises(ValueError, match="Alpha Beowulf is not a bladed"):
+        build_hardware(alpha)
 
 
 def test_avalon_record():
@@ -133,26 +135,23 @@ def test_perf_ratio_properties():
     assert METABLADE.perf_power_gflops_per_kw == pytest.approx(
         2.1 / 0.52
     )
-    anonymous = traditional_beowulf(
-        "x", TM5600_633.spec, acquisition_usd=1.0
+    anonymous = replace(
+        ALPHA_BEOWULF, name="x", processor=TM5600_633.spec,
+        acquisition_usd=1.0,
     )
     assert anonymous.perf_space_mflops_per_sqft is None
 
 
 def test_cluster_validation():
     with pytest.raises(ValueError):
-        Cluster(
-            name="bad", processor=TM5600_633.spec, nodes=0,
-            packaging=Packaging.BLADED, footprint_sqft=6.0,
-            acquisition_usd=1.0, year=2001,
-        )
+        replace(METABLADE, name="bad", nodes=0)
 
 
 def test_catalog_lookup():
-    assert cluster_by_name("MetaBlade") is METABLADE
-    assert cluster_by_name("MetaBlade2") is METABLADE2
+    assert platform_by_name("metablade") is METABLADE
+    assert platform_by_name("metablade2") is METABLADE2
     with pytest.raises(KeyError):
-        cluster_by_name("Deep Thought")
+        platform_by_name("Deep Thought")
 
 
 # -- reliability ----------------------------------------------------------------
@@ -167,7 +166,7 @@ def test_downtime_cpu_hours_paper_numbers():
 
 def test_reliability_profiles_by_packaging():
     blade = ClusterReliability(METABLADE)
-    trad = ClusterReliability(TABLE5_CLUSTERS[0])
+    trad = ClusterReliability(ALPHA_BEOWULF)
     assert blade.outage_profile is BLADED_OUTAGES
     assert trad.outage_profile is TRADITIONAL_OUTAGES
     assert blade.availability() > trad.availability()
@@ -177,7 +176,7 @@ def test_reliability_profiles_by_packaging():
 def test_physics_prediction_close_to_empirical_rates():
     """The Arrhenius model should land near the paper's observed rates:
     ~6 failures/yr for hot traditional clusters, ~1 for the blades."""
-    p4 = ClusterReliability(TABLE5_CLUSTERS[3])
+    p4 = ClusterReliability(P4_BEOWULF)
     blade = ClusterReliability(METABLADE)
     assert 3.0 < p4.predicted_failures_per_year() < 10.0
     assert 0.3 < blade.predicted_failures_per_year() < 3.0

@@ -1,11 +1,11 @@
-"""Façade and experiment regenerators: the paper's headline numbers."""
+"""Experiment regenerators: the paper's headline numbers."""
 
 import pytest
 
-from repro.cluster import GREEN_DESTINY, METABLADE, METABLADE2
+from repro.cluster import Packaging
 from repro.core import (
-    BladedBeowulf,
     experiment_fig3,
+    experiment_summary,
     experiment_table1,
     experiment_table2,
     experiment_table4,
@@ -13,41 +13,40 @@ from repro.core import (
     experiment_table6,
     experiment_table7,
     experiment_topper,
-    peak_gflops,
 )
 from repro.core.experiments import HISTORICAL_TREECODE, modelled_treecode_rows
+from repro.metrics import tco_for
 from repro.nbody.sim import SimConfig
+from repro.platform.registry import GREEN_DESTINY, METABLADE
 
 
-@pytest.fixture(scope="module")
-def metablade():
-    return BladedBeowulf.metablade()
-
-
-def test_peak_gflops_matches_paper(metablade):
+def test_peak_gflops_matches_paper():
     # 24 x 633 MHz x 1 flop/cycle = 15.2 Gflops (paper Section 3.3).
-    assert metablade.peak_gflops() == pytest.approx(15.192, abs=0.01)
-    assert peak_gflops(GREEN_DESTINY) == pytest.approx(240 * 0.8, rel=0.01)
+    assert METABLADE.peak_gflops() == pytest.approx(15.192, abs=0.01)
+    assert GREEN_DESTINY.peak_gflops() == pytest.approx(240 * 0.8, rel=0.01)
 
 
 @pytest.mark.slow
-def test_sustained_and_percent_of_peak(metablade):
+def test_sustained_and_percent_of_peak():
     # Paper: 2.1 Gflops sustained = 14% of peak.
-    assert metablade.sustained_gflops() == pytest.approx(2.1, abs=0.05)
-    assert metablade.percent_of_peak() == pytest.approx(14.0, abs=1.0)
+    sustained = METABLADE.sustained_gflops()
+    assert sustained == pytest.approx(2.1, abs=0.05)
+    assert 100.0 * sustained / METABLADE.peak_gflops() == pytest.approx(
+        14.0, abs=1.0
+    )
 
 
 @pytest.mark.slow
-def test_summary_contains_headlines(metablade):
-    text = metablade.summary()
+def test_summary_contains_headlines():
+    text = experiment_summary()
     assert "MetaBlade" in text
     assert "Gflops" in text
     assert "TCO" in text
 
 
-def test_tco_and_topper_accessors(metablade):
-    assert metablade.tco().total == pytest.approx(35_292, abs=500)
-    assert metablade.is_bladed
+def test_tco_and_topper_accessors():
+    assert tco_for(METABLADE).total == pytest.approx(35_292, abs=500)
+    assert METABLADE.packaging is Packaging.BLADED
 
 
 @pytest.mark.slow

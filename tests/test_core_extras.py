@@ -1,15 +1,16 @@
-"""Additional façade coverage: table 2 variants, table 3 at class T,
-BladedBeowulf on alternative clusters."""
+"""Additional experiment coverage: table 2 variants, table 3 at class T,
+the model's ratings of the other bladed machines."""
 
 import pytest
 
-from repro.cluster import GREEN_DESTINY, METABLADE2
+from repro.cluster import Packaging
 from repro.core import (
-    BladedBeowulf,
     experiment_table2,
     experiment_table3,
 )
-from repro.core.system import PEAK_FLOPS_PER_CYCLE
+from repro.cpus.catalog import PEAK_FLOPS_PER_CYCLE
+from repro.metrics import topper
+from repro.platform.registry import GREEN_DESTINY, METABLADE, METABLADE2
 
 
 def test_peak_table_covers_every_catalog_cpu():
@@ -37,28 +38,26 @@ def test_table3_at_tiny_class():
 
 @pytest.mark.slow
 def test_metablade2_facade():
-    machine = BladedBeowulf(cluster=METABLADE2)
-    assert machine.is_bladed
+    assert METABLADE2.packaging is Packaging.BLADED
     # Paper footnote 3: 3.3 Gflops on MetaBlade2.
-    assert machine.sustained_gflops() == pytest.approx(3.3, abs=0.15)
-    assert machine.peak_gflops() == pytest.approx(24 * 0.8, rel=0.01)
+    assert METABLADE2.sustained_gflops() == pytest.approx(3.3, abs=0.15)
+    assert METABLADE2.peak_gflops() == pytest.approx(24 * 0.8, rel=0.01)
 
 
 @pytest.mark.slow
 def test_green_destiny_facade():
-    machine = BladedBeowulf(cluster=GREEN_DESTINY)
     # Ten chassis of TM5800s.
-    assert machine.cluster.chassis_count == 10
+    assert GREEN_DESTINY.chassis_count == 10
     # The model rates the delivered 240-blade machine above the paper's
     # pre-delivery 21.5 Gflops projection (EXPERIMENTS.md, Table 6 note).
-    assert machine.sustained_gflops() == pytest.approx(33.2, abs=2.0)
-    assert machine.cluster.nodes == 240
+    assert GREEN_DESTINY.sustained_gflops() == pytest.approx(33.2, abs=2.0)
+    assert GREEN_DESTINY.nodes == 240
 
 
 def test_facade_topper_uses_sustained_rating():
-    machine = BladedBeowulf.metablade()
-    rating = machine.topper()
+    rating = topper(METABLADE, METABLADE.sustained_gflops())
     assert rating.cluster_name == "MetaBlade"
+    assert rating.sustained_gflops == METABLADE.sustained_gflops()
     assert rating.usd_per_gflop > 0
 
 

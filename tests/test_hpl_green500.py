@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import AVALON, GREEN_DESTINY, METABLADE, METABLADE2
 from repro.hpl import (
     LinpackResult,
     green500_list,
@@ -15,6 +14,7 @@ from repro.hpl import (
     lu_solve,
     top500_list,
 )
+from repro.platform.registry import AVALON, GREEN_DESTINY, METABLADE, METABLADE2
 
 
 def test_lu_matches_numpy():

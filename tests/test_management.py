@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import METABLADE, TABLE5_CLUSTERS, Packaging
+from repro.cluster import Packaging
 from repro.cluster.management import (
     ClusterOperationSim,
     EventKind,
@@ -11,8 +11,7 @@ from repro.cluster.management import (
     ManagementHub,
     inject_failure,
 )
-
-P4_BEOWULF = TABLE5_CLUSTERS[3]
+from repro.platform.registry import METABLADE, P4_BEOWULF
 
 
 def test_hub_detection_latency_by_packaging():

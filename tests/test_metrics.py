@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cluster import METABLADE, TABLE5_CLUSTERS
 from repro.metrics import (
     CostParameters,
     DEFAULT_COSTS,
@@ -23,10 +22,11 @@ from repro.metrics.tco import (
     sysadmin_cost,
 )
 from repro.metrics.topper import BLADE_RELATIVE_PERFORMANCE
+from repro.platform.registry import METABLADE, TABLE5
 
 
 def by_name(name):
-    return next(c for c in TABLE5_CLUSTERS if c.name == name)
+    return next(c for c in TABLE5 if c.title == name)
 
 
 def test_cost_parameters_paper_defaults():
@@ -83,13 +83,14 @@ def test_table5_totals_match_paper_within_rounding():
         "P4 Beowulf": 108,
         "MetaBlade": 35,
     }
-    for breakdown in tco_table(TABLE5_CLUSTERS):
+    for breakdown in tco_table(TABLE5):
         expected = paper_totals_k[breakdown.cluster_name]
         assert breakdown.total / 1000 == pytest.approx(expected, abs=1.5)
 
 
 def test_tco_identity():
     b = tco_for(METABLADE)
+    assert b.cluster_name == "MetaBlade"     # the title, not the key
     assert b.total == pytest.approx(b.acquisition + b.operating)
     assert b.operating == pytest.approx(
         b.sysadmin + b.power_cooling + b.space + b.downtime
@@ -99,7 +100,7 @@ def test_tco_identity():
 def test_blade_tco_about_three_times_smaller():
     blade = tco_for(METABLADE).total
     traditional = [
-        tco_for(c).total for c in TABLE5_CLUSTERS if c is not METABLADE
+        tco_for(c).total for c in TABLE5 if c is not METABLADE
     ]
     for total in traditional:
         assert 2.5 < total / blade < 3.5
@@ -123,8 +124,10 @@ def test_topper_lower_is_better_and_blade_wins():
 
 def test_topper_requires_performance():
     nameless = by_name("PIII Beowulf")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="PIII Beowulf has no performance"):
         topper(nameless)                   # no treecode rating
+    with pytest.raises(ValueError, match="PIII Beowulf has no performance"):
+        perf_space_table([nameless])
     rated = topper(nameless, sustained_gflops=2.8)
     assert rated.usd_per_gflop > 0
 

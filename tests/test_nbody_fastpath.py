@@ -345,12 +345,13 @@ def test_parallel_map_matches_serial_and_preserves_order():
 
 
 def test_scaling_study_pooled_equals_serial():
-    from repro.core.system import BladedBeowulf
+    from repro.nbody.parallel import scaling_study
+    from repro.platform.registry import METABLADE
 
-    machine = BladedBeowulf.metablade()
+    rate = METABLADE.node_flop_rate()
     cfg = SimConfig(n=256, steps=1, ic="collision", seed=2001)
-    serial = machine.nbody_scaling(cfg, cpu_counts=(1, 2), jobs=1)
-    pooled = machine.nbody_scaling(cfg, cpu_counts=(1, 2), jobs=2)
+    serial = scaling_study(cfg, (1, 2), rate, jobs=1)
+    pooled = scaling_study(cfg, (1, 2), rate, jobs=2)
     assert [
         (p.cpus, p.time_s, p.speedup, p.efficiency, p.comm_fraction)
         for p in serial

@@ -27,17 +27,17 @@ from repro.check.replay import (
     replay_manifest,
     verify_golden_manifest,
 )
-from repro.cluster.catalog import METABLADE, TABLE5_CLUSTERS
 from repro.core.experiments import (
     experiment_table2,
     experiment_table5,
     experiment_timeline,
 )
+from repro.metrics import tco_for
 from repro.network.multilevel import RackTopology
 from repro.network.timing import star_fabric
 from repro.platform import (
     FabricSpec,
-    METABLADE_PLATFORM,
+    METABLADE,
     PLATFORM_REGISTRY,
     PlatformSpec,
     platform_by_name,
@@ -60,7 +60,7 @@ def test_spec_round_trips_through_dict():
 
 
 def test_content_hash_is_stable_across_calls():
-    spec = METABLADE_PLATFORM
+    spec = METABLADE
     assert spec.content_hash() == spec.content_hash()
     assert spec.content_hash() == PlatformSpec.from_dict(
         spec.to_dict()
@@ -75,26 +75,24 @@ def test_content_hash_is_stable_across_calls():
     {"title": "MetaBlade Prime"},
 ])
 def test_content_hash_moves_with_any_field(mutation):
-    spec = METABLADE_PLATFORM
+    spec = METABLADE
     assert replace(spec, **mutation).content_hash() != spec.content_hash()
 
 
 def test_spec_validation_rejects_nonsense():
     with pytest.raises(ValueError):
-        replace(METABLADE_PLATFORM, nodes=0)
+        replace(METABLADE, nodes=0)
     with pytest.raises(ValueError):
-        replace(METABLADE_PLATFORM, footprint_sqft=0.0)
+        replace(METABLADE, footprint_sqft=0.0)
     with pytest.raises(ValueError):
         # 25 nodes cannot hang off the 24-port star switch.
-        replace(METABLADE_PLATFORM, nodes=25)
+        replace(METABLADE, nodes=25)
     with pytest.raises(ValueError):
         FabricSpec(kind="hypercube")
     with pytest.raises(ValueError):
         replace(
-            METABLADE_PLATFORM,
-            processor=replace(
-                METABLADE_PLATFORM.processor, name="Imaginary CPU"
-            ),
+            METABLADE,
+            processor=replace(METABLADE.processor, name="Imaginary CPU"),
         )
 
 
@@ -111,18 +109,7 @@ def test_registry_builders_for_every_platform():
         assert allocator.free_count == spec.nodes
         assert spec.power_model().energy_joules(1.0) > 0.0
         assert spec.node_flop_rate() > 0.0
-        assert spec.cluster().name == spec.title
-
-
-def test_registry_clusters_round_trip_to_catalog():
-    assert METABLADE_PLATFORM.cluster() == METABLADE
-    for key, catalog in [
-        ("alpha-beowulf", TABLE5_CLUSTERS[0]),
-        ("athlon-beowulf", TABLE5_CLUSTERS[1]),
-        ("piii-beowulf", TABLE5_CLUSTERS[2]),
-        ("p4-beowulf", TABLE5_CLUSTERS[3]),
-    ]:
-        assert platform_by_name(key).cluster() == catalog
+        assert tco_for(spec).cluster_name == spec.title
 
 
 def test_registry_rejects_unknown_platform():
@@ -184,7 +171,7 @@ def test_table2_golden_manifest_still_verifies():
 def test_table5_from_registry_platforms_matches_default():
     default = experiment_table5()
     clusters = [
-        platform_by_name(key).cluster()
+        platform_by_name(key)
         for key in ("alpha-beowulf", "athlon-beowulf", "piii-beowulf",
                     "p4-beowulf", "metablade")
     ]
@@ -265,7 +252,7 @@ def test_sched_runs_audited_on_green_destiny_240():
 
 def test_sched_default_is_the_metablade_platform():
     sched = BatchScheduler()
-    assert sched.platform is METABLADE_PLATFORM
+    assert sched.platform is METABLADE
     assert sched.nodes == 24
 
 
@@ -278,33 +265,6 @@ def test_timeline_runs_on_a_rack_platform():
 
 
 # ---------------------------------------------------------------------------
-# Metrics: denominators from the spec
-# ---------------------------------------------------------------------------
-
-def test_throughput_report_platform_matches_cluster():
-    from repro.metrics.throughput import throughput_report
-
-    spec = METABLADE_PLATFORM
-    stream = synthetic_stream(
-        jobs=4, max_nodes=4, flop_rate=spec.node_flop_rate(), seed=9
-    )
-    sched = BatchScheduler(platform=spec)
-    sched.submit_stream(stream)
-    outcome = sched.run()
-    via_cluster = throughput_report(outcome, METABLADE)
-    via_platform = throughput_report(outcome, platform=spec)
-    assert via_platform == via_cluster
-    with pytest.raises(ValueError, match="not both"):
-        throughput_report(outcome, METABLADE, platform=spec)
-
-
-def test_topper_for_platform_matches_cluster_topper():
-    from repro.metrics.topper import topper, topper_for_platform
-
-    assert topper_for_platform(METABLADE_PLATFORM) == topper(METABLADE)
-
-
-# ---------------------------------------------------------------------------
 # Check integration: platform drift vs trace divergence
 # ---------------------------------------------------------------------------
 
@@ -312,10 +272,7 @@ def test_sched_manifest_records_platform_hash():
     manifest = record_sched_manifest(seed=7, jobs=3)
     assert manifest.params["platform"] == "metablade"
     assert manifest.payload["platform"] == "metablade"
-    assert (
-        manifest.payload["platform_hash"]
-        == METABLADE_PLATFORM.content_hash()
-    )
+    assert manifest.payload["platform_hash"] == METABLADE.content_hash()
     assert replay_manifest(manifest).ok
 
 

@@ -9,7 +9,7 @@ from repro.isa import programs
 from repro.isa.machine import run_program
 from repro.isa.randprog import random_program, random_state
 from repro.metrics import CostParameters, tco_for
-from repro.cluster import METABLADE, TABLE5_CLUSTERS
+from repro.platform.registry import METABLADE, TABLE5 as TABLE5_CLUSTERS
 from repro.network.timing import star_fabric
 from repro.simmpi import SimMpiRuntime
 from repro.vliw.atoms import atoms_from_block

@@ -7,7 +7,7 @@ import pytest
 
 from repro.metrics.throughput import throughput_report
 from repro.network.faults import NetFaultConfig
-from repro.platform.registry import METABLADE_PLATFORM
+from repro.platform.registry import METABLADE
 from repro.sched import (
     BatchScheduler,
     BladeAllocator,
@@ -25,12 +25,12 @@ from repro.sched import (
 from repro.sched.policy import QueuedJob, RunningJob
 
 
-RATE = METABLADE_PLATFORM.node_flop_rate()
+RATE = METABLADE.node_flop_rate()
 
 
 def make_sched(policy=None, config=None):
     return BatchScheduler(
-        platform=METABLADE_PLATFORM,
+        platform=METABLADE,
         policy=policy if policy is not None else Fcfs(),
         config=config,
     )
@@ -389,8 +389,6 @@ def test_failure_accounting_closes():
 
 
 def test_throughput_report_fields():
-    from repro.cluster.catalog import METABLADE
-
     sched = make_sched()
     sched.submit_stream(synthetic_stream(10, 8, RATE, seed=2))
     report = throughput_report(sched.run(), METABLADE)
