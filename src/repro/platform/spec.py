@@ -44,7 +44,7 @@ from typing import Any, Dict, Optional, Sequence
 
 from repro.cluster.chassis import RlxSystem324
 from repro.cluster.node import NodeConfig, Packaging
-from repro.cluster.rack import RACK_GEAR_WATTS
+from repro.cluster.rack import CHASSIS_PER_RACK, RACK_GEAR_WATTS
 from repro.cpus.base import ProcessorSpec
 from repro.cpus.catalog import CPU_CATALOG, PEAK_FLOPS_PER_CYCLE, cpu_by_name
 from repro.cpus.power import COOLING_OVERHEAD_PER_WATT, PowerModel
@@ -361,7 +361,8 @@ class PlatformSpec:
         if self.packaging is Packaging.BLADED:
             overhead = self.chassis_count * RlxSystem324.OVERHEAD_WATTS
             if self.chassis_count > 1:
-                overhead += RACK_GEAR_WATTS
+                racks = math.ceil(self.chassis_count / CHASSIS_PER_RACK)
+                overhead += racks * RACK_GEAR_WATTS
             return (node_watts + overhead) / 1000.0
         return node_watts / 1000.0
 

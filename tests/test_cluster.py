@@ -1,6 +1,7 @@
 """Physical cluster models: nodes, blades, chassis, racks, and the
 registry machines' physical figures."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -21,9 +22,11 @@ from repro.platform.registry import (
     ALPHA_BEOWULF,
     AVALON,
     GREEN_DESTINY,
+    GREEN_DESTINY_960,
     METABLADE,
     METABLADE2,
     P4_BEOWULF,
+    PLATFORM_REGISTRY,
     platform_by_name,
 )
 
@@ -111,9 +114,22 @@ def test_green_destiny_is_a_full_rack():
 
 
 def test_build_hardware_matches_power_property():
-    racks = build_hardware(METABLADE)
-    total = sum(r.watts_at_load for r in racks)
-    assert total == pytest.approx(METABLADE.power_kw * 1000)
+    # Every rack carries its own aggregation gear: the closed form must
+    # charge one RACK_GEAR_WATTS per started rack, not one per machine.
+    bladed = [
+        p for p in PLATFORM_REGISTRY.values()
+        if p.packaging is Packaging.BLADED
+    ]
+    assert GREEN_DESTINY_960 in bladed
+    for machine in (
+        *bladed,
+        replace(GREEN_DESTINY, nodes=241),
+        replace(GREEN_DESTINY, nodes=480),
+    ):
+        racks = build_hardware(machine)
+        assert len(racks) == math.ceil(machine.chassis_count / 10)
+        total = sum(r.watts_at_load for r in racks)
+        assert total == pytest.approx(machine.power_kw * 1000), machine
 
 
 def test_traditional_cluster_cooling():
