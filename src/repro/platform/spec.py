@@ -39,8 +39,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Optional, Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Any, Dict, Iterable, Optional, Sequence
 
 from repro.cluster.chassis import RlxSystem324
 from repro.cluster.node import NodeConfig, Packaging
@@ -48,6 +48,7 @@ from repro.cluster.rack import CHASSIS_PER_RACK, RACK_GEAR_WATTS
 from repro.cpus.base import ProcessorSpec
 from repro.cpus.catalog import CPU_CATALOG, PEAK_FLOPS_PER_CYCLE, cpu_by_name
 from repro.cpus.power import COOLING_OVERHEAD_PER_WATT, PowerModel
+from repro.network.faults import require_finite_positive
 from repro.network.link import FAST_ETHERNET, GIGABIT_ETHERNET, Link
 from repro.network.multilevel import RackFabricConfig, RackTopology
 from repro.network.nic import FAST_ETHERNET_NIC, Nic
@@ -63,6 +64,17 @@ FABRIC_KINDS = ("star", "rack", "ideal")
 def _canonical_hash(doc: Dict[str, Any]) -> str:
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _check_keys(cls, doc: Dict[str, Any],
+                optional: Iterable[str] = ()) -> None:
+    """Reject a *cls* document with a missing or unknown key, naming it
+    (an unknown key silently dropped would hash equal to its absence)."""
+    wrong = ({f.name for f in fields(cls)} ^ set(doc)) - set(optional)
+    if wrong:
+        raise ValueError(
+            f"{cls.__name__} document: missing or unknown keys {sorted(wrong)}"
+        )
 
 
 def _link_to_dict(link: Link) -> Dict[str, Any]:
@@ -187,6 +199,7 @@ class FabricSpec:
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "FabricSpec":
+        _check_keys(cls, doc)
         return cls(
             kind=doc["kind"],
             nic=_nic_from_dict(doc["nic"]),
@@ -256,12 +269,21 @@ class PlatformSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a platform needs a name")
-        if self.nodes < 1:
-            raise ValueError("a platform needs at least one node")
-        if self.footprint_sqft <= 0:
-            raise ValueError("footprint must be positive")
-        if self.acquisition_usd < 0:
-            raise ValueError("acquisition cost cannot be negative")
+        if type(self.nodes) is not int or self.nodes < 1:
+            raise ValueError(
+                f"nodes must be an integer >= 1, got {self.nodes!r}"
+            )
+        require_finite_positive("footprint_sqft", self.footprint_sqft)
+        if self.power_kw_override is not None:       # Table 7's divisor
+            require_finite_positive(
+                "power_kw_override", self.power_kw_override
+            )
+        for name in ("acquisition_usd", "treecode_gflops"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
         ceiling = self.fabric.max_nodes()
         if ceiling is not None and self.nodes > ceiling:
             raise ValueError(
@@ -402,6 +424,7 @@ class PlatformSpec:
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "PlatformSpec":
+        _check_keys(cls, doc, optional=("thermal",))
         return cls(
             name=doc["name"],
             title=doc["title"],

@@ -94,6 +94,42 @@ def test_spec_validation_rejects_nonsense():
             METABLADE,
             processor=replace(METABLADE.processor, name="Imaginary CPU"),
         )
+    # Every one of these used to construct, hash and report a power_kw
+    # (nan <= 0 is false; Table 7 divides by the override).
+    nan, inf = float("nan"), float("inf")
+    for nonsense in (
+        {"nodes": 2.5}, {"nodes": True}, {"nodes": "24"},
+        {"footprint_sqft": nan}, {"footprint_sqft": inf},
+        {"acquisition_usd": nan}, {"acquisition_usd": inf},
+        {"acquisition_usd": -1.0},
+        {"power_kw_override": 0.0}, {"power_kw_override": -3.0},
+        {"power_kw_override": nan},
+        {"treecode_gflops": nan}, {"treecode_gflops": -2.1},
+    ):
+        with pytest.raises(ValueError):
+            replace(METABLADE, **nonsense)
+    # The boundaries that must stay legal.
+    replace(METABLADE, acquisition_usd=0.0, treecode_gflops=0.0)
+    # Documents: a missing or unknown key is named, not leaked as a
+    # KeyError or silently dropped (hashing equal to one without it).
+    doc = METABLADE.to_dict()
+    with pytest.raises(ValueError, match="name"):
+        PlatformSpec.from_dict({})
+    with pytest.raises(ValueError, match="thermall"):
+        PlatformSpec.from_dict({**doc, "thermall": None})
+    with pytest.raises(ValueError, match="footprint_sqft"):
+        PlatformSpec.from_dict(
+            {k: v for k, v in doc.items() if k != "footprint_sqft"}
+        )
+    with pytest.raises(ValueError, match="uplink"):
+        FabricSpec.from_dict(
+            {k: v for k, v in doc["fabric"].items() if k != "uplink"}
+        )
+    with pytest.raises(ValueError, match="ports"):
+        FabricSpec.from_dict({**doc["fabric"], "ports": 24})
+    # Documents written before the thermal field existed still load.
+    legacy = {k: v for k, v in doc.items() if k != "thermal"}
+    assert PlatformSpec.from_dict(legacy) == METABLADE
 
 
 # ---------------------------------------------------------------------------
