@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, List, Optional
 from repro.cluster.node import Packaging
 from repro.cluster.reliability import (
     BLADED_OUTAGES,
-    TRADITIONAL_OUTAGES,
     ClusterReliability,
     OutageProfile,
     sample_failure_times,
@@ -143,8 +142,7 @@ class ClusterOperationSim:
                  failures_per_year: Optional[float] = None) -> None:
         self.cluster = cluster
         self.rng = random.Random(seed)
-        profile = self._profile()
-        self.profile = profile
+        self.profile = profile = ClusterReliability(cluster).outage_profile
         #: Poisson arrival rate (failures/hour for the whole cluster).
         rate_year = (
             failures_per_year
@@ -152,11 +150,6 @@ class ClusterOperationSim:
             else profile.failures_per_year
         )
         self.rate_per_hour = rate_year / 8760.0
-
-    def _profile(self) -> OutageProfile:
-        if self.cluster.packaging is Packaging.BLADED:
-            return BLADED_OUTAGES
-        return TRADITIONAL_OUTAGES
 
     def run(self, hours: float,
             kernel: Optional[EventKernel] = None) -> OperationReport:
@@ -298,11 +291,7 @@ def inject_failure(cluster: PlatformSpec, hub: ManagementHub, node: int,
     """
     if not 0 <= node < cluster.nodes:
         raise ValueError(f"node {node} outside 0..{cluster.nodes - 1}")
-    profile = (
-        BLADED_OUTAGES
-        if cluster.packaging is Packaging.BLADED
-        else TRADITIONAL_OUTAGES
-    )
+    profile = ClusterReliability(cluster).outage_profile
     hub.record(ManagementEvent(time_h, EventKind.FAILURE, node))
     hub.record(
         ManagementEvent(

@@ -43,45 +43,29 @@ class RankedCluster:
         return self.gflops / self.power_kw
 
 
-def _field(clusters: Sequence[PlatformSpec]) -> List[PlatformSpec]:
-    return list(clusters) if clusters else list(GREEN500_FIELD)
+def _ranked(clusters: Sequence[PlatformSpec], key) -> List[RankedCluster]:
+    """The field (default: the paper's) ranked by *key*, best first."""
+    rated = sorted(clusters or GREEN500_FIELD, key=key, reverse=True)
+    return [
+        RankedCluster(
+            rank=i + 1,
+            name=c.title,
+            gflops=linpack_gflops(c),
+            power_kw=c.power_kw,
+        )
+        for i, c in enumerate(rated)
+    ]
 
 
 def top500_list(
     clusters: Sequence[PlatformSpec] = GREEN500_FIELD,
 ) -> List[RankedCluster]:
     """Rank by Linpack flops, the Top500 criterion the paper critiques."""
-    rated = sorted(
-        _field(clusters),
-        key=lambda c: linpack_gflops(c),
-        reverse=True,
-    )
-    return [
-        RankedCluster(
-            rank=i + 1,
-            name=c.title,
-            gflops=linpack_gflops(c),
-            power_kw=c.power_kw,
-        )
-        for i, c in enumerate(rated)
-    ]
+    return _ranked(clusters, linpack_gflops)
 
 
 def green500_list(
     clusters: Sequence[PlatformSpec] = GREEN500_FIELD,
 ) -> List[RankedCluster]:
     """Rank by Linpack flops per watt - the Green500 criterion."""
-    rated = sorted(
-        _field(clusters),
-        key=lambda c: linpack_gflops(c) / c.power_kw,
-        reverse=True,
-    )
-    return [
-        RankedCluster(
-            rank=i + 1,
-            name=c.title,
-            gflops=linpack_gflops(c),
-            power_kw=c.power_kw,
-        )
-        for i, c in enumerate(rated)
-    ]
+    return _ranked(clusters, lambda c: linpack_gflops(c) / c.power_kw)
