@@ -14,7 +14,7 @@ Bladed Beowulfs take the podium.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from repro.platform.registry import GREEN500_FIELD
 from repro.platform.spec import PlatformSpec

@@ -381,9 +381,10 @@ class PlatformSpec:
             return self.power_kw_override
         node_watts = self.nodes * self.processor.node_watts
         if self.packaging is Packaging.BLADED:
-            overhead = self.chassis_count * RlxSystem324.OVERHEAD_WATTS
-            if self.chassis_count > 1:
-                racks = math.ceil(self.chassis_count / CHASSIS_PER_RACK)
+            chassis = self.chassis_count
+            overhead = chassis * RlxSystem324.OVERHEAD_WATTS
+            if chassis > 1:
+                racks = math.ceil(chassis / CHASSIS_PER_RACK)
                 overhead += racks * RACK_GEAR_WATTS
             return (node_watts + overhead) / 1000.0
         return node_watts / 1000.0
