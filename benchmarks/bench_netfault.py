@@ -14,16 +14,13 @@ scheduler partitioning blades for long ones.  The claims checked:
 - every campaign is audited (clock order, message conservation,
   retransmit-ledger conservation) and replays bit-exactly.
 
-Set ``REPRO_BENCH_QUICK=1`` for the CI smoke sizes.  Wall times and
-the per-campaign ledgers land in ``BENCH_netfault.json``.
+Set ``REPRO_BENCH_QUICK=1`` for the CI smoke sizes.
 """
-
-import time
 
 from repro.metrics.report import format_table
 from repro.metrics.throughput import throughput_report
 from repro.network.faults import NetFaultConfig, RetryPolicy
-from repro.runner import bench_quick, write_bench_json
+from repro.runner import bench_quick
 from repro.sched import BatchScheduler, SchedConfig, synthetic_stream
 
 QUICK = bench_quick()
@@ -70,17 +67,11 @@ def _goodput(outcome):
 
 
 def _study():
-    results = {}
-    wall = {}
-    for label, mtbf_s in CAMPAIGNS:
-        t0 = time.perf_counter()
-        results[label] = _serve(mtbf_s)
-        wall[label] = time.perf_counter() - t0
-    return results, wall
+    return {label: _serve(mtbf_s) for label, mtbf_s in CAMPAIGNS}
 
 
-def test_netfault_goodput_study(benchmark, archive, results_dir):
-    results, wall = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_netfault_goodput_study(benchmark, archive):
+    results = benchmark.pedantic(_study, rounds=1, iterations=1)
 
     rows = []
     for label, (outcome, report) in results.items():
@@ -104,36 +95,6 @@ def test_netfault_goodput_study(benchmark, archive, results_dir):
         title=f"Goodput vs link-fault rate: {JOBS} jobs, MTTR {MTTR_S}s",
     )
     archive("netfault_goodput", text)
-
-    write_bench_json(
-        results_dir / "BENCH_netfault.json",
-        {
-            "bench": "netfault_goodput",
-            "jobs": JOBS,
-            "quick": QUICK,
-            "mttr_s": MTTR_S,
-            "total_wall_s": sum(wall.values()),
-            "campaigns": {
-                label: {
-                    "wall_s": wall[label],
-                    "mtbf_s": dict(CAMPAIGNS)[label],
-                    "completed": report.completed,
-                    "makespan_s": outcome.makespan_s,
-                    "goodput_flops": _goodput(outcome),
-                    "outage_windows": outcome.net.windows
-                    if outcome.net else 0,
-                    "retransmits": outcome.net.retransmits
-                    if outcome.net else 0,
-                    "partitions": outcome.net.partitions
-                    if outcome.net else 0,
-                    "drops": outcome.net.drops if outcome.net else 0,
-                    "reroutes": outcome.net.reroutes
-                    if outcome.net else 0,
-                }
-                for label, (outcome, report) in results.items()
-            },
-        },
-    )
 
     # Pay-for-use: the baseline carries no net ledger at all.
     clean, clean_report = results["fault-free"]

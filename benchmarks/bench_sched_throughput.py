@@ -14,12 +14,10 @@ Set ``REPRO_BENCH_QUICK=1`` to run a 60-job stream (the CI smoke
 configuration).
 """
 
-import time
-
 from repro.metrics.report import format_table
 from repro.metrics.throughput import throughput_report
 from repro.platform.registry import METABLADE
-from repro.runner import bench_quick, write_bench_json
+from repro.runner import bench_quick
 from repro.sched import (
     BatchScheduler,
     JobState,
@@ -57,18 +55,14 @@ def _serve(policy_name: str, fail: bool):
 
 
 def _study():
-    results = {}
-    wall = {}
-    for policy in ("fcfs", "backfill"):
-        for fail in (False, True):
-            t0 = time.perf_counter()
-            results[(policy, fail)] = _serve(policy, fail)
-            wall[(policy, fail)] = time.perf_counter() - t0
-    return results, wall
+    return {
+        (policy, fail): _serve(policy, fail)
+        for policy in ("fcfs", "backfill") for fail in (False, True)
+    }
 
 
-def test_sched_throughput_fcfs_vs_backfill(benchmark, archive, results_dir):
-    results, wall = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_sched_throughput_fcfs_vs_backfill(benchmark, archive):
+    results = benchmark.pedantic(_study, rounds=1, iterations=1)
 
     rows = []
     for (policy, fail), (outcome, report) in sorted(results.items()):
@@ -97,28 +91,6 @@ def test_sched_throughput_fcfs_vs_backfill(benchmark, archive, results_dir):
         report.format() for _, (__, report) in sorted(results.items())
     )
     archive("sched_throughput", text + "\n\n" + reports)
-
-    # Machine-readable perf baseline for the CI artifact trail.
-    scenarios = {}
-    for (policy, fail), (outcome, report) in sorted(results.items()):
-        key = f"{policy}{'_failures' if fail else ''}"
-        scenarios[key] = {
-            "wall_s": wall[(policy, fail)],
-            "completed": report.completed,
-            "abandoned": report.abandoned,
-            "makespan_s": report.makespan_s,
-            "utilization": report.utilization,
-        }
-    write_bench_json(
-        results_dir / "BENCH_sched.json",
-        {
-            "bench": "sched_throughput",
-            "jobs": JOBS,
-            "quick": QUICK,
-            "total_wall_s": sum(wall.values()),
-            "scenarios": scenarios,
-        },
-    )
 
     # Backfill strictly beats FCFS on the contended failure-free stream.
     fcfs = results[("fcfs", False)][1]

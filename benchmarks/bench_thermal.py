@@ -16,16 +16,13 @@ loses jobs.  The claims checked:
 - the whole thermally-modulated run is deterministic (two passes give
   identical thermal summaries).
 
-Set ``REPRO_BENCH_QUICK=1`` for the CI smoke sizes.  Wall times and
-the per-scenario thermal summaries land in ``BENCH_thermal.json``.
+Set ``REPRO_BENCH_QUICK=1`` for the CI smoke sizes.
 """
-
-import time
 
 from repro.metrics.report import format_table
 from repro.metrics.throughput import throughput_report
 from repro.platform.registry import platform_by_name
-from repro.runner import bench_quick, write_bench_json
+from repro.runner import bench_quick
 from repro.sched import BatchScheduler, SchedConfig, synthetic_stream
 from repro.thermal import ThermalSpec
 
@@ -73,7 +70,6 @@ def _serve(platform_name, thermal_spec=None, throttle=True,
 
 def _study():
     results = {}
-    wall = {}
     scenarios = (
         ("p4-beowulf", dict()),
         ("green-destiny-240", dict()),
@@ -85,14 +81,12 @@ def _study():
     for label, kwargs in scenarios:
         platform = label if label in ("p4-beowulf",
                                       "green-destiny-240") else "p4-beowulf"
-        t0 = time.perf_counter()
         results[label] = _serve(platform, **kwargs)
-        wall[label] = time.perf_counter() - t0
-    return results, wall
+    return results
 
 
-def test_thermal_sched_scenarios(benchmark, archive, results_dir):
-    results, wall = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_thermal_sched_scenarios(benchmark, archive):
+    results = benchmark.pedantic(_study, rounds=1, iterations=1)
 
     rows = []
     for label, (outcome, report) in results.items():
@@ -122,30 +116,6 @@ def test_thermal_sched_scenarios(benchmark, archive, results_dir):
         report.format() for _, report in results.values()
     )
     archive("thermal_sched", text + "\n\n" + reports)
-
-    write_bench_json(
-        results_dir / "BENCH_thermal.json",
-        {
-            "bench": "thermal_sched",
-            "jobs": JOBS,
-            "quick": QUICK,
-            "accel": ACCEL,
-            "total_wall_s": sum(wall.values()),
-            "scenarios": {
-                label: {
-                    "wall_s": wall[label],
-                    "completed": report.completed,
-                    "abandoned": report.abandoned,
-                    "peak_c": outcome.thermal.peak_c,
-                    "trips": outcome.thermal.trips,
-                    "overtemp_kills": outcome.thermal.overtemp_kills,
-                    "thermal_faults": outcome.thermal.faults,
-                    "heat_j": outcome.thermal.heat_j,
-                }
-                for label, (outcome, report) in results.items()
-            },
-        },
-    )
 
     # Section 2.1 ordering: machine room runs hotter than the closet
     # blades on the same stream.

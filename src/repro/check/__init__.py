@@ -19,14 +19,13 @@ This package turns that convention into a checked property:
   compute-time ledger, energy vs PowerModel, allocator busy/down
   interval consistency).  Opt in via ``SchedConfig(audit=True)`` or
   ``SimConfig(audit=True)``.
-- :mod:`repro.check.cachediff` — the profile-cache differential audit
-  behind ``python -m repro.cli check --cache-diff``: a scheduler
-  configuration matrix run cache-on vs cache-off, requiring bit-exact
-  outcome digests and identical trace hashes.
-- :mod:`repro.check.telemetrydiff` — the telemetry differential audit
-  behind ``python -m repro.cli check --telemetry-diff``: the fully
-  instrumented telemetry stack must be byte-indistinguishable from
-  the plain recording observer (outcome digests and trace hashes).
+- :mod:`repro.check.differential` — the one differential harness
+  behind ``python -m repro.cli check --cache-diff`` (cache-on vs
+  cache-off) and ``--telemetry-diff`` (the fully instrumented
+  telemetry stack vs the plain recording observer): one scheduler
+  configuration matrix, every variant of a cell run once, bit-exact
+  outcome digests and trace hashes, and a row whose counters do not
+  show the traffic it declares fails as ``VACUOUS``.
 - :mod:`repro.check.fuzz` — the differential fuzz driver behind
   ``python -m repro.cli check --fuzz``: randomized cases through three
   oracles (CMS translator vs golden interpreter, batched vs naive
@@ -44,11 +43,13 @@ from repro.check.auditors import (
     audit_sim_result,
     detach_auditors,
 )
-from repro.check.cachediff import (
-    CacheDiffCase,
-    CacheDiffReport,
+from repro.check.differential import (
+    DiffCase,
+    DiffReport,
     manifest_trace_hash,
     run_cache_differential,
+    run_cell,
+    run_telemetry_differential,
     sched_outcome_digest,
 )
 from repro.check.manifest import RunManifest, TraceRecorder, mutate_event
@@ -70,16 +71,11 @@ from repro.check.fuzz import (
     run_fuzz,
     run_fuzz_case,
 )
-from repro.check.telemetrydiff import (
-    TelemetryDiffCase,
-    TelemetryDiffReport,
-    run_telemetry_differential,
-)
 
 __all__ = [
-    "CacheDiffCase",
-    "CacheDiffReport",
     "ClockOrderAuditor",
+    "DiffCase",
+    "DiffReport",
     "Divergence",
     "FuzzFailure",
     "FuzzReport",
@@ -89,8 +85,6 @@ __all__ = [
     "ReplayReport",
     "RetransmitConservationAuditor",
     "RunManifest",
-    "TelemetryDiffCase",
-    "TelemetryDiffReport",
     "TraceChecker",
     "TraceRecorder",
     "attach_auditors",
@@ -105,6 +99,7 @@ __all__ = [
     "record_table2_manifest",
     "replay_manifest",
     "run_cache_differential",
+    "run_cell",
     "run_fuzz",
     "run_telemetry_differential",
     "sched_outcome_digest",

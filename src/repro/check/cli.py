@@ -15,9 +15,13 @@ Modes (mutually exclusive):
                         exporters) must be byte-indistinguishable
                         from the plain recording observer
 
-Exit status is non-zero on any divergence or fuzz failure, and
-divergence reports are written under ``--out`` so CI can upload them
-as artifacts.
+The two audits are one harness (:mod:`repro.check.differential`)
+judged by different claims; both fail a matrix row as ``VACUOUS``
+when its route counters do not show the traffic it declares.
+
+Exit status is non-zero on any divergence, vacuous row or fuzz
+failure, and the failing report is written under ``--out`` so CI can
+upload it as an artifact.
 """
 
 from __future__ import annotations
@@ -128,15 +132,10 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
                         help="directory for divergence/fuzz reports")
     # What --record --kind sched records (--seed also seeds the fuzz
     # campaign and the audits; --jobs sizes the audits' streams).
+    # --jobs left unset means 8 recorded jobs, and for the audits the
+    # smallest stream that shows every matrix row's declared traffic.
     add_campaign_arguments(parser)
-    parser.set_defaults(jobs=8)
-
-
-def _write_report(out_dir: str, name: str, text: str) -> Path:
-    path = Path(out_dir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n")
-    return path
+    parser.set_defaults(jobs=None)
 
 
 def cmd_check(args) -> int:
@@ -151,46 +150,12 @@ def cmd_check(args) -> int:
         run_fuzz,
         run_telemetry_differential,
     )
+    from repro.check.differential import AUDIT_JOBS
+    from repro.check.replay import SCHED_DEFAULTS
 
-    if args.telemetry_diff:
-        report = run_telemetry_differential(
-            seed=args.seed, jobs=args.jobs, quick=args.quick,
-        )
-        print(report.format())
-        if not report.ok:
-            path = _write_report(args.out, "telemetry_diff_report.txt",
-                                 report.format())
-            print(f"telemetry differential report written to {path}")
-            return 1
-        return 0
-
-    if args.cache_diff:
-        report = run_cache_differential(
-            seed=args.seed, jobs=args.jobs, quick=args.quick,
-        )
-        print(report.format())
-        if not report.ok:
-            path = _write_report(args.out, "cache_diff_report.txt",
-                                 report.format())
-            print(f"cache differential report written to {path}")
-            return 1
-        return 0
-
-    if args.fuzz:
-        cases = args.cases
-        if cases is None:
-            cases = 216 if args.quick else 600
-        report = run_fuzz(
-            cases=cases, seed=args.seed, quick=args.quick,
-            out_dir=args.out,
-        )
-        print(report.format())
-        if not report.ok:
-            path = _write_report(args.out, "fuzz_report.txt",
-                                 report.format())
-            print(f"fuzz report written to {path}")
-            return 1
-        return 0
+    audit = args.cache_diff or args.telemetry_diff
+    if args.jobs is None:
+        args.jobs = AUDIT_JOBS if audit else SCHED_DEFAULTS["jobs"]
 
     if args.record is not None:
         if args.kind == "sched":
@@ -210,15 +175,33 @@ def cmd_check(args) -> int:
         )
         return 0
 
-    manifest = RunManifest.load(args.replay)
-    report = replay_manifest(manifest)
-    print(report.format())
-    if not report.ok:
-        path = _write_report(
-            args.out,
-            f"divergence_{manifest.kind}_{manifest.config_hash[:12]}.txt",
-            report.format(),
+    # Every other mode yields a report and the file it is kept in
+    # when it fails.
+    if audit:
+        run, name = (
+            (run_telemetry_differential, "telemetry_diff_report")
+            if args.telemetry_diff
+            else (run_cache_differential, "cache_diff_report")
         )
-        print(f"divergence report written to {path}")
-        return 1
-    return 0
+        report = run(seed=args.seed, jobs=args.jobs, quick=args.quick)
+    elif args.fuzz:
+        cases = args.cases
+        if cases is None:
+            cases = 216 if args.quick else 600
+        report = run_fuzz(
+            cases=cases, seed=args.seed, quick=args.quick,
+            out_dir=args.out,
+        )
+        name = "fuzz_report"
+    else:
+        manifest = RunManifest.load(args.replay)
+        report = replay_manifest(manifest)
+        name = f"divergence_{manifest.kind}_{manifest.config_hash[:12]}"
+    print(report.format())
+    if report.ok:
+        return 0
+    path = Path(args.out) / f"{name}.txt"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(report.format() + "\n")
+    print(f"report written to {path}")
+    return 1

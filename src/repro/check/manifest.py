@@ -173,9 +173,10 @@ def mutate_event(manifest: RunManifest, index: int,
 class TraceRecorder:
     """Streams a kernel's trace into a normalized event list.
 
-    Registers as an observer (the kernel needs no ``record_timeline``
-    flag, so recording adds no behavioural difference to the run), and
-    detaches cleanly so the same kernel can be reused.
+    Registers as an observer, the kernel's one trace sink (an observer
+    sees each event after it is committed, so recording adds no
+    behavioural difference to the run), and detaches cleanly so the
+    same kernel can be reused.
     """
 
     def __init__(self, kernel: EventKernel) -> None:

@@ -16,10 +16,6 @@ class FormFactor:
     height_in: float
     depth_in: float
 
-    @property
-    def volume_cuin(self) -> float:
-        return self.width_in * self.height_in * self.depth_in
-
 
 #: A ServerBlade mounts vertically, 24 side by side in a 3U chassis:
 #: each blade is under 0.7 inches wide.

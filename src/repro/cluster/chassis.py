@@ -88,11 +88,6 @@ class RlxSystem324:
         """Fraction of total supply capacity in use."""
         return self.watts_at_load / (self.PSU_COUNT * self.PSU_WATTS)
 
-    @property
-    def psu_redundant(self) -> bool:
-        """True if a single supply could carry the whole chassis."""
-        return self.watts_at_load <= self.PSU_WATTS
-
     def validate_power(self) -> None:
         """The dual supplies must cover the chassis at load."""
         capacity = self.PSU_COUNT * self.PSU_WATTS

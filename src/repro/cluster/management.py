@@ -39,7 +39,6 @@ from repro.cluster.reliability import (
     BLADED_OUTAGES,
     ClusterReliability,
     OutageProfile,
-    sample_failure_times,
 )
 from repro.core.events import EventKernel
 
@@ -256,24 +255,6 @@ class LiveFailureInjector:
                 EventKind.DETECTED, rank,
             )
         )
-
-    def schedule_poisson(self, horizon_s: float,
-                         rng: random.Random) -> List[float]:
-        """Draw Poisson arrivals over the run horizon and inject them.
-
-        SPMD runs last virtual seconds while cluster MTBFs are months,
-        so one simulated second stands in for one operational hour: the
-        profile's per-hour rate is applied per second of *horizon_s*.
-        Each arrival picks a uniform random rank.  Returns the
-        injection times (seconds).
-        """
-        times = sample_failure_times(
-            rng, self.profile.rate_per_hour, horizon_s
-        )
-        for t in times:
-            rank = rng.randrange(self.runtime.size)
-            self.fail_rank(t, rank, detail="poisson arrival")
-        return times
 
     def lost_cpu_hours(self) -> float:
         """Blast-radius accounting for the injected failures."""

@@ -14,10 +14,12 @@ all run on now:
   it is resumed (``wake``), poked with an exception (``interrupt``) or
   left suspended, and counts its own resumptions so schedulers can be
   compared by how much driving they do.
-- :class:`TimelineEvent` — one structured record of the optional
-  time-coherent timeline (``record_timeline=True``); SimMPI sends,
-  wakes, failures, link occupancy and DVFS steps all land here with a
-  shared time axis, rendered by :mod:`repro.simmpi.trace`.
+- :class:`TimelineEvent` — one structured record of the trace stream
+  the kernel hands its observers (``add_observer``); SimMPI sends,
+  wakes, failures, link occupancy and DVFS steps all land there with a
+  shared time axis, rendered by :mod:`repro.simmpi.trace`.  The kernel
+  keeps no list of its own: whoever wants a timeline registers
+  ``events.append``.
 
 Rank-local clocks (a rank computing for 100 virtual seconds without
 communicating) may run *ahead* of the kernel clock; the kernel clock
@@ -101,11 +103,9 @@ class Event:
 class EventKernel:
     """Global virtual clock + binary-heap event queue."""
 
-    def __init__(self, record_timeline: bool = False) -> None:
+    def __init__(self) -> None:
         self.now = 0.0
         self.fired = 0
-        self.record_timeline = record_timeline
-        self.timeline: List[TimelineEvent] = []
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         #: Live (non-cancelled) events in the heap, and cancelled
@@ -114,8 +114,9 @@ class EventKernel:
         self._live = 0
         self._dead = 0
         #: Trace observers: called with every TimelineEvent as it is
-        #: emitted, whether or not the kernel keeps a timeline itself.
-        #: The repro.check recorder and auditors register here.
+        #: emitted — the only trace sink there is.  Timeline
+        #: collectors, the repro.check recorder and auditors, and
+        #: telemetry all register here.
         self._observers: List[Callable[[TimelineEvent], None]] = []
         #: Fire hooks: called with each Event as it is dequeued, before
         #: its callback runs.  Kernel-level auditors (clock
@@ -273,8 +274,8 @@ class EventKernel:
 
     @property
     def tracing(self) -> bool:
-        """True when trace() actually does something (timeline kept or
-        at least one observer registered).
+        """True when trace() actually does something (at least one
+        observer is registered).
 
         The contract for producers on a per-message or per-event path:
         read this once, and call :meth:`trace` — whose keyword fields
@@ -284,7 +285,18 @@ class EventKernel:
         them.  Rare paths (failures, retransmissions, world start and
         end) may call :meth:`trace` unguarded.
         """
-        return self.record_timeline or bool(self._observers)
+        return bool(self._observers)
+
+    @property
+    def watched(self) -> bool:
+        """True when anything outside the simulation can see it run: a
+        trace observer or a fire hook.
+
+        The one question a tenant asks before settling work *off* this
+        kernel (the batch scheduler's memoised route): whatever is
+        watching would miss events that never reach the shared clock.
+        """
+        return bool(self._observers or self._fire_hooks)
 
     def add_observer(self, fn: Callable[[TimelineEvent], None]) -> None:
         """Stream every traced event to *fn* (recorder/auditor hook)."""
@@ -302,21 +314,15 @@ class EventKernel:
 
     def trace(self, kind: str, time: Optional[float] = None,
               **fields: Any) -> None:
-        """Record one timeline entry (no-op unless recording)."""
-        if self.record_timeline or self._observers:
+        """Hand one timeline entry to every observer (no-op without)."""
+        if self._observers:
             event = TimelineEvent(
                 time=self.now if time is None else time,
                 kind=kind,
                 fields=tuple(fields.items()),
             )
-            if self.record_timeline:
-                self.timeline.append(event)
             for observer in self._observers:
                 observer(event)
-
-    def sorted_timeline(self) -> List[TimelineEvent]:
-        """The timeline in virtual-time order (stable for ties)."""
-        return sorted(self.timeline, key=lambda e: e.time)
 
 
 class Process:

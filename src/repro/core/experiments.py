@@ -8,6 +8,7 @@ each.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -115,42 +116,24 @@ def experiment_table2(
     clock per scaling point) and exports every scaling number as
     metrics there.  The rendered table is byte-identical either way.
     """
-    import warnings
-
     from repro.nbody.parallel import scaling_study
 
     spec = platform_by_name(
         platform if platform is not None else DEFAULT_PLATFORM
     )
     config = SimConfig(n=n, steps=steps, seed=seed, theta=0.7, softening=1e-2)
-    counts = tuple(c for c in cpu_counts if c <= spec.nodes)
-    dropped = tuple(c for c in cpu_counts if c > spec.nodes)
-    if dropped:
-        warnings.warn(
-            f"table2: dropping CPU counts {dropped} — {spec.name} has "
-            f"only {spec.nodes} nodes",
-            UserWarning, stacklevel=2,
-        )
-    if not counts:
-        raise ValueError(
-            f"no CPU count in {tuple(cpu_counts)} fits {spec.name}'s "
-            f"{spec.nodes} nodes"
-        )
     tel = None
     if telemetry is not None:
         from repro.telemetry import Telemetry
         tel = Telemetry()
-    if tel is not None:
-        with tel.wall_span("table2.scaling_study", cpus=list(counts)):
-            points = scaling_study(
-                config, counts, spec.node_flop_rate(),
-                ideal_network=ideal_network, jobs=jobs, platform=spec.name,
-            )
-    else:
+    with (tel.wall_span("table2.scaling_study", cpus=list(cpu_counts))
+          if tel is not None else nullcontext()):
+        # scaling_study clips the counts to the platform and warns.
         points = scaling_study(
-            config, counts, spec.node_flop_rate(),
+            config, tuple(cpu_counts), spec.node_flop_rate(),
             ideal_network=ideal_network, jobs=jobs, platform=spec.name,
         )
+    dropped = len(cpu_counts) - len(points)
     rows = [
         [p.cpus, round(p.time_s, 3), round(p.speedup, 2),
          round(p.efficiency, 2), round(p.comm_fraction, 2)]
@@ -176,7 +159,7 @@ def experiment_table2(
             # The key appears only when a drop happened, so manifests
             # of un-clipped runs stay byte-identical to the seed.
             {"n_particles": float(n),
-             "cpu_counts_dropped": float(len(dropped))}
+             "cpu_counts_dropped": float(dropped)}
             if dropped else {"n_particles": float(n)}
         ),
     )
@@ -391,7 +374,7 @@ def experiment_timeline(
     net_mtbf_s: float = 0.05,
     net_mttr_s: float = 0.002,
 ) -> ExperimentResult:
-    """One treecode step with the event kernel recording.
+    """One treecode step with the event kernel observed.
 
     Every layer posts onto one clock — rank starts/blocks/wakes from
     the scheduler, link and switch occupancy from the fabric, failures
@@ -417,12 +400,13 @@ def experiment_timeline(
     ``telemetry`` names a directory: a :class:`~repro.telemetry.Telemetry`
     handle observes the same kernel and exports virtual-time spans
     (Perfetto-loadable ``trace.json``) plus a ``metrics.jsonl`` there.
-    The kernel already records its timeline, so attaching the observer
-    changes nothing — the rendered text is byte-identical either way.
+    The timeline is itself collected by an observer, so attaching a
+    second one changes nothing — the rendered text is byte-identical
+    either way.
     """
     from collections import Counter
 
-    from repro.core.events import EventKernel
+    from repro.core.events import EventKernel, TimelineEvent
     from repro.nbody.parallel import run_parallel_nbody
     from repro.simmpi import SimMpiRuntime, render_timeline
 
@@ -433,7 +417,9 @@ def experiment_timeline(
         raise ValueError(
             f"{ranks} ranks exceed {spec.name}'s {spec.nodes} nodes"
         )
-    kernel = EventKernel(record_timeline=True)
+    kernel = EventKernel()
+    timeline: List[TimelineEvent] = []
+    kernel.add_observer(timeline.append)
     tel = None
     if telemetry is not None:
         from repro.telemetry import Telemetry
@@ -501,12 +487,8 @@ def experiment_timeline(
     if fail_rank is not None:
         runtime.fail_at(fail_at_s, fail_rank, detail="injected")
     config = SimConfig(n=n, steps=1, seed=seed, theta=0.7, softening=1e-2)
-    if tel is not None:
-        with tel.wall_span("timeline.step", ranks=ranks, n=n):
-            run = run_parallel_nbody(
-                config, ranks, spec.node_flop_rate(), runtime=runtime
-            )
-    else:
+    with (tel.wall_span("timeline.step", ranks=ranks, n=n)
+          if tel is not None else nullcontext()):
         run = run_parallel_nbody(
             config, ranks, spec.node_flop_rate(), runtime=runtime
         )
@@ -524,7 +506,8 @@ def experiment_timeline(
                 kernel.trace(
                     "net-up", time=window.end_s, resource=window.resource,
                 )
-    events = kernel.sorted_timeline()
+    # Virtual-time order; the sort is stable, so ties keep emission order.
+    events = sorted(timeline, key=lambda e: e.time)
     counts = Counter(e.kind for e in events)
     rows = [[kind, count] for kind, count in sorted(counts.items())]
     suffix = f" on {spec.title}" if platform is not None else ""

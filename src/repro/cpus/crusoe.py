@@ -49,10 +49,3 @@ class CrusoeProcessor(Processor):
             nominal_flops=workload.nominal_flops,
             guest_instructions=result.guest_stats.instructions,
         )
-
-    def morph(self, workload: GuestWorkload):
-        """Run and return the full CMS result (for ablation studies)."""
-        cms = CodeMorphingSoftware(self.cms_config)
-        return cms.run(
-            workload.program, workload.make_state(), max_steps=100_000_000
-        )

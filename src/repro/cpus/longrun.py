@@ -171,14 +171,6 @@ class LongRunGovernor(PiecewiseGovernor):
                 ),
             )
 
-    def step_for_budget_at(self, time_s: float,
-                           watts: float) -> Optional[LongRunStep]:
-        """Schedule the fastest step fitting a power budget; None if none."""
-        step = self.model.step_for_budget(watts)
-        if step is not None:
-            self.step_at(time_s, step)
-        return step
-
     def step_at_time(self, t: float) -> LongRunStep:
         """The operating point active at virtual time *t*."""
         i = bisect_right(self._times, t)

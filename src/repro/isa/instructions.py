@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 IREG_NAMES: Tuple[str, ...] = tuple(f"r{i}" for i in range(16))
 FREG_NAMES: Tuple[str, ...] = tuple(f"f{i}" for i in range(16))
@@ -320,8 +320,3 @@ class Program:
         for instr in self.instrs:
             mix[instr.opclass] = mix.get(instr.opclass, 0) + 1
         return mix
-
-
-def validate_program(instrs: Sequence[Instr], name: str = "<anonymous>") -> Program:
-    """Validate and freeze a sequence of instructions into a Program."""
-    return Program(instrs=tuple(instrs), name=name)

@@ -26,14 +26,6 @@ class Nic:
         if self.send_overhead_s < 0 or self.recv_overhead_s < 0:
             raise ValueError("overheads cannot be negative")
 
-    def message_cost_s(self, nbytes: int) -> float:
-        """Unloaded end-to-end cost of one message through this NIC."""
-        return (
-            self.send_overhead_s
-            + self.link.transfer_s(nbytes)
-            + self.recv_overhead_s
-        )
-
 
 #: The ServerBlade's onboard interface (MPI over TCP over 100 Mb/s).
 FAST_ETHERNET_NIC = Nic(name="ServerBlade FE NIC", link=FAST_ETHERNET)

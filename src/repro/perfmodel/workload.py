@@ -57,9 +57,9 @@ _INT_N = 4000
 BYTES_PER_MEM_OP = 8.0
 
 
-def characterize(cpu: Processor, refresh: bool = False) -> CpuCharacterization:
+def characterize(cpu: Processor) -> CpuCharacterization:
     """Measure (or fetch cached) per-class rates for *cpu*."""
-    if not refresh and cpu.name in _CACHE:
+    if cpu.name in _CACHE:
         return _CACHE[cpu.name]
 
     karp = cpu.run_workload(programs.gravity_microkernel_karp(**_KARP))
@@ -82,7 +82,3 @@ def characterize(cpu: Processor, refresh: bool = False) -> CpuCharacterization:
     )
     _CACHE[cpu.name] = result
     return result
-
-
-def clear_cache() -> None:
-    _CACHE.clear()

@@ -15,28 +15,20 @@ to a serial run:
 - ``jobs <= 1`` short-circuits to an in-process loop, byte-for-byte the
   pre-pool code path, which is what determinism-sensitive CI runs.
 
-Wall-clock instrumentation lives here too: ``best_of`` times a callable
-(best-of-N, since single-shot timings on a shared host are noisy) and
-``write_bench_json`` emits the machine-readable ``BENCH_*.json`` files
-the CI bench-smoke job archives, so the perf trajectory has a baseline.
+Wall-clock measurement does not live here: the benchmark spine
+(``benchmarks/spine``, its ``history.jsonl`` and the CI ``bench-gate``)
+is the one performance record.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from dataclasses import dataclass, field
 from multiprocessing import get_context
-from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List
+from typing import Any, Callable, Iterable, List
 
 __all__ = [
-    "TimedResult",
     "bench_quick",
-    "best_of",
     "parallel_map",
-    "write_bench_json",
 ]
 
 
@@ -64,49 +56,3 @@ def parallel_map(fn: Callable[[Any], Any], items: Iterable[Any],
         return [fn(item) for item in work]
     with ctx.Pool(processes=min(jobs, len(work))) as pool:
         return pool.map(fn, work)
-
-
-@dataclass
-class TimedResult:
-    """Value plus wall-clock samples from :func:`best_of`."""
-
-    value: Any
-    times_s: List[float] = field(default_factory=list)
-
-    @property
-    def best_s(self) -> float:
-        return min(self.times_s)
-
-    @property
-    def mean_s(self) -> float:
-        return sum(self.times_s) / len(self.times_s)
-
-
-def best_of(fn: Callable[[], Any], repeats: int = 3) -> TimedResult:
-    """Run *fn* ``repeats`` times; keep the last value and every timing.
-
-    Best-of-N is the standard defence against timer noise on a shared
-    host: the minimum approaches the true cost as N grows, while means
-    absorb whatever else the machine was doing.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    times: List[float] = []
-    value: Any = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        value = fn()
-        times.append(time.perf_counter() - t0)
-    return TimedResult(value=value, times_s=times)
-
-
-def write_bench_json(path: os.PathLike, payload: Dict[str, Any]) -> Path:
-    """Write one ``BENCH_*.json`` report; returns the resolved path.
-
-    Keys are sorted so reruns with identical measurements produce
-    identical bytes (the artifact diff then shows only real movement).
-    """
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return out

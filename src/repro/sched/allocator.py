@@ -52,18 +52,8 @@ class BladeAllocator:
     def free_count(self) -> int:
         return len(self._free)
 
-    @property
-    def down_count(self) -> int:
-        return len(self._down)
-
-    def blades_of(self, job_id: int) -> Tuple[int, ...]:
-        return self._job_blades.get(job_id, ())
-
     def job_on(self, blade: int) -> Optional[int]:
         return self._blade_job.get(blade)
-
-    def is_down(self, blade: int) -> bool:
-        return blade in self._down
 
     # -- allocation --------------------------------------------------------
 

@@ -90,18 +90,6 @@ class JobRecord:
         return self.state is JobState.COMPLETED
 
     @property
-    def run_s(self) -> float:
-        """Total wall time across attempts (including killed ones)."""
-        return sum(
-            (a.end_s - a.start_s) for a in self.attempts
-            if a.end_s is not None
-        )
-
-    @property
-    def first_start_s(self) -> Optional[float]:
-        return self.attempts[0].start_s if self.attempts else None
-
-    @property
     def turnaround_s(self) -> Optional[float]:
         if self.end_s is None:
             return None

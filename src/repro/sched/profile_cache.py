@@ -25,10 +25,10 @@ Correctness rests on **normalized execution**, not on shifting deltas:
   ``fl(t0+a)+b != fl(t0+(a+b))`` in IEEE-754 — which is why a profile
   is never recorded from the live interleaved timeline.)
 - Anything that can perturb a job mid-flight — tracing observers or
-  fire hooks, ``record_timeline``, invariant auditing, injected or
-  thermal failures, thermal throttling/DVFS, a non-cacheable workload
-  — bypasses the cache entirely: that job's world runs on the shared
-  kernel.  Committed golden manifests are recorded under a tracing
+  fire hooks, invariant auditing, injected or thermal failures,
+  thermal throttling/DVFS, a non-cacheable workload — bypasses
+  the cache entirely: that job's world runs on the shared kernel.
+  Committed golden manifests are recorded under a tracing
   observer, so they take the shared-kernel route on every replay and
   stay byte-identical with the cache on and off.
 """

@@ -70,6 +70,10 @@ from repro.thermal.reliability import (
 from repro.thermal.throttle import ThermalThrottleGovernor, plan_attempt
 
 
+#: Virtual seconds a failed blade stays down before repair.
+REPAIR_S = 0.5
+
+
 def _payload_nbytes(state: Any) -> int:
     """Approximate serialized size of one rank's checkpoint state."""
     if state is None:
@@ -94,8 +98,6 @@ class SchedConfig:
     checkpoint_bandwidth_bps: float = 50e6
     #: Requeues granted before a job is abandoned.
     max_retries: int = 3
-    #: Virtual seconds a failed blade stays down before repair.
-    repair_s: float = 0.5
     #: Register repro.check invariant auditors on the kernel and audit
     #: the outcome ledgers at the end of :meth:`BatchScheduler.run`.
     audit: bool = False
@@ -235,7 +237,6 @@ class BatchScheduler:
 
     def __init__(self, policy: Optional[Policy] = None,
                  config: Optional[SchedConfig] = None,
-                 record_timeline: bool = False,
                  platform=None,
                  net_fault: Optional[NetFaultConfig] = None) -> None:
         from repro.sched.policy import Fcfs
@@ -246,7 +247,7 @@ class BatchScheduler:
         self.platform = platform
         self.policy = policy if policy is not None else Fcfs()
         self.config = config if config is not None else SchedConfig()
-        self.kernel = EventKernel(record_timeline=record_timeline)
+        self.kernel = EventKernel()
         self.nodes = platform.nodes
         self.flop_rate = platform.node_flop_rate()
         self.allocator = platform.build_allocator()
@@ -556,8 +557,7 @@ class BatchScheduler:
             return "kill-possible"       # mid-run kills possible
         if self.net_fault is not None:
             return "net-fault"           # fault timeline perturbs worlds
-        kernel = self.kernel
-        if kernel.record_timeline or kernel._observers or kernel._fire_hooks:
+        if self.kernel.watched:
             return "observer"            # tracing or kernel hooks
         if not getattr(record.spec.workload, "cacheable", False):
             return "uncacheable"         # payload opted out
@@ -838,7 +838,7 @@ class BatchScheduler:
         self.kernel.trace("node-down", node=blade, detail=detail)
         # The repair is scheduled before the kill wakes any rank: event
         # sequence numbers are part of every recorded run.
-        self.kernel.at(now + self.config.repair_s, self._node_repair, blade)
+        self.kernel.at(now + REPAIR_S, self._node_repair, blade)
         self._lose_blade(blade, detail)
 
     def _lose_blade(self, blade: int, detail: str) -> None:
@@ -969,7 +969,7 @@ class BatchScheduler:
         ``PowerModel.energy_joules`` exactly).  An overtemp-killed
         blade rejoins service only once it has cooled to the resume
         temperature: a physical repair time instead of the flat
-        ``repair_s``.
+        :data:`REPAIR_S`.
         """
         for event in running.thermal_events:
             event.cancel()

@@ -1,7 +1,7 @@
 """Per-rank statistics and the structured virtual-time event timeline.
 
-A SimMPI run on a tracing :class:`~repro.core.events.EventKernel`
-leaves behind one time-coherent list of
+A SimMPI run on an observed :class:`~repro.core.events.EventKernel`
+hands its observers one time-coherent stream of
 :class:`~repro.core.events.TimelineEvent` records — rank starts, sends
 with their fabric-resolved arrival times, wakes, blocks, node failures,
 DVFS transitions and link/switch occupancy all on the same clock.

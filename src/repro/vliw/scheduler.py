@@ -153,8 +153,3 @@ def schedule_block(atoms: Sequence[Atom],
                 unscheduled.discard(atom.seq)
         t += 1
     return tuple(molecules)
-
-
-def schedule_length(molecules: Sequence[Molecule]) -> int:
-    """Lower bound on cycles to issue the schedule (one molecule/cycle)."""
-    return len(molecules)

@@ -207,15 +207,39 @@ def test_clock_never_moves_backwards():
     assert times == [5.0]
 
 
+def traced_kernel():
+    """A kernel and the list its one observer appends each event to."""
+    kernel, events = EventKernel(), []
+    kernel.add_observer(events.append)
+    return kernel, events
+
+
+def by_time(events):
+    return sorted(events, key=lambda e: e.time)
+
+
 def test_trace_is_noop_unless_recording():
     silent = EventKernel()
-    silent.trace("send", time=1.0, src=0)
-    assert silent.timeline == []
-    loud = EventKernel(record_timeline=True)
+    assert not silent.tracing and not silent.watched
+    silent.trace("send", time=1.0, src=0)      # nobody to tell: no-op
+    loud, events = traced_kernel()
+    assert loud.tracing and loud.watched
     loud.trace("send", time=1.0, src=0)
-    assert loud.timeline[0].kind == "send"
-    assert loud.timeline[0].get("src") == 0
-    assert loud.timeline[0].get("missing", "x") == "x"
+    assert events[0].kind == "send"
+    assert events[0].get("src") == 0
+    assert events[0].get("missing", "x") == "x"
+    loud.remove_observer(events.append)
+    loud.trace("send", time=2.0, src=1)
+    assert len(events) == 1 and not loud.tracing
+
+
+def test_fire_hook_makes_a_kernel_watched_but_not_tracing():
+    kernel = EventKernel()
+    hook = lambda event: None  # noqa: E731
+    kernel.add_fire_hook(hook)
+    assert kernel.watched and not kernel.tracing
+    kernel.remove_fire_hook(hook)
+    assert not kernel.watched
 
 
 # -- processes ---------------------------------------------------------------
@@ -560,12 +584,12 @@ def test_dvfs_trajectory_trades_time_for_energy():
 
 
 def test_dvfs_transitions_land_on_the_shared_timeline():
-    kernel = EventKernel(record_timeline=True)
+    kernel, events = traced_kernel()
     governor = LongRunGovernor(TM5600_LONGRUN, kernel=kernel)
     low = min(TM5600_LONGRUN.ladder, key=lambda s: s.mhz)
     governor.step_at(0.5, low)
     kernel.run()
-    dvfs = filter_timeline(kernel.sorted_timeline(), kinds=("dvfs",))
+    dvfs = filter_timeline(by_time(events), kinds=("dvfs",))
     assert len(dvfs) == 1
     assert dvfs[0].time == 0.5
     assert dvfs[0].get("mhz") == low.mhz
@@ -574,7 +598,7 @@ def test_dvfs_transitions_land_on_the_shared_timeline():
 # -- the unified timeline ----------------------------------------------------
 
 def test_timeline_is_time_coherent_across_layers():
-    kernel = EventKernel(record_timeline=True)
+    kernel, emitted = traced_kernel()
     runtime = SimMpiRuntime(
         3, fabric=star_fabric(3), flop_rate=1e8, kernel=kernel
     )
@@ -585,7 +609,7 @@ def test_timeline_is_time_coherent_across_layers():
         return total
 
     runtime.run(program)
-    events = kernel.sorted_timeline()
+    events = by_time(emitted)
     kinds = {e.kind for e in events}
     # Scheduler, fabric and NIC layers all post onto one clock.
     assert {"start", "send", "block", "wake", "finish"} <= kinds
@@ -595,20 +619,20 @@ def test_timeline_is_time_coherent_across_layers():
 
 
 def test_filter_timeline_by_kind_and_rank():
-    kernel = EventKernel(record_timeline=True)
+    kernel, events = traced_kernel()
     kernel.trace("send", time=1.0, src=0, dst=1)
     kernel.trace("block", time=2.0, rank=1)
     kernel.trace("block", time=3.0, rank=0)
-    assert len(filter_timeline(kernel.timeline, kinds=("block",))) == 2
-    only = filter_timeline(kernel.timeline, kinds=("block",), rank=0)
+    assert len(filter_timeline(events, kinds=("block",))) == 2
+    only = filter_timeline(events, kinds=("block",), rank=0)
     assert [e.time for e in only] == [3.0]
 
 
 def test_render_timeline_formats_and_limits():
-    kernel = EventKernel(record_timeline=True)
+    kernel, events = traced_kernel()
     for i in range(5):
         kernel.trace("send", time=float(i), src=i, dst=0)
-    text = render_timeline(kernel.sorted_timeline(), limit=2)
+    text = render_timeline(by_time(events), limit=2)
     assert "Event timeline" in text
     assert "src=0" in text and "src=1" in text
     assert "src=4" not in text

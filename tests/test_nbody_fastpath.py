@@ -8,8 +8,6 @@ reciprocal-sqrt kernel, slice mode, and whole simulations, then cover
 the tree-reuse tiers and the deterministic process-pool runner.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +23,7 @@ from repro.nbody.traversal import (
     tree_accelerations,
 )
 from repro.nbody.tree import HashedOctree, TreeBuildCache
-from repro.runner import best_of, parallel_map, write_bench_json
+from repro.runner import parallel_map
 
 
 def _both_paths(tree, **kw):
@@ -371,15 +369,3 @@ def test_cli_pooled_sweeps_smoke(capsys):
     assert main(["table2", "--cpus", "1", "2", "--particles", "256",
                  "--jobs", "2"]) == 0
     assert "Table 2" in capsys.readouterr().out
-
-
-def test_best_of_and_write_bench_json(tmp_path):
-    timed = best_of(lambda: 41 + 1, repeats=3)
-    assert timed.value == 42
-    assert len(timed.times_s) == 3
-    assert timed.best_s <= timed.mean_s
-
-    path = write_bench_json(tmp_path / "sub" / "BENCH_x.json",
-                            {"bench": "x", "speedup": 3.0})
-    data = json.loads(path.read_text())
-    assert data == {"bench": "x", "speedup": 3.0}

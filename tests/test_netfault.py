@@ -298,6 +298,13 @@ def test_any_source_recv_still_drains_mail_from_dead_peers():
 # Reliable delivery: retransmit, give up, drop
 # ---------------------------------------------------------------------------
 
+def _traced_kernel():
+    """A kernel and the list its one observer appends each event to."""
+    kernel, events = EventKernel(), []
+    kernel.add_observer(events.append)
+    return kernel, events
+
+
 def _fault_runtime(size, windows, policy=None, kernel=None):
     fabric = star_fabric(size)
     timeline = FaultTimeline()
@@ -312,10 +319,11 @@ def _fault_runtime(size, windows, policy=None, kernel=None):
 
 def test_lost_frame_is_retransmitted_to_success():
     # Outage covers the first attempt; the backoff ladder outlives it.
+    kernel, events = _traced_kernel()
     runtime = _fault_runtime(
         2, [("link1", 0.0, 2e-3)],
         policy=RetryPolicy(rto_s=1e-3, backoff=2.0, max_retries=6),
-        kernel=EventKernel(record_timeline=True),
+        kernel=kernel,
     )
 
     def prog(comm):
@@ -330,16 +338,16 @@ def test_lost_frame_is_retransmitted_to_success():
     stats = result.stats[0]
     assert stats.retransmits >= 1
     assert stats.sends == 1                 # counted once, on delivery
-    kinds = [e.kind for e in runtime.kernel.timeline]
+    kinds = [e.kind for e in events]
     assert "net-drop" in kinds
     assert "net-giveup" not in kinds
 
 
 def test_retry_exhaustion_raises_link_down_error():
     policy = RetryPolicy(rto_s=1e-4, backoff=2.0, max_retries=3)
+    kernel, events = _traced_kernel()
     runtime = _fault_runtime(
-        2, [("link1", 0.0, 60.0)], policy=policy,
-        kernel=EventKernel(record_timeline=True),
+        2, [("link1", 0.0, 60.0)], policy=policy, kernel=kernel,
     )
     caught = []
 
@@ -362,7 +370,7 @@ def test_retry_exhaustion_raises_link_down_error():
     # receiver was woken and degraded gracefully.
     assert result.failed_ranks == (0,)
     assert result.results[1] == "peer unreachable"
-    kinds = [e.kind for e in runtime.kernel.timeline]
+    kinds = [e.kind for e in events]
     assert kinds.count("net-giveup") == 1
 
 
@@ -376,7 +384,7 @@ def test_link_down_error_is_a_node_failure():
 def test_post_to_dead_destination_traces_a_drop():
     from repro.check import attach_auditors, detach_auditors
 
-    kernel = EventKernel(record_timeline=True)
+    kernel, events = _traced_kernel()
     runtime = SimMpiRuntime(
         3, fabric=star_fabric(3), flop_rate=RATE, kernel=kernel,
     )
@@ -397,17 +405,17 @@ def test_post_to_dead_destination_traces_a_drop():
     detach_auditors(kernel, auditors)      # finish() must not raise
     assert result.failed_ranks == (1,)
     assert result.stats[0].drops == 1
-    drops = [e for e in kernel.timeline if e.kind == "drop"]
+    drops = [e for e in events if e.kind == "drop"]
     assert len(drops) == 1
     assert drops[0].get("dst") == 1
-    done = [e for e in kernel.timeline if e.kind == "world-done"]
+    done = [e for e in events if e.kind == "world-done"]
     assert done[0].get("dropped") == 1
 
 
 def test_retransmit_auditor_flags_unbalanced_ledger():
     from repro.check import InvariantViolation, RetransmitConservationAuditor
 
-    kernel = EventKernel(record_timeline=True)
+    kernel = EventKernel()
     auditor = RetransmitConservationAuditor().attach(kernel)
     kernel.trace("net-drop", time=0.0, src=0, dst=1, tag=0, nbytes=8,
                  mid=0, attempt=0)
@@ -434,16 +442,16 @@ def _positions(run_result):
 
 
 def _run_step(windows):
-    kernel = EventKernel(record_timeline=True)
+    kernel, events = _traced_kernel()
     runtime = _fault_runtime(4, windows, kernel=kernel)
     run = run_parallel_nbody(CFG, 4, RATE, runtime=runtime)
-    return run, kernel
+    return run, events
 
 
 @pytest.mark.slow
 def test_treecode_survives_link_flap_degraded_but_bit_identical():
     clean, _ = _run_step(())
-    flapped, kernel = _run_step(FLAP)
+    flapped, _ = _run_step(FLAP)
     assert flapped.failed_ranks == ()
     assert sum(s.retransmits for s in flapped.stats) > 0
     # Degraded: retransmission costs time but never answers.
@@ -453,12 +461,10 @@ def test_treecode_survives_link_flap_degraded_but_bit_identical():
 
 @pytest.mark.slow
 def test_flapped_step_is_run_to_run_deterministic():
-    a, ka = _run_step(FLAP)
-    b, kb = _run_step(FLAP)
+    a, events_a = _run_step(FLAP)
+    b, events_b = _run_step(FLAP)
     assert a.elapsed_s == b.elapsed_s
-    ta = [(e.time, e.kind, tuple(e.fields)) for e in ka.timeline]
-    tb = [(e.time, e.kind, tuple(e.fields)) for e in kb.timeline]
-    assert ta == tb
+    assert events_a and events_a == events_b
 
 
 # ---------------------------------------------------------------------------
@@ -572,22 +578,17 @@ def test_sched_fault_campaign_is_deterministic():
             mtbf_s=0.05, mttr_s=0.003, seed=3, horizon_s=0.2,
             policy=RetryPolicy(rto_s=1e-4, max_retries=5),
         )
-        sched = BatchScheduler(
-            policy=Fcfs(), net_fault=net, record_timeline=True,
-        )
+        sched = BatchScheduler(policy=Fcfs(), net_fault=net)
+        trace = []
+        sched.kernel.add_observer(trace.append)
         sched.submit_stream(synthetic_stream(
             12, sched.nodes, sched.flop_rate, seed=9,
         ))
-        out = sched.run()
-        trace = [
-            (e.time, e.kind, tuple(e.fields))
-            for e in sched.kernel.timeline
-        ]
-        return out, trace
+        return sched.run(), trace
 
     a, trace_a = run_once()
     b, trace_b = run_once()
-    assert trace_a == trace_b
+    assert trace_a and trace_a == trace_b
     assert a.makespan_s == b.makespan_s
     assert a.net == b.net
     assert a.net.retransmits > 0

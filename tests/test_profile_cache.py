@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.check import sched_outcome_digest
-from repro.check.cachediff import manifest_trace_hash
-from repro.check.replay import (
-    _build_sched,
-    _sched_params,
-    record_sched_manifest,
-)
+from repro.check import manifest_trace_hash, run_cell, sched_outcome_digest
+from repro.check.replay import _sched_params, record_sched_manifest
 from repro.platform.registry import platform_by_name
 from repro.sched import (
     BatchScheduler,
@@ -23,19 +18,6 @@ from repro.sched.profile_cache import JobProfile, ProfileKeys
 
 METABLADE = platform_by_name("metablade")
 RACK = platform_by_name("green-destiny-240")
-
-
-def run_pair(seed, **overrides):
-    """One config run cache-on and cache-off: digests plus outcomes."""
-    digests, outcomes = {}, {}
-    for cache_on in (True, False):
-        params = _sched_params(
-            seed, {**overrides, "profile_cache": cache_on}
-        )
-        outcome = _build_sched(params).run()
-        digests[cache_on] = sched_outcome_digest(outcome)
-        outcomes[cache_on] = outcome
-    return digests, outcomes
 
 
 def template_specs(count=3, nodes=2, workload=None):
@@ -78,9 +60,9 @@ def _sweep_id(overrides):
 @pytest.mark.parametrize("seed", [2001, 4242])
 @pytest.mark.parametrize("overrides", SWEEP, ids=_sweep_id)
 def test_cache_on_off_outcomes_bit_identical(seed, overrides):
-    digests, outcomes = run_pair(seed, jobs=6, **overrides)
-    assert digests[True] == digests[False]
-    on = outcomes[True]
+    cell = run_cell(_sched_params(seed, {**overrides, "jobs": 6}))
+    assert cell["bare"].digest == cell["cache-off"].digest
+    on = cell["bare"].outcome
     perturbed = (
         overrides.get("thermal", False) or on.failures_injected > 0
     )
@@ -164,10 +146,6 @@ def test_thermal_model_bypasses():
         run_templates(config=SchedConfig(thermal=True, thermal_accel=150.0)),
         "thermal",
     )
-
-
-def test_timeline_recording_bypasses():
-    _assert_all_bypassed(run_templates(record_timeline=True), "observer")
 
 
 def test_observer_bypasses():

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.check import sched_outcome_digest
-from repro.check.cachediff import manifest_trace_hash
+from repro.check import manifest_trace_hash
 from repro.check.manifest import RunManifest, TraceRecorder
 from repro.check.replay import _build_sched, _sched_params
 from repro.platform.registry import platform_by_name

@@ -7,43 +7,24 @@ metrics ingested, exporters exercised — produces the byte-identical
 outcome digest and normalized trace hash as a run observed only by
 the plain manifest recorder (the infrastructure every committed
 golden was made with).  Mirrors the profile-cache differential in
-``test_profile_cache.py``; the matrix audit itself is exercised via
-:func:`repro.check.run_telemetry_differential`.
+``test_profile_cache.py``; both go through the one per-cell runner,
+:func:`repro.check.run_cell`, and the matrix audits built on it are
+exercised here: their claims, and the rule that a row must show the
+traffic it declares.
 """
 
 from __future__ import annotations
 
-import tempfile
-
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.check import run_telemetry_differential
-from repro.check.cachediff import manifest_trace_hash, sched_outcome_digest
-from repro.check.manifest import RunManifest, TraceRecorder
-from repro.check.replay import _build_sched, _sched_params
-from repro.telemetry import Telemetry
-
-
-def _fingerprints(params, instrument: bool):
-    """(outcome digest, trace hash) of one recorded scheduler run."""
-    sched = _build_sched(params)
-    tel = None
-    if instrument:
-        tel = Telemetry()
-        tel.attach(sched.kernel)
-    with TraceRecorder(sched.kernel) as recorder:
-        outcome = sched.run()
-    if tel is not None:
-        tel.detach()
-        tel.ingest_sched(outcome, platform=sched.platform)
-        tel.finish(sched.kernel.now)
-        with tempfile.TemporaryDirectory() as tmp:
-            tel.export(tmp)
-    manifest = RunManifest.make(
-        "sched", seed=0, params=params, events=recorder.events, payload={},
-    )
-    return sched_outcome_digest(outcome), manifest_trace_hash(manifest)
+from repro.check import (
+    run_cache_differential,
+    run_cell,
+    run_telemetry_differential,
+)
+from repro.check.replay import _sched_params
 
 
 @settings(max_examples=12, deadline=None)
@@ -68,26 +49,90 @@ def test_telemetry_never_perturbs_a_run(seed, policy, fail_inject,
     if fail_inject:
         overrides["checkpoint"] = 1
     params = _sched_params(seed, overrides)
-    digest_off, trace_off = _fingerprints(params, instrument=False)
-    digest_on, trace_on = _fingerprints(params, instrument=True)
-    assert digest_on == digest_off
-    assert trace_on == trace_off
+    cell = run_cell(params)
+    assert cell["telemetry"].digest == cell["recorded"].digest
+    assert cell["telemetry"].trace == cell["recorded"].trace
 
 
-def test_telemetry_differential_matrix_quick():
-    report = run_telemetry_differential(quick=True)
+@pytest.fixture(scope="module")
+def quick_reports():
+    """Both audits over the --quick matrix, run once for the module."""
+    return {
+        "cache": run_cache_differential(quick=True),
+        "telemetry": run_telemetry_differential(quick=True),
+    }
+
+
+def test_telemetry_differential_matrix_quick(quick_reports):
+    report = quick_reports["telemetry"]
     assert report.ok, report.format()
-    assert len(report.cases) == 3
+    assert len(report.cases) == 4
     for case in report.cases:
-        assert case.events_observed > 0
-        assert case.metrics > 0
+        assert case.variants["telemetry"].events > 0
+        assert case.variants["telemetry"].metrics > 0
 
 
-def test_telemetry_differential_report_flags_divergence():
-    report = run_telemetry_differential(quick=True)
-    case = report.cases[0]
-    case.outcome_on = "0" * 64
-    assert not case.ok
+def _shows_hits_kills_and_injections(report):
+    assert report.ok, report.format()
+    bare = [case.variants["bare"] for case in report.cases]
+    assert any(v.outcome.cache_hits > 0 for v in bare)
+    assert any(v.kills > 0 for v in bare)
+    for case, v in zip(report.cases, bare):
+        if case.row.overrides.get("fail_inject"):
+            assert v.outcome.failures_injected > 0
+
+
+def test_default_streams_replay_a_profile_and_kill_a_job(quick_reports):
+    # The audits once ran 8 jobs a row: no hit, no injected failure.
+    _shows_hits_kills_and_injections(quick_reports["cache"])
+    _shows_hits_kills_and_injections(run_cache_differential())
+
+
+def test_row_without_its_declared_traffic_fails_as_vacuous():
+    # Two jobs share no profile and finish before any failure lands.
+    report = run_cache_differential(jobs=2, quick=True)
+    assert [case.status for case in report.cases] == [
+        "VACUOUS", "VACUOUS", "VACUOUS", "OK",
+    ]
+    assert "cache hits" in report.cases[0].missing_traffic()
+    assert "a killed attempt" in report.cases[2].missing_traffic()
     assert not report.ok
-    assert "DIVERGED" in report.format()
-    assert "MISMATCH FOUND" in report.format()
+    assert "VACUOUS" in report.format()
+    assert "MISMATCH" not in report.format()
+
+
+def test_telemetry_differential_report_flags_divergence(quick_reports):
+    """One mutated fingerprint per comparison of each claim."""
+    mutations = [
+        ("cache", 0, "cache-off", "digest"),
+        ("cache", 0, "recorded cache-off", "trace"),
+        ("telemetry", 0, "telemetry", "digest"),
+        ("telemetry", 0, "telemetry", "trace"),
+        # Absolute bare == instrumented equality binds only where the
+        # bare run never left the shared kernel: the fail_inject row.
+        ("telemetry", 2, "bare", "digest"),
+    ]
+    for audit, row, name, field in mutations:
+        report = quick_reports[audit]
+        case, variant = report.cases[row], report.cases[row].variants[name]
+        genuine = getattr(variant, field)
+        setattr(variant, field, "0" * 64)
+        try:
+            assert case.status == "DIVERGED", (audit, row, name, field)
+            assert not report.ok
+            assert "DIVERGED" in report.format()
+            assert "MISMATCH FOUND" in report.format()
+        finally:
+            setattr(variant, field, genuine)
+        assert report.ok
+
+
+def test_bare_digest_is_not_compared_across_routes(quick_reports):
+    case = quick_reports["telemetry"].cases[0]   # no-trigger row
+    bare = case.variants["bare"]
+    assert bare.outcome.cache_misses > 0         # the fast path was live
+    genuine, bare.digest = bare.digest, "0" * 64
+    try:
+        assert case.ok
+    finally:
+        bare.digest = genuine
