@@ -16,15 +16,8 @@ configuration).
 
 from repro.metrics.report import format_table
 from repro.metrics.throughput import throughput_report
-from repro.platform.registry import METABLADE
 from repro.runner import bench_quick
-from repro.sched import (
-    BatchScheduler,
-    JobState,
-    SchedConfig,
-    policy_by_name,
-    synthetic_stream,
-)
+from repro.sched import JobState, build_campaign, campaign_params
 
 QUICK = bench_quick()
 JOBS = 60 if QUICK else 200
@@ -34,24 +27,12 @@ MTBF_S = 0.04
 
 
 def _serve(policy_name: str, fail: bool):
-    platform = METABLADE
-    specs = synthetic_stream(
-        jobs=JOBS,
-        max_nodes=platform.nodes,
-        flop_rate=platform.node_flop_rate(),
-        seed=SEED,
-        mean_interarrival_s=INTERARRIVAL_S,
-    )
-    config = SchedConfig(checkpoint_every=1 if fail else None)
-    sched = BatchScheduler(
-        platform=platform, policy=policy_by_name(policy_name), config=config
-    )
-    sched.submit_stream(specs)
-    if fail:
-        horizon = specs[-1].arrival_s + JOBS * INTERARRIVAL_S
-        sched.inject_poisson_failures(horizon, MTBF_S, seed=SEED + 1)
+    sched = build_campaign(campaign_params(SEED, {
+        "jobs": JOBS, "policy": policy_name, "interarrival": INTERARRIVAL_S,
+        "fail_inject": fail, "mtbf": MTBF_S, "checkpoint": 1 if fail else 0,
+    }))
     outcome = sched.run()
-    return outcome, throughput_report(outcome, platform=platform)
+    return outcome, throughput_report(outcome, platform=sched.platform)
 
 
 def _study():

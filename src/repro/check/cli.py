@@ -28,83 +28,8 @@ from __future__ import annotations
 
 import argparse
 from pathlib import Path
-from typing import Any, Dict
 
-
-def add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
-    """The scheduler-campaign flags, declared once.
-
-    ``repro.cli sched`` runs what they describe and ``check --record``
-    records it, so anything one can run the other can pin.
-    """
-    from repro.network.faults import DEFAULT_NET_MTBF_S, DEFAULT_NET_MTTR_S
-    from repro.platform.registry import DEFAULT_PLATFORM, platform_names
-
-    parser.add_argument("--jobs", type=int, default=60,
-                        help="jobs in the synthetic Poisson stream")
-    parser.add_argument("--policy", default="fcfs",
-                        choices=["fcfs", "backfill", "easy"])
-    parser.add_argument("--seed", type=int, default=2001,
-                        help="stream (and failure) RNG seed")
-    parser.add_argument("--interarrival", type=float, default=0.004,
-                        help="mean virtual seconds between arrivals")
-    parser.add_argument("--fail-inject", action="store_true",
-                        help="inject Poisson node failures during the run")
-    parser.add_argument("--mtbf", type=float, default=0.05,
-                        help="accelerated MTBF (virtual s) for "
-                             "--fail-inject")
-    parser.add_argument("--checkpoint", type=int, default=0,
-                        help="checkpoint every N units (0 disables)")
-    parser.add_argument("--max-retries", type=int, default=3,
-                        help="requeues before a killed job is abandoned")
-    parser.add_argument("--platform", default=DEFAULT_PLATFORM,
-                        choices=platform_names(),
-                        help="registry platform to schedule on; picks "
-                             "node count, node rate AND fabric (its "
-                             "content-hash is recorded so replay detects "
-                             "platform drift)")
-    parser.add_argument("--thermal", action="store_true",
-                        help="model blade temperatures (lumped-RC "
-                             "network, coolest-first placement, thermal "
-                             "throttling)")
-    parser.add_argument("--thermal-accel", type=float, default=1.0,
-                        help="thermal time-constant compression factor "
-                             "(default 1)")
-    parser.add_argument("--thermal-fail", action="store_true",
-                        help="temperature-modulated fault injection via "
-                             "the Arrhenius intensity (implies --thermal; "
-                             "uses --mtbf as the 40 C baseline)")
-    parser.add_argument("--no-throttle", action="store_true",
-                        help="disable the trip-point frequency clamp (hot "
-                             "blades run to the overtemp kill point)")
-    parser.add_argument("--net-fault", action="store_true",
-                        help="inject seeded link/uplink outages; SimMPI "
-                             "retransmits with timeout/backoff, long node "
-                             "outages partition the blade (plan seed is "
-                             "--seed + 3)")
-    parser.add_argument("--net-mtbf", type=float,
-                        default=DEFAULT_NET_MTBF_S, metavar="S",
-                        help="per-link mean time between outages, "
-                             "virtual seconds (default 2.0)")
-    parser.add_argument("--net-mttr", type=float,
-                        default=DEFAULT_NET_MTTR_S, metavar="S",
-                        help="mean outage repair time, virtual seconds "
-                             "(default 0.002)")
-
-
-def campaign_overrides(args) -> Dict[str, Any]:
-    """Parsed campaign flags as ``check.replay`` manifest parameters."""
-    from repro.check.replay import SCHED_DEFAULTS
-
-    # Every manifest parameter but the cache knob has a flag of its name;
-    # two are spelled differently on the command line.
-    params = {
-        key: getattr(args, key) for key in SCHED_DEFAULTS
-        if key not in ("throttle", "profile_cache")
-    }
-    params["thermal"] = args.thermal or args.thermal_fail
-    params["throttle"] = not args.no_throttle
-    return params
+from repro.sched.campaign import add_campaign_arguments, campaign_overrides
 
 
 def add_check_arguments(parser: argparse.ArgumentParser) -> None:
@@ -132,10 +57,10 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
                         help="directory for divergence/fuzz reports")
     # What --record --kind sched records (--seed also seeds the fuzz
     # campaign and the audits; --jobs sizes the audits' streams).
-    # --jobs left unset means 8 recorded jobs, and for the audits the
-    # smallest stream that shows every matrix row's declared traffic.
-    add_campaign_arguments(parser)
-    parser.set_defaults(jobs=None)
+    # --jobs left unset means the recipe's own default for --record,
+    # and for the audits the smallest stream that shows every matrix
+    # row's declared traffic.
+    add_campaign_arguments(parser, jobs=None)
 
 
 def cmd_check(args) -> int:
@@ -151,11 +76,6 @@ def cmd_check(args) -> int:
         run_telemetry_differential,
     )
     from repro.check.differential import AUDIT_JOBS
-    from repro.check.replay import SCHED_DEFAULTS
-
-    audit = args.cache_diff or args.telemetry_diff
-    if args.jobs is None:
-        args.jobs = AUDIT_JOBS if audit else SCHED_DEFAULTS["jobs"]
 
     if args.record is not None:
         if args.kind == "sched":
@@ -177,13 +97,16 @@ def cmd_check(args) -> int:
 
     # Every other mode yields a report and the file it is kept in
     # when it fails.
-    if audit:
+    if args.cache_diff or args.telemetry_diff:
         run, name = (
             (run_telemetry_differential, "telemetry_diff_report")
             if args.telemetry_diff
             else (run_cache_differential, "cache_diff_report")
         )
-        report = run(seed=args.seed, jobs=args.jobs, quick=args.quick)
+        report = run(
+            seed=args.seed, quick=args.quick,
+            jobs=AUDIT_JOBS if args.jobs is None else args.jobs,
+        )
     elif args.fuzz:
         cases = args.cases
         if cases is None:

@@ -171,10 +171,10 @@ VARIANTS: Dict[str, Tuple[bool, bool, bool]] = {
 def _run_variant(params: Dict[str, Any], cache: bool, record: bool,
                  telemetry: bool) -> Variant:
     from repro.check.manifest import TraceRecorder
-    from repro.check.replay import _build_sched
+    from repro.sched.campaign import build_campaign
     from repro.telemetry import Telemetry
 
-    sched = _build_sched({**params, "profile_cache": cache})
+    sched = build_campaign({**params, "profile_cache": cache})
     tel = Telemetry().attach(sched.kernel) if telemetry else None
     recorder = TraceRecorder(sched.kernel)
     if record:
@@ -202,7 +202,7 @@ def run_cell(params: Dict[str, Any]) -> Dict[str, Variant]:
     """Run one configuration once per :data:`VARIANTS` entry.
 
     *params* are full manifest parameters
-    (:func:`repro.check.replay._sched_params`); their ``profile_cache``
+    (:func:`repro.sched.campaign.campaign_params`); their ``profile_cache``
     value is overridden per variant.
     """
     return {
@@ -409,11 +409,11 @@ def run_differential(claims: Tuple[Claim, ...], title: str,
                      seed: int = AUDIT_SEED, jobs: int = AUDIT_JOBS,
                      quick: bool = False) -> DiffReport:
     """Run every matrix cell and judge it by *claims*."""
-    from repro.check.replay import _sched_params
+    from repro.sched.campaign import campaign_params
 
     report = DiffReport(f"{title} (seed {seed}, {jobs} jobs)")
     for row in MATRIX[:QUICK_ROWS] if quick else MATRIX:
-        params = _sched_params(seed, {**row.overrides, "jobs": jobs})
+        params = campaign_params(seed, {**row.overrides, "jobs": jobs})
         report.cases.append(DiffCase(row, run_cell(params), claims))
     return report
 

@@ -218,14 +218,9 @@ class SchedOracle(Oracle):
         }
 
     def _outcome(self, params: Dict[str, Any], policy: str):
-        from repro.check.replay import _build_sched
+        from repro.sched.campaign import build_campaign
 
-        build = {k: v for k, v in params.items() if k != "seed"}
-        build["policy"] = policy
-        sched = _build_sched(
-            {**build, "seed": params["seed"]}, audit=True
-        )
-        return sched.run()
+        return build_campaign({**params, "policy": policy}, audit=True).run()
 
     def run(self, params: Dict[str, Any]) -> Optional[str]:
         from repro.check.auditors import InvariantViolation

@@ -20,8 +20,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.events import EventKernel, TimelineEvent
 from repro.check.manifest import RunManifest, TraceRecorder, normalize_event
-from repro.network.faults import DEFAULT_NET_MTBF_S, DEFAULT_NET_MTTR_S
 from repro.platform.registry import DEFAULT_PLATFORM, platform_by_name
+from repro.sched.campaign import build_campaign, campaign_params
 
 
 @dataclass
@@ -102,14 +102,12 @@ class TraceChecker:
 
     def __init__(self, kernel: EventKernel,
                  expected: List[TimelineEvent],
-                 context_fn: Optional[Callable[[], Dict[str, Any]]] = None,
-                 ) -> None:
+                 context_fn: Callable[[], Dict[str, Any]]) -> None:
         self.kernel = kernel
         self.expected = expected
         self.context_fn = context_fn
         self.seen = 0
         self.divergence: Optional[Divergence] = None
-        self._attached = False
 
     def __call__(self, event: TimelineEvent) -> None:
         index = self.seen
@@ -125,12 +123,10 @@ class TraceChecker:
 
     def _capture(self, index: int, expected: Optional[TimelineEvent],
                  actual: Optional[TimelineEvent]) -> None:
-        context: Dict[str, Any] = {}
-        if self.context_fn is not None:
-            try:
-                context = self.context_fn()
-            except Exception as error:  # noqa: BLE001 - diagnostics only
-                context = {"context-error": repr(error)}
+        try:
+            context = self.context_fn()
+        except Exception as error:  # noqa: BLE001 - diagnostics only
+            context = {"context-error": repr(error)}
         self.divergence = Divergence(
             index=index,
             expected=expected,
@@ -141,157 +137,34 @@ class TraceChecker:
             context=context,
         )
 
-    def attach(self) -> "TraceChecker":
-        if not self._attached:
-            self.kernel.add_observer(self)
-            self._attached = True
-        return self
-
-    def detach(self) -> None:
-        if self._attached:
-            self.kernel.remove_observer(self)
-            self._attached = False
-
     def finish(self) -> None:
         """Settle the books: a short replay is a divergence too."""
         if self.divergence is None and self.seen < len(self.expected):
             self._capture(self.seen, self.expected[self.seen], None)
 
 
+def _replay_trace(manifest: RunManifest, kernel: EventKernel,
+                  run: Callable[[], Any],
+                  context_fn: Callable[[], Dict[str, Any]]) -> ReplayReport:
+    """Attach a checker, run, detach, settle the books, report."""
+    checker = TraceChecker(kernel, manifest.events, context_fn)
+    kernel.add_observer(checker)
+    try:
+        run()
+    finally:
+        kernel.remove_observer(checker)
+    checker.finish()
+    return ReplayReport(
+        kind=manifest.kind,
+        expected_events=len(manifest.events),
+        replayed_events=checker.seen,
+        divergence=checker.divergence,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Scheduler runs
 # ---------------------------------------------------------------------------
-
-SCHED_DEFAULTS: Dict[str, Any] = {
-    "jobs": 8,
-    "policy": "fcfs",
-    "interarrival": 0.004,
-    "fail_inject": False,
-    "mtbf": 0.05,
-    "checkpoint": 0,
-    "max_retries": 3,
-    "platform": DEFAULT_PLATFORM,
-    # Thermal modelling (repro.thermal).  ``thermal`` builds the RC
-    # network; ``thermal_accel`` compresses its time constant to the
-    # stream's virtual-seconds scale; ``thermal_fail`` swaps the flat
-    # Poisson fault process for the Arrhenius-thinned one; ``throttle``
-    # off is the no-safeguards counterfactual.  All recorded in the
-    # manifest, so thermally modulated runs replay bit-exactly.
-    "thermal": False,
-    "thermal_accel": 1.0,
-    "thermal_fail": False,
-    "throttle": True,
-    # Job-profile memoization (repro.sched.profile_cache).  Recorded
-    # in the manifest so a replay rebuilds the same configuration;
-    # tracing attaches an observer, which itself forces the cache to
-    # bypass, so traces are cache-agnostic either way.
-    "profile_cache": True,
-    # Network fault injection (repro.network.faults).  ``net_fault``
-    # turns the link/uplink outage process and the reliable-delivery
-    # layer on; MTBF/MTTR are in virtual stream seconds.  Recorded in
-    # the manifest so a fault-injected run replays bit-exactly; the
-    # plan seed is derived as ``seed + 3`` (poisson failures use
-    # ``seed + 1``, thermal ``seed + 2``).
-    "net_fault": False,
-    "net_mtbf": DEFAULT_NET_MTBF_S,
-    "net_mttr": DEFAULT_NET_MTTR_S,
-}
-
-
-def _sched_params(seed: int, overrides: Dict[str, Any]) -> Dict[str, Any]:
-    params = dict(SCHED_DEFAULTS)
-    unknown = set(overrides) - set(params)
-    if unknown:
-        raise ValueError(f"unknown sched parameters: {sorted(unknown)}")
-    params.update(overrides)
-    params["seed"] = seed
-    if params["thermal_fail"] and not params["thermal"]:
-        raise ValueError("thermal_fail requires thermal=True")
-    return params
-
-
-def _build_sched(params: Dict[str, Any], audit: bool = False):
-    """One fully-submitted BatchScheduler from manifest parameters.
-
-    The rebuild recipe shared by record and replay — any drift between
-    the two would itself be a reproducibility bug.  Manifests recorded
-    before the platform layer existed carry no ``platform`` key and
-    mean the MetaBlade default.
-    """
-    from repro.network.faults import NetFaultConfig
-    from repro.sched import (
-        BatchScheduler, SchedConfig, policy_by_name, synthetic_stream,
-    )
-
-    spec = platform_by_name(params.get("platform", DEFAULT_PLATFORM))
-    specs = synthetic_stream(
-        jobs=params["jobs"],
-        max_nodes=spec.nodes,
-        flop_rate=spec.node_flop_rate(),
-        seed=params["seed"],
-        mean_interarrival_s=params["interarrival"],
-    )
-    horizon = (
-        specs[-1].arrival_s + params["jobs"] * params["interarrival"]
-    )
-    net_fault = None
-    if params.get("net_fault", False):
-        # Manifests recorded before the fault layer carry no net keys
-        # and mean "off"; the plan seed follows the injector convention
-        # (poisson seed+1, thermal seed+2, net seed+3).
-        net_fault = NetFaultConfig(
-            mtbf_s=params.get("net_mtbf", DEFAULT_NET_MTBF_S),
-            mttr_s=params.get("net_mttr", DEFAULT_NET_MTTR_S),
-            seed=params["seed"] + 3,
-            horizon_s=horizon,
-        )
-    checkpoint = params["checkpoint"]
-    config = SchedConfig(
-        checkpoint_every=checkpoint if checkpoint > 0 else None,
-        max_retries=params["max_retries"],
-        audit=audit,
-        thermal=params.get("thermal", False),
-        thermal_accel=params.get("thermal_accel", 1.0),
-        throttle=params.get("throttle", True),
-        # Manifests recorded before the profile cache existed carry no
-        # key and mean "enabled" (outcome-invariant either way).
-        profile_cache=params.get("profile_cache", True),
-    )
-    sched = BatchScheduler(
-        platform=spec,
-        policy=policy_by_name(params["policy"]),
-        config=config,
-        net_fault=net_fault,
-    )
-    sched.submit_stream(specs)
-    if params["fail_inject"]:
-        sched.inject_poisson_failures(
-            horizon_s=horizon, mtbf_s=params["mtbf"],
-            seed=params["seed"] + 1,
-        )
-    if params.get("thermal_fail", False):
-        sched.inject_thermal_failures(
-            horizon_s=horizon, mtbf_s=params["mtbf"],
-            seed=params["seed"] + 2,
-        )
-    return sched
-
-
-def _sched_context(sched) -> Callable[[], Dict[str, Any]]:
-    def context() -> Dict[str, Any]:
-        clocks = {
-            f"job {job_id} rank clocks": (
-                tuple(
-                    round(c.clock, 9) for c in (run.runtime._comms or ())
-                )
-                if run.runtime is not None else "fast-path"
-            )
-            for job_id, run in sched._running.items()
-        }
-        clocks["queued jobs"] = len(sched._queue)
-        return clocks
-    return context
-
 
 def record_sched_manifest(seed: int = 2001,
                           **overrides: Any) -> RunManifest:
@@ -301,8 +174,8 @@ def record_sched_manifest(seed: int = 2001,
     can tell "the hardware description changed" apart from "the trace
     diverged".
     """
-    params = _sched_params(seed, overrides)
-    sched = _build_sched(params)
+    params = campaign_params(seed, overrides)
+    sched = build_campaign(params)
     with TraceRecorder(sched.kernel) as recorder:
         sched.run()
     payload = {
@@ -352,21 +225,8 @@ def _replay_sched(manifest: RunManifest) -> ReplayReport:
             replayed_events=0,
             platform_drift=drift,
         )
-    sched = _build_sched(manifest.params)
-    checker = TraceChecker(
-        sched.kernel, manifest.events, context_fn=_sched_context(sched)
-    ).attach()
-    try:
-        sched.run()
-    finally:
-        checker.detach()
-    checker.finish()
-    return ReplayReport(
-        kind="sched",
-        expected_events=len(manifest.events),
-        replayed_events=checker.seen,
-        divergence=checker.divergence,
-    )
+    sched = build_campaign(manifest.params)
+    return _replay_trace(manifest, sched.kernel, sched.run, sched.in_flight)
 
 
 # ---------------------------------------------------------------------------
@@ -473,24 +333,12 @@ def record_simmpi_manifest(seed: int = 2001,
 def _replay_simmpi(manifest: RunManifest) -> ReplayReport:
     params = manifest.params
     runtime = _simmpi_runtime(params)
-
-    def context() -> Dict[str, Any]:
-        comms = runtime._comms or ()
-        return {"rank clocks": tuple(round(c.clock, 9) for c in comms)}
-
-    checker = TraceChecker(
-        runtime.kernel, manifest.events, context_fn=context
-    ).attach()
-    try:
-        runtime.run(_simmpi_program(params))
-    finally:
-        checker.detach()
-    checker.finish()
-    return ReplayReport(
-        kind="simmpi",
-        expected_events=len(manifest.events),
-        replayed_events=checker.seen,
-        divergence=checker.divergence,
+    return _replay_trace(
+        manifest, runtime.kernel,
+        lambda: runtime.run(_simmpi_program(params)),
+        lambda: {"rank clocks": tuple(
+            round(clock, 9) for clock in runtime.rank_clocks()
+        )},
     )
 
 

@@ -144,20 +144,20 @@ def _cmd_thermal(args) -> None:
 def _sched_block(run) -> str:
     """One scheduler run rendered as text; module-level for the pool.
 
-    *run* is the campaign's manifest parameters — the recipe
-    ``check --record`` builds from too, the platform travelling as a
-    registry *name* so the dict stays picklable across the process
-    pool — plus the presentation settings ``width`` and ``telemetry``.
+    *run* is the campaign's parameters (:mod:`repro.sched.campaign` —
+    the recipe ``check --record`` builds from too, the platform
+    travelling as a registry *name* so the dict stays picklable across
+    the process pool) plus the presentation settings ``width`` and
+    ``telemetry``.
     """
-    from repro.check.replay import _build_sched, _sched_params
     from repro.metrics.throughput import throughput_report
-    from repro.sched import render_gantt
+    from repro.sched import build_campaign, campaign_params, render_gantt
 
     overrides = dict(run)
     seed = overrides.pop("seed")
     width = overrides.pop("width")
     telemetry = overrides.pop("telemetry")
-    sched = _build_sched(_sched_params(seed, overrides))
+    sched = build_campaign(campaign_params(seed, overrides))
     spec = sched.platform
     tel = None
     if telemetry is not None:
@@ -189,8 +189,8 @@ def _sched_block(run) -> str:
 
 
 def _cmd_sched(args) -> None:
-    from repro.check.cli import campaign_overrides
     from repro.runner import parallel_map
+    from repro.sched.campaign import campaign_overrides
 
     seeds = args.seeds or [args.seed]
 
@@ -405,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser(
         "sched", help="serve a batch job stream on a registry platform"
     )
-    from repro.check.cli import add_campaign_arguments, add_check_arguments
-    add_campaign_arguments(ps)
+    from repro.sched.campaign import add_campaign_arguments
+    add_campaign_arguments(ps, jobs=60)
     ps.add_argument("--width", type=int, default=72,
                     help="Gantt chart width in columns")
     ps.add_argument("--seeds", type=int, nargs="+", default=None,
@@ -447,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="deterministic replay, invariant audit, differential fuzz",
     )
+    from repro.check.cli import add_check_arguments
     add_check_arguments(pc)
     pa = sub.add_parser("all", help="everything (takes minutes)")
     pa.add_argument("--particles", type=int, default=3000)

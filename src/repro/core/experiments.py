@@ -427,27 +427,13 @@ def experiment_timeline(
         tel.attach(kernel)
     network = None
     governor = None
-    tspec = None
     if thermal:
-        from repro.thermal import (
-            ThermalNetwork,
-            ThermalThrottleGovernor,
-            plan_attempt,
-        )
+        from repro.thermal import arm_attempt
 
-        power = spec.power_model()
-        tspec = spec.thermal_params().accelerated(thermal_accel)
-        network = ThermalNetwork(
-            ranks, tspec, node_watts=power.node_watts,
-            nodes_per_chassis=spec.fabric.nodes_per_chassis,
-        )
-        for blade in range(ranks):
-            network.set_busy(blade, 0.0)
-        plan = plan_attempt(network, range(ranks), 0.0)
+        network = spec.build_thermal(ranks, accel=thermal_accel)
+        tspec = network.spec
+        plan, governor = arm_attempt(network, range(ranks), 0.0)
         if plan.trip_at_s is not None:
-            governor = ThermalThrottleGovernor(power.node_watts)
-            governor.clamp_at(plan.trip_at_s, tspec.throttle_scale)
-
             def _trip(at: float = plan.trip_at_s) -> None:
                 for blade in range(ranks):
                     network.set_busy(
@@ -475,9 +461,7 @@ def experiment_timeline(
             resources, horizon_s=1.0, mtbf_s=net_mtbf_s,
             mttr_s=net_mttr_s, seed=seed + 3,
         )
-        attach = getattr(fabric, "attach_faults", None)
-        if attach is not None:
-            attach(net_plan, resources=resources)
+        fabric.attach_faults(net_plan, resources=resources)
         policy = RetryPolicy()
     runtime = SimMpiRuntime(
         ranks, fabric=fabric,

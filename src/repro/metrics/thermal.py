@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.cpus.power import FailureModel
 from repro.metrics.report import format_table
 from repro.platform.spec import PlatformSpec
-from repro.thermal.model import ThermalNetwork
 
 
 @dataclass(frozen=True)
@@ -45,11 +44,7 @@ def thermal_mtbf_row(spec: PlatformSpec,
     """One platform through the RC network and the Arrhenius model."""
     failure = failure if failure is not None else FailureModel()
     power = spec.power_model()
-    tspec = spec.thermal_params()
-    network = ThermalNetwork(
-        spec.nodes, tspec, node_watts=power.node_watts,
-        nodes_per_chassis=spec.fabric.nodes_per_chassis,
-    )
+    network = spec.build_thermal()
     busy_c = network.max_temperature_c()
     rate = failure.rate_at(busy_c)
     cluster_rate = rate * spec.nodes
@@ -58,7 +53,7 @@ def thermal_mtbf_row(spec: PlatformSpec,
         nodes=spec.nodes,
         node_watts=power.node_watts,
         cooling="active" if power.needs_active_cooling else "passive",
-        ambient_c=tspec.ambient_c,
+        ambient_c=network.spec.ambient_c,
         busy_c=busy_c,
         rate_per_year=rate,
         cluster_mtbf_h=(

@@ -165,10 +165,10 @@ def throughput_report(
             outcome.thermal.overtemp_kills
             if outcome.thermal is not None else 0
         ),
-        cache_hits=getattr(outcome, "cache_hits", 0),
-        cache_misses=getattr(outcome, "cache_misses", 0),
-        cache_bypasses=getattr(outcome, "cache_bypasses", 0),
+        cache_hits=outcome.cache_hits,
+        cache_misses=outcome.cache_misses,
+        cache_bypasses=outcome.cache_bypasses,
         cache_bypass_reasons=tuple(
-            sorted(getattr(outcome, "cache_bypass_reasons", {}).items())
+            sorted(outcome.cache_bypass_reasons.items())
         ),
     )

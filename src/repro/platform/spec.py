@@ -11,6 +11,7 @@ every consumer is *derived*:
 - :meth:`PlatformSpec.build_allocator` — the scheduler's blade set;
 - :meth:`PlatformSpec.node_flop_rate` — the node compute rate;
 - :meth:`PlatformSpec.power_model` — the energy-accounting model;
+- :meth:`PlatformSpec.build_thermal` — the lumped-RC blade network;
 - ``chassis_count``, ``power_kw``, ``cooling_kw``, ``total_power_kw``,
   ``perf_space_mflops_per_sqft``, ``perf_power_gflops_per_kw``,
   :meth:`PlatformSpec.peak_gflops`, :meth:`PlatformSpec.sustained_gflops`
@@ -55,7 +56,7 @@ from repro.network.nic import FAST_ETHERNET_NIC, Nic
 from repro.network.switch import FAST_ETHERNET_SWITCH_24, Switch
 from repro.network.timing import IdealFabric
 from repro.network.topology import StarTopology
-from repro.thermal.model import ThermalSpec
+from repro.thermal.model import ThermalNetwork, ThermalSpec
 
 #: Fabric kinds a spec may declare.
 FABRIC_KINDS = ("star", "rack", "ideal")
@@ -339,6 +340,25 @@ class PlatformSpec:
         if self.thermal is not None:
             return self.thermal
         return ThermalSpec.for_power_model(self.power_model())
+
+    def build_thermal(self, nodes: Optional[int] = None,
+                      spec: Optional[ThermalSpec] = None,
+                      accel: float = 1.0,
+                      keep_ledger: bool = False) -> ThermalNetwork:
+        """The lumped-RC blade network, sized for *nodes* (default: all).
+
+        *spec* overrides :meth:`thermal_params`; *accel* compresses the
+        time constant (:meth:`ThermalSpec.accelerated`).  Blade heat
+        and chassis size come from the power model and the fabric.
+        """
+        spec = spec if spec is not None else self.thermal_params()
+        return ThermalNetwork(
+            self.nodes if nodes is None else nodes,
+            spec.accelerated(accel),
+            node_watts=self.power_model().node_watts,
+            nodes_per_chassis=self.fabric.nodes_per_chassis,
+            keep_ledger=keep_ledger,
+        )
 
     # -- performance ------------------------------------------------------
 

@@ -22,7 +22,11 @@ defining software of a production Beowulf:
   shared virtual clock, so jobs genuinely interleave; node failures
   kill the resident job, which is requeued (optionally from its last
   checkpoint, checkpoint I/O charged) or abandoned after max retries;
-- :mod:`repro.sched.gantt` — the per-blade timeline rendering.
+- :mod:`repro.sched.gantt` — the per-blade timeline rendering;
+- :mod:`repro.sched.campaign` — the campaign recipe: one table of
+  parameters (manifest key, default, command-line flag) and
+  :func:`build_campaign`, which everything that runs a synthetic
+  stream — the CLI, ``repro.check``, the benches — goes through.
 
 Throughput accounting (jobs/hour, utilization, operational ToPPeR)
 lives in :mod:`repro.metrics.throughput`.  The CLI front end is
@@ -30,6 +34,11 @@ lives in :mod:`repro.metrics.throughput`.  The CLI front end is
 """
 
 from repro.sched.allocator import BladeAllocator, BladeInterval
+from repro.sched.campaign import (
+    CAMPAIGN_DEFAULTS,
+    build_campaign,
+    campaign_params,
+)
 from repro.sched.gantt import render_gantt
 from repro.sched.job import JobRecord, JobSpec, JobState, synthetic_stream
 from repro.sched.policy import EasyBackfill, Fcfs, policy_by_name
@@ -55,6 +64,7 @@ __all__ = [
     "BatchScheduler",
     "BladeAllocator",
     "BladeInterval",
+    "CAMPAIGN_DEFAULTS",
     "EasyBackfill",
     "Fcfs",
     "JobProfile",
@@ -69,6 +79,8 @@ __all__ = [
     "SchedOutcome",
     "TreecodeJob",
     "Workload",
+    "build_campaign",
+    "campaign_params",
     "job_profile_key",
     "policy_by_name",
     "render_gantt",

@@ -31,6 +31,7 @@ shared timeline stays causally consistent.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import insort
 
@@ -67,7 +68,7 @@ from repro.thermal.reliability import (
     ArrheniusIntensity,
     ThermalFailureInjector,
 )
-from repro.thermal.throttle import ThermalThrottleGovernor, plan_attempt
+from repro.thermal.throttle import arm_attempt
 
 
 #: Virtual seconds a failed blade stays down before repair.
@@ -127,6 +128,29 @@ class SchedConfig:
     profile_cache: bool = True
 
     def __post_init__(self) -> None:
+        # Once per scheduler, so that a configuration that cannot run
+        # fails here by name instead of mid-stream by ZeroDivisionError.
+        def whole(value: Any, least: int) -> bool:
+            return (isinstance(value, int) and not isinstance(value, bool)
+                    and value >= least)
+
+        every = self.checkpoint_every
+        if every is not None and not whole(every, 1):
+            raise ValueError(
+                f"checkpoint_every must be None or an int >= 1, got {every!r}"
+            )
+        if not 0 <= self.checkpoint_latency_s < math.inf:
+            raise ValueError(
+                "checkpoint_latency_s must be finite and >= 0, got "
+                f"{self.checkpoint_latency_s!r}"
+            )
+        require_finite_positive(
+            "checkpoint_bandwidth_bps", self.checkpoint_bandwidth_bps
+        )
+        if not whole(self.max_retries, 0):
+            raise ValueError(
+                f"max_retries must be an int >= 0, got {self.max_retries!r}"
+            )
         require_finite_positive("thermal_accel", self.thermal_accel)
 
     def checkpoint_io_s(self, nbytes: int) -> float:
@@ -275,16 +299,9 @@ class BatchScheduler:
         self._overtemp_kills = 0
         self._thermal_injector: Optional[ThermalFailureInjector] = None
         if self.config.thermal:
-            tspec = (
-                self.config.thermal_spec
-                if self.config.thermal_spec is not None
-                else platform.thermal_params()
-            )
-            self.thermal = ThermalNetwork(
-                self.nodes,
-                tspec.accelerated(self.config.thermal_accel),
-                node_watts=self.power.node_watts,
-                nodes_per_chassis=platform.fabric.nodes_per_chassis,
+            self.thermal = platform.build_thermal(
+                spec=self.config.thermal_spec,
+                accel=self.config.thermal_accel,
                 keep_ledger=self.config.audit,
             )
         #: Network fault campaign: ``None`` (default) leaves the fabric
@@ -428,16 +445,9 @@ class BatchScheduler:
                 if r.state in (JobState.QUEUED, JobState.RUNNING)
             ]
             if stuck:
-                worlds = {
-                    job_id: (
-                        run.runtime.unfinished_ranks()
-                        if run.runtime is not None else "fast-path"
-                    )
-                    for job_id, run in self._running.items()
-                }
                 raise RuntimeError(
                     f"scheduler wedged with non-terminal jobs {stuck}; "
-                    f"unfinished ranks per running world: {worlds}"
+                    f"in flight: {self.in_flight()}"
                 )
         ends = [r.end_s for r in self.records.values() if r.end_s is not None]
         makespan = max(ends) if ends else self.kernel.now
@@ -495,6 +505,23 @@ class BatchScheduler:
                 thermal=self.thermal,
             )
         return outcome
+
+    def in_flight(self) -> Dict[str, Any]:
+        """What is on the machine right now, for error and divergence reports.
+
+        Per running job: the unfinished ranks of its world and every
+        rank's clock, or ``"fast-path"`` for a memoised attempt (no
+        world lives on the shared clock); plus the queue depth.
+        """
+        report: Dict[str, Any] = {}
+        for job_id, run in self._running.items():
+            world = run.runtime
+            report[f"job {job_id}"] = "fast-path" if world is None else (
+                f"unfinished ranks {world.unfinished_ranks()}, rank clocks "
+                f"{tuple(round(c, 9) for c in world.rank_clocks())}"
+            )
+        report["queued jobs"] = len(self._queue)
+        return report
 
     # -- event handlers -----------------------------------------------------
 
@@ -615,16 +642,10 @@ class BatchScheduler:
         # billed compute can never outrun a frequency change.
         governor = None
         if self.thermal is not None:
-            for blade in blades:
-                self.thermal.set_busy(blade, now)
-            plan = plan_attempt(
+            plan, governor = arm_attempt(
                 self.thermal, blades, now, throttle=self.config.throttle
             )
             if plan.trip_at_s is not None:
-                governor = ThermalThrottleGovernor(self.power.node_watts)
-                governor.clamp_at(
-                    plan.trip_at_s, self.thermal.spec.throttle_scale
-                )
                 running.thermal_events.append(
                     self.kernel.at(plan.trip_at_s, self._thermal_trip, running)
                 )
@@ -657,12 +678,10 @@ class BatchScheduler:
             net_policy = self.net_fault.policy
             # Endpoint i of this job is cluster blade blades[i]: frame
             # fate resolves against the cluster-level fault timeline.
-            attach = getattr(fabric, "attach_faults", None)
-            if attach is not None:
-                attach(
-                    self._net_timeline,
-                    resources=[link_resource(b) for b in running.blades],
-                )
+            fabric.attach_faults(
+                self._net_timeline,
+                resources=[link_resource(b) for b in running.blades],
+            )
         running.runtime = SimMpiRuntime(
             spec.nodes,
             fabric=fabric,
@@ -705,8 +724,7 @@ class BatchScheduler:
         # _on_unit filed for it are never read.
         self._checkpoints.pop(spec.job_id, None)
         if not done:
-            runtime = scratch.runtime
-            raise runtime._deadlock_error(list(runtime.unfinished_ranks()))
+            raise scratch.runtime.deadlock_error()
         result = done[0]
         result0 = result.results[0] if result.results else None
         if isinstance(result0, np.ndarray):

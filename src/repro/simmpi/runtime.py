@@ -483,10 +483,7 @@ class SimMpiRuntime:
         try:
             self.kernel.run()
             if not done:
-                blocked = [
-                    r for r, t in enumerate(self._tasks) if t.alive
-                ]
-                raise self._deadlock_error(blocked)
+                raise self.deadlock_error()
         finally:
             if not done:
                 self._tasks = None
@@ -531,6 +528,10 @@ class SimMpiRuntime:
         if self._tasks is None:
             return ()
         return tuple(r for r, t in enumerate(self._tasks) if t.alive)
+
+    def rank_clocks(self) -> Tuple[float, ...]:
+        """Every rank's local clock (empty when no world is in flight)."""
+        return tuple(c.clock for c in self._comms or ())
 
     def _rank_done(self) -> None:
         self._remaining -= 1
@@ -627,11 +628,13 @@ class SimMpiRuntime:
 
     # -- diagnostics ---------------------------------------------------------
 
-    def _deadlock_error(self, blocked: List[int]) -> DeadlockError:
+    def deadlock_error(self) -> DeadlockError:
+        """What every unfinished rank waits on and holds undelivered."""
+        blocked = self.unfinished_ranks()
         patterns: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
         mailboxes: Dict[int, List[Tuple[int, int, int]]] = {}
         lines = []
-        for rank in sorted(blocked):
+        for rank in blocked:
             entry = self._waiters.get(rank)
             src, tag = (entry[0].src, entry[0].tag) if entry else (None, None)
             patterns[rank] = (src, tag)

@@ -32,6 +32,7 @@ from repro.thermal.throttle import (
     Governor,
     PiecewiseGovernor,
     ThermalThrottleGovernor,
+    arm_attempt,
     plan_attempt,
 )
 
@@ -46,6 +47,7 @@ __all__ = [
     "ThermalSegment",
     "ThermalSpec",
     "ThermalThrottleGovernor",
+    "arm_attempt",
     "cooling_overhead_factor",
     "plan_attempt",
 ]

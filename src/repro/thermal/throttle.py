@@ -188,12 +188,10 @@ def plan_attempt(network: ThermalNetwork, blades: Sequence[int],
                  t0: float, throttle: bool = True) -> AttemptPlan:
     """Plan an attempt's thermal transitions at its start time.
 
-    Must be called *after* the attempt's blades have been set busy at
-    *t0* (their own heat is part of the chassis sink the crossings are
-    solved against).  All times are exact inversions of the RC
-    exponential; the caller inserts them into the governor schedule
-    and the event kernel before any rank resumes, so lazy compute
-    billing can never outrun a transition.
+    The crossings are solved against the network *as it stands*: the
+    attempt's own heat is part of the chassis sink, so its blades must
+    already be busy at *t0* — :func:`arm_attempt` does both in order.
+    All times are exact inversions of the RC exponential.
     """
     spec = network.spec
     tau = spec.tau_s
@@ -242,3 +240,26 @@ def plan_attempt(network: ThermalNetwork, blades: Sequence[int],
     return AttemptPlan(
         trip_at_s=trip_at, kill_at_s=min(kills) if kills else None
     )
+
+
+def arm_attempt(
+    network: ThermalNetwork, blades: Sequence[int], t0: float,
+    throttle: bool = True,
+) -> Tuple[AttemptPlan, Optional[ThermalThrottleGovernor]]:
+    """Start an attempt thermally: blades busy, plan solved, clamp set.
+
+    Sets *blades* busy at *t0*, then plans against the sink they now
+    heat, then builds the governor that clamps every rank at the
+    planned trip (``None`` when no blade ever trips).  The caller
+    schedules its own trip/kill events from the plan — at the
+    attempt-start event, before any rank resumes, so lazy compute
+    billing can never outrun a transition.
+    """
+    for blade in blades:
+        network.set_busy(blade, t0)
+    plan = plan_attempt(network, blades, t0, throttle=throttle)
+    governor = None
+    if plan.trip_at_s is not None:
+        governor = ThermalThrottleGovernor(network.node_watts)
+        governor.clamp_at(plan.trip_at_s, network.spec.throttle_scale)
+    return plan, governor

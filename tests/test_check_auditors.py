@@ -152,11 +152,12 @@ def test_unbalanced_world_books_are_caught():
 
 
 def _audited_outcome(**overrides):
-    from repro.check.replay import SCHED_DEFAULTS, _build_sched
+    from repro.sched import build_campaign
 
     audit = overrides.pop("audit", False)
-    params = dict(SCHED_DEFAULTS, seed=2001, jobs=5, **overrides)
-    sched = _build_sched(params, audit=audit)
+    sched = build_campaign(
+        dict(seed=2001, jobs=5, **overrides), audit=audit
+    )
     outcome = sched.run()
     return sched, outcome
 
@@ -164,9 +165,9 @@ def _audited_outcome(**overrides):
 def test_sched_audit_opt_in_passes_under_failures():
     # SchedConfig(audit=True) wires the full auditor stack through a
     # failure-heavy run; reaching the end means every invariant held.
-    from repro.check.replay import _build_sched
+    from repro.sched import build_campaign
 
-    sched = _build_sched(
+    sched = build_campaign(
         {"jobs": 6, "policy": "backfill", "interarrival": 0.004,
          "fail_inject": True, "mtbf": 0.05, "checkpoint": 1,
          "max_retries": 3, "seed": 7},

@@ -614,10 +614,10 @@ def test_fault_injected_manifest_replays_bit_exactly(tmp_path):
 
 
 def test_manifests_without_net_keys_mean_faults_off():
-    from repro.check.replay import _build_sched
+    from repro.sched import build_campaign
 
     # A pre-fault-layer manifest: params lack every net key.
-    sched = _build_sched({
+    sched = build_campaign({
         "jobs": 2, "policy": "fcfs", "interarrival": 0.004,
         "fail_inject": False, "mtbf": 0.05, "checkpoint": 0,
         "max_retries": 3, "seed": 1,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.check import manifest_trace_hash, run_cell, sched_outcome_digest
-from repro.check.replay import _sched_params, record_sched_manifest
+from repro.check.replay import record_sched_manifest
 from repro.platform.registry import platform_by_name
 from repro.sched import (
     BatchScheduler,
@@ -12,6 +12,7 @@ from repro.sched import (
     ProfileCache,
     SchedConfig,
     TreecodeJob,
+    campaign_params,
     job_profile_key,
 )
 from repro.sched.profile_cache import JobProfile, ProfileKeys
@@ -60,7 +61,7 @@ def _sweep_id(overrides):
 @pytest.mark.parametrize("seed", [2001, 4242])
 @pytest.mark.parametrize("overrides", SWEEP, ids=_sweep_id)
 def test_cache_on_off_outcomes_bit_identical(seed, overrides):
-    cell = run_cell(_sched_params(seed, {**overrides, "jobs": 6}))
+    cell = run_cell(campaign_params(seed, {**overrides, "jobs": 6}))
     assert cell["bare"].digest == cell["cache-off"].digest
     on = cell["bare"].outcome
     perturbed = (

@@ -452,7 +452,13 @@ _NON_FINITE = [
     ("horizon_s", lambda v: NetFaultConfig(horizon_s=v)),
     ("arrival_s", lambda v: JobSpec(0, v, 1, 1.0, MicrokernelSweep())),
     ("thermal_accel", lambda v: SchedConfig(thermal_accel=v)),
+    ("checkpoint_bandwidth_bps",
+     lambda v: SchedConfig(checkpoint_bandwidth_bps=v)),
+    ("checkpoint_latency_s", lambda v: SchedConfig(checkpoint_latency_s=v)),
 ]
+
+#: Fields for which zero is a legal value.
+_ZERO_IS_LEGAL = ("arrival_s", "checkpoint_latency_s")
 
 
 @pytest.fixture
@@ -473,13 +479,48 @@ def hard_timeout():
         pytest.param(field, call, value, id=f"{index}-{field}={value}")
         for index, (field, call) in enumerate(_NON_FINITE)
         for value in (math.nan, math.inf, -1.0, 0.0)
-        if (field, value) != ("arrival_s", 0.0)
+        if not (value == 0.0 and field in _ZERO_IS_LEGAL)
     ],
 )
 def test_non_finite_inputs_raise_naming_the_field(hard_timeout, field, call,
                                                   value):
     with pytest.raises(ValueError, match=field):
         call(value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("checkpoint_every", 0),        # was: ZeroDivisionError mid-run
+    ("checkpoint_every", -1),       # was: a checkpoint every unit
+    ("checkpoint_every", 1.5),
+    ("checkpoint_every", True),
+    ("max_retries", -1),
+    ("max_retries", 1.5),
+    ("max_retries", False),
+])
+def test_sched_config_rejects_counts_that_cannot_run(field, value):
+    with pytest.raises(ValueError, match=field):
+        SchedConfig(**{field: value})
+
+
+def test_in_flight_describes_worlds_on_both_routes():
+    streams = synthetic_stream(20, 12, RATE, seed=1)
+    memoised = make_sched(policy=EasyBackfill())
+    memoised.submit_stream(streams)
+    memoised.run(until=0.02)
+    report = memoised.in_flight()
+    assert report.pop("queued jobs") == len(memoised._queue)
+    assert set(report) == {f"job {j}" for j in memoised._running}
+    assert set(report.values()) == {"fast-path"}
+
+    shared = make_sched(policy=EasyBackfill(), config=SchedConfig(audit=True))
+    shared.submit_stream(streams)
+    shared.run(until=0.02)
+    report = shared.in_flight()
+    del report["queued jobs"]
+    assert report and all(
+        "unfinished ranks (" in world and "rank clocks (" in world
+        for world in report.values()
+    )
 
 
 def test_failure_injected_under_a_memoised_job_is_refused_at_the_call():

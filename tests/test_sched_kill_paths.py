@@ -22,11 +22,12 @@ import pytest
 from repro.check import sched_outcome_digest
 from repro.check import manifest_trace_hash
 from repro.check.manifest import RunManifest, TraceRecorder
-from repro.check.replay import _build_sched, _sched_params
 from repro.platform.registry import platform_by_name
 from repro.sched import (
     BatchScheduler,
     SchedConfig,
+    build_campaign,
+    campaign_params,
     policy_by_name,
     synthetic_stream,
 )
@@ -96,7 +97,7 @@ ROWS = {
 
 def _build(row):
     if "hot_spec" not in row:
-        return _build_sched(_sched_params(SEED, row))
+        return build_campaign(campaign_params(SEED, row))
     platform = platform_by_name("p4-beowulf")
     sched = BatchScheduler(
         platform=platform,

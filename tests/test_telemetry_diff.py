@@ -24,7 +24,7 @@ from repro.check import (
     run_cell,
     run_telemetry_differential,
 )
-from repro.check.replay import _sched_params
+from repro.sched import campaign_params
 
 
 @settings(max_examples=12, deadline=None)
@@ -48,7 +48,7 @@ def test_telemetry_never_perturbs_a_run(seed, policy, fail_inject,
         overrides["thermal_accel"] = 150.0
     if fail_inject:
         overrides["checkpoint"] = 1
-    params = _sched_params(seed, overrides)
+    params = campaign_params(seed, overrides)
     cell = run_cell(params)
     assert cell["telemetry"].digest == cell["recorded"].digest
     assert cell["telemetry"].trace == cell["recorded"].trace

@@ -15,19 +15,19 @@ from collections import defaultdict
 
 import pytest
 
-from repro.check.replay import _build_sched, _sched_params
 from repro.core import experiment_timeline
+from repro.sched import build_campaign, campaign_params
 from repro.telemetry import SpanRecorder, Telemetry, chrome_trace
 
 
 @pytest.fixture(scope="module")
 def sched_telemetry():
     """A scheduler run (failures + checkpoints) under full telemetry."""
-    params = _sched_params(
+    params = campaign_params(
         97, {"jobs": 10, "policy": "backfill", "fail_inject": True,
              "checkpoint": 1},
     )
-    sched = _build_sched(params)
+    sched = build_campaign(params)
     tel = Telemetry()
     tel.attach(sched.kernel)
     sched.run()

@@ -27,6 +27,7 @@ from repro.thermal import (
     ThermalNetwork,
     ThermalSpec,
     ThermalThrottleGovernor,
+    arm_attempt,
     cooling_overhead_factor,
     plan_attempt,
 )
@@ -318,6 +319,30 @@ def test_plan_attempt_kill_when_throttling_cannot_save_it():
     plan = plan_attempt(network, [0], 0.0)
     assert plan.trip_at_s is not None
     assert plan.kill_at_s is not None and plan.kill_at_s > plan.trip_at_s
+
+
+def test_arm_attempt_sets_blades_busy_before_it_plans():
+    spec = hot_spec(throttle_scale=0.4)
+    # What plan_attempt's precondition guards against: solved against
+    # idle blades, the attempt's own heat is missing and nothing trips.
+    idle = ThermalNetwork(2, spec, node_watts=100.0)
+    assert plan_attempt(idle, [0, 1], 0.0).trip_at_s is None
+
+    network = ThermalNetwork(2, spec, node_watts=100.0)
+    plan, governor = arm_attempt(network, [0, 1], 0.0)
+    twin = ThermalNetwork(2, spec, node_watts=100.0)
+    for blade in (0, 1):
+        twin.set_busy(blade, 0.0)
+    assert plan == plan_attempt(twin, [0, 1], 0.0)
+    assert plan.trip_at_s is not None
+    assert governor.transitions == ((plan.trip_at_s, 0.4),)
+    assert governor.busy_watts == 100.0
+
+    cold = ThermalNetwork(
+        1, make_spec(trip_c=200.0, resume_c=150.0, kill_c=250.0),
+        node_watts=50.0,
+    )
+    assert arm_attempt(cold, [0], 0.0)[1] is None
 
 
 def test_plan_attempt_unthrottled_goes_straight_to_kill():
