@@ -36,8 +36,8 @@ def _study():
     return rows
 
 
-def test_ablation_chaining(benchmark, archive):
-    rows = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_ablation_chaining(archive):
+    rows = _study()
     text = format_table(
         ["Configuration", "Cycles", "Dispatches", "Chained jumps"],
         rows,

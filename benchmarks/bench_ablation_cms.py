@@ -37,8 +37,8 @@ def _threshold_study():
     return rows
 
 
-def test_ablation_hot_threshold(benchmark, archive):
-    rows = benchmark.pedantic(_threshold_study, rounds=1, iterations=1)
+def test_ablation_hot_threshold(archive):
+    rows = _threshold_study()
     text = format_table(
         ["Hot threshold", "Cycles", "Mcycles"],
         rows,
@@ -63,8 +63,8 @@ def _tcache_study():
     return rows
 
 
-def test_ablation_tcache_capacity(benchmark, archive):
-    rows = benchmark.pedantic(_tcache_study, rounds=1, iterations=1)
+def test_ablation_tcache_capacity(archive):
+    rows = _tcache_study()
     text = format_table(
         ["Capacity (bytes)", "Cycles"],
         rows,
@@ -85,8 +85,8 @@ def _width_study():
     return rows
 
 
-def test_ablation_molecule_width(benchmark, archive):
-    rows = benchmark.pedantic(_width_study, rounds=1, iterations=1)
+def test_ablation_molecule_width(archive):
+    rows = _width_study()
     text = format_table(
         ["Molecule format", "Cycles"],
         rows,

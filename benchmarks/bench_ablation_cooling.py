@@ -35,8 +35,8 @@ def _thermal_study():
     return rows
 
 
-def test_ablation_ambient_temperature(benchmark, archive):
-    rows = benchmark.pedantic(_thermal_study, rounds=1, iterations=1)
+def test_ablation_ambient_temperature(archive):
+    rows = _thermal_study()
     text = format_table(
         ["Ambient (F)", "MetaBlade fails/yr", "P4 Beowulf fails/yr"],
         rows,
@@ -71,8 +71,8 @@ def _cost_sensitivity():
     return rows
 
 
-def test_ablation_cost_sensitivity(benchmark, archive):
-    rows = benchmark.pedantic(_cost_sensitivity, rounds=1, iterations=1)
+def test_ablation_cost_sensitivity(archive):
+    rows = _cost_sensitivity()
     text = format_table(
         ["Scenario", "Blade TCO ($K)", "P4 TCO ($K)", "Ratio"],
         rows,

@@ -35,8 +35,8 @@ def _study():
     return rows
 
 
-def test_ablation_karp_variants(benchmark, archive):
-    rows = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_ablation_karp_variants(archive):
+    rows = _study()
     text = format_table(
         ["Implementation"] + [c.name for c in CPUS],
         rows,

@@ -51,8 +51,8 @@ def _fabric_study():
     return rows
 
 
-def test_ablation_network_fabric(benchmark, archive):
-    rows = benchmark.pedantic(_fabric_study, rounds=1, iterations=1)
+def test_ablation_network_fabric(archive):
+    rows = _fabric_study()
     text = format_table(
         ["Fabric", "Time (s)", "Speedup @24", "Comm fraction"],
         rows,

@@ -43,8 +43,8 @@ def _study():
     return rows
 
 
-def test_ablation_quadrupole(benchmark, archive):
-    rows = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_ablation_quadrupole(archive):
+    rows = _study()
     text = format_table(
         ["theta", "Moments", "Interactions", "Median force error"],
         rows,

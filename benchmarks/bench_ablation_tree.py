@@ -35,8 +35,8 @@ def _theta_study():
     return rows
 
 
-def test_ablation_opening_angle(benchmark, archive):
-    rows = benchmark.pedantic(_theta_study, rounds=1, iterations=1)
+def test_ablation_opening_angle(archive):
+    rows = _theta_study()
     text = format_table(
         ["theta", "Interactions", "Mflops", "Median force error"],
         rows,

@@ -6,8 +6,6 @@ cross-checks the averaged downtime cost against the closed-form figures
 the TCO model uses.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -19,8 +17,7 @@ from repro.simmpi import SimMpiRuntime
 from repro.simmpi.comm import NodeFailureError
 
 HOURS = 35_040.0
-#: REPRO_BENCH_QUICK shrinks the Monte-Carlo ensemble (CI smoke mode).
-SEEDS = 8 if os.environ.get("REPRO_BENCH_QUICK") else 25
+SEEDS = 25
 
 
 def _study():
@@ -94,8 +91,8 @@ def _live_study():
     return rows
 
 
-def test_failure_injection_matches_tco(benchmark, archive):
-    rows = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_failure_injection_matches_tco(archive):
+    rows = _study()
     text = format_table(
         ["Cluster", "Analytic lost CPU-h", "Monte-Carlo lost CPU-h",
          "Availability", "Downtime cost ($)"],

@@ -42,8 +42,8 @@ def _study():
     return table
 
 
-def test_guest_suite_pitfalls(benchmark, archive):
-    table = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_guest_suite_pitfalls(archive):
+    table = _study()
     base = PENTIUM_III_500.name
     rows = []
     for kname, _ in KERNELS:

@@ -13,18 +13,14 @@ scheduler partitioning blades for long ones.  The claims checked:
   makespan penalty over the baseline;
 - every campaign is audited (clock order, message conservation,
   retransmit-ledger conservation) and replays bit-exactly.
-
-Set ``REPRO_BENCH_QUICK=1`` for the CI smoke sizes.
 """
 
 from repro.metrics.report import format_table
 from repro.metrics.throughput import throughput_report
 from repro.network.faults import NetFaultConfig, RetryPolicy
-from repro.runner import bench_quick
 from repro.sched import BatchScheduler, SchedConfig, synthetic_stream
 
-QUICK = bench_quick()
-JOBS = 10 if QUICK else 48
+JOBS = 48
 SEED = 2002
 INTERARRIVAL_S = 0.004
 
@@ -70,8 +66,8 @@ def _study():
     return {label: _serve(mtbf_s) for label, mtbf_s in CAMPAIGNS}
 
 
-def test_netfault_goodput_study(benchmark, archive):
-    results = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_netfault_goodput_study(archive):
+    results = _study()
 
     rows = []
     for label, (outcome, report) in results.items():

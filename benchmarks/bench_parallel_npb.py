@@ -34,8 +34,8 @@ def _study():
     return rows
 
 
-def test_parallel_npb(benchmark, archive):
-    rows = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_parallel_npb(archive):
+    rows = _study()
     text = format_table(
         ["Kernel", "CPUs", "Time (s)", "Speedup", "Efficiency", "Comm"],
         rows,

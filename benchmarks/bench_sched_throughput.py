@@ -9,18 +9,13 @@ archives the four accounting reports.  The claims checked:
 - every injected failure ends as a requeued-and-completed or an
   explicitly abandoned job (the accounting closes);
 - checkpointed reruns resume mid-job rather than from scratch.
-
-Set ``REPRO_BENCH_QUICK=1`` to run a 60-job stream (the CI smoke
-configuration).
 """
 
 from repro.metrics.report import format_table
 from repro.metrics.throughput import throughput_report
-from repro.runner import bench_quick
 from repro.sched import JobState, build_campaign, campaign_params
 
-QUICK = bench_quick()
-JOBS = 60 if QUICK else 200
+JOBS = 200
 SEED = 2001
 INTERARRIVAL_S = 0.002
 MTBF_S = 0.04
@@ -42,8 +37,8 @@ def _study():
     }
 
 
-def test_sched_throughput_fcfs_vs_backfill(benchmark, archive):
-    results = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_sched_throughput_fcfs_vs_backfill(archive):
+    results = _study()
 
     rows = []
     for (policy, fail), (outcome, report) in sorted(results.items()):

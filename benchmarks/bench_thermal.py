@@ -15,19 +15,15 @@ loses jobs.  The claims checked:
 - without throttling the same stream suffers overtemp kills;
 - the whole thermally-modulated run is deterministic (two passes give
   identical thermal summaries).
-
-Set ``REPRO_BENCH_QUICK=1`` for the CI smoke sizes.
 """
 
 from repro.metrics.report import format_table
 from repro.metrics.throughput import throughput_report
 from repro.platform.registry import platform_by_name
-from repro.runner import bench_quick
 from repro.sched import BatchScheduler, SchedConfig, synthetic_stream
 from repro.thermal import ThermalSpec
 
-QUICK = bench_quick()
-JOBS = 12 if QUICK else 60
+JOBS = 60
 SEED = 2001
 INTERARRIVAL_S = 0.004
 MTBF_S = 0.03
@@ -85,8 +81,8 @@ def _study():
     return results
 
 
-def test_thermal_sched_scenarios(benchmark, archive):
-    results = benchmark.pedantic(_study, rounds=1, iterations=1)
+def test_thermal_sched_scenarios(archive):
+    results = _study()
 
     rows = []
     for label, (outcome, report) in results.items():

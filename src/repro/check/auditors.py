@@ -523,7 +523,7 @@ def audit_sim_result(sim, result) -> None:
     to ``flops_ledger``; the total and the per-step records must tile
     that ledger exactly (integer conservation, no tolerance).
     """
-    ledger = list(getattr(sim, "flops_ledger", ()))
+    ledger = sim.flops_ledger
     if not ledger:
         raise InvariantViolation("simulation kept no flop ledger")
     if sum(ledger) != result.total_flops:

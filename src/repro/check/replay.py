@@ -287,15 +287,15 @@ def _simmpi_program(params: Dict[str, Any]) -> Callable:
 def _simmpi_runtime(params: Dict[str, Any]):
     """The world a simmpi manifest describes (record and replay share it)."""
     from repro.network.faults import FaultTimeline, chassis_resource
-    from repro.network.multilevel import RackFabricConfig, RackTopology
+    from repro.network.fabric import FabricSpec
     from repro.network.timing import star_fabric
     from repro.simmpi import SimMpiRuntime
 
     ranks = params["ranks"]
     if params.get("fabric", "star") == "rack":
-        fabric = RackTopology(ranks, RackFabricConfig(
-            nodes_per_chassis=params["nodes_per_chassis"]
-        ))
+        fabric = FabricSpec(
+            kind="rack", nodes_per_chassis=params["nodes_per_chassis"]
+        ).build(ranks)
         outage = params.get("chassis_down")
         if outage is not None:
             chassis, start_s, end_s = outage

@@ -62,9 +62,8 @@ def _cmd_table1(_args) -> None:
 def _cmd_table2(args) -> None:
     result = experiment_table2(
         n=args.particles, steps=1, cpu_counts=tuple(args.cpus),
-        seed=args.seed, jobs=getattr(args, "pool_jobs", 1),
-        platform=getattr(args, "platform", None),
-        telemetry=getattr(args, "telemetry", None),
+        seed=args.seed, jobs=args.pool_jobs,
+        platform=args.platform, telemetry=args.telemetry,
     )
     print(result.text)
 
@@ -104,11 +103,11 @@ def _fig3_block(params) -> str:
 def _cmd_fig3(args) -> None:
     from repro.runner import parallel_map
 
-    seeds = getattr(args, "seeds", None) or [args.seed]
+    seeds = args.seeds or [args.seed]
     blocks = parallel_map(
         _fig3_block,
         [(args.particles, seed) for seed in seeds],
-        jobs=getattr(args, "pool_jobs", 1),
+        jobs=args.pool_jobs,
     )
     print("\n\n".join(blocks))
 
@@ -121,13 +120,13 @@ def _cmd_timeline(args) -> None:
         fail_at_s=args.fail_at,
         limit=args.limit,
         seed=args.seed,
-        platform=getattr(args, "platform", None),
-        thermal=getattr(args, "thermal", False),
-        thermal_accel=getattr(args, "thermal_accel", 1.0),
-        telemetry=getattr(args, "telemetry", None),
-        net_fault=getattr(args, "net_fault", False),
-        net_mtbf_s=getattr(args, "net_mtbf", 0.05),
-        net_mttr_s=getattr(args, "net_mttr", 0.002),
+        platform=args.platform,
+        thermal=args.thermal,
+        thermal_accel=args.thermal_accel,
+        telemetry=args.telemetry,
+        net_fault=args.net_fault,
+        net_mtbf_s=args.net_mtbf,
+        net_mttr_s=args.net_mttr,
     )
     print(result.text)
 
@@ -136,7 +135,7 @@ def _cmd_thermal(args) -> None:
     from repro.metrics.thermal import thermal_mtbf_report
     from repro.platform.registry import PLATFORM_REGISTRY, platform_by_name
 
-    names = getattr(args, "platforms", None) or sorted(PLATFORM_REGISTRY)
+    names = args.platforms or sorted(PLATFORM_REGISTRY)
     _, table = thermal_mtbf_report([platform_by_name(n) for n in names])
     print(table)
 
@@ -216,14 +215,13 @@ def _cmd_sched(args) -> None:
 def _cmd_platform(args) -> int:
     from repro.platform.registry import PLATFORM_REGISTRY
 
-    if not getattr(args, "smoke", False):
+    if not args.smoke:
         rows = []
         for name in sorted(PLATFORM_REGISTRY):
             p = PLATFORM_REGISTRY[name]
             fabric = p.fabric.kind
             if fabric == "rack":
-                chassis = -(-p.nodes // p.fabric.nodes_per_chassis)
-                fabric = f"rack ({chassis} chassis)"
+                fabric = f"rack ({p.fabric.chassis_count(p.nodes)} chassis)"
             rows.append([
                 name, p.title, p.nodes, fabric,
                 round(p.power_kw, 2), round(p.footprint_sqft, 0),
@@ -242,7 +240,7 @@ def _cmd_platform(args) -> int:
 
     from repro.platform.smoke import run_smoke
 
-    results, all_ok = run_smoke(out_dir=getattr(args, "out", None))
+    results, all_ok = run_smoke(out_dir=args.out)
     for r in results:
         status = "ok  " if r.ok else "FAIL"
         print(f"  {status}  {r.name:20s}  {r.detail}")
@@ -298,20 +296,22 @@ def _cmd_green500(_args) -> None:
 
 
 def _cmd_all(args) -> None:
-    for fn in (
-        _cmd_summary,
-        _cmd_table1,
-        lambda a: _cmd_table2(a),
-        lambda a: _cmd_table3(a),
-        _cmd_table4,
-        _cmd_table5,
-        _cmd_table6,
-        _cmd_table7,
-        lambda a: _cmd_fig3(a),
-        _cmd_topper,
-        _cmd_green500,
+    # Each command is parsed as itself, so it sees its own defaults.
+    size = ["--particles", str(args.particles), "--seed", str(args.seed)]
+    for argv in (
+        ["summary"],
+        ["table1"],
+        ["table2", *size, "--cpus", *map(str, args.cpus)],
+        ["table3", "--npb-class", args.npb_class],
+        ["table4"],
+        ["table5"],
+        ["table6"],
+        ["table7"],
+        ["fig3", *size],
+        ["topper"],
+        ["green500"],
     ):
-        fn(args)
+        main(argv)
         print()
 
 

@@ -122,6 +122,22 @@ class EventKernel:
         #: its callback runs.  Kernel-level auditors (clock
         #: monotonicity, tie-break order) watch the loop through these.
         self._fire_hooks: List[Callable[[Event], None]] = []
+        self._ids = 0
+
+    def next_id(self) -> int:
+        """Allocate a kernel-unique id (0, 1, 2, ...).
+
+        SimMPI's reliable-delivery layer keys its retry ledger on these
+        (``mid``): the retransmit-conservation auditor watches one
+        trace stream per kernel, and a scheduler runs many worlds
+        concurrently on one kernel, so per-runtime counters would
+        collide.  A fresh kernel starts at zero and event dispatch
+        order is deterministic, so two identical runs allocate
+        identical sequences.
+        """
+        allocated = self._ids
+        self._ids = allocated + 1
+        return allocated
 
     # -- scheduling --------------------------------------------------------
 

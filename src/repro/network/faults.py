@@ -45,6 +45,12 @@ def require_finite_positive(name: str, value: float) -> None:
         )
 
 
+def require_finite_nonnegative(name: str, value: float) -> None:
+    """Reject a latency or overhead that is negative, NaN or infinite."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def link_resource(node: int) -> str:
     """Fault-domain key for one blade's NIC + switch port."""
     return f"link{node}"
@@ -206,23 +212,6 @@ def draw_fault_plan(
         timeline.add(victim, t, t + repair)
         t += rng.expovariate(rate)
     return timeline
-
-
-def next_message_id(kernel) -> int:
-    """Allocate a kernel-unique logical-message id.
-
-    The reliable-delivery layer keys its retry ledger on ``mid``; the
-    retransmit-conservation auditor watches one trace stream per
-    kernel, and a scheduler runs many SimMPI worlds concurrently on
-    one kernel, so per-runtime counters would collide.  Scoping the
-    counter to the kernel keeps mids unique across worlds while
-    staying deterministic: a fresh kernel starts at zero and event
-    dispatch order is deterministic, so two identical runs allocate
-    identical mid sequences.
-    """
-    mid = getattr(kernel, "_net_mid", 0)
-    kernel._net_mid = mid + 1
-    return mid
 
 
 #: Default link MTBF/MTTR for the fault injector, in *virtual* stream

@@ -5,6 +5,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from repro.network.faults import (
+    require_finite_nonnegative, require_finite_positive,
+)
+
 
 @dataclass(frozen=True)
 class Link:
@@ -15,10 +19,8 @@ class Link:
     latency_s: float         # propagation + PHY latency per traversal
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.latency_s < 0:
-            raise ValueError("latency cannot be negative")
+        require_finite_positive("bandwidth_bps", self.bandwidth_bps)
+        require_finite_nonnegative("latency_s", self.latency_s)
 
     def serialization_s(self, nbytes: int) -> float:
         """Time to clock *nbytes* onto the wire."""

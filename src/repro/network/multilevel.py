@@ -7,65 +7,32 @@ inter-chassis traffic additionally crosses the chassis uplink, the
 aggregation switch and the destination chassis' uplink - and the
 uplinks, shared by 24 blades each, are where scale-out bites.
 
-Implements the same :class:`~repro.network.timing.Fabric` protocol as
-the star, so SimMPI programs run on either unchanged.
+Built from a :class:`~repro.network.fabric.FabricSpec` on the same
+:class:`~repro.network.fabric.Fabric` base as the star, so SimMPI
+programs run on either unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.events import EventKernel
-from repro.network.faults import chassis_resource, link_resource
-from repro.network.link import FAST_ETHERNET, Calendar, Link, LinkSchedule
-from repro.network.nic import Nic
+from repro.network.fabric import (
+    GREEN_DESTINY_FABRIC, Fabric, FabricSpec, Transfer,
+)
+from repro.network.faults import chassis_resource
+from repro.network.link import (
+    FAST_ETHERNET, GIGABIT_ETHERNET, Calendar, Link, LinkSchedule,
+)
 from repro.network.switch import BackplaneSchedule, Switch
-from repro.network.topology import Transfer, endpoint_error
 
 
-@dataclass(frozen=True)
-class RackFabricConfig:
-    """Parameters of the two-level network.
-
-    ``nic``/``uplink`` default to the Green Destiny parts declared once
-    in :data:`repro.platform.spec.GREEN_DESTINY_FABRIC` (resolved
-    lazily so the network layer stays importable below the platform
-    layer).  Set ``uplink`` to FAST_ETHERNET for the oversubscription
-    ablation.
-    """
-
-    nodes_per_chassis: int = 24
-    nic: Optional[Nic] = None
-    #: Chassis uplink to the aggregation switch.
-    uplink: Optional[Link] = None
-    forward_latency_s: float = 10e-6
-
-    def __post_init__(self) -> None:
-        if self.nodes_per_chassis < 1:
-            raise ValueError("nodes_per_chassis must be >= 1")
-        if self.nic is None or self.uplink is None:
-            from repro.platform.spec import GREEN_DESTINY_FABRIC
-            if self.nic is None:
-                object.__setattr__(self, "nic", GREEN_DESTINY_FABRIC.nic)
-            if self.uplink is None:
-                object.__setattr__(
-                    self, "uplink", GREEN_DESTINY_FABRIC.uplink
-                )
-
-    @property
-    def oversubscription(self) -> float:
-        """Worst-case chassis ingress vs uplink capacity."""
-        return (
-            self.nodes_per_chassis * self.nic.link.bandwidth_bps
-            / self.uplink.bandwidth_bps
-        )
-
-
-class RackTopology:
+class RackTopology(Fabric):
     """N blades in ceil(N/24) chassis behind one aggregation switch.
 
-    ``chassis_map`` optionally names the chassis behind each endpoint
+    *spec* carries the parameters (``nic``, ``uplink``,
+    ``nodes_per_chassis``, ``forward_latency_s``).  ``chassis_map``
+    optionally names the chassis behind each endpoint
     (``chassis_map[i]`` is endpoint *i*'s chassis).  The scheduler uses
     it to place a job's fabric endpoints into the *real* chassis of the
     blades it allocated, so a job scattered across enclosures pays the
@@ -73,15 +40,12 @@ class RackTopology:
     endpoints fill chassis in dense index order.
     """
 
-    def __init__(self, nodes: int,
-                 config: Optional[RackFabricConfig] = None,
+    def __init__(self, nodes: int, spec: FabricSpec,
                  chassis_map: Optional[Sequence[int]] = None) -> None:
-        if nodes < 1:
-            raise ValueError("need at least one node")
-        if config is None:
-            config = RackFabricConfig()
-        self.nodes = nodes
-        self.config = config
+        # [model-debts] (a): rack senders are charged no host send
+        # overhead (the star charges ``nic.send_overhead_s``).
+        super().__init__(nodes, send_overhead_s=0.0)
+        self.spec = spec
         if chassis_map is not None:
             if len(chassis_map) != nodes:
                 raise ValueError(
@@ -92,8 +56,7 @@ class RackTopology:
                 raise ValueError("chassis indices cannot be negative")
             chassis = tuple(chassis_map)
         else:
-            per = config.nodes_per_chassis
-            chassis = tuple(n // per for n in range(nodes))
+            chassis = tuple(spec.chassis_of(n) for n in range(nodes))
         #: Chassis index behind each endpoint.
         self._chassis: Tuple[int, ...] = chassis
         self.chassis_count = max(chassis) + 1
@@ -112,18 +75,14 @@ class RackTopology:
         agg = Switch(
             name="rack aggregation",
             ports=max(self.chassis_count, 2),
-            port_link=config.uplink,
-            forward_latency_s=config.forward_latency_s,
+            port_link=spec.uplink,
+            forward_latency_s=spec.forward_latency_s,
             backplane_bps=max(
-                2.1 * self.chassis_count * config.uplink.bandwidth_bps,
+                2.1 * self.chassis_count * spec.uplink.bandwidth_bps,
                 1e9,
             ),
         )
         self._agg = BackplaneSchedule(agg)
-        self.transfers: List[Transfer] = []
-        self._kernel: Optional[EventKernel] = None
-        self._faults = None
-        self._fault_resources: List[str] = []
         self._chassis_fault_resources: List[str] = []
         # Backup chassis uplinks (lazily built): each RLX chassis also
         # carries the blades' management Fast Ethernet interfaces (the
@@ -132,34 +91,19 @@ class RackTopology:
         # that surviving path at Fast Ethernet rates.
         self._backup_up: dict = {}
         self._backup_down: dict = {}
-        self.reroutes = 0
-
-    def attach_kernel(self, kernel: EventKernel) -> None:
-        """Post uplink/aggregation occupancy onto *kernel*'s timeline."""
-        self._kernel = kernel
 
     def attach_faults(self, timeline,
-                      resources: Optional[List[str]] = None) -> None:
-        """Resolve frame fate against a ``FaultTimeline``.
+                      resources: Optional[Sequence[str]] = None) -> None:
+        """As the base, plus the chassis uplink domains.
 
-        ``resources[i]`` names endpoint *i*'s fault domain; defaults to
-        ``link<i>``.  Chassis uplink domains are derived from
-        :meth:`chassis_of`, so a scheduler-built fabric (with a real
-        ``chassis_map``) consults cluster-level chassis keys.  Node
-        link faults lose frames (the SimMPI layer retries); chassis
-        uplink faults *reroute* over the backup Fast Ethernet path at
-        degraded bandwidth instead — the rack's graceful-degradation
-        story.
+        They are derived from :meth:`chassis_of`, so a scheduler-built
+        fabric (with a real ``chassis_map``) consults cluster-level
+        chassis keys.  Node link faults lose frames (the SimMPI layer
+        retries); chassis uplink faults *reroute* over the backup Fast
+        Ethernet path at degraded bandwidth instead — the rack's
+        graceful-degradation story.
         """
-        if resources is not None and len(resources) != self.nodes:
-            raise ValueError(
-                f"{len(resources)} fault resources for {self.nodes} nodes"
-            )
-        self._faults = timeline
-        self._fault_resources = (
-            list(resources) if resources is not None
-            else [link_resource(n) for n in range(self.nodes)]
-        )
+        super().attach_faults(timeline, resources)
         self._chassis_fault_resources = [
             chassis_resource(c) for c in range(self.chassis_count)
         ]
@@ -180,16 +124,15 @@ class RackTopology:
                          *self._backup_up.values(),
                          *self._backup_down.values(), self._agg):
             resource.reset()
-        self.transfers.clear()
-        self.reroutes = 0
+        super().reset()
 
     def send(self, src: int, dst: int, nbytes: int,
              post_time: float) -> Transfer:
         nodes = self.nodes
         if not (0 <= src < nodes and 0 <= dst < nodes):
-            raise endpoint_error(src, dst, nodes)
-        config = self.config
-        nic = config.nic
+            raise self.endpoint_error(src, dst)
+        spec = self.spec
+        nic = spec.nic
         if src == dst:
             # Loopback: host stack only (send overhead was already
             # charged by the caller).
@@ -207,7 +150,7 @@ class RackTopology:
         ser = nic_link.serialization_s(nbytes)
         depart = self._up[src].book(post_time, ser)
         up_done = depart + ser + nic_link.latency_s
-        t_cursor = up_done + config.forward_latency_s
+        t_cursor = up_done + spec.forward_latency_s
         src_ch = self._chassis[src]
         dst_ch = self._chassis[dst]
         rerouted = False
@@ -216,7 +159,7 @@ class RackTopology:
             # destination chassis switch forwards down.  A faulted
             # chassis uplink/downlink detours over the management Fast
             # Ethernet path instead of losing the frame.
-            uplink = config.uplink
+            uplink = spec.uplink
             uplink_ser = uplink.serialization_s(nbytes)
             if faults is not None and faults.down_at(
                     self._chassis_fault_resources[src_ch], t_cursor):
@@ -276,16 +219,11 @@ class RackTopology:
     def uplink_busy_s(self, chassis: int) -> float:
         return self._chassis_up[chassis].busy_s
 
-    def total_bytes(self) -> int:
-        return sum(t.nbytes for t in self.transfers)
-
 
 def green_destiny_fabric(nodes: int = 240,
-                         uplink: Optional[Link] = None) -> RackTopology:
+                         uplink: Link = GIGABIT_ETHERNET) -> RackTopology:
     """The Green Destiny rack network sized for *nodes* blades.
 
-    ``uplink`` defaults to the platform spec's Gigabit uplink.
+    Pass ``uplink=FAST_ETHERNET`` for the oversubscription ablation.
     """
-    return RackTopology(
-        nodes=nodes, config=RackFabricConfig(uplink=uplink)
-    )
+    return replace(GREEN_DESTINY_FABRIC, uplink=uplink).build(nodes)

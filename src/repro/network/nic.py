@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.network.faults import require_finite_nonnegative
 from repro.network.link import FAST_ETHERNET, Link
 
 
@@ -23,8 +24,8 @@ class Nic:
     recv_overhead_s: float = 15e-6    # host stack cost to complete a recv
 
     def __post_init__(self) -> None:
-        if self.send_overhead_s < 0 or self.recv_overhead_s < 0:
-            raise ValueError("overheads cannot be negative")
+        require_finite_nonnegative("send_overhead_s", self.send_overhead_s)
+        require_finite_nonnegative("recv_overhead_s", self.recv_overhead_s)
 
 
 #: The ServerBlade's onboard interface (MPI over TCP over 100 Mb/s).

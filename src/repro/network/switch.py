@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.network.link import FAST_ETHERNET, Link
+from repro.network.faults import (
+    require_finite_nonnegative, require_finite_positive,
+)
+from repro.network.link import FAST_ETHERNET, Calendar, Link
 
 
 @dataclass(frozen=True)
@@ -24,10 +27,14 @@ class Switch:
     backplane_bps: float = 4.8e9
 
     def __post_init__(self) -> None:
-        if self.ports < 2:
-            raise ValueError("a switch needs at least two ports")
-        if self.backplane_bps <= 0:
-            raise ValueError("backplane bandwidth must be positive")
+        if type(self.ports) is not int or self.ports < 2:
+            raise ValueError(
+                f"ports must be an integer >= 2, got {self.ports!r}"
+            )
+        require_finite_nonnegative(
+            "forward_latency_s", self.forward_latency_s
+        )
+        require_finite_positive("backplane_bps", self.backplane_bps)
 
     @property
     def nonblocking(self) -> bool:
@@ -57,7 +64,6 @@ class BackplaneSchedule:
     __slots__ = ("switch", "_calendar")
 
     def __init__(self, switch: Switch) -> None:
-        from repro.network.link import Calendar
         self.switch = switch
         self._calendar = Calendar()
 

@@ -23,13 +23,12 @@ from repro.platform.registry import (
     platform_by_name,
     platform_names,
 )
-from repro.platform.spec import (
-    FabricSpec,
+from repro.network.fabric import (
     GREEN_DESTINY_FABRIC,
     METABLADE_FABRIC,
-    PlatformSpec,
-    scaled_star_switch,
+    FabricSpec,
 )
+from repro.platform.spec import PlatformSpec, scaled_star_switch
 
 __all__ = [
     "DEFAULT_PLATFORM",

@@ -31,13 +31,12 @@ from repro.cpus.catalog import (
     TM5600_633,
     TM5800_800,
 )
-from repro.platform.spec import (
-    FabricSpec,
+from repro.network.fabric import (
     GREEN_DESTINY_FABRIC,
     METABLADE_FABRIC,
-    PlatformSpec,
-    scaled_star_switch,
+    FabricSpec,
 )
+from repro.platform.spec import PlatformSpec, scaled_star_switch
 
 #: MetaBlade: the paper's measured machine — 24 TM5600 blades, one
 #: chassis, one 24-port Fast Ethernet switch.  This is THE default

@@ -27,12 +27,9 @@ Because the spec serializes canonically (:meth:`PlatformSpec.to_dict` /
 hardware* it ran on and replay can distinguish "the platform changed"
 from "the trace diverged".
 
-This module is also the single source of the Fast Ethernet fabric
-parameters: :data:`METABLADE_FABRIC` and :data:`GREEN_DESTINY_FABRIC`
-are where :func:`repro.network.timing.star_fabric`,
-:class:`repro.network.topology.StarTopology` and
-:class:`repro.network.multilevel.RackFabricConfig` resolve their
-defaults, instead of each re-importing ``FAST_ETHERNET*`` constants.
+The fabric half of the description, :class:`FabricSpec`, lives in
+:mod:`repro.network.fabric` beside the parts it is made of and is
+re-exported here.
 """
 
 from __future__ import annotations
@@ -40,8 +37,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, Iterable, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Optional, Sequence
 
 from repro.cluster.chassis import RlxSystem324
 from repro.cluster.node import NodeConfig, Packaging
@@ -49,176 +46,16 @@ from repro.cluster.rack import CHASSIS_PER_RACK, RACK_GEAR_WATTS
 from repro.cpus.base import ProcessorSpec
 from repro.cpus.catalog import CPU_CATALOG, PEAK_FLOPS_PER_CYCLE, cpu_by_name
 from repro.cpus.power import COOLING_OVERHEAD_PER_WATT, PowerModel
+from repro.network.fabric import FabricSpec, check_keys
 from repro.network.faults import require_finite_positive
-from repro.network.link import FAST_ETHERNET, GIGABIT_ETHERNET, Link
-from repro.network.multilevel import RackFabricConfig, RackTopology
-from repro.network.nic import FAST_ETHERNET_NIC, Nic
+from repro.network.link import FAST_ETHERNET, Link
 from repro.network.switch import FAST_ETHERNET_SWITCH_24, Switch
-from repro.network.timing import IdealFabric
-from repro.network.topology import StarTopology
 from repro.thermal.model import ThermalNetwork, ThermalSpec
-
-#: Fabric kinds a spec may declare.
-FABRIC_KINDS = ("star", "rack", "ideal")
 
 
 def _canonical_hash(doc: Dict[str, Any]) -> str:
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _check_keys(cls, doc: Dict[str, Any],
-                optional: Iterable[str] = ()) -> None:
-    """Reject a *cls* document with a missing or unknown key, naming it
-    (an unknown key silently dropped would hash equal to its absence)."""
-    wrong = ({f.name for f in fields(cls)} ^ set(doc)) - set(optional)
-    if wrong:
-        raise ValueError(
-            f"{cls.__name__} document: missing or unknown keys {sorted(wrong)}"
-        )
-
-
-def _link_to_dict(link: Link) -> Dict[str, Any]:
-    return {
-        "name": link.name,
-        "bandwidth_bps": link.bandwidth_bps,
-        "latency_s": link.latency_s,
-    }
-
-
-def _link_from_dict(doc: Dict[str, Any]) -> Link:
-    return Link(**doc)
-
-
-def _nic_to_dict(nic: Nic) -> Dict[str, Any]:
-    return {
-        "name": nic.name,
-        "link": _link_to_dict(nic.link),
-        "send_overhead_s": nic.send_overhead_s,
-        "recv_overhead_s": nic.recv_overhead_s,
-    }
-
-
-def _nic_from_dict(doc: Dict[str, Any]) -> Nic:
-    doc = dict(doc)
-    doc["link"] = _link_from_dict(doc["link"])
-    return Nic(**doc)
-
-
-def _switch_to_dict(switch: Switch) -> Dict[str, Any]:
-    return {
-        "name": switch.name,
-        "ports": switch.ports,
-        "port_link": _link_to_dict(switch.port_link),
-        "forward_latency_s": switch.forward_latency_s,
-        "backplane_bps": switch.backplane_bps,
-    }
-
-
-def _switch_from_dict(doc: Dict[str, Any]) -> Switch:
-    doc = dict(doc)
-    doc["port_link"] = _link_from_dict(doc["port_link"])
-    return Switch(**doc)
-
-
-@dataclass(frozen=True)
-class FabricSpec:
-    """Declarative interconnect description, buildable at any size.
-
-    ``kind`` picks the topology class; the remaining fields carry its
-    parameters (``switch`` for the star, ``nodes_per_chassis`` /
-    ``uplink`` / ``forward_latency_s`` for the two-level rack).  All
-    kinds share ``nic`` — the host-side interface every blade carries.
-    """
-
-    kind: str = "star"
-    nic: Nic = FAST_ETHERNET_NIC
-    switch: Switch = FAST_ETHERNET_SWITCH_24
-    nodes_per_chassis: int = 24
-    uplink: Link = GIGABIT_ETHERNET
-    forward_latency_s: float = 10e-6
-
-    def __post_init__(self) -> None:
-        if self.kind not in FABRIC_KINDS:
-            raise ValueError(
-                f"unknown fabric kind {self.kind!r}; known: {FABRIC_KINDS}"
-            )
-        if self.nodes_per_chassis < 1:
-            raise ValueError("nodes_per_chassis must be >= 1")
-        if self.forward_latency_s < 0:
-            raise ValueError("forward latency cannot be negative")
-
-    def build(self, nodes: int,
-              blades: Optional[Sequence[int]] = None):
-        """Materialise the fabric for *nodes* endpoints.
-
-        ``blades`` optionally names the physical blade behind each
-        fabric endpoint (rank ``i`` rides blade ``blades[i]``); the
-        rack fabric uses it to place endpoints into their *real*
-        chassis, so a job scattered across enclosures pays the uplink
-        where the allocation says it should.
-        """
-        if self.kind == "ideal":
-            return IdealFabric(nodes)
-        if self.kind == "star":
-            return StarTopology(nodes, nic=self.nic, switch=self.switch)
-        chassis_map = None
-        if blades is not None:
-            if len(blades) != nodes:
-                raise ValueError(
-                    f"{len(blades)} blades for {nodes} fabric endpoints"
-                )
-            chassis_map = tuple(
-                b // self.nodes_per_chassis for b in blades
-            )
-        return RackTopology(
-            nodes,
-            config=RackFabricConfig(
-                nodes_per_chassis=self.nodes_per_chassis,
-                nic=self.nic,
-                uplink=self.uplink,
-                forward_latency_s=self.forward_latency_s,
-            ),
-            chassis_map=chassis_map,
-        )
-
-    def max_nodes(self) -> Optional[int]:
-        """Port-count ceiling, or ``None`` when the kind scales freely."""
-        if self.kind == "star":
-            return self.switch.ports
-        return None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "nic": _nic_to_dict(self.nic),
-            "switch": _switch_to_dict(self.switch),
-            "nodes_per_chassis": self.nodes_per_chassis,
-            "uplink": _link_to_dict(self.uplink),
-            "forward_latency_s": self.forward_latency_s,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "FabricSpec":
-        _check_keys(cls, doc)
-        return cls(
-            kind=doc["kind"],
-            nic=_nic_from_dict(doc["nic"]),
-            switch=_switch_from_dict(doc["switch"]),
-            nodes_per_chassis=doc["nodes_per_chassis"],
-            uplink=_link_from_dict(doc["uplink"]),
-            forward_latency_s=doc["forward_latency_s"],
-        )
-
-
-#: The MetaBlade interconnect: 24 Fast Ethernet blades into one switch.
-#: Single source of the star fabric's NIC/switch parameters.
-METABLADE_FABRIC = FabricSpec(kind="star")
-
-#: The Green Destiny interconnect: chassis switches behind a rack
-#: aggregation switch, Gigabit uplinks.  Single source of the rack
-#: fabric's NIC/uplink parameters.
-GREEN_DESTINY_FABRIC = FabricSpec(kind="rack")
 
 
 def scaled_star_switch(ports: int, port_link: Link = FAST_ETHERNET) -> Switch:
@@ -425,27 +262,11 @@ class PlatformSpec:
 
     def to_dict(self) -> Dict[str, Any]:
         """Canonical JSON-safe form; the content hash covers all of it."""
-        return {
-            "name": self.name,
-            "title": self.title,
-            "processor": asdict(self.processor),
-            "nodes": self.nodes,
-            "packaging": self.packaging.value,
-            "fabric": self.fabric.to_dict(),
-            "footprint_sqft": self.footprint_sqft,
-            "acquisition_usd": self.acquisition_usd,
-            "year": self.year,
-            "node_config": asdict(self.node_config),
-            "treecode_gflops": self.treecode_gflops,
-            "power_kw_override": self.power_kw_override,
-            "thermal": (
-                self.thermal.to_dict() if self.thermal is not None else None
-            ),
-        }
+        return {**asdict(self), "packaging": self.packaging.value}
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "PlatformSpec":
-        _check_keys(cls, doc, optional=("thermal",))
+        check_keys(cls, doc, optional=("thermal",))
         return cls(
             name=doc["name"],
             title=doc["title"],

@@ -22,19 +22,10 @@ is the one performance record.
 
 from __future__ import annotations
 
-import os
 from multiprocessing import get_context
 from typing import Any, Callable, Iterable, List
 
-__all__ = [
-    "bench_quick",
-    "parallel_map",
-]
-
-
-def bench_quick() -> bool:
-    """True when ``REPRO_BENCH_QUICK`` asks for the CI smoke sizes."""
-    return os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
+__all__ = ["parallel_map"]
 
 
 def parallel_map(fn: Callable[[Any], Any], items: Iterable[Any],

@@ -96,8 +96,8 @@ class ProfileKeys:
     def __init__(self, platform, config) -> None:
         fabric = platform.fabric
         self._kind = fabric.kind
-        self._per_chassis = (
-            fabric.nodes_per_chassis if fabric.kind == "rack" else None
+        self._chassis_of = (
+            fabric.chassis_of if fabric.kind == "rack" else None
         )
         #: What every workload's content tuple ends with.
         self._plan = (
@@ -123,11 +123,10 @@ class ProfileKeys:
         workload = spec.workload
         held = self._interned.get(id(workload))
         content = held[1] if held is not None else self._intern(workload)
-        per_chassis = self._per_chassis
-        if per_chassis is None:
+        chassis_of = self._chassis_of
+        if chassis_of is None:
             return (content, spec.nodes, self._kind)
-        return (content, spec.nodes,
-                tuple(b // per_chassis for b in blades))
+        return (content, spec.nodes, tuple(map(chassis_of, blades)))
 
 
 def job_profile_key(spec, platform, blades: Sequence[int],

@@ -31,7 +31,6 @@ shared timeline stays causally consistent.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import insort
 
@@ -47,6 +46,7 @@ from repro.network.faults import (
     NetFaultConfig,
     chassis_resource,
     link_resource,
+    require_finite_nonnegative,
     require_finite_positive,
 )
 from repro.sched.allocator import BladeAllocator
@@ -139,11 +139,9 @@ class SchedConfig:
             raise ValueError(
                 f"checkpoint_every must be None or an int >= 1, got {every!r}"
             )
-        if not 0 <= self.checkpoint_latency_s < math.inf:
-            raise ValueError(
-                "checkpoint_latency_s must be finite and >= 0, got "
-                f"{self.checkpoint_latency_s!r}"
-            )
+        require_finite_nonnegative(
+            "checkpoint_latency_s", self.checkpoint_latency_s
+        )
         require_finite_positive(
             "checkpoint_bandwidth_bps", self.checkpoint_bandwidth_bps
         )
@@ -324,10 +322,9 @@ class BatchScheduler:
             }
             resources = list(self._net_blades)
             if platform.fabric.kind == "rack":
-                per = platform.fabric.nodes_per_chassis
-                chassis = (self.nodes + per - 1) // per
                 resources += [
-                    chassis_resource(c) for c in range(chassis)
+                    chassis_resource(c)
+                    for c in range(platform.fabric.chassis_count(self.nodes))
                 ]
             self._net_timeline = net_fault.build_timeline(resources)
             for window in self._net_timeline.windows():
@@ -586,7 +583,7 @@ class BatchScheduler:
             return "net-fault"           # fault timeline perturbs worlds
         if self.kernel.watched:
             return "observer"            # tracing or kernel hooks
-        if not getattr(record.spec.workload, "cacheable", False):
+        if not record.spec.workload.cacheable:
             return "uncacheable"         # payload opted out
         if record.failures or record.requeues:
             return "restart"             # defensive: never a fresh start
@@ -790,9 +787,7 @@ class BatchScheduler:
                 s.retransmits for s in result.stats
             )
             self._net_drops += sum(s.drops for s in result.stats)
-            self._net_reroutes += getattr(
-                running.runtime.fabric, "reroutes", 0
-            )
+            self._net_reroutes += running.runtime.fabric.reroutes
             if running.killed_at is None and result.failed_ranks:
                 # A rank died of retry exhaustion (LinkDownError)
                 # without any node-failure kill: the partition tore the

@@ -221,7 +221,7 @@ class RankComm:
                 "no flop_rate given and the runtime has no node rate"
             )
         self.stats.flops += flops
-        governor = getattr(self._runtime, "governor", None)
+        governor = self._runtime.governor
         if governor is None:
             self.compute(flops / rate)
             return

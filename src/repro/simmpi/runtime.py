@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.events import EventKernel, Process
-from repro.network.faults import next_message_id
 from repro.network.timing import Fabric, IdealFabric
 from repro.simmpi.comm import (
     ANY_SOURCE,
@@ -196,7 +195,7 @@ class SimMpiRuntime:
             raise ValueError("size must be >= 1")
         self.size = size
         self.fabric: Fabric = fabric if fabric is not None else IdealFabric(size)
-        if getattr(self.fabric, "nodes", size) < size:
+        if self.fabric.nodes < size:
             raise ValueError("fabric has fewer nodes than ranks")
         self.flop_rate = flop_rate
         self.kernel = kernel if kernel is not None else EventKernel()
@@ -209,14 +208,9 @@ class SimMpiRuntime:
         #: every byte of fault-free behaviour unchanged.
         self.net_fault = net_fault
         # The host send stack every post is charged before the fabric
-        # sees the message; a fabric without a ``nic`` charges none.
-        nic = getattr(self.fabric, "nic", None)
-        self._send_overhead_s = (
-            nic.send_overhead_s if nic is not None else 0.0
-        )
-        attach = getattr(self.fabric, "attach_kernel", None)
-        if attach is not None:
-            attach(self.kernel)
+        # sees the message.
+        self._send_overhead_s = self.fabric.send_overhead_s
+        self.fabric.attach_kernel(self.kernel)
         self._mailboxes: Dict[int, _Mailbox] = {}
         self._consumed = 0
         self._posted = 0
@@ -317,7 +311,7 @@ class SimMpiRuntime:
         retry ledger is keyed on.
         """
         policy = self.net_fault
-        mid = next_message_id(self.kernel)
+        mid = self.kernel.next_id()
         attempt = 0
         while True:
             transfer = self.fabric.send(comm.rank, dst, nbytes, comm.clock)

@@ -28,7 +28,7 @@ from repro.network.faults import (
     chassis_resource,
     link_resource,
 )
-from repro.network.multilevel import RackFabricConfig, RackTopology
+from repro.network.fabric import FabricSpec
 from repro.network.timing import star_fabric
 from repro.simmpi import SimMpiRuntime
 
@@ -50,7 +50,7 @@ def storm(comm, rounds):
 def _fabric(kind):
     if kind == "star":
         return star_fabric(6)
-    return RackTopology(8, RackFabricConfig(nodes_per_chassis=4))
+    return FabricSpec(kind="rack", nodes_per_chassis=4).build(8)
 
 
 def _outages(kind):

@@ -4,10 +4,12 @@ Two static rules over ``src/repro``, checked on the AST:
 
 - no ``from repro.<pkg>... import _name`` from outside ``<pkg>``;
 - no ``obj._name`` on anything but ``self`` / ``cls`` unless ``_name``
-  is a name the reading module's own package defines (a method, a
-  ``self._name = ...`` attribute, a module-level name).  Without type
-  inference that is how "crosses a package boundary" is decided: a
-  private name nobody in the package defines belongs to someone else.
+  is a name the module's own package defines (a method, a
+  ``self._name = ...`` attribute, a module-level name) — read, written,
+  or spelled ``getattr(obj, "_name")``.  Without type inference that is
+  how "crosses a package boundary" is decided: a private name nobody in
+  the package defines belongs to someone else.  Writing ``obj._name``
+  defines nothing: it is how a package parks state on a foreign object.
 
 A top-level module (``repro/cli.py``) is its own package.
 """
@@ -29,6 +31,24 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not dunder
 
 
+def _own(base) -> bool:
+    return isinstance(base, ast.Name) and base.id in ("self", "cls")
+
+
+def _attribute_access(node):
+    """``(object, attribute name)`` for ``obj.name`` and for
+    ``getattr/setattr/hasattr(obj, "name", ...)``, else ``None``."""
+    if isinstance(node, ast.Attribute):
+        return node.value, node.attr
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "setattr", "hasattr")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)):
+        return node.args[0], node.args[1].value
+    return None
+
+
 def _reach_ins(sources):
     """*sources*: ``[(package, label, python source)]`` -> offending lines."""
     trees = [(pkg, label, ast.parse(text)) for pkg, label, text in sources]
@@ -39,7 +59,8 @@ def _reach_ins(sources):
                                  ast.ClassDef)):
                 defined[pkg].add(node.name)
             elif (isinstance(node, ast.Attribute)
-                    and isinstance(node.ctx, ast.Store)):
+                    and isinstance(node.ctx, ast.Store)
+                    and _own(node.value)):
                 defined[pkg].add(node.attr)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 defined[pkg].add(node.id)
@@ -55,12 +76,11 @@ def _reach_ins(sources):
                     f"import {alias.name}"
                     for alias in node.names if _private(alias.name)
                 ]
-            elif isinstance(node, ast.Attribute) and _private(node.attr):
-                base = node.value
-                if isinstance(base, ast.Name) and base.id in ("self", "cls"):
-                    continue
-                if node.attr not in defined[pkg]:
-                    found.append(f"{label}:{node.lineno}: .{node.attr}")
+                continue
+            attr = _attribute_access(node)
+            if attr and _private(attr[1]) and not _own(attr[0]) \
+                    and attr[1] not in defined[pkg]:
+                found.append(f"{label}:{node.lineno}: .{attr[1]}")
     return found
 
 
@@ -87,14 +107,19 @@ def test_the_rules_bite_on_a_seeded_reach_in():
         "from repro.owner.world import _recipe, World\n"
         "def peek(world):\n"
         "    return world._comms, world._deadlock_error()\n"
+        "def park(kernel):\n"
+        "    mid = getattr(kernel, '_net_mid', 0)\n"
+        "    kernel._net_mid = mid + 1\n"
     )
     assert _reach_ins([("owner", "owner/world.py", owner)]) == []
     found = _reach_ins([
         ("owner", "owner/world.py", owner),
         ("intruder", "intruder.py", intruder),
     ])
-    assert found == [
+    assert sorted(found) == [         # ast.walk is breadth-first
         "intruder.py:1: from repro.owner.world import _recipe",
         "intruder.py:3: ._comms",
         "intruder.py:3: ._deadlock_error",
+        "intruder.py:5: ._net_mid",
+        "intruder.py:6: ._net_mid",
     ]

@@ -15,11 +15,8 @@ from repro.cpus.longrun import (
 from repro.cpus.catalog import TM5600_633
 from repro.isa import programs
 from repro.network.link import FAST_ETHERNET, GIGABIT_ETHERNET
-from repro.network.multilevel import (
-    RackFabricConfig,
-    RackTopology,
-    green_destiny_fabric,
-)
+from repro.network.fabric import GREEN_DESTINY_FABRIC, FabricSpec
+from repro.network.multilevel import green_destiny_fabric
 from repro.npb.classes import problem_class
 from repro.npb.ep import run_ep
 from repro.npb.is_ import make_keys
@@ -59,8 +56,8 @@ def test_rack_uplink_carries_inter_chassis_traffic():
 
 
 def test_rack_oversubscription_metric():
-    gig = RackFabricConfig(uplink=GIGABIT_ETHERNET)
-    fe = RackFabricConfig(uplink=FAST_ETHERNET)
+    gig = FabricSpec(kind="rack", uplink=GIGABIT_ETHERNET)
+    fe = FabricSpec(kind="rack", uplink=FAST_ETHERNET)
     assert gig.oversubscription == pytest.approx(2.4)
     assert fe.oversubscription == pytest.approx(24.0)
 
@@ -93,9 +90,9 @@ def test_rack_slow_uplink_costs_time():
 
 def test_rack_validation():
     with pytest.raises(ValueError):
-        RackTopology(nodes=0)
+        GREEN_DESTINY_FABRIC.build(0)
     with pytest.raises(ValueError):
-        RackFabricConfig(nodes_per_chassis=0)
+        FabricSpec(kind="rack", nodes_per_chassis=0)
     rack = green_destiny_fabric(nodes=4)
     with pytest.raises(ValueError):
         rack.send(0, 99, 10, 0.0)
