@@ -105,10 +105,26 @@ class CodeMorphingSoftware:
         #: Patched translation-to-translation edges (survives runs, like
         #: the cache itself).
         self._chains = set()
+        #: The program the cache, the profile and the chains - all keyed
+        #: by pc - belong to.
+        self._program: Optional[Program] = None
+
+    def _bind(self, program: Program) -> None:
+        """Translations belong to one program; drop them for another.
+
+        By identity, as :meth:`Machine._bind` does: running the same
+        ``Program`` object again stays warm.
+        """
+        if program is not self._program:
+            self._program = program
+            self.tcache.flush()
+            self.profile = HotSpotProfile()
+            self._chains = set()
 
     def run(self, program: Program, state: Optional[MachineState] = None,
             max_steps: int = 10_000_000) -> CmsResult:
         """Execute *program* to completion under code morphing."""
+        self._bind(program)
         machine = Machine(state=state, max_steps=max_steps)
         self.engine.reset()
         native_blocks = 0

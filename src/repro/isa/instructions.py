@@ -307,12 +307,11 @@ class Program:
         split the block here; the CMS handles re-entry by simply keying
         its cache on the entry ``pc``, exactly like a trace cache.
         """
-        out = []
-        for i in range(pc, len(self.instrs)):
-            out.append(self.instrs[i])
-            if self.instrs[i].ends_block:
-                break
-        return tuple(out)
+        instrs = self.instrs
+        for end in range(pc, len(instrs)):
+            if instrs[end].op in BLOCK_ENDERS:      # Instr.ends_block
+                return instrs[pc:end + 1]
+        return instrs[pc:]
 
     def static_mix(self) -> dict:
         """Static instruction mix by :class:`OpClass` (for reporting)."""

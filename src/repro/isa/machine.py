@@ -501,22 +501,29 @@ class Machine:
         self._bind(program)
         block = self._blocks.get(pc)
         if block is None:
-            self._decode(program, pc)   # faults unless pc is in the program
+            _instr_at(program, pc)      # faults unless pc is in the program
             instrs = program.basic_block_at(pc)
-            handlers = [
-                self._decode(program, at)[0]
-                for at in range(pc, pc + len(instrs))
-            ]
+            # One walk: handlers (shared with step() and with the blocks
+            # that overlap this one), flop total and class histogram.
+            decoded = self._decoded
+            handlers = []
+            flops = 0
             classes: Dict[OpClass, int] = {}
-            for instr in instrs:
-                classes[instr.opclass] = classes.get(instr.opclass, 0) + 1
+            for at, instr in enumerate(instrs, pc):
+                entry = decoded.get(at)
+                if entry is None:
+                    entry = decoded[at] = (decode(instr, at), instr)
+                handlers.append(entry[0])
+                flops += instr.flops
+                opclass = instr.opclass
+                classes[opclass] = classes.get(opclass, 0) + 1
             block = self._blocks[pc] = GuestBlock(
                 entry_pc=pc,
                 instrs=instrs,
                 body=tuple(handlers[:-1]),
                 last=handlers[-1],
                 length=len(instrs),
-                flops=sum(instr.flops for instr in instrs),
+                flops=flops,
                 classes=tuple(classes.items()),
             )
         return block

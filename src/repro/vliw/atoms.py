@@ -63,7 +63,8 @@ class Atom:
 def atoms_from_block(block: Tuple[Instr, ...],
                      latencies: LatencyTable) -> Tuple[Atom, ...]:
     """Lower a guest basic block into native atoms (1:1 mapping)."""
-    return tuple(
-        Atom(instr=instr, seq=i, latency=latencies.latency(instr.opclass))
-        for i, instr in enumerate(block)
-    )
+    latency = latencies.latencies
+    return tuple([
+        Atom(instr, seq, latency[instr.opclass])
+        for seq, instr in enumerate(block)
+    ])

@@ -63,22 +63,26 @@ class TranslatedBlock:
         Derived on first execution and kept with the translation, so
         re-running a cached block never revisits its atoms.
         """
-        return tuple(
-            (
-                # each source register once, in first-read order
-                tuple({src: None for a in molecule for src in a.reads()}),
-                any(a.unit is UnitKind.FPU for a in molecule),
-                tuple(
-                    (a.writes(), a.latency)
-                    for a in molecule if a.writes() is not None
-                ),
-                tuple(
-                    a.latency for a in molecule
-                    if a.opclass in _UNPIPELINED
-                ),
+        plan = []
+        for molecule in self.molecules:
+            srcs: Dict[str, None] = {}      # each once, in first-read order
+            needs_fpu = False
+            writes = []
+            unpipelined = []
+            for atom in molecule.atoms:
+                instr = atom.instr
+                for src in instr.srcs:
+                    srcs[src] = None
+                if atom.unit is UnitKind.FPU:
+                    needs_fpu = True
+                if instr.dst is not None:
+                    writes.append((instr.dst, atom.latency))
+                if instr.opclass in _UNPIPELINED:
+                    unpipelined.append(atom.latency)
+            plan.append(
+                (tuple(srcs), needs_fpu, tuple(writes), tuple(unpipelined))
             )
-            for molecule in self.molecules
-        ), sum(len(molecule) for molecule in self.molecules)
+        return tuple(plan), sum(len(molecule) for molecule in self.molecules)
 
 
 def translate_block(program: Program, entry_pc: int,

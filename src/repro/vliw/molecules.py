@@ -10,14 +10,20 @@ in order - there is no out-of-order hardware to model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.vliw.atoms import Atom
 from repro.vliw.units import UnitKind
 
 
 class MoleculeFormatError(ValueError):
-    """Raised when atoms cannot legally share a molecule."""
+    """Raised when atoms cannot legally share a molecule, or when a
+    format has no molecule to put them in."""
+
+
+def _whole(value: object, least: int) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= least)
 
 
 @dataclass(frozen=True)
@@ -31,12 +37,36 @@ class SlotLimits:
         (UnitKind.MEM, 1),
         (UnitKind.BR, 1),
     )
+    #: ``per_unit`` resolved once: slots per unit.  A unit the format
+    #: does not list has no slot.
+    capacities: Mapping[UnitKind, int] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        if not _whole(self.max_atoms, 1):
+            raise MoleculeFormatError(
+                f"max_atoms must be a whole number >= 1, "
+                f"got {self.max_atoms!r}"
+            )
+        capacities: Dict[UnitKind, int] = {}
+        for unit, slots in self.per_unit:
+            if not isinstance(unit, UnitKind):
+                raise MoleculeFormatError(f"{unit!r} is not a UnitKind")
+            if unit in capacities:
+                raise MoleculeFormatError(
+                    f"unit {unit.value} is listed twice"
+                )
+            if not _whole(slots, 0):
+                raise MoleculeFormatError(
+                    f"capacity of {unit.value} must be a whole number "
+                    f">= 0, got {slots!r}"
+                )
+            capacities[unit] = slots
+        object.__setattr__(self, "capacities", capacities)
 
     def capacity(self, unit: UnitKind) -> int:
-        for kind, cap in self.per_unit:
-            if kind is unit:
-                return cap
-        return 0
+        return self.capacities.get(unit, 0)
 
 
 #: The TM5600's full 128-bit format.

@@ -11,145 +11,208 @@ microkernel measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
+from repro.isa.instructions import OpClass
 from repro.vliw.atoms import Atom
-from repro.vliw.molecules import FULL_FORMAT, Molecule, SlotLimits
-from repro.vliw.units import UnitKind
+from repro.vliw.molecules import (
+    FULL_FORMAT,
+    Molecule,
+    MoleculeFormatError,
+    SlotLimits,
+)
+
+_LOAD, _STORE, _BRANCH = OpClass.LOAD, OpClass.STORE, OpClass.BRANCH
 
 
 @dataclass
 class DependenceEdges:
-    """Per-atom predecessor sets, by hazard kind.
+    """The dependence graph of a block, by hazard kind.
+
+    Stored the way the scheduler walks it - per atom, the later atoms
+    that wait for it - and readable per atom as predecessor lists:
 
     - ``data`` (RAW, load-after-store): the producer must **complete**
       before the consumer issues;
     - ``waw``: the earlier write must issue in a **strictly earlier**
       molecule (two writers of one register cannot share a molecule);
-    - ``war_order`` (WAR, store-after-memory-op): the predecessor must
-      have issued **no later** than the successor - same-molecule
-      co-issue is legal because molecule reads happen before molecule
-      writes (and our program-order semantics preserve exactly that).
+    - ``war_order`` (WAR, store-after-memory-op, branch-after-all): the
+      predecessor must have issued **no later** than the successor -
+      same-molecule co-issue is legal because molecule reads happen
+      before molecule writes (and our program-order semantics preserve
+      exactly that).
 
-    The block-ending branch is handled positionally by the scheduler (it
-    must issue last); long-latency results may still be in flight when
-    control leaves the block - the engine's scoreboard carries them
+    A store is ordered after the previous store and the memory
+    operations since; the ones before that store are ordered through it.
+    The block-ending branch is ordered after every other atom, so it
+    issues last, but it does not wait for latencies still in flight when
+    control leaves the block - the engine's scoreboard carries those
     across block boundaries.
     """
 
-    data: List[Set[int]]
-    waw: List[Set[int]]
-    war_order: List[Set[int]]
+    data_successors: List[List[int]]
+    waw_successors: List[List[int]]
+    war_order_successors: List[List[int]]
+    #: Per atom, how many edges (of any kind) end at it.
+    predecessor_count: List[int]
+
+    @property
+    def data(self) -> List[List[int]]:
+        return _predecessors(self.data_successors)
+
+    @property
+    def waw(self) -> List[List[int]]:
+        return _predecessors(self.waw_successors)
+
+    @property
+    def war_order(self) -> List[List[int]]:
+        return _predecessors(self.war_order_successors)
+
+
+def _predecessors(successors: List[List[int]]) -> List[List[int]]:
+    predecessors: List[List[int]] = [[] for _ in successors]
+    for p, waiting in enumerate(successors):
+        for s in waiting:
+            predecessors[s].append(p)
+    return predecessors
 
 
 def dependence_graph(atoms: Sequence[Atom]) -> DependenceEdges:
-    """Build the three-kind dependence edges of a basic block."""
+    """Build the three-kind dependence edges of a basic block, in one
+    pass over each atom's source and destination registers."""
     n = len(atoms)
-    edges = DependenceEdges(
-        data=[set() for _ in range(n)],
-        waw=[set() for _ in range(n)],
-        war_order=[set() for _ in range(n)],
-    )
+    data: List[List[int]] = [[] for _ in range(n)]
+    waw: List[List[int]] = [[] for _ in range(n)]
+    war_order: List[List[int]] = [[] for _ in range(n)]
+    predecessor_count = [0] * n
     last_write: Dict[str, int] = {}
     readers_since_write: Dict[str, List[int]] = {}
-    last_store = -1
-    last_mem: List[int] = []
+    last_store = None
+    mem_since_store: List[int] = []      # the last store, and what followed
 
     for i, atom in enumerate(atoms):
-        for src in atom.reads():
-            if src in last_write:
-                edges.data[i].add(last_write[src])          # RAW
-            readers_since_write.setdefault(src, []).append(i)
-        dst = atom.writes()
+        instr = atom.instr
+        count = 0
+        for src in instr.srcs:
+            writer = last_write.get(src)
+            if writer is not None:
+                data[writer].append(i)                       # RAW
+                count += 1
+            readers = readers_since_write.get(src)
+            if readers is None:
+                readers_since_write[src] = [i]
+            else:
+                readers.append(i)
+        dst = instr.dst
         if dst is not None:
-            if dst in last_write:
-                edges.waw[i].add(last_write[dst])           # WAW
-            for reader in readers_since_write.get(dst, ()):
+            writer = last_write.get(dst)
+            if writer is not None:
+                waw[writer].append(i)                        # WAW
+                count += 1
+            for reader in readers_since_write.pop(dst, ()):
                 if reader != i:
-                    edges.war_order[i].add(reader)          # WAR
+                    war_order[reader].append(i)              # WAR
+                    count += 1
             last_write[dst] = i
-            readers_since_write[dst] = []
-        if atom.is_store:
-            edges.war_order[i].update(last_mem)    # store after mem ops
-            last_mem.append(i)
+        opclass = instr.opclass
+        if opclass is _STORE:
+            for earlier in mem_since_store:     # store after mem ops
+                war_order[earlier].append(i)
+            count += len(mem_since_store)
+            mem_since_store = [i]
             last_store = i
-        elif atom.is_mem:
-            if last_store >= 0:
-                edges.data[i].add(last_store)      # load after store
-            last_mem.append(i)
-    return edges
+        elif opclass is _LOAD:
+            if last_store is not None:
+                data[last_store].append(i)      # load after store
+                count += 1
+            mem_since_store.append(i)
+        elif opclass is _BRANCH:
+            # Issues only once every other atom has issued or is
+            # issuing in this very molecule.
+            for other in range(n):
+                if other != i:
+                    war_order[other].append(i)
+            count += n - 1
+        predecessor_count[i] = count
+    return DependenceEdges(data, waw, war_order, predecessor_count)
 
 
 def schedule_block(atoms: Sequence[Atom],
                    limits: SlotLimits = FULL_FORMAT) -> Tuple[Molecule, ...]:
     """Pack *atoms* into an in-order molecule sequence.
 
-    Cycle-driven greedy list scheduling: at each virtual cycle, pick the
-    dependence-ready atoms (data operands complete, WAW predecessors in
-    earlier molecules, WAR predecessors already issued or co-issuing),
-    in program order, until the molecule's slot limits fill.  A
-    block-ending branch may only occupy the final molecule, but it does
-    not wait for in-flight latencies.
+    Greedy list scheduling: each molecule takes, in program order, the
+    atoms that are ready - data operands complete, WAW predecessors in
+    earlier molecules, WAR predecessors already issued or co-issuing -
+    until the format's slots fill.  Issuing an atom releases the atoms
+    waiting for it, and a cycle in which nothing can issue is skipped
+    straight to the next completion.
     """
-    if not atoms:
-        return ()
-    edges = dependence_graph(atoms)
     n = len(atoms)
-    finish: Dict[int, int] = {}       # atom seq -> completion cycle
-    issue_time: Dict[int, int] = {}   # atom seq -> issue cycle
-    unscheduled = set(range(n))
+    if not n:
+        return ()
+    units = [atom.unit for atom in atoms]
+    capacities = limits.capacities
+    for unit in dict.fromkeys(units):
+        if not capacities.get(unit):
+            raise MoleculeFormatError(
+                f"the format has no {unit.value} slot, which atom "
+                f"#{units.index(unit)} needs"
+            )
+    edges = dependence_graph(atoms)
+    data_successors = edges.data_successors
+    waw_successors = edges.waw_successors
+    war_order_successors = edges.war_order_successors
+    # Predecessors of each atom not yet issued (the graph is this call's
+    # own: counted down in place), and the first cycle the issued ones
+    # allow.
+    blockers = edges.predecessor_count
+    earliest = [0] * n
+    # A result is never complete within its own molecule.
+    latency = [atom.latency if atom.latency > 0 else 1 for atom in atoms]
+
+    width = limits.max_atoms
+    remaining = list(range(n))           # program order
     molecules: List[Molecule] = []
     t = 0
-    guard_limit = 64 * n + 16 * max(
-        (atom.latency for atom in atoms), default=1
-    ) + 64
-    guard = 0
-    while unscheduled:
-        guard += 1
-        if guard > guard_limit:  # pragma: no cover - cycle-safety net
-            raise RuntimeError("scheduler failed to make progress")
-        picked: List[Atom] = []
-        picked_seqs: Set[int] = set()
-        slots: Dict[UnitKind, int] = {}
-        for i in sorted(unscheduled):
-            atom = atoms[i]
-            if atom.is_branch:
-                # Branch issues only once every other atom has issued
-                # (or is issuing in this very molecule).
-                others = unscheduled - {i} - picked_seqs
-                if others:
-                    continue
-            if not all(p in issue_time for p in edges.data[i]):
+    while remaining:
+        free = dict(capacities)
+        picked: List[int] = []
+        for i in remaining:
+            if blockers[i] or earliest[i] > t:
                 continue
-            ready_at = max(
-                (finish[p] for p in edges.data[i]), default=0
-            )
-            if ready_at > t:
+            unit = units[i]
+            if not free[unit]:
                 continue
-            if not all(
-                p in issue_time and issue_time[p] < t
-                for p in edges.waw[i]
-            ):
-                continue
-            if not all(
-                p in issue_time or p in picked_seqs
-                for p in edges.war_order[i]
-            ):
-                continue
-            unit_used = slots.get(atom.unit, 0)
-            if unit_used >= limits.capacity(atom.unit):
-                continue
-            if len(picked) >= limits.max_atoms:
+            free[unit] -= 1
+            picked.append(i)
+            done = t + latency[i]
+            for s in data_successors[i]:
+                blockers[s] -= 1
+                if earliest[s] < done:
+                    earliest[s] = done
+            for s in waw_successors[i]:
+                blockers[s] -= 1
+                if earliest[s] <= t:
+                    earliest[s] = t + 1
+            for s in war_order_successors[i]:
+                # No earliest to raise: the scan reaches s after i, in
+                # this molecule or a later one.
+                blockers[s] -= 1
+            if len(picked) == width:
                 break
-            picked.append(atom)
-            picked_seqs.add(i)
-            slots[atom.unit] = unit_used + 1
         if picked:
-            molecules.append(Molecule(atoms=tuple(picked), limits=limits))
-            for atom in picked:
-                issue_time[atom.seq] = t
-                finish[atom.seq] = t + atom.latency
-                unscheduled.discard(atom.seq)
-        t += 1
+            molecules.append(Molecule(
+                atoms=tuple([atoms[i] for i in picked]), limits=limits
+            ))
+            remaining = [i for i in remaining if i not in picked]
+            t += 1
+        else:
+            # Idle until an issued atom completes.  Only atoms ordered
+            # after each other (two branches) leave nothing to wait for.
+            waits = [earliest[i] for i in remaining if not blockers[i]]
+            if not waits:
+                raise RuntimeError("scheduler failed to make progress")
+            t = min(waits)
     return tuple(molecules)

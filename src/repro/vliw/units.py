@@ -27,6 +27,11 @@ class UnitKind(enum.Enum):
     MEM = "mem"       # one load/store unit
     BR = "br"         # one branch unit
 
+    # As for Op and OpClass: members are singletons, so the identity
+    # hash is consistent, and the slot tables keyed by unit are probed
+    # for every atom the scheduler places.
+    __hash__ = object.__hash__
+
 
 #: Which unit each guest operation class executes on.
 UNIT_FOR_CLASS: Mapping[OpClass, UnitKind] = {

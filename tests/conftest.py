@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -24,6 +25,22 @@ def _seed_global_rngs():
     random.seed(0xC0FFEE)
     np.random.seed(20020817)
     yield
+
+
+@pytest.fixture
+def hard_timeout():
+    """Interrupt the test after five seconds: a hostile input must be
+    refused by name, not looped on."""
+    def expired(signum, frame):
+        raise TimeoutError("hung on a hostile input instead of raising")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

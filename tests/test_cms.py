@@ -11,7 +11,9 @@ from repro.cms.tcache import TranslationCache
 from repro.cms.translator import Translation
 from repro.isa import programs
 from repro.isa.assembler import assemble
+from repro.isa.instructions import Program
 from repro.isa.machine import GuestFault, run_program
+from repro.isa.randprog import random_program, random_state
 from repro.vliw.engine import translate_block
 
 
@@ -37,6 +39,40 @@ def test_threshold_never_changes_results(threshold, micro_karp):
     cms = CodeMorphingSoftware(CmsConfig(hot_threshold=threshold))
     result = cms.run(micro_karp.program, micro_karp.make_state())
     assert result.state.architectural_view() == golden.architectural_view()
+
+
+def test_second_program_is_not_timed_with_the_first_ones_translations():
+    """Cache, profile and chains are keyed by pc, so they belong to one
+    program: a CMS handed another starts cold - it used to return other
+    cycle counts, or die on a translation that covers the wrong block."""
+    kw = dict(blocks=8, block_len=16, loop_trips=12)
+    first = random_program(1, **kw)
+    for seed in range(2, 40):
+        program = random_program(seed, **kw)
+        fresh = CodeMorphingSoftware().run(program, random_state(seed))
+        cms = CodeMorphingSoftware()
+        earlier = cms.run(first, random_state(1))
+        reused = cms.run(program, random_state(seed))
+        assert reused.cycles == fresh.cycles, seed
+        assert reused.state.architectural_view() == \
+            fresh.state.architectural_view()
+        assert reused.profile.blocks == fresh.profile.blocks
+        assert reused.profile is not earlier.profile
+
+
+def test_same_program_again_stays_warm():
+    """Binding is by identity: re-running the very ``Program`` object
+    keeps its translations (an equal copy is another program)."""
+    program = random_program(1, blocks=8, block_len=16, loop_trips=12)
+    cms = CodeMorphingSoftware()
+    cold = cms.run(program, random_state(1))
+    warm = cms.run(program, random_state(1))
+    assert (cold.cycles, warm.cycles) == (54_486, 3_645)
+    assert warm.translated_blocks == cold.translated_blocks   # cumulative
+    assert warm.state.architectural_view() == cold.state.architectural_view()
+    copy = Program(instrs=program.instrs, name=program.name)
+    assert copy == program
+    assert cms.run(copy, random_state(1)).cycles == cold.cycles
 
 
 def test_hot_code_gets_translated(micro_math):

@@ -1,7 +1,6 @@
 """The batch workload manager: queue, allocator, dispatcher, accounting."""
 
 import math
-import signal
 
 import pytest
 
@@ -459,18 +458,6 @@ _NON_FINITE = [
 
 #: Fields for which zero is a legal value.
 _ZERO_IS_LEGAL = ("arrival_s", "checkpoint_latency_s")
-
-
-@pytest.fixture
-def hard_timeout():
-    def expired(signum, frame):
-        raise TimeoutError("hung on a hostile input instead of raising")
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.setitimer(signal.ITIMER_REAL, 5.0)
-    yield
-    signal.setitimer(signal.ITIMER_REAL, 0.0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cms import CmsConfig, CodeMorphingSoftware
 from repro.isa.assembler import assemble
 from repro.isa.instructions import Instr, Op
 from repro.isa.machine import Machine, run_program
@@ -12,6 +13,7 @@ from repro.vliw.molecules import (
     NARROW_FORMAT,
     Molecule,
     MoleculeFormatError,
+    SlotLimits,
     packing_efficiency,
 )
 from repro.vliw.scheduler import dependence_graph, schedule_block
@@ -114,6 +116,48 @@ def test_narrow_format_produces_more_molecules():
     wide = schedule_block(atoms, FULL_FORMAT)
     narrow = schedule_block(atoms, NARROW_FORMAT)
     assert len(narrow) >= len(wide)
+
+
+_UNITS = SlotLimits().per_unit
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    (dict(max_atoms=0), "max_atoms"),
+    (dict(max_atoms=-1), "max_atoms"),
+    (dict(max_atoms=2.5), "max_atoms"),
+    (dict(max_atoms=True), "max_atoms"),
+    (dict(per_unit=((UnitKind.ALU, -1),) + _UNITS[1:]), "alu"),
+    (dict(per_unit=((UnitKind.ALU, 1.5),) + _UNITS[1:]), "alu"),
+    (dict(per_unit=_UNITS + ((UnitKind.FPU, 1),)), "fpu"),
+    (dict(per_unit=(("alu", 2),)), "UnitKind"),
+], ids=["max_atoms 0", "max_atoms negative", "max_atoms fractional",
+        "max_atoms bool", "capacity negative", "capacity fractional",
+        "unit listed twice", "unit not a UnitKind"])
+def test_format_that_cannot_hold_a_molecule_is_rejected(hard_timeout, kwargs,
+                                                        named):
+    with pytest.raises(MoleculeFormatError, match=named):
+        SlotLimits(**kwargs)
+
+
+@pytest.mark.parametrize("per_unit", [
+    tuple(row for row in _UNITS if row[0] is not UnitKind.BR),
+    tuple((unit, 0 if unit is UnitKind.BR else slots)
+          for unit, slots in _UNITS),
+], ids=["unit not listed", "capacity 0"])
+def test_format_without_a_slot_the_block_needs_fails_by_name(hard_timeout,
+                                                             per_unit):
+    """The scheduler skips idle cycles, so a format it can never fill
+    would be a hang, not a slow loop: refused before scheduling."""
+    limits = SlotLimits(per_unit=per_unit)      # legal: no branch unit
+    atoms, program = _atoms("top: add r1, r2, r3\nbnez r1, top")
+    assert len(schedule_block(atoms[:1], limits)) == 1
+    with pytest.raises(MoleculeFormatError, match="no br slot"):
+        schedule_block(atoms, limits)
+    # ... and through the translator, before any cycle is charged.
+    cms = CodeMorphingSoftware(CmsConfig(hot_threshold=1, limits=limits))
+    with pytest.raises(MoleculeFormatError, match="no br slot"):
+        cms.run(program)
+    assert cms.translator.stats.translations == 0
 
 
 def test_packing_efficiency_bounds():
