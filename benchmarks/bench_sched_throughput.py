@@ -47,7 +47,7 @@ def test_sched_throughput_fcfs_vs_backfill(archive):
                 f"{policy}{' + failures' if fail else ''}",
                 report.completed,
                 report.abandoned,
-                round(report.makespan_s, 3),
+                round(outcome.makespan_s, 3),
                 round(report.utilization, 3),
                 round(report.mean_wait_s, 4),
                 report.failures,
@@ -73,7 +73,7 @@ def test_sched_throughput_fcfs_vs_backfill(archive):
     easy = results[("backfill", False)][1]
     assert fcfs.completed == easy.completed == JOBS
     assert easy.utilization > fcfs.utilization
-    assert easy.makespan_s < fcfs.makespan_s
+    assert easy.outcome.makespan_s < fcfs.outcome.makespan_s
 
     # With failures on, the accounting closes: every kill became a
     # requeue or the terminal failure of an abandoned job, and every
@@ -95,6 +95,6 @@ def test_sched_throughput_fcfs_vs_backfill(archive):
 
     # Failures cost throughput relative to the healthy run.
     assert (
-        results[("backfill", True)][1].makespan_s
-        >= results[("backfill", False)][1].makespan_s
+        results[("backfill", True)][0].makespan_s
+        >= results[("backfill", False)][0].makespan_s
     )

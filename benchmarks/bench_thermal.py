@@ -17,6 +17,8 @@ loses jobs.  The claims checked:
   identical thermal summaries).
 """
 
+from dataclasses import replace
+
 from repro.metrics.report import format_table
 from repro.metrics.throughput import throughput_report
 from repro.platform.registry import platform_by_name
@@ -42,6 +44,8 @@ HOT_SPEC = ThermalSpec(
 def _serve(platform_name, thermal_spec=None, throttle=True,
            thermal_fail=True):
     spec = platform_by_name(platform_name)
+    if thermal_spec is not None:
+        spec = replace(spec, thermal=thermal_spec)
     stream = synthetic_stream(
         jobs=JOBS,
         max_nodes=min(spec.nodes, 8),
@@ -52,8 +56,8 @@ def _serve(platform_name, thermal_spec=None, throttle=True,
     sched = BatchScheduler(
         platform=spec,
         config=SchedConfig(
-            audit=True, thermal=True, thermal_spec=thermal_spec,
-            thermal_accel=ACCEL, throttle=throttle,
+            audit=True, thermal=True, thermal_accel=ACCEL,
+            throttle=throttle,
         ),
     )
     sched.submit_stream(stream)

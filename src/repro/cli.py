@@ -176,15 +176,7 @@ def _sched_block(run) -> str:
         outcome.allocator.intervals, outcome.nodes,
         outcome.makespan_s, width=width,
     )
-    text = f"{gantt}\n\n{throughput_report(outcome, platform=spec).format()}"
-    if outcome.net is not None:
-        n = outcome.net
-        text += (
-            f"\nnetwork faults: {n.windows} outage window(s), "
-            f"{n.partitions} partition(s), {n.retransmits} "
-            f"retransmit(s), {n.drops} drop(s), {n.reroutes} reroute(s)"
-        )
-    return text
+    return f"{gantt}\n\n{throughput_report(outcome, platform=spec).format()}"
 
 
 def _cmd_sched(args) -> None:
@@ -256,7 +248,7 @@ def _cmd_stats(args) -> int:
 
     try:
         print(render_stats_table(args.dirs))
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"stats: {exc}", file=sys.stderr)
         return 1
     return 0

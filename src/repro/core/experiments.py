@@ -140,15 +140,13 @@ def experiment_table2(
         for p in points
     ]
     if tel is not None:
+        gauge = tel.registry.gauge
         for p in points:
-            reg = tel.registry
-            reg.gauge("table2.time_s", cpus=p.cpus).set(p.time_s)
-            reg.gauge("table2.speedup", cpus=p.cpus).set(p.speedup)
-            reg.gauge("table2.efficiency", cpus=p.cpus).set(p.efficiency)
-            reg.gauge("table2.comm_fraction", cpus=p.cpus).set(
-                p.comm_fraction
-            )
-        tel.ingest_extras("table2", {"n_particles": float(n)})
+            gauge("table2.time_s", cpus=p.cpus).set(p.time_s)
+            gauge("table2.speedup", cpus=p.cpus).set(p.speedup)
+            gauge("table2.efficiency", cpus=p.cpus).set(p.efficiency)
+            gauge("table2.comm_fraction", cpus=p.cpus).set(p.comm_fraction)
+        gauge("experiment.n_particles", experiment="table2").set(float(n))
         tel.export(telemetry)
     return _result(
         "table2",
@@ -530,14 +528,17 @@ def experiment_timeline(
         )
     if tel is not None:
         tel.detach()
-        tel.ingest_run(run, world=f"timeline-{ranks}r")
+        run.publish_metrics(tel.registry, world=f"timeline-{ranks}r")
         from repro.network.timing import publish_fabric_metrics
         publish_fabric_metrics(
             tel.registry, runtime.fabric, fabric_name=spec.fabric.kind
         )
         if network is not None:
             network.publish_metrics(tel.registry)
-        tel.ingest_extras("timeline", extras)
+        for key, value in extras.items():
+            tel.registry.gauge(
+                f"experiment.{key}", experiment="timeline"
+            ).set(value)
         tel.finish(kernel.now)
         tel.export(telemetry)
     return ExperimentResult(

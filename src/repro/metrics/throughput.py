@@ -17,8 +17,8 @@ into the headline operator numbers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple, TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import Optional, TYPE_CHECKING
 
 from repro.metrics.report import format_table
 from repro.metrics.topper import ToPPeR, topper
@@ -30,14 +30,18 @@ if TYPE_CHECKING:                                    # pragma: no cover
 
 @dataclass(frozen=True)
 class ThroughputReport:
-    """Operator-facing summary of one scheduling run."""
+    """Operator-facing summary of one scheduling run.
 
-    policy: str
-    nodes: int
+    Its fields are the numbers derived from the outcome; what the
+    outcome already states (policy, blades, makespan, the thermal,
+    profile-cache and network-fault ledgers) is read from it when the
+    report is formatted.
+    """
+
+    outcome: "SchedOutcome" = field(repr=False, compare=False)
     jobs: int
     completed: int
     abandoned: int
-    makespan_s: float
     jobs_per_hour: float
     utilization: float               # busy node-seconds / offered
     mean_wait_s: float
@@ -50,27 +54,16 @@ class ThroughputReport:
     requeues: int
     operational_gflops: float
     operational_topper: Optional[ToPPeR] = None
-    #: Thermal side of the run, when the RC network was enabled.
-    peak_temp_c: Optional[float] = None
-    thermal_trips: int = 0
-    overtemp_kills: int = 0
-    #: Profile-cache accounting (the CMS-tcache analogue): dispatches
-    #: replayed from cache, measured normalized runs, legacy-path
-    #: attempts.
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_bypasses: int = 0
-    #: ``cache_bypasses`` by veto reason, sorted ``(reason, count)`` pairs.
-    cache_bypass_reasons: Tuple[Tuple[str, int], ...] = ()
 
     def format(self) -> str:
+        out = self.outcome
         rows = [
-            ("policy", self.policy),
-            ("blades", self.nodes),
+            ("policy", out.policy),
+            ("blades", out.nodes),
             ("jobs submitted", self.jobs),
             ("jobs completed", self.completed),
             ("jobs abandoned", self.abandoned),
-            ("makespan (virtual s)", self.makespan_s),
+            ("makespan (virtual s)", out.makespan_s),
             ("throughput (jobs/h)", self.jobs_per_hour),
             ("utilization", self.utilization),
             ("mean queue wait (s)", self.mean_wait_s),
@@ -88,20 +81,30 @@ class ThroughputReport:
                 ("operational ToPPeR ($/Gflop)",
                  self.operational_topper.usd_per_gflop)
             )
-        if self.peak_temp_c is not None:
-            rows.append(("peak blade temp (C)", self.peak_temp_c))
-            rows.append(("thermal trips", self.thermal_trips))
-            rows.append(("overtemp kills", self.overtemp_kills))
-        if self.cache_hits or self.cache_misses or self.cache_bypasses:
-            rows.append(("profile-cache hits", self.cache_hits))
-            rows.append(("profile-cache misses", self.cache_misses))
-            rows.append(("profile-cache bypasses", self.cache_bypasses))
-            for reason, count in self.cache_bypass_reasons:
+        thermal = out.thermal
+        if thermal is not None:
+            rows.append(("peak blade temp (C)", thermal.peak_c))
+            rows.append(("thermal trips", thermal.trips))
+            rows.append(("overtemp kills", thermal.overtemp_kills))
+        if out.cache_hits or out.cache_misses or out.cache_bypasses:
+            rows.append(("profile-cache hits", out.cache_hits))
+            rows.append(("profile-cache misses", out.cache_misses))
+            rows.append(("profile-cache bypasses", out.cache_bypasses))
+            for reason, count in sorted(out.cache_bypass_reasons.items()):
                 rows.append((f"  bypassed: {reason}", count))
-        return format_table(
+        text = format_table(
             ("metric", "value"), rows,
-            title=f"Job-stream accounting ({self.policy})",
+            title=f"Job-stream accounting ({out.policy})",
         )
+        net = out.net
+        if net is not None:
+            text += (
+                f"\nnetwork faults: {net.windows} outage window(s), "
+                f"{net.partitions} partition(s), {net.retransmits} "
+                f"retransmit(s), {net.drops} drop(s), "
+                f"{net.reroutes} reroute(s)"
+            )
+        return text
 
 
 def throughput_report(
@@ -132,12 +135,10 @@ def throughput_report(
     if platform is not None and operational_gflops > 0:
         operational_topper = topper(platform, operational_gflops)
     return ThroughputReport(
-        policy=outcome.policy,
-        nodes=outcome.nodes,
+        outcome=outcome,
         jobs=len(records),
         completed=len(completed),
         abandoned=len(outcome.abandoned),
-        makespan_s=makespan,
         jobs_per_hour=len(completed) / hours if hours > 0 else 0.0,
         utilization=(
             outcome.allocator.busy_node_seconds() / offered
@@ -155,20 +156,4 @@ def throughput_report(
         requeues=sum(r.requeues for r in records),
         operational_gflops=operational_gflops,
         operational_topper=operational_topper,
-        peak_temp_c=(
-            outcome.thermal.peak_c if outcome.thermal is not None else None
-        ),
-        thermal_trips=(
-            outcome.thermal.trips if outcome.thermal is not None else 0
-        ),
-        overtemp_kills=(
-            outcome.thermal.overtemp_kills
-            if outcome.thermal is not None else 0
-        ),
-        cache_hits=outcome.cache_hits,
-        cache_misses=outcome.cache_misses,
-        cache_bypasses=outcome.cache_bypasses,
-        cache_bypass_reasons=tuple(
-            sorted(outcome.cache_bypass_reasons.items())
-        ),
     )

@@ -179,19 +179,18 @@ class PlatformSpec:
         return ThermalSpec.for_power_model(self.power_model())
 
     def build_thermal(self, nodes: Optional[int] = None,
-                      spec: Optional[ThermalSpec] = None,
                       accel: float = 1.0,
                       keep_ledger: bool = False) -> ThermalNetwork:
         """The lumped-RC blade network, sized for *nodes* (default: all).
 
-        *spec* overrides :meth:`thermal_params`; *accel* compresses the
-        time constant (:meth:`ThermalSpec.accelerated`).  Blade heat
-        and chassis size come from the power model and the fabric.
+        Its parameters are :meth:`thermal_params` (override them with
+        ``replace(platform, thermal=...)``); *accel* compresses the time
+        constant (:meth:`ThermalSpec.accelerated`).  Blade heat and
+        chassis size come from the power model and the fabric.
         """
-        spec = spec if spec is not None else self.thermal_params()
         return ThermalNetwork(
             self.nodes if nodes is None else nodes,
-            spec.accelerated(accel),
+            self.thermal_params().accelerated(accel),
             node_watts=self.power_model().node_watts,
             nodes_per_chassis=self.fabric.nodes_per_chassis,
             keep_ledger=keep_ledger,

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import random
 from bisect import insort
+from collections import Counter
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -59,11 +60,7 @@ from repro.sched.profile_cache import (
 )
 from repro.sched.workloads import JobContext
 from repro.simmpi import SimMpiRuntime
-from repro.thermal.model import (
-    ThermalNetwork,
-    ThermalSpec,
-    cooling_overhead_factor,
-)
+from repro.thermal.model import ThermalNetwork, cooling_overhead_factor
 from repro.thermal.reliability import (
     ArrheniusIntensity,
     ThermalFailureInjector,
@@ -102,13 +99,12 @@ class SchedConfig:
     #: Register repro.check invariant auditors on the kernel and audit
     #: the outcome ledgers at the end of :meth:`BatchScheduler.run`.
     audit: bool = False
-    #: Model blade temperatures as a live lumped-RC network.  Off by
-    #: default: no network is built and every legacy run is bit-
+    #: Model blade temperatures as a live lumped-RC network built from
+    #: the platform's thermal parameters
+    #: (:meth:`~repro.platform.spec.PlatformSpec.thermal_params`).  Off
+    #: by default: no network is built and every legacy run is bit-
     #: identical to the pre-thermal scheduler.
     thermal: bool = False
-    #: Explicit thermal parameters; ``None`` derives them from the
-    #: platform (:meth:`~repro.platform.spec.PlatformSpec.thermal_params`).
-    thermal_spec: Optional[ThermalSpec] = None
     #: Time-constant compression: scheduler streams run in compressed
     #: virtual seconds, so benches shrink tau to match (cf. the
     #: accelerated MTBF of :meth:`BatchScheduler.inject_poisson_failures`).
@@ -155,32 +151,60 @@ class SchedConfig:
         return self.checkpoint_latency_s + nbytes / self.checkpoint_bandwidth_bps
 
 
-@dataclass(frozen=True)
+@dataclass
 class ThermalSummary:
-    """The thermal side of one run, for the metrics layer."""
+    """The thermal side of one run; the scheduler counts into it live."""
 
-    peak_c: float                #: hottest blade temperature reached
-    trips: int                   #: throttle clamps applied
-    overtemp_kills: int          #: jobs killed at the kill temperature
-    heat_j: float                #: total blade heat over the makespan
+    peak_c: float = 0.0          #: hottest blade temperature reached
+    trips: int = 0               #: throttle clamps applied
+    overtemp_kills: int = 0      #: jobs killed at the kill temperature
+    heat_j: float = 0.0          #: total blade heat over the makespan
     fault_candidates: int = 0    #: thinning candidates drawn
     faults: int = 0              #: temperature-modulated faults accepted
 
+    def publish_metrics(self, registry) -> None:
+        """Fold the thermal ledger into a telemetry Registry."""
+        registry.gauge("thermal.peak_c").max(self.peak_c)
+        registry.counter("thermal.trips").inc(self.trips)
+        registry.counter("thermal.overtemp_kills").inc(self.overtemp_kills)
+        registry.counter("thermal.heat_j").inc(self.heat_j)
+        registry.counter("thermal.fault_candidates").inc(
+            self.fault_candidates
+        )
+        registry.counter("thermal.faults").inc(self.faults)
 
-@dataclass(frozen=True)
+
+@dataclass
 class NetFaultSummary:
-    """The network-fault side of one run, for the metrics layer."""
+    """The network-fault side of one run; the scheduler counts into it live."""
 
     windows: int                 #: outage windows drawn on the timeline
-    partitions: int              #: long outages that killed/requeued jobs
-    retransmits: int             #: frames lost and retried (or abandoned)
-    drops: int                   #: posts discarded at dead destinations
-    reroutes: int                #: frames detoured over backup uplinks
+    partitions: int = 0          #: long outages that killed/requeued jobs
+    retransmits: int = 0         #: frames lost and retried (or abandoned)
+    drops: int = 0               #: posts discarded at dead destinations
+    reroutes: int = 0            #: frames detoured over backup uplinks
+
+    def publish_metrics(self, registry) -> None:
+        """Fold the fault ledger into a telemetry Registry.
+
+        The net.* family exists only on fault campaigns, keeping
+        fault-free exports byte-identical.
+        """
+        registry.counter("net.fault_windows").inc(self.windows)
+        registry.counter("net.partitions").inc(self.partitions)
+        registry.counter("net.retransmits.total").inc(self.retransmits)
+        registry.counter("net.drops.total").inc(self.drops)
+        registry.counter("net.reroutes.total").inc(self.reroutes)
 
 
 @dataclass
 class SchedOutcome:
-    """What one scheduling run produced, ready for the metrics layer."""
+    """What one scheduling run produced, ready for the metrics layer.
+
+    ``records``, ``allocator``, ``thermal`` and ``net`` are the
+    scheduler's own ledgers, not copies: an outcome returned by
+    ``run(until=...)`` keeps counting when the run is resumed.
+    """
 
     policy: str
     nodes: int
@@ -210,6 +234,52 @@ class SchedOutcome:
     @property
     def abandoned(self) -> List[JobRecord]:
         return [r for r in self.records if r.state is JobState.ABANDONED]
+
+    def publish_metrics(self, registry) -> None:
+        """Fold every ledger of the run into a telemetry Registry.
+
+        The per-job handles are bound once; records are walked in job-id
+        order, so each float sum is the same adds in the same order on
+        every export.
+        """
+        registry.gauge("sched.makespan_s").set(self.makespan_s)
+        registry.gauge("sched.nodes").set(self.nodes)
+        registry.counter("sched.failures_injected").inc(self.failures_injected)
+        registry.counter("sched.cache.hits").inc(self.cache_hits)
+        registry.counter("sched.cache.misses").inc(self.cache_misses)
+        for reason, count in sorted(self.cache_bypass_reasons.items()):
+            registry.counter("sched.cache.bypasses", reason=reason).inc(count)
+        if self.records:
+            states = Counter(r.state.value for r in self.records)
+            for state, count in states.items():
+                registry.counter("sched.jobs", state=state).inc(count)
+            histogram, counter = registry.histogram, registry.counter
+            wait = histogram("sched.job.wait_s")
+            energy = histogram("sched.job.energy_j")
+            attempts = histogram("sched.job.attempts")
+            flops = counter("sched.job.flops")
+            compute = counter("sched.job.compute_s")
+            lost = counter("sched.job.lost_cpu_s")
+            checkpoints = counter("sched.job.checkpoints")
+            checkpoint_io = counter("sched.job.checkpoint_io_s")
+            requeues = counter("sched.job.requeues")
+            failures = counter("sched.job.failures")
+            for r in self.records:
+                wait.observe(r.wait_s)
+                energy.observe(r.energy_j)
+                attempts.observe(len(r.attempts))
+                flops.inc(r.flops)
+                compute.inc(r.compute_s)
+                lost.inc(r.lost_cpu_s)
+                checkpoints.inc(r.checkpoints)
+                checkpoint_io.inc(r.checkpoint_io_s)
+                requeues.inc(r.requeues)
+                failures.inc(r.failures)
+        self.allocator.publish_metrics(registry)
+        if self.thermal is not None:
+            self.thermal.publish_metrics(registry)
+        if self.net is not None:
+            self.net.publish_metrics(registry)
 
 
 @dataclass(slots=True)
@@ -293,15 +363,14 @@ class BatchScheduler:
         #: The lumped-RC network, or ``None`` when thermal modelling is
         #: off (the default) — in which case nothing below ever runs.
         self.thermal: Optional[ThermalNetwork] = None
-        self._trips = 0
-        self._overtemp_kills = 0
+        self._thermal_summary: Optional[ThermalSummary] = None
         self._thermal_injector: Optional[ThermalFailureInjector] = None
         if self.config.thermal:
             self.thermal = platform.build_thermal(
-                spec=self.config.thermal_spec,
                 accel=self.config.thermal_accel,
                 keep_ledger=self.config.audit,
             )
+            self._thermal_summary = ThermalSummary()
         #: Network fault campaign: ``None`` (default) leaves the fabric
         #: perfectly reliable and every legacy run byte-identical.
         #: With a config, the outage plan is materialised here — before
@@ -312,10 +381,7 @@ class BatchScheduler:
         self.net_fault = net_fault
         self._net_timeline: Optional[FaultTimeline] = None
         self._net_blades: Dict[str, int] = {}
-        self._net_partitions = 0
-        self._net_retransmits = 0
-        self._net_drops = 0
-        self._net_reroutes = 0
+        self._net_summary: Optional[NetFaultSummary] = None
         if net_fault is not None:
             self._net_blades = {
                 link_resource(b): b for b in range(self.nodes)
@@ -327,6 +393,9 @@ class BatchScheduler:
                     for c in range(platform.fabric.chassis_count(self.nodes))
                 ]
             self._net_timeline = net_fault.build_timeline(resources)
+            self._net_summary = NetFaultSummary(
+                windows=len(self._net_timeline)
+            )
             for window in self._net_timeline.windows():
                 self.kernel.at(
                     window.start_s, self._net_window_start, window
@@ -449,32 +518,20 @@ class BatchScheduler:
         ends = [r.end_s for r in self.records.values() if r.end_s is not None]
         makespan = max(ends) if ends else self.kernel.now
         self.allocator.finish(makespan)
-        thermal_summary = None
-        if self.thermal is not None:
+        summary = self._thermal_summary
+        if summary is not None:
+            # What the network and the injector keep themselves is read
+            # off them once the run has settled.
             self.thermal.finish(makespan)
+            summary.peak_c = self.thermal.peak_c
+            summary.heat_j = sum(
+                self.thermal.heat_joules(b, 0.0, makespan)
+                for b in range(self.nodes)
+            )
             injector = self._thermal_injector
-            thermal_summary = ThermalSummary(
-                peak_c=self.thermal.peak_c,
-                trips=self._trips,
-                overtemp_kills=self._overtemp_kills,
-                heat_j=sum(
-                    self.thermal.heat_joules(b, 0.0, makespan)
-                    for b in range(self.nodes)
-                ),
-                fault_candidates=(
-                    injector.candidates if injector is not None else 0
-                ),
-                faults=injector.accepted if injector is not None else 0,
-            )
-        net_summary = None
-        if self.net_fault is not None:
-            net_summary = NetFaultSummary(
-                windows=len(self._net_timeline),
-                partitions=self._net_partitions,
-                retransmits=self._net_retransmits,
-                drops=self._net_drops,
-                reroutes=self._net_reroutes,
-            )
+            if injector is not None:
+                summary.fault_candidates = injector.candidates
+                summary.faults = injector.accepted
         outcome = SchedOutcome(
             policy=self.policy.name,
             nodes=self.nodes,
@@ -484,8 +541,8 @@ class BatchScheduler:
             hub=self.hub,
             makespan_s=makespan,
             failures_injected=self.failures_injected,
-            thermal=thermal_summary,
-            net=net_summary,
+            thermal=summary,
+            net=self._net_summary,
             cache_hits=self.profile_cache.hits,
             cache_misses=self.profile_cache.misses,
             cache_bypasses=self.profile_cache.bypasses,
@@ -782,12 +839,11 @@ class BatchScheduler:
         record = running.record
         spec = record.spec
         duration = now - running.attempt.start_s
-        if self.net_fault is not None:
-            self._net_retransmits += sum(
-                s.retransmits for s in result.stats
-            )
-            self._net_drops += sum(s.drops for s in result.stats)
-            self._net_reroutes += running.runtime.fabric.reroutes
+        net = self._net_summary
+        if net is not None:
+            net.retransmits += sum(s.retransmits for s in result.stats)
+            net.drops += sum(s.drops for s in result.stats)
+            net.reroutes += running.runtime.fabric.reroutes
             if running.killed_at is None and result.failed_ranks:
                 # A rank died of retry exhaustion (LinkDownError)
                 # without any node-failure kill: the partition tore the
@@ -917,7 +973,7 @@ class BatchScheduler:
             return
         if window.duration_s <= self.net_fault.policy.ride_through_s:
             return
-        self._net_partitions += 1
+        self._net_summary.partitions += 1
         self._lose_blade(blade, "link partition")
 
     def _net_window_end(self, window: FaultWindow) -> None:
@@ -943,7 +999,7 @@ class BatchScheduler:
         scale = self.thermal.spec.throttle_scale
         for blade in running.blades:
             self.thermal.set_busy(blade, now, scale=scale)
-        self._trips += 1
+        self._thermal_summary.trips += 1
         self.kernel.trace(
             "thermal-trip", job=job_id, scale=scale,
             blades=",".join(str(b) for b in running.blades),
@@ -968,7 +1024,7 @@ class BatchScheduler:
             # go idle: nothing overheated, so nothing is logged or lost.
             return
         running.overtemp = True
-        self._overtemp_kills += 1
+        self._thermal_summary.overtemp_kills += 1
         self._blade_down(victim, now, "overtemp")
         self.kernel.trace("overtemp-kill", job=job_id, node=victim)
 

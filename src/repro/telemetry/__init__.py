@@ -12,9 +12,13 @@ the event kernel:
   flight), built observer-only from the kernel trace stream;
 - :mod:`repro.telemetry.export` — JSON-lines metrics, Chrome
   trace-event JSON loadable in Perfetto, and the aggregate table
-  behind ``python -m repro.cli stats``;
-- :mod:`repro.telemetry.ingest` — fold a run's native stats objects
-  (SchedOutcome, RunResult, TraversalStats...) into the registry.
+  behind ``python -m repro.cli stats``.
+
+A run's numbers are published by the objects that hold them: each
+result or ledger (a scheduling outcome, a SimMPI run result, a rank's
+comm stats, the allocator, the thermal network) has a
+``publish_metrics(registry)`` method, and this package names none of
+their fields.
 
 The determinism contract (enforced by ``check --telemetry-diff``):
 telemetry is **observer-only**.  With telemetry off, not one
@@ -41,11 +45,6 @@ from repro.telemetry.export import (
     render_stats_table,
     write_chrome_trace,
     write_metrics_jsonl,
-)
-from repro.telemetry.ingest import (
-    ingest_experiment_extras,
-    ingest_run_result,
-    ingest_sched_outcome,
 )
 from repro.telemetry.registry import (
     Counter,
@@ -119,16 +118,17 @@ class Telemetry:
                 "wall.phase_s", phase=name
             ).observe(t1 - t0)
 
-    # -- ingestion shortcuts -----------------------------------------------
+    # -- ingestion ---------------------------------------------------------
 
     def ingest_sched(self, outcome, platform=None) -> None:
-        ingest_sched_outcome(self.registry, outcome, platform=platform)
-
-    def ingest_run(self, result, world: str = "run") -> None:
-        ingest_run_result(self.registry, result, world=world)
-
-    def ingest_extras(self, experiment: str, extras) -> None:
-        ingest_experiment_extras(self.registry, experiment, extras)
+        """Publish a scheduling outcome, and the platform it ran on."""
+        outcome.publish_metrics(self.registry)
+        if platform is not None:
+            gauge = self.registry.gauge
+            gauge("platform.nodes", name=platform.name).set(platform.nodes)
+            gauge("platform.power_kw", name=platform.name).set(
+                platform.power_kw
+            )
 
     # -- finalize / export -------------------------------------------------
 
@@ -175,9 +175,6 @@ __all__ = [
     "Telemetry",
     "aggregate",
     "chrome_trace",
-    "ingest_experiment_extras",
-    "ingest_run_result",
-    "ingest_sched_outcome",
     "load_metrics",
     "metrics_jsonl",
     "render_stats_table",

@@ -191,20 +191,42 @@ def _merge_sample(into: Dict[str, Any], sample: Dict[str, Any]) -> None:
         into["max"] = max(maxs) if maxs else None
 
 
+#: What :func:`aggregate` reads from a sample, by kind.
+_SAMPLE_KEYS = {
+    "counter": ("metric", "value"),
+    "gauge": ("metric", "value"),
+    "histogram": ("metric", "count", "sum"),
+}
+
+
 def load_metrics(dirs: Iterable[Union[str, Path]]) -> List[Dict[str, Any]]:
-    """Every sample line from every ``*.jsonl`` under *dirs*."""
+    """Every sample line from every ``*.jsonl`` under *dirs*.
+
+    A path that does not exist raises :class:`FileNotFoundError`; a line
+    that is not a metric sample raises :class:`ValueError` naming it as
+    ``file:line``.
+    """
     samples: List[Dict[str, Any]] = []
     for root in dirs:
         root = Path(root)
-        paths = (
-            sorted(root.rglob("*.jsonl")) if root.is_dir()
-            else [root] if root.exists() else []
-        )
+        if not root.exists():
+            raise FileNotFoundError(f"no such file or directory: {root}")
+        paths = sorted(root.rglob("*.jsonl")) if root.is_dir() else [root]
         for path in paths:
-            for line in path.read_text().splitlines():
-                line = line.strip()
-                if line:
-                    samples.append(json.loads(line))
+            lines = path.read_text().splitlines()
+            for lineno, line in enumerate(lines, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    sample = json.loads(line)
+                    keys = _SAMPLE_KEYS[sample["kind"]]
+                except (ValueError, KeyError, TypeError):
+                    keys = None
+                if keys is None or not all(k in sample for k in keys):
+                    raise ValueError(
+                        f"{path}:{lineno}: not a metric sample: {line[:60]!r}"
+                    )
+                samples.append(sample)
     return samples
 
 

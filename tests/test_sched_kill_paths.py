@@ -15,6 +15,7 @@ The golden file is regenerated on purpose only, from any commit::
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -98,14 +99,13 @@ ROWS = {
 def _build(row):
     if "hot_spec" not in row:
         return build_campaign(campaign_params(SEED, row))
-    platform = platform_by_name("p4-beowulf")
+    platform = replace(platform_by_name("p4-beowulf"), thermal=row["hot_spec"])
     sched = BatchScheduler(
         platform=platform,
         policy=policy_by_name("fcfs"),
         config=SchedConfig(
             audit=True, thermal=True, thermal_accel=150.0,
-            checkpoint_every=1, thermal_spec=row["hot_spec"],
-            throttle=row["throttle"],
+            checkpoint_every=1, throttle=row["throttle"],
         ),
     )
     sched.submit_stream(synthetic_stream(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -93,6 +94,44 @@ def test_aggregate_merges_across_runs(tmp_path):
 
 def test_stats_table_reports_empty_dirs(tmp_path):
     assert "no metrics found" in render_stats_table([tmp_path])
+
+
+def test_load_metrics_refuses_a_missing_path(tmp_path):
+    with pytest.raises(FileNotFoundError, match="nonexistent"):
+        load_metrics([tmp_path, tmp_path / "nonexistent"])
+
+
+def _metrics_file(tmp_path, tail):
+    reg = Registry()
+    reg.counter("jobs").inc()
+    path = write_metrics_jsonl(reg, tmp_path / "run" / "metrics.jsonl")
+    path.write_text(path.read_text() + tail)
+    return path
+
+
+@pytest.mark.parametrize("line", [
+    '{"kind":"counter","labels":{},"metric":"x","val',     # truncated
+    "[1, 2]",
+    '{"kind":"meter","metric":"x","value":1.0}',
+    '{"kind":"histogram","metric":"x","count":1}',
+])
+def test_load_metrics_names_the_malformed_line(tmp_path, line):
+    path = _metrics_file(tmp_path, "\n" + line)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: not a metric")):
+        load_metrics([tmp_path])
+
+
+def test_stats_command_fails_loudly_on_bad_input(tmp_path, capsys):
+    from repro.cli import main
+
+    missing = tmp_path / "nonexistent"
+    assert main(["stats", str(missing)]) == 1
+    assert f"stats: no such file or directory: {missing}" in (
+        capsys.readouterr().err
+    )
+    path = _metrics_file(tmp_path, '{"kind":"gauge","metric":"peak')
+    assert main(["stats", str(tmp_path)]) == 1
+    assert f"{path}:2: not a metric sample" in capsys.readouterr().err
 
 
 def test_telemetry_attach_is_exclusive():
