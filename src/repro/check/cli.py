@@ -27,6 +27,7 @@ upload it as an artifact.
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 from repro.sched.campaign import add_campaign_arguments, campaign_overrides
@@ -117,7 +118,11 @@ def cmd_check(args) -> int:
         )
         name = "fuzz_report"
     else:
-        manifest = RunManifest.load(args.replay)
+        try:
+            manifest = RunManifest.load(args.replay)
+        except (OSError, ValueError) as exc:
+            print(f"check: {args.replay}: {exc}", file=sys.stderr)
+            return 1
         report = replay_manifest(manifest)
         name = f"divergence_{manifest.kind}_{manifest.config_hash[:12]}"
     print(report.format())

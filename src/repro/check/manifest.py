@@ -25,6 +25,9 @@ from repro.core.events import EventKernel, TimelineEvent
 #: Manifest schema version (bump on incompatible format changes).
 MANIFEST_VERSION = 1
 
+#: The run kinds ``replay_manifest`` knows how to rebuild.
+_KINDS = ("sched", "simmpi", "table2", "fig3", "fuzz-failure")
+
 _SCALARS = (bool, int, float, str, type(None))
 
 
@@ -73,7 +76,7 @@ def config_hash(params: Dict[str, Any]) -> str:
 class RunManifest:
     """One recorded run: parameters, config hash, and event trace."""
 
-    kind: str                       # sched | simmpi | table2 | fig3 | fuzz-failure
+    kind: str                       # one of _KINDS
     seed: int
     params: Dict[str, Any]
     config_hash: str
@@ -117,20 +120,36 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        doc = json.loads(text)
+        """Parse a manifest; a ``ValueError`` says what is wrong with it."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise ValueError(f"not valid JSON ({exc})") from None
+        if not isinstance(doc, dict):
+            raise ValueError("not a manifest (not a JSON object)")
         if doc.get("version") != MANIFEST_VERSION:
             raise ValueError(
                 f"manifest version {doc.get('version')!r} unsupported "
                 f"(expected {MANIFEST_VERSION})"
             )
-        manifest = cls(
-            kind=doc["kind"],
-            seed=doc["seed"],
-            params=doc["params"],
-            config_hash=doc["config_hash"],
-            events=[_decode_event(e) for e in doc["events"]],
-            payload=doc.get("payload", {}),
-        )
+        if doc.get("kind") not in _KINDS:
+            raise ValueError(f"unknown manifest kind {doc.get('kind')!r}")
+        try:
+            events = [_decode_event(e) for e in doc["events"]]
+            manifest = cls(
+                kind=doc["kind"],
+                seed=doc["seed"],
+                params=doc["params"],
+                config_hash=doc["config_hash"],
+                events=events,
+                payload=doc.get("payload", {}),
+            )
+        except KeyError as exc:
+            raise ValueError(f"manifest has no {exc} field") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"events are not [time, kind, fields] triples ({exc})"
+            ) from None
         if config_hash(manifest.params) != manifest.config_hash:
             raise ValueError(
                 "manifest config hash does not match its parameters "

@@ -7,6 +7,8 @@ live kernel context (clock, pending queue, rank clocks) captured at
 the moment of divergence.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from repro.check import (
     replay_manifest,
 )
 from repro.check.manifest import config_hash, normalize_event
+from repro.cli import main
 from repro.core.events import EventKernel, TimelineEvent
 
 
@@ -131,6 +134,30 @@ def test_manifest_rejects_unknown_version():
     doc = _BASE.to_json().replace('"version":1', '"version":99', 1)
     with pytest.raises(ValueError, match="version"):
         RunManifest.from_json(doc)
+
+
+def _hostile(**changes):
+    return json.dumps({**json.loads(_BASE.to_json()), **changes})
+
+
+HOSTILE = {
+    "truncated": (_BASE.to_json()[:300], "not valid JSON"),
+    "events-dict": (_hostile(events={"a": 1}), "events are not"),
+    "version-99": (_hostile(version=99), "version 99 unsupported"),
+    "bogus-kind": (_hostile(kind="bogus"), "unknown manifest kind 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE)
+def test_hostile_manifest_is_refused_in_one_line(tmp_path, capsys, name):
+    text, reason = HOSTILE[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    assert main(["check", "--replay", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"check: {path}: ") and err.count("\n") == 1
+    assert reason in err
 
 
 def test_config_hash_is_order_insensitive():

@@ -9,11 +9,10 @@ decode-once executor landed.  A change to the executors, the molecule
 scheduler or the port model that moves any of them must regenerate the
 file on purpose::
 
-    PYTHONPATH=src python tests/test_guest_cycles_golden.py
+    PYTHONPATH=src python tests/test_artifacts.py --write 'tests/data/guest_cycles_golden.json'
 """
 
 import json
-import re
 from pathlib import Path
 
 from repro.cms import CmsConfig, CodeMorphingSoftware
@@ -74,11 +73,3 @@ def test_guest_cycles_match_golden():
         for name, cycles in measured[layer].items():
             assert cycles == golden[layer][name], (layer, name)
     assert measured == golden
-
-
-if __name__ == "__main__":
-    # One line per configuration, so a moved cycle count diffs as one row.
-    text = json.dumps(measure(), indent=1)
-    text = re.sub(r"\[[^\]]*\]", lambda m: " ".join(m.group().split()), text)
-    GOLDEN.write_text(text + "\n")
-    print(f"wrote {GOLDEN}")

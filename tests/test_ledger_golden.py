@@ -14,7 +14,7 @@ rack row throttles.
 
 The golden files are regenerated on purpose only, from any commit::
 
-    PYTHONPATH=src python tests/test_ledger_golden.py
+    PYTHONPATH=src python tests/test_artifacts.py --write 'tests/data/ledger_*'
 """
 
 import ast
@@ -154,12 +154,3 @@ def test_report_declares_only_what_it_derives():
     }
     assert not copied
     assert len(fields(SchedConfig)) == 9
-
-
-if __name__ == "__main__":
-    for name in ROWS:
-        text, metrics = _run(name)
-        (DATA / f"ledger_{name}.metrics.jsonl").write_text(metrics)
-        if name.startswith("sched"):
-            (DATA / f"ledger_{name}.txt").write_text(text)
-        print(f"wrote {DATA}/ledger_{name}.*")

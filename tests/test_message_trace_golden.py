@@ -11,7 +11,7 @@ was generated on the commit before the message path was rebuilt
 (PR 13).  A change that moves any of it must regenerate the file on
 purpose::
 
-    PYTHONPATH=src python tests/test_message_trace_golden.py
+    PYTHONPATH=src python tests/test_artifacts.py --write 'tests/data/message_trace_golden.json'
 """
 
 import hashlib
@@ -120,8 +120,3 @@ def test_message_trace_matches_golden(kind, retry):
         covered |= {"net-drop"} if kind == "star" else {
             "net-drop", "net-reroute"}
     assert covered <= set(measured["kinds"])
-
-
-if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(measure(), indent=1) + "\n")
-    print(f"wrote {GOLDEN}")

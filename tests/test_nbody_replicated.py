@@ -17,12 +17,11 @@ These tests pin that the sharing is invisible:
 The golden file is regenerated on purpose only, from any commit (it
 uses nothing the parent commit lacks)::
 
-    PYTHONPATH=src python tests/test_nbody_replicated.py
+    PYTHONPATH=src python tests/test_artifacts.py --write 'tests/data/replicated_worlds_golden.json'
 """
 
 import hashlib
 import json
-import re
 from pathlib import Path
 
 import numpy as np
@@ -373,7 +372,7 @@ def host_work(monkeypatch):
 def test_parallel_step_builds_and_walks_once_per_snapshot(host_work, cpus):
     parallel.run_parallel_nbody(CONFIG, cpus, RATE)
     # steps + 1 force passes, but the priming pass does not move the
-    # particles: pass 2 sees pass 1's snapshot (ROADMAP item 5 (g)).
+    # particles: pass 2 sees pass 1's snapshot (ROADMAP `[model-debts]` (b)).
     assert host_work["builds"] == CONFIG.steps
     assert host_work["walks"] == CONFIG.steps
     assert host_work["targets"] == [CONFIG.n] * CONFIG.steps
@@ -407,11 +406,3 @@ def test_publish_metrics_creates_no_histogram_for_no_groups():
     assert histogram.sample()["count"] == stats.groups == len(
         stats.group_work
     )
-
-
-if __name__ == "__main__":
-    # One line per per-rank list, so a moved clock diffs as one row.
-    text = json.dumps(measure(), indent=1)
-    text = re.sub(r"\[[^\]]*\]", lambda m: " ".join(m.group().split()), text)
-    GOLDEN.write_text(text + "\n")
-    print(f"wrote {GOLDEN}")

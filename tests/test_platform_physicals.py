@@ -15,7 +15,7 @@ charge aggregation gear for all four racks (18.64 -> 20.8 kW).
 
 The golden file is regenerated on purpose only::
 
-    PYTHONPATH=src python tests/test_platform_physicals.py
+    PYTHONPATH=src python tests/test_artifacts.py --write 'tests/data/golden_platform_physicals.json'
 """
 
 import json
@@ -58,6 +58,13 @@ def _physicals(spec):
     if spec.treecode_gflops is not None:
         row["topper_usd_per_gflop"] = repr(topper(spec).usd_per_gflop)
     return row
+
+
+def measure():
+    return {
+        name: _physicals(spec)
+        for name, spec in sorted(PLATFORM_REGISTRY.items())
+    }
 
 
 def test_golden_covers_the_registry():
@@ -110,12 +117,3 @@ def test_spec_module_stays_below_its_consumers():
         assert not name.startswith(
             ("repro.metrics", "repro.hpl", "repro.core.experiments")
         ), name
-
-
-if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(
-        {name: _physicals(spec)
-         for name, spec in sorted(PLATFORM_REGISTRY.items())},
-        indent=1, sort_keys=True,
-    ) + "\n")
-    print(f"wrote {GOLDEN}")

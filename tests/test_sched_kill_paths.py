@@ -10,7 +10,7 @@ entry or float would change a digest.
 
 The golden file is regenerated on purpose only, from any commit::
 
-    PYTHONPATH=src python tests/test_sched_kill_paths.py
+    PYTHONPATH=src python tests/test_artifacts.py --write 'tests/data/sched_kill_paths_golden.json'
 """
 
 import hashlib
@@ -161,6 +161,10 @@ def _exercised(outcome):
     return seen
 
 
+def measure():
+    return {name: _fingerprint(row)[1] for name, (row, _) in ROWS.items()}
+
+
 @pytest.mark.parametrize("name", ROWS)
 def test_attempt_endings_match_the_commit_before_the_fold(name):
     row, must_show = ROWS[name]
@@ -168,11 +172,3 @@ def test_attempt_endings_match_the_commit_before_the_fold(name):
     seen = _exercised(outcome)
     assert {k: seen[k] for k in must_show} == must_show
     assert fingerprint == json.loads(GOLDEN.read_text())[name]
-
-
-if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(
-        {name: _fingerprint(row)[1] for name, (row, _) in ROWS.items()},
-        indent=1, sort_keys=True,
-    ) + "\n")
-    print(f"wrote {GOLDEN}")
