@@ -122,6 +122,22 @@ class EventKernel:
         #: its callback runs.  Kernel-level auditors (clock
         #: monotonicity, tie-break order) watch the loop through these.
         self._fire_hooks: List[Callable[[Event], None]] = []
+        #: True when trace() actually does something (at least one
+        #: observer is registered).  The contract for producers on a
+        #: per-message or per-event path: read this once, and call
+        #: :meth:`trace` — whose keyword fields cost a dict and often a
+        #: formatted resource name to build — only when it is true.
+        #: Observers may attach between any two events, so the value is
+        #: read per message, never cached across them.  Rare paths
+        #: (failures, retransmissions, world start and end) may call
+        #: :meth:`trace` unguarded.
+        self.tracing = False
+        #: True when anything outside the simulation can see it run: a
+        #: trace observer or a fire hook.  The one question a tenant
+        #: asks before settling work *off* this kernel (the batch
+        #: scheduler's memoised route): whatever is watching would miss
+        #: events that never reach the shared clock.
+        self.watched = False
         self._ids = 0
 
     def next_id(self) -> int:
@@ -288,45 +304,28 @@ class EventKernel:
 
     # -- timeline ----------------------------------------------------------
 
-    @property
-    def tracing(self) -> bool:
-        """True when trace() actually does something (at least one
-        observer is registered).
-
-        The contract for producers on a per-message or per-event path:
-        read this once, and call :meth:`trace` — whose keyword fields
-        cost a dict and often a formatted resource name to build —
-        only when it is true.  Observers may attach between any two
-        events, so the value is read per message, never cached across
-        them.  Rare paths (failures, retransmissions, world start and
-        end) may call :meth:`trace` unguarded.
-        """
-        return bool(self._observers)
-
-    @property
-    def watched(self) -> bool:
-        """True when anything outside the simulation can see it run: a
-        trace observer or a fire hook.
-
-        The one question a tenant asks before settling work *off* this
-        kernel (the batch scheduler's memoised route): whatever is
-        watching would miss events that never reach the shared clock.
-        """
-        return bool(self._observers or self._fire_hooks)
+    def _watchers_changed(self) -> None:
+        """Keep ``tracing`` and ``watched`` equal to the lists' state."""
+        self.tracing = bool(self._observers)
+        self.watched = bool(self._observers or self._fire_hooks)
 
     def add_observer(self, fn: Callable[[TimelineEvent], None]) -> None:
         """Stream every traced event to *fn* (recorder/auditor hook)."""
         self._observers.append(fn)
+        self._watchers_changed()
 
     def remove_observer(self, fn: Callable[[TimelineEvent], None]) -> None:
         self._observers.remove(fn)
+        self._watchers_changed()
 
     def add_fire_hook(self, fn: Callable[[Event], None]) -> None:
         """Call *fn* with each event as it is dequeued (auditor hook)."""
         self._fire_hooks.append(fn)
+        self._watchers_changed()
 
     def remove_fire_hook(self, fn: Callable[[Event], None]) -> None:
         self._fire_hooks.remove(fn)
+        self._watchers_changed()
 
     def trace(self, kind: str, time: Optional[float] = None,
               **fields: Any) -> None:

@@ -94,6 +94,19 @@ class Calendar:
             ready = self._floor
         starts, ends = self.starts, self.ends
         n = len(starts)
+        self.busy_s += duration
+        self.transfers += 1
+        if not n or ready >= ends[-1]:
+            # The idle tail: every run ends at-or-before ready, which is
+            # where the bisect below would land, with nothing after it.
+            if n and ends[-1] == ready:
+                ends[-1] = ready + duration
+            else:
+                starts.append(ready)
+                ends.append(ready + duration)
+                if n >= self._PRUNE_AT:
+                    self._prune()
+            return ready
         i = bisect_right(starts, ready)
         s = ready
         if i and ends[i - 1] > s:
@@ -118,16 +131,17 @@ class Calendar:
             starts.insert(i, s)
             ends.insert(i, end)
             if n >= self._PRUNE_AT:
-                keep = self._PRUNE_AT // 2
-                # Sorted disjoint runs: ends is sorted too, so the end
-                # of the last dropped run bounds every dropped busy
-                # period from above.
-                self._floor = max(self._floor, ends[-keep - 1])
-                del starts[:-keep]
-                del ends[:-keep]
-        self.busy_s += duration
-        self.transfers += 1
+                self._prune()
         return s
+
+    def _prune(self) -> None:
+        """Drop the older half of the runs, raising the floor past them."""
+        keep = self._PRUNE_AT // 2
+        # Sorted disjoint runs: ends is sorted too, so the end of the
+        # last dropped run bounds every dropped busy period from above.
+        self._floor = max(self._floor, self.ends[-keep - 1])
+        del self.starts[:-keep]
+        del self.ends[:-keep]
 
     def reset(self) -> None:
         self.starts.clear()

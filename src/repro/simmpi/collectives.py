@@ -13,7 +13,8 @@ from __future__ import annotations
 import operator
 from typing import Any, Iterator, List, Optional
 
-# Tag kinds (mixed with the per-call sequence number).
+# Tag kinds (mixed with the per-call sequence number into a negative
+# tag that only _send/_recv accept: user mail cannot match it).
 _K_BARRIER, _K_BCAST, _K_REDUCE, _K_GATHER, _K_ALLGATHER = 1, 2, 3, 4, 5
 _K_SCATTER, _K_ALLTOALL, _K_ALLREDUCE = 6, 7, 8
 
@@ -35,8 +36,8 @@ def barrier(comm) -> Iterator:
         return None
     step = 1
     while step < size:
-        comm.send((rank + step) % size, b"", tag)
-        yield from comm.recv((rank - step) % size, tag)
+        comm._send((rank + step) % size, b"", tag)
+        yield from comm._recv((rank - step) % size, tag)
         step <<= 1
     return None
 
@@ -56,11 +57,11 @@ def bcast(comm, obj: Any, root: int = 0) -> Iterator:
         low = (size - 1).bit_length()
     else:
         low = _lowbit_index(vrank)
-        obj = yield from comm.recv(actual(vrank - (1 << low)), tag)
+        obj = yield from comm._recv(actual(vrank - (1 << low)), tag)
     for k in range(low - 1, -1, -1):
         dst = vrank + (1 << k)
         if dst < size:
-            comm.send(actual(dst), obj, tag)
+            comm._send(actual(dst), obj, tag)
     return obj
 
 
@@ -85,10 +86,10 @@ def reduce(comm, obj: Any, op=None, root: int = 0) -> Iterator:
     for k in range(low):
         child = vrank + (1 << k)
         if child < size:
-            other = yield from comm.recv(actual(child), tag)
+            other = yield from comm._recv(actual(child), tag)
             acc = op(acc, other)
     if vrank != 0:
-        comm.send(actual(vrank - (1 << low)), acc, tag)
+        comm._send(actual(vrank - (1 << low)), acc, tag)
         return None
     return acc
 
@@ -105,13 +106,13 @@ def gather(comm, obj: Any, root: int = 0) -> Iterator:
     tag = comm._next_coll_tag(_K_GATHER)
     size, rank = comm.size, comm.rank
     if rank != root:
-        comm.send(root, obj, tag)
+        comm._send(root, obj, tag)
         return None
     out: List[Any] = [None] * size
     out[root] = obj
     for src in range(size):
         if src != root:
-            out[src] = yield from comm.recv(src, tag)
+            out[src] = yield from comm._recv(src, tag)
     return out
 
 
@@ -126,15 +127,15 @@ def allgather(comm, obj: Any) -> Iterator:
     right = (rank + 1) % size
     left = (rank - 1) % size
     stats = comm.stats
-    comm.send(right, obj, tag)
+    comm._send(right, obj, tag)
     for step in range(size - 1):
         received = stats.bytes_received
-        block = yield from comm.recv(left, tag)
+        block = yield from comm._recv(left, tag)
         out[(rank - step - 1) % size] = block
         if step < size - 2:
             # Forward the block at the size the receive just counted:
             # one payload sizing per rank per collective, not per hop.
-            comm._send_sized(
+            comm._send(
                 right, block, tag, stats.bytes_received - received
             )
     return out
@@ -149,9 +150,9 @@ def scatter(comm, objs: Optional[List[Any]], root: int = 0) -> Iterator:
             raise ValueError("scatter root needs one item per rank")
         for dst in range(size):
             if dst != root:
-                comm.send(dst, objs[dst], tag)
+                comm._send(dst, objs[dst], tag)
         return objs[root]
-    item = yield from comm.recv(root, tag)
+    item = yield from comm._recv(root, tag)
     return item
 
 
@@ -165,8 +166,8 @@ def alltoall(comm, objs: List[Any]) -> Iterator:
     out[rank] = objs[rank]
     for offset in range(1, size):
         dst = (rank + offset) % size
-        comm.send(dst, objs[dst], tag)
+        comm._send(dst, objs[dst], tag)
     for offset in range(1, size):
         src = (rank - offset) % size
-        out[src] = yield from comm.recv(src, tag)
+        out[src] = yield from comm._recv(src, tag)
     return out

@@ -31,9 +31,9 @@ class RecvBlock:
     def matches(self, msg: "Message") -> bool:
         if self.src is not ANY_SOURCE and msg.src != self.src:
             return False
-        if self.tag is not None and msg.tag != self.tag:
-            return False
-        return True
+        if self.tag is None:
+            return msg.tag >= 0         # collectives' tags are not user mail
+        return msg.tag == self.tag
 
 
 class DeadlockError(RuntimeError):
@@ -137,6 +137,9 @@ def payload_nbytes(obj: Any) -> int:
     Small scalar/tuple payloads memoize their pickle size (hot
     collectives repost identical headers thousands of times).
     """
+    cls = obj.__class__
+    if cls is int or cls is float:      # the hot collective payloads
+        return 24
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes) + 16
     if isinstance(obj, (bytes, bytearray)):
@@ -157,13 +160,18 @@ def payload_nbytes(obj: Any) -> int:
     return nbytes
 
 
+def _check_tag(tag: Any) -> None:
+    """User tags are ints >= 0; the negatives belong to collectives."""
+    if not isinstance(tag, int) or tag < 0:
+        raise ValueError(f"tag must be an int >= 0, got {tag!r}")
+
+
 @dataclass(slots=True)
 class Message:
     """An in-flight or delivered message.
 
-    ``consumed`` is the lazy-deletion flag of the indexed mailbox: one
-    message sits in several match-pattern deques, and marking it here
-    lets the other deques skip it when it reaches their front.
+    ``seq`` is its posting number in the destination's mailbox: a
+    wildcard receive takes the matching message with the lowest.
     """
 
     src: int
@@ -173,7 +181,7 @@ class Message:
     nbytes: int
     post_time: float
     arrive_time: float
-    consumed: bool = False
+    seq: int = 0
 
 
 class RankComm:
@@ -233,36 +241,48 @@ class RankComm:
 
     def send(self, dst: int, obj: Any, tag: int = 0) -> None:
         """Eagerly post a message (buffered send; never blocks)."""
+        _check_tag(tag)
         self._runtime.post(self, dst, obj, tag)
 
-    def _send_sized(self, dst: int, obj: Any, tag: int,
-                    nbytes: int) -> None:
-        """:meth:`send` for a payload whose wire size the caller already
-        holds (store-and-forward collectives: sizing a payload can mean
-        pickling it, and a forwarded block's size cannot have changed)."""
+    def _send(self, dst: int, obj: Any, tag: int,
+              nbytes: Optional[int] = None) -> None:
+        """The collectives' send: any tag, and *nbytes* when the caller
+        already holds the wire size (store-and-forward collectives:
+        sizing a payload can mean pickling it, and a forwarded block's
+        size cannot have changed)."""
         self._runtime.post(self, dst, obj, tag, nbytes)
 
     def recv(self, src: Optional[int] = ANY_SOURCE,
              tag: Optional[int] = None) -> Iterator:
-        """Blocking receive; use as ``obj = yield from comm.recv(src)``."""
+        """Blocking receive; use as ``obj = yield from comm.recv(src)``.
+
+        ``tag=None`` matches any user tag (>= 0), never a collective's.
+        """
+        if tag is not None:
+            _check_tag(tag)
+        return self._recv(src, tag)
+
+    def _recv(self, src: Optional[int], tag: Optional[int]) -> Iterator:
+        """The receive loop, for any tag (collectives call it direct)."""
+        runtime = self._runtime
         while True:
-            msg = self._runtime.match(self.rank, src, tag)
+            msg = runtime.match(self.rank, src, tag)
             if msg is not None:
                 if msg.arrive_time > self.clock:
                     self.clock = msg.arrive_time
                 stats = self.stats
                 stats.recvs += 1
                 stats.bytes_received += msg.nbytes
-                kernel = self._runtime.kernel
+                kernel = runtime.kernel
                 if kernel.tracing:
                     kernel.trace(
                         "recv", time=self.clock, rank=self.rank,
                         src=msg.src, tag=msg.tag, nbytes=msg.nbytes,
                     )
                 return msg.payload
-            if src is not ANY_SOURCE and self._runtime.rank_failed(src):
+            if src is not ANY_SOURCE and runtime.rank_failed(src):
                 raise NodeFailureError(
-                    src, self._runtime.failure_time(src),
+                    src, runtime.failure_time(src),
                     detail=f"rank {self.rank} awaited tag {tag}",
                 )
             if src is ANY_SOURCE and self.size > 1:
@@ -272,10 +292,10 @@ class RankComm:
                 # a named-source receive would instead of hanging
                 # until the deadlock detector fires.
                 peers = [r for r in range(self.size) if r != self.rank]
-                if all(self._runtime.rank_failed(r) for r in peers):
-                    last = max(peers, key=self._runtime.failure_time)
+                if all(runtime.rank_failed(r) for r in peers):
+                    last = max(peers, key=runtime.failure_time)
                     raise NodeFailureError(
-                        last, self._runtime.failure_time(last),
+                        last, runtime.failure_time(last),
                         detail=(
                             f"rank {self.rank} awaited ANY_SOURCE "
                             f"tag {tag}; all peers failed"
@@ -297,7 +317,8 @@ class RankComm:
 
         All ranks must invoke collectives in the same order (an MPI
         requirement), so an identical per-rank counter keeps calls from
-        cross-matching.
+        cross-matching.  The tags are negative, a space user sends and
+        receives may not name (MPI's separate collective context).
         """
         self._coll_seq += 1
         return -(self._coll_seq * 16 + kind)

@@ -42,101 +42,63 @@ from repro.simmpi.trace import CommStats
 class _Mailbox:
     """One destination rank's undelivered messages, indexed for match.
 
-    The messages sit in up to four views keyed by the four match
-    patterns a receive can pose — exact ``(src, tag)``, src-only,
-    tag-only, and fully wild (``order``).  Every deque preserves
-    posting order, so "oldest matching message wins" (MPI's
-    non-overtaking rule for a fixed pattern) falls out of popping from
-    the front.  A message consumed through one view is lazily skipped
-    by the others via its ``consumed`` flag.
-
-    Every receive a collective posts is exact, so ``append`` feeds only
-    ``by_exact`` and ``order``; the src-only and tag-only views are
-    built from ``order`` by the first receive that asks for one and fed
-    from then on.  Consumed messages a view never pops are dropped by
-    :meth:`_compact` once they outnumber the live ones, so a mailbox
-    holds at most ``2 * live + _SLACK`` entries per view however long
-    the world runs.
+    One deque per ``(src, tag)`` key, in posting order; a key is dropped
+    when its deque empties, so the mailbox holds exactly its live
+    messages.  ``append`` numbers each message (``seq``).  An exact
+    receive — every collective and ring receive — pops the front of its
+    own deque.  A wildcard receive takes the matching head with the
+    lowest ``seq``: the oldest matching message, MPI's non-overtaking
+    rule, at O(live keys).  ``tag=None`` matches user tags (>= 0) only.
     """
 
-    __slots__ = ("order", "by_exact", "by_src", "by_tag", "live", "_stale")
-
-    _SLACK = 64
+    __slots__ = ("queues", "live", "_seq")
 
     def __init__(self) -> None:
-        self.order: Deque[Message] = deque()
-        self.by_exact: Dict[Tuple[int, int], Deque[Message]] = {}
-        self.by_src: Optional[Dict[int, Deque[Message]]] = None
-        self.by_tag: Optional[Dict[int, Deque[Message]]] = None
+        self.queues: Dict[Tuple[int, int], Deque[Message]] = {}
         self.live = 0
-        self._stale = 0           # consumed since the last compaction
+        self._seq = 0
 
     def append(self, msg: Message) -> None:
-        self.order.append(msg)
+        self._seq = msg.seq = self._seq + 1
         key = (msg.src, msg.tag)
-        queue = self.by_exact.get(key)
+        queue = self.queues.get(key)
         if queue is None:
-            self.by_exact[key] = deque((msg,))
+            self.queues[key] = deque((msg,))
         else:
             queue.append(msg)
-        if self.by_src is not None:
-            self.by_src.setdefault(msg.src, deque()).append(msg)
-        if self.by_tag is not None:
-            self.by_tag.setdefault(msg.tag, deque()).append(msg)
         self.live += 1
 
     def take(self, src: Optional[int], tag: Optional[int]
              ) -> Optional[Message]:
         """Pop the oldest live message matching the pattern, if any."""
-        if src is not ANY_SOURCE:
-            if tag is not None:
-                queue = self.by_exact.get((src, tag))
-            else:
-                if self.by_src is None:
-                    self.by_src = self._group(lambda m: m.src)
-                queue = self.by_src.get(src)
-        elif tag is not None:
-            if self.by_tag is None:
-                self.by_tag = self._group(lambda m: m.tag)
-            queue = self.by_tag.get(tag)
+        queues = self.queues
+        if src is not ANY_SOURCE and tag is not None:
+            key = (src, tag)
+            queue = queues.get(key)
+            if queue is None:
+                return None
         else:
-            queue = self.order
-        if queue is None:
-            return None
-        while queue:
-            msg = queue.popleft()
-            if msg.consumed:
-                continue
-            msg.consumed = True
-            self.live -= 1
-            self._stale += 1
-            if self._stale > self.live + self._SLACK:
-                self._compact()
-            return msg
-        return None
-
-    def _group(self, key) -> Dict[Any, Deque[Message]]:
-        """The live messages, in posting order, grouped by ``key(msg)``."""
-        view: Dict[Any, Deque[Message]] = {}
-        for msg in self.order:
-            if not msg.consumed:
-                view.setdefault(key(msg), deque()).append(msg)
-        return view
-
-    def _compact(self) -> None:
-        """Rebuild the views from the live messages alone.
-
-        Runs once per ``live + _SLACK`` consumptions at least and costs
-        one pass over at most twice that many entries: amortised O(1).
-        """
-        self.order = deque(m for m in self.order if not m.consumed)
-        self.by_exact = self._group(lambda m: (m.src, m.tag))
-        self.by_src = self.by_tag = None
-        self._stale = 0
+            head = key = None
+            for k, q in queues.items():
+                if ((src is ANY_SOURCE or k[0] == src)
+                        and (k[1] >= 0 if tag is None else k[1] == tag)
+                        and (head is None or q[0].seq < head.seq)):
+                    head, key = q[0], k
+            if key is None:
+                return None
+            queue = queues[key]
+        msg = queue.popleft()
+        if not queue:
+            del queues[key]
+        self.live -= 1
+        return msg
 
     def live_messages(self) -> List[Message]:
         """Undelivered messages in posting order (diagnostics)."""
-        return [m for m in self.order if not m.consumed]
+        return sorted(
+            (m for q in self.queues.values() for m in q),
+            key=lambda m: m.seq,
+        )
 
 
 @dataclass
@@ -219,7 +181,7 @@ class SimMpiRuntime:
         # sees the message.
         self._send_overhead_s = self.fabric.send_overhead_s
         self.fabric.attach_kernel(self.kernel)
-        self._mailboxes: Dict[int, _Mailbox] = {}
+        self._mailboxes: List[_Mailbox] = [_Mailbox() for _ in range(size)]
         self._consumed = 0
         self._posted = 0
         self._consumed0 = 0       # baselines at launch: per-world deltas
@@ -294,10 +256,7 @@ class SimMpiRuntime:
                         nbytes=nbytes,
                     )
                 return
-        box = self._mailboxes.get(dst)
-        if box is None:
-            box = self._mailboxes[dst] = _Mailbox()
-        box.append(msg)
+        self._mailboxes[dst].append(msg)
         waiter = self._waiters.get(dst)
         if waiter is not None and waiter[0].matches(msg):
             del self._waiters[dst]
@@ -349,8 +308,8 @@ class SimMpiRuntime:
 
     def match(self, dst: int, src: Optional[int],
               tag: Optional[int]) -> Optional[Message]:
-        box = self._mailboxes.get(dst)
-        if box is None or not box.live:
+        box = self._mailboxes[dst]
+        if not box.live:
             return None
         msg = box.take(src, tag)
         if msg is not None:
@@ -439,7 +398,7 @@ class SimMpiRuntime:
         # failures recorded during a previous launch (e.g. a kill) and
         # messages its dead ranks never drained don't outlive it.
         self._failed.clear()
-        self._mailboxes.clear()
+        self._mailboxes = [_Mailbox() for _ in range(self.size)]
         self._posted0 = self._posted
         self._consumed0 = self._consumed
         self._dropped0 = self._dropped
@@ -572,7 +531,7 @@ class SimMpiRuntime:
                 posted=self._posted - self._posted0,
                 consumed=self._consumed - self._consumed0,
                 undelivered=sum(
-                    box.live for box in self._mailboxes.values()
+                    box.live for box in self._mailboxes
                 ),
                 failed=len(result.failed_ranks),
                 kills=len(self._failed),
@@ -640,10 +599,9 @@ class SimMpiRuntime:
             entry = self._waiters.get(rank)
             src, tag = (entry[0].src, entry[0].tag) if entry else (None, None)
             patterns[rank] = (src, tag)
-            box = self._mailboxes.get(rank)
             pending = [
                 (m.src, m.tag, m.nbytes)
-                for m in (box.live_messages() if box is not None else ())
+                for m in self._mailboxes[rank].live_messages()
             ]
             mailboxes[rank] = pending
             src_txt = "ANY" if src is ANY_SOURCE else str(src)

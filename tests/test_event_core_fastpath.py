@@ -97,7 +97,7 @@ def test_run_until_with_cancellations():
 
 
 # ---------------------------------------------------------------------------
-# Indexed mailbox: four views, oldest-match-wins, lazy consumption
+# Indexed mailbox: one deque per (src, tag), oldest match wins
 # ---------------------------------------------------------------------------
 
 def _msg(src, tag):
@@ -122,8 +122,8 @@ def test_mailbox_consumed_messages_skipped_in_other_views():
     first, second = _msg(3, 1), _msg(3, 1)
     box.append(first)
     box.append(second)
-    assert box.take(None, None) is first     # taken via the order view
-    assert box.take(3, 1) is second          # exact view skips the corpse
+    assert box.take(None, None) is first     # the wildcard pops the key
+    assert box.take(3, 1) is second          # exact takes what is left
     assert box.take(3, None) is None
     assert box.live == 0
 
