@@ -239,6 +239,14 @@ class EventKernel:
 
     def run(self, until: Optional[float] = None) -> float:
         """Drain the queue (or stop once the clock passes *until*)."""
+        self._drain(until)
+        # Firing retires live entries and leaves the corpses: settle
+        # them here too, so they stay bounded by the live ones.
+        if self._dead > 64 and self._dead > self._live:
+            self._compact()
+        return self.now
+
+    def _drain(self, until: Optional[float]) -> None:
         if type(self).step is not EventKernel.step:
             # A subclass overrode step(): dispatch through it so the
             # override sees every event (auditor tests rely on this).
@@ -246,7 +254,7 @@ class EventKernel:
                 if until is not None and self._next_time() > until:
                     break
                 self.step()
-            return self.now
+            return
         # The hot path: everything per-event is inlined, with the hook
         # guard reduced to a single truthiness test on the (aliased,
         # in-place mutated) hook list.  Callbacks may schedule, cancel
@@ -270,7 +278,7 @@ class EventKernel:
                     for hook in hooks:
                         hook(event)
                 event.fn(*event.args)
-            return self.now
+            return
         while heap:
             if self._next_time() > until:
                 break
@@ -287,7 +295,6 @@ class EventKernel:
                 for hook in hooks:
                     hook(event)
             event.fn(*event.args)
-        return self.now
 
     def _next_time(self) -> float:
         heap = self._heap

@@ -23,6 +23,11 @@ from repro.nbody.ic import plummer_sphere, two_clusters, uniform_cube
 from repro.nbody.integrator import leapfrog_step, total_energy
 from repro.nbody.tree import HashedOctree, TreeBuildCache
 from repro.nbody.traversal import TraversalStats, tree_accelerations
+from repro.network.faults import (
+    require_finite_nonnegative,
+    require_finite_positive,
+    require_whole,
+)
 
 #: Flops billed for tree construction, per particle (key generation,
 #: sort share, moment accumulation) - small next to the traversal.
@@ -46,6 +51,16 @@ class SimConfig:
     #: Audit the flop ledger against the per-step traversal stats at
     #: the end of every run (repro.check.auditors.audit_sim_result).
     audit: bool = False
+
+    def __post_init__(self) -> None:
+        # Refused here by name, not mid-run by ZeroDivisionError or as
+        # a run that silently computes nothing.  NaN slips past ``<= 0``.
+        require_whole("n", self.n, 2 if self.ic == "collision" else 1)
+        require_whole("steps", self.steps, 0)
+        require_whole("leaf_size", self.leaf_size, 1)
+        require_finite_positive("dt", self.dt)
+        require_finite_positive("theta", self.theta)
+        require_finite_nonnegative("softening", self.softening)
 
     def make_ic(self):
         if self.ic == "plummer":

@@ -51,6 +51,10 @@ from repro.nbody.kernels import INTERACTION_FLOPS
 from repro.nbody.morton import ancestor_at_level
 from repro.nbody.multipole import quadrupole_acceleration
 from repro.nbody.tree import HashedOctree, TreeNode
+from repro.network.faults import (
+    require_finite_nonnegative,
+    require_finite_positive,
+)
 
 #: Shared zero-safe reciprocal square root (see :mod:`repro.nbody.karp`).
 _rsqrt = masked_rsqrt
@@ -64,6 +68,11 @@ _PAIR_CHUNK = 1 << 16
 #: pair of scratch, so a tile's working set stays L2-resident.  Results
 #: do not depend on it (the accumulator is carried across tiles).
 _PAIR_TILE = 1 << 14
+
+#: Fewest groups a sweep of the direct-sum kernel holds: narrower
+#: target-count buckets merge into one sweep (see ``_sweeps``).  Results
+#: do not depend on it either.
+_SWEEP_GROUPS = 32
 
 
 @dataclass
@@ -453,6 +462,24 @@ def _segment_accumulate(
         t0 = t1
 
 
+def _sweeps(t_sorted: np.ndarray, min_groups: int) -> List[Tuple[int, int]]:
+    """Cut groups sorted by target count into the direct kernel's sweeps.
+
+    Runs of equal target count (*buckets*) are merged in order until a
+    sweep holds at least *min_groups* groups; a last sweep left shorter
+    than that folds into the one before.  Returns ``(start, stop)``
+    bounds covering ``range(len(t_sorted))``; a bucket is never split.
+    """
+    total = len(t_sorted)
+    ends = (np.flatnonzero(t_sorted[1:] != t_sorted[:-1]) + 1).tolist()
+    stops: List[int] = []
+    for stop in ends + [total]:
+        if stop - (stops[-1] if stops else 0) >= min_groups:
+            stops.append(stop)
+    stops[-1:] = [total]             # the short tail folds in
+    return list(zip([0] + stops[:-1], stops))
+
+
 def _source_major_direct(
     out: np.ndarray,
     tree: HashedOctree,
@@ -468,15 +495,27 @@ def _source_major_direct(
     """Direct-sum evaluation, source-major (the dominant pair family).
 
     Every particle of a leaf group interacts with the same source list.
-    Groups are bucketed by target count ``t`` and sorted by source count
-    ``m``; a bucket is swept in **tiles** of ``r`` consecutive source
-    slots (rows) by ``(t, a)`` columns, ``a`` the groups whose list is
-    not yet exhausted.  Finished groups drop off the front, so padding
-    is confined to the tile a group ends in and scratch is bounded by
-    the tile.  Displacements are an ``(r, 3, t, a)`` array, so every
-    ufunc inner loop runs along the group axis (the reference layout
-    ``(targets, sources, 3)`` has inner loops of length 3); sources are
-    gathered once per ``(slot, group)`` and broadcast over the targets.
+    Groups are sorted by target count ``t`` and source count ``m`` and
+    cut into **sweeps** (:func:`_sweeps`): consecutive ``t``-buckets
+    merge until a sweep holds ``_SWEEP_GROUPS`` groups.  A sweep is
+    swept in **tiles** of ``r`` consecutive source slots (rows) by the
+    target columns of the groups whose list is not yet exhausted.
+    Groups run in ascending ``m``, so finished groups drop off the
+    front, padding is confined to the tile a group ends in and scratch
+    is bounded by the tile.  Sources are gathered once per
+    ``(slot, group)`` from a ``(4, N+1)`` table of x, y, z, mass; every
+    ufunc then runs on planes whose inner loop is long (the reference
+    layout ``(targets, sources, 3)`` has inner loops of length 3):
+
+    - a sweep of one ``t`` lays columns out ``(t, a)``, ``a`` the active
+      groups, and broadcasts each gathered source over its ``t``
+      targets: displacements are ``(r, 3, t, a)``;
+    - a merged sweep lays out one column per target, grouped by group
+      (``cols`` in all), and copies each gathered source out to its
+      group's target columns (a ``take`` along the column-to-group map,
+      into scratch): displacements are ``(r, 3, cols)``.  The copy costs
+      more than the broadcast when buckets are wide, which is why only
+      narrow buckets merge.
 
     Three things keep this bit-identical to the reference per-group
     expression ``einsum("ij,ijk->ik", m * rinv**3, diff)``:
@@ -497,8 +536,9 @@ def _source_major_direct(
       IEEE sum.
 
     A group's result therefore never depends on which groups share its
-    tiles, which is what lets :class:`repro.nbody.parallel.ReplicatedStep`
-    cut rank slices out of one whole-tree evaluation.
+    tiles or its sweep, which is what lets
+    :class:`repro.nbody.parallel.ReplicatedStep` cut rank slices out of
+    one whole-tree evaluation.
     """
     positive = eps2 > 0.0
     n = tree.n_particles
@@ -511,23 +551,34 @@ def _source_major_direct(
     last = len(direct_src) - 1
     steps = np.arange(int(direct_count.max()), dtype=np.int64)[:, None]
     order = np.lexsort((direct_count, sizes))
-    t_sorted = sizes[order]
-    buckets = np.split(order, np.flatnonzero(t_sorted[1:] != t_sorted[:-1]) + 1)
-    for gs in buckets:
-        t = int(sizes[gs[0]])
+    for lo, hi in _sweeps(sizes[order], _SWEEP_GROUPS):
+        gs = order[lo:hi]
+        merged = sizes[gs[0]] != sizes[gs[-1]]
+        if merged:
+            gs = gs[np.argsort(direct_count[gs], kind="stable")]
+        t_g = sizes[gs]
         width = len(gs)
         counts = direct_count[gs]
         count_list = counts.tolist()
         m_max = count_list[-1]
         ptr = direct_ptr[gs]
-        lanes = np.arange(t, dtype=np.int64)[:, None]
-        tgt = table[:3, glo[gs] + lanes]                     # (3, t, width)
-        acc = np.zeros((3, t, width))
+        # Columns owned by groups before each one.
+        col_ptr = np.concatenate(([0], np.cumsum(t_g))).tolist()
+        if merged:
+            rows = _concat_ranges(row_ptr[gs], t_g)
+            col_group = np.repeat(np.arange(width, dtype=np.int64), t_g)
+            tgt = table[:3, _concat_ranges(glo[gs], t_g)]   # (3, cols)
+            acc = np.zeros((3, len(rows)))
+        else:
+            t = int(t_g[0])
+            lanes = np.arange(t, dtype=np.int64)[:, None]
+            rows = (row_ptr[gs] + lanes).ravel()
+            tgt = table[:3, glo[gs] + lanes]                 # (3, t, width)
+            acc = np.zeros((3, t, width))
         done = 0
         j0 = bisect_right(count_list, 0)
         while done < m_max:
-            a = width - j0
-            cols = t * a
+            cols = col_ptr[-1] - col_ptr[j0]
             r = min(max(1, _PAIR_TILE // cols), m_max - done)
             pairs = r * cols
             slot = steps[:r]
@@ -541,14 +592,31 @@ def _source_major_direct(
                           where=slot >= counts[j0:j0 + k] - done)
             sp = np.take(table, src, axis=1)                 # (4, r, a)
             buf = _scratch("direct_buf", 3 * (pairs + cols), np.float64)[
-                :3 * (pairs + cols)].reshape(r + 1, 3, t, a)
+                :3 * (pairs + cols)]
+            if merged:
+                # Each gathered source, copied out to its group's targets
+                # (indices are in range; "clip" lets take write into
+                # ``out`` without an intermediate copy).
+                c0 = col_ptr[j0]
+                cols_buf = _scratch("direct_cols", 4 * pairs, np.float64)[
+                    :4 * pairs].reshape(4, r, cols)
+                sp = np.take(sp, col_group[c0:] - j0, axis=2,
+                             out=cols_buf, mode="clip")      # (4, r, cols)
+                plane = (r, cols)
+                active = acc[:, c0:]
+                tgt_active = tgt[:, c0:]
+            else:
+                sp = sp[:, :, None, :]                       # (4, r, 1, a)
+                plane = (r, t, width - j0)
+                active = acc[:, :, j0:]
+                tgt_active = tgt[:, :, j0:]
+            buf = buf.reshape((r + 1, 3) + plane[1:])
             d = buf[1:]
-            np.subtract(sp[:3].transpose(1, 0, 2)[:, :, None, :],
-                        tgt[:, :, j0:], out=d)
+            np.subtract(sp[:3].swapaxes(0, 1), tgt_active, out=d)
             r2 = _scratch("direct_r2", pairs, np.float64)[
-                :pairs].reshape(r, t, a)
+                :pairs].reshape(plane)
             w = _scratch("direct_w", pairs, np.float64)[
-                :pairs].reshape(r, t, a)
+                :pairs].reshape(plane)
             dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
             np.multiply(dx, dx, out=r2)
             np.multiply(dz, dz, out=w)
@@ -559,13 +627,13 @@ def _source_major_direct(
             rinv = _fast_rsqrt_inplace(r2, use_karp, positive)
             np.multiply(rinv, rinv, out=w)
             np.multiply(w, rinv, out=w)
-            np.multiply(w, sp[3][:, None, :], out=w)
+            np.multiply(w, sp[3], out=w)
             np.multiply(d, w[:, None], out=d)
-            buf[0] = acc[:, :, j0:]
-            np.add.reduce(buf, axis=0, out=acc[:, :, j0:])
+            buf[0] = active
+            np.add.reduce(buf, axis=0, out=active)
             done += r
             j0 = bisect_right(count_list, done, j0)
-        out[(row_ptr[gs] + lanes).ravel()] = acc.reshape(3, t * width).T
+        out[rows] = acc.reshape(3, -1).T
 
 
 def _batched_accelerations(
@@ -697,8 +765,11 @@ def tree_accelerations(
     ``naive=True`` selects the one-group-at-a-time reference walk; the
     default batched path returns bit-identical results.
     """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    # NaN passes a bare ``theta <= 0``: a NaN opening angle opens every
+    # node (the theta -> 0 all-pairs answer), and a NaN softening zeroes
+    # every acceleration while billing the full interaction count.
+    require_finite_positive("theta", theta)
+    require_finite_nonnegative("softening", softening)
     if use_quadrupole and not tree.quadrupoles_enabled:
         raise ValueError(
             "tree was built without quadrupoles; pass quadrupoles=True "

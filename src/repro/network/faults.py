@@ -29,7 +29,8 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from numbers import Integral
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 def require_finite_positive(name: str, value: float) -> None:
@@ -49,6 +50,17 @@ def require_finite_nonnegative(name: str, value: float) -> None:
     """Reject a latency or overhead that is negative, NaN or infinite."""
     if not 0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def require_whole(name: str, value: Any, least: int) -> None:
+    """Reject a count that is not an integer of at least *least*.
+
+    ``True`` is an ``int`` to Python but never a count; numpy integers
+    are accepted.
+    """
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
 
 def link_resource(node: int) -> str:

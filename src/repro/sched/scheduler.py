@@ -49,6 +49,7 @@ from repro.network.faults import (
     link_resource,
     require_finite_nonnegative,
     require_finite_positive,
+    require_whole,
 )
 from repro.sched.allocator import BladeAllocator
 from repro.sched.job import Attempt, JobRecord, JobSpec, JobState
@@ -126,25 +127,15 @@ class SchedConfig:
     def __post_init__(self) -> None:
         # Once per scheduler, so that a configuration that cannot run
         # fails here by name instead of mid-stream by ZeroDivisionError.
-        def whole(value: Any, least: int) -> bool:
-            return (isinstance(value, int) and not isinstance(value, bool)
-                    and value >= least)
-
-        every = self.checkpoint_every
-        if every is not None and not whole(every, 1):
-            raise ValueError(
-                f"checkpoint_every must be None or an int >= 1, got {every!r}"
-            )
+        if self.checkpoint_every is not None:
+            require_whole("checkpoint_every", self.checkpoint_every, 1)
         require_finite_nonnegative(
             "checkpoint_latency_s", self.checkpoint_latency_s
         )
         require_finite_positive(
             "checkpoint_bandwidth_bps", self.checkpoint_bandwidth_bps
         )
-        if not whole(self.max_retries, 0):
-            raise ValueError(
-                f"max_retries must be an int >= 0, got {self.max_retries!r}"
-            )
+        require_whole("max_retries", self.max_retries, 0)
         require_finite_positive("thermal_accel", self.thermal_accel)
 
     def checkpoint_io_s(self, nbytes: int) -> float:

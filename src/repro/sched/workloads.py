@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.nbody.parallel import ReplicatedStep
 from repro.nbody.sim import BUILD_FLOPS_PER_PARTICLE, SimConfig
+from repro.network.faults import require_finite_positive, require_whole
 
 #: Rough flops per particle-particle interaction (walltime estimates).
 _FLOPS_PER_INTERACTION = 28.0
@@ -125,9 +126,19 @@ class TreecodeJob(Workload):
     checkpointable = True
     cacheable = True
 
+    def __post_init__(self) -> None:
+        require_whole("steps", self.steps, 1)
+        self._sim_config()          # refuses n, theta and dt by name
+
     @property
     def units(self) -> int:          # type: ignore[override]
         return self.steps
+
+    def _sim_config(self) -> SimConfig:
+        return SimConfig(
+            n=self.n, steps=self.steps, seed=self.seed,
+            theta=self.theta, dt=self.dt, softening=1e-2,
+        )
 
     def est_flops(self) -> float:
         per_step = self.n * (
@@ -138,10 +149,7 @@ class TreecodeJob(Workload):
 
     def make_program(self, flop_rate: float, nodes: int,
                      ctx: JobContext) -> Callable:
-        config = SimConfig(
-            n=self.n, steps=self.steps, seed=self.seed,
-            theta=self.theta, dt=self.dt, softening=1e-2,
-        )
+        config = self._sim_config()
         start_unit, states = ctx.restore()
         if states is None:
             pos, vel, mass = config.make_ic()
@@ -225,6 +233,8 @@ class NpbKernelJob(Workload):
     def __post_init__(self) -> None:
         if self.kernel.upper() not in ("EP", "IS"):
             raise ValueError("only EP and IS have parallel versions")
+        require_whole("n", self.n, 1)
+        require_whole("max_key", self.max_key, 1)
 
     def est_flops(self) -> float:
         from repro.npb.parallel import EP_OPS_PER_PAIR, IS_OPS_PER_KEY
@@ -269,6 +279,10 @@ class MicrokernelSweep(Workload):
     name = "microkernel"
     checkpointable = True
     cacheable = True
+
+    def __post_init__(self) -> None:
+        require_whole("passes", self.passes, 1)
+        require_finite_positive("flops_per_pass", self.flops_per_pass)
 
     @property
     def units(self) -> int:          # type: ignore[override]

@@ -6,6 +6,9 @@ failures + checkpoints in one run, on the star and on the rack.
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -143,3 +146,54 @@ def test_all_on_campaign_audits_clean_and_replays(platform, monkeypatch):
     report = replay_manifest(manifest)
     assert report.ok, report.format()
     assert report.replayed_events == len(manifest.events) > 0
+
+
+# -- determinism across hash seeds -------------------------------------------
+
+_DIGEST_SCRIPT = """
+import hashlib, json
+from repro.check import sched_outcome_digest
+from repro.nbody.parallel import run_parallel_nbody
+from repro.nbody.sim import SimConfig
+from repro.platform.registry import METABLADE
+from repro.sched import build_campaign, campaign_params
+
+rate = METABLADE.node_flop_rate()
+nbody = hashlib.sha256()
+for cpus in (1, 4):
+    run = run_parallel_nbody(SimConfig(n=600, steps=2, seed=7), cpus, rate)
+    nbody.update(repr((run.clocks, run.total_messages, run.total_bytes)).encode())
+    for pos, vel in run.results:
+        nbody.update(pos.tobytes())
+        nbody.update(vel.tobytes())
+outcome = build_campaign(campaign_params(
+    2001, {"jobs": 40, "fail_inject": True, "mtbf": 0.02, "checkpoint": 1},
+)).run()
+print(json.dumps({
+    "nbody": nbody.hexdigest(),
+    "sched": sched_outcome_digest(outcome),
+    "failures": outcome.failures_injected,
+}))
+"""
+
+
+def test_nbody_and_sched_are_deterministic_across_hash_seeds():
+    """A parallel treecode on 1 and 4 CPUs (positions, clocks, message
+    and byte counts) and a 40-job failure-injected campaign give the
+    same digests under any ``PYTHONHASHSEED``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    runs = set()
+    for hash_seed in ("0", "1", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT], env=env, timeout=300,
+            capture_output=True, text=True, check=True,
+        )
+        runs.add(done.stdout.strip())
+    assert len(runs) == 1
+    digests = json.loads(runs.pop())
+    assert digests["failures"] > 0
+    assert len(digests["nbody"]) == len(digests["sched"]) == 64

@@ -46,6 +46,23 @@ def test_cli_table2_with_options(capsys):
     assert "Speed-Up" in out
 
 
+@pytest.mark.parametrize("argv", [
+    "table2 --particles 0",         # was: ZeroDivisionError
+    "fig3 --particles 0",           # was: ZeroDivisionError
+    "timeline --particles 0",       # was: ZeroDivisionError
+    "fig3 --particles -5",          # was: a numpy error
+    "fig3 --particles 1",           # two clusters need two particles
+    "table2 --cpus 0",              # was: ValueError traceback
+    "timeline --ranks 0",
+])
+def test_treecode_counts_that_cannot_run_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv.split())
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv.split()[1]}: must be >=" in err
+
+
 def test_cli_topper(capsys):
     assert main(["topper"]) == 0
     assert "ToPPeR" in capsys.readouterr().out

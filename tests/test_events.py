@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster import (
     BLADED_OUTAGES,
@@ -136,6 +136,9 @@ _KERNEL_OPS = st.lists(
 
 
 @given(ops=_KERNEL_OPS)
+# Firing at time 0 after three bursts left 120 corpses beside 119 live
+# entries: compaction used to run only on a cancel.
+@example(ops=[("burst", 3), ("burst", 3), ("burst", 5), ("run", 0.0)])
 @settings(max_examples=150, deadline=None)
 def test_fire_order_matches_sorted_reference_under_cancel_and_until(ops):
     kernel = EventKernel()

@@ -19,6 +19,7 @@ from repro.nbody.traversal import (
     TraversalStats,
     _concat_ranges,
     _sorted_pairs,
+    _sweeps,
     leaf_aligned_partition,
     tree_accelerations,
 )
@@ -202,6 +203,106 @@ def test_direct_kernel_equals_naive_on_random_leaf_aligned_slices(
             (acc_n, st_n), (acc_b, st_b) = _both_paths(tree, **kw)
             assert acc_n.tobytes() == acc_b.tobytes(), kw
             _assert_stats_equal(st_n, st_b)
+
+
+# -- the sweep rule ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sweep_cases():
+    """``(name, tree, kwargs, naive sorted-order bytes)``: the fat group,
+    random lumpy trees and the small plummer trees a campaign runs."""
+    cases = []
+    pos, mass = _lumpy(600, seed=3, clump=63)
+    cases.append(("fat", HashedOctree(pos, mass, leaf_size=8),
+                  dict(theta=0.3, softening=0.0)))
+    for seed in range(3):
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(40, 400))
+        pos, mass = _lumpy(n, seed, clump=int(rng.integers(0, 30)))
+        cases.append((f"lumpy{seed}",
+                      HashedOctree(pos, mass,
+                                   leaf_size=int(rng.integers(1, 24))),
+                      dict(theta=0.7, softening=1e-3, use_karp=seed == 1)))
+    for n in (160, 240, 320):
+        pos, _, mass = plummer_sphere(n, seed=2001)
+        cases.append((f"plummer{n}", HashedOctree(pos, mass, leaf_size=16),
+                      dict(theta=0.7, softening=1e-2)))
+    return [
+        (name, tree, kw,
+         tree_accelerations(tree, naive=True, **kw)[0][tree.order].tobytes())
+        for name, tree, kw in cases
+    ]
+
+
+@pytest.mark.parametrize("budget", [8, 512, traversal._PAIR_TILE, 1 << 20])
+@pytest.mark.parametrize("sweep_groups", [1, 10 ** 6])
+def test_direct_kernel_is_independent_of_the_sweep_rule(
+        monkeypatch, sweep_cases, sweep_groups, budget):
+    # sweep_groups = 1: every target-count bucket is its own sweep (all
+    # broadcast); 10**6: every tree is one merged sweep.  Either way,
+    # and at any tile budget, the bytes are the naive walk's, and every
+    # leaf-aligned slice is the whole tree's rows.
+    monkeypatch.setattr(traversal, "_SWEEP_GROUPS", sweep_groups)
+    monkeypatch.setattr(traversal, "_PAIR_TILE", budget)
+    for name, tree, kw, naive in sweep_cases:
+        acc, _ = tree_accelerations(tree, target_slice=(0, tree.n_particles),
+                                    **kw)
+        assert acc.tobytes() == naive, name
+        rows = acc.reshape(-1)
+        for parts in (3, 7):
+            for lo, hi in leaf_aligned_partition(tree, parts):
+                part, _ = tree_accelerations(tree, target_slice=(lo, hi),
+                                             **kw)
+                assert part.tobytes() == rows[3 * lo:3 * hi].tobytes(), (
+                    name, lo, hi)
+
+
+def _sorted_leaf_sizes(n):
+    pos, _, mass = plummer_sphere(n, seed=2001)
+    tree = HashedOctree(pos, mass, leaf_size=16)
+    leaves = tree.leaf_order
+    return np.sort(tree.node_hi[leaves] - tree.node_lo[leaves])
+
+
+def test_sweeps_merge_narrow_buckets_and_fold_a_short_tail():
+    t = np.repeat([1, 2, 3, 4], [40, 5, 30, 3])
+    # 40 ones close a sweep; 5 twos + 30 threes close the next; the 3
+    # fours left over fold into it.
+    assert _sweeps(t, 32) == [(0, 40), (40, 78)]
+    assert _sweeps(t, 1) == [(0, 40), (40, 45), (45, 75), (75, 78)]
+    assert _sweeps(t, 10 ** 6) == [(0, 78)]
+    assert _sweeps(t[:45], 32) == [(0, 45)]
+    assert _sweeps(np.array([7]), 32) == [(0, 1)]
+
+    # A campaign-sized tree is one merged sweep...
+    t = _sorted_leaf_sizes(240)
+    assert _sweeps(t, traversal._SWEEP_GROUPS) == [(0, len(t))]
+    assert t[0] != t[-1]
+    # ...while n = 6000 keeps its wide buckets on the broadcast: every
+    # target count up to 9 is a sweep of its own, only the tail merges.
+    t = _sorted_leaf_sizes(6000)
+    sweeps = _sweeps(t, traversal._SWEEP_GROUPS)
+    single = [int(t[lo]) for lo, hi in sweeps if t[lo] == t[hi - 1]]
+    assert single[:9] == list(range(1, 10))
+    assert any(t[lo] != t[hi - 1] for lo, hi in sweeps)
+    assert all(t[lo] == t[hi - 1] for lo, hi in sweeps if t[lo] <= 9)
+
+
+def test_tree_accelerations_refuses_non_finite_theta_and_softening():
+    # A NaN opening angle used to pass the theta <= 0 guard and return
+    # the all-pairs answer; a NaN softening returned zero accelerations
+    # while billing every interaction.
+    pos, _, mass = plummer_sphere(300, seed=2001)
+    tree = HashedOctree(pos, mass, leaf_size=16)
+    for field, value in (("theta", np.nan), ("theta", np.inf),
+                         ("theta", 0.0), ("theta", -0.5),
+                         ("softening", np.nan), ("softening", np.inf),
+                         ("softening", -1e-3)):
+        for naive in (False, True):
+            with pytest.raises(ValueError, match=field):
+                tree_accelerations(tree, naive=naive, **{field: value})
+    tree_accelerations(tree, softening=0.0)         # zero stays legal
 
 
 # -- tree.nodes is a view built on demand ------------------------------------

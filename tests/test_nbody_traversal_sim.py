@@ -187,6 +187,31 @@ def test_unknown_ic_rejected():
         SimConfig(ic="magic").make_ic()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 0),                   # was: ZeroDivisionError in the IC
+    ("n", -5),
+    ("n", 10.0),
+    ("steps", -1),
+    ("leaf_size", 0),
+    ("dt", float("nan")),       # was: "non-finite position" after step 1
+    ("dt", 0.0),
+    ("theta", float("nan")),    # was: the all-pairs answer, silently
+    ("theta", float("inf")),
+    ("softening", float("nan")),
+    ("softening", -1e-2),
+])
+def test_sim_config_refuses_values_that_cannot_run(field, value):
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**{field: value})
+
+
+def test_collision_needs_a_particle_per_cluster():
+    with pytest.raises(ValueError, match="n must be an int >= 2"):
+        SimConfig(n=1, ic="collision")
+    SimConfig(n=1)                                  # one plummer particle
+    assert len(SimConfig(n=2, ic="collision").make_ic()[0]) == 2
+
+
 def test_plummer_properties():
     pos, vel, mass = plummer_sphere(5000, seed=11)
     # Centre-of-mass frame.

@@ -15,6 +15,7 @@ from repro.sched import (
     JobSpec,
     JobState,
     MicrokernelSweep,
+    NpbKernelJob,
     SchedConfig,
     TreecodeJob,
     policy_by_name,
@@ -473,6 +474,35 @@ def test_non_finite_inputs_raise_naming_the_field(hard_timeout, field, call,
                                                   value):
     with pytest.raises(ValueError, match=field):
         call(value)
+
+
+@pytest.mark.parametrize("payload, field, value", [
+    (TreecodeJob, "n", 0),              # was: ZeroDivisionError mid-run
+    (TreecodeJob, "theta", math.nan),   # was: COMPLETED, all-pairs forces
+    (TreecodeJob, "dt", math.nan),      # was: failed after its first step
+    (TreecodeJob, "dt", -1e-3),
+    (TreecodeJob, "steps", -1),         # was: completed, computed nothing
+    (TreecodeJob, "steps", 0),
+    (MicrokernelSweep, "passes", -2),   # was: completed, computed nothing
+    (MicrokernelSweep, "passes", 1.5),
+    (MicrokernelSweep, "flops_per_pass", math.nan),  # was: kernel error
+    (MicrokernelSweep, "flops_per_pass", 0.0),
+    (NpbKernelJob, "n", 0),             # was: completed, computed nothing
+    (NpbKernelJob, "max_key", 0),
+])
+def test_payloads_that_cannot_run_fail_at_construction(payload, field, value):
+    with pytest.raises(ValueError, match=field):
+        payload(**{field: value})
+
+
+def test_payload_validation_keeps_the_profile_cache_key():
+    # The frozen-dataclass repr is the key; validation adds no field.
+    assert repr(TreecodeJob(n=160, steps=2, seed=5)) == (
+        "TreecodeJob(n=160, steps=2, seed=5, theta=0.7, dt=0.001)"
+    )
+    assert repr(MicrokernelSweep()) == (
+        "MicrokernelSweep(passes=6, flops_per_pass=2500000.0)"
+    )
 
 
 @pytest.mark.parametrize("field, value", [
