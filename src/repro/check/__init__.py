@@ -1,4 +1,4 @@
-"""repro.check: deterministic replay, invariant audit, differential fuzz.
+"""repro.check: deterministic replay, invariant and differential audits.
 
 PRs so far assert bit-determinism ad hoc — "Table 2 bit-identical",
 "pooled sweeps byte-identical" — by eyeballing regenerated output.
@@ -26,11 +26,6 @@ This package turns that convention into a checked property:
   configuration matrix, every variant of a cell run once, bit-exact
   outcome digests and trace hashes, and a row whose counters do not
   show the traffic it declares fails as ``VACUOUS``.
-- :mod:`repro.check.fuzz` — the differential fuzz driver behind
-  ``python -m repro.cli check --fuzz``: randomized cases through three
-  oracles (CMS translator vs golden interpreter, batched vs naive
-  treecode traversal, FCFS vs EASY-backfill schedule safety), with
-  failing cases shrunk and written as replayable manifest files.
 """
 
 from repro.check.auditors import (
@@ -64,24 +59,14 @@ from repro.check.replay import (
     replay_manifest,
     verify_golden_manifest,
 )
-from repro.check.fuzz import (
-    FuzzFailure,
-    FuzzReport,
-    ORACLES,
-    run_fuzz,
-    run_fuzz_case,
-)
 
 __all__ = [
     "ClockOrderAuditor",
     "DiffCase",
     "DiffReport",
     "Divergence",
-    "FuzzFailure",
-    "FuzzReport",
     "InvariantViolation",
     "MessageConservationAuditor",
-    "ORACLES",
     "ReplayReport",
     "RetransmitConservationAuditor",
     "RunManifest",
@@ -100,9 +85,7 @@ __all__ = [
     "replay_manifest",
     "run_cache_differential",
     "run_cell",
-    "run_fuzz",
     "run_telemetry_differential",
     "sched_outcome_digest",
-    "run_fuzz_case",
     "verify_golden_manifest",
 ]

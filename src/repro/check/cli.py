@@ -2,7 +2,6 @@
 
 Modes (mutually exclusive):
 
-- ``--fuzz``            run the differential fuzz campaign
 - ``--record PATH``     record a run manifest (``--kind`` picks the
                         recipe: sched | simmpi | table2 | fig3)
 - ``--replay PATH``     replay-verify any saved manifest
@@ -19,9 +18,9 @@ The two audits are one harness (:mod:`repro.check.differential`)
 judged by different claims; both fail a matrix row as ``VACUOUS``
 when its route counters do not show the traffic it declares.
 
-Exit status is non-zero on any divergence, vacuous row or fuzz
-failure, and the failing report is written under ``--out`` so CI can
-upload it as an artifact.
+Exit status is non-zero on any divergence or vacuous row, and the
+failing report is written under ``--out`` so CI can upload it as an
+artifact.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from repro.sched.campaign import add_campaign_arguments, campaign_overrides
 
 def add_check_arguments(parser: argparse.ArgumentParser) -> None:
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--fuzz", action="store_true",
-                      help="run the differential fuzz campaign")
     mode.add_argument("--record", metavar="PATH", default=None,
                       help="record a run manifest to PATH")
     mode.add_argument("--replay", metavar="PATH", default=None,
@@ -50,17 +47,14 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kind", default="sched",
                         choices=["sched", "simmpi", "table2", "fig3"],
                         help="what --record records (default: sched)")
-    parser.add_argument("--cases", type=int, default=None,
-                        help="fuzz cases (default: 216 quick, 600 full)")
     parser.add_argument("--quick", action="store_true",
-                        help="small fuzz parameter ranges (CI smoke)")
+                        help="smaller audit matrix (CI smoke)")
     parser.add_argument("--out", metavar="DIR", default="check_reports",
-                        help="directory for divergence/fuzz reports")
-    # What --record --kind sched records (--seed also seeds the fuzz
-    # campaign and the audits; --jobs sizes the audits' streams).
-    # --jobs left unset means the recipe's own default for --record,
-    # and for the audits the smallest stream that shows every matrix
-    # row's declared traffic.
+                        help="directory for divergence and audit reports")
+    # What --record --kind sched records (--seed also seeds the audits;
+    # --jobs sizes the audits' streams).  --jobs left unset means the
+    # recipe's own default for --record, and for the audits the smallest
+    # stream that shows every matrix row's declared traffic.
     add_campaign_arguments(parser, jobs=None)
 
 
@@ -73,7 +67,6 @@ def cmd_check(args) -> int:
         record_table2_manifest,
         replay_manifest,
         run_cache_differential,
-        run_fuzz,
         run_telemetry_differential,
     )
     from repro.check.differential import AUDIT_JOBS
@@ -108,15 +101,6 @@ def cmd_check(args) -> int:
             seed=args.seed, quick=args.quick,
             jobs=AUDIT_JOBS if args.jobs is None else args.jobs,
         )
-    elif args.fuzz:
-        cases = args.cases
-        if cases is None:
-            cases = 216 if args.quick else 600
-        report = run_fuzz(
-            cases=cases, seed=args.seed, quick=args.quick,
-            out_dir=args.out,
-        )
-        name = "fuzz_report"
     else:
         try:
             manifest = RunManifest.load(args.replay)

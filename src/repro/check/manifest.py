@@ -26,7 +26,7 @@ from repro.core.events import EventKernel, TimelineEvent
 MANIFEST_VERSION = 1
 
 #: The run kinds ``replay_manifest`` knows how to rebuild.
-_KINDS = ("sched", "simmpi", "table2", "fig3", "fuzz-failure")
+_KINDS = ("sched", "simmpi", "table2", "fig3")
 
 _SCALARS = (bool, int, float, str, type(None))
 

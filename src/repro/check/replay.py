@@ -471,7 +471,4 @@ def replay_manifest(manifest: RunManifest) -> ReplayReport:
         return _replay_simmpi(manifest)
     if manifest.kind in _GOLDEN_RECORDERS:
         return verify_golden_manifest(manifest)
-    if manifest.kind == "fuzz-failure":
-        from repro.check.fuzz import replay_failure_manifest
-        return replay_failure_manifest(manifest)
     raise ValueError(f"unknown manifest kind {manifest.kind!r}")

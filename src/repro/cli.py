@@ -21,7 +21,6 @@ Usage::
     python -m repro.cli thermal             # temperature/MTBF registry table
     python -m repro.cli platform             # the named platform registry
     python -m repro.cli platform --smoke     # build + audit every entry
-    python -m repro.cli check --fuzz --quick # differential fuzz campaign
     python -m repro.cli check --record m.json --fail-inject --checkpoint 1
     python -m repro.cli check --replay m.json
     python -m repro.cli all                  # everything (minutes)
@@ -451,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "recursively for *.jsonl)")
     pc = sub.add_parser(
         "check",
-        help="deterministic replay, invariant audit, differential fuzz",
+        help="deterministic replay, invariant and differential audits",
     )
     from repro.check.cli import add_check_arguments
     add_check_arguments(pc)

@@ -2,10 +2,10 @@
 
 Every execution engine in the library (golden interpreter, CMS+VLIW,
 hardware port simulators) must produce identical architectural state.
-This module builds random-but-always-terminating guest programs to fuzz
-that invariant: straight-line arithmetic/memory blocks wrapped in
-bounded countdown loops, with branch targets restricted to a structured
-skeleton so no program can hang.
+This module builds the random-but-always-terminating guest programs the
+hypothesis properties check that invariant on: straight-line
+arithmetic/memory blocks wrapped in bounded countdown loops, with branch
+targets restricted to a structured skeleton so no program can hang.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ A *campaign* is a seeded synthetic job stream served by a
 :class:`~repro.sched.scheduler.BatchScheduler` on a registry platform,
 optionally under node failures, thermal modelling and network faults.
 Everything that runs one — ``repro.cli sched``, ``check --record`` /
-``--replay``, the differential audits, the fuzz oracle, the benches,
-the tests — builds it with :func:`build_campaign`, so "what ran" and
-"what replays" cannot drift apart.  Each parameter is declared once,
+``--replay``, the differential audits, the benches, the tests — builds
+it with :func:`build_campaign`, so "what ran" and "what replays" cannot
+drift apart.  Each parameter is declared once,
 in :data:`CAMPAIGN_PARAMETERS`; defaults, flags and the flag →
 parameter mapping are derived from that table.
 """

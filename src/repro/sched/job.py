@@ -151,7 +151,7 @@ def synthetic_stream(jobs: int, max_nodes: int, flop_rate: float,
     high, which is exactly the slack EASY backfill exploits.
     """
     if jobs < 1:
-        raise ValueError("need at least one job")
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     require_finite_positive("mean_interarrival_s", mean_interarrival_s)
     rng = random.Random(seed)
     t = 0.0

@@ -494,8 +494,15 @@ class BatchScheduler:
     # -- the run loop -------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> SchedOutcome:
-        """Drive the kernel until every event has fired, then settle up."""
+        """Drive the kernel until every event has fired, then settle up.
+
+        ``run(until=t)`` stops the kernel at *t* and settles nothing:
+        the interval and thermal ledgers stay open for the next call.
+        """
         self.kernel.run(until)
+        ends = [r.end_s for r in self.records.values() if r.end_s is not None]
+        makespan = max(ends) if ends else self.kernel.now
+        summary = self._thermal_summary
         if until is None:
             stuck = [
                 r.spec.job_id for r in self.records.values()
@@ -506,23 +513,20 @@ class BatchScheduler:
                     f"scheduler wedged with non-terminal jobs {stuck}; "
                     f"in flight: {self.in_flight()}"
                 )
-        ends = [r.end_s for r in self.records.values() if r.end_s is not None]
-        makespan = max(ends) if ends else self.kernel.now
-        self.allocator.finish(makespan)
-        summary = self._thermal_summary
-        if summary is not None:
-            # What the network and the injector keep themselves is read
-            # off them once the run has settled.
-            self.thermal.finish(makespan)
-            summary.peak_c = self.thermal.peak_c
-            summary.heat_j = sum(
-                self.thermal.heat_joules(b, 0.0, makespan)
-                for b in range(self.nodes)
-            )
-            injector = self._thermal_injector
-            if injector is not None:
-                summary.fault_candidates = injector.candidates
-                summary.faults = injector.accepted
+            self.allocator.finish(makespan)
+            if summary is not None:
+                # What the network and the injector keep themselves is
+                # read off them once the run has settled.
+                self.thermal.finish(makespan)
+                summary.peak_c = self.thermal.peak_c
+                summary.heat_j = sum(
+                    self.thermal.heat_joules(b, 0.0, makespan)
+                    for b in range(self.nodes)
+                )
+                injector = self._thermal_injector
+                if injector is not None:
+                    summary.fault_candidates = injector.candidates
+                    summary.faults = injector.accepted
         outcome = SchedOutcome(
             policy=self.policy.name,
             nodes=self.nodes,

@@ -1,7 +1,9 @@
 """The campaign recipe (:mod:`repro.sched.campaign`): one table, one build.
 
 Also home of the all-on campaign: audit + thermal + net-fault + node
-failures + checkpoints in one run, on the star and on the rack.
+failures + checkpoints in one run, on the star and on the rack; and of
+the FCFS-vs-EASY-backfill state machine, which drives both policies
+through the same submits, failures and partial runs under every auditor.
 """
 
 import argparse
@@ -13,8 +15,15 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    rule,
+    run_state_machine_as_test,
+)
 
-from repro.check import sched_outcome_digest
+from repro.check import InvariantViolation, sched_outcome_digest
 from repro.check.replay import record_sched_manifest, replay_manifest
 from repro.cli import main
 from repro.platform.registry import PLATFORM_REGISTRY
@@ -23,6 +32,7 @@ from repro.sched import (
     JobState,
     build_campaign,
     campaign_params,
+    synthetic_stream,
 )
 from repro.sched.campaign import (
     CAMPAIGN_PARAMETERS,
@@ -76,6 +86,7 @@ def test_params_are_validated_before_anything_is_built():
 @pytest.mark.parametrize("flag, value, names", [
     ("--checkpoint", "-2", "checkpoint"),
     ("--max-retries", "-1", "max_retries"),
+    ("--jobs", "0", "jobs"),
 ])
 def test_cli_refuses_a_campaign_that_cannot_run(flag, value, names):
     with pytest.raises(ValueError, match=names):
@@ -146,6 +157,100 @@ def test_all_on_campaign_audits_clean_and_replays(platform, monkeypatch):
     report = replay_manifest(manifest)
     assert report.ok, report.format()
     assert report.replayed_events == len(manifest.events) > 0
+
+
+# -- FCFS and EASY backfill, step by step -----------------------------------
+
+POLICIES = ("fcfs", "backfill")
+
+
+def policy_pair(params):
+    """One audited scheduler per policy, built from the same parameters."""
+    return [build_campaign({**params, "policy": policy}, audit=True)
+            for policy in POLICIES]
+
+
+def check_policies_agree(scheds, submitted, kill_free):
+    """Run each scheduler to the end and check what the pair must satisfy.
+
+    The final ``run()`` audits the outcome (an ``InvariantViolation``
+    propagates), every job ends COMPLETED or ABANDONED, and when nothing
+    could kill an attempt both policies complete every submitted job.
+    """
+    done = {}
+    for policy, sched in zip(POLICIES, scheds):
+        outcome = sched.run()
+        for record in outcome.records:
+            assert record.state in (JobState.COMPLETED, JobState.ABANDONED), (
+                policy, record.spec.job_id, record.state)
+        done[policy] = {record.spec.job_id for record in outcome.completed}
+    if kill_free:
+        assert done["fcfs"] == done["backfill"] == submitted, done
+
+
+class PolicyPair(RuleBasedStateMachine):
+    """Both policies get every action at the same virtual time; the
+    auditors make each attempt a world on the shared kernel, so a failure
+    may be injected at any point."""
+
+    @initialize(platform=st.sampled_from(("metablade", "green-destiny-240")),
+                seed=st.integers(0, (1 << 24) - 1), jobs=st.integers(1, 6),
+                interarrival=st.sampled_from((0.002, 0.004, 0.01)),
+                checkpoint=st.sampled_from((0, 1, 2)), thermal=st.booleans(),
+                net_fault=st.booleans())
+    def build(self, **overrides):
+        params = campaign_params(overrides.pop("seed"),
+                                 dict(overrides, max_retries=2))
+        self.scheds = policy_pair(params)
+        self.submitted = set(range(params["jobs"]))
+        # Link outages can partition a blade and kill its attempt.
+        self.kill_free = not params["net_fault"]
+
+    def _now(self):
+        return max(sched.kernel.now for sched in self.scheds)
+
+    @rule(seed=st.integers(0, 1 << 16),
+          delay=st.sampled_from((0.0, 0.002, 0.01)))
+    def submit(self, seed, delay):
+        job_id, arrival = len(self.submitted), self._now() + delay
+        for sched in self.scheds:
+            spec, = synthetic_stream(1, sched.nodes, sched.flop_rate, seed=seed)
+            sched.submit(replace(spec, job_id=job_id, arrival_s=arrival))
+        self.submitted.add(job_id)
+
+    @rule(delay=st.sampled_from((0.0, 0.001, 0.005)),
+          blade=st.integers(0, 239))
+    def inject_failure(self, delay, blade):
+        at = self._now() + delay
+        for sched in self.scheds:
+            sched.inject_failure(at, blade % sched.nodes)
+        self.kill_free = False
+
+    @rule(dt=st.sampled_from((0.001, 0.005, 0.02)))
+    def run_until(self, dt):
+        until = self._now() + dt
+        for sched in self.scheds:
+            sched.run(until=until)
+
+    def teardown(self):
+        check_policies_agree(self.scheds, self.submitted, self.kill_free)
+
+
+def test_fcfs_and_backfill_agree_under_interleaved_actions():
+    run_state_machine_as_test(PolicyPair, settings=settings(
+        max_examples=8, stateful_step_count=8, deadline=None))
+
+
+def test_sched_oracle_catches_invariant_violations(monkeypatch):
+    from repro.check import auditors
+
+    def explode(outcome, power=None, flop_rate=None, thermal=None):
+        raise auditors.InvariantViolation("planted ledger rot")
+
+    monkeypatch.setattr(auditors, "audit_sched_outcome", explode)
+    scheds = policy_pair(campaign_params(2, {"jobs": 3}))
+    with pytest.raises(InvariantViolation, match="planted ledger rot"):
+        check_policies_agree(scheds, {0, 1, 2}, kill_free=True)
 
 
 # -- determinism across hash seeds -------------------------------------------

@@ -145,6 +145,8 @@ HOSTILE = {
     "events-dict": (_hostile(events={"a": 1}), "events are not"),
     "version-99": (_hostile(version=99), "version 99 unsupported"),
     "bogus-kind": (_hostile(kind="bogus"), "unknown manifest kind 'bogus'"),
+    "fuzz-failure": (_hostile(kind="fuzz-failure"),
+                     "unknown manifest kind 'fuzz-failure'"),
 }
 
 

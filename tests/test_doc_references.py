@@ -1,0 +1,105 @@
+"""Everything the documents name must exist.
+
+For each document below: every backticked dotted ``repro.*`` name
+imports or resolves as an attribute, every ``src/``, ``tests/`` or
+``benchmarks/`` path exists (glob patterns are skipped), and every
+``repro.cli SUB --flag`` spelling (or backticked ``SUB --flag``) names a
+real subcommand and flag of :func:`repro.cli.build_parser`.  CHANGES.md
+is history and exempt.
+"""
+
+import argparse
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.cli import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md", "benchmarks/spine/README.md")
+
+#: Placeholders a document may use for "any subcommand of this shape".
+PLACEHOLDERS = {"tableN"}
+
+_FENCE = re.compile(r"^```.*?^```", re.M | re.S)
+_SPAN = re.compile(r"`([^`\n]+)`")
+_DOTTED = re.compile(r"\brepro(?:\.\w+)+")
+_PATH = re.compile(r"(?<![\w./-])(?:src|tests|benchmarks)/[\w./*?\[\]{}-]*")
+# One command: up to the end of the line, a closing backtick, a
+# comment or a shell operator; a trailing backslash continues it.
+_CLI = re.compile(r"repro\.cli((?:[^\S\n]|\\\n)+[^`#|;&>\s\\]+)+")
+
+
+def _subcommands():
+    parser = build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return {name: set(sub._option_string_actions)
+            for name, sub in action.choices.items()}
+
+
+def _resolves(dotted):
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def stale_references(text):
+    """Every name, path and command line in *text* that does not exist."""
+    stale = []
+    prose = _FENCE.sub("", text)
+    for span in _SPAN.findall(prose):
+        stale += [name for name in _DOTTED.findall(span)
+                  if not _resolves(name)]
+    for path in _PATH.findall(text):
+        path = path.rstrip(".")
+        if not set("*?[{") & set(path) and not (ROOT / path).exists():
+            stale.append(path)
+    commands = _subcommands()
+    lines = [match.group(0).replace("\\\n", " ").split()[1:]
+             for match in _CLI.finditer(text)]
+    lines += [words for words in map(str.split, _SPAN.findall(prose))
+              if words and words[0] in commands]
+    for sub, *words in lines:
+        if sub in PLACEHOLDERS:
+            continue
+        if sub not in commands:
+            stale.append(f"repro.cli {sub}")
+            continue
+        stale += [f"repro.cli {sub} {word}" for word in words
+                  if word.startswith("--")
+                  and word.split("=")[0] not in commands[sub]]
+    return stale
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_reference_in_the_document_resolves(doc):
+    assert stale_references((ROOT / doc).read_text()) == []
+
+
+def test_stale_references_are_caught():
+    text = ("`repro.check.nothing` and `repro.sched.campaign.build_campaign`\n"
+            "see `tests/test_nothing.py`, `tests/data/ledger_*`,"
+            " `check --nope`\n"
+            "```bash\n"
+            "python -m repro.cli sched --jobs 4 \\\n"
+            "    --no-such-flag   # comment --ignored\n"
+            "python -m repro.cli nosuch --x\n"
+            "```\n")
+    assert stale_references(text) == [
+        "repro.check.nothing", "tests/test_nothing.py",
+        "repro.cli sched --no-such-flag", "repro.cli nosuch",
+        "repro.cli check --nope",
+    ]

@@ -25,7 +25,7 @@ from repro.isa.instructions import OpClass
 from repro.isa.machine import GuestFault, Machine, MachineState, run_program
 from repro.isa.randprog import random_program, random_state
 from repro.vliw.engine import VliwEngine
-from repro.vliw.molecules import NARROW_FORMAT
+from repro.vliw.molecules import FULL_FORMAT, NARROW_FORMAT
 from repro.vliw.units import UnitKind
 
 
@@ -35,13 +35,55 @@ def _golden(seed):
     return program, state
 
 
-@given(seed=st.integers(0, 10_000))
+def check_cms_equals_golden(seed, blocks, block_len, config):
+    """CMS leaves the golden run's architectural state and statistics."""
+    program = random_program(seed, blocks=blocks, block_len=block_len)
+    golden, golden_stats = run_program(
+        program, random_state(seed), max_steps=10**6
+    )
+    result = CodeMorphingSoftware(config).run(
+        program, random_state(seed), max_steps=10**6
+    )
+    assert result.state.architectural_view() == golden.architectural_view(), (
+        "CMS state diverges from the golden interpreter")
+    assert result.guest_stats == golden_stats, (
+        "CMS guest statistics diverge from the golden run")
+
+
+@given(seed=st.integers(0, (1 << 24) - 1), blocks=st.integers(1, 5),
+       block_len=st.integers(2, 14),
+       threshold=st.sampled_from([1, 2, 3, 7, 50]),
+       tcache_bytes=st.sampled_from([48, 1 << 10, 1 << 20]),
+       narrow=st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_cms_equals_golden_on_random_programs(seed):
-    program, golden = _golden(seed)
-    cms = CodeMorphingSoftware(CmsConfig(hot_threshold=2))
-    result = cms.run(program, random_state(seed), max_steps=10**6)
-    assert result.state.architectural_view() == golden.architectural_view()
+def test_cms_equals_golden_on_random_programs(
+        seed, blocks, block_len, threshold, tcache_bytes, narrow):
+    check_cms_equals_golden(seed, blocks, block_len, CmsConfig(
+        hot_threshold=threshold, tcache_bytes=tcache_bytes,
+        limits=NARROW_FORMAT if narrow else FULL_FORMAT,
+    ))
+
+
+def test_cms_oracle_catches_state_and_statistics_divergence(monkeypatch):
+    config = CmsConfig(hot_threshold=1)
+    check_cms_equals_golden(11, 2, 6, config)
+    real = VliwEngine.execute_block
+
+    def miscounts(self, tb, program, machine):
+        cycles = real(self, tb, program, machine)
+        machine.stats.taken_branches += 1
+        return cycles
+
+    def corrupts(self, tb, program, machine):
+        cycles = real(self, tb, program, machine)
+        machine.state.iregs["r13"] += 1   # untouched by random bodies
+        return cycles
+
+    for bug, divergence in ((miscounts, "guest statistics"),
+                            (corrupts, "state")):
+        monkeypatch.setattr(VliwEngine, "execute_block", bug)
+        with pytest.raises(AssertionError, match=f"CMS {divergence} diverge"):
+            check_cms_equals_golden(11, 2, 6, config)
 
 
 @given(seed=st.integers(0, 10_000), threshold=st.sampled_from([1, 3, 7, 50]))

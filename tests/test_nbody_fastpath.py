@@ -28,8 +28,8 @@ from repro.runner import parallel_map
 
 
 def _both_paths(tree, **kw):
-    acc_n, st_n = tree_accelerations(tree, naive=True, **kw)
-    acc_b, st_b = tree_accelerations(tree, naive=False, **kw)
+    acc_n, st_n = traversal.tree_accelerations(tree, naive=True, **kw)
+    acc_b, st_b = traversal.tree_accelerations(tree, naive=False, **kw)
     return (acc_n, st_n), (acc_b, st_b)
 
 
@@ -41,6 +41,12 @@ def _assert_stats_equal(st_n: TraversalStats, st_b: TraversalStats):
     assert list(st_n.group_work) == list(st_b.group_work)
 
 
+def _assert_batched_equals_naive(tree, **kw):
+    (acc_n, st_n), (acc_b, st_b) = _both_paths(tree, **kw)
+    assert np.array_equal(acc_n, acc_b)
+    _assert_stats_equal(st_n, st_b)
+
+
 @pytest.mark.parametrize("theta", [0.3, 0.7, 1.1])
 @pytest.mark.parametrize("use_quadrupole", [False, True])
 @pytest.mark.parametrize("use_karp", [False, True])
@@ -48,12 +54,10 @@ def test_batched_bit_identical_to_naive(theta, use_quadrupole, use_karp):
     pos, _, mass = two_clusters(700, seed=2001)
     tree = HashedOctree(pos, mass, leaf_size=8,
                         quadrupoles=use_quadrupole)
-    (acc_n, st_n), (acc_b, st_b) = _both_paths(
+    _assert_batched_equals_naive(
         tree, theta=theta, softening=1e-2, use_karp=use_karp,
         use_quadrupole=use_quadrupole,
     )
-    assert np.array_equal(acc_n, acc_b)
-    _assert_stats_equal(st_n, st_b)
 
 
 def test_batched_bit_identical_zero_softening():
@@ -61,22 +65,18 @@ def test_batched_bit_identical_zero_softening():
     pos, _, mass = two_clusters(500, seed=11)
     tree = HashedOctree(pos, mass, leaf_size=16)
     for use_karp in (False, True):
-        (acc_n, st_n), (acc_b, st_b) = _both_paths(
+        _assert_batched_equals_naive(
             tree, theta=0.7, softening=0.0, use_karp=use_karp,
         )
-        assert np.array_equal(acc_n, acc_b)
-        _assert_stats_equal(st_n, st_b)
 
 
 def test_batched_bit_identical_slice_mode():
     pos, _, mass = plummer_sphere(900, seed=5)
     tree = HashedOctree(pos, mass, leaf_size=16)
     for lo, hi in leaf_aligned_partition(tree, 3):
-        (acc_n, st_n), (acc_b, st_b) = _both_paths(
+        _assert_batched_equals_naive(
             tree, theta=0.7, softening=1e-2, target_slice=(lo, hi),
         )
-        assert np.array_equal(acc_n, acc_b)
-        _assert_stats_equal(st_n, st_b)
 
 
 def test_simulation_naive_flag_is_bit_identical():
@@ -106,21 +106,46 @@ def test_sim_reports_tree_counters_on_fast_path():
     assert stats.tree_rebuilds == sim._tree_cache.rebuilds
 
 
-def test_fuzz_oracle_randomized_equivalence():
-    # The differential oracle from repro.check draws randomized
-    # (n, theta, leaf_size, softening, karp, quadrupole, IC) cases and
-    # checks batched == naive bit-exactly — the same generator the
-    # `repro.cli check --fuzz` campaign drives, pinned here on a few
-    # seeds so the equivalence suite covers parameter combinations
-    # nobody thought to enumerate by hand.
-    import random
+@given(seed=st.integers(0, (1 << 24) - 1), n=st.integers(96, 1200),
+       theta=st.sampled_from((0.3, 0.5, 0.7, 0.9, 1.1)),
+       leaf_size=st.sampled_from((8, 16, 32)),
+       softening=st.sampled_from((0.0, 1e-2)), use_karp=st.booleans(),
+       quadrupoles=st.booleans(),
+       make_ic=st.sampled_from((two_clusters, plummer_sphere)))
+@settings(max_examples=4, deadline=None)
+def test_fuzz_oracle_randomized_equivalence(
+        seed, n, theta, leaf_size, softening, use_karp, quadrupoles, make_ic):
+    # Parameter combinations nobody thought to enumerate by hand.
+    pos, _, mass = make_ic(n, seed=seed)
+    tree = HashedOctree(pos, mass, leaf_size=leaf_size,
+                        quadrupoles=quadrupoles)
+    _assert_batched_equals_naive(
+        tree, theta=theta, softening=softening, use_karp=use_karp,
+        use_quadrupole=quadrupoles,
+    )
 
-    from repro.check.fuzz import TraversalOracle
 
-    oracle = TraversalOracle()
-    for seed in (0, 1, 2, 3, 4, 5):
-        params = oracle.draw(random.Random(seed), quick=True)
-        assert oracle.run(params) is None, params
+def _broken_traversal(monkeypatch):
+    """Make the batched path disagree with naive on the last particle."""
+    real = traversal.tree_accelerations
+
+    def broken(tree, naive=False, **kwargs):
+        acc, stats = real(tree, naive=naive, **kwargs)
+        if not naive:
+            acc = acc.copy()
+            acc[-1, 0] += 1e-9
+        return acc, stats
+
+    monkeypatch.setattr(traversal, "tree_accelerations", broken)
+
+
+def test_traversal_oracle_catches_a_batched_divergence(monkeypatch):
+    pos, _, mass = plummer_sphere(96, seed=1)
+    tree = HashedOctree(pos, mass, leaf_size=8)
+    _assert_batched_equals_naive(tree, theta=0.7)
+    _broken_traversal(monkeypatch)
+    with pytest.raises(AssertionError, match="array_equal"):
+        _assert_batched_equals_naive(tree, theta=0.7)
 
 
 # -- the source-major direct kernel ----------------------------------------

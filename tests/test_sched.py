@@ -553,3 +553,14 @@ def test_failure_injected_under_a_memoised_job_is_refused_at_the_call():
     assert len(outcome.completed) == 20
     # Once the in-flight memoised jobs have drained, injection is legal.
     sched.inject_failure(outcome.makespan_s + 1.0, blade=0)
+
+
+def test_a_paused_run_keeps_its_ledgers_open():
+    # run(until=) settles nothing: closing the allocator's and the
+    # thermal network's books at the pause broke the final audit.
+    sched = make_sched(config=SchedConfig(audit=True, thermal=True))
+    sched.submit_stream(synthetic_stream(4, 12, RATE, seed=1))
+    sched.run(until=0.005)
+    assert sched._running
+    outcome = sched.run()               # audited, or it raised
+    assert len(outcome.completed) == 4
