@@ -46,6 +46,7 @@ from repro.core import (
     experiment_timeline,
     experiment_topper,
 )
+from repro.core.domains import whole
 from repro.metrics.report import format_table
 from repro.nbody.sim import SimConfig
 
@@ -286,19 +287,6 @@ def _cmd_green500(_args) -> None:
     )
 
 
-def _count(least: int):
-    """An argparse type: an int of at least *least*, else a usage error
-    (exit 2) instead of a traceback from deep inside the run."""
-    def count(text: str) -> int:
-        value = int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError(
-                f"must be >= {least}, got {value}"
-            )
-        return value
-    return count
-
-
 def _cmd_all(args) -> None:
     # Each command is parsed as itself, so it sees its own defaults.
     size = ["--particles", str(args.particles), "--seed", str(args.seed)]
@@ -335,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("summary", help="MetaBlade headline numbers")
     sub.add_parser("table1", help="gravitational microkernel Mflops")
     p2 = sub.add_parser("table2", help="N-body scalability")
-    p2.add_argument("--particles", type=_count(1), default=4000)
-    p2.add_argument("--cpus", type=_count(1), nargs="+",
+    p2.add_argument("--particles", type=whole(1), default=4000)
+    p2.add_argument("--cpus", type=whole(1), nargs="+",
                     default=[1, 2, 4, 8, 16, 24])
     p2.add_argument("--seed", type=int, default=2001,
                     help="initial-conditions RNG seed")
@@ -358,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table7", help="performance/power")
     pf = sub.add_parser("fig3", help="the flagship N-body run")
     # Two clusters of at least one particle each.
-    pf.add_argument("--particles", type=_count(2), default=4000)
+    pf.add_argument("--particles", type=whole(2), default=4000)
     pf.add_argument("--seed", type=int, default=2001,
                     help="initial-conditions RNG seed")
     pf.add_argument("--seeds", type=int, nargs="+", default=None,
@@ -372,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser(
         "timeline", help="time-coherent event timeline of a treecode step"
     )
-    pt.add_argument("--ranks", type=_count(1), default=6)
-    pt.add_argument("--particles", type=_count(1), default=1500)
+    pt.add_argument("--ranks", type=whole(1), default=6)
+    pt.add_argument("--particles", type=whole(1), default=1500)
     pt.add_argument("--limit", type=int, default=48,
                     help="max timeline lines to print")
     pt.add_argument("--fail-rank", type=int, default=None,
@@ -455,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.check.cli import add_check_arguments
     add_check_arguments(pc)
     pa = sub.add_parser("all", help="everything (takes minutes)")
-    pa.add_argument("--particles", type=_count(2), default=3000)
-    pa.add_argument("--cpus", type=_count(1), nargs="+", default=[1, 4, 24])
+    pa.add_argument("--particles", type=whole(2), default=3000)
+    pa.add_argument("--cpus", type=whole(1), nargs="+", default=[1, 4, 24])
     pa.add_argument("--npb-class", default="S")
     pa.add_argument("--seed", type=int, default=2001)
     return parser

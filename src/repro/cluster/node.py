@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.core.domains import check_domains, param, whole
 from repro.cpus.base import ProcessorSpec
 from repro.cpus.power import PowerModel
 
@@ -25,10 +26,13 @@ class NodeConfig:
     the 1.3 GHz exception the paper notes).
     """
 
-    memory_mb: int = 256
-    disk_gb: int = 10
-    network_interfaces: int = 1
-    nic_mbps: int = 100
+    memory_mb: int = param(whole(1), 256)
+    disk_gb: int = param(whole(0), 10)          # 0: diskless
+    network_interfaces: int = param(whole(1), 1)
+    nic_mbps: int = param(whole(1), 100)
+
+    def __post_init__(self) -> None:
+        check_domains(self)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.domains import check_domains, param, whole
 from repro.isa.instructions import Program
 from repro.isa.machine import ExecStats, Machine, MachineState
 from repro.cms.interpreter import GuestInterpreter
@@ -36,13 +37,13 @@ class CmsConfig:
     eagerly on first touch, large values approach a pure interpreter.
     """
 
-    hot_threshold: int = 8
-    tcache_bytes: int = 1 << 20
-    interpret_cycles_per_instr: int = 20
-    translate_cycles_per_instr: int = 1_000
+    hot_threshold: int = param(whole(1), 8)
+    tcache_bytes: int = param(whole(1), 1 << 20)
+    interpret_cycles_per_instr: int = param(whole(1), 20)
+    translate_cycles_per_instr: int = param(whole(0), 1_000)
     #: Cost of entering a cached translation through the CMS dispatch
     #: loop (hash lookup + indirect jump).
-    dispatch_cycles: int = 12
+    dispatch_cycles: int = param(whole(0), 12)
     #: Translation chaining: once a translation's taken successor is
     #: also cached, CMS patches a direct jump between them and the
     #: dispatch cost disappears on that edge - the optimisation that
@@ -52,10 +53,7 @@ class CmsConfig:
     limits: SlotLimits = FULL_FORMAT
 
     def __post_init__(self) -> None:
-        if self.hot_threshold < 1:
-            raise ValueError("hot_threshold must be >= 1")
-        if self.dispatch_cycles < 0:
-            raise ValueError("dispatch_cycles cannot be negative")
+        check_domains(self)
 
 
 @dataclass

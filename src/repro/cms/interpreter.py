@@ -30,12 +30,10 @@ class GuestInterpreter:
     ``cycles_per_instr`` models the dispatch/decode/execute loop of a
     software interpreter running on the VLIW core; tens of native cycles
     per guest instruction is representative and is the quantity the
-    translation threshold trades off against.
+    translation threshold trades off against (domain: ``CmsConfig``).
     """
 
     def __init__(self, engine: VliwEngine, cycles_per_instr: int = 20) -> None:
-        if cycles_per_instr < 1:
-            raise ValueError("cycles_per_instr must be >= 1")
         self.engine = engine
         self.cycles_per_instr = cycles_per_instr
         self.stats = InterpreterStats()

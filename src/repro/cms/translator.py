@@ -43,8 +43,6 @@ class Translator:
                  latencies: LatencyTable = TM5600_LATENCIES,
                  limits: SlotLimits = FULL_FORMAT,
                  cycles_per_instr: int = 1_000) -> None:
-        if cycles_per_instr < 0:
-            raise ValueError("cycles_per_instr must be >= 0")
         self.engine = engine
         self.latencies = latencies
         self.limits = limits

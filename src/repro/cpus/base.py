@@ -6,6 +6,7 @@ import abc
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.domains import POSITIVE, check_domains, param, whole
 from repro.isa.programs import GuestWorkload
 
 
@@ -22,18 +23,21 @@ class ProcessorSpec:
 
     name: str
     vendor: str
-    clock_mhz: float
-    cpu_watts: float
-    node_watts: float
-    transistors_millions: float
+    clock_mhz: float = param(POSITIVE)
+    cpu_watts: float = param(POSITIVE)
+    node_watts: float = param(POSITIVE)
+    transistors_millions: float = param(POSITIVE)
     needs_active_cooling: bool
-    year: int
-    issue_width: int
+    year: int = param(whole(1))
+    issue_width: int = param(whole(1))
     out_of_order: bool
     #: Sustainable DRAM bandwidth in GB/s (caps memory-bound kernels;
     #: the instruction simulators model a flat memory, so streaming
     #: codes must be bounded here).
-    memory_gbs: float = 1.0
+    memory_gbs: float = param(POSITIVE, 1.0)
+
+    def __post_init__(self) -> None:
+        check_domains(self)
 
     @property
     def clock_hz(self) -> float:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.cms import CmsConfig, CodeMorphingSoftware
+from repro.core.domains import NONNEGATIVE, POSITIVE, check_domains, param
 from repro.core.events import EventKernel
 from repro.cpus.base import ProcessorSpec
 from repro.isa.programs import GuestWorkload
@@ -34,12 +35,11 @@ from repro.thermal.throttle import PiecewiseGovernor
 class LongRunStep:
     """One frequency/voltage operating point."""
 
-    mhz: float
-    volts: float
+    mhz: float = param(POSITIVE)
+    volts: float = param(POSITIVE)
 
     def __post_init__(self) -> None:
-        if self.mhz <= 0 or self.volts <= 0:
-            raise ValueError("frequency and voltage must be positive")
+        check_domains(self)
 
 
 #: The TM5600's LongRun ladder (representative published points).
@@ -69,10 +69,11 @@ class LongRunModel:
     """
 
     ladder: Tuple[LongRunStep, ...]
-    rated_watts: float
-    static_watts: float = 0.35
+    rated_watts: float = param(POSITIVE)
+    static_watts: float = param(NONNEGATIVE, 0.35)
 
     def __post_init__(self) -> None:
+        check_domains(self)
         if not self.ladder:
             raise ValueError("ladder cannot be empty")
         if self.rated_watts <= self.static_watts:
@@ -110,12 +111,11 @@ TM5800_LONGRUN = LongRunModel(ladder=TM5800_LADDER, rated_watts=3.5)
 class DvfsTransition:
     """One scheduled operating-point change on the virtual clock."""
 
-    time_s: float
+    time_s: float = param(NONNEGATIVE)
     step: LongRunStep
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
-            raise ValueError("transition time cannot be negative")
+        check_domains(self)
 
 
 class LongRunGovernor(PiecewiseGovernor):

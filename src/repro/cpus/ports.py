@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Tuple
 
+from repro.core.domains import check_domains, param, whole
 from repro.isa.instructions import OpClass
 
 
@@ -21,14 +22,13 @@ class PortSpec:
     """Execution resource requirements of one operation class."""
 
     ports: Tuple[str, ...]
-    latency: int
-    occupancy: int = 1
+    latency: int = param(whole(1))
+    occupancy: int = param(whole(1), 1)
 
     def __post_init__(self) -> None:
+        check_domains(self)
         if not self.ports:
             raise ValueError("PortSpec needs at least one port")
-        if self.latency < 1 or self.occupancy < 1:
-            raise ValueError("latency and occupancy must be >= 1")
 
 
 @dataclass(frozen=True)

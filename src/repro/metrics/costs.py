@@ -9,49 +9,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.domains import NONNEGATIVE, POSITIVE, check_domains, param
+
 
 @dataclass(frozen=True)
 class CostParameters:
     """Knobs of the TCO model, defaulting to the paper's values."""
 
     #: Operational lifetime assumed for every cluster.
-    years: float = 4.0
+    years: float = param(POSITIVE, 4.0)
     #: "a typical utility rate of $0.10/kWh".
-    utility_usd_per_kwh: float = 0.10
+    utility_usd_per_kwh: float = param(NONNEGATIVE, 0.10)
     #: "space is being leased at a cost of $100 per square foot per year".
-    space_usd_per_sqft_year: float = 100.0
+    space_usd_per_sqft_year: float = param(NONNEGATIVE, 100.0)
     #: "a conservative $5.00 charged per CPU hour" of downtime.
-    downtime_usd_per_cpu_hour: float = 5.0
+    downtime_usd_per_cpu_hour: float = param(NONNEGATIVE, 5.0)
     #: Traditional Beowulf sysadmin: "about $15K/year".
-    traditional_admin_usd_per_year: float = 15_000.0
+    traditional_admin_usd_per_year: float = param(NONNEGATIVE, 15_000.0)
     #: Blade setup: "2.5-hour assembly, installation, and configuration".
-    blade_setup_hours: float = 2.5
+    blade_setup_hours: float = param(NONNEGATIVE, 2.5)
     #: Labor rate: "$100/hour".
-    labor_usd_per_hour: float = 100.0
+    labor_usd_per_hour: float = param(NONNEGATIVE, 100.0)
     #: Blade annual upkeep: "replacement hardware and the labor to
     #: install it amounts to $1200/year".
-    blade_maintenance_usd_per_year: float = 1_200.0
+    blade_maintenance_usd_per_year: float = param(NONNEGATIVE, 1_200.0)
     #: Software acquisition cost (Linux/MPI are free; nonzero for
     #: enterprise what-ifs).
-    software_usd: float = 0.0
+    software_usd: float = param(NONNEGATIVE, 0.0)
     #: Hours per year, for energy billing.
-    hours_per_year: float = 8_760.0
+    hours_per_year: float = param(POSITIVE, 8_760.0)
 
     def __post_init__(self) -> None:
-        if self.years <= 0:
-            raise ValueError("years must be positive")
-        for field_name in (
-            "utility_usd_per_kwh",
-            "space_usd_per_sqft_year",
-            "downtime_usd_per_cpu_hour",
-            "traditional_admin_usd_per_year",
-            "blade_setup_hours",
-            "labor_usd_per_hour",
-            "blade_maintenance_usd_per_year",
-            "software_usd",
-        ):
-            if getattr(self, field_name) < 0:
-                raise ValueError(f"{field_name} cannot be negative")
+        check_domains(self)
 
     @property
     def total_hours(self) -> float:

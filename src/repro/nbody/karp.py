@@ -25,6 +25,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.core.domains import check_domains, param, whole
+
 
 @dataclass(frozen=True)
 class KarpTable:
@@ -41,15 +43,12 @@ class KarpTable:
       Newton step can replace two.
     """
 
-    size: int = 256
-    newton_iters: int = 2
+    size: int = param(whole(2), 256)        # knots
+    newton_iters: int = param(whole(0), 2)
     interpolation: str = "linear"
 
     def __post_init__(self) -> None:
-        if self.size < 2:
-            raise ValueError("table needs at least two knots")
-        if self.newton_iters < 0:
-            raise ValueError("newton_iters cannot be negative")
+        check_domains(self)
         if self.interpolation not in ("linear", "chebyshev"):
             raise ValueError(
                 "interpolation must be 'linear' or 'chebyshev'"

@@ -19,15 +19,13 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.domains import (
+    NONNEGATIVE, POSITIVE, check_domains, param, whole,
+)
 from repro.nbody.ic import plummer_sphere, two_clusters, uniform_cube
 from repro.nbody.integrator import leapfrog_step, total_energy
 from repro.nbody.tree import HashedOctree, TreeBuildCache
 from repro.nbody.traversal import TraversalStats, tree_accelerations
-from repro.network.faults import (
-    require_finite_nonnegative,
-    require_finite_positive,
-    require_whole,
-)
 
 #: Flops billed for tree construction, per particle (key generation,
 #: sort share, moment accumulation) - small next to the traversal.
@@ -38,13 +36,13 @@ BUILD_FLOPS_PER_PARTICLE = 150
 class SimConfig:
     """Parameters of a treecode simulation."""
 
-    n: int = 4096
-    steps: int = 4
-    dt: float = 1e-3
-    theta: float = 0.7
-    softening: float = 1e-2
-    leaf_size: int = 16
-    seed: int = 2001
+    n: int = param(whole(1), 4096)
+    steps: int = param(whole(0), 4)
+    dt: float = param(POSITIVE, 1e-3)
+    theta: float = param(POSITIVE, 0.7)
+    softening: float = param(NONNEGATIVE, 1e-2)
+    leaf_size: int = param(whole(1), 16)
+    seed: int = param(whole(0), 2001)
     ic: str = "plummer"            # plummer | cube | collision
     use_karp: bool = False
     naive_traversal: bool = False  # reference path: per-group python walk
@@ -53,14 +51,9 @@ class SimConfig:
     audit: bool = False
 
     def __post_init__(self) -> None:
-        # Refused here by name, not mid-run by ZeroDivisionError or as
-        # a run that silently computes nothing.  NaN slips past ``<= 0``.
-        require_whole("n", self.n, 2 if self.ic == "collision" else 1)
-        require_whole("steps", self.steps, 0)
-        require_whole("leaf_size", self.leaf_size, 1)
-        require_finite_positive("dt", self.dt)
-        require_finite_positive("theta", self.theta)
-        require_finite_nonnegative("softening", self.softening)
+        check_domains(self)
+        if self.ic == "collision":          # a particle per cluster
+            whole(2).check("SimConfig.n", self.n)
 
     def make_ic(self):
         if self.ic == "plummer":

@@ -23,6 +23,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.core.domains import POSITIVE, check_domains, param, whole
 from repro.nbody.tree import HashedOctree
 
 
@@ -86,14 +87,13 @@ class SphSystem:
 
     pos: np.ndarray
     mass: np.ndarray
-    h: float                       # smoothing length (support = 2h)
-    leaf_size: int = 16
+    h: float = param(POSITIVE)     # smoothing length (support = 2h)
+    leaf_size: int = param(whole(1), 16)
 
     def __post_init__(self) -> None:
+        check_domains(self)
         self.pos = np.asarray(self.pos, dtype=np.float64)
         self.mass = np.asarray(self.mass, dtype=np.float64)
-        if self.h <= 0:
-            raise ValueError("smoothing length must be positive")
         n = len(self.pos)
         if self.pos.shape != (n, 3) or self.mass.shape != (n,):
             raise ValueError("pos must be (N,3) and mass (N,)")

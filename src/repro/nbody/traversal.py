@@ -46,15 +46,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.domains import NONNEGATIVE, POSITIVE
 from repro.nbody.karp import karp_rsqrt, masked_rsqrt
 from repro.nbody.kernels import INTERACTION_FLOPS
 from repro.nbody.morton import ancestor_at_level
 from repro.nbody.multipole import quadrupole_acceleration
 from repro.nbody.tree import HashedOctree, TreeNode
-from repro.network.faults import (
-    require_finite_nonnegative,
-    require_finite_positive,
-)
 
 #: Shared zero-safe reciprocal square root (see :mod:`repro.nbody.karp`).
 _rsqrt = masked_rsqrt
@@ -768,8 +765,8 @@ def tree_accelerations(
     # NaN passes a bare ``theta <= 0``: a NaN opening angle opens every
     # node (the theta -> 0 all-pairs answer), and a NaN softening zeroes
     # every acceleration while billing the full interaction count.
-    require_finite_positive("theta", theta)
-    require_finite_nonnegative("softening", softening)
+    POSITIVE.check("theta", theta)
+    NONNEGATIVE.check("softening", softening)
     if use_quadrupole and not tree.quadrupoles_enabled:
         raise ValueError(
             "tree was built without quadrupoles; pass quadrupoles=True "

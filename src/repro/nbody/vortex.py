@@ -22,6 +22,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.core.domains import POSITIVE, check_domains, param, whole
 from repro.nbody.traversal import TraversalStats, interaction_lists
 from repro.nbody.tree import HashedOctree
 
@@ -49,17 +50,16 @@ class VortexSystem:
 
     pos: np.ndarray            # (N, 3)
     alpha: np.ndarray          # (N, 3) circulation vectors
-    core_radius: float = 0.05
-    leaf_size: int = 16
+    core_radius: float = param(POSITIVE, 0.05)
+    leaf_size: int = param(whole(1), 16)
 
     def __post_init__(self) -> None:
+        check_domains(self)
         self.pos = np.asarray(self.pos, dtype=np.float64)
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
         n = len(self.pos)
         if self.pos.shape != (n, 3) or self.alpha.shape != (n, 3):
             raise ValueError("pos and alpha must both be (N, 3)")
-        if self.core_radius <= 0:
-            raise ValueError("core_radius must be positive")
         # Position the tree's centres of mass by circulation magnitude
         # (plus a floor so fully-cancelling cells still get a centroid).
         strength = np.linalg.norm(self.alpha, axis=1)

@@ -13,13 +13,14 @@ member a consumer reads, so nothing above this package probes for one.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, is_dataclass
-from typing import (
-    Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, get_type_hints,
-)
+from dataclasses import asdict, dataclass, is_dataclass
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, get_type_hints
 
+from repro.core.domains import (
+    NONNEGATIVE, check_domains, check_keys, param, whole,
+)
 from repro.core.events import EventKernel
-from repro.network.faults import link_resource, require_finite_nonnegative
+from repro.network.faults import link_resource
 from repro.network.link import GIGABIT_ETHERNET, Link
 from repro.network.nic import FAST_ETHERNET_NIC, Nic
 from repro.network.switch import FAST_ETHERNET_SWITCH_24, Switch
@@ -118,19 +119,6 @@ class Fabric:
         return sum(t.nbytes for t in self.transfers)
 
 
-def check_keys(cls, doc: Dict[str, Any],
-               optional: Iterable[str] = ()) -> None:
-    """Reject a *cls* document with a missing or unknown key, naming it
-    (an unknown key silently dropped would hash equal to its absence)."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{cls.__name__} document must be a mapping")
-    wrong = ({f.name for f in fields(cls)} ^ set(doc)) - set(optional)
-    if wrong:
-        raise ValueError(
-            f"{cls.__name__} document: missing or unknown keys {sorted(wrong)}"
-        )
-
-
 def _from_asdict(cls, doc: Dict[str, Any]):
     """Invert ``dataclasses.asdict`` for *cls*, checking keys at every depth."""
     check_keys(cls, doc)
@@ -155,24 +143,17 @@ class FabricSpec:
     kind: str = "star"
     nic: Nic = FAST_ETHERNET_NIC
     switch: Switch = FAST_ETHERNET_SWITCH_24
-    nodes_per_chassis: int = 24
+    nodes_per_chassis: int = param(whole(1), 24)
     #: Chassis uplink to the rack aggregation switch.
     uplink: Link = GIGABIT_ETHERNET
-    forward_latency_s: float = 10e-6
+    forward_latency_s: float = param(NONNEGATIVE, 10e-6)
 
     def __post_init__(self) -> None:
         if self.kind not in FABRIC_KINDS:
             raise ValueError(
                 f"unknown fabric kind {self.kind!r}; known: {FABRIC_KINDS}"
             )
-        per = self.nodes_per_chassis
-        if type(per) is not int or per < 1:
-            raise ValueError(
-                f"nodes_per_chassis must be an integer >= 1, got {per!r}"
-            )
-        require_finite_nonnegative(
-            "forward_latency_s", self.forward_latency_s
-        )
+        check_domains(self)
 
     def chassis_of(self, blade: int) -> int:
         """The chassis blade *blade* sits in (dense fill)."""

@@ -25,42 +25,14 @@ a dead port and a dead NIC are indistinguishable to the frame), and
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from numbers import Integral
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-
-def require_finite_positive(name: str, value: float) -> None:
-    """Reject a mean or horizon no seeded process can be drawn over.
-
-    NaN compares false with everything, so a bare ``<= 0`` guard lets
-    it through — and a renewal loop stepping by NaN, or towards an
-    infinite horizon, never terminates.
-    """
-    if not 0 < value < math.inf:
-        raise ValueError(
-            f"{name} must be finite and positive, got {value!r}"
-        )
-
-
-def require_finite_nonnegative(name: str, value: float) -> None:
-    """Reject a latency or overhead that is negative, NaN or infinite."""
-    if not 0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-
-def require_whole(name: str, value: Any, least: int) -> None:
-    """Reject a count that is not an integer of at least *least*.
-
-    ``True`` is an ``int`` to Python but never a count; numpy integers
-    are accepted.
-    """
-    if (isinstance(value, bool) or not isinstance(value, Integral)
-            or value < least):
-        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+from repro.core.domains import (
+    NONNEGATIVE, POSITIVE, at_least, check_domains, param, whole,
+)
 
 
 def link_resource(node: int) -> str:
@@ -78,10 +50,11 @@ class FaultWindow:
     """One outage interval on one resource (half-open ``[start, end)``)."""
 
     resource: str
-    start_s: float
-    end_s: float
+    start_s: float = param(NONNEGATIVE)
+    end_s: float = param(NONNEGATIVE)
 
     def __post_init__(self) -> None:
+        check_domains(self)
         if self.end_s <= self.start_s:
             raise ValueError("fault window must have positive duration")
 
@@ -166,17 +139,12 @@ class RetryPolicy:
     raises ``LinkDownError``.
     """
 
-    rto_s: float = 200e-6
-    backoff: float = 2.0
-    max_retries: int = 6
+    rto_s: float = param(POSITIVE, 200e-6)
+    backoff: float = param(at_least(1.0), 2.0)
+    max_retries: int = param(whole(0), 6)
 
     def __post_init__(self) -> None:
-        if self.rto_s <= 0:
-            raise ValueError("rto must be positive")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("retry budget cannot be negative")
+        check_domains(self)
 
     def timeout_s(self, attempt: int) -> float:
         """Wait before retransmission number *attempt* (0-based)."""
@@ -211,9 +179,9 @@ def draw_fault_plan(
     """
     if not resources:
         return FaultTimeline()
-    require_finite_positive("mtbf_s", mtbf_s)
-    require_finite_positive("mttr_s", mttr_s)
-    require_finite_positive("horizon_s", horizon_s)
+    POSITIVE.check("mtbf_s", mtbf_s)
+    POSITIVE.check("mttr_s", mttr_s)
+    POSITIVE.check("horizon_s", horizon_s)
     rng = random.Random(seed)
     rate = len(resources) / mtbf_s
     timeline = FaultTimeline()
@@ -247,17 +215,15 @@ class NetFaultConfig:
     from ``draw_fault_plan`` over ``horizon_s``.
     """
 
-    mtbf_s: float = DEFAULT_NET_MTBF_S
-    mttr_s: float = DEFAULT_NET_MTTR_S
-    seed: int = 0
-    horizon_s: float = 1.0
+    mtbf_s: float = param(POSITIVE, DEFAULT_NET_MTBF_S)
+    mttr_s: float = param(POSITIVE, DEFAULT_NET_MTTR_S)
+    seed: int = param(whole(0), 0)
+    horizon_s: float = param(POSITIVE, 1.0)
     policy: RetryPolicy = field(default_factory=RetryPolicy)
     windows: Optional[Tuple[Tuple[str, float, float], ...]] = None
 
     def __post_init__(self) -> None:
-        require_finite_positive("mtbf_s", self.mtbf_s)
-        require_finite_positive("mttr_s", self.mttr_s)
-        require_finite_positive("horizon_s", self.horizon_s)
+        check_domains(self)
 
     def build_timeline(self, resources: Iterable[str]) -> FaultTimeline:
         if self.windows is not None:

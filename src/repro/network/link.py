@@ -5,9 +5,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from repro.network.faults import (
-    require_finite_nonnegative, require_finite_positive,
-)
+from repro.core.domains import NONNEGATIVE, POSITIVE, check_domains, param
 
 
 @dataclass(frozen=True)
@@ -15,12 +13,11 @@ class Link:
     """A full-duplex link: per-direction bandwidth plus wire latency."""
 
     name: str
-    bandwidth_bps: float     # bits per second, per direction
-    latency_s: float         # propagation + PHY latency per traversal
+    bandwidth_bps: float = param(POSITIVE)   # bits/s, per direction
+    latency_s: float = param(NONNEGATIVE)    # propagation + PHY, per hop
 
     def __post_init__(self) -> None:
-        require_finite_positive("bandwidth_bps", self.bandwidth_bps)
-        require_finite_nonnegative("latency_s", self.latency_s)
+        check_domains(self)
 
     def serialization_s(self, nbytes: int) -> float:
         """Time to clock *nbytes* onto the wire."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.network.faults import require_finite_nonnegative
+from repro.core.domains import NONNEGATIVE, check_domains, param
 from repro.network.link import FAST_ETHERNET, Link
 
 
@@ -20,12 +20,11 @@ class Nic:
 
     name: str
     link: Link
-    send_overhead_s: float = 15e-6    # host stack cost to post a send
-    recv_overhead_s: float = 15e-6    # host stack cost to complete a recv
+    send_overhead_s: float = param(NONNEGATIVE, 15e-6)  # post a send
+    recv_overhead_s: float = param(NONNEGATIVE, 15e-6)  # complete a recv
 
     def __post_init__(self) -> None:
-        require_finite_nonnegative("send_overhead_s", self.send_overhead_s)
-        require_finite_nonnegative("recv_overhead_s", self.recv_overhead_s)
+        check_domains(self)
 
 
 #: The ServerBlade's onboard interface (MPI over TCP over 100 Mb/s).

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.network.faults import (
-    require_finite_nonnegative, require_finite_positive,
+from repro.core.domains import (
+    NONNEGATIVE, POSITIVE, check_domains, param, whole,
 )
 from repro.network.link import FAST_ETHERNET, Calendar, Link
 
@@ -21,20 +21,13 @@ class Switch:
     """
 
     name: str
-    ports: int
+    ports: int = param(whole(2))
     port_link: Link
-    forward_latency_s: float = 10e-6
-    backplane_bps: float = 4.8e9
+    forward_latency_s: float = param(NONNEGATIVE, 10e-6)
+    backplane_bps: float = param(POSITIVE, 4.8e9)
 
     def __post_init__(self) -> None:
-        if type(self.ports) is not int or self.ports < 2:
-            raise ValueError(
-                f"ports must be an integer >= 2, got {self.ports!r}"
-            )
-        require_finite_nonnegative(
-            "forward_latency_s", self.forward_latency_s
-        )
-        require_finite_positive("backplane_bps", self.backplane_bps)
+        check_domains(self)
 
     @property
     def nonblocking(self) -> bool:

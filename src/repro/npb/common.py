@@ -13,6 +13,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.core.domains import NONNEGATIVE, check_domains, param
+
 
 class VerificationError(AssertionError):
     """A kernel failed its built-in numerical verification."""
@@ -27,16 +29,15 @@ class OpMix:
     different microarchitectural resources.
     """
 
-    fp: float
-    mem: float
-    int_: float
+    fp: float = param(NONNEGATIVE)
+    mem: float = param(NONNEGATIVE)
+    int_: float = param(NONNEGATIVE)
 
     def __post_init__(self) -> None:
+        check_domains(self)
         total = self.fp + self.mem + self.int_
         if not np.isclose(total, 1.0, atol=1e-9):
             raise ValueError(f"mix fractions sum to {total}, not 1")
-        if min(self.fp, self.mem, self.int_) < 0:
-            raise ValueError("mix fractions cannot be negative")
 
 
 @dataclass

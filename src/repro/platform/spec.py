@@ -43,11 +43,13 @@ from typing import Any, Dict, Optional, Sequence
 from repro.cluster.chassis import RlxSystem324
 from repro.cluster.node import NodeConfig, Packaging
 from repro.cluster.rack import CHASSIS_PER_RACK, RACK_GEAR_WATTS
+from repro.core.domains import (
+    NONNEGATIVE, POSITIVE, check_domains, check_keys, param, whole,
+)
 from repro.cpus.base import ProcessorSpec
 from repro.cpus.catalog import CPU_CATALOG, PEAK_FLOPS_PER_CYCLE, cpu_by_name
 from repro.cpus.power import COOLING_OVERHEAD_PER_WATT, PowerModel
-from repro.network.fabric import FabricSpec, check_keys
-from repro.network.faults import require_finite_positive
+from repro.network.fabric import FabricSpec
 from repro.network.link import FAST_ETHERNET, Link
 from repro.network.switch import FAST_ETHERNET_SWITCH_24, Switch
 from repro.thermal.model import ThermalNetwork, ThermalSpec
@@ -89,15 +91,16 @@ class PlatformSpec:
     name: str
     title: str
     processor: ProcessorSpec
-    nodes: int
+    nodes: int = param(whole(1))
     packaging: Packaging
     fabric: FabricSpec
-    footprint_sqft: float
-    acquisition_usd: float
-    year: int
+    footprint_sqft: float = param(POSITIVE)
+    acquisition_usd: float = param(NONNEGATIVE)
+    year: int = param(whole(1))
     node_config: NodeConfig = NodeConfig()
-    treecode_gflops: Optional[float] = None
-    power_kw_override: Optional[float] = None
+    treecode_gflops: Optional[float] = param(NONNEGATIVE.or_none(), None)
+    #: Table 7's divisor, when the paper states it outright.
+    power_kw_override: Optional[float] = param(POSITIVE.or_none(), None)
     #: Explicit thermal parameters; ``None`` means "derive from the
     #: power model" (see :meth:`thermal_params`), so every registry
     #: entry has a validated thermal description without repeating the
@@ -107,21 +110,7 @@ class PlatformSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a platform needs a name")
-        if type(self.nodes) is not int or self.nodes < 1:
-            raise ValueError(
-                f"nodes must be an integer >= 1, got {self.nodes!r}"
-            )
-        require_finite_positive("footprint_sqft", self.footprint_sqft)
-        if self.power_kw_override is not None:       # Table 7's divisor
-            require_finite_positive(
-                "power_kw_override", self.power_kw_override
-            )
-        for name in ("acquisition_usd", "treecode_gflops"):
-            value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:
-                raise ValueError(
-                    f"{name} must be finite and non-negative, got {value!r}"
-                )
+        check_domains(self)
         ceiling = self.fabric.max_nodes()
         if ceiling is not None and self.nodes > ceiling:
             raise ValueError(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 from typing import Any, Dict, Optional
 
+from repro.core.domains import POSITIVE, whole
 from repro.network.faults import (
     DEFAULT_NET_MTBF_S,
     DEFAULT_NET_MTTR_S,
@@ -30,30 +31,32 @@ from repro.sched.job import synthetic_stream
 from repro.sched.policy import policy_by_name
 from repro.sched.scheduler import BatchScheduler, SchedConfig
 
-#: ``(manifest key, default, flag, other add_argument keywords)``, in
-#: manifest order (and ``--help`` order).  ``flag=None``: no command-
-#: line spelling.  A ``bool`` parameter's flag flips its default
+#: ``(manifest key, default, flag, numeric domain, other add_argument
+#: keywords)``, in manifest and ``--help`` order.  ``flag=None``: no
+#: command-line spelling.  A ``bool`` parameter's flag flips its default
 #: (``--no-throttle`` turns ``throttle`` off); any other flag parses a
 #: value of the default's type.  ``seed`` has a flag but no default: it
 #: is :func:`campaign_params`' own argument, recorded last, and the
 #: failure processes derive theirs from it (poisson ``seed + 1``,
 #: thermal ``seed + 2``, net ``seed + 3``).
 CAMPAIGN_PARAMETERS = (
-    ("jobs", 8, "--jobs", dict(help="jobs in the synthetic Poisson stream")),
-    ("policy", "fcfs", "--policy",
+    ("jobs", 8, "--jobs", whole(1),
+     dict(help="jobs in the synthetic Poisson stream")),
+    ("policy", "fcfs", "--policy", None,
      dict(choices=("fcfs", "backfill", "easy"))),
-    ("seed", 2001, "--seed", dict(help="stream (and failure) RNG seed")),
-    ("interarrival", 0.004, "--interarrival",
+    ("seed", 2001, "--seed", whole(0),
+     dict(help="stream (and failure) RNG seed")),
+    ("interarrival", 0.004, "--interarrival", POSITIVE,
      dict(help="mean virtual seconds between arrivals")),
-    ("fail_inject", False, "--fail-inject",
+    ("fail_inject", False, "--fail-inject", None,
      dict(help="inject Poisson node failures during the run")),
-    ("mtbf", 0.05, "--mtbf",
+    ("mtbf", 0.05, "--mtbf", POSITIVE,
      dict(help="accelerated MTBF (virtual s) for --fail-inject")),
-    ("checkpoint", 0, "--checkpoint",
+    ("checkpoint", 0, "--checkpoint", whole(0),
      dict(help="checkpoint every N units (0 disables)")),
-    ("max_retries", 3, "--max-retries",
+    ("max_retries", 3, "--max-retries", whole(0),
      dict(help="requeues before a killed job is abandoned")),
-    ("platform", DEFAULT_PLATFORM, "--platform", dict(
+    ("platform", DEFAULT_PLATFORM, "--platform", None, dict(
         choices=platform_names(),
         help="registry platform to schedule on; picks node count, node "
              "rate AND fabric (its content-hash is recorded so replay "
@@ -63,33 +66,33 @@ CAMPAIGN_PARAMETERS = (
     # stream's virtual-seconds scale; ``thermal_fail`` swaps the flat
     # Poisson fault process for the Arrhenius-thinned one; ``throttle``
     # off is the no-safeguards counterfactual.
-    ("thermal", False, "--thermal", dict(
+    ("thermal", False, "--thermal", None, dict(
         help="model blade temperatures (lumped-RC network, coolest-first "
              "placement, thermal throttling)")),
-    ("thermal_accel", 1.0, "--thermal-accel", dict(
+    ("thermal_accel", 1.0, "--thermal-accel", POSITIVE, dict(
         help="thermal time-constant compression factor (default 1)")),
-    ("thermal_fail", False, "--thermal-fail", dict(
+    ("thermal_fail", False, "--thermal-fail", None, dict(
         help="temperature-modulated fault injection via the Arrhenius "
              "intensity (implies --thermal; uses --mtbf as the 40 C "
              "baseline)")),
-    ("throttle", True, "--no-throttle", dict(
+    ("throttle", True, "--no-throttle", None, dict(
         help="disable the trip-point frequency clamp (hot blades run to "
              "the overtemp kill point)")),
     # Job-profile memoization (repro.sched.profile_cache).  Tracing
     # attaches an observer, which itself forces the cache to bypass,
     # so traces are cache-agnostic either way.
-    ("profile_cache", True, None, {}),
+    ("profile_cache", True, None, None, {}),
     # Network fault injection (repro.network.faults): the link/uplink
     # outage process and the reliable-delivery layer; MTBF/MTTR are in
     # virtual stream seconds.
-    ("net_fault", False, "--net-fault", dict(
+    ("net_fault", False, "--net-fault", None, dict(
         help="inject seeded link/uplink outages; SimMPI retransmits with "
              "timeout/backoff, long node outages partition the blade "
              "(plan seed is --seed + 3)")),
-    ("net_mtbf", DEFAULT_NET_MTBF_S, "--net-mtbf", dict(
+    ("net_mtbf", DEFAULT_NET_MTBF_S, "--net-mtbf", POSITIVE, dict(
         metavar="S", help="per-link mean time between outages, virtual "
                           "seconds (default 2.0)")),
-    ("net_mttr", DEFAULT_NET_MTTR_S, "--net-mttr", dict(
+    ("net_mttr", DEFAULT_NET_MTTR_S, "--net-mttr", POSITIVE, dict(
         metavar="S", help="mean outage repair time, virtual seconds "
                           "(default 0.002)")),
 )
@@ -97,7 +100,8 @@ CAMPAIGN_PARAMETERS = (
 #: Manifest key -> default.  A manifest recorded before a parameter
 #: existed carries no key for it and means this value.
 CAMPAIGN_DEFAULTS: Dict[str, Any] = {
-    key: default for key, default, _, _ in CAMPAIGN_PARAMETERS if key != "seed"
+    key: default for key, default, _, _, _ in CAMPAIGN_PARAMETERS
+    if key != "seed"
 }
 
 
@@ -109,11 +113,9 @@ def campaign_params(seed: int, overrides: Dict[str, Any]) -> Dict[str, Any]:
     params = {**CAMPAIGN_DEFAULTS, **overrides, "seed": seed}
     if params["thermal_fail"] and not params["thermal"]:
         raise ValueError("thermal_fail requires thermal=True")
-    if params["checkpoint"] < 0:
-        raise ValueError(
-            "checkpoint must be >= 0 units (0 disables), got "
-            f"{params['checkpoint']}"
-        )
+    for key, _, _, domain, _ in CAMPAIGN_PARAMETERS:   # used or not
+        if domain is not None:
+            domain.check(key, params[key])
     return params
 
 
@@ -124,7 +126,7 @@ def add_campaign_arguments(parser: argparse.ArgumentParser,
     ``repro.cli sched`` runs what the flags describe and ``check
     --record`` records it, so anything one can run the other can pin.
     """
-    for key, default, flag, options in CAMPAIGN_PARAMETERS:
+    for key, default, flag, _, options in CAMPAIGN_PARAMETERS:
         if flag is None:
             continue
         if isinstance(default, bool):

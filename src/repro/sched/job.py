@@ -11,12 +11,13 @@ population — the "heavy traffic" the scheduler benches replay.
 from __future__ import annotations
 
 import enum
-import math
 import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.network.faults import require_finite_positive
+from repro.core.domains import (
+    NONNEGATIVE, POSITIVE, check_domains, param, whole,
+)
 from repro.sched.workloads import (
     MicrokernelSweep,
     NpbKernelJob,
@@ -36,22 +37,14 @@ class JobState(enum.Enum):
 class JobSpec:
     """One submitted job."""
 
-    job_id: int
-    arrival_s: float
-    nodes: int
-    walltime_est_s: float        # user estimate (feeds EASY backfill)
+    job_id: int = param(whole(0))
+    arrival_s: float = param(NONNEGATIVE)
+    nodes: int = param(whole(1))
+    walltime_est_s: float = param(POSITIVE)  # user estimate (EASY backfill)
     workload: Workload
 
     def __post_init__(self) -> None:
-        if self.nodes < 1:
-            raise ValueError("a job needs at least one node")
-        if not 0 <= self.arrival_s < math.inf:
-            raise ValueError(
-                "arrival_s must be finite and non-negative, "
-                f"got {self.arrival_s!r}"
-            )
-        if self.walltime_est_s <= 0:
-            raise ValueError("walltime estimate must be positive")
+        check_domains(self)
 
 
 @dataclass(slots=True)
@@ -150,9 +143,8 @@ def synthetic_stream(jobs: int, max_nodes: int, flop_rate: float,
     uniform factor in [1.2, 2.5] — like real user estimates, biased
     high, which is exactly the slack EASY backfill exploits.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    require_finite_positive("mean_interarrival_s", mean_interarrival_s)
+    whole(1).check("jobs", jobs)
+    POSITIVE.check("mean_interarrival_s", mean_interarrival_s)
     rng = random.Random(seed)
     t = 0.0
     specs: List[JobSpec] = []

@@ -40,6 +40,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.management import EventKind, ManagementEvent, ManagementHub
+from repro.core.domains import (
+    NONNEGATIVE, POSITIVE, check_domains, param, whole,
+)
 from repro.core.events import EventKernel
 from repro.network.faults import (
     FaultTimeline,
@@ -47,9 +50,6 @@ from repro.network.faults import (
     NetFaultConfig,
     chassis_resource,
     link_resource,
-    require_finite_nonnegative,
-    require_finite_positive,
-    require_whole,
 )
 from repro.sched.allocator import BladeAllocator
 from repro.sched.job import Attempt, JobRecord, JobSpec, JobState
@@ -91,12 +91,12 @@ class SchedConfig:
     """Operational knobs of the batch system."""
 
     #: Units between checkpoints; ``None`` disables checkpointing.
-    checkpoint_every: Optional[int] = None
+    checkpoint_every: Optional[int] = param(whole(1).or_none(), None)
     #: Checkpoint write path: latency plus bytes over bandwidth.
-    checkpoint_latency_s: float = 5e-3
-    checkpoint_bandwidth_bps: float = 50e6
+    checkpoint_latency_s: float = param(NONNEGATIVE, 5e-3)
+    checkpoint_bandwidth_bps: float = param(POSITIVE, 50e6)
     #: Requeues granted before a job is abandoned.
-    max_retries: int = 3
+    max_retries: int = param(whole(0), 3)
     #: Register repro.check invariant auditors on the kernel and audit
     #: the outcome ledgers at the end of :meth:`BatchScheduler.run`.
     audit: bool = False
@@ -109,7 +109,7 @@ class SchedConfig:
     #: Time-constant compression: scheduler streams run in compressed
     #: virtual seconds, so benches shrink tau to match (cf. the
     #: accelerated MTBF of :meth:`BatchScheduler.inject_poisson_failures`).
-    thermal_accel: float = 1.0
+    thermal_accel: float = param(POSITIVE, 1.0)
     #: Clamp frequency at the trip temperature.  Disabled, blades run
     #: full speed until the kill point — the paper's "no safeguards"
     #: counterfactual.
@@ -125,18 +125,7 @@ class SchedConfig:
     profile_cache: bool = True
 
     def __post_init__(self) -> None:
-        # Once per scheduler, so that a configuration that cannot run
-        # fails here by name instead of mid-stream by ZeroDivisionError.
-        if self.checkpoint_every is not None:
-            require_whole("checkpoint_every", self.checkpoint_every, 1)
-        require_finite_nonnegative(
-            "checkpoint_latency_s", self.checkpoint_latency_s
-        )
-        require_finite_positive(
-            "checkpoint_bandwidth_bps", self.checkpoint_bandwidth_bps
-        )
-        require_whole("max_retries", self.max_retries, 0)
-        require_finite_positive("thermal_accel", self.thermal_accel)
+        check_domains(self)
 
     def checkpoint_io_s(self, nbytes: int) -> float:
         return self.checkpoint_latency_s + nbytes / self.checkpoint_bandwidth_bps
@@ -443,8 +432,8 @@ class BatchScheduler:
         profiles of :mod:`repro.cluster.reliability` would never fire;
         the bench compresses MTBF to seconds instead.
         """
-        require_finite_positive("mtbf_s", mtbf_s)
-        require_finite_positive("horizon_s", horizon_s)
+        POSITIVE.check("mtbf_s", mtbf_s)
+        POSITIVE.check("horizon_s", horizon_s)
         rng = random.Random(seed)
         t = 0.0
         plan: List[Tuple[float, int]] = []
@@ -473,8 +462,8 @@ class BatchScheduler:
             raise RuntimeError(
                 "thermal failure injection needs SchedConfig(thermal=True)"
             )
-        require_finite_positive("mtbf_s", mtbf_s)
-        require_finite_positive("horizon_s", horizon_s)
+        POSITIVE.check("mtbf_s", mtbf_s)
+        POSITIVE.check("horizon_s", horizon_s)
 
         def on_failure(time_s: float, blade: int) -> None:
             self.failures_injected += 1

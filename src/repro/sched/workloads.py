@@ -26,9 +26,9 @@ from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.domains import POSITIVE, check_domains, param, whole
 from repro.nbody.parallel import ReplicatedStep
 from repro.nbody.sim import BUILD_FLOPS_PER_PARTICLE, SimConfig
-from repro.network.faults import require_finite_positive, require_whole
 
 #: Rough flops per particle-particle interaction (walltime estimates).
 _FLOPS_PER_INTERACTION = 28.0
@@ -116,19 +116,18 @@ class TreecodeJob(Workload):
     checkpointed phase-space coordinates.
     """
 
-    n: int = 240
-    steps: int = 2
-    seed: int = 2001
-    theta: float = 0.7
-    dt: float = 1e-3
+    n: int = param(whole(1), 240)
+    steps: int = param(whole(1), 2)
+    seed: int = param(whole(0), 2001)
+    theta: float = param(POSITIVE, 0.7)
+    dt: float = param(POSITIVE, 1e-3)
 
     name = "treecode"
     checkpointable = True
     cacheable = True
 
     def __post_init__(self) -> None:
-        require_whole("steps", self.steps, 1)
-        self._sim_config()          # refuses n, theta and dt by name
+        check_domains(self)
 
     @property
     def units(self) -> int:          # type: ignore[override]
@@ -222,8 +221,8 @@ class NpbKernelJob(Workload):
     """
 
     kernel: str = "EP"
-    n: int = 1 << 12
-    max_key: int = 1 << 9
+    n: int = param(whole(1), 1 << 12)
+    max_key: int = param(whole(1), 1 << 9)
 
     name = "npb"
     units = 1
@@ -233,8 +232,7 @@ class NpbKernelJob(Workload):
     def __post_init__(self) -> None:
         if self.kernel.upper() not in ("EP", "IS"):
             raise ValueError("only EP and IS have parallel versions")
-        require_whole("n", self.n, 1)
-        require_whole("max_key", self.max_key, 1)
+        check_domains(self)
 
     def est_flops(self) -> float:
         from repro.npb.parallel import EP_OPS_PER_PAIR, IS_OPS_PER_KEY
@@ -273,16 +271,15 @@ class MicrokernelSweep(Workload):
     restarts skip completed passes.
     """
 
-    passes: int = 6
-    flops_per_pass: float = 2.5e6
+    passes: int = param(whole(1), 6)
+    flops_per_pass: float = param(POSITIVE, 2.5e6)
 
     name = "microkernel"
     checkpointable = True
     cacheable = True
 
     def __post_init__(self) -> None:
-        require_whole("passes", self.passes, 1)
-        require_finite_positive("flops_per_pass", self.flops_per_pass)
+        check_domains(self)
 
     @property
     def units(self) -> int:          # type: ignore[override]

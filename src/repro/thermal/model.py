@@ -37,6 +37,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.domains import (
+    FINITE, NONNEGATIVE, POSITIVE, UNIT_CLOSED_OPEN, UNIT_OPEN_CLOSED,
+    check_domains, param,
+)
 from repro.cpus.power import (
     COOLING_OVERHEAD_PER_WATT,
     PowerModel,
@@ -75,31 +79,24 @@ class ThermalSpec:
     idle heat as a fraction of busy heat.
     """
 
-    r_c_per_w: float
-    c_j_per_c: float
-    chassis_r_c_per_w: float
-    ambient_c: float
-    trip_c: float = 85.0
-    resume_c: float = 75.0
-    kill_c: float = 95.0
-    throttle_scale: float = 0.5
-    idle_fraction: float = 0.15
+    r_c_per_w: float = param(POSITIVE)
+    c_j_per_c: float = param(POSITIVE)
+    chassis_r_c_per_w: float = param(NONNEGATIVE)
+    ambient_c: float = param(FINITE)
+    trip_c: float = param(FINITE, 85.0)
+    resume_c: float = param(FINITE, 75.0)
+    kill_c: float = param(FINITE, 95.0)
+    throttle_scale: float = param(UNIT_OPEN_CLOSED, 0.5)
+    idle_fraction: float = param(UNIT_CLOSED_OPEN, 0.15)
 
     def __post_init__(self) -> None:
-        if self.r_c_per_w <= 0 or self.c_j_per_c <= 0:
-            raise ValueError("thermal R and C must be positive")
-        if self.chassis_r_c_per_w < 0:
-            raise ValueError("chassis resistance cannot be negative")
+        check_domains(self)
         if not self.ambient_c < self.resume_c < self.trip_c < self.kill_c:
             raise ValueError(
                 "need ambient < resume < trip < kill temperatures, got "
                 f"{self.ambient_c} / {self.resume_c} / {self.trip_c} / "
                 f"{self.kill_c}"
             )
-        if not 0.0 < self.throttle_scale <= 1.0:
-            raise ValueError("throttle_scale must be in (0, 1]")
-        if not 0.0 <= self.idle_fraction < 1.0:
-            raise ValueError("idle_fraction must be in [0, 1)")
 
     @property
     def tau_s(self) -> float:

@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
+from repro.core.domains import FINITE, POSITIVE, check_domains, param
 from repro.core.events import EventKernel
 from repro.thermal.model import ThermalNetwork
 
@@ -40,15 +41,12 @@ class ArrheniusIntensity:
     :class:`~repro.cpus.power.FailureModel`, just in virtual seconds.
     """
 
-    base_rate_per_s: float
-    base_c: float = 40.0
-    doubling_c: float = 10.0
+    base_rate_per_s: float = param(POSITIVE)
+    base_c: float = param(FINITE, 40.0)
+    doubling_c: float = param(POSITIVE, 10.0)
 
     def __post_init__(self) -> None:
-        if self.base_rate_per_s <= 0:
-            raise ValueError("base failure rate must be positive")
-        if self.doubling_c <= 0:
-            raise ValueError("doubling interval must be positive")
+        check_domains(self)
 
     def rate_at(self, temp_c: float) -> float:
         """Per-blade failure rate (1/s) at *temp_c*."""

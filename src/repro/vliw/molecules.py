@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Tuple
 
+from repro.core.domains import check_domains, param, whole
 from repro.vliw.atoms import Atom
 from repro.vliw.units import UnitKind
 
@@ -21,16 +22,11 @@ class MoleculeFormatError(ValueError):
     format has no molecule to put them in."""
 
 
-def _whole(value: object, least: int) -> bool:
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and value >= least)
-
-
 @dataclass(frozen=True)
 class SlotLimits:
     """Per-unit slot capacities of a molecule format."""
 
-    max_atoms: int = 4
+    max_atoms: int = param(whole(1), 4)
     per_unit: Tuple[Tuple[UnitKind, int], ...] = (
         (UnitKind.ALU, 2),
         (UnitKind.FPU, 1),
@@ -44,11 +40,7 @@ class SlotLimits:
     )
 
     def __post_init__(self) -> None:
-        if not _whole(self.max_atoms, 1):
-            raise MoleculeFormatError(
-                f"max_atoms must be a whole number >= 1, "
-                f"got {self.max_atoms!r}"
-            )
+        check_domains(self, MoleculeFormatError)
         capacities: Dict[UnitKind, int] = {}
         for unit, slots in self.per_unit:
             if not isinstance(unit, UnitKind):
@@ -57,11 +49,8 @@ class SlotLimits:
                 raise MoleculeFormatError(
                     f"unit {unit.value} is listed twice"
                 )
-            if not _whole(slots, 0):
-                raise MoleculeFormatError(
-                    f"capacity of {unit.value} must be a whole number "
-                    f">= 0, got {slots!r}"
-                )
+            whole(0).check(f"capacity of {unit.value}", slots,
+                           MoleculeFormatError)
             capacities[unit] = slots
         object.__setattr__(self, "capacities", capacities)
 

@@ -8,6 +8,7 @@ through the same submits, failures and partial runs under every auditor.
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -46,8 +47,9 @@ DATA = Path(__file__).parent / "data"
 # -- one table ---------------------------------------------------------------
 
 def test_every_parameter_is_declared_once():
-    keys = [key for key, _, _, _ in CAMPAIGN_PARAMETERS]
-    flags = [flag for _, _, flag, _ in CAMPAIGN_PARAMETERS if flag is not None]
+    keys = [key for key, _, _, _, _ in CAMPAIGN_PARAMETERS]
+    flags = [flag for _, _, flag, _, _ in CAMPAIGN_PARAMETERS
+             if flag is not None]
     assert len(set(keys)) == len(keys)
     assert len(set(flags)) == len(flags)
     assert set(CAMPAIGN_DEFAULTS) == set(keys) - {"seed"}
@@ -91,6 +93,37 @@ def test_params_are_validated_before_anything_is_built():
 def test_cli_refuses_a_campaign_that_cannot_run(flag, value, names):
     with pytest.raises(ValueError, match=names):
         main(["sched", "--jobs", "5", flag, value])
+
+
+def test_every_numeric_row_declares_a_domain():
+    for key, default, _, domain, _ in CAMPAIGN_PARAMETERS:
+        numeric = type(default) in (int, float)
+        assert (domain is not None) == numeric, key
+
+
+@pytest.mark.parametrize("key, bad", [
+    pytest.param(key, bad, id=f"{key}={bad!r}")
+    for key, default, _, domain, _ in CAMPAIGN_PARAMETERS
+    if domain is not None
+    for bad in (math.nan, math.inf, -1, True)
+    + ((1.5,) if type(default) is int else ())
+])
+def test_every_numeric_parameter_is_checked_against_its_domain(key, bad):
+    # Whether or not the feature that reads it is switched on.
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        if key == "seed":                   # campaign_params' own argument
+            campaign_params(bad, {})
+        else:
+            campaign_params(1, {key: bad})
+
+
+def test_check_record_refuses_a_campaign_that_cannot_run(tmp_path):
+    # Was: exit 0, with "mtbf":NaN written into the manifest.
+    path = tmp_path / "manifest.json"
+    with pytest.raises(ValueError, match="mtbf"):
+        main(["check", "--record", str(path), "--jobs", "3",
+              "--mtbf", "nan"])
+    assert not path.exists()
 
 
 def test_absent_keys_mean_the_defaults():

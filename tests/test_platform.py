@@ -127,6 +127,16 @@ def test_spec_validation_rejects_nonsense():
         )
     with pytest.raises(ValueError, match="ports"):
         FabricSpec.from_dict({**doc["fabric"], "ports": 24})
+    # The nested parts are checked too: each of these used to load.
+    thermal = METABLADE.thermal_params().to_dict()
+    for part, key, value in (
+        ("processor", "clock_mhz", nan), ("processor", "node_watts", -1),
+        ("thermal", "r_c_per_w", nan), ("thermal", "kill_c", inf),
+        ("node_config", "memory_mb", -1),
+    ):
+        nested = {**(doc[part] or thermal), key: value}
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            PlatformSpec.from_dict({**doc, part: nested})
     # Documents written before the thermal field existed still load.
     legacy = {k: v for k, v in doc.items() if k != "thermal"}
     assert PlatformSpec.from_dict(legacy) == METABLADE
