@@ -52,12 +52,9 @@ from repro.check.replay import (
     Divergence,
     ReplayReport,
     TraceChecker,
-    record_fig3_manifest,
     record_sched_manifest,
     record_simmpi_manifest,
-    record_table2_manifest,
     replay_manifest,
-    verify_golden_manifest,
 )
 
 __all__ = [
@@ -78,14 +75,11 @@ __all__ = [
     "detach_auditors",
     "manifest_trace_hash",
     "mutate_event",
-    "record_fig3_manifest",
     "record_sched_manifest",
     "record_simmpi_manifest",
-    "record_table2_manifest",
     "replay_manifest",
     "run_cache_differential",
     "run_cell",
     "run_telemetry_differential",
     "sched_outcome_digest",
-    "verify_golden_manifest",
 ]

@@ -2,8 +2,8 @@
 
 Modes (mutually exclusive):
 
-- ``--record PATH``     record a run manifest (``--kind`` picks the
-                        recipe: sched | simmpi | table2 | fig3)
+- ``--record PATH``     record the campaign the flags describe as a
+                        run manifest
 - ``--replay PATH``     replay-verify any saved manifest
 - ``--cache-diff``      profile-cache differential audit: run a
                         scheduler configuration matrix cache-on vs
@@ -44,14 +44,11 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
     mode.add_argument("--telemetry-diff", action="store_true",
                       help="telemetry differential audit "
                            "(telemetry-on vs off, bit-exact)")
-    parser.add_argument("--kind", default="sched",
-                        choices=["sched", "simmpi", "table2", "fig3"],
-                        help="what --record records (default: sched)")
     parser.add_argument("--quick", action="store_true",
                         help="smaller audit matrix (CI smoke)")
     parser.add_argument("--out", metavar="DIR", default="check_reports",
                         help="directory for divergence and audit reports")
-    # What --record --kind sched records (--seed also seeds the audits;
+    # What --record records (--seed also seeds the audits;
     # --jobs sizes the audits' streams).  --jobs left unset means the
     # recipe's own default for --record, and for the audits the smallest
     # stream that shows every matrix row's declared traffic.
@@ -61,10 +58,7 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
 def cmd_check(args) -> int:
     from repro.check import (
         RunManifest,
-        record_fig3_manifest,
         record_sched_manifest,
-        record_simmpi_manifest,
-        record_table2_manifest,
         replay_manifest,
         run_cache_differential,
         run_telemetry_differential,
@@ -72,16 +66,9 @@ def cmd_check(args) -> int:
     from repro.check.differential import AUDIT_JOBS
 
     if args.record is not None:
-        if args.kind == "sched":
-            manifest = record_sched_manifest(
-                seed=args.seed, **campaign_overrides(args)
-            )
-        elif args.kind == "simmpi":
-            manifest = record_simmpi_manifest(seed=args.seed)
-        elif args.kind == "table2":
-            manifest = record_table2_manifest(seed=args.seed)
-        else:
-            manifest = record_fig3_manifest(seed=args.seed)
+        manifest = record_sched_manifest(
+            seed=args.seed, **campaign_overrides(args)
+        )
         path = manifest.save(args.record)
         print(
             f"recorded {manifest.kind} manifest: {len(manifest.events)} "

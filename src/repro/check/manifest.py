@@ -26,7 +26,7 @@ from repro.core.events import EventKernel, TimelineEvent
 MANIFEST_VERSION = 1
 
 #: The run kinds ``replay_manifest`` knows how to rebuild.
-_KINDS = ("sched", "simmpi", "table2", "fig3")
+_KINDS = frozenset({"sched", "simmpi"})
 
 _SCALARS = (bool, int, float, str, type(None))
 
@@ -81,7 +81,7 @@ class RunManifest:
     params: Dict[str, Any]
     config_hash: str
     events: List[TimelineEvent] = field(default_factory=list)
-    #: Golden payload for non-trace manifests (table rows, digests).
+    #: What the trace does not say (a sched run's platform hash).
     payload: Dict[str, Any] = field(default_factory=dict)
     version: int = MANIFEST_VERSION
 

@@ -13,8 +13,6 @@ world in flight.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -343,123 +341,6 @@ def _replay_simmpi(manifest: RunManifest) -> ReplayReport:
 
 
 # ---------------------------------------------------------------------------
-# Golden tables (Table 2, Fig. 3)
-# ---------------------------------------------------------------------------
-
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _json_rows(rows) -> List[List[Any]]:
-    """Rows as they look after a JSON round trip (tuples -> lists)."""
-    return json.loads(json.dumps(rows))
-
-
-def record_table2_manifest(n: int = 600, cpus=(1, 2, 4),
-                           seed: int = 2001) -> RunManifest:
-    """Golden manifest for a small Table 2 configuration."""
-    from repro.core.experiments import experiment_table2
-
-    result = experiment_table2(n=n, steps=1, cpu_counts=tuple(cpus),
-                               seed=seed)
-    params = {"n": n, "cpus": list(cpus), "seed": seed}
-    return RunManifest.make(
-        "table2", seed=seed, params=params,
-        payload={
-            "headers": result.headers,
-            "rows": _json_rows(result.rows),
-            "text_sha256": _sha(result.text),
-            "extras": result.extras,
-        },
-    )
-
-
-def record_fig3_manifest(n: int = 500, steps: int = 1,
-                         seed: int = 2001) -> RunManifest:
-    """Golden manifest for a small Fig. 3 configuration."""
-    from repro.core.experiments import experiment_fig3
-    from repro.nbody.sim import SimConfig
-
-    config = SimConfig(n=n, steps=steps, ic="collision", seed=seed,
-                       theta=0.7, softening=1e-2)
-    exp, result, art = experiment_fig3(config)
-    params = {"n": n, "steps": steps, "seed": seed}
-    return RunManifest.make(
-        "fig3", seed=seed, params=params,
-        payload={
-            "headers": exp.headers,
-            "rows": _json_rows(exp.rows),
-            "text_sha256": _sha(exp.text),
-            "art_sha256": _sha(art),
-            "total_flops": result.total_flops,
-            "energy_initial": result.energy_initial,
-            "energy_final": result.energy_final,
-        },
-    )
-
-
-_GOLDEN_RECORDERS = {
-    "table2": record_table2_manifest,
-    "fig3": record_fig3_manifest,
-}
-
-
-def verify_golden_manifest(manifest: RunManifest) -> ReplayReport:
-    """Regenerate a golden table and diff it against its manifest.
-
-    Divergences are reported row-by-row (the Divergence's ``index`` is
-    the first differing row) so a table regression names the exact
-    cell that moved, not just a hash mismatch.
-    """
-    recorder = _GOLDEN_RECORDERS.get(manifest.kind)
-    if recorder is None:
-        raise ValueError(f"not a golden-table manifest: {manifest.kind!r}")
-    fresh = recorder(**manifest.params)
-
-    old, new = manifest.payload, fresh.payload
-    divergence = None
-    old_rows, new_rows = old.get("rows", []), new.get("rows", [])
-    for index, (row_old, row_new) in enumerate(zip(old_rows, new_rows)):
-        if row_old != row_new:
-            divergence = Divergence(
-                index=index,
-                expected=TimelineEvent(0.0, "row",
-                                       (("values", repr(row_old)),)),
-                actual=TimelineEvent(0.0, "row",
-                                     (("values", repr(row_new)),)),
-                context={"headers": old.get("headers")},
-            )
-            break
-    if divergence is None and len(old_rows) != len(new_rows):
-        divergence = Divergence(
-            index=min(len(old_rows), len(new_rows)),
-            expected=None, actual=None,
-            context={"rows recorded": len(old_rows),
-                     "rows regenerated": len(new_rows)},
-        )
-    if divergence is None:
-        stale = {
-            key: (old[key], new[key])
-            for key in sorted(set(old) & set(new))
-            if key != "rows" and old[key] != new[key]
-        }
-        if stale:
-            key, (was, now) = next(iter(stale.items()))
-            divergence = Divergence(
-                index=len(old_rows),
-                expected=TimelineEvent(0.0, key, (("value", repr(was)),)),
-                actual=TimelineEvent(0.0, key, (("value", repr(now)),)),
-                context={"differing payload keys": sorted(stale)},
-            )
-    return ReplayReport(
-        kind=manifest.kind,
-        expected_events=len(old_rows),
-        replayed_events=len(new_rows),
-        divergence=divergence,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
 
@@ -469,6 +350,4 @@ def replay_manifest(manifest: RunManifest) -> ReplayReport:
         return _replay_sched(manifest)
     if manifest.kind == "simmpi":
         return _replay_simmpi(manifest)
-    if manifest.kind in _GOLDEN_RECORDERS:
-        return verify_golden_manifest(manifest)
     raise ValueError(f"unknown manifest kind {manifest.kind!r}")

@@ -46,7 +46,7 @@ from repro.core import (
     experiment_timeline,
     experiment_topper,
 )
-from repro.core.domains import whole
+from repro.core.domains import NONNEGATIVE, POSITIVE, whole
 from repro.metrics.report import format_table
 from repro.nbody.sim import SimConfig
 
@@ -326,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--particles", type=whole(1), default=4000)
     p2.add_argument("--cpus", type=whole(1), nargs="+",
                     default=[1, 2, 4, 8, 16, 24])
-    p2.add_argument("--seed", type=int, default=2001,
+    p2.add_argument("--seed", type=whole(0), default=2001,
                     help="initial-conditions RNG seed")
-    p2.add_argument("--jobs", dest="pool_jobs", type=int, default=1,
+    p2.add_argument("--jobs", dest="pool_jobs", type=whole(1), default=1,
                     metavar="N",
                     help="host processes for the CPU-count sweep "
                          "(default 1: serial, deterministic)")
@@ -347,11 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("fig3", help="the flagship N-body run")
     # Two clusters of at least one particle each.
     pf.add_argument("--particles", type=whole(2), default=4000)
-    pf.add_argument("--seed", type=int, default=2001,
+    pf.add_argument("--seed", type=whole(0), default=2001,
                     help="initial-conditions RNG seed")
-    pf.add_argument("--seeds", type=int, nargs="+", default=None,
+    pf.add_argument("--seeds", type=whole(0), nargs="+", default=None,
                     help="sweep these IC seeds instead of --seed")
-    pf.add_argument("--jobs", dest="pool_jobs", type=int, default=1,
+    pf.add_argument("--jobs", dest="pool_jobs", type=whole(1), default=1,
                     metavar="N",
                     help="host processes for the --seeds sweep "
                          "(default 1: serial, deterministic)")
@@ -362,13 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pt.add_argument("--ranks", type=whole(1), default=6)
     pt.add_argument("--particles", type=whole(1), default=1500)
-    pt.add_argument("--limit", type=int, default=48,
+    pt.add_argument("--limit", type=whole(0), default=48,
                     help="max timeline lines to print")
-    pt.add_argument("--fail-rank", type=int, default=None,
+    pt.add_argument("--fail-rank", type=whole(0), default=None,
                     help="inject a node failure into this rank")
-    pt.add_argument("--fail-at", type=float, default=0.0,
+    pt.add_argument("--fail-at", type=NONNEGATIVE, default=0.0,
                     help="virtual time (s) of the injected failure")
-    pt.add_argument("--seed", type=int, default=2001,
+    pt.add_argument("--seed", type=whole(0), default=2001,
                     help="initial-conditions RNG seed")
     pt.add_argument("--platform", default=None, choices=platforms,
                     help="registry platform whose fabric carries the "
@@ -376,19 +376,19 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--thermal", action="store_true",
                     help="attach the lumped-RC blade thermal network "
                          "(trip events land on the timeline)")
-    pt.add_argument("--thermal-accel", type=float, default=1.0,
+    pt.add_argument("--thermal-accel", type=POSITIVE, default=1.0,
                     help="thermal time-constant compression factor "
                          "(default 1)")
     pt.add_argument("--net-fault", dest="net_fault", action="store_true",
                     help="inject a seeded link outage into the step; "
                          "the delivery layer's retransmits land on the "
                          "timeline")
-    pt.add_argument("--net-mtbf", dest="net_mtbf", type=float,
+    pt.add_argument("--net-mtbf", dest="net_mtbf", type=POSITIVE,
                     default=0.05, metavar="S",
                     help="per-link mean time between outages for "
                          "--net-fault, virtual seconds (default 0.05 — "
                          "a single step is short)")
-    pt.add_argument("--net-mttr", dest="net_mttr", type=float,
+    pt.add_argument("--net-mttr", dest="net_mttr", type=POSITIVE,
                     default=0.002, metavar="S",
                     help="mean outage repair time, virtual seconds "
                          "(default 0.002)")
@@ -400,11 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     from repro.sched.campaign import add_campaign_arguments
     add_campaign_arguments(ps, jobs=60)
-    ps.add_argument("--width", type=int, default=72,
+    ps.add_argument("--width", type=whole(8), default=72,
                     help="Gantt chart width in columns")
-    ps.add_argument("--seeds", type=int, nargs="+", default=None,
+    ps.add_argument("--seeds", type=whole(0), nargs="+", default=None,
                     help="sweep these stream seeds instead of --seed")
-    ps.add_argument("--procs", dest="pool_jobs", type=int, default=1,
+    ps.add_argument("--procs", dest="pool_jobs", type=whole(1), default=1,
                     metavar="N",
                     help="host processes for the --seeds sweep "
                          "(--jobs is the stream length here)")
@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--particles", type=whole(2), default=3000)
     pa.add_argument("--cpus", type=whole(1), nargs="+", default=[1, 4, 24])
     pa.add_argument("--npb-class", default="S")
-    pa.add_argument("--seed", type=int, default=2001)
+    pa.add_argument("--seed", type=whole(0), default=2001)
     return parser
 
 
@@ -473,7 +473,12 @@ _HANDLERS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (args.command == "timeline" and args.fail_rank is not None
+            and args.fail_rank >= args.ranks):
+        parser.error(f"timeline: --fail-rank must be < --ranks "
+                     f"({args.ranks}), got {args.fail_rank}")
     status = _HANDLERS[args.command](args)
     return int(status) if status is not None else 0
 

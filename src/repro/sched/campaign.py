@@ -34,11 +34,11 @@ from repro.sched.scheduler import BatchScheduler, SchedConfig
 #: ``(manifest key, default, flag, numeric domain, other add_argument
 #: keywords)``, in manifest and ``--help`` order.  ``flag=None``: no
 #: command-line spelling.  A ``bool`` parameter's flag flips its default
-#: (``--no-throttle`` turns ``throttle`` off); any other flag parses a
-#: value of the default's type.  ``seed`` has a flag but no default: it
-#: is :func:`campaign_params`' own argument, recorded last, and the
-#: failure processes derive theirs from it (poisson ``seed + 1``,
-#: thermal ``seed + 2``, net ``seed + 3``).
+#: (``--no-throttle`` turns ``throttle`` off); a numeric flag parses
+#: through its domain, so a value outside it is a usage error.  ``seed``
+#: has a flag but no default: it is :func:`campaign_params`' own
+#: argument, recorded last, and the failure processes derive theirs from
+#: it (poisson ``seed + 1``, thermal ``seed + 2``, net ``seed + 3``).
 CAMPAIGN_PARAMETERS = (
     ("jobs", 8, "--jobs", whole(1),
      dict(help="jobs in the synthetic Poisson stream")),
@@ -126,15 +126,15 @@ def add_campaign_arguments(parser: argparse.ArgumentParser,
     ``repro.cli sched`` runs what the flags describe and ``check
     --record`` records it, so anything one can run the other can pin.
     """
-    for key, default, flag, _, options in CAMPAIGN_PARAMETERS:
+    for key, default, flag, domain, options in CAMPAIGN_PARAMETERS:
         if flag is None:
             continue
         if isinstance(default, bool):
             action = "store_false" if default else "store_true"
             parser.add_argument(flag, dest=key, action=action, **options)
             continue
-        if not isinstance(default, str):
-            options = dict(options, type=type(default))
+        if domain is not None:          # a value outside it: usage error
+            options = dict(options, type=domain)
         parser.add_argument(
             flag, dest=key, default=jobs if key == "jobs" else default,
             **options,

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
+from repro.core.domains import whole
 from repro.core.events import TimelineEvent
 
 
@@ -119,6 +120,7 @@ def render_timeline(events: Iterable[TimelineEvent],
     ordered = sorted(events, key=lambda e: e.time)
     total = len(ordered)
     if limit is not None:
+        whole(0).check("limit", limit)
         ordered = ordered[:limit]
     lines = [title, "=" * len(title)]
     for event in ordered:

@@ -1,10 +1,12 @@
 """The model-output studies that have no ``repro.cli`` spelling.
 
-Each function below produces the exact text of one
+Each study below produces the exact text of one
 ``benchmarks/results/*.txt`` archive and checks that study's claims on
 the way: a producer whose claim fails raises, and its archive is not
-rewritten.  ``tests/test_artifacts.py`` lists them with every other
-committed output; regenerate on purpose only::
+rewritten.  The first two functions are the paper's headline results
+at a small size, as the documents ``tests/data/golden_table2.json`` and
+``golden_fig3.json``.  ``tests/test_artifacts.py`` lists them with every
+other committed output; regenerate on purpose only::
 
     PYTHONPATH=src python tests/test_artifacts.py --write 'benchmarks/*'
 
@@ -19,6 +21,7 @@ import pytest
 from repro.cluster import ClusterReliability
 from repro.cluster.management import ClusterOperationSim, LiveFailureInjector
 from repro.cms import CmsConfig, CodeMorphingSoftware
+from repro.core.experiments import experiment_fig3, experiment_table2
 from repro.cpus.catalog import (
     ATHLON_MP_1200,
     PENTIUM_III_500,
@@ -71,6 +74,35 @@ from repro.simmpi import SimMpiRuntime
 from repro.simmpi.comm import NodeFailureError
 from repro.thermal import ThermalSpec
 from repro.vliw.molecules import FULL_FORMAT, NARROW_FORMAT
+
+
+# -- the headline results: Table 2 and Fig. 3 ------------------------------
+
+
+def golden_table2():
+    """Table 2 (the treecode's scaling) at n = 600 on 1, 2 and 4 CPUs:
+    its rows, exact extras and rendered text, line by line."""
+    params = {"n": 600, "cpus": [1, 2, 4], "seed": 2001}
+    result = experiment_table2(n=params["n"], steps=1,
+                               cpu_counts=tuple(params["cpus"]),
+                               seed=params["seed"])
+    return {"params": params, "headers": result.headers,
+            "rows": result.rows, "extras": result.extras,
+            "text": result.text.splitlines()}
+
+
+def golden_fig3():
+    """Fig. 3 (the flagship N-body run) at n = 500 for one step: its
+    rows, exact flop count and energies, rendered text and art."""
+    params = {"n": 500, "steps": 1, "seed": 2001}
+    exp, result, art = experiment_fig3(SimConfig(
+        **params, ic="collision", theta=0.7, softening=1e-2,
+    ))
+    return {"params": params, "headers": exp.headers, "rows": exp.rows,
+            "total_flops": result.total_flops,
+            "energy_initial": result.energy_initial,
+            "energy_final": result.energy_final,
+            "text": exp.text.splitlines(), "art": art.splitlines()}
 
 
 # -- the Code Morphing Software ---------------------------------------------

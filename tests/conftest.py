@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import random
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.check import RunManifest
 from repro.isa import programs
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(autouse=True)
@@ -67,3 +71,18 @@ def all_small_workloads(micro_math, micro_karp):
         programs.stream_triad(n=32),
         programs.int_checksum(n=200),
     ]
+
+
+@pytest.fixture
+def preplatform_manifest():
+    """The committed scheduler trace as a manifest recorded before the
+    campaign table grew past eight keys: no platform, thermal or
+    net-fault parameters, and no payload (so no platform hash)."""
+    committed = RunManifest.load(DATA / "manifest_sched_small.json")
+    params = {key: committed.params[key] for key in (
+        "jobs", "policy", "interarrival", "fail_inject", "mtbf",
+        "checkpoint", "max_retries", "seed",
+    )}
+    return RunManifest.from_json(RunManifest.make(
+        "sched", seed=committed.seed, params=params, events=committed.events,
+    ).to_json())

@@ -1,13 +1,14 @@
-"""Every committed output, made by one producer and checked byte for byte.
+"""Every committed output, made by one producer and checked against it.
 
-``ARTIFACTS`` lists each byte-compared file under ``tests/data/`` and
+``ARTIFACTS`` lists each file under ``tests/data/`` and
 ``benchmarks/results/`` with the producer that makes it.  A producer
 returns the file's exact text, or one text per path when one run makes
-several files.  The one test compares every path and, on a mismatch,
-names the path, the first differing line and both versions of it.  The
-four run manifests (``MANIFESTS``) are not entries: they are
-replay-verified by ``tests/test_check_golden_tables.py`` and are never
-re-recorded.
+several files.  The one test compares every path byte for byte and, on
+a mismatch, names the path, the first differing line and both versions
+of it.  A run manifest (``tests/data/manifest_*.json``) is recorded
+again from its own ``params``; the test replays the committed file
+instead, so a drift names the first divergent event with kernel
+context.
 
 Regenerate on purpose only, every entry or those with a path matching
 a glob::
@@ -36,6 +37,12 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:       # run as a script
     sys.path.insert(0, str(ROOT))
 
+from repro.check import (
+    RunManifest,
+    record_sched_manifest,
+    record_simmpi_manifest,
+    replay_manifest,
+)
 from tests import archives
 from tests import test_guest_cycles_golden as guest_cycles
 from tests import test_ledger_golden as ledger
@@ -44,29 +51,54 @@ from tests import test_nbody_replicated as replicated
 from tests import test_platform_physicals as physicals
 from tests import test_sched_kill_paths as kill_paths
 
-#: Committed, but checked by replaying them rather than by bytes.
-MANIFESTS = (
-    "tests/data/golden_fig3.json",
-    "tests/data/golden_table2.json",
-    "tests/data/manifest_rack_storm.json",
-    "tests/data/manifest_sched_small.json",
-)
-
 
 def _json(doc, **options):
     return json.dumps(doc, indent=1, **options) + "\n"
 
 
 def _json_rows(doc):
-    """JSON with every list on one line, so a moved number diffs as one
-    row."""
-    return re.sub(
-        r"\[[^\]]*\]", lambda m: " ".join(m.group().split()), _json(doc)
-    )
+    """JSON with every innermost list on one line, so a moved number
+    diffs as one row; a key's list of strings (rendered text) keeps one
+    string a line."""
+    def one_line(match):
+        key, body = match.groups()
+        items = [item.strip() for item in body[1:-1].split(",\n")]
+        if body == "[]" or key and all(i.startswith('"') for i in items):
+            return match.group()
+        return f"{key or ''}[ {', '.join(items)} ]"
+
+    return re.sub(r'(": )?(\[[^\[\]]*\])', one_line, _json(doc))
 
 
-#: (path, producer) or ((path, ...), producer returning one text each).
+def _rerecorded(path, root):
+    """The run manifest at *root*/*path*, recorded again from its own
+    ``params``."""
+    manifest = RunManifest.load(root / path)
+    params = dict(manifest.params)
+    record = {"sched": record_sched_manifest,
+              "simmpi": record_simmpi_manifest}[manifest.kind]
+    return record(params.pop("seed"), **params).to_json()
+
+
+def _replayed(file):
+    return replay_manifest(RunManifest.load(file))
+
+
+def _manifest(path):
+    return (path, functools.partial(_rerecorded, path), _replayed)
+
+
+#: (path, producer) or ((path, ...), producer returning one text each);
+#: a run manifest is (path, recorder, replay): ``recorder(root)`` records
+#: it again from the file it replaces under *root*, and the test runs
+#: ``replay(file)`` in place of a byte compare.
 ARTIFACTS = [
+    ("tests/data/golden_table2.json",
+     lambda: _json_rows(archives.golden_table2())),
+    ("tests/data/golden_fig3.json",
+     lambda: _json_rows(archives.golden_fig3())),
+    _manifest("tests/data/manifest_rack_storm.json"),
+    _manifest("tests/data/manifest_sched_small.json"),
     ("tests/data/guest_cycles_golden.json",
      lambda: _json_rows(guest_cycles.measure())),
     ("tests/data/golden_platform_physicals.json",
@@ -113,29 +145,43 @@ def _paths(entry):
     return (paths,) if isinstance(paths, str) else paths
 
 
-@functools.cache
-def _produce(entry):
-    """{path: text} of one entry."""
-    texts = entry[1]()
-    return dict(zip(_paths(entry), (texts,) if isinstance(texts, str)
-                    else texts, strict=True))
+def _make(entry, root=ROOT):
+    """{path: text} of one entry, made now."""
+    paths, producer = _paths(entry), entry[1]
+    texts = producer(root) if len(entry) == 3 else producer()
+    return dict(zip(paths, (texts,) if isinstance(texts, str) else texts,
+                    strict=True))
 
+
+#: One run of each entry per session, shared by every test that reads it.
+_produce = functools.cache(_make)
 
 _ENTRY = {path: entry for entry in ARTIFACTS for path in _paths(entry)}
 
 
-@pytest.mark.parametrize("path", _ENTRY)
-def test_committed_output_is_what_its_producer_makes(path):
-    made = _produce(_ENTRY[path])[path]
-    committed = (ROOT / path).read_text()
+@functools.cache
+def mismatch(path, root=ROOT):
+    """Where *root*/*path* differs from what its entry makes, or None."""
+    entry = _ENTRY[path]
+    if len(entry) == 3:
+        report = entry[2](root / path)
+        return None if report.ok else f"{path}: {report.format()}"
+    made = _produce(entry)[path]
+    committed = (root / path).read_text()
     if made == committed:
-        return
+        return None
     lines = zip_longest(committed.splitlines(), made.splitlines())
     for number, (old, new) in enumerate(lines, 1):
         if old != new:
-            pytest.fail(f"{path}:{number}: committed {old!r}, "
-                        f"made {new!r}", pytrace=False)
-    pytest.fail(f"{path}: line endings differ", pytrace=False)
+            return f"{path}:{number}: committed {old!r}, made {new!r}"
+    return f"{path}: line endings differ"
+
+
+@pytest.mark.parametrize("path", _ENTRY)
+def test_committed_output_is_what_its_producer_makes(path):
+    problem = mismatch(path)
+    if problem is not None:
+        pytest.fail(problem, pytrace=False)
 
 
 def test_every_committed_output_is_listed_once():
@@ -146,9 +192,8 @@ def test_every_committed_output_is_listed_once():
         for folder in ("tests/data", "benchmarks/results")
         for path in (ROOT / folder).rglob("*") if path.is_file()
     }
-    known = set(listed) | set(MANIFESTS)
-    assert committed - known == set(), "committed but not listed"
-    assert known - committed == set(), "listed but missing"
+    assert committed - set(listed) == set(), "committed but not listed"
+    assert set(listed) - committed == set(), "listed but missing"
 
 
 def write(glob="*", artifacts=ARTIFACTS, root=ROOT):
@@ -162,13 +207,14 @@ def write(glob="*", artifacts=ARTIFACTS, root=ROOT):
         return 1
     for entry in chosen:
         try:
-            texts = _produce(entry)
+            texts = _make(entry, root)
         except Exception as exc:
             traceback.print_exc()
             failed.append(_paths(entry))
             print(f"FAILED {' '.join(_paths(entry))}: {exc!r}")
             continue
         for path, text in texts.items():
+            (root / path).parent.mkdir(parents=True, exist_ok=True)
             (root / path).write_text(text)
             print(f"wrote {path}")
     if failed:
@@ -194,6 +240,30 @@ def test_a_failing_producer_writes_nothing_and_stops_nothing(
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "a.txt", "b.txt", "first.txt", "old.txt"]
     assert (tmp_path / "b.txt").read_text() == "b\n"
+
+
+def test_writing_twice_changes_nothing_the_second_time(tmp_path, capsys):
+    # The manifests are recorded from the files they replace, so a
+    # second --write must find the first one's output a fixed point:
+    # the committed files already are.
+    glob = "tests/data/manifest_*"
+    for path in fnmatch.filter(_ENTRY, glob):
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text((ROOT / path).read_text())
+
+    def snapshot():
+        return {path: (tmp_path / path).read_bytes()
+                for path in fnmatch.filter(_ENTRY, glob)}
+
+    committed = snapshot()
+    assert write(glob, root=tmp_path) == 0
+    first = snapshot()
+    assert write(glob, root=tmp_path) == 0
+    assert snapshot() == first == committed
+    assert write("tests/data/golden_t*", root=tmp_path / "empty") == 0
+    assert (tmp_path / "empty/tests/data/golden_table2.json").read_text() \
+        == (ROOT / "tests/data/golden_table2.json").read_text()
+    capsys.readouterr()
 
 
 if __name__ == "__main__":

@@ -41,8 +41,6 @@ from repro.sched.campaign import (
     campaign_overrides,
 )
 
-DATA = Path(__file__).parent / "data"
-
 
 # -- one table ---------------------------------------------------------------
 
@@ -90,9 +88,11 @@ def test_params_are_validated_before_anything_is_built():
     ("--max-retries", "-1", "max_retries"),
     ("--jobs", "0", "jobs"),
 ])
-def test_cli_refuses_a_campaign_that_cannot_run(flag, value, names):
-    with pytest.raises(ValueError, match=names):
+def test_cli_refuses_a_campaign_that_cannot_run(capsys, flag, value, names):
+    with pytest.raises(SystemExit) as exit_:
         main(["sched", "--jobs", "5", flag, value])
+    assert exit_.value.code == 2
+    assert f"argument {flag}: must be >=" in capsys.readouterr().err
 
 
 def test_every_numeric_row_declares_a_domain():
@@ -120,17 +120,35 @@ def test_every_numeric_parameter_is_checked_against_its_domain(key, bad):
 def test_check_record_refuses_a_campaign_that_cannot_run(tmp_path):
     # Was: exit 0, with "mtbf":NaN written into the manifest.
     path = tmp_path / "manifest.json"
-    with pytest.raises(ValueError, match="mtbf"):
+    with pytest.raises(SystemExit) as exit_:
         main(["check", "--record", str(path), "--jobs", "3",
               "--mtbf", "nan"])
+    assert exit_.value.code == 2
     assert not path.exists()
 
 
-def test_absent_keys_mean_the_defaults():
-    # The committed manifest predates half the table: eight keys.
-    short = json.loads(
-        (DATA / "manifest_sched_small.json").read_text()
-    )["params"]
+@pytest.mark.parametrize("command", ["sched", "check"])
+@pytest.mark.parametrize("flag, value", [
+    pytest.param(flag, value, id=f"{flag}={value}")
+    for _, _, flag, domain, _ in CAMPAIGN_PARAMETERS if domain is not None
+    for value in ("nan", str(int(domain.low) - 1) if domain.whole else "0")
+])
+def test_a_campaign_flag_outside_its_domain_is_a_usage_error(
+        tmp_path, capsys, command, flag, value):
+    # Was: a ValueError traceback from campaign_params (sched --mtbf nan).
+    out = tmp_path / "out"
+    where = ("--telemetry" if command == "sched" else "--record", str(out))
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *where, flag, value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_absent_keys_mean_the_defaults(preplatform_manifest):
+    # A manifest recorded before half the table existed: eight keys.
+    short = preplatform_manifest.params
     assert len(short) == 8 and set(short) < set(CAMPAIGN_DEFAULTS) | {"seed"}
     full = {**CAMPAIGN_DEFAULTS, **short}
     assert full != short

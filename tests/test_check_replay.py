@@ -147,6 +147,9 @@ HOSTILE = {
     "bogus-kind": (_hostile(kind="bogus"), "unknown manifest kind 'bogus'"),
     "fuzz-failure": (_hostile(kind="fuzz-failure"),
                      "unknown manifest kind 'fuzz-failure'"),
+    # Table 2 and Fig. 3 are committed documents now, not manifests.
+    "table2-kind": (_hostile(kind="table2"),
+                    "unknown manifest kind 'table2'"),
 }
 
 

@@ -63,6 +63,38 @@ def test_treecode_counts_that_cannot_run_are_usage_errors(capsys, argv):
     assert f"argument {argv.split()[1]}: must be >=" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "timeline --limit -3",      # was: 50 events, then "(56 more events)"
+    "timeline --fail-rank -1",
+    "timeline --fail-at nan",   # was: a traceback
+    "timeline --seed -1",
+    "timeline --thermal-accel 0",   # was: a traceback
+    "timeline --net-fault --net-mtbf nan",  # was: a traceback
+    "timeline --net-mttr 0",
+    "table2 --seed -1",
+    "table2 --jobs -2",         # was: silently serial
+    "fig3 --seeds 7 -1",
+    "fig3 --jobs 0",
+    "sched --width 0",          # was: a traceback
+    "sched --seeds nan",
+    "sched --procs 0",
+])
+def test_numeric_flags_outside_their_domain_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv.split())
+    assert exit_.value.code == 2
+    flag = next(w for w in reversed(argv.split()) if w.startswith("--"))
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+
+
+def test_a_fail_rank_outside_the_world_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["timeline", "--ranks", "4", "--fail-rank", "4"])
+    assert exit_.value.code == 2
+    assert "--fail-rank must be < --ranks (4), got 4" in (
+        capsys.readouterr().err)
+
+
 def test_cli_topper(capsys):
     assert main(["topper"]) == 0
     assert "ToPPeR" in capsys.readouterr().out

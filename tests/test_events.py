@@ -640,6 +640,9 @@ def test_render_timeline_formats_and_limits():
     assert "src=0" in text and "src=1" in text
     assert "src=4" not in text
     assert "3 more events" in text
+    # Was: a negative limit cut from the end and overcounted the rest.
+    with pytest.raises(ValueError, match="limit must be an int >= 0"):
+        render_timeline(by_time(events), limit=-3)
 
 
 def test_experiment_timeline_end_to_end():

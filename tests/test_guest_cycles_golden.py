@@ -12,6 +12,7 @@ file on purpose::
     PYTHONPATH=src python tests/test_artifacts.py --write 'tests/data/guest_cycles_golden.json'
 """
 
+import functools
 import json
 from pathlib import Path
 
@@ -44,6 +45,7 @@ def _program(seed):
     return random_program(seed, blocks=4, block_len=12, loop_trips=20)
 
 
+@functools.cache
 def measure():
     cms = {
         name: [

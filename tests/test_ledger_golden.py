@@ -19,6 +19,7 @@ The golden files are regenerated on purpose only, from any commit::
 
 import ast
 import contextlib
+import functools
 import io
 import tempfile
 from dataclasses import fields, replace
@@ -83,6 +84,7 @@ def _hot(platform, kill_c):
     )
 
 
+@functools.cache
 def _run(row):
     """(stdout, metrics.jsonl without wall.* lines) of one row."""
     argv, platform, kill_c = ROWS[row]

@@ -14,6 +14,7 @@ purpose::
     PYTHONPATH=src python tests/test_artifacts.py --write 'tests/data/message_trace_golden.json'
 """
 
+import functools
 import hashlib
 import json
 from collections import defaultdict
@@ -97,6 +98,7 @@ def digest(events):
     }
 
 
+@functools.cache
 def measure():
     return {
         f"{kind}/{'retry' if retry else 'plain'}": digest(record(kind, retry))
@@ -108,7 +110,7 @@ def measure():
 def test_message_trace_matches_golden(kind, retry):
     name = f"{kind}/{'retry' if retry else 'plain'}"
     golden = json.loads(GOLDEN.read_text())[name]
-    measured = digest(record(kind, retry))
+    measured = measure()[name]
     for trace_kind, row in measured["kinds"].items():
         assert row == golden["kinds"].get(trace_kind), (name, trace_kind)
     assert measured == golden

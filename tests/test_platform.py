@@ -17,16 +17,10 @@ Covers the issue's acceptance surface:
 """
 
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-from repro.check.manifest import RunManifest
-from repro.check.replay import (
-    record_sched_manifest,
-    replay_manifest,
-    verify_golden_manifest,
-)
+from repro.check.replay import record_sched_manifest, replay_manifest
 from repro.core.experiments import (
     experiment_table2,
     experiment_table5,
@@ -44,8 +38,6 @@ from repro.platform import (
 )
 from repro.platform.smoke import run_smoke, smoke_platform
 from repro.sched import BatchScheduler, SchedConfig, synthetic_stream
-
-DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +199,6 @@ def test_table2_platform_metablade_matches_default():
     assert "on MetaBlade" in default.text
 
 
-def test_table2_golden_manifest_still_verifies():
-    report = verify_golden_manifest(
-        RunManifest.load(DATA / "golden_table2.json")
-    )
-    assert report.ok, report.format()
-
-
 def test_table5_from_registry_platforms_matches_default():
     default = experiment_table5()
     clusters = [
@@ -340,8 +325,8 @@ def test_vanished_platform_is_drift_too():
     assert "no longer exists" in report.platform_drift
 
 
-def test_preplatform_manifest_still_replays():
-    manifest = RunManifest.load(DATA / "manifest_sched_small.json")
+def test_preplatform_manifest_still_replays(preplatform_manifest):
+    manifest = preplatform_manifest
     assert "platform" not in manifest.params
     assert "platform_hash" not in manifest.payload
     report = replay_manifest(manifest)

@@ -13,6 +13,7 @@ The golden file is regenerated on purpose only, from any commit::
     PYTHONPATH=src python tests/test_artifacts.py --write 'tests/data/sched_kill_paths_golden.json'
 """
 
+import functools
 import hashlib
 import json
 from dataclasses import replace
@@ -161,14 +162,20 @@ def _exercised(outcome):
     return seen
 
 
+@functools.cache
+def _measured(name):
+    """(outcome, fingerprint) of one row, run once per session."""
+    return _fingerprint(ROWS[name][0])
+
+
 def measure():
-    return {name: _fingerprint(row)[1] for name, (row, _) in ROWS.items()}
+    return {name: _measured(name)[1] for name in ROWS}
 
 
 @pytest.mark.parametrize("name", ROWS)
 def test_attempt_endings_match_the_commit_before_the_fold(name):
-    row, must_show = ROWS[name]
-    outcome, fingerprint = _fingerprint(row)
+    must_show = ROWS[name][1]
+    outcome, fingerprint = _measured(name)
     seen = _exercised(outcome)
     assert {k: seen[k] for k in must_show} == must_show
     assert fingerprint == json.loads(GOLDEN.read_text())[name]
