@@ -7,14 +7,25 @@ packaging means chassis-affine: blades 0..23 share the MetaBlade
 chassis, so co-scheduled ranks land on neighbouring slots the way the
 management hub sees them.
 
-Every state change appends to an interval log — ``(blade, t0, t1,
-kind, label)`` — which is simultaneously the utilization ledger and
-the data behind :func:`repro.sched.gantt.render_gantt`.
+Every state change lands in an interval log — ``(blade, t0, t1, kind,
+label)`` — which is simultaneously the utilization ledger and the data
+behind :func:`repro.sched.gantt.render_gantt`.  The ledger costs O(1)
+objects per job, not per blade: blade sets are int bit masks, an
+attempt is one open entry and one closed row ``(blades, t0, t1, kind,
+label)``, and :attr:`BladeAllocator.intervals` expands each pending
+row into one :class:`BladeInterval` per blade, blades in order, when
+read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple,
+)
+
+from repro.core.domains import whole
+
+_WIDTH = whole(1)
 
 
 class BladeInterval(NamedTuple):
@@ -31,15 +42,23 @@ class BladeAllocator:
     """Tracks which blades a job holds and what every blade is doing."""
 
     def __init__(self, nodes: int) -> None:
-        if nodes < 1:
-            raise ValueError("need at least one blade")
+        _WIDTH.check("BladeAllocator.nodes", nodes)
         self.nodes = nodes
-        self._free = set(range(nodes))
-        self._down = set()
-        self._job_blades: Dict[int, Tuple[int, ...]] = {}
-        self._blade_job: Dict[int, int] = {}
-        self._open: Dict[int, Tuple[float, str, str]] = {}
-        self.intervals: List[BladeInterval] = []
+        #: Bit *b* set: blade *b* is free / down / held by a job.
+        self._free = (1 << nodes) - 1
+        self._down = 0
+        self._busy = 0
+        #: job id -> (blades, mask) it holds.
+        self._held: Dict[int, Tuple[Tuple[int, ...], int]] = {}
+        #: Open intervals in the order they opened, as ``(blades, start,
+        #: kind, label)``: one per attempt, keyed by its job id, and one
+        #: per down blade, keyed ``("down", blade)``.
+        self._open: Dict[Hashable, Tuple[Any, ...]] = {}
+        #: Closed, not yet expanded: ``(blades, start, end, kind,
+        #: label)``, one interval of every blade in ``blades``.  A busy
+        #: row's label is the job id, formatted when the row is expanded.
+        self._rows: List[Tuple[Any, ...]] = []
+        self._intervals: List[BladeInterval] = []
         #: Running totals alongside the interval log, so the per-call
         #: busy/down queries stay O(1) (the metrics layer polls them
         #: inside scheduler loops).
@@ -50,10 +69,35 @@ class BladeAllocator:
 
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        return self._free.bit_count()
 
     def job_on(self, blade: int) -> Optional[int]:
-        return self._blade_job.get(blade)
+        # A scan of the running jobs: only failures ask.
+        for job_id, (blades, _mask) in self._held.items():
+            if blade in blades:
+                return job_id
+        return None
+
+    @property
+    def intervals(self) -> List[BladeInterval]:
+        """The closed intervals, one per blade, in the order they closed.
+
+        Always the same list object: rows closed since the last read
+        are expanded onto its end on each read, so anything appended by
+        a caller stays where it was put.  Append to a fresh read: an
+        entry appended to a list held across a release lands before
+        that release's intervals, not after them.
+        """
+        out = self._intervals
+        for blades, start, end, kind, label in self._rows:
+            if kind == "busy":
+                label = str(label)
+            out.extend(
+                BladeInterval(blade, start, end, kind, label)
+                for blade in blades
+            )
+        self._rows.clear()
+        return out
 
     # -- allocation --------------------------------------------------------
 
@@ -67,90 +111,118 @@ class BladeAllocator:
         entries win, and the returned tuple is index-sorted either way
         so downstream placement and traces stay canonical.
         """
-        if job_id in self._job_blades:
+        # Two compares for a valid width; the domain words the refusal.
+        if nodes.__class__ is not int or nodes < 1:
+            _WIDTH.check("nodes", nodes)
+        if job_id in self._held:
             raise ValueError(f"job {job_id} already holds blades")
-        if nodes > len(self._free):
+        free = left = self._free
+        if nodes > free.bit_count():
             raise ValueError(
-                f"job {job_id} wants {nodes} blades, {len(self._free)} free"
+                f"job {job_id} wants {nodes} blades, "
+                f"{free.bit_count()} free"
             )
+        picked = []
         if order is None:
-            blades = tuple(sorted(self._free)[:nodes])
+            for _ in range(nodes):
+                low = left & -left
+                picked.append(low.bit_length() - 1)
+                left ^= low
+            blades = tuple(picked)
         else:
-            preferred = [b for b in order if b in self._free]
-            if len(preferred) < nodes:
+            for blade in order:
+                # Blades outside the machine are skipped, never shifted.
+                if 0 <= blade and left >> blade & 1:
+                    left ^= 1 << blade
+                    picked.append(blade)
+                    if len(picked) == nodes:
+                        break
+            else:
                 raise ValueError(
                     f"job {job_id}: preference order covers "
-                    f"{len(preferred)} free blades, needs {nodes}"
+                    f"{len(picked)} free blades, needs {nodes}"
                 )
-            blades = tuple(sorted(preferred[:nodes]))
-        opened = (now, "busy", str(job_id))
-        for blade in blades:
-            self._free.remove(blade)
-            self._blade_job[blade] = job_id
-            self._open[blade] = opened
-        self._job_blades[job_id] = blades
+            blades = tuple(sorted(picked))
+        mask = free ^ left
+        self._free = left
+        self._busy |= mask
+        self._held[job_id] = (blades, mask)
+        self._open[job_id] = (blades, now, "busy", job_id)
         return blades
 
     def release(self, job_id: int, now: float) -> Tuple[int, ...]:
         """Return a job's blades; down blades stay down."""
-        blades = self._job_blades.pop(job_id, ())
-        for blade in blades:
-            self._blade_job.pop(blade, None)
-            self._close(blade, now)
-            if blade not in self._down:
-                self._free.add(blade)
+        held = self._held.pop(job_id, None)
+        if held is None:
+            return ()
+        blades, mask = held
+        self._busy ^= mask
+        dead = self._down & mask
+        self._free |= mask ^ dead
+        opened = self._open.pop(job_id, None)
+        if opened is None:               # closed by :meth:`finish`
+            return blades
+        self._close(opened, now)
+        if dead:
+            # Blades that died while busy: their outage continues.
+            label = str(job_id)
+            for blade in blades:
+                if dead >> blade & 1:
+                    self._open["down", blade] = ((blade,), now, "down", label)
         return blades
 
     # -- failures ----------------------------------------------------------
 
-    def mark_down(self, blade: int, now: float, detail: str = "") -> None:
-        """Take a blade out of service (caller kills any resident job)."""
+    def _bit(self, blade: int) -> int:
         if not 0 <= blade < self.nodes:
             raise ValueError(f"blade {blade} outside 0..{self.nodes - 1}")
-        if blade in self._down:
+        return 1 << blade
+
+    def mark_down(self, blade: int, now: float, detail: str = "") -> None:
+        """Take a blade out of service (caller kills any resident job)."""
+        bit = self._bit(blade)
+        if self._down & bit:
             return
-        self._down.add(blade)
-        self._free.discard(blade)
-        if blade not in self._blade_job:
-            # Idle blade: open its down interval immediately.  A busy
-            # blade's down interval opens when its job releases it.
-            self._close(blade, now)
-            self._open[blade] = (now, "down", detail)
+        self._down |= bit
+        if self._busy & bit:
+            # A busy blade's down interval opens when its job releases it.
+            return
+        self._free ^= bit
+        self._open["down", blade] = ((blade,), now, "down", detail)
 
     def mark_up(self, blade: int, now: float) -> None:
         """Repair: the blade rejoins the free pool."""
-        if blade not in self._down:
+        bit = self._bit(blade)
+        if not self._down & bit:
             return
-        self._down.remove(blade)
-        if blade in self._blade_job:      # job still draining its kill
+        self._down ^= bit
+        if self._busy & bit:              # job still draining its kill
             return
-        self._close(blade, now)
-        self._free.add(blade)
+        opened = self._open.pop(("down", blade), None)
+        if opened is not None:
+            self._close(opened, now)
+        self._free |= bit
 
     # -- the interval log ---------------------------------------------------
 
-    def _close(self, blade: int, now: float) -> None:
-        opened = self._open.pop(blade, None)
-        if opened is None:
+    def _close(self, opened, now: float) -> None:
+        blades, start, kind, label = opened
+        if now <= start:
             return
-        start, kind, label = opened
-        if now > start:
-            self.intervals.append(
-                BladeInterval(blade, start, now, kind, label)
-            )
-            if kind == "busy":
-                self._busy_s += now - start
-            else:
-                self._down_s += now - start
-        if kind == "busy" and blade in self._down:
-            # The blade died while busy: its outage continues.
-            self._open[blade] = (now, "down", label)
+        self._rows.append((blades, start, now, kind, label))
+        if kind == "busy":
+            busy_s = self._busy_s
+            for _ in blades:
+                busy_s += now - start
+            self._busy_s = busy_s
+        else:
+            self._down_s += now - start
 
     def finish(self, now: float) -> None:
         """Close every open interval at the end of the simulation."""
-        for blade in list(self._open):
-            self._close(blade, now)
-            self._open.pop(blade, None)
+        for opened in self._open.values():
+            self._close(opened, now)
+        self._open.clear()
 
     def busy_node_seconds(self) -> float:
         return self._busy_s

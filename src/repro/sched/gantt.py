@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from repro.core.domains import NONNEGATIVE, whole
 from repro.sched.allocator import BladeInterval
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -27,11 +28,10 @@ def _job_symbol(label: str) -> str:
 def render_gantt(intervals: Sequence[BladeInterval], nodes: int,
                  makespan_s: float, width: int = 72) -> str:
     """Render the blade occupancy log as an ASCII chart."""
-    if nodes < 1:
-        raise ValueError("need at least one blade row")
-    if width < 8:
-        raise ValueError("need at least 8 columns")
-    if makespan_s <= 0:
+    whole(1).check("nodes", nodes)
+    whole(8).check("width", width)
+    NONNEGATIVE.check("makespan_s", makespan_s)
+    if makespan_s == 0:
         return "(empty timeline)"
     dt = makespan_s / width
     rows: List[List[str]] = [["."] * width for _ in range(nodes)]

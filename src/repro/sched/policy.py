@@ -18,12 +18,10 @@ it uses only blades the head won't need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class QueuedJob:
+class QueuedJob(NamedTuple):
     """Read-only queue entry handed to policies."""
 
     job_id: int
@@ -31,8 +29,7 @@ class QueuedJob:
     est_runtime_s: float
 
 
-@dataclass(frozen=True)
-class RunningJob:
+class RunningJob(NamedTuple):
     """Read-only running entry handed to policies."""
 
     job_id: int

@@ -578,11 +578,7 @@ class BatchScheduler:
             key=(spec.arrival_s, spec.job_id),
             record=record,
             ready_s=ready_s,
-            view=QueuedJob(
-                job_id=spec.job_id,
-                nodes=spec.nodes,
-                est_runtime_s=spec.walltime_est_s,
-            ),
+            view=QueuedJob(spec.job_id, spec.nodes, spec.walltime_est_s),
         )
         insort(self._queue, entry)
 
@@ -655,9 +651,7 @@ class BatchScheduler:
         running = _RunningJob(
             record=record, blades=blades, attempt=attempt,
             view=RunningJob(
-                job_id=spec.job_id,
-                nodes=spec.nodes,
-                est_end_s=now + spec.walltime_est_s,
+                spec.job_id, spec.nodes, now + spec.walltime_est_s
             ),
         )
         self._running[spec.job_id] = running

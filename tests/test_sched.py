@@ -417,6 +417,21 @@ def test_gantt_renders_jobs_and_outages():
     assert any(ch.isalnum() for ch in lines[2].split("|")[1])
 
 
+@pytest.mark.parametrize("name, value", [
+    # NaN once drew an all-idle chart labelled ``t=nans``; inf ``t=infs``.
+    ("makespan_s", math.nan), ("makespan_s", math.inf), ("makespan_s", -1.0),
+    ("nodes", 0), ("nodes", 2.0), ("width", 7), ("width", True),
+])
+def test_gantt_refuses_arguments_outside_their_domains(name, value):
+    args = {"nodes": 4, "makespan_s": 1.0, "width": 8, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        render_gantt([], **args)
+
+
+def test_gantt_of_an_empty_timeline():
+    assert render_gantt([], nodes=4, makespan_s=0.0) == "(empty timeline)"
+
+
 def test_scheduler_rejects_bad_submissions():
     sched = make_sched()
     job = MicrokernelSweep()
