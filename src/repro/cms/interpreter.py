@@ -10,9 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.domains import whole
 from repro.isa.instructions import Program
 from repro.isa.machine import Machine
 from repro.vliw.engine import VliwEngine
+
+#: ``CmsConfig.interpret_cycles_per_instr``'s domain.
+_CYCLES = whole(1)
 
 
 @dataclass
@@ -34,6 +38,7 @@ class GuestInterpreter:
     """
 
     def __init__(self, engine: VliwEngine, cycles_per_instr: int = 20) -> None:
+        _CYCLES.check("GuestInterpreter.cycles_per_instr", cycles_per_instr)
         self.engine = engine
         self.cycles_per_instr = cycles_per_instr
         self.stats = InterpreterStats()

@@ -14,6 +14,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cms.translator import Translation
+from repro.core.domains import whole
+
+#: ``CmsConfig.tcache_bytes``'s domain.
+_BYTES = whole(1)
 
 
 @dataclass
@@ -33,8 +37,7 @@ class TranslationCache:
     """LRU cache of :class:`Translation` objects with a byte budget."""
 
     def __init__(self, capacity_bytes: int = 1 << 20) -> None:
-        if capacity_bytes < 1:
-            raise ValueError("capacity must be positive")
+        _BYTES.check("TranslationCache.capacity_bytes", capacity_bytes)
         self.capacity_bytes = capacity_bytes
         self._entries: "OrderedDict[int, Translation]" = OrderedDict()
         self._used_bytes = 0

@@ -11,10 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.domains import whole
 from repro.isa.instructions import Program
 from repro.vliw.engine import TranslatedBlock, VliwEngine, translate_block
 from repro.vliw.molecules import FULL_FORMAT, SlotLimits
 from repro.vliw.units import TM5600_LATENCIES, LatencyTable
+
+#: ``CmsConfig.translate_cycles_per_instr``'s domain.
+_CYCLES = whole(0)
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,7 @@ class Translator:
                  latencies: LatencyTable = TM5600_LATENCIES,
                  limits: SlotLimits = FULL_FORMAT,
                  cycles_per_instr: int = 1_000) -> None:
+        _CYCLES.check("Translator.cycles_per_instr", cycles_per_instr)
         self.engine = engine
         self.latencies = latencies
         self.limits = limits

@@ -6,15 +6,15 @@ import sys
 
 import pytest
 
-from repro.cms import CmsConfig, CodeMorphingSoftware
+from repro.cms import CmsConfig, CodeMorphingSoftware, GuestInterpreter
 from repro.cms.tcache import TranslationCache
-from repro.cms.translator import Translation
+from repro.cms.translator import Translation, Translator
 from repro.isa import programs
 from repro.isa.assembler import assemble
 from repro.isa.instructions import Program
 from repro.isa.machine import GuestFault, run_program
 from repro.isa.randprog import random_program, random_state
-from repro.vliw.engine import translate_block
+from repro.vliw.engine import VliwEngine, translate_block
 
 
 def test_config_validation():
@@ -215,3 +215,32 @@ def test_guest_running_off_its_end_faults_instead_of_hanging():
     ]
     with pytest.raises(GuestFault, match=message):
         run_program(assemble("li r1, 5\naddi r1, r1, 1"))
+
+
+_NOT_WHOLE = [float("nan"), float("inf"), 2.5, True, -5]
+
+
+@pytest.mark.parametrize("value", _NOT_WHOLE + [0], ids=repr)
+def test_interpreter_refuses_cycles_outside_its_domain(value):
+    """``whole(1)``, as ``CmsConfig.interpret_cycles_per_instr``: refused
+    at construction, not after a block has half-run (-5) or with a NaN
+    clock."""
+    with pytest.raises(ValueError,
+                       match="GuestInterpreter.cycles_per_instr must be"):
+        GuestInterpreter(VliwEngine(), cycles_per_instr=value)
+
+
+@pytest.mark.parametrize("value", _NOT_WHOLE, ids=repr)
+def test_translator_refuses_cycles_outside_its_domain(value):
+    with pytest.raises(ValueError,
+                       match="Translator.cycles_per_instr must be"):
+        Translator(VliwEngine(), cycles_per_instr=value)
+    Translator(VliwEngine(), cycles_per_instr=0)   # free translation: legal
+
+
+@pytest.mark.parametrize("value", _NOT_WHOLE + [0], ids=repr)
+def test_tcache_refuses_capacity_outside_its_domain(value):
+    """A NaN capacity used to be accepted and never evicted."""
+    with pytest.raises(ValueError,
+                       match="TranslationCache.capacity_bytes must be"):
+        TranslationCache(value)

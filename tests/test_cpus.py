@@ -60,6 +60,22 @@ def test_simulator_rejects_bad_parameters():
         PortSimulator(table, issue_width=2, window=-1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"window": float("nan")},     # used to model an unbounded buffer
+    {"window": 2.5},
+    {"window": True},
+    {"issue_width": True},
+    {"issue_width": 2.0},
+    {"issue_width": float("nan")},
+], ids=repr)
+def test_simulator_refuses_values_outside_their_domains(kwargs):
+    table = make_port_table()
+    kwargs = {"issue_width": 3, **kwargs}
+    name = "window" if "window" in kwargs else "issue_width"
+    with pytest.raises(ValueError, match=f"PortSimulator.{name} must be"):
+        PortSimulator(table, **kwargs)
+
+
 @pytest.mark.parametrize(
     "cpu",
     [PENTIUM_III_500, ALPHA_EV56_533, POWER3_375, ATHLON_MP_1200],

@@ -19,12 +19,15 @@ from repro.cpus.catalog import (
     PENTIUM_III_500,
     POWER3_375,
 )
-from repro.cpus.portsim import PortSimulator
+from repro.cpus import portsim
+from repro.cpus.portsim import PortSimulator, PortTimeline, SimOutcome
+from repro.isa import programs
 from repro.isa.assembler import assemble
-from repro.isa.instructions import OpClass
+from repro.isa.instructions import Instr, Op, OpClass, Program
 from repro.isa.machine import GuestFault, Machine, MachineState, run_program
 from repro.isa.randprog import random_program, random_state
-from repro.vliw.engine import VliwEngine
+from repro.vliw import engine as engine_module
+from repro.vliw.engine import TimingMemo, VliwEngine
 from repro.vliw.molecules import FULL_FORMAT, NARROW_FORMAT
 from repro.vliw.units import UnitKind
 
@@ -358,3 +361,406 @@ def test_taken_branch_to_the_next_instruction_counts_as_taken():
     assert machine.state.pc == reference.state.pc == 4
     outcome = _cms_outcome(CmsConfig(hot_threshold=1), program, None)
     assert outcome[1:3] == (4, reference.stats)
+
+
+# -- the port simulator: block plans against single steps --------------------
+#
+# ``PortSimulator.simulate`` runs each decoded block's handlers itself and
+# books an idle port calendar with two appends.  The reference is the
+# simulator it replaced: one ``Machine.step`` per instruction, every port
+# booked through ``probe`` and ``commit``.
+
+_HARDWARE = [PENTIUM_III_500, ALPHA_EV56_533, POWER3_375, ATHLON_MP_1200]
+
+
+def _issue_by_probe(self, record, mem_addr):
+    (latency, occupancy, ports, srcs, dst, is_load, is_store,
+     _, _) = record
+    dispatch_ring = self._dispatch_ring
+    dispatch = 0
+    if dispatch_ring:
+        dispatch = dispatch_ring[-1]
+        if len(dispatch_ring) == dispatch_ring.maxlen:
+            oldest = dispatch_ring[0] + 1
+            if oldest > dispatch:
+                dispatch = oldest
+    window = self.window
+    if window > 0:
+        retire_ring = self._retire_ring
+        if len(retire_ring) == window and retire_ring[0] > dispatch:
+            dispatch = retire_ring[0]
+    dispatch_ring.append(dispatch)
+    t = dispatch
+    reg_ready = self._reg_ready
+    for src in srcs:
+        ready = reg_ready.get(src, 0)
+        if ready > t:
+            t = ready
+    if is_load and mem_addr is not None:
+        ready = self._store_issue_by_addr.get(mem_addr, 0)
+        if ready > t:
+            t = ready
+    if window == 0 and self._last_issue > t:
+        t = self._last_issue
+    port = ports[0]
+    index, start = port.probe(t, occupancy)
+    for other in ports[1:]:
+        other_index, other_start = other.probe(t, occupancy)
+        if other_start < start:
+            port, index, start = other, other_index, other_start
+    port.commit(index, start, occupancy)
+    t = start
+    self._last_issue = t
+    done = t + latency
+    if dst is not None:
+        reg_ready[dst] = done
+    if is_store and mem_addr is not None:
+        self._store_issue_by_addr[mem_addr] = t
+    retire = done if done > self._last_retire else self._last_retire
+    self._last_retire = retire
+    if window > 0:
+        retire_ring.append(retire)
+    if done > self._horizon:
+        self._horizon = done
+
+
+def _simulate_by_instruction(self, program, state=None, max_steps=10_000_000):
+    self._reset()
+    machine = portsim.Machine(state=state, max_steps=max_steps)
+    st = machine.state
+    records = {}
+    steps = 0
+    while not st.halted:
+        record = records.get(st.pc)
+        if record is None:
+            record = records[st.pc] = self._decode(machine.fetch(program))
+        base = record.base
+        addr = None if base is None else st.iregs[base] + record.offset
+        machine.step(program)
+        self._issue(record, addr)
+        steps += 1
+        if steps > max_steps:
+            raise RuntimeError(
+                f"exceeded max_steps={max_steps} in {program.name}"
+            )
+    return SimOutcome(
+        cycles=self._horizon, state=machine.state,
+        guest_stats=machine.stats,
+    )
+
+
+def _port_outcome(cpu, program, state, max_steps=10**6,
+                  by_instruction=False):
+    """What a port simulation leaves: its outcome or the exception that
+    ended it, the guest state, every issued address, and the model's own
+    state (scoreboard, horizon and every port calendar)."""
+    sim = PortSimulator(cpu.table, issue_width=cpu.spec.issue_width,
+                        window=cpu.window, has_fma=cpu.has_fma)
+    issue = (_issue_by_probe.__get__(sim) if by_instruction
+             else sim._issue)
+    issued = []
+
+    def counted(record, addr):
+        issued.append(addr)
+        issue(record, addr)
+
+    sim._issue = counted
+    machines = []
+
+    class Spy(Machine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            machines.append(self)
+
+    simulate = (_simulate_by_instruction.__get__(sim) if by_instruction
+                else sim.simulate)
+    with mock.patch.object(portsim, "Machine", Spy):
+        try:
+            outcome = simulate(program, state, max_steps=max_steps)
+        except (GuestFault, RuntimeError) as exc:
+            ended = (type(exc), str(exc))
+        else:
+            ended = ("cycles", outcome.cycles)
+    machine, = machines
+    calendars = [(p.starts, p.ends) for p in sim._ports.values()]
+    return (ended, machine.state.architectural_view(), machine.state.pc,
+            machine.stats, issued, sim._horizon, sim._reg_ready, calendars)
+
+
+@pytest.mark.parametrize("cpu", _HARDWARE, ids=lambda c: c.name)
+@given(seed=st.integers(0, 10_000), shape=_SHAPES)
+@settings(max_examples=15, deadline=None)
+def test_port_blocks_equal_port_instructions_on_random_programs(
+        cpu, seed, shape):
+    program = random_program(seed, *shape)
+    reference = _port_outcome(cpu, program, random_state(seed),
+                              by_instruction=True)
+    outcome = _port_outcome(cpu, program, random_state(seed))
+    assert outcome == reference
+    assert outcome[0][0] == "cycles"
+
+
+@pytest.mark.parametrize("cpu", _HARDWARE, ids=lambda c: c.name)
+@pytest.mark.parametrize("case", sorted(_FAULTS))
+def test_port_fault_inside_a_block_leaves_what_stepping_leaves(case, cpu):
+    """A ``GuestFault`` (or running off the end) mid-block: same exception,
+    pc, statistics and issued instructions as single steps."""
+    source, regs = _FAULTS[case]
+    program = assemble(source)
+    state = MachineState()
+    state.fregs.update(regs)
+    reference = _port_outcome(cpu, program, state.copy(), by_instruction=True)
+    assert reference[0][0] is GuestFault
+    assert reference[3].instructions > 0
+    assert _port_outcome(cpu, program, state.copy()) == reference
+
+
+@pytest.mark.parametrize("cpu", _HARDWARE, ids=lambda c: c.name)
+def test_port_address_is_read_before_the_handler(cpu):
+    """``ld r2, r2, 0`` loads from the old r2, where a late store just
+    wrote: the load waits for that store, as it did under single steps
+    (random programs never write their address register)."""
+    program = assemble(
+        "li r1, 4\nli r2, 100\nli r6, 1\n"
+        "loop:\nmul r3, r2, r6\naddi r3, r3, 100\nst r2, r3, 0\n"
+        "ld r2, r2, 0\nsubi r1, r1, 1\nbnez r1, loop\nhalt"
+    )
+    reference = _port_outcome(cpu, program, MachineState(),
+                              by_instruction=True)
+    assert _port_outcome(cpu, program, MachineState()) == reference
+    assert reference[4][6::6] == [100, 200, 300, 400]   # the loads
+
+
+@pytest.mark.parametrize("cpu", _HARDWARE, ids=lambda c: c.name)
+def test_port_blocks_equal_port_instructions_on_the_table1_kernels(cpu):
+    """Long enough for every port calendar to be pruned many times."""
+    for kernel in (programs.gravity_microkernel_math,
+                   programs.gravity_microkernel_karp):
+        workload = kernel(n=16, passes=30)
+        reference = _port_outcome(cpu, workload.program,
+                                  workload.make_state(), by_instruction=True)
+        assert _port_outcome(cpu, workload.program,
+                             workload.make_state()) == reference
+        assert len(reference[4]) > 8 * PortTimeline._PRUNE_AT
+
+
+@pytest.mark.parametrize("cpu", [PENTIUM_III_500, POWER3_375],
+                         ids=lambda c: c.name)
+def test_port_step_budget_trips_on_the_same_step(cpu):
+    """Every budget from 0 to past the run's length, so the guard trips
+    before, inside and at the end of a block, and not at all."""
+    program = assemble(
+        "li r1, 3\nli r2, 2000\n"
+        "loop:\nfld f1, r2, 0\nfmul f1, f1, f1\nfst r2, f1, 1\n"
+        "addi r2, r2, 1\nsubi r1, r1, 1\nbnez r1, loop\nhalt"
+    )
+    length = 2 + 6 * 3 + 1
+    for max_steps in range(length + 2):
+        reference = _port_outcome(cpu, program, MachineState(), max_steps,
+                                  by_instruction=True)
+        assert _port_outcome(cpu, program, MachineState(),
+                             max_steps) == reference, max_steps
+        if max_steps < length:
+            assert reference[0][0] is RuntimeError
+            assert reference[3].instructions == max_steps + 1
+        else:
+            assert reference[0][0] == "cycles"
+
+
+# -- the timing memo: hot translations against the atom walk -----------------
+#
+# ``execute_block`` replays a hot translation's last timing when its entry
+# scoreboard (relative to the clock, clipped at zero) repeats.  The
+# programs below run every loop well past the memo's start.  Three trips
+# in four end with a divide or square root still holding the FPU, whose
+# result the next trip reads at once (through a store, which does not
+# wait for the FPU, and through an add, which does); the fourth skips it,
+# so the loop head sees two entry scoreboards.
+
+def _with_long_ops(program, trips, long_ops):
+    """*program* with every loop run *trips* times around its random body:
+
+    ``fst r14, f15, 40; fadd f0, f0, f15; <body>; and r12, r15, r13;
+    beqz r12, skip; <long op into f15>; skip: subi r15 ...; bnez ...``
+
+    where ``r13 = 3``, ``f14 = 1.5`` and the long ops cycle through
+    *long_ops* (``FDIV``/``FSQRT`` of ``f14``)."""
+    loop_starts = {i.imm for i in program.instrs if i.op is Op.BNEZ}
+    out = [Instr(Op.FLI, dst="f14", fimm=1.5),
+           Instr(Op.LI, dst="r13", imm=3)]
+    moved = {}
+    closing = iter(long_ops * len(loop_starts))
+    for pc, instr in enumerate(program.instrs):
+        if pc in loop_starts:
+            moved[pc] = len(out)
+            out.append(Instr(Op.FST, srcs=("r14", "f15"), imm=40))
+            out.append(Instr(Op.FADD, dst="f0", srcs=("f0", "f15")))
+        if instr.op is Op.LI and instr.dst == "r15":
+            instr = Instr(Op.LI, dst="r15", imm=trips)
+        elif instr.op is Op.SUBI and instr.dst == "r15":
+            op = next(closing)
+            out.append(Instr(Op.AND, dst="r12", srcs=("r15", "r13")))
+            out.append(Instr(Op.BEQZ, srcs=("r12",), imm=len(out) + 2))
+            srcs = ("f14", "f14") if op is Op.FDIV else ("f14",)
+            out.append(Instr(op, dst="f15", srcs=srcs))
+        out.append(instr)
+    out = [Instr(Op.BNEZ, srcs=i.srcs, imm=moved[i.imm])
+           if i.op is Op.BNEZ else i for i in out]
+    return Program(instrs=tuple(out), name=f"{program.name}-long")
+
+
+def _counting_memo():
+    """A ``TimingMemo`` that counts key lookups and key stores, and the
+    list of those made; hits = lookups - (stores - 1)."""
+    made = []
+
+    class CountingMemo(TimingMemo):
+        __slots__ = ("_key", "lookups", "stores")
+
+        def __init__(self):
+            self.lookups = self.stores = 0
+            super().__init__()          # stores key = None
+            made.append(self)
+
+        @property
+        def key(self):
+            self.lookups += 1
+            return self._key
+
+        @key.setter
+        def key(self, value):
+            self.stores += 1
+            self._key = value
+
+    return CountingMemo, made
+
+
+def _memo_checked(config, program, state):
+    """The CMS outcome with the memo and the atom walk; equal, or this
+    fails.  Returns the memos the memoised run made."""
+    reference = _cms_outcome(config, program, state.copy(),
+                             by_instruction=True)
+    memo, made = _counting_memo()
+    with mock.patch.object(engine_module, "TimingMemo", memo):
+        outcome = _cms_outcome(config, program, state.copy())
+    assert outcome == reference
+    return made
+
+
+@given(seed=st.integers(0, 10_000), blocks=st.integers(1, 3),
+       block_len=st.integers(2, 12), trips=st.integers(20, 60),
+       long_ops=st.lists(st.sampled_from([Op.FDIV, Op.FSQRT]),
+                         min_size=1, max_size=3),
+       narrow=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_memoised_timing_equals_atom_walk_on_random_programs(
+        seed, blocks, block_len, trips, long_ops, narrow):
+    program = _with_long_ops(random_program(seed, blocks, block_len),
+                             trips, long_ops)
+    config = CmsConfig(hot_threshold=1,
+                       limits=NARROW_FORMAT if narrow else FULL_FORMAT)
+    made = _memo_checked(config, program, random_state(seed))
+    hits = sum(m.lookups - m.stores + 1 for m in made)
+    assert hits > 0, "the memo was never hit"
+
+
+def test_memo_replaced_when_the_entry_scoreboard_changes():
+    """The loop head is entered with the FPU held by a square root on
+    every other trip: its key alternates, every keyed run misses, and
+    each is still timed as the atom walk times it."""
+    program = assemble(
+        "li r1, 40\nli r4, 1\nfli f2, 2.25\nfli f1, 1.5\n"
+        "loop:\nfmul f3, f3, f1\nxor r3, r3, r4\nbeqz r3, join\n"
+        "fsqrt f5, f2\nsubi r1, r1, 1\nbnez r1, loop\nhalt\n"
+        "join:\nfadd f7, f7, f1\nsubi r1, r1, 1\nbnez r1, loop\nhalt"
+    )
+    made = _memo_checked(CmsConfig(hot_threshold=1), program,
+                         MachineState())
+    runs = sorted((m.lookups, m.stores - 1) for m in made)
+    # (keyed runs, misses): both arms miss once, the head every time.
+    (arm, arm_misses), (other, other_misses), (head, head_misses) = runs
+    assert arm > 8 and other > 8 and arm_misses == other_misses == 1, runs
+    assert head == head_misses > 20, runs
+
+
+def _time_both(program, blocks, entries, state):
+    """Run *blocks* in turn once per entry scoreboard ``(fpu, {reg:
+    offset})`` in *entries*, each applied (relative to the clock) before
+    the first block, on a memoising engine and on the atom walk.  After
+    every block the clock, the whole scoreboard and ``EngineStats`` must
+    agree.  Returns the memos made, as ``_counting_memo`` counts them."""
+    fast, slow = VliwEngine(), VliwEngine()
+    machines = [Machine(state=state.copy()) for _ in range(2)]
+    memo, made = _counting_memo()
+    with mock.patch.object(engine_module, "TimingMemo", memo):
+        for fpu, ready in entries:
+            for engine in (fast, slow):
+                engine.charge(5)
+                engine._fpu_free = engine.clock + fpu
+                for reg, offset in ready.items():
+                    engine._reg_ready[reg] = engine.clock + offset
+            for tb in blocks:
+                for machine in machines:
+                    machine.state.pc = tb.entry_pc
+                fast.execute_block(tb, program, machines[0])
+                _execute_block_by_atom(slow, tb, program, machines[1])
+                assert (fast.clock, fast._reg_ready, fast._fpu_free,
+                        fast.stats) == (slow.clock, slow._reg_ready,
+                                        slow._fpu_free, slow.stats)
+    return made
+
+
+_OFFSETS = st.sampled_from([-7, -1, 0, 1, 2, 3, 9, 40])
+
+
+@given(seed=st.integers(0, 10_000), block_len=st.integers(2, 12),
+       long_op=st.sampled_from([Op.FDIV, Op.FSQRT]),
+       changes=st.lists(st.one_of(st.none(),
+                                  st.tuples(st.integers(0, 40), _OFFSETS)),
+                        min_size=9, max_size=60),
+       narrow=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_memo_equals_atom_walk_under_drawn_entry_scoreboards(
+        seed, block_len, long_op, changes, narrow):
+    """The loop head's translation run again and again, each run followed
+    by the long-op block.  The head is entered with the FPU and every
+    register it reads ready at ``clock + offset``; between runs the
+    offsets stay, or one of them (slot 0 is the FPU) changes."""
+    program = _with_long_ops(random_program(seed, 1, block_len), 30,
+                             [long_op])
+    head = next(i.imm for i in program.instrs if i.op is Op.BNEZ)
+    tail = next(pc for pc, i in enumerate(program.instrs)
+                if i.op is long_op)
+    limits = NARROW_FORMAT if narrow else FULL_FORMAT
+    blocks = [engine_module.translate_block(program, pc, limits=limits)
+              for pc in (head, tail)]
+    slots = [None] + sorted({src for atom in blocks[0].atoms
+                             for src in atom.instr.srcs})
+    offsets = [0] * len(slots)
+    entries = []
+    for change in changes:
+        if change is not None:
+            slot, offset = change
+            offsets[slot % len(slots)] = offset
+        entries.append((offsets[0], dict(zip(slots[1:], offsets[1:]))))
+    state = random_state(seed)
+    state.fregs["f14"] = 1.5                    # as the prologue sets it
+    made = _time_both(program, blocks, entries, state)
+    # Both translations are keyed from their 8th run on.
+    assert [m.lookups for m in made] == [len(changes) - 7] * 2
+
+
+@pytest.mark.parametrize("reg, before, after", [
+    ("f1", 1, 0),       # one cycle late, then on time: the clip is at 0
+    ("f1", 1, -3),
+    ("f0", 9, 0),       # read and written by one molecule: a live-in
+    ("f0", 9, 8),
+])
+def test_memo_key_tells_entry_scoreboards_apart(reg, before, after):
+    """Nine runs with *reg* ready at ``clock + before``, then one at
+    ``clock + after``: keyed runs 8, 9 and 10 are miss, hit, miss."""
+    program = assemble("fadd f0, f0, f1\nfmul f2, f0, f0\nbnez r1, 0\nhalt")
+    tb = engine_module.translate_block(program, 0)
+    entries = [(0, {reg: before})] * 9 + [(0, {reg: after})]
+    (memo,) = _time_both(program, [tb], entries, MachineState())
+    assert (memo.lookups, memo.stores - 1) == (3, 2)

@@ -222,3 +222,13 @@ def test_engine_charge_rejects_negative():
     engine = VliwEngine()
     with pytest.raises(ValueError):
         engine.charge(-1)
+
+
+@pytest.mark.parametrize("cycles", [float("nan"), float("inf")], ids=repr)
+def test_engine_charge_rejects_cycles_that_are_not_finite(cycles):
+    """NaN or inf used to become the clock."""
+    engine = VliwEngine()
+    engine.charge(7)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        engine.charge(cycles)
+    assert engine.clock == 7
