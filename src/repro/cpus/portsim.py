@@ -27,11 +27,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.core.domains import whole
 from repro.isa.instructions import Instr, Op, OpClass, Program
-from repro.isa.machine import ExecStats, GuestBlock, Machine, MachineState
+from repro.isa.machine import (
+    ExecStats, GuestBlock, Handler, Machine, MachineState,
+)
 from repro.cpus.base import (
     KernelResult,
     Processor,
@@ -98,10 +100,6 @@ class PortTimeline:
         index, start = self.probe(ready, occupancy)
         self.commit(index, start, occupancy)
         return start
-
-
-_PRUNE_AT = PortTimeline._PRUNE_AT
-_KEEP = _PRUNE_AT // 2
 
 
 class PortRecord(NamedTuple):
@@ -204,30 +202,15 @@ class PortSimulator:
         if window == 0 and self._last_issue > t:
             # Strict in-order issue: cannot overtake older instructions.
             t = self._last_issue
-        # Book the port whose calendar offers the earliest start; the
-        # first candidate wins a tie.  No start precedes t, so a
-        # calendar idle from t on wins outright: two appends book it.
-        best = None
-        for port in ports:
-            ends = port.ends
-            if not ends or ends[-1] <= t:
-                starts = port.starts
-                starts.append(t)
-                ends.append(t + occupancy)
-                if len(starts) > _PRUNE_AT:
-                    del starts[:-_KEEP]
-                    del ends[:-_KEEP]
-                best = None
-                break
-            index, start = port.probe(t, occupancy)
-            if best is None or start < best[2]:
-                best = port, index, start
-                if start == t:
-                    break
-        if best is not None:
-            port, index, start = best
-            port.commit(index, start, occupancy)
-            t = start
+        # Book the port whose calendar offers the earliest start.
+        port = ports[0]
+        index, start = port.probe(t, occupancy)
+        for other in ports[1:]:
+            other_index, other_start = other.probe(t, occupancy)
+            if other_start < start:
+                port, index, start = other, other_index, other_start
+        port.commit(index, start, occupancy)
+        t = start
         self._last_issue = t
 
         # --- complete / retire ---
@@ -243,82 +226,47 @@ class PortSimulator:
         if done > self._horizon:
             self._horizon = done
 
-    def _plan(self, block: GuestBlock,
-              records: Dict[int, PortRecord]) -> Tuple[tuple, ...]:
-        """``(handler, base, offset, record)`` per instruction of *block*;
-        records are shared per pc with overlapping blocks."""
-        plan = []
-        handlers = block.body + (block.last,)
+    def _timed(self, block: GuestBlock,
+               records: Dict[int, PortRecord]) -> GuestBlock:
+        """*block* with every handler wrapped to feed the model; records
+        are shared per pc with overlapping blocks."""
+        entry_pc, instrs, body, last, length, flops, classes = block
+        issue = self._issue
+        handlers = []
         for pc, (handler, instr) in enumerate(
-                zip(handlers, block.instrs), block.entry_pc):
+                zip(body + (last,), instrs), entry_pc):
             record = records.get(pc)
             if record is None:
                 record = records[pc] = self._decode(instr)
-            plan.append((handler, record.base, record.offset, record))
-        return tuple(plan)
+            handlers.append(_timed_handler(handler, record, issue))
+        return GuestBlock(entry_pc, instrs, tuple(handlers[:-1]),
+                          handlers[-1], length, flops, classes)
 
     def simulate(self, program: Program,
                  state: Optional[MachineState] = None,
                  max_steps: int = 10_000_000) -> SimOutcome:
         """Run *program*, feeding every retired instruction to the model.
 
-        Whole decoded blocks run here, each instruction's address read
-        just before its handler; statistics are updated once per block,
-        as :meth:`Machine.run_block` does.  If the k-th instruction of a
-        block raises, ``pc``, the statistics and the model are left as
-        k - 1 single steps leave them.
+        Whole blocks run through :meth:`Machine.run_block`, their handlers
+        wrapped by :meth:`_timed`, so statistics, ``pc`` and faults follow
+        its rules: if the k-th instruction of a block raises, the model
+        has been fed k - 1 instructions, as k - 1 single steps fed it.
         """
         self._reset()
         machine = Machine(state=state, max_steps=max_steps)
         st = machine.state
-        stats = machine.stats
-        by_class = stats.by_class
-        ir, fr, mem = st.iregs, st.fregs, st.mem
-        issue = self._issue
         records: Dict[int, PortRecord] = {}    # per executed pc, this run
-        plans: Dict[int, tuple] = {}    # per block entry, this run
+        timed: Dict[int, GuestBlock] = {}      # per block entry, this run
         steps = 0
         # Whole blocks while the budget covers them ...
         while not st.halted:
-            entry = st.pc
-            plan = plans.get(entry)
-            if plan is None:
-                block = machine.block(program, entry)
-                plan = plans[entry] = (block, self._plan(block, records))
-            block, instrs = plan
-            length = block.length
-            if steps + length > max_steps:
+            block = timed.get(st.pc)
+            if block is None:
+                block = timed[st.pc] = self._timed(
+                    machine.block(program, st.pc), records)
+            if steps + block.length > max_steps:
                 break
-            nxt = entry
-            try:
-                for handler, base, offset, record in instrs:
-                    addr = None if base is None else ir[base] + offset
-                    nxt = handler(ir, fr, mem)
-                    issue(record, addr)
-            except BaseException:
-                # Every handler before the one that raised is a body
-                # handler and returned its fall-through: nxt is the
-                # instruction that raised.
-                for instr in block.instrs[:nxt - entry]:
-                    cls = instr.opclass
-                    stats.instructions += 1
-                    stats.flops += instr.flops
-                    by_class[cls] = by_class.get(cls, 0) + 1
-                st.pc = nxt
-                raise
-            steps += length
-            stats.instructions += length
-            stats.flops += block.flops
-            for cls, n in block.classes:
-                by_class[cls] = by_class.get(cls, 0) + n
-            if nxt is None:
-                st.pc = entry + length
-                st.halted = True
-            elif nxt < 0:
-                st.pc = ~nxt
-                stats.taken_branches += 1
-            else:
-                st.pc = nxt
+            steps += machine.run_block(block)
         # ... then one instruction at a time, so the guard trips on
         # exactly the step it always did.
         while not st.halted:
@@ -326,9 +274,9 @@ class PortSimulator:
             if record is None:
                 record = records[st.pc] = self._decode(machine.fetch(program))
             base = record.base
-            addr = None if base is None else ir[base] + record.offset
+            addr = None if base is None else st.iregs[base] + record.offset
             machine.step(program)
-            issue(record, addr)
+            self._issue(record, addr)
             steps += 1
             if steps > max_steps:
                 raise RuntimeError(
@@ -339,6 +287,26 @@ class PortSimulator:
             state=machine.state,
             guest_stats=machine.stats,
         )
+
+
+def _timed_handler(handler: Handler, record: PortRecord,
+                   issue: Callable[[PortRecord, Optional[int]], None]
+                   ) -> Handler:
+    """*handler*, then *issue* of its record; a memory instruction's
+    address is read before the handler, which may overwrite its base."""
+    base, offset = record.base, record.offset
+    if base is None:
+        def timed(iregs, fregs, mem):
+            nxt = handler(iregs, fregs, mem)
+            issue(record, None)
+            return nxt
+    else:
+        def timed(iregs, fregs, mem):
+            addr = iregs[base] + offset
+            nxt = handler(iregs, fregs, mem)
+            issue(record, addr)
+            return nxt
+    return timed
 
 
 class HardwareProcessor(Processor):

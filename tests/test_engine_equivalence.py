@@ -363,65 +363,13 @@ def test_taken_branch_to_the_next_instruction_counts_as_taken():
     assert outcome[1:3] == (4, reference.stats)
 
 
-# -- the port simulator: block plans against single steps --------------------
+# -- the port simulator: timed blocks against single steps -------------------
 #
-# ``PortSimulator.simulate`` runs each decoded block's handlers itself and
-# books an idle port calendar with two appends.  The reference is the
-# simulator it replaced: one ``Machine.step`` per instruction, every port
-# booked through ``probe`` and ``commit``.
+# ``PortSimulator.simulate`` runs each decoded block, its handlers wrapped
+# to feed the model, through ``Machine.run_block``.  The reference is the
+# simulator it replaced: one ``Machine.step`` per instruction.
 
 _HARDWARE = [PENTIUM_III_500, ALPHA_EV56_533, POWER3_375, ATHLON_MP_1200]
-
-
-def _issue_by_probe(self, record, mem_addr):
-    (latency, occupancy, ports, srcs, dst, is_load, is_store,
-     _, _) = record
-    dispatch_ring = self._dispatch_ring
-    dispatch = 0
-    if dispatch_ring:
-        dispatch = dispatch_ring[-1]
-        if len(dispatch_ring) == dispatch_ring.maxlen:
-            oldest = dispatch_ring[0] + 1
-            if oldest > dispatch:
-                dispatch = oldest
-    window = self.window
-    if window > 0:
-        retire_ring = self._retire_ring
-        if len(retire_ring) == window and retire_ring[0] > dispatch:
-            dispatch = retire_ring[0]
-    dispatch_ring.append(dispatch)
-    t = dispatch
-    reg_ready = self._reg_ready
-    for src in srcs:
-        ready = reg_ready.get(src, 0)
-        if ready > t:
-            t = ready
-    if is_load and mem_addr is not None:
-        ready = self._store_issue_by_addr.get(mem_addr, 0)
-        if ready > t:
-            t = ready
-    if window == 0 and self._last_issue > t:
-        t = self._last_issue
-    port = ports[0]
-    index, start = port.probe(t, occupancy)
-    for other in ports[1:]:
-        other_index, other_start = other.probe(t, occupancy)
-        if other_start < start:
-            port, index, start = other, other_index, other_start
-    port.commit(index, start, occupancy)
-    t = start
-    self._last_issue = t
-    done = t + latency
-    if dst is not None:
-        reg_ready[dst] = done
-    if is_store and mem_addr is not None:
-        self._store_issue_by_addr[mem_addr] = t
-    retire = done if done > self._last_retire else self._last_retire
-    self._last_retire = retire
-    if window > 0:
-        retire_ring.append(retire)
-    if done > self._horizon:
-        self._horizon = done
 
 
 def _simulate_by_instruction(self, program, state=None, max_steps=10_000_000):
@@ -456,8 +404,7 @@ def _port_outcome(cpu, program, state, max_steps=10**6,
     state (scoreboard, horizon and every port calendar)."""
     sim = PortSimulator(cpu.table, issue_width=cpu.spec.issue_width,
                         window=cpu.window, has_fma=cpu.has_fma)
-    issue = (_issue_by_probe.__get__(sim) if by_instruction
-             else sim._issue)
+    issue = sim._issue
     issued = []
 
     def counted(record, addr):
