@@ -47,7 +47,7 @@ from repro.check.differential import (
     run_telemetry_differential,
     sched_outcome_digest,
 )
-from repro.check.manifest import RunManifest, TraceRecorder, mutate_event
+from repro.check.manifest import RunManifest, TraceRecorder
 from repro.check.replay import (
     Divergence,
     ReplayReport,
@@ -74,7 +74,6 @@ __all__ = [
     "audit_sim_result",
     "detach_auditors",
     "manifest_trace_hash",
-    "mutate_event",
     "record_sched_manifest",
     "record_simmpi_manifest",
     "replay_manifest",

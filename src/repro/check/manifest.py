@@ -162,33 +162,6 @@ class RunManifest:
         return cls.from_json(Path(path).read_text())
 
 
-def mutate_event(manifest: RunManifest, index: int,
-                 **updates: Any) -> RunManifest:
-    """A copy of *manifest* with one event's fields (or time) changed.
-
-    The perturbation tool the replay tests use: flipping a single
-    field at ``index`` must make replay-verify report its first
-    divergence exactly there.
-    """
-    events = list(manifest.events)
-    old = events[index]
-    time = updates.pop("time", old.time)
-    fields = dict(old.fields)
-    fields.update(updates)
-    events[index] = TimelineEvent(
-        time=time, kind=old.kind, fields=tuple(fields.items())
-    )
-    clone = RunManifest(
-        kind=manifest.kind,
-        seed=manifest.seed,
-        params=dict(manifest.params),
-        config_hash=manifest.config_hash,
-        events=events,
-        payload=dict(manifest.payload),
-    )
-    return clone
-
-
 class TraceRecorder:
     """Streams a kernel's trace into a normalized event list.
 

@@ -28,7 +28,6 @@ from repro.cluster.reliability import (
     TRADITIONAL_OUTAGES,
     ClusterReliability,
     OutageProfile,
-    sample_failure_times,
 )
 
 __all__ = [
@@ -49,5 +48,4 @@ __all__ = [
     "RlxSystem324",
     "ServerBlade",
     "build_hardware",
-    "sample_failure_times",
 ]

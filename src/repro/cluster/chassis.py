@@ -60,12 +60,6 @@ class RlxSystem324:
         self._blades[slot] = None
         return blade
 
-    def populate(self, blade_factory) -> None:
-        """Fill every empty slot using ``blade_factory() -> ServerBlade``."""
-        for slot in range(self.SLOTS):
-            if self._blades[slot] is None:
-                self._blades[slot] = blade_factory()
-
     @property
     def blades(self) -> Tuple[ServerBlade, ...]:
         return tuple(b for b in self._blades if b is not None)
@@ -82,11 +76,6 @@ class RlxSystem324:
         """Chassis draw: blades plus infrastructure overhead."""
         blade_watts = sum(b.watts_at_load for b in self.blades)
         return blade_watts + self.OVERHEAD_WATTS
-
-    @property
-    def psu_headroom(self) -> float:
-        """Fraction of total supply capacity in use."""
-        return self.watts_at_load / (self.PSU_COUNT * self.PSU_WATTS)
 
     def validate_power(self) -> None:
         """The dual supplies must cover the chassis at load."""

@@ -86,21 +86,6 @@ class ManagementHub:
     def failures(self) -> List[ManagementEvent]:
         return [e for e in self.log if e.kind is EventKind.FAILURE]
 
-    def mean_time_to_detect_h(self) -> float:
-        """Measured from the log (failure -> detected pairs by node)."""
-        detect_times = []
-        open_failures = {}
-        for event in self.log:
-            if event.kind is EventKind.FAILURE:
-                open_failures[event.node] = event.time_h
-            elif event.kind is EventKind.DETECTED:
-                start = open_failures.pop(event.node, None)
-                if start is not None:
-                    detect_times.append(event.time_h - start)
-        if not detect_times:
-            return 0.0
-        return sum(detect_times) / len(detect_times)
-
 
 @dataclass
 class OperationReport:

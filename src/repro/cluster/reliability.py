@@ -43,25 +43,6 @@ class OutageProfile:
         return self.failures_per_year / 8760.0
 
 
-def sample_failure_times(rng, rate_per_hour: float,
-                         horizon_h: float) -> "list[float]":
-    """Poisson failure arrival times (hours) over [0, *horizon_h*).
-
-    One expovariate draw per arrival plus the final horizon-crossing
-    draw — the same draw pattern :class:`ClusterOperationSim` uses, so
-    a shared seeded ``random.Random`` prices identically either way.
-    """
-    times: list = []
-    if rate_per_hour <= 0:
-        return times
-    t = 0.0
-    while True:
-        t += rng.expovariate(rate_per_hour)
-        if t >= horizon_h:
-            return times
-        times.append(t)
-
-
 #: Paper Section 4.1: 6 outages/year x 4 h, whole cluster affected.
 TRADITIONAL_OUTAGES = OutageProfile(
     failures_per_year=6.0, outage_hours=4.0, whole_cluster=True

@@ -3,13 +3,13 @@
 The CMS interpreter "collects run-time statistical information about the
 x86 instruction stream to decide if optimizations are necessary" (paper
 Section 2.2).  This module is that statistics collector: per-block entry
-counts plus a derived hot-spot view.
+counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict
 
 
 @dataclass
@@ -27,7 +27,7 @@ class BlockProfile:
 
 @dataclass
 class HotSpotProfile:
-    """All block profiles of a run, with hotness queries."""
+    """All block profiles of a run."""
 
     blocks: Dict[int, BlockProfile] = field(default_factory=dict)
 
@@ -42,28 +42,3 @@ class HotSpotProfile:
     def executions(self, entry_pc: int) -> int:
         profile = self.blocks.get(entry_pc)
         return profile.executions if profile else 0
-
-    def hottest(self, top: int = 10) -> List[BlockProfile]:
-        """Blocks ordered by dynamic guest-instruction count."""
-        ranked = sorted(
-            self.blocks.values(),
-            key=lambda b: b.guest_instructions,
-            reverse=True,
-        )
-        return ranked[:top]
-
-    def coverage(self, entry_pcs: Tuple[int, ...]) -> float:
-        """Fraction of dynamic guest instructions inside *entry_pcs*.
-
-        Used to verify the paper's locality premise: a small set of hot
-        translations covers nearly all dynamic execution.
-        """
-        total = sum(b.guest_instructions for b in self.blocks.values())
-        if total == 0:
-            return 0.0
-        inside = sum(
-            self.blocks[pc].guest_instructions
-            for pc in entry_pcs
-            if pc in self.blocks
-        )
-        return inside / total

@@ -43,10 +43,6 @@ class TranslationCache:
         self._used_bytes = 0
         self.stats = CacheStats()
 
-    @property
-    def used_bytes(self) -> int:
-        return self._used_bytes
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -110,7 +110,7 @@ class EventKernel:
         self._seq = 0
         #: Live (non-cancelled) events in the heap, and cancelled
         #: entries still awaiting lazy deletion.  Together they make
-        #: ``pending()``/``idle`` O(1) and drive heap compaction.
+        #: ``pending()`` O(1) and drive heap compaction.
         self._live = 0
         self._dead = 0
         #: Trace observers: called with every TimelineEvent as it is
@@ -174,27 +174,9 @@ class EventKernel:
         self._live += 1
         return event
 
-    def after(self, delay: float, fn: Callable[..., Any],
-              *args: Any) -> Event:
-        """Schedule ``fn(*args)`` *delay* after the current clock."""
-        if not delay >= 0:
-            raise ValueError(f"delay must be non-negative, got {delay!r}")
-        return self.at(self.now + delay, fn, *args)
-
     def pending(self) -> int:
         """Live (non-cancelled) events still queued — O(1)."""
         return self._live
-
-    @property
-    def idle(self) -> bool:
-        """True when no live event remains (the clock cannot advance).
-
-        Schedulers use this after :meth:`run` to tell "drained because
-        everything completed" from "drained with work still queued" —
-        the latter means some tenant is stuck waiting on an event
-        nobody will ever post.
-        """
-        return self._live == 0
 
     # -- lazy deletion ------------------------------------------------------
 

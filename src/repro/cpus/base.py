@@ -63,12 +63,6 @@ class KernelResult:
         return self.nominal_flops / self.seconds / 1e6
 
     @property
-    def mips(self) -> float:
-        if self.seconds <= 0:
-            return 0.0
-        return self.guest_instructions / self.seconds / 1e6
-
-    @property
     def cycles_per_instruction(self) -> float:
         if self.guest_instructions == 0:
             return 0.0

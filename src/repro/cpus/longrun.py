@@ -26,7 +26,6 @@ from typing import List, Optional, Tuple
 from repro.cms import CmsConfig, CodeMorphingSoftware
 from repro.core.domains import NONNEGATIVE, POSITIVE, check_domains, param
 from repro.core.events import EventKernel
-from repro.cpus.base import ProcessorSpec
 from repro.isa.programs import GuestWorkload
 from repro.thermal.throttle import PiecewiseGovernor
 
@@ -132,11 +131,9 @@ class LongRunGovernor(PiecewiseGovernor):
     each transition also lands on the shared timeline as a ``dvfs``
     event.
 
-    One of three implementations of the shared
+    One of two implementations of the shared
     :class:`~repro.thermal.throttle.Governor` contract: the charge
-    loop lives on :class:`~repro.thermal.throttle.PiecewiseGovernor`,
-    so a LongRun descent composes with a thermal clamp on the same
-    node via :class:`~repro.thermal.throttle.ComposedGovernor`.
+    loop lives on :class:`~repro.thermal.throttle.PiecewiseGovernor`.
     """
 
     def __init__(self, model: LongRunModel,
@@ -288,15 +285,3 @@ def dvfs_trajectory_study(
         stepped_gov.step_at(i * top_phase_s, step)
     flat_gov = LongRunGovernor(model, kernel=EventKernel())
     return run(stepped_gov), run(flat_gov)
-
-
-def spec_at_step(spec: ProcessorSpec, step: LongRunStep,
-                 model: LongRunModel) -> ProcessorSpec:
-    """A ProcessorSpec re-rated at a LongRun operating point."""
-    from dataclasses import replace
-
-    return replace(
-        spec,
-        clock_mhz=step.mhz,
-        cpu_watts=model.power_watts(step),
-    )

@@ -55,9 +55,6 @@ class PowerModel:
         the batch scheduler bills job energy straight off rank clocks)."""
         return self.total_watts * seconds
 
-    def energy_cost(self, hours: float, dollars_per_kwh: float = 0.10) -> float:
-        return self.energy_kwh(hours) * dollars_per_kwh
-
 
 @dataclass(frozen=True)
 class ThermalModel:
@@ -107,11 +104,3 @@ class FailureModel:
                           years: float,
                           thermal: ThermalModel = ThermalModel()) -> float:
         return self.node_rate(spec, thermal) * nodes * years
-
-    def mtbf_hours(self, spec: ProcessorSpec, nodes: int,
-                   thermal: ThermalModel = ThermalModel()) -> float:
-        """Mean time between failures for a cluster of *nodes*."""
-        rate = self.node_rate(spec, thermal) * nodes
-        if rate <= 0:
-            return math.inf
-        return 8760.0 / rate

@@ -27,7 +27,6 @@ from repro.isa.instructions import (
     Op,
     OpClass,
     Program,
-    op_class,
     FREG_NAMES,
     IREG_NAMES,
 )
@@ -47,5 +46,4 @@ __all__ = [
     "OpClass",
     "Program",
     "assemble",
-    "op_class",
 ]

@@ -159,28 +159,3 @@ def assemble(source: str, name: str = "<asm>") -> Program:
         labels=tuple(sorted(labels.items())),
         name=name,
     )
-
-
-def disassemble(program: Program) -> str:
-    """Render *program* back to assembly text (labels included)."""
-    label_at: Dict[int, List[str]] = {}
-    for label, idx in program.labels:
-        label_at.setdefault(idx, []).append(label)
-    lines: List[str] = []
-    for i, instr in enumerate(program.instrs):
-        for label in label_at.get(i, ()):
-            lines.append(f"{label}:")
-        sig = _SIGNATURES[instr.op]
-        fields: List[str] = []
-        src_iter = iter(instr.srcs)
-        for kind in sig:
-            if kind == "D":
-                fields.append(str(instr.dst))
-            elif kind == "S":
-                fields.append(next(src_iter))
-            elif kind == "I" or kind == "L":
-                fields.append(str(instr.imm))
-            elif kind == "F":
-                fields.append(repr(instr.fimm))
-        lines.append(f"    {instr.op.value:<6s} " + ", ".join(fields))
-    return "\n".join(lines) + "\n"

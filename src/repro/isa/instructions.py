@@ -203,11 +203,6 @@ FLOP_OPS = {
 }
 
 
-def op_class(op: Op) -> OpClass:
-    """Return the resource class of *op*."""
-    return _OP_CLASS[op]
-
-
 @dataclass(frozen=True)
 class Instr:
     """A single decoded guest instruction.
@@ -240,14 +235,6 @@ class Instr:
     @property
     def is_branch(self) -> bool:
         return self.opclass is OpClass.BRANCH
-
-    @property
-    def ends_block(self) -> bool:
-        return self.op in BLOCK_ENDERS
-
-    def reads(self) -> Tuple[str, ...]:
-        """Registers read by this instruction."""
-        return self.srcs
 
     def writes(self) -> Optional[str]:
         """Register written by this instruction, or ``None``."""
@@ -309,13 +296,6 @@ class Program:
         """
         instrs = self.instrs
         for end in range(pc, len(instrs)):
-            if instrs[end].op in BLOCK_ENDERS:      # Instr.ends_block
+            if instrs[end].op in BLOCK_ENDERS:
                 return instrs[pc:end + 1]
         return instrs[pc:]
-
-    def static_mix(self) -> dict:
-        """Static instruction mix by :class:`OpClass` (for reporting)."""
-        mix: dict = {}
-        for instr in self.instrs:
-            mix[instr.opclass] = mix.get(instr.opclass, 0) + 1
-        return mix

@@ -625,11 +625,3 @@ class Machine:
                     f"exceeded max_steps={self.max_steps} in {program.name}"
                 )
         return self.stats
-
-
-def run_program(program: Program, state: Optional[MachineState] = None,
-                max_steps: int = 10_000_000) -> Tuple[MachineState, ExecStats]:
-    """Convenience wrapper: run *program* on a fresh or given state."""
-    machine = Machine(state=state, max_steps=max_steps)
-    stats = machine.run(program)
-    return machine.state, stats

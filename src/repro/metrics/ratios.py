@@ -66,13 +66,3 @@ def perf_power_table(
             )
         )
     return rows
-
-
-def improvement_factor(rows, attribute: str, baseline: str) -> dict:
-    """Each machine's metric relative to *baseline* (e.g. Avalon)."""
-    base = next(r for r in rows if r.machine == baseline)
-    base_value = getattr(base, attribute)
-    return {
-        r.machine: getattr(r, attribute) / base_value
-        for r in rows
-    }

@@ -16,10 +16,7 @@ that stack:
   simulation driver (Figure 3 / Section 3.3 Gflops accounting);
 - :mod:`~repro.nbody.parallel` - the SPMD treecode over SimMPI
   (Table 2 scalability);
-- :mod:`~repro.nbody.multipole` / :mod:`~repro.nbody.vortex` /
-  :mod:`~repro.nbody.sph` - the library's extension surface:
-  quadrupole moments and the two other clients the paper cites
-  (vortex particle method, smoothed particle hydrodynamics).
+- :mod:`~repro.nbody.multipole` - quadrupole moments.
 """
 
 from repro.nbody.karp import karp_rsqrt, KarpTable
@@ -39,9 +36,6 @@ from repro.nbody.parallel import (
     parallel_nbody_step,
     scaling_study,
 )
-from repro.nbody.multipole import quadrupole_tensor
-from repro.nbody.vortex import VortexSystem, vortex_ring
-from repro.nbody.sph import SphSystem, ball_query
 
 __all__ = [
     "HashedOctree",
@@ -50,8 +44,6 @@ __all__ = [
     "NBodySimulation",
     "ReplicatedStep",
     "SimConfig",
-    "SphSystem",
-    "VortexSystem",
     "TraversalStats",
     "TreeNode",
     "density_image",
@@ -63,13 +55,10 @@ __all__ = [
     "morton_encode",
     "parallel_nbody_step",
     "particle_keys",
-    "ball_query",
     "plummer_sphere",
-    "quadrupole_tensor",
     "scaling_study",
     "total_energy",
     "tree_accelerations",
     "two_clusters",
     "uniform_cube",
-    "vortex_ring",
 ]

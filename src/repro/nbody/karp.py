@@ -97,17 +97,6 @@ class KarpTable:
         c0, c1, c2 = coeffs[i, 0], coeffs[i, 1], coeffs[i, 2]
         return c0 + c1 * u + c2 * (2.0 * u * u - 1.0)
 
-    @property
-    def worst_initial_error(self) -> float:
-        """Bound on the relative error of the raw table estimate."""
-        h = 3.0 / self.size
-        if self.interpolation == "linear":
-            # |f''| of x^(-1/2) on [1,4] is maximised at 1: 3/4.
-            return (h * h / 8.0) * 0.75
-        # Chebyshev quadratic: |f'''| max = 15/8 at x=1, over 4*4^2... the
-        # standard bound h^3/(4! * 2^2) * max|f'''| with minimax factor.
-        return (h ** 3 / 96.0) * (15.0 / 8.0) * 2.0
-
 
 def _range_reduce(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Split x > 0 into (m, k) with x = m * 4**k and m in [1, 4).
@@ -161,9 +150,3 @@ def masked_rsqrt(r2: np.ndarray, use_karp: bool = False,
     else:
         out[nz] = 1.0 / np.sqrt(r2[nz])
     return out
-
-
-def karp_rsqrt_flops(n: int, table: KarpTable = KarpTable()) -> int:
-    """Flop count of *n* evaluations (interp 3 + per-Newton 4 + setup 1)."""
-    per_element = 3 + 1 + 4 * table.newton_iters
-    return per_element * n

@@ -83,8 +83,3 @@ def direct_potential(
             rinv[row, i] = 0.0
         pot[lo:hi] = -g * rinv @ mass
     return pot
-
-
-def pairwise_interaction_count(n: int) -> int:
-    """Interactions in one full direct evaluation (ordered pairs)."""
-    return n * (n - 1)

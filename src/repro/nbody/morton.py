@@ -2,7 +2,7 @@
 
 Warren & Salmon's parallel hashed oct-tree ["A Parallel Hashed Oct-Tree
 N-Body Algorithm", SC'93] names tree cells by key: the root is 1, and a
-child's key is ``parent_key * 8 + octant``.  A particle's key at maximum
+child's key is ``parent * 8 + octant``.  A particle's key at maximum
 depth is the sentinel bit followed by its interleaved coordinate bits.
 Sorting particles by key linearises them along a space-filling curve,
 which is also how the parallel decomposition slices the domain.
@@ -101,18 +101,6 @@ def key_level(key: int) -> int:
     if k < 1:
         raise ValueError("keys are positive")
     return (k.bit_length() - 1) // 3
-
-
-def parent_key(key: int) -> int:
-    if int(key) == ROOT_KEY:
-        raise ValueError("the root has no parent")
-    return int(key) >> 3
-
-
-def child_key(key: int, octant: int) -> int:
-    if not 0 <= octant < 8:
-        raise ValueError("octant must be 0..7")
-    return (int(key) << 3) | octant
 
 
 def ancestor_at_level(key: int, level: int) -> int:

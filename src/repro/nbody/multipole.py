@@ -19,32 +19,7 @@ for the same accuracy (the ablation bench quantifies the trade).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
-
-
-def quadrupole_tensor(pos: np.ndarray, mass: np.ndarray,
-                      com: np.ndarray) -> np.ndarray:
-    """Traceless quadrupole of particles about *com* (3x3)."""
-    d = pos - com
-    m = mass[:, None]
-    second = (m * d).T @ d                       # sum m d d^T
-    trace = np.trace(second)
-    return 3.0 * second - trace * np.eye(3)
-
-
-def quadrupole_from_sums(mass: float, com: np.ndarray,
-                         second_moment: np.ndarray) -> np.ndarray:
-    """Quadrupole from prefix-summable raw moments.
-
-    ``second_moment`` is sum m x x^T about the *origin*; shifting to
-    the centre of mass uses the parallel-axis relation
-    sum m d d^T = S2 - mass * com com^T.
-    """
-    shifted = second_moment - mass * np.outer(com, com)
-    trace = np.trace(shifted)
-    return 3.0 * shifted - trace * np.eye(3)
 
 
 def quadrupole_acceleration(
@@ -71,14 +46,3 @@ def quadrupole_acceleration(
         -g * q_diff * rinv5[..., None]
         + 2.5 * g * dqd[..., None] * diff * rinv7[..., None]
     )
-
-
-def direct_quadrupole_check(
-    target: np.ndarray, com: np.ndarray, quad: np.ndarray, g: float = 1.0
-) -> np.ndarray:
-    """Scalar-path reference for one target/one cell (for tests)."""
-    d = target - com
-    r = np.linalg.norm(d)
-    qd = quad @ d
-    dqd = float(d @ qd)
-    return g * (qd / r**5 - 2.5 * dqd * d / r**7)

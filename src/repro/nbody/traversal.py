@@ -850,17 +850,3 @@ def leaf_aligned_partition(
         edges.append(n)
     edges[-1] = n
     return [(edges[i], edges[i + 1]) for i in range(parts)]
-
-
-def work_per_particle(tree: HashedOctree,
-                      stats: TraversalStats) -> np.ndarray:
-    """Spread each group's interaction count over its particles.
-
-    Returned in **original** particle order so it can travel with the
-    particles across steps and decompositions.
-    """
-    work_sorted = np.zeros(tree.n_particles)
-    for lo, hi, interactions in stats.group_work:
-        if hi > lo:
-            work_sorted[lo:hi] = interactions / (hi - lo)
-    return tree.unsort(work_sorted)

@@ -21,9 +21,8 @@ Two layouts describe the same tree:
   rank - sorting any subset of nodes by flat index reproduces the
   sequential walk's visit order;
 - the **hash table** of :class:`TreeNode` objects (``tree.nodes``),
-  the random-access API the rest of the package navigates by key (the
-  naive walk, SPH, vortex, ``leaves``/``lookup``/``validate``): a view
-  of the flat arrays, materialised on first access.
+  the random-access API the naive walk navigates by key: a view of the
+  flat arrays, materialised on first access.
 
 Between integrator steps most of this work can be reused:
 :class:`TreeBuildCache` keeps the last build and skips, in order of
@@ -46,9 +45,7 @@ import numpy as np
 from repro.nbody.morton import (
     MAX_DEPTH,
     ROOT_KEY,
-    ancestor_at_level,
     cell_geometry,
-    key_level,
     morton_decode,
     particle_keys,
 )
@@ -393,63 +390,11 @@ class HashedOctree:
         """O(1) cell lookup by key - the point of the hashed design."""
         return self.nodes[key]
 
-    def contains_key(self, key: int) -> bool:
-        return key in self.nodes
-
-    def enclosing_leaf(self, sorted_index: int) -> TreeNode:
-        """The leaf owning the particle at *sorted_index*.
-
-        Walks levels of the particle's own key through the hash table -
-        no tree descent required.
-        """
-        pkey = int(self.keys[sorted_index])
-        for level in range(self.depth + 1):
-            candidate = ancestor_at_level(pkey, level)
-            node = self.nodes.get(candidate)
-            if node is not None and node.is_leaf:
-                if node.lo <= sorted_index < node.hi:
-                    return node
-        raise KeyError(f"no leaf found for particle {sorted_index}")
-
     def unsort(self, values_sorted: np.ndarray) -> np.ndarray:
         """Map per-particle values from sorted order back to input order."""
         out = np.empty_like(values_sorted)
         out[self.order] = values_sorted
         return out
-
-    def validate(self) -> None:
-        """Structural invariants (used by the property-based tests)."""
-        n = self.n_particles
-        root = self.root
-        if (root.lo, root.hi) != (0, n):
-            raise AssertionError("root does not cover all particles")
-        total_mass = float(np.sum(self.mass))
-        if not np.isclose(root.mass, total_mass, rtol=1e-12):
-            raise AssertionError("root mass != total mass")
-        for node in self.nodes.values():
-            if self.nodes[ancestor_at_level(node.key, key_level(node.key))
-                          ] is not node:
-                raise AssertionError("node key inconsistent with hash")
-            if node.index < 0 or int(self.node_key[node.index]) != node.key:
-                raise AssertionError("flat index out of sync with key")
-            if node.is_leaf:
-                if node.count > self.leaf_size and node.level < self.depth:
-                    raise AssertionError("oversized leaf above max depth")
-                continue
-            spans = [
-                (self.nodes[c].lo, self.nodes[c].hi) for c in node.children
-            ]
-            spans.sort()
-            if not spans:
-                raise AssertionError("internal node with no children")
-            if spans[0][0] != node.lo or spans[-1][1] != node.hi:
-                raise AssertionError("children do not tile the parent")
-            for (a, b), (c, d) in zip(spans, spans[1:]):
-                if b != c:
-                    raise AssertionError("gap or overlap between children")
-            child_mass = sum(self.nodes[c].mass for c in node.children)
-            if not np.isclose(child_mass, node.mass, rtol=1e-9, atol=1e-12):
-                raise AssertionError("child masses do not sum to parent")
 
 
 def _stable_order_valid(keys: np.ndarray, order: np.ndarray) -> bool:

@@ -163,14 +163,6 @@ class FabricSpec:
         """How many chassis carry *nodes* blades."""
         return -(-nodes // self.nodes_per_chassis)
 
-    @property
-    def oversubscription(self) -> float:
-        """Worst-case chassis ingress vs uplink capacity (rack)."""
-        return (
-            self.nodes_per_chassis * self.nic.link.bandwidth_bps
-            / self.uplink.bandwidth_bps
-        )
-
     def build(self, nodes: int,
               blades: Optional[Sequence[int]] = None) -> Fabric:
         """Materialise the fabric for *nodes* endpoints.

@@ -23,10 +23,6 @@ class Link:
         """Time to clock *nbytes* onto the wire."""
         return 8.0 * nbytes / self.bandwidth_bps
 
-    def transfer_s(self, nbytes: int) -> float:
-        """Unloaded end-to-end time for one message on this link."""
-        return self.latency_s + self.serialization_s(nbytes)
-
 
 #: The MetaBlade fabric: 100 Mb/s Fast Ethernet.
 FAST_ETHERNET = Link(
@@ -79,11 +75,6 @@ class Calendar:
         self.busy_s = 0.0
         self.transfers = 0
         self._floor = 0.0
-
-    @property
-    def pruned_floor(self) -> float:
-        """Earliest time a booking may start (end of pruned history)."""
-        return self._floor
 
     def book(self, ready: float, duration: float) -> float:
         """Reserve *duration* at the earliest start >= ready."""

@@ -214,11 +214,6 @@ class RackTopology(Fabric):
             )
         return t
 
-    # -- diagnostics -------------------------------------------------------
-
-    def uplink_busy_s(self, chassis: int) -> float:
-        return self._chassis_up[chassis].busy_s
-
 
 def green_destiny_fabric(nodes: int = 240,
                          uplink: Link = GIGABIT_ETHERNET) -> RackTopology:

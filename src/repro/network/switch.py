@@ -29,11 +29,6 @@ class Switch:
     def __post_init__(self) -> None:
         check_domains(self)
 
-    @property
-    def nonblocking(self) -> bool:
-        """True if the backplane can carry all ports at full duplex."""
-        return self.backplane_bps >= 2 * self.ports * self.port_link.bandwidth_bps
-
 
 #: The MetaBlade chassis fabric: one 24-port Fast Ethernet switch.
 FAST_ETHERNET_SWITCH_24 = Switch(

@@ -106,8 +106,3 @@ class StarTopology(Fabric):
                 nbytes=nbytes, resource=f"downlink{dst}",
             )
         return t
-
-    # -- diagnostics -----------------------------------------------------
-
-    def uplink_busy_s(self, node: int) -> float:
-        return self._up[node].busy_s

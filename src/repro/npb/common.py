@@ -138,12 +138,3 @@ class NpbRandom:
             self.x = int(vals[take - 1])
             filled += take
         return out / NPB_LCG_M
-
-
-def npb_uniforms(n: int, seed: int = NPB_SEED,
-                 skip: int = 0) -> np.ndarray:
-    """Convenience: *n* draws from the NPB stream after *skip* draws."""
-    rng = NpbRandom(seed)
-    if skip:
-        rng.skip(skip)
-    return rng.batch(n)

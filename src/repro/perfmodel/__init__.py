@@ -12,7 +12,6 @@ rates.
 from repro.perfmodel.workload import CpuCharacterization, characterize
 from repro.perfmodel.projector import (
     project_mops,
-    project_runtime_s,
     table3_mops,
 )
 from repro.perfmodel.calibration import (
@@ -30,7 +29,6 @@ __all__ = [
     "characterize",
     "metablade_node_rate",
     "project_mops",
-    "project_runtime_s",
     "sustained_treecode_mflops",
     "table1_mflops",
     "table3_mops",

@@ -20,12 +20,6 @@ def project_mops(cpu: Processor, outcome: KernelOutcome) -> float:
     return character.ops_per_second(outcome.mix) / 1e6
 
 
-def project_runtime_s(cpu: Processor, outcome: KernelOutcome) -> float:
-    """Wall seconds the kernel's full operation count would take."""
-    character = characterize(cpu)
-    return outcome.operations / character.ops_per_second(outcome.mix)
-
-
 def table3_mops(
     cpus: Iterable[Processor],
     outcomes: Iterable[KernelOutcome],

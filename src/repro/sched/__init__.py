@@ -45,7 +45,6 @@ from repro.sched.policy import EasyBackfill, Fcfs, policy_by_name
 from repro.sched.profile_cache import (
     JobProfile,
     ProfileCache,
-    job_profile_key,
 )
 from repro.sched.scheduler import (
     BatchScheduler,
@@ -81,7 +80,6 @@ __all__ = [
     "Workload",
     "build_campaign",
     "campaign_params",
-    "job_profile_key",
     "policy_by_name",
     "render_gantt",
     "synthetic_stream",

@@ -129,12 +129,6 @@ class ProfileKeys:
         return (content, spec.nodes, tuple(map(chassis_of, blades)))
 
 
-def job_profile_key(spec, platform, blades: Sequence[int],
-                    config) -> Tuple[Any, ...]:
-    """One key built from scratch (see :class:`ProfileKeys`)."""
-    return ProfileKeys(platform, config).key(spec, blades)
-
-
 @dataclass
 class ProfileCache:
     """Keyed store of :class:`JobProfile` records plus hit accounting.
@@ -172,12 +166,6 @@ class ProfileCache:
     def put(self, key: Tuple[Any, ...], profile: JobProfile) -> None:
         if self.enabled:
             self._store[key] = profile
-
-    def invalidate(self) -> int:
-        """Drop every stored profile; returns how many were evicted."""
-        evicted = len(self._store)
-        self._store.clear()
-        return evicted
 
     def __len__(self) -> int:
         return len(self._store)

@@ -30,6 +30,7 @@ from repro.core.domains import POSITIVE, check_domains, param, whole
 from repro.nbody.parallel import ReplicatedStep
 from repro.nbody.sim import BUILD_FLOPS_PER_PARTICLE, SimConfig
 
+_NODES = whole(1)
 #: Rough flops per particle-particle interaction (walltime estimates).
 _FLOPS_PER_INTERACTION = 28.0
 #: Rough interactions per particle at theta=0.7 (walltime estimates).
@@ -61,8 +62,8 @@ class Workload:
         Adds a communication fudge; user estimates feeding EASY
         backfill are expected to over-estimate, as real ones do.
         """
-        if nodes < 1 or flop_rate <= 0:
-            raise ValueError("need nodes >= 1 and a positive flop rate")
+        _NODES.check("nodes", nodes)
+        POSITIVE.check("flop_rate", flop_rate)
         return 1.3 * self.est_flops() / (nodes * flop_rate)
 
     def make_program(self, flop_rate: float, nodes: int,

@@ -41,7 +41,7 @@ from repro.simmpi.comm import (
     RecvBlock,
 )
 from repro.simmpi.runtime import RunResult, SimMpiRuntime
-from repro.simmpi.trace import CommStats, filter_timeline, render_timeline
+from repro.simmpi.trace import CommStats, render_timeline
 
 __all__ = [
     "ANY_SOURCE",
@@ -54,6 +54,5 @@ __all__ = [
     "RecvBlock",
     "RunResult",
     "SimMpiRuntime",
-    "filter_timeline",
     "render_timeline",
 ]

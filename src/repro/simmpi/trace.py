@@ -12,7 +12,7 @@ timeline`` prints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.core.domains import whole
 from repro.core.events import TimelineEvent
@@ -41,22 +41,6 @@ class CommStats:
     def messages(self) -> int:
         return self.sends + self.recvs
 
-    def merge(self, other: "CommStats") -> "CommStats":
-        """Aggregate counters (rank field keeps self's)."""
-        return CommStats(
-            rank=self.rank,
-            sends=self.sends + other.sends,
-            recvs=self.recvs + other.recvs,
-            bytes_sent=self.bytes_sent + other.bytes_sent,
-            bytes_received=self.bytes_received + other.bytes_received,
-            compute_s=self.compute_s + other.compute_s,
-            io_s=self.io_s + other.io_s,
-            energy_j=self.energy_j + other.energy_j,
-            flops=self.flops + other.flops,
-            retransmits=self.retransmits + other.retransmits,
-            drops=self.drops + other.drops,
-        )
-
     def publish_metrics(self, registry) -> None:
         """Fold this rank's ledger into a telemetry Registry.
 
@@ -80,20 +64,6 @@ class CommStats:
             registry.counter("net.drops").inc(self.drops)
         registry.histogram("comm.rank_compute_s").observe(self.compute_s)
         registry.histogram("comm.rank_messages").observe(self.messages)
-
-
-def filter_timeline(events: Iterable[TimelineEvent],
-                    kinds: Optional[Sequence[str]] = None,
-                    rank: Optional[int] = None) -> List[TimelineEvent]:
-    """Time-ordered view of *events*, optionally by kind and/or rank."""
-    picked = [
-        e for e in events
-        if (kinds is None or e.kind in kinds)
-        and (rank is None or e.get("rank") == rank or e.get("src") == rank
-             or e.get("dst") == rank)
-    ]
-    picked.sort(key=lambda e: e.time)
-    return picked
 
 
 def _describe(event: TimelineEvent) -> str:

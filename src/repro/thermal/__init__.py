@@ -28,7 +28,6 @@ from repro.thermal.reliability import (
 )
 from repro.thermal.throttle import (
     AttemptPlan,
-    ComposedGovernor,
     Governor,
     PiecewiseGovernor,
     ThermalThrottleGovernor,
@@ -39,7 +38,6 @@ from repro.thermal.throttle import (
 __all__ = [
     "ArrheniusIntensity",
     "AttemptPlan",
-    "ComposedGovernor",
     "Governor",
     "PiecewiseGovernor",
     "ThermalFailureInjector",

@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.domains import (
     FINITE, NONNEGATIVE, POSITIVE, UNIT_CLOSED_OPEN, UNIT_OPEN_CLOSED,
-    check_domains, param,
+    check_domains, param, whole,
 )
 from repro.cpus.power import (
     COOLING_OVERHEAD_PER_WATT,
@@ -188,12 +188,9 @@ class ThermalNetwork:
     def __init__(self, nodes: int, spec: ThermalSpec, node_watts: float,
                  nodes_per_chassis: int = 24,
                  keep_ledger: bool = False) -> None:
-        if nodes < 1:
-            raise ValueError("need at least one blade")
-        if node_watts <= 0:
-            raise ValueError("busy node heat must be positive")
-        if nodes_per_chassis < 1:
-            raise ValueError("nodes_per_chassis must be >= 1")
+        whole(1).check("ThermalNetwork.nodes", nodes)
+        POSITIVE.check("ThermalNetwork.node_watts", node_watts)
+        whole(1).check("ThermalNetwork.nodes_per_chassis", nodes_per_chassis)
         self.nodes = nodes
         self.spec = spec
         self.node_watts = node_watts

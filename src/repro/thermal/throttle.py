@@ -5,17 +5,14 @@ the interface it implied.  A *governor* is anything that modulates a
 node's effective frequency over virtual time:
 :class:`~repro.simmpi.comm.RankComm.compute_flops` asks it to price a
 block of work (``advance``), splitting the charge across whatever
-piecewise-constant frequency segments are active.  Three governors now
+piecewise-constant frequency segments are active.  Two governors
 share the contract:
 
 - :class:`repro.cpus.longrun.LongRunGovernor` — DVFS steps from the
   part's published ladder (refactored onto this base);
 - :class:`ThermalThrottleGovernor` — emergency frequency clamps above
   a trip temperature, planned by the scheduler from the exact RC
-  crossing times of :mod:`repro.thermal.model`;
-- :class:`ComposedGovernor` — both on the same node: the effective
-  frequency is the most conservative child's, so a LongRun descent
-  and a thermal clamp compose without either knowing the other.
+  crossing times of :mod:`repro.thermal.model`.
 
 Throttle *planning* is deterministic by construction: every transition
 an attempt will ever see is computed and inserted at the attempt-start
@@ -123,10 +120,6 @@ class ThermalThrottleGovernor(PiecewiseGovernor):
         self._times.insert(i, time_s)
         self._scales.insert(i, scale)
 
-    def release_at(self, time_s: float) -> None:
-        """Schedule a return to full speed at *time_s*."""
-        self.clamp_at(time_s, 1.0)
-
     def frequency_scale(self, t: float) -> float:
         i = bisect_right(self._times, t)
         return 1.0 if i == 0 else self._scales[i - 1]
@@ -137,36 +130,6 @@ class ThermalThrottleGovernor(PiecewiseGovernor):
     def next_change(self, t: float) -> Optional[float]:
         i = bisect_right(self._times, t)
         return self._times[i] if i < len(self._times) else None
-
-
-class ComposedGovernor(PiecewiseGovernor):
-    """Several governors on one node; the most conservative wins.
-
-    The effective frequency at any instant is the minimum over the
-    children (a thermal clamp cannot be out-raced by a DVFS step and
-    vice versa), and the node's power is the minimum of the children's
-    models — each already prices the *whole* node under its own
-    mechanism, and the binding constraint is the one actually running
-    the silicon slower.
-    """
-
-    def __init__(self, children: Sequence[Governor]) -> None:
-        if not children:
-            raise ValueError("need at least one child governor")
-        self.children = tuple(children)
-
-    def frequency_scale(self, t: float) -> float:
-        return min(c.frequency_scale(t) for c in self.children)
-
-    def power_at(self, t: float) -> float:
-        return min(c.power_at(t) for c in self.children)
-
-    def next_change(self, t: float) -> Optional[float]:
-        nexts = [
-            n for n in (c.next_change(t) for c in self.children)
-            if n is not None
-        ]
-        return min(nexts) if nexts else None
 
 
 @dataclass(frozen=True)

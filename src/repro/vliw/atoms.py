@@ -43,15 +43,8 @@ class Atom:
         return self.instr.is_branch
 
     @property
-    def is_mem(self) -> bool:
-        return self.instr.opclass in (OpClass.LOAD, OpClass.STORE)
-
-    @property
     def is_store(self) -> bool:
         return self.instr.opclass is OpClass.STORE
-
-    def reads(self) -> Tuple[str, ...]:
-        return self.instr.reads()
 
     def writes(self) -> Optional[str]:
         return self.instr.writes()

@@ -11,6 +11,7 @@ import pytest
 
 from repro.check import RunManifest
 from repro.isa import programs
+from repro.perfmodel.calibration import table1_mflops
 
 DATA = Path(__file__).parent / "data"
 
@@ -71,6 +72,20 @@ def all_small_workloads(micro_math, micro_karp):
         programs.stream_triad(n=32),
         programs.int_checksum(n=200),
     ]
+
+
+@pytest.fixture(scope="session")
+def table1_measured():
+    """``table1_mflops`` with one measurement per CPU per session (each
+    is a few seconds of guest simulation)."""
+    measured = {}
+
+    def measure(cpu):
+        if cpu.name not in measured:
+            measured[cpu.name] = table1_mflops(cpu)
+        return measured[cpu.name]
+
+    return measure
 
 
 @pytest.fixture

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import RunManifest, mutate_event
+from repro.check import RunManifest
+from tests.oracles import mutate_event
 from tests.test_artifacts import mismatch
 
 DATA = Path(__file__).parent / "data"

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from repro.check import (
     RunManifest,
     TraceRecorder,
-    mutate_event,
     record_sched_manifest,
     record_simmpi_manifest,
     replay_manifest,
@@ -23,6 +22,7 @@ from repro.check import (
 from repro.check.manifest import config_hash, normalize_event
 from repro.cli import main
 from repro.core.events import EventKernel, TimelineEvent
+from tests.oracles import mutate_event
 
 
 # -- round trips (property-based) ------------------------------------------

@@ -12,9 +12,10 @@ from repro.cms.translator import Translation, Translator
 from repro.isa import programs
 from repro.isa.assembler import assemble
 from repro.isa.instructions import Program
-from repro.isa.machine import GuestFault, run_program
+from repro.isa.machine import GuestFault
 from repro.isa.randprog import random_program, random_state
 from repro.vliw.engine import VliwEngine, translate_block
+from tests.oracles import run_program
 
 
 def test_config_validation():
@@ -110,11 +111,9 @@ def test_locality_premise(micro_karp):
     wl = programs.gravity_microkernel_karp(n=32, passes=10)
     cms = CodeMorphingSoftware(CmsConfig(hot_threshold=10**9))
     result = cms.run(wl.program, wl.make_state(), max_steps=10**8)
-    hottest = result.profile.hottest(top=2)
-    coverage = result.profile.coverage(
-        tuple(b.entry_pc for b in hottest)
-    )
-    assert coverage > 0.9
+    counts = sorted((b.guest_instructions
+                     for b in result.profile.blocks.values()), reverse=True)
+    assert sum(counts[:2]) / sum(counts) > 0.9
 
 
 # -- translation cache -----------------------------------------------------
@@ -167,7 +166,7 @@ def test_tcache_flush():
     cache.insert(_translation(program))
     cache.flush()
     assert len(cache) == 0
-    assert cache.used_bytes == 0
+    assert cache._used_bytes == 0
 
 
 def test_small_tcache_still_correct(micro_karp):

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cms import CmsConfig, CodeMorphingSoftware
 from repro.isa import programs
-from repro.isa.machine import run_program
 from repro.isa.randprog import random_program, random_state
+from tests.oracles import run_program
 
 
 def _run(workload, **config):

@@ -14,6 +14,7 @@ from repro.core import (
     experiment_table7,
     experiment_topper,
 )
+from repro.core import experiments
 from repro.core.experiments import HISTORICAL_TREECODE, modelled_treecode_rows
 from repro.metrics import tco_for
 from repro.nbody.sim import SimConfig
@@ -50,7 +51,8 @@ def test_tco_and_topper_accessors():
 
 
 @pytest.mark.slow
-def test_experiment_table1_structure():
+def test_experiment_table1_structure(monkeypatch, table1_measured):
+    monkeypatch.setattr(experiments, "table1_mflops", table1_measured)
     result = experiment_table1()
     assert len(result.rows) == 5
     for row in result.rows:

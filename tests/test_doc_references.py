@@ -1,11 +1,11 @@
 """Everything the documents name must exist.
 
 For each document below: every backticked dotted ``repro.*`` name
-imports or resolves as an attribute, every ``src/``, ``tests/`` or
-``benchmarks/`` path exists (glob patterns are skipped), and every
-``repro.cli SUB --flag`` spelling (or backticked ``SUB --flag``) names a
-real subcommand and flag of :func:`repro.cli.build_parser`.  CHANGES.md
-is history and exempt.
+imports or resolves as an attribute, every ``src/``, ``tests/``,
+``benchmarks/`` or ``examples/`` path exists (glob patterns are
+skipped), and every ``repro.cli SUB --flag`` spelling (or backticked
+``SUB --flag``) names a real subcommand and flag of
+:func:`repro.cli.build_parser`.  CHANGES.md is history and exempt.
 """
 
 import argparse
@@ -27,7 +27,9 @@ PLACEHOLDERS = {"tableN"}
 _FENCE = re.compile(r"^```.*?^```", re.M | re.S)
 _SPAN = re.compile(r"`([^`\n]+)`")
 _DOTTED = re.compile(r"\brepro(?:\.\w+)+")
-_PATH = re.compile(r"(?<![\w./-])(?:src|tests|benchmarks)/[\w./*?\[\]{}-]*")
+_PATH = re.compile(
+    r"(?<![\w./-])(?:src|tests|benchmarks|examples)/[\w./*?\[\]{}-]*"
+)
 # One command: up to the end of the line, a closing backtick, a
 # comment or a shell operator; a trailing backslash continues it.
 _CLI = re.compile(r"repro\.cli((?:[^\S\n]|\\\n)+[^`#|;&>\s\\]+)+")
@@ -93,6 +95,7 @@ def test_stale_references_are_caught():
     text = ("`repro.check.nothing` and `repro.sched.campaign.build_campaign`\n"
             "see `tests/test_nothing.py`, `tests/data/ledger_*`,"
             " `check --nope`\n"
+            "run `python examples/no_such_example.py`\n"
             "```bash\n"
             "python -m repro.cli sched --jobs 4 \\\n"
             "    --no-such-flag   # comment --ignored\n"
@@ -100,6 +103,6 @@ def test_stale_references_are_caught():
             "```\n")
     assert stale_references(text) == [
         "repro.check.nothing", "tests/test_nothing.py",
-        "repro.cli sched --no-such-flag", "repro.cli nosuch",
-        "repro.cli check --nope",
+        "examples/no_such_example.py", "repro.cli sched --no-such-flag",
+        "repro.cli nosuch", "repro.cli check --nope",
     ]

@@ -32,7 +32,7 @@ from repro.cpus.longrun import (
     TM5600_LADDER, DvfsTransition, LongRunModel, LongRunStep,
 )
 from repro.metrics import CostParameters
-from repro.nbody import KarpTable, SimConfig, SphSystem, VortexSystem
+from repro.nbody import KarpTable, SimConfig
 from repro.network import (
     FaultWindow, Link, NetFaultConfig, Nic, RetryPolicy, Switch,
 )
@@ -43,7 +43,7 @@ from repro.platform.registry import METABLADE
 from repro.sched import (
     JobSpec, MicrokernelSweep, NpbKernelJob, SchedConfig, TreecodeJob,
 )
-from repro.thermal import ArrheniusIntensity, ThermalSpec
+from repro.thermal import ArrheniusIntensity, ThermalNetwork, ThermalSpec
 from repro.vliw import SlotLimits
 
 
@@ -51,8 +51,6 @@ def _kwargs(instance) -> dict:
     return {f.name: getattr(instance, f.name)
             for f in dataclasses.fields(instance) if f.init}
 
-
-_POINTS = np.random.default_rng(0).random((8, 3))
 
 #: A legal instance's keyword arguments, per covered class.
 BASELINES = {
@@ -81,12 +79,10 @@ BASELINES = {
     SchedConfig: {},
     SimConfig: {},
     SlotLimits: {},
-    SphSystem: dict(pos=_POINTS, mass=np.ones(8), h=0.1),
     Switch: dict(name="switch", ports=24, port_link=FAST_ETHERNET),
     ThermalSpec: dict(r_c_per_w=1.0, c_j_per_c=1.0, chassis_r_c_per_w=0.01,
                       ambient_c=25.0),
     TreecodeJob: {},
-    VortexSystem: dict(pos=_POINTS, alpha=_POINTS),
 }
 
 #: Rules relating two or more fields, which a value its own domain
@@ -171,7 +167,41 @@ def test_the_covered_classes_are_exactly_the_checked_records():
         }
     assert exported <= declaring
     assert declaring == set(BASELINES)
-    assert len(BASELINES) == 29
+    assert len(BASELINES) == 27
+
+
+def _estimate(nodes=4, flop_rate=1e9):
+    return MicrokernelSweep().est_runtime_s(nodes, flop_rate)
+
+
+def _network(node_watts=100.0, nodes=4, nodes_per_chassis=24):
+    return ThermalNetwork(nodes, ThermalSpec(**BASELINES[ThermalSpec]),
+                          node_watts, nodes_per_chassis)
+
+
+@pytest.mark.parametrize("call, refused", [
+    (lambda: _estimate(flop_rate=math.nan), "flop_rate"),
+    (lambda: _estimate(flop_rate=math.inf), "flop_rate"),
+    (lambda: _estimate(flop_rate=0.0), "flop_rate"),
+    (lambda: _estimate(nodes=2.5), "nodes"),
+    (lambda: _estimate(nodes=0), "nodes"),
+    (lambda: _network(node_watts=math.nan), "ThermalNetwork.node_watts"),
+    (lambda: _network(node_watts=math.inf), "ThermalNetwork.node_watts"),
+    (lambda: _network(node_watts=-1.0), "ThermalNetwork.node_watts"),
+    (lambda: _network(nodes=0), "ThermalNetwork.nodes"),
+    (lambda: _network(nodes=2.5), "ThermalNetwork.nodes"),
+    (lambda: _network(nodes_per_chassis=0),
+     "ThermalNetwork.nodes_per_chassis"),
+], ids=["estimate-nan-rate", "estimate-inf-rate", "estimate-zero-rate",
+        "estimate-fractional-nodes", "estimate-no-nodes",
+        "network-nan-heat", "network-inf-heat", "network-negative-heat",
+        "network-no-blades", "network-fractional-blades",
+        "network-no-chassis"])
+def test_function_arguments_are_refused_by_name(call, refused):
+    # A non-machine value fails naming the argument, not later as a
+    # NaN, a zero runtime or a peak temperature of inf.
+    with pytest.raises(ValueError, match=f"^{refused} must be "):
+        call()
 
 
 @pytest.mark.parametrize("domain, admits, refuses", [

@@ -24,12 +24,13 @@ from repro.cpus.portsim import PortSimulator, PortTimeline, SimOutcome
 from repro.isa import programs
 from repro.isa.assembler import assemble
 from repro.isa.instructions import Instr, Op, OpClass, Program
-from repro.isa.machine import GuestFault, Machine, MachineState, run_program
+from repro.isa.machine import GuestFault, Machine, MachineState
 from repro.isa.randprog import random_program, random_state
 from repro.vliw import engine as engine_module
 from repro.vliw.engine import TimingMemo, VliwEngine
 from repro.vliw.molecules import FULL_FORMAT, NARROW_FORMAT
 from repro.vliw.units import UnitKind
+from tests.oracles import run_program
 
 
 def _golden(seed):
@@ -185,7 +186,7 @@ def _execute_block_by_atom(self, tb, program, machine):
     for molecule in tb.molecules:
         t = t_prev + 1
         for atom in molecule:
-            for src in atom.reads():
+            for src in atom.instr.srcs:
                 t = max(t, self._reg_ready.get(src, 0))
             if atom.unit is UnitKind.FPU:
                 t = max(t, self._fpu_free)

@@ -23,10 +23,8 @@ def test_pending_is_a_counter():
     assert kernel.pending() == 6
     # Under the compaction threshold the heap still holds the corpses.
     assert len(kernel._heap) == 10
-    assert not kernel.idle
     kernel.run()
     assert kernel.pending() == 0
-    assert kernel.idle
 
 
 def test_double_cancel_counts_once():

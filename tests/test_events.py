@@ -6,8 +6,6 @@ live node-failure injection, the LongRun DVFS governor and the unified
 timeline.
 """
 
-import random
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.cluster import (
     BLADED_OUTAGES,
     LiveFailureInjector,
-    sample_failure_times,
 )
 from repro.core import experiment_timeline
 from repro.core.events import EventKernel, Process
@@ -36,7 +33,6 @@ from repro.simmpi import (
     DeadlockError,
     NodeFailureError,
     SimMpiRuntime,
-    filter_timeline,
     render_timeline,
 )
 from repro.simmpi.comm import RankComm
@@ -75,14 +71,6 @@ def test_cancelled_events_never_fire():
     assert kernel.fired == 1
 
 
-def test_after_schedules_relative_to_now():
-    kernel = EventKernel()
-    seen = []
-    kernel.at(5.0, lambda: kernel.after(2.0, lambda: seen.append(kernel.now)))
-    kernel.run()
-    assert seen == [7.0]
-
-
 def test_run_until_stops_before_later_events():
     kernel = EventKernel()
     fired = []
@@ -98,8 +86,6 @@ def test_negative_times_rejected():
     kernel = EventKernel()
     with pytest.raises(ValueError):
         kernel.at(-1.0, lambda: None)
-    with pytest.raises(ValueError):
-        kernel.after(-0.5, lambda: None)
 
 
 def test_nan_times_rejected_before_they_can_misorder_the_heap():
@@ -113,8 +99,6 @@ def test_nan_times_rejected_before_they_can_misorder_the_heap():
         kernel.at(float("nan"), fired.append, "nan")
     kernel.at(1.0, fired.append, 1.0)
     kernel.at(0.5, fired.append, 0.5)
-    with pytest.raises(ValueError, match="nan"):
-        kernel.after(float("nan"), fired.append, "nan")
     assert kernel.pending() == 3
     kernel.run()
     assert fired == [0.5, 1.0, 2.0]
@@ -188,7 +172,6 @@ def test_fire_order_matches_sorted_reference_under_cancel_and_until(ops):
                 if k % arg:
                     cancel(first + k)
         assert kernel.pending() == len(waiting)
-        assert kernel.idle == (not waiting)
         assert len(kernel._heap) == kernel._live + kernel._dead
         # Compaction keeps the corpses bounded by the live entries.
         assert kernel._dead <= max(64, kernel._live)
@@ -485,18 +468,11 @@ def test_live_failure_injector_bridges_hub_and_runtime():
     assert result.failed_ranks == (2,)
     failures = injector.hub.failures()
     assert [e.node for e in failures] == [2]
-    assert injector.hub.mean_time_to_detect_h() == pytest.approx(
+    failed, detected = injector.hub.log[:2]
+    assert detected.time_h - failed.time_h == pytest.approx(
         injector.hub.detection_latency_h
     )
     assert injector.lost_cpu_hours() == BLADED_OUTAGES.outage_hours
-
-
-def test_sample_failure_times_is_a_poisson_draw():
-    assert sample_failure_times(random.Random(0), 0.0, 100.0) == []
-    times = sample_failure_times(random.Random(0), 0.5, 1000.0)
-    assert all(0 <= t < 1000.0 for t in times)
-    assert times == sorted(times)
-    assert 350 < len(times) < 650          # ~Poisson(500)
 
 
 # -- rich deadlock reporting -------------------------------------------------
@@ -592,7 +568,7 @@ def test_dvfs_transitions_land_on_the_shared_timeline():
     low = min(TM5600_LONGRUN.ladder, key=lambda s: s.mhz)
     governor.step_at(0.5, low)
     kernel.run()
-    dvfs = filter_timeline(by_time(events), kinds=("dvfs",))
+    dvfs = [e for e in events if e.kind == "dvfs"]
     assert len(dvfs) == 1
     assert dvfs[0].time == 0.5
     assert dvfs[0].get("mhz") == low.mhz
@@ -619,16 +595,6 @@ def test_timeline_is_time_coherent_across_layers():
     assert "link-up" in kinds and "switch" in kinds
     times = [e.time for e in events]
     assert times == sorted(times)
-
-
-def test_filter_timeline_by_kind_and_rank():
-    kernel, events = traced_kernel()
-    kernel.trace("send", time=1.0, src=0, dst=1)
-    kernel.trace("block", time=2.0, rank=1)
-    kernel.trace("block", time=3.0, rank=0)
-    assert len(filter_timeline(events, kinds=("block",))) == 2
-    only = filter_timeline(events, kinds=("block",), rank=0)
-    assert [e.time for e in only] == [3.0]
 
 
 def test_render_timeline_formats_and_limits():

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.isa.assembler import AssemblyError, assemble, disassemble
+from repro.isa.assembler import _SIGNATURES, AssemblyError, assemble
 from repro.isa.instructions import Op
-from repro.isa.machine import run_program
+from tests.oracles import run_program
 
 
 def test_assemble_simple_loop():
@@ -64,6 +64,31 @@ def test_float_immediate():
 def test_assembly_errors(source):
     with pytest.raises(AssemblyError):
         assemble(source)
+
+
+def disassemble(program):
+    """Render *program* back to assembly text (labels included)."""
+    label_at = {}
+    for label, idx in program.labels:
+        label_at.setdefault(idx, []).append(label)
+    lines = []
+    for i, instr in enumerate(program.instrs):
+        for label in label_at.get(i, ()):
+            lines.append(f"{label}:")
+        sig = _SIGNATURES[instr.op]
+        fields = []
+        src_iter = iter(instr.srcs)
+        for kind in sig:
+            if kind == "D":
+                fields.append(str(instr.dst))
+            elif kind == "S":
+                fields.append(next(src_iter))
+            elif kind == "I" or kind == "L":
+                fields.append(str(instr.imm))
+            elif kind == "F":
+                fields.append(repr(instr.fimm))
+        lines.append(f"    {instr.op.value:<6s} " + ", ".join(fields))
+    return "\n".join(lines) + "\n"
 
 
 def test_disassemble_reassembles_identically():

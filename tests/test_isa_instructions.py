@@ -9,13 +9,12 @@ from repro.isa.instructions import (
     Op,
     OpClass,
     Program,
-    op_class,
 )
 
 
 def test_every_op_has_a_class():
     for op in Op:
-        assert isinstance(op_class(op), OpClass)
+        assert isinstance(Instr(op=op).opclass, OpClass)
 
 
 def test_flop_counting_convention():
@@ -65,18 +64,6 @@ def test_basic_block_extraction():
     assert len(block) == 3
     assert block[-1].op is Op.BNEZ
     assert program.basic_block_at(3) == (instrs[3],)
-
-
-def test_static_mix():
-    instrs = (
-        Instr(op=Op.FADD, dst="f1", srcs=("f1", "f2")),
-        Instr(op=Op.LD, dst="r1", srcs=("r2",)),
-        Instr(op=Op.HALT),
-    )
-    mix = Program(instrs=instrs).static_mix()
-    assert mix[OpClass.FPADD] == 1
-    assert mix[OpClass.LOAD] == 1
-    assert mix[OpClass.NOP] == 1
 
 
 def test_label_lookup():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa.assembler import assemble
-from repro.isa.machine import GuestFault, Machine, MachineState, Memory, run_program
+from repro.isa.machine import GuestFault, Machine, MachineState, Memory
+from tests.oracles import run_program
 
 
 def run_asm(source, **regs):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.isa import programs
-from repro.isa.machine import run_program
+from tests.oracles import run_program
 
 
 @pytest.mark.parametrize("builder", programs.SUPPORT_KERNELS)

@@ -1,29 +1,48 @@
-"""Extensions: quadrupoles, Chebyshev Karp, vortex method, SPH."""
+"""Extensions: quadrupoles and Chebyshev Karp."""
 
 import numpy as np
 import pytest
 
 from repro.isa import programs
-from repro.isa.machine import run_program
 from repro.nbody.ic import plummer_sphere
 from repro.nbody.karp import KarpTable, karp_rsqrt
 from repro.nbody.kernels import direct_accelerations
-from repro.nbody.multipole import (
-    direct_quadrupole_check,
-    quadrupole_from_sums,
-    quadrupole_tensor,
-)
-from repro.nbody.sph import SphSystem, ball_query, cubic_spline
 from repro.nbody.traversal import tree_accelerations
 from repro.nbody.tree import HashedOctree
-from repro.nbody.vortex import (
-    VortexSystem,
-    ring_self_induced_speed,
-    vortex_ring,
-)
+from tests.oracles import run_program
 
 
 # --- quadrupole moments -------------------------------------------------------
+
+
+def quadrupole_tensor(pos, mass, com):
+    """Traceless quadrupole of particles about *com* (3x3)."""
+    d = pos - com
+    m = mass[:, None]
+    second = (m * d).T @ d                       # sum m d d^T
+    trace = np.trace(second)
+    return 3.0 * second - trace * np.eye(3)
+
+
+def quadrupole_from_sums(mass, com, second_moment):
+    """Quadrupole from prefix-summable raw moments.
+
+    ``second_moment`` is sum m x x^T about the *origin*; shifting to
+    the centre of mass uses the parallel-axis relation
+    sum m d d^T = S2 - mass * com com^T.
+    """
+    shifted = second_moment - mass * np.outer(com, com)
+    trace = np.trace(shifted)
+    return 3.0 * shifted - trace * np.eye(3)
+
+
+def direct_quadrupole_check(target, com, quad, g=1.0):
+    """Scalar-path quadrupole acceleration for one target and one cell."""
+    d = target - com
+    r = np.linalg.norm(d)
+    qd = quad @ d
+    dqd = float(d @ qd)
+    return g * (qd / r**5 - 2.5 * dqd * d / r**7)
 
 
 def test_quadrupole_is_traceless_and_symmetric():
@@ -126,156 +145,3 @@ def test_chebyshev_guest_on_cms():
     cms = CodeMorphingSoftware(CmsConfig(hot_threshold=2))
     result = cms.run(wl.program, wl.make_state(), max_steps=10**7)
     assert wl.check(result.state)
-
-
-# --- vortex particle method -----------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def vortex_cloud():
-    rng = np.random.default_rng(7)
-    pos = rng.uniform(-1, 1, (500, 3))
-    alpha = 0.01 * rng.standard_normal((500, 3))
-    return VortexSystem(pos, alpha, core_radius=0.1)
-
-
-def test_vortex_tree_matches_direct(vortex_cloud):
-    direct = vortex_cloud.direct_velocities()
-    tree, stats = vortex_cloud.tree_velocities(theta=0.3)
-    rel = np.linalg.norm(tree - direct, axis=1) / (
-        np.linalg.norm(direct, axis=1) + 1e-30
-    )
-    assert np.median(rel) < 0.02
-    assert stats.interactions <= 500 * 500
-    # At a looser angle the tree must actually save interactions.
-    _, loose = vortex_cloud.tree_velocities(theta=0.8)
-    assert loose.interactions < 500 * 500
-    assert loose.particle_cell > 0
-
-
-def test_vortex_smaller_theta_more_accurate(vortex_cloud):
-    direct = vortex_cloud.direct_velocities()
-
-    def err(theta):
-        tree, _ = vortex_cloud.tree_velocities(theta=theta)
-        return np.median(
-            np.linalg.norm(tree - direct, axis=1)
-            / (np.linalg.norm(direct, axis=1) + 1e-30)
-        )
-
-    assert err(0.2) < err(0.8)
-
-
-def test_vortex_ring_self_propels():
-    pos, alpha = vortex_ring(n=200, ring_radius=1.0, circulation=1.0)
-    system = VortexSystem(pos, alpha, core_radius=0.05)
-    vel = system.direct_velocities()
-    uz = vel[:, 2].mean()
-    predicted = ring_self_induced_speed(1.0, 1.0, 0.05)
-    # Kelvin's constant depends on the core model; the regularised ring
-    # translates along +z at the right order.
-    assert uz > 0
-    assert 0.6 * predicted < uz < 1.3 * predicted
-    # Transverse drift is zero by symmetry.
-    assert abs(vel[:, 0].mean()) < 1e-12
-    assert abs(vel[:, 1].mean()) < 1e-12
-
-
-def test_vortex_total_circulation_invariant():
-    pos, alpha = vortex_ring(n=64)
-    system = VortexSystem(pos, alpha)
-    assert np.allclose(system.total_circulation, 0.0, atol=1e-12)
-
-
-def test_vortex_validation():
-    with pytest.raises(ValueError):
-        VortexSystem(np.zeros((4, 3)), np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        VortexSystem(np.zeros((4, 3)), np.zeros((4, 3)), core_radius=0.0)
-
-
-# --- SPH ---------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def lattice_sph():
-    side = 8
-    g = (np.arange(side) + 0.5) / side
-    px, py, pz = np.meshgrid(g, g, g, indexing="ij")
-    pos = np.stack([px.ravel(), py.ravel(), pz.ravel()], axis=1)
-    mass = np.full(len(pos), 1.0 / len(pos))
-    return SphSystem(pos, mass, h=2.0 / side)
-
-
-def test_kernel_normalisation():
-    h = 0.25
-    rng = np.random.default_rng(11)
-    samples = rng.uniform(-2 * h, 2 * h, (300_000, 3))
-    r = np.linalg.norm(samples, axis=1)
-    integral = cubic_spline(r / h, h).mean() * (4 * h) ** 3
-    assert integral == pytest.approx(1.0, abs=0.01)
-
-
-def test_kernel_compact_support():
-    h = 0.5
-    q = np.array([0.0, 0.5, 1.0, 1.9, 2.0, 5.0])
-    w = cubic_spline(q, h)
-    assert w[0] > w[1] > w[2] > w[3] > 0
-    assert w[4] == 0.0 and w[5] == 0.0
-
-
-def test_sph_tree_density_equals_direct(lattice_sph):
-    rho_tree, pairs = lattice_sph.densities()
-    rho_direct = lattice_sph.densities_direct()
-    assert np.allclose(rho_tree, rho_direct)
-    assert pairs > 0
-
-
-def test_sph_interior_density_near_unity(lattice_sph):
-    rho, _ = lattice_sph.densities()
-    centre_mask = np.all(
-        np.abs(lattice_sph.pos - 0.5) < 0.25, axis=1
-    )
-    assert np.median(rho[centre_mask]) == pytest.approx(1.0, abs=0.05)
-
-
-def test_ball_query_matches_brute_force(lattice_sph):
-    tree = lattice_sph.tree
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        centre = rng.uniform(0, 1, 3)
-        radius = rng.uniform(0.05, 0.4)
-        got = ball_query(tree, centre, radius)
-        d2 = ((tree.pos - centre) ** 2).sum(axis=1)
-        want = np.sort(np.flatnonzero(d2 <= radius * radius))
-        assert np.array_equal(got, want)
-
-
-def test_sph_pressure_forces_push_apart(lattice_sph):
-    """Uniform pressure field on a uniform lattice: interior forces
-    cancel; a high-pressure centre pushes neighbours outward."""
-    rho, _ = lattice_sph.densities()
-    centre_idx = np.argmin(
-        ((lattice_sph.pos - 0.5) ** 2).sum(axis=1)
-    )
-    uniform = np.ones_like(rho)
-    hot = uniform.copy()
-    hot[centre_idx] = 10.0
-    # Differencing against the uniform field cancels the finite-domain
-    # boundary forces exactly, isolating the hot spot's push.
-    delta = (
-        lattice_sph.pressure_accelerations(rho, hot)
-        - lattice_sph.pressure_accelerations(rho, uniform)
-    )
-    d = lattice_sph.pos - lattice_sph.pos[centre_idx]
-    dist = np.linalg.norm(d, axis=1)
-    ring = (dist > 0) & (dist < 2 * lattice_sph.h)
-    outward = np.einsum("ik,ik->i", delta[ring], d[ring])
-    assert np.all(outward > 0)
-
-
-def test_sph_validation():
-    with pytest.raises(ValueError):
-        SphSystem(np.zeros((4, 3)), np.zeros(4), h=0.0)
-    with pytest.raises(ValueError):
-        SphSystem(np.zeros((4, 2)), np.zeros(4), h=0.1)

@@ -25,6 +25,7 @@ from repro.nbody.traversal import (
 )
 from repro.nbody.tree import HashedOctree, TreeBuildCache
 from repro.runner import parallel_map
+from tests.oracles import validate_tree
 
 
 def _both_paths(tree, **kw):
@@ -367,7 +368,7 @@ def test_node_table_is_lazy_and_equals_the_flat_arrays(
             assert node.quadrupole.tobytes() == tree.node_quad[i].tobytes()
         else:
             assert node.quadrupole is None
-    tree.validate()
+    validate_tree(tree)
     assert [leaf.index for leaf in tree.leaves()] == tree.leaf_order.tolist()
     # The reference walk, which navigates the table, still agrees.
     (acc_n, st_n), (acc_b, st_b) = _both_paths(tree, theta=0.6)

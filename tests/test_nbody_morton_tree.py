@@ -10,15 +10,14 @@ from repro.nbody.morton import (
     ROOT_KEY,
     ancestor_at_level,
     cell_geometry,
-    child_key,
     key_level,
     morton_decode,
     morton_encode,
-    parent_key,
     particle_keys,
     quantize,
 )
 from repro.nbody.tree import HashedOctree
+from tests.oracles import validate_tree
 
 
 coord = st.integers(0, (1 << 21) - 1)
@@ -42,15 +41,11 @@ def test_morton_locality():
 
 
 def test_key_hierarchy():
-    key = child_key(child_key(ROOT_KEY, 3), 5)
+    key = (ROOT_KEY * 8 + 3) * 8 + 5       # octant 3, then octant 5
     assert key_level(key) == 2
-    assert parent_key(key) == child_key(ROOT_KEY, 3)
+    assert ancestor_at_level(key, 1) == ROOT_KEY * 8 + 3
     assert ancestor_at_level(key, 0) == ROOT_KEY
     assert ancestor_at_level(key, 2) == key
-    with pytest.raises(ValueError):
-        parent_key(ROOT_KEY)
-    with pytest.raises(ValueError):
-        child_key(ROOT_KEY, 8)
     with pytest.raises(ValueError):
         ancestor_at_level(ROOT_KEY, 5)
 
@@ -82,7 +77,7 @@ def test_cell_geometry_root_covers_box():
 def test_cell_geometry_children_nest():
     lo, hi = np.zeros(3), np.ones(3)
     for octant in range(8):
-        centre, size = cell_geometry(child_key(ROOT_KEY, octant), lo, hi)
+        centre, size = cell_geometry(ROOT_KEY * 8 + octant, lo, hi)
         assert size == pytest.approx(0.5)
         assert np.all(centre > lo) and np.all(centre < hi)
 
@@ -94,7 +89,7 @@ def test_cell_geometry_children_nest():
 def test_tree_invariants(n, leaf_size):
     pos, _, mass = plummer_sphere(n, seed=n)
     tree = HashedOctree(pos, mass, leaf_size=leaf_size)
-    tree.validate()
+    validate_tree(tree)
     assert tree.n_particles == n
     leaves = list(tree.leaves())
     # Leaves tile [0, n) in curve order.
@@ -111,7 +106,7 @@ def test_tree_invariants_property(seed, n):
     pos = rng.uniform(-1, 1, size=(n, 3))
     mass = rng.uniform(0.1, 2.0, size=n)
     tree = HashedOctree(pos, mass, leaf_size=4)
-    tree.validate()
+    validate_tree(tree)
     # Centre of mass of the root equals the global one.
     com = (mass[:, None] * pos).sum(axis=0) / mass.sum()
     assert np.allclose(tree.root.com, com, rtol=1e-9, atol=1e-12)
@@ -121,7 +116,7 @@ def test_duplicate_positions_handled():
     pos = np.zeros((50, 3))
     mass = np.ones(50)
     tree = HashedOctree(pos, mass, leaf_size=4)
-    tree.validate()
+    validate_tree(tree)
     # Identical keys cannot split: a single max-depth leaf holds all.
     big = max(leaf.count for leaf in tree.leaves())
     assert big == 50
@@ -131,15 +126,27 @@ def test_lookup_is_hash_based():
     pos, _, mass = plummer_sphere(200, seed=1)
     tree = HashedOctree(pos, mass, leaf_size=8)
     assert tree.lookup(ROOT_KEY) is tree.root
-    assert tree.contains_key(ROOT_KEY)
-    assert not tree.contains_key(child_key(ROOT_KEY, 0) << 60)
+    assert ROOT_KEY in tree.nodes
+    assert ROOT_KEY * 8 << 60 not in tree.nodes
+
+
+def _enclosing_leaf(tree, sorted_index):
+    """The leaf owning the particle at *sorted_index*, found by walking
+    the levels of its own key through the hash table."""
+    pkey = int(tree.keys[sorted_index])
+    for level in range(tree.depth + 1):
+        node = tree.nodes.get(ancestor_at_level(pkey, level))
+        if node is not None and node.is_leaf:
+            if node.lo <= sorted_index < node.hi:
+                return node
+    raise KeyError(f"no leaf found for particle {sorted_index}")
 
 
 def test_enclosing_leaf():
     pos, _, mass = plummer_sphere(150, seed=2)
     tree = HashedOctree(pos, mass, leaf_size=8)
     for idx in (0, 17, 149):
-        leaf = tree.enclosing_leaf(idx)
+        leaf = _enclosing_leaf(tree, idx)
         assert leaf.is_leaf
         assert leaf.lo <= idx < leaf.hi
 

@@ -19,7 +19,6 @@ from repro.nbody.sim import (
 from repro.nbody.traversal import (
     leaf_aligned_partition,
     tree_accelerations,
-    work_per_particle,
 )
 from repro.nbody.tree import HashedOctree
 
@@ -118,8 +117,11 @@ def test_partition_covers_and_balances(snapshot):
 def test_work_weighted_partition_balances_work(snapshot):
     _, _, tree = snapshot
     _, stats = tree_accelerations(tree, theta=0.7, softening=1e-2)
-    work = work_per_particle(tree, stats)
-    weights_sorted = work[tree.order]
+    # Each group's interactions, spread evenly over its particles.
+    weights_sorted = np.zeros(tree.n_particles)
+    for lo, hi, interactions in stats.group_work:
+        if hi > lo:
+            weights_sorted[lo:hi] = interactions / (hi - lo)
     spans = leaf_aligned_partition(tree, 6, weights_sorted)
     loads = [weights_sorted[lo:hi].sum() for lo, hi in spans]
     naive = leaf_aligned_partition(tree, 6)

@@ -123,7 +123,7 @@ def test_calendar_matches_unpruned_oracle_under_bounded_skew():
         got = cal.book(ready, duration)
         want = _oracle_book(starts, ends, ready, duration)
         assert got == want
-    assert cal.pruned_floor > 0.0          # pruning actually happened
+    assert cal._floor > 0.0          # pruning actually happened
     assert len(cal.starts) < 3000
 
 
@@ -207,7 +207,7 @@ def test_coalesced_calendar_matches_oracle_across_pruning(seed, load,
         assert cal.book(ready, duration) == _oracle_book(
             starts, ends, ready, duration
         )
-        if pruned_at is None and cal.pruned_floor > 0.0:
+        if pruned_at is None and cal._floor > 0.0:
             pruned_at = n
     assert cal.transfers == 4000
     if load == 0.2:                  # mostly isolated runs: must prune
@@ -222,7 +222,7 @@ def test_calendar_stale_booking_respects_pruned_floor():
     for _ in range(3000):
         booked.append(cal.book(t, 1e-4))
         t += 1.5e-4
-    floor = cal.pruned_floor
+    floor = cal._floor
     assert floor > 0.0
     # Bookings from the forgotten past may not land inside pruned
     # history, and may not overlap anything booked before or since —
@@ -241,9 +241,9 @@ def test_calendar_reset_clears_floor():
     for _ in range(3000):
         cal.book(t, 1e-4)
         t += 1.5e-4
-    assert cal.pruned_floor > 0.0
+    assert cal._floor > 0.0
     cal.reset()
-    assert cal.pruned_floor == 0.0
+    assert cal._floor == 0.0
     assert cal.book(0.0, 1e-4) == 0.0
 
 

@@ -8,7 +8,6 @@ from repro.network.link import Calendar, FAST_ETHERNET, Link, LinkSchedule
 from repro.network.nic import FAST_ETHERNET_NIC, Nic
 from repro.network.switch import (
     BackplaneSchedule,
-    FAST_ETHERNET_SWITCH_24,
     Switch,
 )
 from repro.network.multilevel import green_destiny_fabric
@@ -107,22 +106,13 @@ def test_link_schedule_contention():
     assert sched.transfers == 2
 
 
-def test_switch_nonblocking_check():
-    assert FAST_ETHERNET_SWITCH_24.nonblocking
-    starved = Switch(
-        name="oversubscribed", ports=24,
-        port_link=FAST_ETHERNET, backplane_bps=1e8,
-    )
-    assert not starved.nonblocking
-
-
 def test_star_topology_routing_and_times():
     # post_time is the NIC-accept instant: the caller has already
     # charged send overhead, so the wire cost starts right there.
     star = StarTopology(nodes=4)
     t = star.send(0, 1, nbytes=10_000, post_time=0.0)
     expected_min = (
-        FAST_ETHERNET.transfer_s(10_000)
+        FAST_ETHERNET.latency_s + FAST_ETHERNET.serialization_s(10_000)
         + FAST_ETHERNET_NIC.recv_overhead_s
     )
     assert t.arrive_time >= expected_min
@@ -158,7 +148,7 @@ def test_reset_clears_state():
     star.send(0, 1, 1000, 0.0)
     star.reset()
     assert star.total_bytes() == 0
-    assert star.uplink_busy_s(0) == 0.0
+    assert star._up[0].busy_s == 0.0
 
 
 def test_ideal_fabric_is_free():

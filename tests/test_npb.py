@@ -31,7 +31,6 @@ from repro.npb.common import (
     NPB_LCG_M,
     NpbRandom,
     OpMix,
-    npb_uniforms,
 )
 from repro.npb.is_ import bucket_rank, make_keys
 
@@ -59,7 +58,7 @@ def test_lcg_jump_ahead_property(n, skip):
 
 
 def test_lcg_outputs_in_unit_interval():
-    u = npb_uniforms(100_000)
+    u = NpbRandom().batch(100_000)
     assert u.min() > 0.0
     assert u.max() < 1.0
     # The 46-bit LCG is uniform to high quality.

@@ -18,8 +18,6 @@ from repro.perfmodel import (
     TREECODE_EFFICIENCY,
     characterize,
     metablade_node_rate,
-    project_mops,
-    project_runtime_s,
     sustained_treecode_mflops,
     table3_mops,
 )
@@ -53,13 +51,6 @@ def test_dram_cap_binds_on_streaming():
     spec = ATHLON_MP_1200.spec
     dram_cpi = spec.clock_hz * 8.0 / (spec.memory_gbs * 1e9)
     assert c.cpi_mem >= dram_cpi - 1e-12
-
-
-def test_projection_scales_with_runtime(outcomes):
-    ep = next(o for o in outcomes if o.name == "EP")
-    mops = project_mops(TM5600_633, ep)
-    runtime = project_runtime_s(TM5600_633, ep)
-    assert runtime == pytest.approx(ep.operations / (mops * 1e6))
 
 
 def test_table3_shape(outcomes):

@@ -13,7 +13,6 @@ from repro.sched import (
     SchedConfig,
     TreecodeJob,
     campaign_params,
-    job_profile_key,
 )
 from repro.sched.profile_cache import JobProfile, ProfileKeys
 
@@ -231,31 +230,30 @@ def _spec(job_id=0, arrival=0.0, nodes=2, workload=None):
 
 def test_key_ignores_queue_identity():
     config = SchedConfig()
-    a = job_profile_key(_spec(job_id=0, arrival=0.0), METABLADE,
-                        (0, 1), config)
-    b = job_profile_key(_spec(job_id=9, arrival=5.0), METABLADE,
-                        (0, 1), config)
+    a = ProfileKeys(METABLADE, config).key(_spec(job_id=0, arrival=0.0),
+                                           (0, 1))
+    b = ProfileKeys(METABLADE, config).key(_spec(job_id=9, arrival=5.0),
+                                           (0, 1))
     assert a == b
 
 
 def test_key_separates_content_width_and_checkpoint_plan():
     config = SchedConfig()
-    base = job_profile_key(_spec(), METABLADE, (0, 1), config)
-    wider = job_profile_key(_spec(nodes=3), METABLADE, (0, 1, 2), config)
-    other = job_profile_key(
-        _spec(workload=MicrokernelSweep(passes=3)), METABLADE,
-        (0, 1), config,
+    base = ProfileKeys(METABLADE, config).key(_spec(), (0, 1))
+    wider = ProfileKeys(METABLADE, config).key(_spec(nodes=3), (0, 1, 2))
+    other = ProfileKeys(METABLADE, config).key(
+        _spec(workload=MicrokernelSweep(passes=3)), (0, 1),
     )
-    ckpt = job_profile_key(
-        _spec(), METABLADE, (0, 1), SchedConfig(checkpoint_every=1)
+    ckpt = ProfileKeys(METABLADE, SchedConfig(checkpoint_every=1)).key(
+        _spec(), (0, 1)
     )
     assert len({base, wider, other, ckpt}) == 4
 
 
 def test_key_star_fabric_is_placement_invariant():
     config = SchedConfig()
-    a = job_profile_key(_spec(), METABLADE, (0, 1), config)
-    b = job_profile_key(_spec(), METABLADE, (5, 9), config)
+    a = ProfileKeys(METABLADE, config).key(_spec(), (0, 1))
+    b = ProfileKeys(METABLADE, config).key(_spec(), (5, 9))
     assert a == b
 
 
@@ -263,9 +261,9 @@ def test_key_rack_fabric_sees_chassis_grouping():
     config = SchedConfig()
     npc = RACK.fabric.nodes_per_chassis
     assert npc >= 4
-    same_chassis = job_profile_key(_spec(), RACK, (0, 1), config)
-    same_grouping = job_profile_key(_spec(), RACK, (2, 3), config)
-    split = job_profile_key(_spec(), RACK, (0, npc), config)
+    same_chassis = ProfileKeys(RACK, config).key(_spec(), (0, 1))
+    same_grouping = ProfileKeys(RACK, config).key(_spec(), (2, 3))
+    split = ProfileKeys(RACK, config).key(_spec(), (0, npc))
     assert same_chassis == same_grouping
     assert same_chassis != split
 
@@ -323,7 +321,7 @@ def test_interned_key_equals_key_built_from_scratch():
     spec = _spec()
     first = keys.key(spec, (0, 1))
     assert keys.key(spec, (4, 7)) == first       # served by identity
-    assert first == job_profile_key(spec, METABLADE, (0, 1), config)
+    assert first == ProfileKeys(METABLADE, config).key(spec, (0, 1))
 
 
 def test_short_lived_workloads_never_meet_a_stale_token():
@@ -373,14 +371,12 @@ def _profile():
     )
 
 
-def test_cache_store_counters_and_invalidate():
+def test_cache_store_and_counters():
     cache = ProfileCache()
     assert cache.get(("k",)) is None and cache.misses == 1
     cache.put(("k",), _profile())
     assert cache.get(("k",)) is not None and cache.hits == 1
     assert len(cache) == 1
-    assert cache.invalidate() == 1
-    assert len(cache) == 0
 
 
 def test_disabled_cache_never_stores_or_hits():

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.cms import CmsConfig, CodeMorphingSoftware
 from repro.isa import programs
-from repro.isa.machine import run_program
 from repro.isa.randprog import random_program, random_state
 from repro.metrics import CostParameters, tco_for
 from repro.platform.registry import METABLADE, TABLE5 as TABLE5_CLUSTERS
@@ -16,6 +15,7 @@ from repro.vliw.atoms import atoms_from_block
 from repro.vliw.molecules import FULL_FORMAT, NARROW_FORMAT, Molecule
 from repro.vliw.scheduler import dependence_graph, schedule_block
 from repro.vliw.units import TM5600_LATENCIES
+from tests.oracles import run_program
 
 
 # --- scheduler invariants -------------------------------------------------

@@ -10,9 +10,7 @@ from repro.cpus.longrun import (
     TM5600_LONGRUN,
     TM5800_LONGRUN,
     energy_study,
-    spec_at_step,
 )
-from repro.cpus.catalog import TM5600_633
 from repro.isa import programs
 from repro.network.link import FAST_ETHERNET, GIGABIT_ETHERNET
 from repro.network.fabric import GREEN_DESTINY_FABRIC, FabricSpec
@@ -49,17 +47,10 @@ def test_rack_intra_chassis_cheaper_than_inter():
 def test_rack_uplink_carries_inter_chassis_traffic():
     rack = green_destiny_fabric(nodes=48)
     rack.send(0, 30, nbytes=50_000, post_time=0.0)
-    assert rack.uplink_busy_s(0) > 0
+    assert rack._chassis_up[0].busy_s > 0
     rack.reset()
     rack.send(0, 1, nbytes=50_000, post_time=0.0)
-    assert rack.uplink_busy_s(0) == 0.0
-
-
-def test_rack_oversubscription_metric():
-    gig = FabricSpec(kind="rack", uplink=GIGABIT_ETHERNET)
-    fe = FabricSpec(kind="rack", uplink=FAST_ETHERNET)
-    assert gig.oversubscription == pytest.approx(2.4)
-    assert fe.oversubscription == pytest.approx(24.0)
+    assert rack._chassis_up[0].busy_s == 0.0
 
 
 def test_rack_fabric_runs_simmpi():
@@ -191,14 +182,6 @@ def test_energy_study_verifies_results():
     )
     with pytest.raises(RuntimeError):
         energy_study(broken)
-
-
-def test_spec_at_step():
-    step = LongRunStep(400.0, 1.225)
-    derated = spec_at_step(TM5600_633.spec, step, TM5600_LONGRUN)
-    assert derated.clock_mhz == 400.0
-    assert derated.cpu_watts < TM5600_633.spec.cpu_watts
-    assert derated.name == TM5600_633.spec.name
 
 
 def test_longrun_validation():

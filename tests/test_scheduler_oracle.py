@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa.assembler import assemble
-from repro.isa.instructions import Instr, Op
+from repro.isa.instructions import Instr, Op, OpClass
 from repro.isa.randprog import random_program
 from repro.vliw.atoms import atoms_from_block
 from repro.vliw.molecules import FULL_FORMAT, NARROW_FORMAT, Molecule
@@ -45,7 +45,7 @@ def _dependence_sets(atoms):
     last_mem: List[int] = []
 
     for i, atom in enumerate(atoms):
-        for src in atom.reads():
+        for src in atom.instr.srcs:
             if src in last_write:
                 data[i].add(last_write[src])          # RAW
             readers_since_write.setdefault(src, []).append(i)
@@ -62,7 +62,7 @@ def _dependence_sets(atoms):
             war_order[i].update(last_mem)    # store after mem ops
             last_mem.append(i)
             last_store = i
-        elif atom.is_mem:
+        elif atom.opclass is OpClass.LOAD:
             if last_store >= 0:
                 data[i].add(last_store)      # load after store
             last_mem.append(i)

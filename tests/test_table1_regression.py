@@ -9,63 +9,51 @@ recalibration happens.
 import pytest
 
 from repro.cpus.catalog import TABLE1_CPUS
-from repro.perfmodel.calibration import (
-    REFERENCE_TABLE1,
-    table1_mflops,
-)
-
-# One shared measurement per session (each run is a few seconds).
-_measured = {}
-
-
-def _measure(cpu):
-    if cpu.name not in _measured:
-        _measured[cpu.name] = table1_mflops(cpu)
-    return _measured[cpu.name]
+from repro.perfmodel.calibration import REFERENCE_TABLE1
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("cpu", TABLE1_CPUS, ids=lambda c: c.name)
-def test_reference_values_reproduce(cpu):
-    math_mflops, karp_mflops = _measure(cpu)
+def test_reference_values_reproduce(cpu, table1_measured):
+    math_mflops, karp_mflops = table1_measured(cpu)
     ref_math, ref_karp = REFERENCE_TABLE1[cpu.name]
     assert math_mflops == pytest.approx(ref_math, rel=0.02)
     assert karp_mflops == pytest.approx(ref_karp, rel=0.02)
 
 
 @pytest.mark.slow
-def test_karp_beats_math_everywhere():
+def test_karp_beats_math_everywhere(table1_measured):
     """Karp's algorithm exists because it wins on every CPU."""
     for cpu in TABLE1_CPUS:
-        math_mflops, karp_mflops = _measure(cpu)
+        math_mflops, karp_mflops = table1_measured(cpu)
         assert karp_mflops > math_mflops, cpu.name
 
 
 @pytest.mark.slow
-def test_transmeta_competitive_with_comparably_clocked():
+def test_transmeta_competitive_with_comparably_clocked(table1_measured):
     """Paper: the TM5600 'performs as well as (if not better than) the
     Intel and Alpha' on the math-sqrt benchmark."""
-    by_name = {cpu.name: _measure(cpu) for cpu in TABLE1_CPUS}
+    by_name = {cpu.name: table1_measured(cpu) for cpu in TABLE1_CPUS}
     tm_math = by_name["Transmeta TM5600"][0]
     assert tm_math >= by_name["Intel Pentium III"][0]
     assert tm_math >= by_name["Compaq Alpha EV56"][0]
 
 
 @pytest.mark.slow
-def test_transmeta_suffers_a_bit_on_karp():
+def test_transmeta_suffers_a_bit_on_karp(table1_measured):
     """Paper: other CPUs' Karp implementations were architecture-tuned;
     the Transmeta's Karp gain is the smallest."""
     gains = {}
     for cpu in TABLE1_CPUS:
-        math_mflops, karp_mflops = _measure(cpu)
+        math_mflops, karp_mflops = table1_measured(cpu)
         gains[cpu.name] = karp_mflops / math_mflops
     assert gains["Transmeta TM5600"] == min(gains.values())
 
 
 @pytest.mark.slow
-def test_unmatched_clock_cpus_lead():
+def test_unmatched_clock_cpus_lead(table1_measured):
     """Power3 and Athlon MP are the 'not comparably clocked' leaders."""
-    by_name = {cpu.name: _measure(cpu) for cpu in TABLE1_CPUS}
+    by_name = {cpu.name: table1_measured(cpu) for cpu in TABLE1_CPUS}
     comparables = ("Intel Pentium III", "Compaq Alpha EV56",
                    "Transmeta TM5600")
     for leader in ("IBM Power3", "AMD Athlon MP"):

@@ -22,7 +22,6 @@ from repro.check.auditors import (
 )
 from repro.thermal import (
     ArrheniusIntensity,
-    ComposedGovernor,
     ThermalFailureInjector,
     ThermalNetwork,
     ThermalSpec,
@@ -245,7 +244,7 @@ def test_arrhenius_doubles_every_ten_degrees():
 def test_throttle_governor_schedule():
     gov = ThermalThrottleGovernor(busy_watts=100.0)
     gov.clamp_at(5.0, 0.5)
-    gov.release_at(9.0)
+    gov.clamp_at(9.0, 1.0)                 # back to full speed
     assert gov.frequency_scale(0.0) == 1.0
     assert gov.frequency_scale(5.0) == 0.5
     assert gov.frequency_scale(9.0) == 1.0
@@ -264,19 +263,6 @@ def test_governor_advance_splits_at_the_clamp():
     elapsed, energy = gov.advance(0.0, 15.0, 1.0)
     assert elapsed == pytest.approx(20.0)
     assert energy == pytest.approx(10.0 * 100.0 + 10.0 * 50.0)
-
-
-def test_composed_governor_takes_the_min():
-    a = ThermalThrottleGovernor(busy_watts=100.0)
-    b = ThermalThrottleGovernor(busy_watts=100.0)
-    a.clamp_at(2.0, 0.8)
-    b.clamp_at(4.0, 0.5)
-    combo = ComposedGovernor([a, b])
-    assert combo.frequency_scale(0.0) == 1.0
-    assert combo.frequency_scale(3.0) == 0.8
-    assert combo.frequency_scale(5.0) == 0.5
-    assert combo.next_change(0.0) == 2.0
-    assert combo.next_change(2.0) == 4.0
 
 
 # ---------------------------------------------------------------------------

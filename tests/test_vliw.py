@@ -5,7 +5,7 @@ import pytest
 from repro.cms import CmsConfig, CodeMorphingSoftware
 from repro.isa.assembler import assemble
 from repro.isa.instructions import Instr, Op
-from repro.isa.machine import Machine, run_program
+from repro.isa.machine import Machine
 from repro.vliw.atoms import Atom, atoms_from_block
 from repro.vliw.engine import TranslatedBlock, VliwEngine, translate_block
 from repro.vliw.molecules import (
@@ -18,6 +18,7 @@ from repro.vliw.molecules import (
 )
 from repro.vliw.scheduler import dependence_graph, schedule_block
 from repro.vliw.units import TM5600_LATENCIES, UnitKind
+from tests.oracles import run_program
 
 
 def _atoms(source):
