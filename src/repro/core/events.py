@@ -8,8 +8,11 @@ all run on now:
 
 - :class:`EventKernel` — a global virtual clock plus a binary-heap
   event queue.  ``kernel.at(t, fn)`` schedules a callback; ``run()``
-  fires events in ``(time, insertion)`` order, so simulations are
-  deterministic for a given schedule.
+  fires events in ``(time, seq)`` order, where ``seq`` is the
+  insertion count, so simulations are deterministic for a given
+  schedule.  A tenant may take a ``seq`` at one moment and queue the
+  event later (``reserve_seq`` / ``at_seq``): it fires where it would
+  have fired had it been queued when the ``seq`` was taken.
 - :class:`Process` — a handle around a generator that blocks on events:
   it is resumed (``wake``), poked with an exception (``interrupt``) or
   left suspended, and counts its own resumptions so schedulers can be
@@ -101,7 +104,18 @@ class Event:
 
 
 class EventKernel:
-    """Global virtual clock + binary-heap event queue."""
+    """Global virtual clock + binary-heap event queue.
+
+    Events fire in ``(time, seq)`` order; ``seq`` counts scheduling
+    calls and breaks every tie, so no two heap entries share a key.
+    :meth:`at` takes the next ``seq``.  :meth:`reserve_seq` takes one
+    without queueing anything and :meth:`at_seq` queues under it later:
+    the batch scheduler reserves each arrival's ``seq`` at submit and
+    keeps only the earliest pending arrival on the heap, so its fire
+    order is the one an event per arrival queued at submit would give.
+    A reserved ``(time, seq)`` key is queued at most once — never
+    re-queued after a cancel, whose corpse still holds the key.
+    """
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -174,8 +188,40 @@ class EventKernel:
         self._live += 1
         return event
 
+    def reserve_seq(self) -> int:
+        """Take the next tie-break number without queueing anything.
+
+        An event queued later with :meth:`at_seq` under this number
+        fires exactly where one queued by :meth:`at` instead of this
+        call would have.  Use each reserved number once.
+        """
+        self._seq = seq = self._seq + 1
+        return seq
+
+    def at_seq(self, time: float, seq: int, fn: Callable[..., Any],
+               *args: Any) -> Event:
+        """Schedule ``fn(*args)`` at *time* under a reserved *seq*.
+
+        ``(time, seq)`` must not be in the heap already, cancelled or
+        not: a tie there would compare the events themselves.
+        """
+        if not time >= 0:
+            raise ValueError(
+                f"virtual time must be non-negative, got {time!r}"
+            )
+        if not 0 < seq <= self._seq:
+            raise ValueError(f"seq {seq} was never reserved")
+        event = Event(time, seq, fn, args, self)
+        heapq.heappush(self._heap, (time, seq, event))
+        self._live += 1
+        return event
+
     def pending(self) -> int:
-        """Live (non-cancelled) events still queued — O(1)."""
+        """Live (non-cancelled) events in the heap — O(1).
+
+        Work a tenant holds back under a reserved seq (the batch
+        scheduler's later arrivals) is not counted until it is queued.
+        """
         return self._live
 
     # -- lazy deletion ------------------------------------------------------

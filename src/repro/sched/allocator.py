@@ -9,16 +9,18 @@ management hub sees them.
 
 Every state change lands in an interval log — ``(blade, t0, t1, kind,
 label)`` — which is simultaneously the utilization ledger and the data
-behind :func:`repro.sched.gantt.render_gantt`.  The ledger costs O(1)
-objects per job, not per blade: blade sets are int bit masks, an
-attempt is one open entry and one closed row ``(blades, t0, t1, kind,
-label)``, and :attr:`BladeAllocator.intervals` expands each pending
-row into one :class:`BladeInterval` per blade, blades in order, when
-read.
+behind :func:`repro.sched.gantt.render_gantt`.  A closed attempt
+costs the ledger no object of its own: blade sets are int bit masks,
+each set's blade tuple is made once and shared, an attempt is one open
+entry and then one row of closed columns (blades, t0, t1, kind,
+label), and
+:attr:`BladeAllocator.intervals` expands each pending row into one
+:class:`BladeInterval` per blade, blades in order, when read.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import (
     Any, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -50,14 +52,20 @@ class BladeAllocator:
         self._busy = 0
         #: job id -> (blades, mask) it holds.
         self._held: Dict[int, Tuple[Tuple[int, ...], int]] = {}
+        #: mask -> its blades, index-sorted: one tuple per blade set.
+        self._blade_sets: Dict[int, Tuple[int, ...]] = {}
         #: Open intervals in the order they opened, as ``(blades, start,
         #: kind, label)``: one per attempt, keyed by its job id, and one
         #: per down blade, keyed ``("down", blade)``.
         self._open: Dict[Hashable, Tuple[Any, ...]] = {}
-        #: Closed, not yet expanded: ``(blades, start, end, kind,
-        #: label)``, one interval of every blade in ``blades``.  A busy
-        #: row's label is the job id, formatted when the row is expanded.
-        self._rows: List[Tuple[Any, ...]] = []
+        #: Closed, not yet expanded, one column each: a row is one
+        #: interval of every blade in its blade set.  A busy row's label
+        #: is the job id, formatted when the row is expanded.
+        self._row_blades: List[Tuple[int, ...]] = []
+        self._row_start = array("d")
+        self._row_end = array("d")
+        self._row_kind: List[str] = []
+        self._row_label: List[Any] = []
         self._intervals: List[BladeInterval] = []
         #: Running totals alongside the interval log, so the per-call
         #: busy/down queries stay O(1) (the metrics layer polls them
@@ -89,14 +97,19 @@ class BladeAllocator:
         that release's intervals, not after them.
         """
         out = self._intervals
-        for blades, start, end, kind, label in self._rows:
+        for blades, start, end, kind, label in zip(
+            self._row_blades, self._row_start, self._row_end,
+            self._row_kind, self._row_label,
+        ):
             if kind == "busy":
                 label = str(label)
             out.extend(
                 BladeInterval(blade, start, end, kind, label)
                 for blade in blades
             )
-        self._rows.clear()
+        for column in (self._row_blades, self._row_start, self._row_end,
+                       self._row_kind, self._row_label):
+            del column[:]
         return out
 
     # -- allocation --------------------------------------------------------
@@ -122,28 +135,29 @@ class BladeAllocator:
                 f"job {job_id} wants {nodes} blades, "
                 f"{free.bit_count()} free"
             )
-        picked = []
         if order is None:
             for _ in range(nodes):
-                low = left & -left
-                picked.append(low.bit_length() - 1)
-                left ^= low
-            blades = tuple(picked)
+                left &= left - 1         # clear the lowest free blade
         else:
+            picked = 0
             for blade in order:
                 # Blades outside the machine are skipped, never shifted.
                 if 0 <= blade and left >> blade & 1:
                     left ^= 1 << blade
-                    picked.append(blade)
-                    if len(picked) == nodes:
+                    picked += 1
+                    if picked == nodes:
                         break
             else:
                 raise ValueError(
                     f"job {job_id}: preference order covers "
-                    f"{len(picked)} free blades, needs {nodes}"
+                    f"{picked} free blades, needs {nodes}"
                 )
-            blades = tuple(sorted(picked))
         mask = free ^ left
+        blades = self._blade_sets.get(mask)
+        if blades is None:
+            blades = self._blade_sets[mask] = tuple(
+                b for b in range(mask.bit_length()) if mask >> b & 1
+            )
         self._free = left
         self._busy |= mask
         self._held[job_id] = (blades, mask)
@@ -209,7 +223,11 @@ class BladeAllocator:
         blades, start, kind, label = opened
         if now <= start:
             return
-        self._rows.append((blades, start, now, kind, label))
+        self._row_blades.append(blades)
+        self._row_start.append(start)
+        self._row_end.append(now)
+        self._row_kind.append(kind)
+        self._row_label.append(label)
         if kind == "busy":
             busy_s = self._busy_s
             for _ in blades:

@@ -3,7 +3,8 @@
 A :class:`JobSpec` is what a user submits: arrive at some virtual
 time, ask for some blades, declare a walltime estimate, carry a
 workload payload.  A :class:`JobRecord` is what the accounting keeps:
-states, attempts, waits, energy, lost CPU-time.  The synthetic stream
+states, attempts, waits, energy, lost CPU-time — a view onto one row of
+the campaign's column :class:`Ledger`.  The synthetic stream
 generator draws a seeded Poisson arrival process over a mixed payload
 population — the "heavy traffic" the scheduler benches replay.
 """
@@ -11,9 +12,11 @@ population — the "heavy traffic" the scheduler benches replay.
 from __future__ import annotations
 
 import enum
+import math
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from array import array
+from dataclasses import dataclass
+from typing import Any, List, Optional, Tuple
 
 from repro.core.domains import (
     NONNEGATIVE, POSITIVE, check_domains, param, whole,
@@ -47,36 +50,177 @@ class JobSpec:
         check_domains(self)
 
 
-@dataclass(slots=True)
+class Ledger:
+    """Every job's and every attempt's numbers, one typed column each.
+
+    A job is a row, in submit order; an attempt is a row of the attempt
+    columns, in start order, chained to its job's next attempt.  Floats
+    live in ``array("d")`` and counts in ``array("q")`` (8 bytes a
+    value, no boxed object), so the ledger of a 50 000-job campaign is
+    a few dozen arrays, not 50 000 records of boxed fields.  ``None``
+    is stored as a sentinel: NaN for an end time (the kernel refuses
+    NaN times, so none is ever real) and -1 for a blade.
+
+    :class:`JobRecord` and :class:`Attempt` are views onto one row; the
+    scheduler's hot path writes the columns directly, by row.
+    """
+
+    #: The attribute names of a :class:`JobRecord`, in declared order.
+    JOB_FIELDS = (
+        "spec", "state", "attempts", "end_s", "wait_s", "energy_j",
+        "lost_cpu_s", "checkpoints", "checkpoint_io_s", "compute_s",
+        "flops", "failures", "requeues", "result",
+    )
+    #: The attribute names of an :class:`Attempt`.
+    ATTEMPT_FIELDS = ("start_s", "end_s", "start_unit", "killed_by_node")
+
+    def __init__(self) -> None:
+        self.spec: List[JobSpec] = []
+        self.state: List[JobState] = []
+        self.end_s = array("d")          # NaN: not ended
+        self.wait_s = array("d")         # total time queued (all requeues)
+        self.energy_j = array("d")
+        self.lost_cpu_s = array("d")     # node-seconds of killed, unsaved work
+        self.checkpoints = array("q")
+        self.checkpoint_io_s = array("d")
+        self.compute_s = array("d")      # useful compute of the successful attempt
+        #: Work billed on the successful attempt (the other side of
+        #: compute_s; audited against the node rate by repro.check).
+        self.flops = array("d")
+        self.failures = array("q")       # node failures that killed the job
+        self.requeues = array("q")
+        self.result: List[object] = []
+        #: Attempt rows of a job: its first and last, then each one's
+        #: successor (-1: none).
+        self.first_attempt = array("q")
+        self.last_attempt = array("q")
+        self.attempt_next = array("q")
+        self.attempt_start_s = array("d")
+        self.attempt_end_s = array("d")  # NaN: still open
+        self.attempt_start_unit = array("q")  # checkpoint unit resumed from
+        self.attempt_killed_by = array("q")   # -1: not killed
+
+    def add(self, spec: JobSpec) -> "JobRecord":
+        """Open a row for *spec*: queued, nothing billed yet."""
+        row = len(self.spec)
+        self.spec.append(spec)
+        self.state.append(JobState.QUEUED)
+        self.end_s.append(math.nan)
+        for column in (self.wait_s, self.energy_j, self.lost_cpu_s,
+                       self.checkpoint_io_s, self.compute_s, self.flops):
+            column.append(0.0)
+        for column in (self.checkpoints, self.failures, self.requeues):
+            column.append(0)
+        self.result.append(None)
+        self.first_attempt.append(-1)
+        self.last_attempt.append(-1)
+        return JobRecord(self, row)
+
+    def open_attempt(self, row: int, start_s: float,
+                     start_unit: int = 0) -> int:
+        """Append an open attempt to job *row*; returns the attempt row."""
+        attempt = len(self.attempt_start_s)
+        self.attempt_start_s.append(start_s)
+        self.attempt_end_s.append(math.nan)
+        self.attempt_start_unit.append(start_unit)
+        self.attempt_killed_by.append(-1)
+        self.attempt_next.append(-1)
+        last = self.last_attempt[row]
+        if last < 0:
+            self.first_attempt[row] = attempt
+        else:
+            self.attempt_next[last] = attempt
+        self.last_attempt[row] = attempt
+        return attempt
+
+    def attempts_of(self, row: int) -> List[int]:
+        """Job *row*'s attempt rows, in start order."""
+        out = []
+        attempt = self.first_attempt[row]
+        while attempt >= 0:
+            out.append(attempt)
+            attempt = self.attempt_next[attempt]
+        return out
+
+
+def _column(name: str) -> property:
+    """A view attribute reading and writing column *name* at its row."""
+    def get(self):
+        return getattr(self.ledger, name)[self.row]
+
+    def set(self, value):
+        getattr(self.ledger, name)[self.row] = value
+
+    return property(get, set)
+
+
+def _optional(name: str, sentinel: Any) -> property:
+    """Like :func:`_column`, with ``None`` stored as *sentinel*.
+
+    NaN never equals itself, so a NaN sentinel is told by ``v != v``.
+    """
+    def get(self):
+        value = getattr(self.ledger, name)[self.row]
+        return None if value != value or value == sentinel else value
+
+    def set(self, value):
+        getattr(self.ledger, name)[self.row] = (
+            sentinel if value is None else value
+        )
+
+    return property(get, set)
+
+
 class Attempt:
-    """One execution attempt of a job."""
+    """One execution attempt of a job: a view onto its ledger row."""
 
-    start_s: float
-    end_s: Optional[float] = None
-    start_unit: int = 0          # checkpoint unit the attempt resumed from
-    killed_by_node: Optional[int] = None
+    __slots__ = ("ledger", "row")
+
+    def __init__(self, ledger: Ledger, row: int) -> None:
+        self.ledger = ledger
+        self.row = row
+
+    start_s = _column("attempt_start_s")
+    end_s = _optional("attempt_end_s", math.nan)
+    start_unit = _column("attempt_start_unit")
+    killed_by_node = _optional("attempt_killed_by", -1)
+
+    def __repr__(self) -> str:
+        return _view_repr(self, Ledger.ATTEMPT_FIELDS)
 
 
-@dataclass(slots=True)
 class JobRecord:
-    """Full accounting trail of one job."""
+    """Full accounting trail of one job: a view onto its ledger row.
 
-    spec: JobSpec
-    state: JobState = JobState.QUEUED
-    attempts: List[Attempt] = field(default_factory=list)
-    end_s: Optional[float] = None
-    wait_s: float = 0.0          # total time spent queued (all requeues)
-    energy_j: float = 0.0
-    lost_cpu_s: float = 0.0      # node-seconds of killed, unsaved work
-    checkpoints: int = 0
-    checkpoint_io_s: float = 0.0
-    compute_s: float = 0.0       # useful compute of the successful attempt
-    flops: float = 0.0           # work billed on the successful attempt
-                                 # (the other side of compute_s; audited
-                                 # against the node rate by repro.check)
-    failures: int = 0            # node failures that killed this job
-    requeues: int = 0
-    result: object = None
+    Every attribute reads and writes the row (the columns say what each
+    one holds); ``attempts`` is a fresh list of :class:`Attempt` views
+    in start order (open one with :meth:`Ledger.open_attempt`).
+    """
+
+    __slots__ = ("ledger", "row")
+
+    def __init__(self, ledger: Ledger, row: int) -> None:
+        self.ledger = ledger
+        self.row = row
+
+    spec = _column("spec")
+    state = _column("state")
+    end_s = _optional("end_s", math.nan)
+    wait_s = _column("wait_s")
+    energy_j = _column("energy_j")
+    lost_cpu_s = _column("lost_cpu_s")
+    checkpoints = _column("checkpoints")
+    checkpoint_io_s = _column("checkpoint_io_s")
+    compute_s = _column("compute_s")
+    flops = _column("flops")
+    failures = _column("failures")
+    requeues = _column("requeues")
+    result = _column("result")
+
+    @property
+    def attempts(self) -> List[Attempt]:
+        ledger = self.ledger
+        return [Attempt(ledger, a) for a in ledger.attempts_of(self.row)]
 
     @property
     def completed(self) -> bool:
@@ -87,6 +231,14 @@ class JobRecord:
         if self.end_s is None:
             return None
         return self.end_s - self.spec.arrival_s
+
+    def __repr__(self) -> str:
+        return _view_repr(self, Ledger.JOB_FIELDS)
+
+
+def _view_repr(view: Any, names: Tuple[str, ...]) -> str:
+    body = ", ".join(f"{name}={getattr(view, name)!r}" for name in names)
+    return f"{type(view).__name__}({body})"
 
 
 # ---------------------------------------------------------------------------

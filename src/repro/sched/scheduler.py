@@ -32,6 +32,7 @@ shared timeline stays causally consistent.
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import insort
 from collections import Counter
 
@@ -52,7 +53,7 @@ from repro.network.faults import (
     link_resource,
 )
 from repro.sched.allocator import BladeAllocator
-from repro.sched.job import Attempt, JobRecord, JobSpec, JobState
+from repro.sched.job import Attempt, JobRecord, JobSpec, JobState, Ledger
 from repro.sched.policy import Policy, QueuedJob, RunningJob
 from repro.sched.profile_cache import (
     JobProfile,
@@ -71,6 +72,8 @@ from repro.thermal.throttle import arm_attempt
 
 #: Virtual seconds a failed blade stays down before repair.
 REPAIR_S = 0.5
+
+_BLADE = whole(0)
 
 
 def _payload_nbytes(state: Any) -> int:
@@ -325,7 +328,17 @@ class BatchScheduler:
         self.allocator = platform.build_allocator()
         self.hub = ManagementHub.for_packaging(platform.packaging)
         self.power = platform.power_model()
+        #: Every job's numbers, one column each; ``records`` holds the
+        #: views onto its rows.
+        self.ledger = Ledger()
         self.records: Dict[int, JobRecord] = {}
+        #: The arrival stream in ``(arrival_s, seq)`` order (fired
+        #: before ``_arrival_next``, cleared once all have fired) and the
+        #: kernel seqs reserved for it at submit.  Only the arrival at
+        #: ``_arrival_next`` is on the kernel heap.
+        self._arrivals: List[JobRecord] = []
+        self._arrival_seqs = array("q")
+        self._arrival_next = 0
         self.failures_injected = 0
         #: The CMS-tcache analogue (see repro.sched.profile_cache);
         #: ``SchedConfig.profile_cache=False`` keeps the normalized
@@ -393,13 +406,51 @@ class BatchScheduler:
             raise ValueError(
                 f"job {spec.job_id} wants {spec.nodes} of {self.nodes} blades"
             )
-        record = JobRecord(spec=spec)
+        record = self.ledger.add(spec)
         self.records[spec.job_id] = record
-        self.kernel.at(spec.arrival_s, self._arrive, record)
+        self._file_arrival(record, spec.arrival_s)
         return record
 
     def submit_stream(self, specs: Sequence[JobSpec]) -> List[JobRecord]:
         return [self.submit(spec) for spec in specs]
+
+    def _file_arrival(self, record: JobRecord, arrival_s: float) -> None:
+        """Give *record*'s arrival its place in the kernel's order.
+
+        The seq is reserved now, so the arrival fires exactly where an
+        event queued at submit would have.  The kernel heap holds one
+        pending arrival of the stream, the earliest: firing it pushes
+        the next (:meth:`_arrive_in_stream`).  A submit that arrives
+        before the stream's last pending arrival cannot join the
+        stream's order; it goes on the heap at once, as every arrival
+        used to.
+        """
+        seq = self.kernel.reserve_seq()
+        stream = self._arrivals
+        if not stream:
+            self.kernel.at_seq(arrival_s, seq, self._arrive_in_stream, record)
+        elif arrival_s < stream[-1].spec.arrival_s:
+            self.kernel.at_seq(arrival_s, seq, self._arrive, record)
+            return
+        stream.append(record)
+        self._arrival_seqs.append(seq)
+
+    def _arrive_in_stream(self, record: JobRecord) -> None:
+        """The stream's earliest arrival fired: queue the next, arrive."""
+        stream = self._arrivals
+        following = self._arrival_next = self._arrival_next + 1
+        if following < len(stream):
+            nxt = stream[following]
+            self.kernel.at_seq(
+                nxt.spec.arrival_s,
+                self._arrival_seqs[following],
+                self._arrive_in_stream, nxt,
+            )
+        else:                            # drained: the next submit restarts it
+            stream.clear()
+            del self._arrival_seqs[:]
+            self._arrival_next = 0
+        self._arrive(record)
 
     # -- failure injection --------------------------------------------------
 
@@ -410,9 +461,12 @@ class BatchScheduler:
         Legal before :meth:`run` and between ``run(until=...)`` calls,
         but not while a job dispatched fault-free is still in flight on
         the memoised route: its whole attempt was settled on a scratch
-        kernel, so no world is left on the shared clock to kill.
+        kernel, so no world is left on the shared clock to kill.  A
+        refused call changes nothing.
         """
-        if not 0 <= blade < self.nodes:
+        NONNEGATIVE.check("time_s", time_s)
+        _BLADE.check("blade", blade)
+        if blade >= self.nodes:
             raise ValueError(f"blade {blade} outside 0..{self.nodes - 1}")
         memoised = [j for j, r in self._running.items() if r.runtime is None]
         if memoised:
@@ -489,13 +543,14 @@ class BatchScheduler:
         the interval and thermal ledgers stay open for the next call.
         """
         self.kernel.run(until)
-        ends = [r.end_s for r in self.records.values() if r.end_s is not None]
+        ledger = self.ledger
+        ends = [end for end in ledger.end_s if end == end]   # NaN: open
         makespan = max(ends) if ends else self.kernel.now
         summary = self._thermal_summary
         if until is None:
             stuck = [
-                r.spec.job_id for r in self.records.values()
-                if r.state in (JobState.QUEUED, JobState.RUNNING)
+                spec.job_id for spec, state in zip(ledger.spec, ledger.state)
+                if state in (JobState.QUEUED, JobState.RUNNING)
             ]
             if stuck:
                 raise RuntimeError(
@@ -565,15 +620,16 @@ class BatchScheduler:
 
     def _arrive(self, record: JobRecord) -> None:
         now = self.kernel.now
-        self.kernel.trace(
-            "job-arrive", job=record.spec.job_id, nodes=record.spec.nodes
-        )
+        spec = self.ledger.spec[record.row]
+        self.kernel.trace("job-arrive", job=spec.job_id, nodes=spec.nodes)
         self._enqueue(record, now)
         self._dispatch()
 
     def _enqueue(self, record: JobRecord, ready_s: float) -> None:
-        record.state = JobState.QUEUED
-        spec = record.spec
+        ledger = self.ledger
+        row = record.row
+        ledger.state[row] = JobState.QUEUED
+        spec = ledger.spec[row]
         entry = _QueueEntry(
             key=(spec.arrival_s, spec.job_id),
             record=record,
@@ -620,9 +676,10 @@ class BatchScheduler:
             return "net-fault"           # fault timeline perturbs worlds
         if self.kernel.watched:
             return "observer"            # tracing or kernel hooks
-        if not record.spec.workload.cacheable:
+        ledger, row = record.ledger, record.row
+        if not ledger.spec[row].workload.cacheable:
             return "uncacheable"         # payload opted out
-        if record.failures or record.requeues:
+        if ledger.failures[row] or ledger.requeues[row]:
             return "restart"             # defensive: never a fresh start
         return None
 
@@ -635,21 +692,22 @@ class BatchScheduler:
         schedules O(jobs) shared events instead of O(messages).  Any
         other job's world is launched on the shared kernel at ``now``.
         """
+        ledger = self.ledger
         record = entry.record
-        spec = record.spec
+        row = record.row
+        spec = ledger.spec[row]
         blades = self.allocator.allocate(
             spec.job_id, spec.nodes, now,
             # Under thermal modelling the coldest free blades go first.
             order=(self.thermal.coolest_first(now)
                    if self.thermal is not None else None),
         )
-        record.wait_s += now - entry.ready_s
+        ledger.wait_s[row] += now - entry.ready_s
         start_unit, states = self._restore_point(spec.job_id)
-        attempt = Attempt(start_s=now, start_unit=start_unit)
-        record.attempts.append(attempt)
-        record.state = JobState.RUNNING
+        ledger.state[row] = JobState.RUNNING
         running = _RunningJob(
-            record=record, blades=blades, attempt=attempt,
+            record=record, blades=blades,
+            attempt=Attempt(ledger, ledger.open_attempt(row, now, start_unit)),
             view=RunningJob(
                 spec.job_id, spec.nodes, now + spec.walltime_est_s
             ),
@@ -745,9 +803,11 @@ class BatchScheduler:
         scratch record collects what :meth:`_on_unit` bills.
         """
         kernel = EventKernel()
+        ledger = Ledger()
+        record = ledger.add(spec)
         scratch = _RunningJob(
-            record=JobRecord(spec=spec), blades=blades,
-            attempt=Attempt(start_s=0.0),
+            record=record, blades=blades,
+            attempt=Attempt(ledger, ledger.open_attempt(record.row, 0.0)),
         )
         done: List[Any] = []
         self._launch(scratch, kernel, 0.0, None, None, done.append)
@@ -769,32 +829,33 @@ class BatchScheduler:
             compute_s=sum(s.compute_s for s in result.stats),
             flops=sum(s.flops for s in result.stats),
             energy_j=spec.nodes * self.power.energy_joules(result.elapsed_s),
-            checkpoints=scratch.record.checkpoints,
-            checkpoint_io_s=scratch.record.checkpoint_io_s,
+            checkpoints=record.checkpoints,
+            checkpoint_io_s=record.checkpoint_io_s,
         )
 
     def _close_attempt(self, running: _RunningJob) -> float:
         """Release the attempt's blades at the current instant."""
         now = self.kernel.now
-        job_id = running.record.spec.job_id
+        job_id = running.view.job_id
         self._running.pop(job_id, None)
         self.allocator.release(job_id, now)
-        running.attempt.end_s = now
+        self.ledger.attempt_end_s[running.attempt.row] = now
         return now
 
     def _finish_memoised(self, running: _RunningJob,
                          profile: JobProfile) -> None:
         """Settle a scratch-kernel attempt: its profile onto the ledger."""
         now = self._close_attempt(running)
-        record = running.record
-        record.state = JobState.COMPLETED
-        record.end_s = now
-        record.result = profile.result0
-        record.energy_j += profile.energy_j
-        record.compute_s += profile.compute_s
-        record.flops += profile.flops
-        record.checkpoints += profile.checkpoints
-        record.checkpoint_io_s += profile.checkpoint_io_s
+        ledger = self.ledger
+        row = running.record.row
+        ledger.state[row] = JobState.COMPLETED
+        ledger.end_s[row] = now
+        ledger.result[row] = profile.result0
+        ledger.energy_j[row] += profile.energy_j
+        ledger.compute_s[row] += profile.compute_s
+        ledger.flops[row] += profile.flops
+        ledger.checkpoints[row] += profile.checkpoints
+        ledger.checkpoint_io_s[row] += profile.checkpoint_io_s
         self._dispatch()
 
     def _world_done(self, running: _RunningJob, result) -> None:

@@ -11,6 +11,7 @@ import numpy as np
 from repro.core.events import TimelineEvent
 from repro.isa.machine import Machine
 from repro.nbody.morton import ancestor_at_level, key_level
+from repro.sched import BatchScheduler
 
 
 def run_program(program, state=None, max_steps=10_000_000):
@@ -19,6 +20,23 @@ def run_program(program, state=None, max_steps=10_000_000):
     machine = Machine(state=state, max_steps=max_steps)
     stats = machine.run(program)
     return machine.state, stats
+
+
+class EagerArrivalScheduler(BatchScheduler):
+    """The scheduler as it queued arrivals before: every submit puts its
+    arrival event on the kernel heap at once, one event per job."""
+
+    def submit(self, spec):
+        if spec.job_id in self.records:
+            raise ValueError(f"duplicate job id {spec.job_id}")
+        if spec.nodes > self.nodes:
+            raise ValueError(
+                f"job {spec.job_id} wants {spec.nodes} of {self.nodes} blades"
+            )
+        record = self.ledger.add(spec)
+        self.records[spec.job_id] = record
+        self.kernel.at(spec.arrival_s, self._arrive, record)
+        return record
 
 
 def mutate_event(manifest, index, **updates):

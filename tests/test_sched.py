@@ -570,6 +570,47 @@ def test_failure_injected_under_a_memoised_job_is_refused_at_the_call():
     sched.inject_failure(outcome.makespan_s + 1.0, blade=0)
 
 
+@pytest.mark.parametrize("time_s, blade", [
+    (math.nan, 3),
+    (-1.0, 3),
+    (math.inf, 3),
+    (0.001, 3.0),
+    (0.001, 2.5),
+    (0.001, True),
+    (0.001, -1),
+    (0.001, 24),
+])
+def test_inject_failure_refuses_before_it_counts(time_s, blade):
+    # A refused call used to count the failure first, so every later
+    # attempt took the shared route as kill-possible.
+    sched = make_sched()
+    with pytest.raises(ValueError, match="time_s|blade"):
+        sched.inject_failure(time_s, blade)
+    assert sched.failures_injected == 0
+    assert sched.kernel.pending() == 0
+
+
+def test_paused_records_show_the_final_state_once_resumed():
+    # Outcome records are views of the scheduler's own ledger, not
+    # snapshots: the run resumed after them, and they show its end.
+    sched = make_sched(policy=EasyBackfill())
+    sched.submit_stream(synthetic_stream(12, 12, RATE, seed=1))
+    paused = sched.run(until=0.01).records
+    open_attempts = [
+        a for r in paused for a in r.attempts if a.end_s is None
+    ]
+    assert open_attempts
+    assert any(r.state is not JobState.COMPLETED for r in paused)
+    final = sched.run().records
+    for record, done in zip(paused, final):
+        assert record.state is done.state is JobState.COMPLETED
+        assert record.end_s == done.end_s is not None
+        assert [a.end_s for a in record.attempts] == [
+            a.end_s for a in done.attempts
+        ]
+    assert all(a.end_s is not None for a in open_attempts)
+
+
 def test_a_paused_run_keeps_its_ledgers_open():
     # run(until=) settles nothing: closing the allocator's and the
     # thermal network's books at the pause broke the final audit.
