@@ -9,6 +9,7 @@ Usage::
     python -m repro.cli fig3 --particles 4000
     python -m repro.cli fig3 --seeds 2001 7 42 --jobs 4    # pooled sweep
     python -m repro.cli topper
+    python -m repro.cli claims               # every paper claim, checked
     python -m repro.cli green500             # Top500 vs Green500 ranking
     python -m repro.cli timeline --ranks 6   # the unified event timeline
     python -m repro.cli timeline --fail-rank 2 --fail-at 0.05
@@ -264,6 +265,14 @@ def _cmd_topper(_args) -> None:
     print(experiment_topper().text)
 
 
+def _cmd_claims(_args) -> int:
+    from repro.core.claims import evaluate, render
+
+    verdicts = evaluate()
+    print(render(verdicts), end="")
+    return 1 if any(v.fails for v in verdicts) else 0
+
+
 def _cmd_green500(_args) -> None:
     from repro.hpl import green500_list, top500_list
 
@@ -356,6 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="host processes for the --seeds sweep "
                          "(default 1: serial, deterministic)")
     sub.add_parser("topper", help="the ToPPeR headline claim")
+    sub.add_parser("claims", help="check every claim of the paper; "
+                                  "exit 1 if one fails")
     sub.add_parser("green500", help="Top500 vs Green500 rankings")
     pt = sub.add_parser(
         "timeline", help="time-coherent event timeline of a treecode step"
@@ -467,6 +478,7 @@ _HANDLERS = {
     "stats": _cmd_stats,
     "check": _cmd_check,
     "topper": _cmd_topper,
+    "claims": _cmd_claims,
     "green500": _cmd_green500,
     "all": _cmd_all,
 }
@@ -479,6 +491,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             and args.fail_rank >= args.ranks):
         parser.error(f"timeline: --fail-rank must be < --ranks "
                      f"({args.ranks}), got {args.fail_rank}")
+    if args.command in ("table2", "timeline"):
+        # A sweep that fits nowhere is a usage error; a partial drop
+        # only warns (experiment_table2).
+        from repro.platform.registry import DEFAULT_PLATFORM, platform_by_name
+
+        spec = platform_by_name(args.platform or DEFAULT_PLATFORM)
+        flag, counts = (("--cpus", args.cpus) if args.command == "table2"
+                        else ("--ranks", [args.ranks]))
+        if min(counts) > spec.nodes:
+            parser.error(f"{args.command}: {flag} "
+                         f"{' '.join(map(str, counts))}: more than "
+                         f"{spec.name}'s {spec.nodes} nodes")
     status = _HANDLERS[args.command](args)
     return int(status) if status is not None else 0
 

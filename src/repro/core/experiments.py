@@ -2,8 +2,8 @@
 
 Each ``experiment_*`` function returns structured rows plus a rendered
 text table, so the benchmark harness, the examples and the tests all
-share one implementation.  EXPERIMENTS.md records paper-vs-measured for
-each.
+share one implementation.  :mod:`repro.core.claims` checks the paper's
+claims against their results.
 """
 
 from __future__ import annotations
@@ -72,9 +72,11 @@ def _result(experiment: str, headers: List[str], rows: List[List],
 # ---------------------------------------------------------------------------
 
 def experiment_table1(cpus=TABLE1_CPUS) -> ExperimentResult:
-    rows = []
+    rows, extras = [], {}
     for cpu in cpus:
         math_mflops, karp_mflops = table1_mflops(cpu)
+        extras[f"{cpu.name} math"] = math_mflops
+        extras[f"{cpu.name} karp"] = karp_mflops
         rows.append(
             [
                 f"{cpu.spec.clock_mhz:.0f}-MHz {cpu.name}",
@@ -87,6 +89,7 @@ def experiment_table1(cpus=TABLE1_CPUS) -> ExperimentResult:
         ["Processor", "Math sqrt", "Karp sqrt"],
         rows,
         "Table 1: Mflops on the gravitational microkernel",
+        extras=extras,
     )
 
 
@@ -258,16 +261,18 @@ def experiment_table4() -> ExperimentResult:
 def experiment_table5(
     clusters: Sequence[PlatformSpec] = TABLE5,
 ) -> ExperimentResult:
-    rows = []
+    rows, extras = [], {}
     for breakdown in tco_table(clusters):
         k = breakdown.rounded_k()
         rows.append([breakdown.cluster_name] + [f"${v}K" for v in k])
+        extras[f"{breakdown.cluster_name} total_usd"] = breakdown.total
     return _result(
         "table5",
         ["Cluster", "Acquisition", "System Admin", "Power & Cooling",
          "Space", "Downtime", "TCO"],
         rows,
         "Table 5: total cost of ownership, 24-node clusters over 4 years",
+        extras=extras,
     )
 
 
@@ -591,12 +596,12 @@ def experiment_topper() -> ExperimentResult:
         ["traditional ToPPeR ($K/Gflop)",
          round(claim.traditional.usd_per_gflop / 1000, 1)],
         ["ToPPeR advantage", round(claim.topper_ratio, 2)],
-        ["blade wins", claim.blade_wins],
     ]
     return _result(
         "topper",
         ["Quantity", "Value"],
         rows,
         "Section 4.1: the ToPPeR argument",
-        extras={"topper_ratio": claim.topper_ratio},
+        extras={"topper_ratio": claim.topper_ratio,
+                "performance_ratio": claim.performance_ratio},
     )

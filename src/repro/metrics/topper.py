@@ -73,10 +73,6 @@ class HeadlineClaim:
     performance_ratio: float         # blade perf / traditional perf
     topper_ratio: float              # traditional ToPPeR / blade ToPPeR
 
-    @property
-    def blade_wins(self) -> bool:
-        return self.topper_ratio > 1.0
-
 
 def paper_headline_claim(
     blade_cluster: PlatformSpec = METABLADE,

@@ -11,7 +11,7 @@ import pytest
 
 from repro.check import RunManifest
 from repro.isa import programs
-from repro.perfmodel.calibration import table1_mflops
+from repro.core.claims import experiment_result
 
 DATA = Path(__file__).parent / "data"
 
@@ -76,16 +76,12 @@ def all_small_workloads(micro_math, micro_karp):
 
 @pytest.fixture(scope="session")
 def table1_measured():
-    """``table1_mflops`` with one measurement per CPU per session (each
-    is a few seconds of guest simulation)."""
-    measured = {}
-
-    def measure(cpu):
-        if cpu.name not in measured:
-            measured[cpu.name] = table1_mflops(cpu)
-        return measured[cpu.name]
-
-    return measure
+    """A CPU's unrounded (math, Karp) Mflops, read off the session's one
+    Table 1 run (``experiment_result`` memoises every experiment the
+    paper's claims read, for the claims and the tests alike)."""
+    extras = experiment_result("table1").extras
+    return lambda cpu: (extras[f"{cpu.name} math"],
+                        extras[f"{cpu.name} karp"])
 
 
 @pytest.fixture

@@ -43,6 +43,7 @@ from repro.check import (
     record_simmpi_manifest,
     replay_manifest,
 )
+from repro.core import claims
 from tests import archives
 from tests import test_guest_cycles_golden as guest_cycles
 from tests import test_ledger_golden as ledger
@@ -117,6 +118,8 @@ ARTIFACTS = [
      lambda: ledger._run("sched_green-destiny-240")),
     ("tests/data/ledger_timeline.metrics.jsonl",
      lambda: ledger._run("timeline")[1]),
+    ("benchmarks/results/paper_claims.txt",
+     lambda: claims.render(claims.evaluate())),
     *[(f"benchmarks/results/{study.__name__}.txt", study) for study in (
         archives.ablation_cms_chaining,
         archives.ablation_cms_molecule_width,

@@ -95,6 +95,16 @@ def test_a_fail_rank_outside_the_world_is_a_usage_error(capsys):
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv", ["table2 --cpus 25", "timeline --ranks 25"])
+def test_a_sweep_wider_than_the_platform_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:     # was: a ValueError traceback
+        main(argv.split())
+    assert exit_.value.code == 2
+    command, flag = argv.split(" ", 1)
+    assert (f"{command}: {flag}: more than metablade's 24 nodes"
+            in capsys.readouterr().err)
+
+
 def test_cli_topper(capsys):
     assert main(["topper"]) == 0
     assert "ToPPeR" in capsys.readouterr().out

@@ -6,6 +6,11 @@ imports or resolves as an attribute, every ``src/``, ``tests/``,
 skipped), and every ``repro.cli SUB --flag`` spelling (or backticked
 ``SUB --flag``) names a real subcommand and flag of
 :func:`repro.cli.build_parser`.  CHANGES.md is history and exempt.
+
+A roadmap item cited by slug (ROADMAP and a bracketed slug, a
+backticked bracketed slug, or a comment opening with one) in ``src/``,
+``tests/``, README, DESIGN or EXPERIMENTS must be an item of
+ROADMAP.md.
 """
 
 import argparse
@@ -33,6 +38,8 @@ _PATH = re.compile(
 # One command: up to the end of the line, a closing backtick, a
 # comment or a shell operator; a trailing backslash continues it.
 _CLI = re.compile(r"repro\.cli((?:[^\S\n]|\\\n)+[^`#|;&>\s\\]+)+")
+_SLUG = re.compile(r"(?:ROADMAP\s+`?|`|#\s*)\[([a-z][a-z0-9]*(?:-[a-z0-9]+)*)\]")
+_ITEM = re.compile(r"^\d+\.\s+\*\*\[([a-z0-9-]+)\]", re.M)
 
 
 def _subcommands():
@@ -106,3 +113,26 @@ def test_stale_references_are_caught():
         "examples/no_such_example.py", "repro.cli sched --no-such-flag",
         "repro.cli nosuch", "repro.cli check --nope",
     ]
+
+
+def unknown_slugs(text, items):
+    """Every roadmap slug *text* cites that is not in *items*."""
+    return [slug for slug in _SLUG.findall(text) if slug not in items]
+
+
+def test_every_cited_roadmap_slug_is_an_item():
+    items = set(_ITEM.findall((ROOT / "ROADMAP.md").read_text()))
+    files = [ROOT / doc for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    files += sorted((ROOT / "src").rglob("*.py"))
+    files += sorted((ROOT / "tests").rglob("*.py"))
+    stale = {str(path.relative_to(ROOT)): unknown_slugs(path.read_text(), items)
+             for path in files}
+    assert items and {path: s for path, s in stale.items() if s} == {}
+
+
+def test_stale_slugs_are_caught():
+    text = ("(ROADMAP\n `[{0}]`) and ROADMAP [{1}] (a); `[{1}]`\n"
+            "    # [{2}] (b), x[i], `[1, 2]`, [{3}]\n").format(
+                "one-route", "gone-item", "also-gone", "no-marker")
+    assert unknown_slugs(text, {"one-route"}) == [
+        "gone-item", "gone-item", "also-gone"]
