@@ -21,6 +21,15 @@ def test_claims_prints_the_committed_table_and_every_claim_holds(capsys):
     assert capsys.readouterr().out == ARTIFACT.read_text()
 
 
+@pytest.mark.parametrize("claim", CLAIMS, ids=lambda claim: claim.id)
+def test_each_claim_measures_and_holds_unless_reconstructed(claim):
+    """One case per row, so a broken claim is named in the test summary."""
+    [verdict] = claims.evaluate([claim])
+    assert verdict.error is None, verdict.error
+    assert not verdict.fails, (
+        f"{claim.id}: measured {verdict.value:.4g}, paper says {claim.bound}")
+
+
 def test_a_claim_that_raises_is_an_error_row_and_fails_the_run(
         monkeypatch, capsys):
     def boom():
