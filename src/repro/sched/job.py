@@ -15,8 +15,9 @@ import enum
 import math
 import random
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple, Union
 
 from repro.core.domains import (
     NONNEGATIVE, POSITIVE, check_domains, param, whole,
@@ -36,9 +37,9 @@ class JobState(enum.Enum):
     ABANDONED = "abandoned"      # gave up after max_retries failures
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobSpec:
-    """One submitted job."""
+    """One submitted job (slotted: a campaign holds one per job)."""
 
     job_id: int = param(whole(0))
     arrival_s: float = param(NONNEGATIVE)
@@ -100,8 +101,8 @@ class Ledger:
         self.attempt_start_unit = array("q")  # checkpoint unit resumed from
         self.attempt_killed_by = array("q")   # -1: not killed
 
-    def add(self, spec: JobSpec) -> "JobRecord":
-        """Open a row for *spec*: queued, nothing billed yet."""
+    def add(self, spec: JobSpec) -> int:
+        """Open a row for *spec*: queued, nothing billed yet; its row."""
         row = len(self.spec)
         self.spec.append(spec)
         self.state.append(JobState.QUEUED)
@@ -114,7 +115,7 @@ class Ledger:
         self.result.append(None)
         self.first_attempt.append(-1)
         self.last_attempt.append(-1)
-        return JobRecord(self, row)
+        return row
 
     def open_attempt(self, row: int, start_s: float,
                      start_unit: int = 0) -> int:
@@ -234,6 +235,39 @@ class JobRecord:
 
     def __repr__(self) -> str:
         return _view_repr(self, Ledger.JOB_FIELDS)
+
+
+class JobRecords(Sequence):
+    """Read-only ``Sequence[JobRecord]`` over fixed ledger rows.
+
+    *rows* is a ``range`` or an ``array("q")`` of rows, taken as given:
+    rows opened after this sequence was made are not in it.  Each
+    access builds a fresh :class:`JobRecord` view, so holding the
+    sequence costs no object per job; writes through a view reach the
+    ledger.
+    """
+
+    __slots__ = ("ledger", "rows")
+
+    def __init__(self, ledger: Ledger, rows: Union[range, array]) -> None:
+        self.ledger = ledger
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return JobRecords(self.ledger, self.rows[index])
+        return JobRecord(self.ledger, self.rows[index])
+
+    def __iter__(self) -> Iterator[JobRecord]:
+        ledger = self.ledger
+        for row in self.rows:
+            yield JobRecord(ledger, row)
+
+    def __repr__(self) -> str:
+        return f"JobRecords({list(self)!r})"
 
 
 def _view_repr(view: Any, names: Tuple[str, ...]) -> str:

@@ -17,8 +17,8 @@ management hub logs the fault, the resident job's world is killed
 (every rank raises :class:`NodeFailureError`) and the job is requeued
 — resuming from its last complete checkpoint when the config enables
 checkpointing — or abandoned once it has burned ``max_retries``
-retries.  All of it lands in the per-job :class:`JobRecord` ledger
-and the allocator's blade intervals, which together feed
+retries.  All of it lands in the column :class:`~repro.sched.job.Ledger`
+(one row per job) and the allocator's blade intervals, which together feed
 :mod:`repro.metrics.throughput`.
 
 A compromise worth knowing about: SimMPI rank clocks may run ahead of
@@ -38,7 +38,7 @@ from collections import Counter
 
 import numpy as np
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.management import EventKind, ManagementEvent, ManagementHub
 from repro.core.domains import (
@@ -53,7 +53,9 @@ from repro.network.faults import (
     link_resource,
 )
 from repro.sched.allocator import BladeAllocator
-from repro.sched.job import Attempt, JobRecord, JobSpec, JobState, Ledger
+from repro.sched.job import (
+    Attempt, JobRecord, JobRecords, JobSpec, JobState, Ledger,
+)
 from repro.sched.policy import Policy, QueuedJob, RunningJob
 from repro.sched.profile_cache import (
     JobProfile,
@@ -187,12 +189,15 @@ class SchedOutcome:
     ``records``, ``allocator``, ``thermal`` and ``net`` are the
     scheduler's own ledgers, not copies: an outcome returned by
     ``run(until=...)`` keeps counting when the run is resumed.
+    ``records`` is a read-only sequence of :class:`JobRecord` views,
+    one per job submitted before the run returned, in job-id order;
+    each access builds its view from the ledger row.
     """
 
     policy: str
     nodes: int
     flop_rate: float
-    records: List[JobRecord]
+    records: JobRecords
     allocator: BladeAllocator
     hub: ManagementHub
     makespan_s: float
@@ -328,15 +333,19 @@ class BatchScheduler:
         self.allocator = platform.build_allocator()
         self.hub = ManagementHub.for_packaging(platform.packaging)
         self.power = platform.power_model()
-        #: Every job's numbers, one column each; ``records`` holds the
-        #: views onto its rows.
+        #: Every job's numbers, one column each, one row per job: the
+        #: scheduler's only per-job store.
         self.ledger = Ledger()
-        self.records: Dict[int, JobRecord] = {}
-        #: The arrival stream in ``(arrival_s, seq)`` order (fired
-        #: before ``_arrival_next``, cleared once all have fired) and the
-        #: kernel seqs reserved for it at submit.  Only the arrival at
-        #: ``_arrival_next`` is on the kernel heap.
-        self._arrivals: List[JobRecord] = []
+        #: The highest job id submitted (-1: none).  An id above it
+        #: needs no lookup; the first one at or below it builds
+        #: ``_ids``, the set of every submitted id, kept from then on.
+        self._max_id = -1
+        self._ids: Optional[Set[int]] = None
+        #: The arrival stream's ledger rows in ``(arrival_s, seq)``
+        #: order (fired before ``_arrival_next``, cleared once all have
+        #: fired) and the kernel seqs reserved for them at submit.  Only
+        #: the arrival at ``_arrival_next`` is on the kernel heap.
+        self._arrivals = array("q")
         self._arrival_seqs = array("q")
         self._arrival_next = 0
         self.failures_injected = 0
@@ -400,22 +409,36 @@ class BatchScheduler:
     # -- submission ---------------------------------------------------------
 
     def submit(self, spec: JobSpec) -> JobRecord:
-        if spec.job_id in self.records:
-            raise ValueError(f"duplicate job id {spec.job_id}")
+        row = self._admit(spec)
+        self._file_arrival(row, spec.arrival_s)
+        return JobRecord(self.ledger, row)
+
+    def submit_stream(self, specs: Sequence[JobSpec]) -> JobRecords:
+        """Submit *specs* in order; their records, in that order."""
+        first = len(self.ledger.spec)
+        for spec in specs:
+            self._file_arrival(self._admit(spec), spec.arrival_s)
+        return JobRecords(self.ledger, range(first, len(self.ledger.spec)))
+
+    def _admit(self, spec: JobSpec) -> int:
+        """Open *spec*'s ledger row, or refuse it and change nothing."""
+        job_id = spec.job_id
+        ids = self._ids
+        if ids is None and job_id <= self._max_id:
+            ids = self._ids = {s.job_id for s in self.ledger.spec}
+        if ids is not None and job_id in ids:
+            raise ValueError(f"duplicate job id {job_id}")
         if spec.nodes > self.nodes:
             raise ValueError(
-                f"job {spec.job_id} wants {spec.nodes} of {self.nodes} blades"
+                f"job {job_id} wants {spec.nodes} of {self.nodes} blades"
             )
-        record = self.ledger.add(spec)
-        self.records[spec.job_id] = record
-        self._file_arrival(record, spec.arrival_s)
-        return record
+        if ids is not None:
+            ids.add(job_id)
+        self._max_id = max(self._max_id, job_id)
+        return self.ledger.add(spec)
 
-    def submit_stream(self, specs: Sequence[JobSpec]) -> List[JobRecord]:
-        return [self.submit(spec) for spec in specs]
-
-    def _file_arrival(self, record: JobRecord, arrival_s: float) -> None:
-        """Give *record*'s arrival its place in the kernel's order.
+    def _file_arrival(self, row: int, arrival_s: float) -> None:
+        """Give ledger row *row*'s arrival its place in the kernel's order.
 
         The seq is reserved now, so the arrival fires exactly where an
         event queued at submit would have.  The kernel heap holds one
@@ -428,29 +451,29 @@ class BatchScheduler:
         seq = self.kernel.reserve_seq()
         stream = self._arrivals
         if not stream:
-            self.kernel.at_seq(arrival_s, seq, self._arrive_in_stream, record)
-        elif arrival_s < stream[-1].spec.arrival_s:
-            self.kernel.at_seq(arrival_s, seq, self._arrive, record)
+            self.kernel.at_seq(arrival_s, seq, self._arrive_in_stream, row)
+        elif arrival_s < self.ledger.spec[stream[-1]].arrival_s:
+            self.kernel.at_seq(arrival_s, seq, self._arrive, row)
             return
-        stream.append(record)
+        stream.append(row)
         self._arrival_seqs.append(seq)
 
-    def _arrive_in_stream(self, record: JobRecord) -> None:
+    def _arrive_in_stream(self, row: int) -> None:
         """The stream's earliest arrival fired: queue the next, arrive."""
         stream = self._arrivals
         following = self._arrival_next = self._arrival_next + 1
         if following < len(stream):
             nxt = stream[following]
             self.kernel.at_seq(
-                nxt.spec.arrival_s,
+                self.ledger.spec[nxt].arrival_s,
                 self._arrival_seqs[following],
                 self._arrive_in_stream, nxt,
             )
         else:                            # drained: the next submit restarts it
-            stream.clear()
+            del stream[:]
             del self._arrival_seqs[:]
             self._arrival_next = 0
-        self._arrive(record)
+        self._arrive(row)
 
     # -- failure injection --------------------------------------------------
 
@@ -571,11 +594,16 @@ class BatchScheduler:
                 if injector is not None:
                     summary.fault_candidates = injector.candidates
                     summary.faults = injector.accepted
+        if self._ids is None:            # ids came in increasing order
+            rows = range(len(ledger.spec))
+        else:
+            ids = [spec.job_id for spec in ledger.spec]
+            rows = array("q", sorted(range(len(ids)), key=ids.__getitem__))
         outcome = SchedOutcome(
             policy=self.policy.name,
             nodes=self.nodes,
             flop_rate=self.flop_rate,
-            records=[self.records[k] for k in sorted(self.records)],
+            records=JobRecords(ledger, rows),
             allocator=self.allocator,
             hub=self.hub,
             makespan_s=makespan,
@@ -618,11 +646,11 @@ class BatchScheduler:
 
     # -- event handlers -----------------------------------------------------
 
-    def _arrive(self, record: JobRecord) -> None:
+    def _arrive(self, row: int) -> None:
         now = self.kernel.now
-        spec = self.ledger.spec[record.row]
+        spec = self.ledger.spec[row]
         self.kernel.trace("job-arrive", job=spec.job_id, nodes=spec.nodes)
-        self._enqueue(record, now)
+        self._enqueue(JobRecord(self.ledger, row), now)
         self._dispatch()
 
     def _enqueue(self, record: JobRecord, ready_s: float) -> None:
@@ -804,7 +832,7 @@ class BatchScheduler:
         """
         kernel = EventKernel()
         ledger = Ledger()
-        record = ledger.add(spec)
+        record = JobRecord(ledger, ledger.add(spec))
         scratch = _RunningJob(
             record=record, blades=blades,
             attempt=Attempt(ledger, ledger.open_attempt(record.row, 0.0)),

@@ -24,19 +24,11 @@ def run_program(program, state=None, max_steps=10_000_000):
 
 class EagerArrivalScheduler(BatchScheduler):
     """The scheduler as it queued arrivals before: every submit puts its
-    arrival event on the kernel heap at once, one event per job."""
+    arrival event on the kernel heap at once, one event per job.  It
+    admits or refuses a job exactly as the scheduler does."""
 
-    def submit(self, spec):
-        if spec.job_id in self.records:
-            raise ValueError(f"duplicate job id {spec.job_id}")
-        if spec.nodes > self.nodes:
-            raise ValueError(
-                f"job {spec.job_id} wants {spec.nodes} of {self.nodes} blades"
-            )
-        record = self.ledger.add(spec)
-        self.records[spec.job_id] = record
-        self.kernel.at(spec.arrival_s, self._arrive, record)
-        return record
+    def _file_arrival(self, row, arrival_s):
+        self.kernel.at(arrival_s, self._arrive, row)
 
 
 def mutate_event(manifest, index, **updates):

@@ -1,9 +1,15 @@
 """The batch workload manager: queue, allocator, dispatcher, accounting."""
 
+import copy
+import dataclasses
 import math
+import pickle
+from collections.abc import Sequence
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.check import sched_outcome_digest
 from repro.metrics.throughput import throughput_report
 from repro.network.faults import NetFaultConfig
 from repro.platform.registry import METABLADE
@@ -20,9 +26,12 @@ from repro.sched import (
     TreecodeJob,
     policy_by_name,
     render_gantt,
+    build_campaign,
+    campaign_params,
     synthetic_stream,
 )
 from repro.sched.policy import QueuedJob, RunningJob
+from tests.oracles import EagerArrivalScheduler
 
 
 RATE = METABLADE.node_flop_rate()
@@ -620,3 +629,138 @@ def test_a_paused_run_keeps_its_ledgers_open():
     assert sched._running
     outcome = sched.run()               # audited, or it raised
     assert len(outcome.completed) == 4
+
+
+# ---------------------------------------------------------------------------
+# Job ids, the records sequence, the slotted JobSpec
+# ---------------------------------------------------------------------------
+
+_TINY = MicrokernelSweep(passes=1, flops_per_pass=2e5)
+
+
+def _spec(job_id, arrival_s=0.0, nodes=1):
+    return JobSpec(job_id, arrival_s, nodes, 1.0, _TINY)
+
+
+def _refused(sched, call, message):
+    """*call* raises *message* and leaves the ledger and heap as they were."""
+    rows, pending = len(sched.ledger.spec), sched.kernel.pending()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+    assert len(sched.ledger.spec) == rows
+    assert sched.kernel.pending() == pending
+
+
+@pytest.mark.parametrize("cls", [BatchScheduler, EagerArrivalScheduler])
+def test_duplicate_ids_are_refused_above_and_below_the_maximum(cls):
+    sched = cls(platform=METABLADE)
+    accepted = [_spec(job_id, 0.001 * job_id) for job_id in (0, 2, 5)]
+    for spec in accepted:
+        sched.submit(spec)
+    assert sched._ids is None            # increasing ids keep no index
+    _refused(sched, lambda: sched.submit(_spec(5)), "duplicate job id 5")
+    accepted.append(_spec(3, 0.0005))    # a fresh lower id, out of order
+    sched.submit(accepted[-1])
+    assert sched._ids == {0, 2, 3, 5}
+    _refused(sched, lambda: sched.submit(_spec(2)), "duplicate job id 2")
+    _refused(sched, lambda: sched.submit(_spec(4, nodes=25)),
+             "job 4 wants 25 of 24 blades")
+    # A duplicate inside one stream: what came before it is submitted,
+    # as if one by one, and the duplicate adds nothing.
+    stream = [_spec(6, 0.006), _spec(7, 0.007), _spec(6)]
+    twin = cls(platform=METABLADE)
+    for spec in accepted + stream[:2]:
+        twin.submit(spec)
+    _refused(twin, lambda: twin.submit(stream[2]), "duplicate job id 6")
+    with pytest.raises(ValueError, match="^duplicate job id 6$"):
+        sched.submit_stream(stream)
+    assert len(sched.ledger.spec) == len(twin.ledger.spec) == 6
+    assert sched.kernel.pending() == twin.kernel.pending()
+    sched.submit(_spec(4, 0.004))
+    outcome = sched.run()
+    assert [r.spec.job_id for r in outcome.records] == [0, 2, 3, 4, 5, 6, 7]
+    assert len(outcome.completed) == 7
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(
+    st.tuples(st.integers(0, 9), st.sampled_from([0.0, 0.001, 0.002]),
+              st.sampled_from([1, 2, 25])),
+    max_size=14,
+))
+def test_drawn_ids_are_refused_exactly_as_a_set_says(steps):
+    sched = BatchScheduler(platform=METABLADE)
+    seen = set()
+    for job_id, arrival_s, nodes in steps:
+        spec = _spec(job_id, arrival_s, nodes)
+        if job_id in seen:
+            _refused(sched, lambda: sched.submit(spec),
+                     f"duplicate job id {job_id}")
+        elif nodes > sched.nodes:
+            _refused(sched, lambda: sched.submit(spec),
+                     f"job {job_id} wants {nodes} of 24 blades")
+        else:
+            assert sched.submit(spec).spec is spec
+            seen.add(job_id)
+    outcome = sched.run()
+    assert [r.spec.job_id for r in outcome.records] == sorted(seen)
+    assert len(outcome.completed) == len(seen)
+
+
+def test_outcome_records_keep_the_list_contract():
+    stream = synthetic_stream(8, 12, RATE, seed=3)
+    sched = make_sched(policy=EasyBackfill())
+    late = sched.submit_stream(stream[4:])
+    early = sched.submit_stream(stream[:4])     # lower ids, earlier arrivals
+    assert [r.spec.job_id for r in late] == [4, 5, 6, 7]
+    assert [r.spec.job_id for r in early[1:]] == [1, 2, 3]
+    records = sched.run().records
+    assert isinstance(records, Sequence)
+    assert len(records) == 8
+    assert [r.spec for r in records] == sorted(stream, key=lambda s: s.job_id)
+    assert records[-1].spec.job_id == 7 and records[-8].spec.job_id == 0
+    for index in (8, -9):
+        with pytest.raises(IndexError):
+            records[index]
+    with pytest.raises(TypeError):
+        records[0] = records[1]
+    energy = records[0].energy_j
+    records[0].energy_j += 0.5
+    assert sched.ledger.energy_j[records[0].row] == energy + 0.5
+    assert records[0].energy_j == energy + 0.5
+
+
+def test_a_paused_outcome_keeps_its_row_count_after_later_submits():
+    sched = make_sched(policy=EasyBackfill())
+    sched.submit_stream(synthetic_stream(6, 12, RATE, seed=1))
+    paused = sched.run(until=0.005)
+    sched.submit(JobSpec(6, 0.02, 1, 1.0, _TINY))
+    assert len(paused.records) == len(list(paused.records)) == 6
+    final = sched.run()
+    assert len(paused.records) == 6
+    assert [r.spec.job_id for r in final.records] == list(range(7))
+
+
+def test_one_campaign_digests_equal_over_two_in_process_repeats():
+    def once():
+        sched = build_campaign(campaign_params(2001, {
+            "jobs": 12, "fail_inject": True, "checkpoint": 1,
+        }))
+        return sched_outcome_digest(sched.run())
+
+    assert once() == once()
+
+
+def test_job_spec_is_slotted_and_round_trips():
+    spec = JobSpec(3, 0.25, 2, 1.5, TreecodeJob(n=96, steps=1, seed=3))
+    assert not hasattr(spec, "__dict__")
+    copies = [pickle.loads(pickle.dumps(spec, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.deepcopy(spec), dataclasses.replace(spec)]
+    for twin in copies:
+        assert twin == spec and hash(twin) == hash(spec)
+    assert dataclasses.replace(spec, nodes=4).nodes == 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.nodes = 4
+    with pytest.raises(ValueError, match="arrival_s"):
+        dataclasses.replace(spec, arrival_s=math.nan)

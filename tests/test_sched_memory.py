@@ -1,16 +1,20 @@
 """What the scheduler's job ledger costs per job, in traced bytes.
 
 The ledger keeps every job's and attempt's numbers as typed columns and
-the kernel heap holds one pending arrival of the stream, not one per
-job.  A template campaign (every job served from the profile cache) is
+is the scheduler's only per-job store: no job-id index while ids
+increase, no view object per job (the arrival stream is an array of
+ledger rows; ``outcome.records`` builds a view per access), and the
+kernel heap holds one pending arrival of the stream, not one per job.
+A template campaign (every job served from the profile cache) is
 traced twice, at 4 000 and at 2 000 jobs; the difference over 2 000 is
 the marginal cost of one job, with every fixed cost (imports, caches,
 profiles, the scheduler itself) cancelled.  It is read right after
 ``submit_stream`` (the ledger rows and the pending arrivals) and after
 ``run()`` with the outcome alive (the whole account of every job and
-its allocator row).  Measured on CPython 3.11: ≈ 257 and ≈ 341 B per
-job; the event-per-arrival scheduler with one record object per job
-and per attempt read ≈ 533 and ≈ 658.
+its allocator row).  Measured on CPython 3.11: ≈ 144 and ≈ 219 B per
+job; with a job-id dict and one view per job beside the columns they
+read ≈ 257 and ≈ 340, and the event-per-arrival scheduler with one
+record object per job and per attempt ≈ 533 and ≈ 658.
 """
 
 import gc
@@ -35,8 +39,8 @@ TEMPLATES = (
 )
 
 #: Bytes per job allowed after submit and after the run.
-SUBMIT_BOUND_B = 360
-RUN_BOUND_B = 450
+SUBMIT_BOUND_B = 180
+RUN_BOUND_B = 270
 
 
 def template_stream(jobs):
