@@ -14,8 +14,8 @@ This module makes those claims executable:
   simulator on the shared discrete-event kernel: failures arrive as an
   event-chained Poisson process at the cluster's empirical (or
   Arrhenius-predicted) rate, each failure becomes an outage with the
-  packaging's blast radius, and the simulator reports delivered
-  CPU-hours, availability and downtime cost;
+  packaging's blast radius, and the simulator reports lost and
+  delivered CPU-hours and availability;
 - :class:`LiveFailureInjector` - the same failure model pointed at a
   *running* SimMPI program: arrivals become
   :meth:`~repro.simmpi.runtime.SimMpiRuntime.fail_at` events on the
@@ -29,7 +29,6 @@ closed-form numbers the TCO model (Table 5) uses.
 from __future__ import annotations
 
 import enum
-import math
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
@@ -114,9 +113,6 @@ class OperationReport:
             return 1.0
         fraction = 1.0 - self.lost_cpu_hours / self.total_cpu_hours
         return min(1.0, max(0.0, fraction))
-
-    def downtime_cost(self, usd_per_cpu_hour: float = 5.0) -> float:
-        return self.lost_cpu_hours * usd_per_cpu_hour
 
 
 class ClusterOperationSim:
@@ -247,27 +243,3 @@ class LiveFailureInjector:
             self.runtime.size if self.profile.whole_cluster else 1
         )
         return len(self.hub.failures()) * per_failure
-
-
-def inject_failure(cluster: PlatformSpec, hub: ManagementHub, node: int,
-                   time_h: float) -> float:
-    """Deterministically inject one failure; returns lost CPU-hours.
-
-    Used by the tests to check the blast-radius accounting directly.
-    """
-    if not 0 <= node < cluster.nodes:
-        raise ValueError(f"node {node} outside 0..{cluster.nodes - 1}")
-    profile = ClusterReliability(cluster).outage_profile
-    hub.record(ManagementEvent(time_h, EventKind.FAILURE, node))
-    hub.record(
-        ManagementEvent(
-            time_h + hub.detection_latency_h, EventKind.DETECTED, node
-        )
-    )
-    hub.record(
-        ManagementEvent(
-            time_h + profile.outage_hours, EventKind.REPAIRED, node
-        )
-    )
-    affected = cluster.nodes if profile.whole_cluster else 1
-    return profile.outage_hours * affected

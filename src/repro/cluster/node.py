@@ -54,11 +54,3 @@ class ComputeNode:
     @property
     def name(self) -> str:
         return f"{self.processor.name} node"
-
-    def describe(self) -> str:
-        cfg = self.config
-        return (
-            f"{self.processor.clock_mhz:.0f}-MHz {self.processor.name}, "
-            f"{cfg.memory_mb}-MB memory, {cfg.disk_gb}-GB disk, "
-            f"{cfg.network_interfaces}x {cfg.nic_mbps}-Mb/s NIC"
-        )

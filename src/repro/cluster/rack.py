@@ -50,10 +50,6 @@ class Rack:
         self.chassis.append(chassis)
 
     @property
-    def node_count(self) -> int:
-        return sum(len(c) for c in self.chassis)
-
-    @property
     def watts_at_load(self) -> float:
         """Rack draw: all chassis plus shared network gear."""
         chassis_watts = sum(c.watts_at_load for c in self.chassis)

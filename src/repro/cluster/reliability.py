@@ -81,9 +81,3 @@ class ClusterReliability:
             self.cluster.processor, self.cluster.nodes, years=1.0,
             thermal=self.thermal,
         )
-
-    def availability(self, years: float = 1.0) -> float:
-        """Fraction of cluster CPU-hours delivered."""
-        total = self.cluster.nodes * years * 8760.0
-        lost = self.downtime_cpu_hours(years)
-        return max(0.0, 1.0 - lost / total)

@@ -13,7 +13,7 @@ the golden interpreter for every configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.domains import check_domains, param, whole

@@ -43,7 +43,7 @@ deterministic for a given seed.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 
@@ -245,26 +245,6 @@ class EventKernel:
 
     # -- the loop ----------------------------------------------------------
 
-    def step(self) -> bool:
-        """Fire the next event; False when the queue is drained."""
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[2]
-            if event.cancelled:
-                self._dead -= 1
-                continue
-            self._live -= 1
-            event.kernel = None
-            if event.time > self.now:
-                self.now = event.time
-            self.fired += 1
-            if self._fire_hooks:
-                for hook in self._fire_hooks:
-                    hook(event)
-            event.fn(*event.args)
-            return True
-        return False
-
     def run(self, until: Optional[float] = None) -> float:
         """Drain the queue (or stop once the clock passes *until*)."""
         self._drain(until)
@@ -275,14 +255,6 @@ class EventKernel:
         return self.now
 
     def _drain(self, until: Optional[float]) -> None:
-        if type(self).step is not EventKernel.step:
-            # A subclass overrode step(): dispatch through it so the
-            # override sees every event (auditor tests rely on this).
-            while self._heap:
-                if until is not None and self._next_time() > until:
-                    break
-                self.step()
-            return
         # The hot path: everything per-event is inlined, with the hook
         # guard reduced to a single truthiness test on the (aliased,
         # in-place mutated) hook list.  Callbacks may schedule, cancel

@@ -12,8 +12,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.cpus.catalog import TABLE1_CPUS, TABLE3_CPUS
 from repro.metrics.ratios import perf_power_table, perf_space_table
 from repro.metrics.report import format_table

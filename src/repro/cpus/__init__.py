@@ -10,7 +10,10 @@ The paper's Table 1/3 comparison set:
   guest code through the real CMS + VLIW pipeline (:mod:`repro.cpus.crusoe`).
 
 All models share the :class:`~repro.cpus.base.Processor` interface so the
-benchmark harness treats them uniformly.
+benchmark harness treats them uniformly.  :mod:`repro.cpus.power` holds
+the power, thermal and failure models; :func:`~repro.cpus.power.arrhenius_rate`
+is the one doubling law both the static :class:`FailureModel` and the live
+:class:`~repro.thermal.reliability.ArrheniusIntensity` evaluate.
 """
 
 from repro.cpus.base import KernelResult, Processor, ProcessorSpec
@@ -29,7 +32,12 @@ from repro.cpus.catalog import (
     TM5800_800,
     cpu_by_name,
 )
-from repro.cpus.power import FailureModel, PowerModel, ThermalModel
+from repro.cpus.power import (
+    FailureModel,
+    PowerModel,
+    ThermalModel,
+    arrhenius_rate,
+)
 
 __all__ = [
     "ALPHA_EV56_533",
@@ -52,5 +60,6 @@ __all__ = [
     "TM5600_633",
     "TM5800_800",
     "ThermalModel",
+    "arrhenius_rate",
     "cpu_by_name",
 ]

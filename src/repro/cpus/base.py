@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.domains import POSITIVE, check_domains, param, whole
 from repro.isa.programs import GuestWorkload

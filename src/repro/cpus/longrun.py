@@ -131,9 +131,9 @@ class LongRunGovernor(PiecewiseGovernor):
     each transition also lands on the shared timeline as a ``dvfs``
     event.
 
-    One of two implementations of the shared
-    :class:`~repro.thermal.throttle.Governor` contract: the charge
-    loop lives on :class:`~repro.thermal.throttle.PiecewiseGovernor`.
+    One of two subclasses of the shared
+    :class:`~repro.thermal.throttle.PiecewiseGovernor`, which owns
+    the charge loop.
     """
 
     def __init__(self, model: LongRunModel,

@@ -10,7 +10,7 @@ Opcode classes without an entry fall back to a single-cycle ALU spec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
 from repro.core.domains import check_domains, param, whole

@@ -11,7 +11,6 @@ cooling and runs reliably in a dusty 80 degrees-F room.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.cpus.base import ProcessorSpec
@@ -75,6 +74,13 @@ class ThermalModel:
         return self.ambient_celsius + r * watts
 
 
+def arrhenius_rate(base_rate: float, celsius: float, base_celsius: float,
+                   doubling_celsius: float) -> float:
+    """The Arrhenius rule of thumb: *base_rate* at *base_celsius*,
+    doubling every *doubling_celsius* degrees above it."""
+    return base_rate * 2.0 ** ((celsius - base_celsius) / doubling_celsius)
+
+
 @dataclass(frozen=True)
 class FailureModel:
     """Arrhenius-style failure-rate model.
@@ -90,8 +96,8 @@ class FailureModel:
 
     def rate_at(self, celsius: float) -> float:
         """Annual failure rate of a component at *celsius*."""
-        exponent = (celsius - self.base_temperature) / self.doubling_celsius
-        return self.base_rate_per_year * math.pow(2.0, exponent)
+        return arrhenius_rate(self.base_rate_per_year, celsius,
+                              self.base_temperature, self.doubling_celsius)
 
     def node_rate(self, spec: ProcessorSpec,
                   thermal: ThermalModel = ThermalModel()) -> float:

@@ -18,7 +18,7 @@ or absolute instruction indices.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.isa.instructions import (
     FREG_NAMES,

@@ -236,10 +236,6 @@ class Instr:
     def is_branch(self) -> bool:
         return self.opclass is OpClass.BRANCH
 
-    def writes(self) -> Optional[str]:
-        """Register written by this instruction, or ``None``."""
-        return self.dst
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         parts = [self.op.value]
         if self.dst:

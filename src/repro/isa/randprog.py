@@ -11,9 +11,9 @@ targets restricted to a structured skeleton so no program can hang.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
-from repro.isa.instructions import FREG_NAMES, IREG_NAMES, Instr, Op, Program
+from repro.isa.instructions import Instr, Op, Program
 from repro.isa.machine import MachineState
 
 #: Registers reserved for loop control (never clobbered by the random

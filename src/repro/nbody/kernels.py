@@ -9,11 +9,11 @@ expansion.  The paper's 2.1-Gflops MetaBlade rating uses this currency.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.nbody.karp import KarpTable, karp_rsqrt, masked_rsqrt
+from repro.nbody.karp import masked_rsqrt
 
 #: Flops billed per gravitational interaction (Warren-Salmon convention).
 INTERACTION_FLOPS = 38

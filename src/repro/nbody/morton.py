@@ -109,24 +109,3 @@ def ancestor_at_level(key: int, level: int) -> int:
     if level > current:
         raise ValueError("level deeper than key's own")
     return int(key) >> (3 * (current - level))
-
-
-def cell_geometry(key: int, lo: np.ndarray, hi: np.ndarray,
-                  depth: int = MAX_DEPTH) -> Tuple[np.ndarray, float]:
-    """Geometric centre and edge length of a cell in world coordinates.
-
-    *depth* is the quantisation depth used to build the particle keys.
-    """
-    level = key_level(key)
-    code = np.uint64(int(key) & ~(1 << (3 * level)))
-    # Promote the truncated code back to full depth to share decode.
-    full = code << np.uint64(3 * (depth - level))
-    ix, iy, iz = morton_decode(np.array([full]))
-    cells = 1 << depth
-    span = hi - lo
-    size = span / (1 << level)
-    origin = lo + np.array(
-        [float(ix[0]), float(iy[0]), float(iz[0])]
-    ) / cells * span
-    centre = origin + 0.5 * size
-    return centre, float(np.max(size))

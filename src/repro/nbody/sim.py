@@ -14,8 +14,8 @@ of run).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from repro.core.domains import (
 from repro.nbody.ic import plummer_sphere, two_clusters, uniform_cube
 from repro.nbody.integrator import leapfrog_step, total_energy
 from repro.nbody.tree import HashedOctree, TreeBuildCache
-from repro.nbody.traversal import TraversalStats, tree_accelerations
+from repro.nbody.traversal import tree_accelerations
 
 #: Flops billed for tree construction, per particle (key generation,
 #: sort share, moment accumulation) - small next to the traversal.
@@ -96,11 +96,6 @@ class SimResult:
         if flop_rate <= 0:
             raise ValueError("flop_rate must be positive")
         return self.total_flops / flop_rate
-
-    def sustained_gflops(self, flop_rate: float) -> float:
-        """By construction equals flop_rate/1e9; kept for symmetry with
-        the paper's 'completed X flops in Y seconds' phrasing."""
-        return self.total_flops / self.virtual_seconds(flop_rate) / 1e9
 
 
 class NBodySimulation:

@@ -45,7 +45,6 @@ import numpy as np
 from repro.nbody.morton import (
     MAX_DEPTH,
     ROOT_KEY,
-    cell_geometry,
     morton_decode,
     particle_keys,
 )
@@ -275,10 +274,11 @@ class HashedOctree:
     def _finalize(self, topo: _Topology) -> None:
         """Vectorised moments + geometry for every node at once.
 
-        Elementwise-identical to evaluating ``_moments`` and
-        :func:`repro.nbody.morton.cell_geometry` one node at a time
-        (the pre-batching construction), so the resulting nodes are
-        bit-identical - the equivalence tests assert as much.
+        Elementwise-identical to evaluating ``_moments`` and the cell
+        geometry one node at a time (the pre-batching construction), so
+        the resulting nodes are bit-identical -
+        ``tests/test_nbody_morton_tree.py`` keeps the per-cell geometry
+        and asserts as much.
         """
         lo, hi = topo.lo, topo.hi
         m = self._cum_mass[hi] - self._cum_mass[lo]
@@ -385,10 +385,6 @@ class HashedOctree:
 
     def node_count(self) -> int:
         return len(self.node_key)
-
-    def lookup(self, key: int) -> TreeNode:
-        """O(1) cell lookup by key - the point of the hashed design."""
-        return self.nodes[key]
 
     def unsort(self, values_sorted: np.ndarray) -> np.ndarray:
         """Map per-particle values from sorted order back to input order."""

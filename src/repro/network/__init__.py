@@ -6,6 +6,9 @@ star topology" (paper Section 3.1).  This package models that fabric:
 links with latency + serialisation bandwidth, NICs with per-message host
 overhead, a store-and-forward switch with a finite backplane, and a
 topology layer that routes node-to-node transfers through the star.
+Every serially shared resource a message crosses (a link direction, a
+switch backplane) is one :class:`~repro.network.link.Calendar` the
+topology books itself.
 A :class:`FabricSpec` is the one description every topology is built
 from; :class:`Fabric` is the one contract they all meet.
 
@@ -14,7 +17,7 @@ The timing model is LogGP-flavoured: a message of n bytes costs
 tracking so concurrent transfers contend for NICs and backplane.
 """
 
-from repro.network.link import Link, LinkSchedule, FAST_ETHERNET, GIGABIT_ETHERNET
+from repro.network.link import Link, FAST_ETHERNET, GIGABIT_ETHERNET
 from repro.network.nic import Nic, FAST_ETHERNET_NIC
 from repro.network.switch import Switch, FAST_ETHERNET_SWITCH_24
 from repro.network.fabric import Fabric, FabricSpec, Transfer
@@ -45,7 +48,6 @@ __all__ = [
     "GIGABIT_ETHERNET",
     "IdealFabric",
     "Link",
-    "LinkSchedule",
     "NetFaultConfig",
     "Nic",
     "RetryPolicy",

@@ -110,14 +110,6 @@ class Fabric:
             else [link_resource(n) for n in range(self.nodes)]
         )
 
-    def reset(self) -> None:
-        """Forget every transfer (subclasses also idle their wires)."""
-        self.transfers.clear()
-        self.reroutes = 0
-
-    def total_bytes(self) -> int:
-        return sum(t.nbytes for t in self.transfers)
-
 
 def _from_asdict(cls, doc: Dict[str, Any]):
     """Invert ``dataclasses.asdict`` for *cls*, checking keys at every depth."""

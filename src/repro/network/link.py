@@ -130,41 +130,3 @@ class Calendar:
         self._floor = max(self._floor, self.ends[-keep - 1])
         del self.starts[:-keep]
         del self.ends[:-keep]
-
-    def reset(self) -> None:
-        self.starts.clear()
-        self.ends.clear()
-        self.busy_s = 0.0
-        self.transfers = 0
-        self._floor = 0.0
-
-
-class LinkSchedule:
-    """Serialisation contention for one direction of a physical link.
-
-    A transfer asked to depart at *t* departs in the earliest idle slot
-    at-or-after *t* and holds the wire for its serialisation time.
-    """
-
-    __slots__ = ("link", "_calendar")
-
-    def __init__(self, link: Link) -> None:
-        self.link = link
-        self._calendar = Calendar()
-
-    @property
-    def busy_s(self) -> float:
-        return self._calendar.busy_s
-
-    @property
-    def transfers(self) -> int:
-        return self._calendar.transfers
-
-    def occupy(self, earliest: float, nbytes: int) -> tuple:
-        """Reserve the wire; returns ``(depart, arrive)`` times."""
-        ser = self.link.serialization_s(nbytes)
-        depart = self._calendar.book(earliest, ser)
-        return depart, depart + ser + self.link.latency_s
-
-    def reset(self) -> None:
-        self._calendar.reset()

@@ -22,9 +22,8 @@ from repro.network.fabric import (
 )
 from repro.network.faults import chassis_resource
 from repro.network.link import (
-    FAST_ETHERNET, GIGABIT_ETHERNET, Calendar, Link, LinkSchedule,
+    FAST_ETHERNET, GIGABIT_ETHERNET, Calendar, Link,
 )
-from repro.network.switch import BackplaneSchedule, Switch
 
 
 class RackTopology(Fabric):
@@ -61,9 +60,9 @@ class RackTopology(Fabric):
         self._chassis: Tuple[int, ...] = chassis
         self.chassis_count = max(chassis) + 1
         # One wire calendar per direction of every blade's NIC link
-        # and of every chassis' uplink to the aggregation switch.
-        # send() books them itself, with one serialisation time per
-        # link class a message crosses.
+        # and of every chassis' uplink to the aggregation switch, and
+        # one for the aggregation backplane.  send() books them itself,
+        # with one serialisation time per link class a message crosses.
         self._up: List[Calendar] = [Calendar() for _ in range(nodes)]
         self._down: List[Calendar] = [Calendar() for _ in range(nodes)]
         self._chassis_up: List[Calendar] = [
@@ -72,17 +71,10 @@ class RackTopology(Fabric):
         self._chassis_down: List[Calendar] = [
             Calendar() for _ in range(self.chassis_count)
         ]
-        agg = Switch(
-            name="rack aggregation",
-            ports=max(self.chassis_count, 2),
-            port_link=spec.uplink,
-            forward_latency_s=spec.forward_latency_s,
-            backplane_bps=max(
-                2.1 * self.chassis_count * spec.uplink.bandwidth_bps,
-                1e9,
-            ),
+        self._agg = Calendar()
+        self._agg_bps = max(
+            2.1 * self.chassis_count * spec.uplink.bandwidth_bps, 1e9,
         )
-        self._agg = BackplaneSchedule(agg)
         self._chassis_fault_resources: List[str] = []
         # Backup chassis uplinks (lazily built): each RLX chassis also
         # carries the blades' management Fast Ethernet interfaces (the
@@ -108,23 +100,18 @@ class RackTopology(Fabric):
             chassis_resource(c) for c in range(self.chassis_count)
         ]
 
-    def _backup(self, table: dict, chassis: int) -> LinkSchedule:
-        sched = table.get(chassis)
-        if sched is None:
-            sched = LinkSchedule(FAST_ETHERNET)
-            table[chassis] = sched
-        return sched
+    @staticmethod
+    def _backup(table: dict, chassis: int, ready: float,
+                nbytes: int) -> float:
+        """Book the Fast Ethernet detour; returns its arrival time."""
+        calendar = table.get(chassis)
+        if calendar is None:
+            calendar = table[chassis] = Calendar()
+        ser = FAST_ETHERNET.serialization_s(nbytes)
+        return calendar.book(ready, ser) + ser + FAST_ETHERNET.latency_s
 
     def chassis_of(self, node: int) -> int:
         return self._chassis[node]
-
-    def reset(self) -> None:
-        for resource in (*self._up, *self._down,
-                         *self._chassis_up, *self._chassis_down,
-                         *self._backup_up.values(),
-                         *self._backup_down.values(), self._agg):
-            resource.reset()
-        super().reset()
 
     def send(self, src: int, dst: int, nbytes: int,
              post_time: float) -> Transfer:
@@ -164,8 +151,8 @@ class RackTopology(Fabric):
             if faults is not None and faults.down_at(
                     self._chassis_fault_resources[src_ch], t_cursor):
                 rerouted = True
-                _, t_cursor = self._backup(
-                    self._backup_up, src_ch).occupy(t_cursor, nbytes)
+                t_cursor = self._backup(
+                    self._backup_up, src_ch, t_cursor, nbytes)
             else:
                 t_cursor = (
                     self._chassis_up[src_ch].book(t_cursor, uplink_ser)
@@ -176,12 +163,14 @@ class RackTopology(Fabric):
                     "chassis-uplink", time=t_cursor, src=src, dst=dst,
                     nbytes=nbytes, resource=f"chassis{src_ch}-up",
                 )
-            t_cursor = self._agg.occupy(t_cursor, nbytes)
+            forward = 8.0 * nbytes / self._agg_bps
+            t_cursor = (self._agg.book(t_cursor, forward) + forward
+                        + spec.forward_latency_s)
             if faults is not None and faults.down_at(
                     self._chassis_fault_resources[dst_ch], t_cursor):
                 rerouted = True
-                _, t_cursor = self._backup(
-                    self._backup_down, dst_ch).occupy(t_cursor, nbytes)
+                t_cursor = self._backup(
+                    self._backup_down, dst_ch, t_cursor, nbytes)
             else:
                 t_cursor = (
                     self._chassis_down[dst_ch].book(t_cursor, uplink_ser)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from repro.core.domains import (
     NONNEGATIVE, POSITIVE, check_domains, param, whole,
 )
-from repro.network.link import FAST_ETHERNET, Calendar, Link
+from repro.network.link import FAST_ETHERNET, Link
 
 
 @dataclass(frozen=True)
@@ -17,7 +17,10 @@ class Switch:
     ``backplane_bps`` caps the aggregate forwarding rate: commodity
     24-port Fast Ethernet switches of the era were typically
     non-blocking (2.4+ Gb/s backplanes), but cheaper fabrics oversubscribe
-    - the parameter lets the ablation bench explore that.
+    - the parameter lets the ablation bench explore that.  A topology
+    books the backplane as one shared :class:`~repro.network.link.Calendar`:
+    each forwarded message holds it for ``8 * nbytes / backplane_bps``,
+    then pays ``forward_latency_s``.
     """
 
     name: str
@@ -36,34 +39,3 @@ FAST_ETHERNET_SWITCH_24 = Switch(
     ports=24,
     port_link=FAST_ETHERNET,
 )
-
-
-class BackplaneSchedule:
-    """Aggregate-bandwidth contention tracker for a switch backplane.
-
-    Models the backplane as a single shared resource whose capacity is
-    ``backplane_bps``; each forwarded message occupies it for
-    ``bits / backplane_bps``, booked into an interval calendar so
-    out-of-virtual-time-order bookings from the cooperative scheduler
-    cannot inflate earlier transfers.  For non-blocking switches this
-    cost is negligible compared to port serialisation, as it should be.
-    """
-
-    __slots__ = ("switch", "_calendar")
-
-    def __init__(self, switch: Switch) -> None:
-        self.switch = switch
-        self._calendar = Calendar()
-
-    @property
-    def busy_s(self) -> float:
-        return self._calendar.busy_s
-
-    def occupy(self, earliest: float, nbytes: int) -> float:
-        """Reserve forwarding capacity; returns completion time."""
-        dur = 8.0 * nbytes / self.switch.backplane_bps
-        start = self._calendar.book(earliest, dur)
-        return start + dur + self.switch.forward_latency_s
-
-    def reset(self) -> None:
-        self._calendar.reset()

@@ -15,9 +15,7 @@ from typing import List
 from repro.network.fabric import Fabric, Transfer
 from repro.network.link import Calendar
 from repro.network.nic import FAST_ETHERNET_NIC, Nic
-from repro.network.switch import (
-    FAST_ETHERNET_SWITCH_24, BackplaneSchedule, Switch,
-)
+from repro.network.switch import FAST_ETHERNET_SWITCH_24, Switch
 
 
 class StarTopology(Fabric):
@@ -37,17 +35,13 @@ class StarTopology(Fabric):
             )
         self.nic = nic
         self.switch = switch
-        # One wire calendar per direction of every NIC link: node ->
-        # switch and switch -> node.  send() books them itself, with
-        # the one serialisation time both hops of a message share.
+        # One wire calendar per direction of every NIC link (node ->
+        # switch and switch -> node) and one for the switch backplane.
+        # send() books them itself, with the one serialisation time
+        # both hops of a message share.
         self._up: List[Calendar] = [Calendar() for _ in range(nodes)]
         self._down: List[Calendar] = [Calendar() for _ in range(nodes)]
-        self._backplane = BackplaneSchedule(switch)
-
-    def reset(self) -> None:
-        for resource in (*self._up, *self._down, self._backplane):
-            resource.reset()
-        super().reset()
+        self._backplane = Calendar()
 
     def send(self, src: int, dst: int, nbytes: int,
              post_time: float) -> Transfer:
@@ -75,7 +69,10 @@ class StarTopology(Fabric):
         ser = link.serialization_s(nbytes)
         depart = self._up[src].book(post_time, ser)
         up_done = depart + ser + link.latency_s
-        fwd_done = self._backplane.occupy(up_done, nbytes)
+        switch = self.switch
+        forward = 8.0 * nbytes / switch.backplane_bps
+        fwd_done = (self._backplane.book(up_done, forward) + forward
+                    + switch.forward_latency_s)
         down_depart = self._down[dst].book(fwd_done, ser)
         down_done = down_depart + ser + link.latency_s
         arrive = down_done + nic.recv_overhead_s

@@ -15,8 +15,8 @@ A 'T' (tiny) class exists purely for fast unit tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ O(log n) jump-ahead by repeated squaring - the property that makes EP
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -92,10 +92,6 @@ class NpbRandom:
     def skip(self, n: int) -> None:
         """Advance the stream by *n* draws in O(log n)."""
         self.x = (self.x * self.power(self.a, n)) & _MASK46
-
-    def next(self) -> float:
-        self.x = (self.x * self.a) & _MASK46
-        return self.x / NPB_LCG_M
 
     _BLOCK = 1 << 15
     _power_cache: Dict[int, np.ndarray] = {}

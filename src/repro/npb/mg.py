@@ -12,7 +12,7 @@ norm must be well below the initial one.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.network.timing import Fabric, IdealFabric, star_fabric
+from repro.network.timing import Fabric, star_fabric
 from repro.npb.common import NPB_SEED, NpbRandom
 from repro.simmpi import SimMpiRuntime
 

@@ -6,7 +6,6 @@ from typing import Callable, Dict, List, Tuple
 
 from repro.npb.bt import run_bt
 from repro.npb.cg import run_cg
-from repro.npb.classes import problem_class
 from repro.npb.common import KernelOutcome
 from repro.npb.ep import run_ep
 from repro.npb.is_ import run_is

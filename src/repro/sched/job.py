@@ -224,10 +224,6 @@ class JobRecord:
         return [Attempt(ledger, a) for a in ledger.attempts_of(self.row)]
 
     @property
-    def completed(self) -> bool:
-        return self.state is JobState.COMPLETED
-
-    @property
     def turnaround_s(self) -> Optional[float]:
         if self.end_s is None:
             return None

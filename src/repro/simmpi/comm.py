@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.domains import NONNEGATIVE, POSITIVE
 from repro.simmpi.trace import CommStats
 
 #: Wildcard source for :meth:`RankComm.recv`.
@@ -160,6 +162,12 @@ def payload_nbytes(obj: Any) -> int:
     return nbytes
 
 
+def _check_amount(name: str, value: float) -> None:
+    """Refuse NaN, ±inf and negatives (one compare when *value* is fine)."""
+    if not 0.0 <= value < math.inf:
+        NONNEGATIVE.check(name, value)
+
+
 def _check_tag(tag: Any) -> None:
     """User tags are ints >= 0; the negatives belong to collectives."""
     if not isinstance(tag, int) or tag < 0:
@@ -200,8 +208,7 @@ class RankComm:
 
     def compute(self, seconds: float) -> None:
         """Advance this rank's clock by *seconds* of local work."""
-        if seconds < 0:
-            raise ValueError("compute time cannot be negative")
+        _check_amount("compute seconds", seconds)
         self.clock += seconds
         self.stats.compute_s += seconds
 
@@ -209,8 +216,7 @@ class RankComm:
         """Advance the clock by *seconds* of non-compute I/O (checkpoint
         writes, staging); billed separately from flops so throughput
         accounting can tell useful work from overhead."""
-        if seconds < 0:
-            raise ValueError("stall time cannot be negative")
+        _check_amount("stall seconds", seconds)
         self.clock += seconds
         self.stats.io_s += seconds
 
@@ -223,19 +229,22 @@ class RankComm:
         transition mid-computation splits the charge across steps (and
         the energy ledger integrates power over the same segments).
         """
+        _check_amount("flops", flops)
         rate = flop_rate if flop_rate is not None else self._runtime.flop_rate
-        if rate is None or rate <= 0:
+        if rate is None:
             raise ValueError(
                 "no flop_rate given and the runtime has no node rate"
             )
-        self.stats.flops += flops
+        if not 0.0 < rate < math.inf:
+            POSITIVE.check("flop_rate", rate)
         governor = self._runtime.governor
         if governor is None:
             self.compute(flops / rate)
-            return
-        elapsed, energy_j = governor.advance(self.clock, flops, rate)
-        self.compute(elapsed)
-        self.stats.energy_j += energy_j
+        else:
+            elapsed, energy_j = governor.advance(self.clock, flops, rate)
+            self.compute(elapsed)
+            self.stats.energy_j += energy_j
+        self.stats.flops += flops
 
     # -- point to point ---------------------------------------------------
 

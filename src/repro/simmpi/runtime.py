@@ -24,6 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.core.domains import whole
 from repro.core.events import EventKernel, Process
 from repro.network.timing import Fabric, IdealFabric
 from repro.simmpi.comm import (
@@ -37,6 +38,8 @@ from repro.simmpi.comm import (
     payload_nbytes,
 )
 from repro.simmpi.trace import CommStats
+
+_RANK = whole(0)
 
 
 class _Mailbox:
@@ -328,9 +331,13 @@ class SimMpiRuntime:
         degrade or retry; uncaught, the rank is marked failed and the
         rest of the run continues.
         """
-        if not 0 <= rank < self.size:
-            raise ValueError(f"rank {rank} outside 0..{self.size - 1}")
+        self._check_rank(rank)
         self.kernel.at(time_s, self._apply_failure, rank, time_s, detail)
+
+    def _check_rank(self, rank: int) -> None:
+        _RANK.check("rank", rank)
+        if rank >= self.size:
+            raise ValueError(f"rank {rank} outside 0..{self.size - 1}")
 
     def rank_failed(self, rank: int) -> bool:
         return rank in self._failed
@@ -463,10 +470,7 @@ class SimMpiRuntime:
         then completes (all ranks failed) and the launch's
         ``on_complete`` fires.  Returns the number of ranks interrupted.
         """
-        if not 0 <= victim_rank < self.size:
-            raise ValueError(
-                f"rank {victim_rank} outside 0..{self.size - 1}"
-            )
+        self._check_rank(victim_rank)
         if self._tasks is None:
             return 0
         t = self.kernel.now if time_s is None else time_s

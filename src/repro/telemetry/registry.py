@@ -119,10 +119,6 @@ class Histogram:
                 return
         self._buckets[-1] += 1
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
     def sample(self) -> Dict[str, Any]:
         buckets = {}
         for i, bound in enumerate(self.BOUNDS):

@@ -55,10 +55,6 @@ class Span:
     args: Dict[str, Any] = field(default_factory=dict)
     truncated: bool = False       # force-closed at finish()
 
-    @property
-    def duration(self) -> float:
-        return (self.t1 if self.t1 is not None else self.t0) - self.t0
-
 
 @dataclass
 class Instant:

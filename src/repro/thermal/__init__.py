@@ -6,8 +6,9 @@ first-class, event-driven signal:
 
 - :mod:`repro.thermal.model` — lumped-RC blade network with chassis
   coupling, advanced by exact piecewise-exponential solutions;
-- :mod:`repro.thermal.throttle` — the shared governor API, thermal
-  frequency clamps, and deterministic attempt planning;
+- :mod:`repro.thermal.throttle` — the shared governor base
+  (:class:`PiecewiseGovernor`), thermal frequency clamps, and
+  deterministic attempt planning;
 - :mod:`repro.thermal.reliability` — Arrhenius failure intensity
   sampled by seeded thinning over the live temperatures.
 
@@ -28,7 +29,6 @@ from repro.thermal.reliability import (
 )
 from repro.thermal.throttle import (
     AttemptPlan,
-    Governor,
     PiecewiseGovernor,
     ThermalThrottleGovernor,
     arm_attempt,
@@ -38,7 +38,6 @@ from repro.thermal.throttle import (
 __all__ = [
     "ArrheniusIntensity",
     "AttemptPlan",
-    "Governor",
     "PiecewiseGovernor",
     "ThermalFailureInjector",
     "ThermalNetwork",

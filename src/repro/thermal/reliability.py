@@ -29,6 +29,7 @@ from typing import Callable, List, Tuple
 
 from repro.core.domains import FINITE, POSITIVE, check_domains, param
 from repro.core.events import EventKernel
+from repro.cpus.power import arrhenius_rate
 from repro.thermal.model import ThermalNetwork
 
 
@@ -50,9 +51,8 @@ class ArrheniusIntensity:
 
     def rate_at(self, temp_c: float) -> float:
         """Per-blade failure rate (1/s) at *temp_c*."""
-        return self.base_rate_per_s * 2.0 ** (
-            (temp_c - self.base_c) / self.doubling_c
-        )
+        return arrhenius_rate(self.base_rate_per_s, temp_c, self.base_c,
+                              self.doubling_c)
 
 
 class ThermalFailureInjector:

@@ -1,12 +1,11 @@
-"""Thermal throttling and the shared governor API.
+"""Thermal throttling and the shared governor base.
 
-PR 1 gave the Crusoe its LongRun DVFS governor; this module extracts
-the interface it implied.  A *governor* is anything that modulates a
-node's effective frequency over virtual time:
-:class:`~repro.simmpi.comm.RankComm.compute_flops` asks it to price a
-block of work (``advance``), splitting the charge across whatever
-piecewise-constant frequency segments are active.  Two governors
-share the contract:
+A *governor* is anything that modulates a node's effective frequency
+over virtual time: :class:`~repro.simmpi.comm.RankComm.compute_flops`
+asks it to price a block of work (``advance``), splitting the charge
+across whatever piecewise-constant frequency segments are active.
+:class:`PiecewiseGovernor` is the contract and owns that charge loop;
+two governors subclass it:
 
 - :class:`repro.cpus.longrun.LongRunGovernor` — DVFS steps from the
   part's published ladder (refactored onto this base);
@@ -36,8 +35,15 @@ from typing import List, Optional, Sequence, Tuple
 from repro.thermal.model import ThermalNetwork
 
 
-class Governor(ABC):
-    """Anything that scales a node's frequency over virtual time."""
+class PiecewiseGovernor(ABC):
+    """Anything that scales a node's frequency over virtual time.
+
+    Subclasses supply :meth:`frequency_scale`, :meth:`power_at` and
+    :meth:`next_change` of a piecewise-constant frequency signal; the
+    shared ``advance`` walks the segments, running each at
+    ``base_rate * frequency_scale`` and integrating ``power_at`` into
+    the energy ledger.
+    """
 
     @abstractmethod
     def frequency_scale(self, t: float) -> float:
@@ -51,24 +57,9 @@ class Governor(ABC):
     def next_change(self, t: float) -> Optional[float]:
         """First scheduled transition strictly after *t*, or ``None``."""
 
-    @abstractmethod
     def advance(self, start: float, flops: float,
                 base_rate: float) -> Tuple[float, float]:
         """Charge *flops* starting at *start*; -> (elapsed_s, energy_j)."""
-
-
-class PiecewiseGovernor(Governor):
-    """Shared ``advance`` over any piecewise-constant frequency signal.
-
-    Subclasses supply :meth:`frequency_scale`, :meth:`power_at` and
-    :meth:`next_change`; the charge loop walks the segments, running
-    each at ``base_rate * frequency_scale`` and integrating
-    ``power_at`` into the energy ledger — exactly the arithmetic the
-    LongRun governor has always done, now shared.
-    """
-
-    def advance(self, start: float, flops: float,
-                base_rate: float) -> Tuple[float, float]:
         if flops < 0:
             raise ValueError("flops cannot be negative")
         if base_rate <= 0:
@@ -105,10 +96,6 @@ class ThermalThrottleGovernor(PiecewiseGovernor):
         self.busy_watts = busy_watts
         self._times: List[float] = []
         self._scales: List[float] = []
-
-    @property
-    def transitions(self) -> Tuple[Tuple[float, float], ...]:
-        return tuple(zip(self._times, self._scales))
 
     def clamp_at(self, time_s: float, scale: float) -> None:
         """Schedule a frequency clamp (scale of nominal) at *time_s*."""

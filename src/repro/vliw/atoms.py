@@ -10,7 +10,7 @@ CMS translations must be architecturally transparent to x86 software.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.isa.instructions import Instr, OpClass
 from repro.vliw.units import UNIT_FOR_CLASS, LatencyTable, UnitKind
@@ -41,13 +41,6 @@ class Atom:
     @property
     def is_branch(self) -> bool:
         return self.instr.is_branch
-
-    @property
-    def is_store(self) -> bool:
-        return self.instr.opclass is OpClass.STORE
-
-    def writes(self) -> Optional[str]:
-        return self.instr.writes()
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"<atom#{self.seq} {self.instr} @{self.unit.value}>"

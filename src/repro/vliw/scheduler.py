@@ -30,8 +30,8 @@ _LOAD, _STORE, _BRANCH = OpClass.LOAD, OpClass.STORE, OpClass.BRANCH
 class DependenceEdges:
     """The dependence graph of a block, by hazard kind.
 
-    Stored the way the scheduler walks it - per atom, the later atoms
-    that wait for it - and readable per atom as predecessor lists:
+    Stored the way the scheduler walks it: per atom, the later atoms
+    that wait for it, one list per kind (``<kind>_successors``):
 
     - ``data`` (RAW, load-after-store): the producer must **complete**
       before the consumer issues;
@@ -56,26 +56,6 @@ class DependenceEdges:
     war_order_successors: List[List[int]]
     #: Per atom, how many edges (of any kind) end at it.
     predecessor_count: List[int]
-
-    @property
-    def data(self) -> List[List[int]]:
-        return _predecessors(self.data_successors)
-
-    @property
-    def waw(self) -> List[List[int]]:
-        return _predecessors(self.waw_successors)
-
-    @property
-    def war_order(self) -> List[List[int]]:
-        return _predecessors(self.war_order_successors)
-
-
-def _predecessors(successors: List[List[int]]) -> List[List[int]]:
-    predecessors: List[List[int]] = [[] for _ in successors]
-    for p, waiting in enumerate(successors):
-        for s in waiting:
-            predecessors[s].append(p)
-    return predecessors
 
 
 def dependence_graph(atoms: Sequence[Atom]) -> DependenceEdges:

@@ -56,29 +56,26 @@ def test_reordered_same_timestamp_events_are_caught():
 
 
 def test_backwards_clock_is_caught():
-    class BrokenKernel(EventKernel):
-        # A kernel that trusts event times blindly: an event scheduled
+    def broken_run(kernel):
+        # A loop that trusts event times blindly: an event scheduled
         # in the past drags ``now`` backwards instead of clamping.
-        def step(self):
-            while self._heap:
-                event = heapq.heappop(self._heap)[2]
-                if event.cancelled:
-                    continue
-                self.now = event.time          # missing max(now, ...)
-                self.fired += 1
-                for hook in self._fire_hooks:
-                    hook(event)
-                event.fn(*event.args)
-                return True
-            return False
+        while kernel._heap:
+            event = heapq.heappop(kernel._heap)[2]
+            if event.cancelled:
+                continue
+            kernel.now = event.time            # missing max(now, ...)
+            kernel.fired += 1
+            for hook in kernel._fire_hooks:
+                hook(event)
+            event.fn(*event.args)
 
-    kernel = BrokenKernel()
+    kernel = EventKernel()
     ClockOrderAuditor().attach(kernel)
     # The t=0.5 event schedules work "at 0.1" — legal, the real kernel
-    # clamps it to now; the broken kernel rewinds instead.
+    # clamps it to now; the broken loop rewinds instead.
     kernel.at(0.5, lambda: kernel.at(0.1, lambda: None))
     with pytest.raises(InvariantViolation, match="backwards"):
-        kernel.run()
+        broken_run(kernel)
 
 
 def test_message_conservation_clean_simmpi_run_with_failure():

@@ -191,8 +191,9 @@ def _execute_block_by_atom(self, tb, program, machine):
             if atom.unit is UnitKind.FPU:
                 t = max(t, self._fpu_free)
         for atom in molecule:
-            if atom.writes() is not None:
-                self._reg_ready[atom.writes()] = t + atom.latency
+            dst = atom.instr.dst
+            if dst is not None:
+                self._reg_ready[dst] = t + atom.latency
             if atom.opclass in _UNPIPELINED:
                 self._fpu_free = t + atom.latency
         t_prev = t

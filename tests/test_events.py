@@ -460,6 +460,18 @@ def test_fail_at_validates_rank():
         runtime.fail_at(1.0, 5)
 
 
+@pytest.mark.parametrize("rank", [1.5, True, -1, "1"])
+def test_fail_at_and_kill_all_refuse_a_non_rank_by_name(rank):
+    runtime = SimMpiRuntime(2)
+    with pytest.raises(ValueError, match="^rank must be an int >= 0, got"):
+        runtime.fail_at(0.001, rank)
+    with pytest.raises(ValueError, match="^rank must be an int >= 0, got"):
+        runtime.kill_all(rank)
+    with pytest.raises(ValueError, match="rank 2 outside 0..1"):
+        runtime.kill_all(2)
+    assert runtime.kernel.pending() == 0
+
+
 def test_live_failure_injector_bridges_hub_and_runtime():
     runtime = SimMpiRuntime(4, flop_rate=1e8)
     injector = LiveFailureInjector(runtime, profile=BLADED_OUTAGES)

@@ -7,9 +7,7 @@ from repro.cluster import Packaging
 from repro.cluster.management import (
     ClusterOperationSim,
     EventKind,
-    ManagementEvent,
     ManagementHub,
-    inject_failure,
 )
 from repro.platform.registry import METABLADE, P4_BEOWULF
 
@@ -20,28 +18,25 @@ def test_hub_detection_latency_by_packaging():
     assert blade_hub.detection_latency_h < trad_hub.detection_latency_h
 
 
-def test_inject_failure_blast_radius():
-    blade_hub = ManagementHub.for_packaging(Packaging.BLADED)
-    lost_blade = inject_failure(METABLADE, blade_hub, node=3, time_h=10.0)
-    assert lost_blade == 1.0          # one node, one hour
-
-    trad_hub = ManagementHub.for_packaging(Packaging.TRADITIONAL)
-    lost_trad = inject_failure(P4_BEOWULF, trad_hub, node=3, time_h=10.0)
-    assert lost_trad == 4.0 * 24      # whole cluster for four hours
-
-
-def test_inject_failure_validates_node():
-    hub = ManagementHub.for_packaging(Packaging.BLADED)
-    with pytest.raises(ValueError):
-        inject_failure(METABLADE, hub, node=99, time_h=0.0)
+def test_failure_blast_radius():
+    for cluster, per_failure in [
+        (METABLADE, 1.0),             # one node, one hour
+        (P4_BEOWULF, 4.0 * 24),       # whole cluster for four hours
+    ]:
+        report = ClusterOperationSim(cluster, seed=3,
+                                     failures_per_year=50.0).run(8_760)
+        assert report.failures > 0
+        assert report.lost_cpu_hours == report.failures * per_failure
 
 
 def test_event_log_structure():
-    hub = ManagementHub.for_packaging(Packaging.BLADED)
-    inject_failure(METABLADE, hub, node=5, time_h=2.0)
+    report = ClusterOperationSim(METABLADE, seed=4).run(hours=8_760)
+    assert report.failures == 1
+    hub = report.hub
     kinds = [e.kind for e in hub.log]
     assert kinds == [EventKind.FAILURE, EventKind.DETECTED,
                      EventKind.REPAIRED]
+    assert len({e.node for e in hub.log}) == 1
     assert hub.log[1].time_h - hub.log[0].time_h == pytest.approx(
         hub.detection_latency_h
     )
@@ -66,7 +61,6 @@ def test_zero_hour_run_is_empty_and_fully_available():
     assert report.lost_cpu_hours == 0.0
     assert report.total_cpu_hours == 0.0
     assert report.availability == 1.0
-    assert report.downtime_cost() == 0.0
     assert report.hub.log == []
 
 
@@ -112,7 +106,7 @@ def test_blade_availability_dominates():
     trad = ClusterOperationSim(P4_BEOWULF, seed=1).run(hours=35_040)
     assert blade.availability > trad.availability
     assert blade.availability > 0.999
-    assert blade.downtime_cost() < trad.downtime_cost()
+    assert blade.lost_cpu_hours < trad.lost_cpu_hours
 
 
 def test_custom_failure_rate():

@@ -9,7 +9,6 @@ from repro.nbody.morton import (
     MAX_DEPTH,
     ROOT_KEY,
     ancestor_at_level,
-    cell_geometry,
     key_level,
     morton_decode,
     morton_encode,
@@ -18,6 +17,27 @@ from repro.nbody.morton import (
 )
 from repro.nbody.tree import HashedOctree
 from tests.oracles import validate_tree
+
+
+def cell_geometry(key, lo, hi, depth=MAX_DEPTH):
+    """Geometric centre and edge length of a cell in world coordinates,
+    one cell at a time: the reference ``HashedOctree._finalize`` batches.
+
+    *depth* is the quantisation depth used to build the particle keys.
+    """
+    level = key_level(key)
+    code = np.uint64(int(key) & ~(1 << (3 * level)))
+    # Promote the truncated code back to full depth to share decode.
+    full = code << np.uint64(3 * (depth - level))
+    ix, iy, iz = morton_decode(np.array([full]))
+    cells = 1 << depth
+    span = hi - lo
+    size = span / (1 << level)
+    origin = lo + np.array(
+        [float(ix[0]), float(iy[0]), float(iz[0])]
+    ) / cells * span
+    centre = origin + 0.5 * size
+    return centre, float(np.max(size))
 
 
 coord = st.integers(0, (1 << 21) - 1)
@@ -82,6 +102,17 @@ def test_cell_geometry_children_nest():
         assert np.all(centre > lo) and np.all(centre < hi)
 
 
+def test_tree_geometry_is_the_per_cell_geometry_bit_for_bit():
+    pos, _, mass = plummer_sphere(300, seed=4)
+    tree = HashedOctree(pos, mass, leaf_size=8)
+    for key, centre, size in zip(tree.node_key, tree.node_centre,
+                                 tree.node_size):
+        want_centre, want_size = cell_geometry(
+            int(key), tree.box_lo, tree.box_hi, tree.depth)
+        assert centre.tobytes() == want_centre.tobytes()
+        assert float(size) == want_size
+
+
 # --- tree construction -------------------------------------------------------
 
 
@@ -125,7 +156,7 @@ def test_duplicate_positions_handled():
 def test_lookup_is_hash_based():
     pos, _, mass = plummer_sphere(200, seed=1)
     tree = HashedOctree(pos, mass, leaf_size=8)
-    assert tree.lookup(ROOT_KEY) is tree.root
+    assert tree.nodes[ROOT_KEY] is tree.root
     assert ROOT_KEY in tree.nodes
     assert ROOT_KEY * 8 << 60 not in tree.nodes
 

@@ -174,7 +174,6 @@ def test_simulation_flop_ledger_consistent():
     assert result.virtual_seconds(1e9) == pytest.approx(
         result.total_flops / 1e9
     )
-    assert result.sustained_gflops(87.5e6) == pytest.approx(0.0875)
 
 
 @pytest.mark.parametrize("ic", ["plummer", "cube", "collision"])

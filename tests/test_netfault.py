@@ -235,18 +235,6 @@ def test_calendar_stale_booking_respects_pruned_floor():
         booked.append(got)
 
 
-def test_calendar_reset_clears_floor():
-    cal = Calendar()
-    t = 0.0
-    for _ in range(3000):
-        cal.book(t, 1e-4)
-        t += 1.5e-4
-    assert cal._floor > 0.0
-    cal.reset()
-    assert cal._floor == 0.0
-    assert cal.book(0.0, 1e-4) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # ANY_SOURCE failure detection (the wildcard-receive fix)
 # ---------------------------------------------------------------------------

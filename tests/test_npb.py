@@ -40,10 +40,12 @@ from repro.npb.is_ import bucket_rank, make_keys
 
 def test_lcg_batch_matches_scalar():
     r1 = NpbRandom()
-    scalar = np.array([r1.next() for _ in range(40_000)])
-    r2 = NpbRandom()
-    assert np.array_equal(scalar, r2.batch(40_000))
-    assert r1.x == r2.x
+    x, draws = r1.x, []
+    for _ in range(40_000):                 # randlc, one draw at a time
+        x = x * r1.a % NPB_LCG_M
+        draws.append(x / NPB_LCG_M)
+    assert np.array_equal(np.array(draws), r1.batch(40_000))
+    assert r1.x == x
 
 
 @given(n=st.integers(1, 3000), skip=st.integers(0, 10**9))

@@ -226,21 +226,20 @@ def test_table2_clips_cpu_counts_to_platform_nodes():
 
 def test_one_chassis_rack_matches_star_within_switch_hop():
     nodes, nbytes = 4, 1500
-    star = star_fabric(nodes)
-    rack = platform_by_name("green-destiny-240").build_fabric(nodes)
-    assert isinstance(rack, RackTopology)
-    assert rack.chassis_count == 1        # all four endpoints, one chassis
-    # The star's extra cost per message is exactly the backplane
-    # serialisation of the chassis switch hop.
-    hop_delta = 8.0 * nbytes / star.switch.backplane_bps
+    gd = platform_by_name("green-destiny-240")
     for src, dst in [(0, 1), (2, 3), (1, 0), (3, 2)]:
+        star = star_fabric(nodes)
+        rack = gd.build_fabric(nodes)
+        assert isinstance(rack, RackTopology)
+        assert rack.chassis_count == 1    # all four endpoints, one chassis
+        # The star's extra cost per message is exactly the backplane
+        # serialisation of the chassis switch hop.
+        hop_delta = 8.0 * nbytes / star.switch.backplane_bps
         t_star = star.send(src, dst, nbytes, post_time=0.0)
         t_rack = rack.send(src, dst, nbytes, post_time=0.0)
         assert t_star.arrive_time - t_rack.arrive_time == pytest.approx(
             hop_delta, abs=1e-12
         )
-        star.reset()
-        rack.reset()
 
 
 def test_rack_fabric_places_endpoints_by_allocated_blades():

@@ -40,12 +40,10 @@ def test_schedule_is_a_permutation_respecting_dependences(seed, limits):
         for atom in mol:
             position[atom.seq] = mi
     edges = dependence_graph(atoms)
-    for i in range(len(atoms)):
-        for p in edges.data[i]:
+    for p in range(len(atoms)):
+        for i in edges.data_successors[p] + edges.waw_successors[p]:
             assert position[p] < position[i]
-        for p in edges.waw[i]:
-            assert position[p] < position[i]
-        for p in edges.war_order[i]:
+        for i in edges.war_order_successors[p]:
             assert position[p] <= position[i]
 
     # Slot limits honoured (Molecule __post_init__ enforces, but check

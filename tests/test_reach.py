@@ -2,10 +2,8 @@
 
 A definition is a public top-level function or class of a module, or a
 public method of such a class; dunders and ``_private`` names are out
-of scope.  It is *reached* when its name appears in a root outside its
-own body: as a ``Name``, an ``Attribute``, an import alias or the
-string of a ``getattr``, ``hasattr`` or ``setattr``.  The roots are the
-code that runs without the test suite:
+of scope.  It is *reached* by a use in a root outside its own body.
+The roots are the code that runs without the test suite:
 
 - every ``src/repro`` module, except that in a package ``__init__.py``
   an import (or an ``__all__`` entry) is not a use; a call is;
@@ -14,16 +12,38 @@ code that runs without the test suite:
 - ``benchmarks/spine/*.py``;
 - ``examples/*.py``, which CI runs.
 
-Names are matched without type inference (any ``.run`` reaches every
-``run`` method), so the rule finds code only a test can call, not code
-that merely looks unused.  A definition that stays anyway is on
-``ALLOWED`` with the reason ``src/`` needs it.
+What counts as a use:
+
+- a top-level definition is reached by its name in any form: a
+  ``Name``, an ``Attribute``, an import alias or the string of a
+  ``getattr``, ``hasattr`` or ``setattr``;
+- a method is reached only through an attribute: ``x.name`` or one of
+  those three strings.  A bare name never reaches it, so a local
+  variable or a top-level function that shares the name does not;
+- a call ``x.name(...)`` never reaches a property, and reaches a method
+  only if its positional count and keyword names bind to the method's
+  signature, with ``self`` bound (or passed, when ``x`` is a CapWords
+  name that may be the class); ``*``/``**`` unpacking binds to
+  anything, and so does a method whose decorator may change its
+  signature;
+- an attribute formatted into an f-string (``f"{x.name}"``) reaches a
+  property but never a method: nothing formats a bound method.
+
+Receivers are not inferred (any ``.run()`` reaches every ``run(self)``),
+so the rule finds code only a test can call, not code that merely looks
+unused.  A definition that stays anyway is on ``ALLOWED`` with the
+reason ``src/`` needs it.
+
+A second check fails on an import that a ``src/repro`` module (other
+than a package ``__init__``) never uses: deleting a definition is what
+leaves one behind, and CI's lint does not select F401.
 """
 
 import ast
 import functools
+import inspect
 import textwrap
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -33,65 +53,166 @@ from tests.test_package_boundaries import _attribute_access
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
+_COLLECTIVE = ("RankComm offers every repro.simmpi.collectives routine as a "
+               "method; an SPMD program ")
+
 #: Unreached definitions kept on purpose: qualified name -> why.
 ALLOWED = {
-    "repro.simmpi.comm.RankComm.barrier":
-        "RankComm offers every repro.simmpi.collectives routine as a "
-        "method; an SPMD program synchronises with comm.barrier()",
-    "repro.simmpi.comm.RankComm.scatter":
-        "RankComm offers every repro.simmpi.collectives routine as a "
-        "method; an SPMD program distributes work with comm.scatter()",
+    f"repro.simmpi.comm.RankComm.{name}": _COLLECTIVE + why
+    for name, why in [
+        ("barrier", "synchronises with comm.barrier()"),
+        ("bcast", "shares a root's value with comm.bcast()"),
+        ("gather", "collects per-rank results with comm.gather()"),
+        ("reduce", "combines values at a root with comm.reduce()"),
+        ("scatter", "distributes work with comm.scatter()"),
+    ]
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: How a use names an identifier, besides a call's ``(positional count,
+#: keyword names)``: a bare name or import alias, an attribute that is
+#: not called, one formatted into an f-string, a call that unpacks
+#: ``*`` or ``**``.
+NAME, ATTRIBUTE, FORMATTED, UNPACKED = \
+    "name", "attribute", "formatted", "unpacked"
+
+_PROPERTY = {"property", "cached_property", "setter", "getter", "deleter"}
+#: Decorators that leave a method's call signature as written.
+_KEEPS_SIGNATURE = {"staticmethod", "classmethod", "abstractmethod",
+                    "contextmanager", "lru_cache", "cache"}
 
 
 def _public(name: str) -> bool:
     return not name.startswith("_")
 
 
+def _signatures(fn):
+    """What a call ``x.fn(...)`` may bind to: ``None`` for a property
+    (nothing), ``...`` behind an unknown decorator (anything), else
+    ``(signature through an instance, through the class)``."""
+    decorators = {d.attr if isinstance(d, ast.Attribute) else
+                  getattr(d, "id", None) for d in fn.decorator_list}
+    if decorators & _PROPERTY:
+        return None
+    if decorators - _KEEPS_SIGNATURE:
+        return ...
+    a, P = fn.args, inspect.Parameter
+    positional = a.posonlyargs + a.args
+    defaults = [P.empty] * (len(positional) - len(a.defaults)) + a.defaults
+    kinds = [P.POSITIONAL_ONLY] * len(a.posonlyargs) + \
+        [P.POSITIONAL_OR_KEYWORD] * len(a.args)
+    params = [P(arg.arg, kind, default=default)
+              for arg, kind, default in zip(positional, kinds, defaults)]
+    params += [P(a.vararg.arg, P.VAR_POSITIONAL)] if a.vararg else []
+    params += [P(arg.arg, P.KEYWORD_ONLY,
+                 default=P.empty if default is None else default)
+               for arg, default in zip(a.kwonlyargs, a.kw_defaults)]
+    params += [P(a.kwarg.arg, P.VAR_KEYWORD)] if a.kwarg else []
+    whole = inspect.Signature(params)
+    if "staticmethod" in decorators:
+        return whole, whole
+    bound = whole.replace(parameters=params[1:])
+    return (bound, bound) if "classmethod" in decorators else (bound, whole)
+
+
+def _reaches(signatures, how) -> bool:
+    """Whether a use *how* reaches a definition: *signatures* is
+    ``NAME`` for a top-level one, else ``_signatures`` of a method."""
+    if signatures is NAME or how == ATTRIBUTE:
+        return True
+    if how == FORMATTED:
+        return signatures is None
+    if how == NAME or signatures is None:
+        return False
+    if how == UNPACKED or signatures is ...:
+        return True
+    positional, keywords, through_class = how
+    for signature in signatures[:1 + through_class]:
+        try:
+            signature.bind(*range(positional), **dict.fromkeys(keywords))
+        except TypeError:
+            continue
+        return True
+    return False
+
+
 def _definitions(module, tree):
-    """``(qualified name, node)`` of each public top-level function and
-    class of *tree*, and of each public method of such a class."""
+    """``(qualified name, node, signatures)`` of each public top-level
+    function and class of *tree* (``NAME``), and of each public method
+    of such a class."""
     for node in tree.body:
         if isinstance(node, (*_FUNCTIONS, ast.ClassDef)) and _public(node.name):
-            yield f"{module}.{node.name}", node
+            yield f"{module}.{node.name}", node, NAME
             if isinstance(node, ast.ClassDef):
                 yield from (
-                    (f"{module}.{node.name}.{item.name}", item)
+                    (f"{module}.{node.name}.{item.name}", item,
+                     _signatures(item))
                     for item in node.body
                     if isinstance(item, _FUNCTIONS) and _public(item.name)
                 )
 
 
-def _uses(tree, package_init=False) -> Counter:
-    """How often *tree* names each identifier."""
-    used = Counter()
+def _how(call):
+    """How a call ``x.name(...)`` uses *name*: ``UNPACKED``, or its
+    positional count, keyword names and whether ``x`` may be a class
+    (a bare CapWords name), which passes ``self`` itself."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or \
+            any(kw.arg is None for kw in call.keywords):
+        return UNPACKED
+    receiver = call.func.value
+    through_class = isinstance(receiver, ast.Name) and receiver.id[0].isupper()
+    return (len(call.args), tuple(sorted(kw.arg for kw in call.keywords)),
+            through_class)
+
+
+def _uses(tree, package_init=False):
+    """How *tree* names each identifier: ``name -> Counter(how)``."""
+    how = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute):
+            how[id(node.func)] = _how(node)
+        elif isinstance(node, ast.FormattedValue):
+            how[id(node.value)] = FORMATTED
+    used = defaultdict(Counter)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            used[node.id] += 1
+            used[node.id][NAME] += 1
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             if not package_init:
-                used.update(a.name.rpartition(".")[2] for a in node.names)
+                for alias in node.names:
+                    used[alias.name.rpartition(".")[2]][NAME] += 1
+        elif isinstance(node, ast.Attribute) and id(node) in how:
+            used[node.attr][how[id(node)]] += 1
         elif attr := _attribute_access(node):
-            used[attr[1]] += 1
+            used[attr[1]][ATTRIBUTE] += 1
     return used
+
+
+def _count(uses, signatures) -> int:
+    """How many of *uses* (``how -> count``, of one name) reach a
+    definition with *signatures*."""
+    return sum(n for how, n in uses.items() if _reaches(signatures, how))
 
 
 @functools.lru_cache(maxsize=None)
 def _module(path, text):
     """One ``src/repro`` module: the names it uses as a root, and each
-    definition as ``(qualified name, name, uses inside its own body)``."""
+    definition as ``(qualified name, name, signatures, uses inside its
+    own body that reach it)``."""
     tree = ast.parse(text)
     module = path.removesuffix(".py").removesuffix("/__init__")
     return _uses(tree, path.endswith("__init__.py")), [
-        (qualified, node.name, _uses(node)[node.name])
-        for qualified, node in _definitions(module.replace("/", "."), tree)
+        (qualified, node.name, signatures,
+         _count(_uses(node)[node.name], signatures))
+        for qualified, node, signatures
+        in _definitions(module.replace("/", "."), tree)
     ]
 
 
 @functools.lru_cache(maxsize=None)
-def _root_uses(text) -> Counter:
+def _root_uses(text):
     return _uses(ast.parse(text))
 
 
@@ -99,16 +220,15 @@ def _unreached(sources, roots=()):
     """*sources*: ``[(path under src, python source)]``, each also a
     root; *roots*: more root sources.  -> unreached qualified names."""
     modules = [_module(path, text) for path, text in sources]
-    used = Counter()
-    for uses, _ in modules:
-        used.update(uses)
-    for text in roots:
-        used.update(_root_uses(text))
+    used = defaultdict(Counter)
+    for uses in [uses for uses, _ in modules] + [_root_uses(t) for t in roots]:
+        for name, hows in uses.items():
+            used[name].update(hows)
     return [
         qualified
         for _, definitions in modules
-        for qualified, name, own in definitions
-        if used[name] <= own
+        for qualified, name, signatures, own in definitions
+        if _count(used[name], signatures) <= own
     ]
 
 
@@ -157,6 +277,13 @@ DELETED = [
     ("cluster/management.py", "ManagementHub",
      "def mean_time_to_detect_h(self):\n"
      "    return self.poll_interval_s / 7200.0\n"),
+    ("cluster/management.py", "OperationReport",
+     "def downtime_cost(self, usd_per_cpu_hour=5.0):\n"
+     "    return self.lost_cpu_hours * usd_per_cpu_hour\n"),
+    ("cluster/rack.py", "Rack",
+     "@property\n"
+     "def node_count(self):\n"
+     "    return sum(len(c) for c in self.chassis)\n"),
     ("cluster/reliability.py", None,
      "def sample_failure_times(rng, rate_per_hour, horizon_h):\n"
      "    return [rng.expovariate(rate_per_hour)]\n"),
@@ -170,6 +297,9 @@ DELETED = [
      "@property\n"
      "def idle(self):\n"
      "    return self._live == 0\n"),
+    ("core/events.py", "EventKernel",
+     "def step(self):\n"
+     "    return bool(self._heap)\n"),
     ("cpus/longrun.py", None,
      "def spec_at_step(spec, step, model):\n"
      "    return spec\n"),
@@ -186,6 +316,9 @@ DELETED = [
      "@property\n"
      "def ends_block(self):\n"
      "    return self.op in BLOCK_ENDERS\n"),
+    ("isa/instructions.py", "Instr",
+     "def writes(self):\n"
+     "    return self.dst\n"),
     ("isa/instructions.py", "Program",
      "def static_mix(self):\n"
      "    return Counter(i.opclass for i in self.instrs)\n"),
@@ -202,6 +335,9 @@ DELETED = [
      "@property\n"
      "def worst_initial_error(self):\n"
      "    return (3.0 / self.size) ** 2\n"),
+    ("nbody/morton.py", None,
+     "def cell_geometry(key, lo, hi, depth=MAX_DEPTH):\n"
+     "    return lo, float(hi[0] - lo[0])\n"),
     ("nbody/multipole.py", None,
      "def quadrupole_tensor(pos, mass, com):\n"
      "    return mass @ (pos - com)\n"),
@@ -222,9 +358,17 @@ DELETED = [
      "@property\n"
      "def oversubscription(self):\n"
      "    return self.nodes_per_chassis * self.nic.link.bandwidth_bps\n"),
+    ("network/link.py", None,
+     "class LinkSchedule:\n"
+     "    def __init__(self, link):\n"
+     "        self.link = link\n"),
     ("network/multilevel.py", "RackTopology",
      "def uplink_busy_s(self, chassis):\n"
      "    return self.uplinks[chassis].busy_s\n"),
+    ("network/switch.py", None,
+     "class BackplaneSchedule:\n"
+     "    def __init__(self, switch):\n"
+     "        self.switch = switch\n"),
     ("network/switch.py", "Switch",
      "@property\n"
      "def nonblocking(self):\n"
@@ -232,6 +376,10 @@ DELETED = [
     ("network/topology.py", "StarTopology",
      "def uplink_busy_s(self):\n"
      "    return self.uplink.busy_s\n"),
+    ("npb/common.py", "NpbRandom",
+     "def next(self):\n"
+     "    self.x = (self.x * self.a) & _MASK46\n"
+     "    return self.x / NPB_LCG_M\n"),
     ("perfmodel/projector.py", None,
      "def project_runtime_s(cpu, outcome):\n"
      "    return outcome.operations / project_mops(cpu, outcome)\n"),
@@ -247,13 +395,44 @@ DELETED = [
     ("simmpi/trace.py", "CommStats",
      "def merge(self, other):\n"
      "    return self\n"),
+    ("telemetry/registry.py", "Histogram",
+     "@property\n"
+     "def mean(self):\n"
+     "    return self.sum / self.count if self.count else 0.0\n"),
+    ("telemetry/spans.py", "Span",
+     "@property\n"
+     "def duration(self):\n"
+     "    return self.t1 - self.t0\n"),
     ("thermal/throttle.py", None,
      "class ComposedGovernor:\n"
      "    def __init__(self, governors):\n"
      "        self.governors = list(governors)\n"),
+    ("thermal/throttle.py", None,
+     "class Governor:\n"
+     "    def __init__(self, busy_watts):\n"
+     "        self.busy_watts = busy_watts\n"),
     ("thermal/throttle.py", "ThermalThrottleGovernor",
      "def release_at(self, t):\n"
      "    return self.clamp_at(t, 1.0)\n"),
+    ("vliw/atoms.py", "Atom",
+     "@property\n"
+     "def is_store(self):\n"
+     "    return self.instr.opclass is OpClass.STORE\n"),
+    ("vliw/atoms.py", "Atom",
+     "def writes(self):\n"
+     "    return self.instr.dst\n"),
+    ("vliw/scheduler.py", "DependenceEdges",
+     "@property\n"
+     "def data(self):\n"
+     "    return self.data_successors\n"),
+    ("vliw/scheduler.py", "DependenceEdges",
+     "@property\n"
+     "def war_order(self):\n"
+     "    return self.war_order_successors\n"),
+    ("vliw/scheduler.py", "DependenceEdges",
+     "@property\n"
+     "def waw(self):\n"
+     "    return self.waw_successors\n"),
 ]
 
 
@@ -346,3 +525,108 @@ def test_the_walk_bites_on_a_seeded_test_only_definition():
         "repro.owner.box.only_tested",
         "repro.owner.box.Box.shut",
     ]
+
+
+def test_a_method_is_reached_only_through_an_attribute_that_binds():
+    module = (
+        "class Box:\n"
+        "    def fill(self, a, b=0, *, lid=None):\n"
+        "        pass\n"
+        "    def pour(self, a):\n"
+        "        pass\n"
+        "    def tip(self):\n"
+        "        pass\n"
+        "    def open(self):\n"
+        "        pass\n"
+        "    def close(self):\n"
+        "        pass\n"
+        "    def peek(self):\n"
+        "        pass\n"
+        "    def shake(self, n):\n"
+        "        pass\n"
+        "    @property\n"
+        "    def label(self):\n"
+        "        return 'box'\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 0\n"
+        "    @staticmethod\n"
+        "    def make(kind):\n"
+        "        return Box()\n"
+        "def close():\n"
+        "    pass\n"
+    )
+    user = (
+        "from repro.box import Box, close\n"
+        "def main(box, args):\n"
+        "    close()\n"                 # a name: never a method
+        "    open = 1\n"
+        "    box.fill(1, lid=2)\n"      # binds
+        "    box.pour()\n"              # does not bind
+        "    box.pour(1, 2)\n"          # does not bind either
+        "    Box.tip(box)\n"            # through the class: self passed
+        "    box.shake(*args)\n"        # unpacking binds to anything
+        "    box.size()\n"              # a call never reaches a property
+        "    Box.make('cube')\n"
+        "    return f'{box.label} {box.peek}'\n"   # formatted
+    )
+    sources = [("repro/box.py", module), ("repro/user.py", user)]
+    assert _unreached(sources, ["from repro.user import main"]) == [
+        "repro.box.Box.pour",
+        "repro.box.Box.open",
+        "repro.box.Box.close",
+        "repro.box.Box.peek",
+        "repro.box.Box.size",
+    ]
+
+
+def _unused_imports(text):
+    """``(line, name)`` of each import *text* binds and never names
+    again (a string counts, for quoted annotations)."""
+    tree = ast.parse(text)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                imported[bound] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and \
+                node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(quoted)
+                        if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_src_module_imports_a_name_it_never_uses():
+    sources, _ = _tree()
+    unused = [
+        f"{path}:{line}: {name}"
+        for path, text in sources if not path.endswith("__init__.py")
+        for line, name in _unused_imports(text)
+    ]
+    assert unused == []
+
+
+def test_the_import_check_bites_on_a_seeded_unused_import():
+    text = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import Optional, Tuple\n"
+        "from repro.core import domains as d, events\n"
+        "def f(x: 'Optional[int]') -> Tuple[int]:\n"
+        "    return np.sum(x), d\n"
+    )
+    assert _unused_imports(text) == [(2, "os"), (5, "events")]

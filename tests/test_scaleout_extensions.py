@@ -39,7 +39,7 @@ def test_rack_topology_chassis_mapping():
 def test_rack_intra_chassis_cheaper_than_inter():
     rack = green_destiny_fabric(nodes=48)
     intra = rack.send(0, 1, nbytes=100_000, post_time=0.0)
-    rack.reset()
+    rack = green_destiny_fabric(nodes=48)
     inter = rack.send(0, 30, nbytes=100_000, post_time=0.0)
     assert intra.arrive_time < inter.arrive_time
 
@@ -48,7 +48,7 @@ def test_rack_uplink_carries_inter_chassis_traffic():
     rack = green_destiny_fabric(nodes=48)
     rack.send(0, 30, nbytes=50_000, post_time=0.0)
     assert rack._chassis_up[0].busy_s > 0
-    rack.reset()
+    rack = green_destiny_fabric(nodes=48)
     rack.send(0, 1, nbytes=50_000, post_time=0.0)
     assert rack._chassis_up[0].busy_s == 0.0
 

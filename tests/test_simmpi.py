@@ -1,5 +1,7 @@
 """SimMPI: point-to-point semantics, collectives, runtime behaviour."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,6 +137,39 @@ def test_compute_flops_without_rate_raises():
 
     with pytest.raises(ValueError):
         run(1, prog)
+
+
+@pytest.mark.parametrize("method, name", [
+    ("compute", "compute seconds"),
+    ("stall", "stall seconds"),
+    ("compute_flops", "flops"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -5.0])
+def test_rank_charges_refuse_a_non_amount_before_any_counter_moves(
+        method, name, bad):
+    def prog(comm):
+        comm.compute(0.5)
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite and >= 0, got"):
+            getattr(comm, method)(bad)
+        s = comm.stats
+        return comm.clock, s.compute_s, s.io_s, s.flops, s.energy_j
+        yield
+
+    result = run(1, prog, flop_rate=1e8)
+    assert result.results[0] == (0.5, 0.5, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1e8])
+def test_compute_flops_refuses_a_non_rate_by_name(rate):
+    def prog(comm):
+        with pytest.raises(ValueError,
+                           match="^flop_rate must be finite and positive"):
+            comm.compute_flops(1e6, flop_rate=rate)
+        return comm.clock, comm.stats.flops
+        yield
+
+    assert run(1, prog, flop_rate=1e8).results[0] == (0.0, 0.0)
 
 
 def test_message_time_depends_on_size():

@@ -321,7 +321,10 @@ def test_arm_attempt_sets_blades_busy_before_it_plans():
         twin.set_busy(blade, 0.0)
     assert plan == plan_attempt(twin, [0, 1], 0.0)
     assert plan.trip_at_s is not None
-    assert governor.transitions == ((plan.trip_at_s, 0.4),)
+    # One clamp to 0.4 at the trip, and nothing after it.
+    assert governor.next_change(0.0) == plan.trip_at_s
+    assert governor.frequency_scale(plan.trip_at_s) == 0.4
+    assert governor.next_change(plan.trip_at_s) is None
     assert governor.busy_watts == 100.0
 
     cold = ThermalNetwork(

@@ -56,9 +56,9 @@ def test_dependence_graph_raw_waw_war():
         "halt"
     )
     edges = dependence_graph(atoms[:3])
-    assert 0 in edges.data[1]
-    assert 0 in edges.waw[2]
-    assert 1 in edges.war_order[2]
+    assert 1 in edges.data_successors[0]
+    assert 2 in edges.waw_successors[0]
+    assert 2 in edges.war_order_successors[1]
 
 
 def test_memory_ordering_edges():
@@ -69,8 +69,8 @@ def test_memory_ordering_edges():
         "halt"
     )
     edges = dependence_graph(atoms[:3])
-    assert 0 in edges.war_order[1]
-    assert 1 in edges.data[2]
+    assert 1 in edges.war_order_successors[0]
+    assert 2 in edges.data_successors[1]
 
 
 def test_schedule_respects_dependences():
