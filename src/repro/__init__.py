@@ -19,50 +19,51 @@ a simulator faithful enough to regenerate the paper's evaluation:
 - :mod:`repro.npb` - NAS-parallel-benchmark work-alikes;
 - :mod:`repro.metrics` - TCO, ToPPeR, performance/space and
   performance/power;
-- :mod:`repro.core` - the event kernel plus one regenerator per
-  table/figure.
+- :mod:`repro.core` - the event kernel and parameter domains (the
+  bottom of the stack); :mod:`repro.core.experiments` - one
+  regenerator per table/figure (the top).
+
+Imports run one way: a layer loads only the layers beneath it, so
+``import repro.core.events`` loads the kernel alone.  The names below
+are resolved on first use (PEP 562), and ``import repro`` loads no
+layer until one of them is read.
 
 Quickstart::
 
-    from repro.core import experiment_summary, experiment_table5
-    print(experiment_summary())
+    from repro import METABLADE, experiment_summary, experiment_table5
+    print(experiment_summary(METABLADE))
     print(experiment_table5().text)
 """
 
-from repro.core import (
-    experiment_fig3,
-    experiment_summary,
-    experiment_table1,
-    experiment_table2,
-    experiment_table3,
-    experiment_table4,
-    experiment_table5,
-    experiment_table6,
-    experiment_table7,
-    experiment_topper,
-)
-from repro.platform.registry import GREEN_DESTINY, METABLADE, METABLADE2
-from repro.metrics import CostParameters, ToPPeR, tco_for, topper
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CostParameters",
-    "GREEN_DESTINY",
-    "METABLADE",
-    "METABLADE2",
-    "ToPPeR",
-    "__version__",
-    "experiment_fig3",
-    "experiment_summary",
-    "experiment_table1",
-    "experiment_table2",
-    "experiment_table3",
-    "experiment_table4",
-    "experiment_table5",
-    "experiment_table6",
-    "experiment_table7",
-    "experiment_topper",
-    "tco_for",
-    "topper",
-]
+#: Each public name, and the module that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("repro.core.experiments", (
+            "experiment_fig3", "experiment_summary", "experiment_table1",
+            "experiment_table2", "experiment_table3", "experiment_table4",
+            "experiment_table5", "experiment_table6", "experiment_table7",
+            "experiment_topper",
+        )),
+        ("repro.platform.registry", ("GREEN_DESTINY", "METABLADE", "METABLADE2")),
+        ("repro.metrics", ("CostParameters", "ToPPeR", "tco_for", "topper")),
+    )
+    for name in names
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value

@@ -34,7 +34,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.core import (
+from repro.core.experiments import (
     experiment_fig3,
     experiment_summary,
     experiment_table1,

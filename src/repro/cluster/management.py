@@ -39,6 +39,7 @@ from repro.cluster.reliability import (
     ClusterReliability,
     OutageProfile,
 )
+from repro.core.domains import NONNEGATIVE
 from repro.core.events import EventKernel
 
 if TYPE_CHECKING:                                    # pragma: no cover
@@ -143,8 +144,7 @@ class ClusterOperationSim:
         sequence (gap, node, gap, node, ...) matches the pre-kernel
         loop, so seeded results are unchanged.
         """
-        if hours < 0:
-            raise ValueError("hours cannot be negative")
+        NONNEGATIVE.check("hours", hours)
         hub = ManagementHub.for_packaging(self.cluster.packaging)
         if hours == 0:
             # Zero-hour window: nothing can fail, report is empty.

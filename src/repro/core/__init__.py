@@ -1,42 +1,15 @@
-"""The event kernel and the experiment index.
+"""The bottom of the stack: the event kernel and the parameter domains.
 
-:mod:`~repro.core.experiments` regenerates every table and figure of
-the evaluation (and :func:`experiment_summary`, one machine's headline
-numbers); :mod:`~repro.core.events` is the discrete-event kernel every
-time-bearing layer shares.
+:mod:`~repro.core.events` is the discrete-event kernel every
+time-bearing layer shares, and :mod:`~repro.core.domains` the value
+domains every spec checks its fields against.  Both import nothing
+else from :mod:`repro`, so importing this package loads no other layer.
+
+The experiment index (one regenerator per table and figure of the
+evaluation) is the top of the stack and lives in
+:mod:`repro.core.experiments`; it is not re-exported here.
 """
 
 from repro.core.events import Event, EventKernel, Process, TimelineEvent
-from repro.core.experiments import (
-    Table4Row,
-    experiment_fig3,
-    experiment_summary,
-    experiment_table1,
-    experiment_table2,
-    experiment_table3,
-    experiment_table4,
-    experiment_table5,
-    experiment_table6,
-    experiment_table7,
-    experiment_timeline,
-    experiment_topper,
-)
 
-__all__ = [
-    "Event",
-    "EventKernel",
-    "Process",
-    "Table4Row",
-    "TimelineEvent",
-    "experiment_fig3",
-    "experiment_summary",
-    "experiment_table1",
-    "experiment_table2",
-    "experiment_table3",
-    "experiment_table4",
-    "experiment_table5",
-    "experiment_table6",
-    "experiment_table7",
-    "experiment_timeline",
-    "experiment_topper",
-]
+__all__ = ["Event", "EventKernel", "Process", "TimelineEvent"]

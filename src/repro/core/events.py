@@ -43,6 +43,7 @@ deterministic for a given seed.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
@@ -174,13 +175,15 @@ class EventKernel:
     def at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at virtual *time*.
 
-        NaN is refused along with negative times: it compares false
-        against everything, so one NaN entry would break the heap
-        invariant and silently misorder the events around it.
+        NaN and +inf are refused along with negative times, in one
+        chained comparison: NaN compares false against everything, so
+        one NaN entry would break the heap invariant and silently
+        misorder the events around it, and an event at +inf would run
+        the clock to a time no model reaches.
         """
-        if not time >= 0:
+        if not 0 <= time < math.inf:
             raise ValueError(
-                f"virtual time must be non-negative, got {time!r}"
+                f"virtual time must be finite and non-negative, got {time!r}"
             )
         self._seq = seq = self._seq + 1
         event = Event(time, seq, fn, args, self)
@@ -205,9 +208,9 @@ class EventKernel:
         ``(time, seq)`` must not be in the heap already, cancelled or
         not: a tie there would compare the events themselves.
         """
-        if not time >= 0:
+        if not 0 <= time < math.inf:
             raise ValueError(
-                f"virtual time must be non-negative, got {time!r}"
+                f"virtual time must be finite and non-negative, got {time!r}"
             )
         if not 0 < seq <= self._seq:
             raise ValueError(f"seq {seq} was never reserved")

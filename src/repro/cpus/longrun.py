@@ -26,8 +26,8 @@ from typing import List, Optional, Tuple
 from repro.cms import CmsConfig, CodeMorphingSoftware
 from repro.core.domains import NONNEGATIVE, POSITIVE, check_domains, param
 from repro.core.events import EventKernel
+from repro.cpus.power import PiecewiseGovernor
 from repro.isa.programs import GuestWorkload
-from repro.thermal.throttle import PiecewiseGovernor
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ class LongRunGovernor(PiecewiseGovernor):
     event.
 
     One of two subclasses of the shared
-    :class:`~repro.thermal.throttle.PiecewiseGovernor`, which owns
+    :class:`~repro.cpus.power.PiecewiseGovernor`, which owns
     the charge loop.
     """
 

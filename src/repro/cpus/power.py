@@ -7,11 +7,18 @@ thumb reported to the authors by two leading vendors).  Hot, actively
 cooled CPUs therefore fail more, driving the system-administration and
 downtime columns of the TCO table; the 6 W Transmeta needs no active
 cooling and runs reliably in a dusty 80 degrees-F room.
+
+:class:`PiecewiseGovernor` is the one governor base: it prices work
+over a piecewise-constant frequency and power signal.  LongRun DVFS
+(:mod:`repro.cpus.longrun`) and the thermal clamps
+(:mod:`repro.thermal.throttle`) subclass it.
 """
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.cpus.base import ProcessorSpec
 
@@ -110,3 +117,48 @@ class FailureModel:
                           years: float,
                           thermal: ThermalModel = ThermalModel()) -> float:
         return self.node_rate(spec, thermal) * nodes * years
+
+
+class PiecewiseGovernor(ABC):
+    """Anything that scales a node's frequency over virtual time.
+
+    Subclasses supply :meth:`frequency_scale`, :meth:`power_at` and
+    :meth:`next_change` of a piecewise-constant frequency signal; the
+    shared ``advance`` walks the segments, running each at
+    ``base_rate * frequency_scale`` and integrating ``power_at`` into
+    the energy ledger.
+    """
+
+    @abstractmethod
+    def frequency_scale(self, t: float) -> float:
+        """Effective frequency at *t* as a fraction of nominal."""
+
+    @abstractmethod
+    def power_at(self, t: float) -> float:
+        """Instantaneous power draw (W) at *t*."""
+
+    @abstractmethod
+    def next_change(self, t: float) -> Optional[float]:
+        """First scheduled transition strictly after *t*, or ``None``."""
+
+    def advance(self, start: float, flops: float,
+                base_rate: float) -> Tuple[float, float]:
+        """Charge *flops* starting at *start*; -> (elapsed_s, energy_j)."""
+        if flops < 0:
+            raise ValueError("flops cannot be negative")
+        if base_rate <= 0:
+            raise ValueError("base_rate must be positive")
+        t = start
+        remaining = flops
+        energy = 0.0
+        while True:
+            rate = base_rate * self.frequency_scale(t)
+            next_t = self.next_change(t)
+            if next_t is None or remaining <= (next_t - t) * rate:
+                dt = remaining / rate
+                energy += self.power_at(t) * dt
+                return t + dt - start, energy
+            seg = next_t - t
+            energy += self.power_at(t) * seg
+            remaining -= seg * rate
+            t = next_t

@@ -6,9 +6,9 @@ first-class, event-driven signal:
 
 - :mod:`repro.thermal.model` — lumped-RC blade network with chassis
   coupling, advanced by exact piecewise-exponential solutions;
-- :mod:`repro.thermal.throttle` — the shared governor base
-  (:class:`PiecewiseGovernor`), thermal frequency clamps, and
-  deterministic attempt planning;
+- :mod:`repro.thermal.throttle` — thermal frequency clamps on the
+  shared governor base (:class:`~repro.cpus.power.PiecewiseGovernor`,
+  re-exported here), and deterministic attempt planning;
 - :mod:`repro.thermal.reliability` — Arrhenius failure intensity
   sampled by seeded thinning over the live temperatures.
 

@@ -1,11 +1,11 @@
-"""Thermal throttling and the shared governor base.
+"""Thermal throttling on the shared governor base.
 
 A *governor* is anything that modulates a node's effective frequency
 over virtual time: :class:`~repro.simmpi.comm.RankComm.compute_flops`
 asks it to price a block of work (``advance``), splitting the charge
 across whatever piecewise-constant frequency segments are active.
-:class:`PiecewiseGovernor` is the contract and owns that charge loop;
-two governors subclass it:
+:class:`~repro.cpus.power.PiecewiseGovernor` is the contract and owns
+that charge loop; two governors subclass it:
 
 - :class:`repro.cpus.longrun.LongRunGovernor` — DVFS steps from the
   part's published ladder (refactored onto this base);
@@ -27,57 +27,12 @@ what makes a thermally throttled run bit-replayable.
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.cpus.power import PiecewiseGovernor
 from repro.thermal.model import ThermalNetwork
-
-
-class PiecewiseGovernor(ABC):
-    """Anything that scales a node's frequency over virtual time.
-
-    Subclasses supply :meth:`frequency_scale`, :meth:`power_at` and
-    :meth:`next_change` of a piecewise-constant frequency signal; the
-    shared ``advance`` walks the segments, running each at
-    ``base_rate * frequency_scale`` and integrating ``power_at`` into
-    the energy ledger.
-    """
-
-    @abstractmethod
-    def frequency_scale(self, t: float) -> float:
-        """Effective frequency at *t* as a fraction of nominal."""
-
-    @abstractmethod
-    def power_at(self, t: float) -> float:
-        """Instantaneous power draw (W) at *t*."""
-
-    @abstractmethod
-    def next_change(self, t: float) -> Optional[float]:
-        """First scheduled transition strictly after *t*, or ``None``."""
-
-    def advance(self, start: float, flops: float,
-                base_rate: float) -> Tuple[float, float]:
-        """Charge *flops* starting at *start*; -> (elapsed_s, energy_j)."""
-        if flops < 0:
-            raise ValueError("flops cannot be negative")
-        if base_rate <= 0:
-            raise ValueError("base_rate must be positive")
-        t = start
-        remaining = flops
-        energy = 0.0
-        while True:
-            rate = base_rate * self.frequency_scale(t)
-            next_t = self.next_change(t)
-            if next_t is None or remaining <= (next_t - t) * rate:
-                dt = remaining / rate
-                energy += self.power_at(t) * dt
-                return t + dt - start, energy
-            seg = next_t - t
-            energy += self.power_at(t) * seg
-            remaining -= seg * rate
-            t = next_t
 
 
 class ThermalThrottleGovernor(PiecewiseGovernor):

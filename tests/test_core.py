@@ -3,13 +3,14 @@
 import pytest
 
 from repro.cluster import Packaging
-from repro.core import (
+from repro.core.claims import experiment_result
+from repro.core.experiments import (
+    HISTORICAL_TREECODE,
     experiment_fig3,
     experiment_summary,
     experiment_table2,
+    modelled_treecode_rows,
 )
-from repro.core.claims import experiment_result
-from repro.core.experiments import HISTORICAL_TREECODE, modelled_treecode_rows
 from repro.metrics import tco_for
 from repro.nbody.sim import SimConfig
 from repro.platform.registry import GREEN_DESTINY, METABLADE

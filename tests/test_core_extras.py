@@ -4,10 +4,7 @@ the model's ratings of the other bladed machines."""
 import pytest
 
 from repro.cluster import Packaging
-from repro.core import (
-    experiment_table2,
-    experiment_table3,
-)
+from repro.core.experiments import experiment_table2, experiment_table3
 from repro.cpus.catalog import PEAK_FLOPS_PER_CYCLE
 from repro.metrics import topper
 from repro.platform.registry import GREEN_DESTINY, METABLADE, METABLADE2

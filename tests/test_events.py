@@ -6,6 +6,8 @@ live node-failure injection, the LongRun DVFS governor and the unified
 timeline.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +16,7 @@ from repro.cluster import (
     BLADED_OUTAGES,
     LiveFailureInjector,
 )
-from repro.core import experiment_timeline
+from repro.core.experiments import experiment_timeline
 from repro.core.events import EventKernel, Process
 from repro.cpus.longrun import (
     TM5600_LONGRUN,
@@ -103,6 +105,25 @@ def test_nan_times_rejected_before_they_can_misorder_the_heap():
     kernel.run()
     assert fired == [0.5, 1.0, 2.0]
 
+
+
+@pytest.mark.parametrize("time", [math.inf, -math.inf])
+def test_infinite_times_rejected_by_name(time):
+    # +inf used to pass: the run then ended with ``kernel.now == inf``.
+    kernel = EventKernel()
+    with pytest.raises(ValueError, match="must be finite and non-negative"):
+        kernel.at(time, lambda: None)
+    seq = kernel.reserve_seq()
+    with pytest.raises(ValueError, match="must be finite and non-negative"):
+        kernel.at_seq(time, seq, lambda: None)
+    assert kernel.pending() == 0
+
+
+def test_a_failure_at_infinity_is_refused_before_the_run():
+    runtime = SimMpiRuntime(2)
+    with pytest.raises(ValueError, match="must be finite and non-negative"):
+        runtime.fail_at(math.inf, 0)
+    assert runtime.kernel.pending() == 0
 
 #: A handful of instants, so equal-time ties are the common case.
 _TICKS = st.integers(0, 6).map(lambda k: 0.25 * k)

@@ -1,5 +1,7 @@
 """Management hub, failure injection and Monte-Carlo operation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,14 @@ def test_operation_sim_is_deterministic():
 def test_operation_sim_rejects_negative_hours():
     with pytest.raises(ValueError):
         ClusterOperationSim(METABLADE).run(hours=-1.0)
+
+
+@pytest.mark.parametrize("hours", [math.inf, math.nan])
+def test_operation_sim_refuses_a_non_finite_window_by_name(
+        hours, hard_timeout):
+    # inf used to chain arrivals forever; nan returned ``hours=nan``.
+    with pytest.raises(ValueError, match="^hours must be finite and >= 0"):
+        ClusterOperationSim(METABLADE).run(hours=hours)
 
 
 def test_zero_hour_run_is_empty_and_fully_available():

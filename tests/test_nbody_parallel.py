@@ -7,7 +7,9 @@ from repro.nbody.parallel import (
     run_parallel_nbody,
     scaling_study,
 )
-from repro.nbody.sim import SimConfig
+from repro.nbody.sim import NBodySimulation, SimConfig
+from repro.nbody.traversal import tree_accelerations
+from repro.nbody.tree import HashedOctree
 
 RATE = 87.5e6
 CFG = SimConfig(n=1200, steps=2, dt=1e-3, theta=0.7, softening=1e-2)
@@ -36,6 +38,33 @@ def test_invalid_balance_rejected():
     with pytest.raises(ValueError):
         run_parallel_nbody(CFG, 2, RATE, balance="vibes")
 
+
+
+def test_model_debts_the_spmd_treecode_kicks_its_first_step_twice():
+    # ROADMAP [one-treecode], pinned as it stands: at p = 1 the SPMD
+    # program's priming pass and first step evaluate forces at the
+    # same positions, so its first drift carries 1.5 dt^2 a0 where the
+    # serial leapfrog carries 0.5 dt^2 a0.  The epoch PR that makes the
+    # step drift-kick-drift flips this test on purpose.
+    config = SimConfig(n=200, steps=1)
+    x0, v0, mass = config.make_ic()
+    a0, _ = tree_accelerations(
+        HashedOctree(x0, mass, leaf_size=config.leaf_size),
+        theta=config.theta, softening=config.softening,
+    )
+    dt = config.dt
+    (x1, v1), = run_parallel_nbody(
+        config, 1, RATE, ideal_network=True
+    ).results
+    # The forces agree bit for bit; the velocity takes a full dt * a0.
+    assert np.array_equal(v1, v0 + 0.5 * dt * (a0 + a0))
+    assert np.array_equal(x1, x0 + dt * (v1 + 0.5 * dt * a0))
+    assert np.allclose(x1, x0 + dt * v0 + 1.5 * dt * dt * a0,
+                       rtol=0, atol=1e-14)
+    serial = NBodySimulation(config).run(compute_energy=False)
+    assert np.array_equal(serial.pos, x0 + dt * (v0 + 0.5 * dt * a0))
+    assert np.allclose(x1 - serial.pos, dt * dt * a0, rtol=0, atol=1e-14)
+    assert not np.array_equal(x1, serial.pos)
 
 @pytest.mark.slow
 def test_more_cpus_is_faster_but_not_ideal():

@@ -96,24 +96,3 @@ def test_module_imports_first_in_a_fresh_interpreter(module):
     )
     assert done.returncode == 0, done.stderr
 
-
-def test_spec_module_stays_below_its_consumers():
-    # metrics, hpl and core.experiments import the registry at module
-    # level, and repro/__init__ reaches them before platform.spec; an
-    # import back from the spec module would be a cycle.
-    import ast
-
-    import repro.platform.spec as spec_module
-
-    tree = ast.parse(Path(spec_module.__file__).read_text())
-    imported = [
-        node.module for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-    ] + [
-        alias.name for node in tree.body if isinstance(node, ast.Import)
-        for alias in node.names
-    ]
-    for name in imported:
-        assert not name.startswith(
-            ("repro.metrics", "repro.hpl", "repro.core.experiments")
-        ), name

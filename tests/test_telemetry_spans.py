@@ -15,7 +15,7 @@ from collections import defaultdict
 
 import pytest
 
-from repro.core import experiment_timeline
+from repro.core.experiments import experiment_timeline
 from repro.sched import build_campaign, campaign_params
 from repro.telemetry import SpanRecorder, Telemetry, chrome_trace
 
