@@ -251,11 +251,9 @@ class RetransmitConservationAuditor(KernelAuditor):
             )
 
 
-def attach_auditors(kernel: EventKernel,
-                    auditors: Optional[Sequence[KernelAuditor]] = None,
-                    ) -> List[KernelAuditor]:
-    """Attach the standard auditor set (or *auditors*) to *kernel*."""
-    chosen = list(auditors) if auditors is not None else [
+def attach_auditors(kernel: EventKernel) -> List[KernelAuditor]:
+    """Attach the standard auditor set to *kernel*."""
+    chosen = [
         ClockOrderAuditor(), MessageConservationAuditor(),
         RetransmitConservationAuditor(),
     ]
@@ -265,12 +263,10 @@ def attach_auditors(kernel: EventKernel,
 
 
 def detach_auditors(kernel: EventKernel,
-                    auditors: Sequence[KernelAuditor],
-                    finish: bool = True) -> None:
+                    auditors: Sequence[KernelAuditor]) -> None:
     """Detach *auditors*, running their end-of-run checks first."""
     for auditor in auditors:
-        if finish:
-            auditor.finish()
+        auditor.finish()
         auditor.detach(kernel)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cpus.catalog import TABLE1_CPUS, TABLE3_CPUS
 from repro.metrics.ratios import perf_power_table, perf_space_table
@@ -69,9 +69,9 @@ def _result(experiment: str, headers: List[str], rows: List[List],
 # Table 1 - gravitational microkernel Mflops
 # ---------------------------------------------------------------------------
 
-def experiment_table1(cpus=TABLE1_CPUS) -> ExperimentResult:
+def experiment_table1() -> ExperimentResult:
     rows, extras = [], {}
-    for cpu in cpus:
+    for cpu in TABLE1_CPUS:
         math_mflops, karp_mflops = table1_mflops(cpu)
         extras[f"{cpu.name} math"] = math_mflops
         extras[f"{cpu.name} karp"] = karp_mflops
@@ -99,7 +99,6 @@ def experiment_table2(
     n: int = 6000,
     steps: int = 1,
     cpu_counts: Tuple[int, ...] = (1, 2, 4, 8, 16, 24),
-    ideal_network: bool = False,
     seed: int = 2001,
     jobs: int = 1,
     platform: Optional[str] = None,
@@ -132,7 +131,7 @@ def experiment_table2(
         # scaling_study clips the counts to the platform and warns.
         points = scaling_study(
             config, tuple(cpu_counts), spec.node_flop_rate(),
-            ideal_network=ideal_network, jobs=jobs, platform=spec.name,
+            jobs=jobs, platform=spec.name,
         )
     dropped = len(cpu_counts) - len(points)
     rows = [
@@ -168,12 +167,12 @@ def experiment_table2(
 # Table 3 - single-processor NPB Mops
 # ---------------------------------------------------------------------------
 
-def experiment_table3(letter: str = "S", cpus=TABLE3_CPUS) -> ExperimentResult:
+def experiment_table3(letter: str = "S") -> ExperimentResult:
     outcomes = run_suite(letter)
-    projections = table3_mops(cpus, outcomes)
-    headers = ["Code"] + [cpu.name for cpu in cpus]
+    projections = table3_mops(TABLE3_CPUS, outcomes)
+    headers = ["Code"] + [cpu.name for cpu in TABLE3_CPUS]
     rows = [
-        [name] + [round(mops[cpu.name], 1) for cpu in cpus]
+        [name] + [round(mops[cpu.name], 1) for cpu in TABLE3_CPUS]
         for name, mops in projections
     ]
     return _result(
@@ -256,11 +255,9 @@ def experiment_table4() -> ExperimentResult:
 # Table 5 - TCO
 # ---------------------------------------------------------------------------
 
-def experiment_table5(
-    clusters: Sequence[PlatformSpec] = TABLE5,
-) -> ExperimentResult:
+def experiment_table5() -> ExperimentResult:
     rows, extras = [], {}
-    for breakdown in tco_table(clusters):
+    for breakdown in tco_table(TABLE5):
         k = breakdown.rounded_k()
         rows.append([breakdown.cluster_name] + [f"${v}K" for v in k])
         extras[f"{breakdown.cluster_name} total_usd"] = breakdown.total
@@ -311,7 +308,7 @@ def experiment_table7() -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def experiment_fig3(config: Optional[SimConfig] = None,
-                    image_bins: int = 48) -> Tuple[ExperimentResult, SimResult, str]:
+                    ) -> Tuple[ExperimentResult, SimResult, str]:
     """The Section 3.3 raw-performance run, scaled down.
 
     The paper ran 9,753,824 particles for ~1000 steps on the showroom
@@ -329,7 +326,7 @@ def experiment_fig3(config: Optional[SimConfig] = None,
     pct = 100.0 * sustained / peak
     virtual_s = result.total_flops / (sustained * 1e9)
 
-    image = density_image(result.pos, result.mass, bins=image_bins)
+    image = density_image(result.pos, result.mass, bins=48)
     art = ascii_render(image)
 
     rows = [

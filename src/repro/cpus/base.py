@@ -78,13 +78,12 @@ class Processor(abc.ABC):
         return self.spec.name
 
     @abc.abstractmethod
-    def run_workload(self, workload: GuestWorkload,
-                     check: bool = True) -> KernelResult:
+    def run_workload(self, workload: GuestWorkload) -> KernelResult:
         """Execute *workload* to completion and time it.
 
-        With ``check=True`` the architectural output is validated against
-        the workload's golden reference before timing is reported - a
-        wrong answer never earns a Mflops rating.
+        The architectural output is validated against the workload's
+        golden reference before timing is reported - a wrong answer
+        never earns a Mflops rating.
         """
 
     def mflops(self, workload: GuestWorkload) -> float:

@@ -30,13 +30,12 @@ class CrusoeProcessor(Processor):
         self.spec = spec
         self.cms_config = cms_config or CmsConfig()
 
-    def run_workload(self, workload: GuestWorkload,
-                     check: bool = True) -> KernelResult:
+    def run_workload(self, workload: GuestWorkload) -> KernelResult:
         cms = CodeMorphingSoftware(self.cms_config)
         result = cms.run(
             workload.program, workload.make_state(), max_steps=100_000_000
         )
-        if check and not workload.check(result.state):
+        if not workload.check(result.state):
             raise WrongAnswerError(
                 f"{self.name} produced wrong results on {workload.name}"
             )

@@ -197,8 +197,7 @@ class EnergyPoint:
 
 
 def energy_study(workload: GuestWorkload,
-                 model: LongRunModel = TM5600_LONGRUN,
-                 cms_config: Optional[CmsConfig] = None) -> List[EnergyPoint]:
+                 model: LongRunModel = TM5600_LONGRUN) -> List[EnergyPoint]:
     """Run *workload* through CMS at every ladder step.
 
     The cycle count is frequency-independent (same pipeline), so one
@@ -206,7 +205,7 @@ def energy_study(workload: GuestWorkload,
     DVFS frontier: lower steps save power faster than they lose time
     whenever voltage drops with frequency.
     """
-    cms = CodeMorphingSoftware(cms_config or CmsConfig())
+    cms = CodeMorphingSoftware(CmsConfig())
     result = cms.run(workload.program, workload.make_state(),
                      max_steps=10**8)
     if not workload.check(result.state):
@@ -240,16 +239,10 @@ class TrajectoryOutcome:
         return self.energy_j / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
 
-def dvfs_trajectory_study(
-    model: LongRunModel = TM5600_LONGRUN,
-    ranks: int = 4,
-    phases: int = 6,
-    flops_per_phase: float = 5e6,
-    base_rate: float = 1e8,
-) -> Tuple[TrajectoryOutcome, TrajectoryOutcome]:
-    """Price a mid-run LongRun descent against an all-top-step run.
+def dvfs_trajectory_study() -> Tuple[TrajectoryOutcome, TrajectoryOutcome]:
+    """Price a mid-run TM5600 LongRun descent against an all-top-step run.
 
-    Every rank alternates compute and allreduce for *phases* rounds
+    Each of four ranks alternates compute and allreduce for six rounds
     while a :class:`LongRunGovernor` walks the ladder downward one
     notch per (top-rate) phase interval — the flop rate changes *while
     the program runs*, on the same event-kernel clock the scheduler
@@ -259,6 +252,9 @@ def dvfs_trajectory_study(
     """
     from repro.network.timing import star_fabric
     from repro.simmpi import SimMpiRuntime
+
+    model, ranks, phases = TM5600_LONGRUN, 4, 6
+    flops_per_phase, base_rate = 5e6, 1e8
 
     def program(comm):
         for _ in range(phases):

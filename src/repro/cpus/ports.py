@@ -58,9 +58,6 @@ class PortTable:
 
 def make_port_table(
     *,
-    ialu_ports: Tuple[str, ...] = ("alu0", "alu1"),
-    ialu_latency: int = 1,
-    imul_latency: int = 4,
     fadd_ports: Tuple[str, ...] = ("fadd",),
     fadd_latency: int = 3,
     fmul_ports: Tuple[str, ...] = ("fmul",),
@@ -73,20 +70,20 @@ def make_port_table(
     fsqrt_occupancy: int = 35,
     load_ports: Tuple[str, ...] = ("mem0",),
     load_latency: int = 3,
-    store_ports: Tuple[str, ...] = ("st0",),
-    branch_latency: int = 1,
 ) -> PortTable:
     """Build a port table from the handful of parameters that matter.
 
     Defaults describe a generic late-90s superscalar; the catalog tunes
-    them per CPU.  Square root shares the divide unit (fdiv ports); CPUs
+    them per CPU.  Every CPU shares the two-ALU integer side (a
+    four-cycle multiply on the first ALU), one store port and one-cycle
+    branches.  Square root shares the divide unit (fdiv ports); CPUs
     without a hardware square root (e.g. Alpha EV56) model the software
     sequence with a very large fsqrt latency/occupancy.
     """
     return PortTable(
         specs={
-            OpClass.IALU: PortSpec(ialu_ports, ialu_latency),
-            OpClass.IMUL: PortSpec((ialu_ports[0],), imul_latency),
+            OpClass.IALU: PortSpec(("alu0", "alu1"), 1),
+            OpClass.IMUL: PortSpec(("alu0",), 4),
             OpClass.FPADD: PortSpec(fadd_ports, fadd_latency),
             OpClass.FPMUL: PortSpec(
                 fmul_ports, fmul_latency, fmul_occupancy
@@ -98,8 +95,8 @@ def make_port_table(
                 fdiv_ports, fsqrt_latency, fsqrt_occupancy
             ),
             OpClass.LOAD: PortSpec(load_ports, load_latency),
-            OpClass.STORE: PortSpec(store_ports, 1),
-            OpClass.BRANCH: PortSpec(("br",), branch_latency),
-            OpClass.NOP: PortSpec((ialu_ports[0],), 1),
+            OpClass.STORE: PortSpec(("st0",), 1),
+            OpClass.BRANCH: PortSpec(("br",), 1),
+            OpClass.NOP: PortSpec(("alu0",), 1),
         }
     )

@@ -319,8 +319,7 @@ class HardwareProcessor(Processor):
         self.window = window
         self.has_fma = has_fma
 
-    def run_workload(self, workload: GuestWorkload,
-                     check: bool = True) -> KernelResult:
+    def run_workload(self, workload: GuestWorkload) -> KernelResult:
         sim = PortSimulator(
             self.table,
             issue_width=self.spec.issue_width,
@@ -330,7 +329,7 @@ class HardwareProcessor(Processor):
         outcome = sim.simulate(
             workload.program, workload.make_state(), max_steps=100_000_000
         )
-        if check and not workload.check(outcome.state):
+        if not workload.check(outcome.state):
             raise WrongAnswerError(
                 f"{self.name} produced wrong results on {workload.name}"
             )

@@ -57,15 +57,13 @@ def _ranked(clusters: Sequence[PlatformSpec], key) -> List[RankedCluster]:
     ]
 
 
-def top500_list(
-    clusters: Sequence[PlatformSpec] = GREEN500_FIELD,
-) -> List[RankedCluster]:
-    """Rank by Linpack flops, the Top500 criterion the paper critiques."""
-    return _ranked(clusters, linpack_gflops)
+def top500_list() -> List[RankedCluster]:
+    """Rank ``GREEN500_FIELD`` by Linpack flops, the Top500 criterion
+    the paper critiques."""
+    return _ranked(GREEN500_FIELD, linpack_gflops)
 
 
-def green500_list(
-    clusters: Sequence[PlatformSpec] = GREEN500_FIELD,
-) -> List[RankedCluster]:
-    """Rank by Linpack flops per watt - the Green500 criterion."""
-    return _ranked(clusters, lambda c: linpack_gflops(c) / c.power_kw)
+def green500_list() -> List[RankedCluster]:
+    """Rank ``GREEN500_FIELD`` by Linpack flops per watt - the Green500
+    criterion."""
+    return _ranked(GREEN500_FIELD, lambda c: linpack_gflops(c) / c.power_kw)

@@ -189,22 +189,23 @@ inner:
 """
 
 
-def karp_table(size: int = KARP_TABLE_SIZE) -> np.ndarray:
-    """Initial 1/sqrt estimates at ``size + 1`` knots spanning [1, 4].
+def karp_table() -> np.ndarray:
+    """Initial 1/sqrt estimates at ``KARP_TABLE_SIZE + 1`` knots
+    spanning [1, 4].
 
     The extra guard entry lets the interpolation read ``table[i+1]`` for
     the last interval.  Knot values are the exact reciprocal square root,
     matching Karp's use of an accurate seed table refined by Newton.
     """
-    knots = np.linspace(KARP_LO, KARP_HI, size + 1)
+    knots = np.linspace(KARP_LO, KARP_HI, KARP_TABLE_SIZE + 1)
     return 1.0 / np.sqrt(knots)
 
 
-def karp_rsqrt_reference(x: np.ndarray, size: int = KARP_TABLE_SIZE,
-                         newton_iters: int = 2) -> np.ndarray:
-    """NumPy model of the Karp guest code (bit-for-bit same arithmetic)."""
-    scale = size / (KARP_HI - KARP_LO)
-    table = karp_table(size)
+def karp_rsqrt_reference(x: np.ndarray) -> np.ndarray:
+    """NumPy model of the Karp guest code (bit-for-bit same arithmetic:
+    the default table, then two Newton steps)."""
+    scale = KARP_TABLE_SIZE / (KARP_HI - KARP_LO)
+    table = karp_table()
     t = (x - 1.0) * scale
     i = np.trunc(t).astype(np.int64)
     frac = t - i
@@ -212,7 +213,7 @@ def karp_rsqrt_reference(x: np.ndarray, size: int = KARP_TABLE_SIZE,
     y_hi = table[i + 1]
     y = frac * (y_hi - y_lo) + y_lo
     u = 0.5 * x
-    for _ in range(newton_iters):
+    for _ in range(2):
         y = y * (1.5 - u * (y * y))
     return y
 

@@ -8,10 +8,9 @@ measurable facts of the hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import List
 
 from repro.platform.registry import TABLE67
-from repro.platform.spec import PlatformSpec
 
 
 @dataclass(frozen=True)
@@ -30,39 +29,27 @@ class PerfPowerRow:
     gflops_per_kw: float
 
 
-def perf_space_table(
-    clusters: Iterable[PlatformSpec] = TABLE67,
-) -> List[PerfSpaceRow]:
-    """Regenerate Table 6."""
-    rows = []
-    for c in clusters:
-        if c.treecode_gflops is None:
-            raise ValueError(f"{c.title} has no performance rating")
-        rows.append(
-            PerfSpaceRow(
-                machine=c.title,
-                gflops=c.treecode_gflops,
-                area_sqft=c.footprint_sqft,
-                mflops_per_sqft=c.perf_space_mflops_per_sqft,
-            )
+def perf_space_table() -> List[PerfSpaceRow]:
+    """Regenerate Table 6 (every ``TABLE67`` machine has a rating)."""
+    return [
+        PerfSpaceRow(
+            machine=c.title,
+            gflops=c.treecode_gflops,
+            area_sqft=c.footprint_sqft,
+            mflops_per_sqft=c.perf_space_mflops_per_sqft,
         )
-    return rows
+        for c in TABLE67
+    ]
 
 
-def perf_power_table(
-    clusters: Iterable[PlatformSpec] = TABLE67,
-) -> List[PerfPowerRow]:
+def perf_power_table() -> List[PerfPowerRow]:
     """Regenerate Table 7."""
-    rows = []
-    for c in clusters:
-        if c.treecode_gflops is None:
-            raise ValueError(f"{c.title} has no performance rating")
-        rows.append(
-            PerfPowerRow(
-                machine=c.title,
-                gflops=c.treecode_gflops,
-                power_kw=c.power_kw,
-                gflops_per_kw=c.perf_power_gflops_per_kw,
-            )
+    return [
+        PerfPowerRow(
+            machine=c.title,
+            gflops=c.treecode_gflops,
+            power_kw=c.power_kw,
+            gflops_per_kw=c.perf_power_gflops_per_kw,
         )
-    return rows
+        for c in TABLE67
+    ]

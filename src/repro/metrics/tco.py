@@ -107,7 +107,6 @@ def tco_for(cluster: PlatformSpec,
     )
 
 
-def tco_table(clusters: Iterable[PlatformSpec],
-              params: CostParameters = DEFAULT_COSTS) -> List[TcoBreakdown]:
+def tco_table(clusters: Iterable[PlatformSpec]) -> List[TcoBreakdown]:
     """TCO breakdowns for a set of clusters (Table 5 generator)."""
-    return [tco_for(c, params) for c in clusters]
+    return [tco_for(c) for c in clusters]

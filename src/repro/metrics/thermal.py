@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.cpus.power import FailureModel
 from repro.metrics.report import format_table
@@ -38,11 +38,9 @@ class ThermalMtbfRow:
     cluster_mtbf_h: float
 
 
-def thermal_mtbf_row(spec: PlatformSpec,
-                     failure: Optional[FailureModel] = None,
-                     ) -> ThermalMtbfRow:
+def thermal_mtbf_row(spec: PlatformSpec) -> ThermalMtbfRow:
     """One platform through the RC network and the Arrhenius model."""
-    failure = failure if failure is not None else FailureModel()
+    failure = FailureModel()
     power = spec.power_model()
     network = spec.build_thermal()
     busy_c = network.max_temperature_c()
@@ -63,14 +61,13 @@ def thermal_mtbf_row(spec: PlatformSpec,
 
 
 def thermal_mtbf_report(specs: Sequence[PlatformSpec],
-                        failure: Optional[FailureModel] = None,
                         ) -> Tuple[List[ThermalMtbfRow], str]:
     """The reliability-vs-power table over *specs*.
 
     Rows sort hottest-first, so the machine-room Beowulfs lead and the
     blades close — the paper's ordering of who needs the HVAC.
     """
-    rows = [thermal_mtbf_row(spec, failure) for spec in specs]
+    rows = [thermal_mtbf_row(spec) for spec in specs]
     rows.sort(key=lambda r: (-r.busy_c, r.name))
     table = format_table(
         ("platform", "nodes", "node W", "cooling", "ambient C",

@@ -74,23 +74,17 @@ class HeadlineClaim:
     topper_ratio: float              # traditional ToPPeR / blade ToPPeR
 
 
-def paper_headline_claim(
-    blade_cluster: PlatformSpec = METABLADE,
-    traditional_cluster: PlatformSpec = PIII_BEOWULF,
-    params: CostParameters = DEFAULT_COSTS,
-) -> HeadlineClaim:
-    """Reproduce the paper's ToPPeR argument.
+def paper_headline_claim() -> HeadlineClaim:
+    """Reproduce the paper's ToPPeR argument for MetaBlade.
 
-    The traditional comparator defaults to the PIII Beowulf of Table 5
-    (the comparably-clocked machine), whose sustained performance is
-    the blade's divided by :data:`BLADE_RELATIVE_PERFORMANCE`.
+    The traditional comparator is the PIII Beowulf of Table 5 (the
+    comparably-clocked machine), whose sustained performance is the
+    blade's divided by :data:`BLADE_RELATIVE_PERFORMANCE`.
     """
-    blade_perf = blade_cluster.treecode_gflops
-    if blade_perf is None:
-        raise ValueError("blade cluster needs a performance rating")
+    blade_perf = METABLADE.treecode_gflops
     trad_perf = blade_perf / BLADE_RELATIVE_PERFORMANCE
-    blade = topper(blade_cluster, blade_perf, params)
-    trad = topper(traditional_cluster, trad_perf, params)
+    blade = topper(METABLADE, blade_perf)
+    trad = topper(PIII_BEOWULF, trad_perf)
     return HeadlineClaim(
         blade=blade,
         traditional=trad,

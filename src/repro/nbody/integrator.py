@@ -37,14 +37,14 @@ def kinetic_energy(vel: np.ndarray, mass: np.ndarray) -> float:
 
 
 def potential_energy(pos: np.ndarray, mass: np.ndarray,
-                     softening: float = 1e-3, g: float = 1.0) -> float:
-    """Total potential energy (each pair counted once)."""
-    per_particle = direct_potential(pos, mass, softening=softening, g=g)
+                     softening: float = 1e-3) -> float:
+    """Total potential energy, G = 1 (each pair counted once)."""
+    per_particle = direct_potential(pos, mass, softening=softening)
     return float(0.5 * np.sum(mass * per_particle))
 
 
 def total_energy(pos: np.ndarray, vel: np.ndarray, mass: np.ndarray,
-                 softening: float = 1e-3, g: float = 1.0) -> float:
+                 softening: float = 1e-3) -> float:
     return kinetic_energy(vel, mass) + potential_energy(
-        pos, mass, softening=softening, g=g
+        pos, mass, softening=softening
     )

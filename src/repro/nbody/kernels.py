@@ -21,16 +21,18 @@ INTERACTION_FLOPS = 38
 #: Shared zero-safe reciprocal square root (see :mod:`repro.nbody.karp`).
 _rsqrt = masked_rsqrt
 
+#: Rows evaluated at once: memory stays O(_CHUNK * N).
+_CHUNK = 256
+
 
 def direct_accelerations(
     pos: np.ndarray,
     mass: np.ndarray,
     softening: float = 1e-3,
-    g: float = 1.0,
     use_karp: bool = False,
-    chunk: int = 256,
+    chunk: int = _CHUNK,
 ) -> Tuple[np.ndarray, int]:
-    """O(N^2) accelerations; returns ``(acc, flops)``.
+    """O(N^2) accelerations (G = 1); returns ``(acc, flops)``.
 
     Evaluated in row chunks so memory stays O(chunk * N).  With
     ``use_karp=True`` the reciprocal square root goes through Karp's
@@ -55,7 +57,7 @@ def direct_accelerations(
         rinv3 = rinv * rinv * rinv
         # Self-interaction has diff = 0, so it contributes nothing, but
         # exclude it from the flop count.
-        acc[lo:hi] = g * np.einsum("ij,ijk->ik", mass * rinv3, diff)
+        acc[lo:hi] = np.einsum("ij,ijk->ik", mass * rinv3, diff)
         interactions += (hi - lo) * (n - 1)
     return acc, interactions * INTERACTION_FLOPS
 
@@ -64,22 +66,21 @@ def direct_potential(
     pos: np.ndarray,
     mass: np.ndarray,
     softening: float = 1e-3,
-    g: float = 1.0,
-    chunk: int = 256,
 ) -> np.ndarray:
-    """Per-particle gravitational potential (for energy diagnostics)."""
+    """Per-particle gravitational potential, G = 1 (for energy
+    diagnostics)."""
     pos = np.asarray(pos, dtype=np.float64)
     mass = np.asarray(mass, dtype=np.float64)
     n = len(pos)
     pot = np.zeros(n)
     eps2 = softening * softening
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
         diff = pos[None, :, :] - pos[lo:hi, None, :]
         r2 = np.einsum("ijk,ijk->ij", diff, diff) + eps2
         rinv = _rsqrt(r2, use_karp=False)
         # Zero out the self term (rinv of eps2 alone).
         for row, i in enumerate(range(lo, hi)):
             rinv[row, i] = 0.0
-        pot[lo:hi] = -g * rinv @ mass
+        pot[lo:hi] = -rinv @ mass
     return pot

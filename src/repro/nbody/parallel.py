@@ -298,14 +298,14 @@ def _scaling_point_worker(args) -> Tuple[float, float]:
     ``platform`` travels as a registry *name* (not a spec object) so the
     work tuple stays trivially picklable across the process pool.
     """
-    config, cpus, flop_rate, ideal_network, balance, platform = args
+    config, cpus, flop_rate, ideal_network, platform = args
     fabric = None
     if platform is not None and not ideal_network:
         from repro.platform.registry import platform_by_name
         fabric = platform_by_name(platform).build_fabric(cpus)
     run = run_parallel_nbody(
         config, cpus, flop_rate,
-        ideal_network=ideal_network, balance=balance, fabric=fabric,
+        ideal_network=ideal_network, fabric=fabric,
     )
     return run.elapsed_s, run.communication_fraction
 
@@ -313,7 +313,6 @@ def _scaling_point_worker(args) -> Tuple[float, float]:
 def scaling_study(config: SimConfig, cpu_counts: Tuple[int, ...],
                   flop_rate: float,
                   ideal_network: bool = False,
-                  balance: str = "work",
                   jobs: int = 1,
                   platform: Optional[str] = None) -> List[ScalingPoint]:
     """Regenerate Table 2: time and speedup vs CPU count.
@@ -346,7 +345,7 @@ def scaling_study(config: SimConfig, cpu_counts: Tuple[int, ...],
                 f"no CPU count fits {platform}'s {limit} nodes"
             )
     work = [
-        (config, cpus, flop_rate, ideal_network, balance, platform)
+        (config, cpus, flop_rate, ideal_network, platform)
         for cpus in cpu_counts
     ]
     measured = parallel_map(_scaling_point_worker, work, jobs=jobs)

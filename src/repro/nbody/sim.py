@@ -180,18 +180,17 @@ class NBodySimulation:
         return result
 
 
-def density_image(pos: np.ndarray, mass: np.ndarray, bins: int = 64,
-                  axis: int = 2) -> np.ndarray:
-    """Projected surface-density histogram (the Figure 3 stand-in)."""
-    keep = [i for i in range(3) if i != axis]
-    hist, _, _ = np.histogram2d(
-        pos[:, keep[0]], pos[:, keep[1]], bins=bins, weights=mass
-    )
+def density_image(pos: np.ndarray, mass: np.ndarray,
+                  bins: int = 64) -> np.ndarray:
+    """Surface-density histogram projected along z (the Figure 3
+    stand-in)."""
+    hist, _, _ = np.histogram2d(pos[:, 0], pos[:, 1], bins=bins, weights=mass)
     return hist
 
 
-def ascii_render(image: np.ndarray, levels: str = " .:-=+*#%@") -> str:
+def ascii_render(image: np.ndarray) -> str:
     """Render a density image as ASCII art (for terminal examples)."""
+    levels = " .:-=+*#%@"
     if image.size == 0:
         return ""
     scaled = np.log1p(image / max(image.max(), 1e-30) * 1e3)

@@ -27,12 +27,12 @@ from repro.npb.common import KernelOutcome, NpbRandom, OpMix
 CG_MIX = OpMix(fp=0.40, mem=0.45, int_=0.15)
 
 
-def make_sparse_spd(n: int, nonzeros_per_row: int,
-                    shift: float = 10.0) -> Tuple[np.ndarray, ...]:
+def make_sparse_spd(n: int,
+                    nonzeros_per_row: int) -> Tuple[np.ndarray, ...]:
     """Random sparse SPD matrix in COO-ish arrays (rows, cols, vals).
 
-    Symmetrised off-diagonal pattern plus a diagonal shift scaled by
-    the row sums to guarantee strict diagonal dominance (hence SPD).
+    Symmetrised off-diagonal pattern plus a diagonal of the absolute
+    row sums + 10, a strict diagonal dominance (hence SPD).
     """
     rng = NpbRandom()
     u = rng.batch(2 * n * nonzeros_per_row)
@@ -49,7 +49,7 @@ def make_sparse_spd(n: int, nonzeros_per_row: int,
     )
     # Diagonal: strictly dominate the absolute row sums.
     row_sums = np.bincount(all_rows, weights=np.abs(all_vals), minlength=n)
-    diag = row_sums + shift
+    diag = row_sums + 10.0
     rows_f = np.concatenate([all_rows, np.arange(n)])
     cols_f = np.concatenate([all_cols, np.arange(n)])
     vals_f = np.concatenate([all_vals, diag])

@@ -35,16 +35,15 @@ def residual(u: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
     return f - laplacian(u, h)
 
 
-def smooth(u: np.ndarray, f: np.ndarray, h: float,
-           sweeps: int = 2, weight: float = 0.8) -> np.ndarray:
-    """Weighted-Jacobi smoothing.
+def smooth(u: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
+    """Two sweeps of weighted-Jacobi smoothing, w = 0.8.
 
     For r = f - lap(u), Jacobi on the (positive) Laplacian updates
     ``u <- u - w * (h^2/6) * r`` (the diagonal of lap is -6/h^2).
     """
-    for _ in range(sweeps):
+    for _ in range(2):
         r = residual(u, f, h)
-        u = u - weight * (h * h / 6.0) * r
+        u = u - 0.8 * (h * h / 6.0) * r
     return u
 
 
@@ -89,10 +88,11 @@ def v_cycle(u: np.ndarray, f: np.ndarray, h: float,
     return u
 
 
-def make_rhs(n: int, charges: int = 20) -> np.ndarray:
-    """+1/-1 point charges at NPB-random sites, zero-mean overall."""
+def make_rhs(n: int) -> np.ndarray:
+    """20 pairs of +1/-1 point charges at NPB-random sites, zero-mean
+    overall."""
     rng = NpbRandom()
-    coords = (rng.batch(3 * 2 * charges) * n).astype(int).reshape(-1, 3)
+    coords = (rng.batch(3 * 2 * 20) * n).astype(int).reshape(-1, 3)
     f = np.zeros((n, n, n))
     for i, (x, y, z) in enumerate(coords):
         f[x % n, y % n, z % n] += 1.0 if i % 2 == 0 else -1.0

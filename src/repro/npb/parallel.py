@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.network.timing import Fabric, star_fabric
+from repro.network.timing import star_fabric
 from repro.npb.common import NPB_SEED, NpbRandom
 from repro.simmpi import SimMpiRuntime
 
@@ -125,12 +125,9 @@ class ParallelNpbPoint:
     comm_fraction: float
 
 
-def run_par_ep(n_pairs: int, cpus: int, flop_rate: float,
-               fabric: Optional[Fabric] = None):
+def run_par_ep(n_pairs: int, cpus: int, flop_rate: float):
     runtime = SimMpiRuntime(
-        cpus,
-        fabric=fabric if fabric is not None else star_fabric(cpus),
-        flop_rate=flop_rate,
+        cpus, fabric=star_fabric(cpus), flop_rate=flop_rate,
     )
 
     def program(comm):
@@ -140,12 +137,9 @@ def run_par_ep(n_pairs: int, cpus: int, flop_rate: float,
     return runtime.run(program)
 
 
-def run_par_is(n_keys: int, max_key: int, cpus: int, flop_rate: float,
-               fabric: Optional[Fabric] = None):
+def run_par_is(n_keys: int, max_key: int, cpus: int, flop_rate: float):
     runtime = SimMpiRuntime(
-        cpus,
-        fabric=fabric if fabric is not None else star_fabric(cpus),
-        flop_rate=flop_rate,
+        cpus, fabric=star_fabric(cpus), flop_rate=flop_rate,
     )
 
     def program(comm):
@@ -156,10 +150,10 @@ def run_par_is(n_keys: int, max_key: int, cpus: int, flop_rate: float,
 
 
 def npb_scaling(kernel: str, cpu_counts: Tuple[int, ...],
-                flop_rate: float, n: int = 1 << 18,
-                max_key: int = 1 << 11) -> List[ParallelNpbPoint]:
+                flop_rate: float, n: int = 1 << 18) -> List[ParallelNpbPoint]:
     """Speedup curves for the parallel kernels (EP scales, IS fights
-    its alltoall - the suite's intended contrast)."""
+    its alltoall - the suite's intended contrast; IS keys < 2**11)."""
+    max_key = 1 << 11
     points: List[ParallelNpbPoint] = []
     base: Optional[float] = None
     for cpus in cpu_counts:

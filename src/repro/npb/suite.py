@@ -38,7 +38,6 @@ def run_kernel(name: str, letter: str = "S") -> KernelOutcome:
     return fn(letter=letter).require_verified()
 
 
-def run_suite(letter: str = "S",
-              kernels: Tuple[str, ...] = TABLE3_KERNELS) -> List[KernelOutcome]:
-    """Run a set of kernels at one class, all verified."""
-    return [run_kernel(name, letter) for name in kernels]
+def run_suite(letter: str = "S") -> List[KernelOutcome]:
+    """Run the Table 3 kernels at one class, all verified."""
+    return [run_kernel(name, letter) for name in TABLE3_KERNELS]

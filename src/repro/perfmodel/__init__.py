@@ -7,29 +7,10 @@ by measured per-class costs on three calibration microkernels (FP-heavy
 Karp, memory-heavy STREAM triad, integer-heavy Fibonacci), and a
 workload's :class:`~repro.npb.common.OpMix` is projected through those
 rates.
+
+Import from the submodules: :mod:`~repro.perfmodel.calibration` (the
+Table 1 and treecode rates, which need no NPB kernel),
+:mod:`~repro.perfmodel.workload` (``characterize``) and
+:mod:`~repro.perfmodel.projector` (``table3_mops``).  The package
+itself imports none of them.
 """
-
-from repro.perfmodel.workload import CpuCharacterization, characterize
-from repro.perfmodel.projector import (
-    project_mops,
-    table3_mops,
-)
-from repro.perfmodel.calibration import (
-    REFERENCE_TABLE1,
-    TREECODE_EFFICIENCY,
-    metablade_node_rate,
-    sustained_treecode_mflops,
-    table1_mflops,
-)
-
-__all__ = [
-    "CpuCharacterization",
-    "REFERENCE_TABLE1",
-    "TREECODE_EFFICIENCY",
-    "characterize",
-    "metablade_node_rate",
-    "project_mops",
-    "sustained_treecode_mflops",
-    "table1_mflops",
-    "table3_mops",
-]

@@ -32,12 +32,12 @@ class SmokeResult:
     report: str = ""             # full traceback on failure
 
 
-def smoke_platform(spec: PlatformSpec, jobs: int = 3,
-                   seed: int = 2001) -> str:
+def smoke_platform(spec: PlatformSpec) -> str:
     """Exercise one platform end to end; returns a summary line.
 
     Raises on any failure — the caller decides how to report it.
     """
+    jobs, seed = 3, 2001
     from repro.sched import BatchScheduler, SchedConfig, synthetic_stream
 
     # Spec identity must survive a serialization round trip.
@@ -107,8 +107,8 @@ def smoke_platform(spec: PlatformSpec, jobs: int = 3,
     )
 
 
-def run_smoke(out_dir: Optional[str] = None, jobs: int = 3,
-              seed: int = 2001) -> Tuple[List[SmokeResult], bool]:
+def run_smoke(out_dir: Optional[str] = None,
+              ) -> Tuple[List[SmokeResult], bool]:
     """Smoke every registry platform; returns (results, all_ok).
 
     With *out_dir*, each failure is written to ``<name>.txt`` there
@@ -118,7 +118,7 @@ def run_smoke(out_dir: Optional[str] = None, jobs: int = 3,
     for name in sorted(PLATFORM_REGISTRY):
         spec = PLATFORM_REGISTRY[name]
         try:
-            detail = smoke_platform(spec, jobs=jobs, seed=seed)
+            detail = smoke_platform(spec)
             results.append(SmokeResult(name=name, ok=True, detail=detail))
         except Exception as exc:
             results.append(

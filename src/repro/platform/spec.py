@@ -50,7 +50,7 @@ from repro.cpus.base import ProcessorSpec
 from repro.cpus.catalog import CPU_CATALOG, PEAK_FLOPS_PER_CYCLE, cpu_by_name
 from repro.cpus.power import COOLING_OVERHEAD_PER_WATT, PowerModel
 from repro.network.fabric import FabricSpec
-from repro.network.link import FAST_ETHERNET, Link
+from repro.network.link import FAST_ETHERNET
 from repro.network.switch import FAST_ETHERNET_SWITCH_24, Switch
 from repro.thermal.model import ThermalNetwork, ThermalSpec
 
@@ -60,7 +60,7 @@ def _canonical_hash(doc: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def scaled_star_switch(ports: int, port_link: Link = FAST_ETHERNET) -> Switch:
+def scaled_star_switch(ports: int) -> Switch:
     """A non-blocking FE switch sized for *ports* nodes.
 
     Keeps the per-port backplane provisioning of the real 24-port part
@@ -72,7 +72,7 @@ def scaled_star_switch(ports: int, port_link: Link = FAST_ETHERNET) -> Switch:
     return Switch(
         name=f"{ports}-port FE switch",
         ports=ports,
-        port_link=port_link,
+        port_link=FAST_ETHERNET,
         backplane_bps=0.2e9 * ports,
     )
 

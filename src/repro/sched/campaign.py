@@ -157,8 +157,7 @@ def campaign_overrides(args: argparse.Namespace) -> Dict[str, Any]:
     return overrides
 
 
-def build_campaign(params: Dict[str, Any],
-                   audit: bool = False) -> BatchScheduler:
+def build_campaign(params: Dict[str, Any]) -> BatchScheduler:
     """One fully-submitted :class:`BatchScheduler` from manifest parameters.
 
     Keys absent from *params* (a manifest older than the parameter, a
@@ -188,7 +187,6 @@ def build_campaign(params: Dict[str, Any],
         config=SchedConfig(
             checkpoint_every=params["checkpoint"] or None,
             max_retries=params["max_retries"],
-            audit=audit,
             thermal=params["thermal"],
             thermal_accel=params["thermal_accel"],
             throttle=params["throttle"],

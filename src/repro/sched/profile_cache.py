@@ -26,7 +26,7 @@ Correctness rests on **normalized execution**, not on shifting deltas:
   is never recorded from the live interleaved timeline.)
 - Anything that can perturb a job mid-flight — tracing observers or
   fire hooks, invariant auditing, injected or thermal failures,
-  thermal throttling/DVFS, a non-cacheable workload — bypasses
+  thermal throttling/DVFS — bypasses
   the cache entirely: that job's world runs on the shared kernel.
   Committed golden manifests are recorded under a tracing
   observer, so they take the shared-kernel route on every replay and

@@ -477,8 +477,7 @@ class BatchScheduler:
 
     # -- failure injection --------------------------------------------------
 
-    def inject_failure(self, time_s: float, blade: int,
-                       detail: str = "injected fault") -> None:
+    def inject_failure(self, time_s: float, blade: int) -> None:
         """Schedule a blade failure at a virtual time.
 
         Legal before :meth:`run` and between ``run(until=...)`` calls,
@@ -499,7 +498,7 @@ class BatchScheduler:
                 "run(), while nothing is dispatched"
             )
         self.failures_injected += 1
-        self.kernel.at(time_s, self._node_fail, blade, detail)
+        self.kernel.at(time_s, self._node_fail, blade, "injected fault")
 
     def inject_poisson_failures(self, horizon_s: float, mtbf_s: float,
                                 seed: int = 0) -> List[Tuple[float, int]]:
@@ -686,29 +685,26 @@ class BatchScheduler:
 
     # -- one attempt, two kernels -------------------------------------------
 
-    def _fastpath_eligible(self, record: JobRecord) -> Optional[str]:
+    def _fastpath_eligible(self) -> Optional[str]:
         """Why this attempt may *not* be settled on a scratch kernel.
 
         ``None`` means eligible.  Every reason here is an *invalidation
         trigger* of the profile cache: anything that can observe or
         perturb the job mid-flight needs its world on the shared
-        kernel.  The first that applies is the one counted.
+        kernel.  The first that applies is the one counted.  Every kill
+        source (injected, thermal, net-fault) is vetoed here, so no
+        memoised attempt is ever a restart.
         """
         if self.config.audit:
             return "audit"               # auditors watch every event
         if self.thermal is not None:
-            return "thermal"             # throttling re-times the world
-        if self.failures_injected or self._thermal_injector is not None:
+            return "thermal"             # throttling, trips, injector
+        if self.failures_injected:
             return "kill-possible"       # mid-run kills possible
         if self.net_fault is not None:
             return "net-fault"           # fault timeline perturbs worlds
         if self.kernel.watched:
             return "observer"            # tracing or kernel hooks
-        ledger, row = record.ledger, record.row
-        if not ledger.spec[row].workload.cacheable:
-            return "uncacheable"         # payload opted out
-        if ledger.failures[row] or ledger.requeues[row]:
-            return "restart"             # defensive: never a fresh start
         return None
 
     def _start(self, entry: _QueueEntry, now: float) -> None:
@@ -741,7 +737,7 @@ class BatchScheduler:
             ),
         )
         self._running[spec.job_id] = running
-        veto = self._fastpath_eligible(record)
+        veto = self._fastpath_eligible()
         if veto is None:
             key = self._profile_keys.key(spec, blades)
             profile = self.profile_cache.get(key)

@@ -38,7 +38,12 @@ _INTERACTIONS_PER_PARTICLE = 90.0
 
 
 class Workload:
-    """Interface every job payload implements."""
+    """Interface every job payload implements.
+
+    A payload's execution must be a pure function of its class and its
+    frozen-dataclass content: the scheduler's profile cache keys on
+    them.
+    """
 
     #: Human-readable payload family (shows up in accounting tables).
     name: str = "workload"
@@ -46,11 +51,6 @@ class Workload:
     units: int = 1
     #: Whether unit state snapshots allow a checkpoint restart.
     checkpointable: bool = False
-    #: Whether execution is a pure function of the payload's declarative
-    #: content (its class + frozen-dataclass repr).  Required for the
-    #: scheduler's profile cache; payloads carrying hidden mutable state
-    #: must leave this False, which routes them down the legacy path.
-    cacheable: bool = False
 
     def est_flops(self) -> float:
         """Estimated total flops (whole job, all ranks)."""
@@ -125,7 +125,6 @@ class TreecodeJob(Workload):
 
     name = "treecode"
     checkpointable = True
-    cacheable = True
 
     def __post_init__(self) -> None:
         check_domains(self)
@@ -228,7 +227,6 @@ class NpbKernelJob(Workload):
     name = "npb"
     units = 1
     checkpointable = False
-    cacheable = True
 
     def __post_init__(self) -> None:
         if self.kernel.upper() not in ("EP", "IS"):
@@ -277,7 +275,6 @@ class MicrokernelSweep(Workload):
 
     name = "microkernel"
     checkpointable = True
-    cacheable = True
 
     def __post_init__(self) -> None:
         check_domains(self)

@@ -14,8 +14,9 @@ Programming model (mpi4py-flavoured, cooperative generators):
   local clock (plain calls - they never block);
 - ``comm.send(dst, obj)`` is eager and non-blocking (plain call);
 - ``obj = yield from comm.recv(src)`` blocks until the message arrives;
-- collectives are generators too: ``yield from comm.barrier()``,
-  ``x = yield from comm.bcast(x, root=0)``, ``yield from comm.allreduce(...)``.
+- the three collectives are generators too:
+  ``total = yield from comm.allreduce(x)`` (a sum, on every rank),
+  ``yield from comm.allgather(x)`` and ``yield from comm.alltoall(items)``.
 
 Scheduling is event-driven on :class:`~repro.core.events.EventKernel`:
 a blocked rank suspends until a matching message is posted, the kernel

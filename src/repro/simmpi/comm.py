@@ -332,39 +332,14 @@ class RankComm:
         self._coll_seq += 1
         return -(self._coll_seq * 16 + kind)
 
-    def barrier(self) -> Iterator:
+    def allreduce(self, obj: Any) -> Iterator:
         from repro.simmpi import collectives
-        result = yield from collectives.barrier(self)
-        return result
-
-    def bcast(self, obj: Any, root: int = 0) -> Iterator:
-        from repro.simmpi import collectives
-        result = yield from collectives.bcast(self, obj, root)
-        return result
-
-    def reduce(self, obj: Any, op=None, root: int = 0) -> Iterator:
-        from repro.simmpi import collectives
-        result = yield from collectives.reduce(self, obj, op, root)
-        return result
-
-    def allreduce(self, obj: Any, op=None) -> Iterator:
-        from repro.simmpi import collectives
-        result = yield from collectives.allreduce(self, obj, op)
-        return result
-
-    def gather(self, obj: Any, root: int = 0) -> Iterator:
-        from repro.simmpi import collectives
-        result = yield from collectives.gather(self, obj, root)
+        result = yield from collectives.allreduce(self, obj)
         return result
 
     def allgather(self, obj: Any) -> Iterator:
         from repro.simmpi import collectives
         result = yield from collectives.allgather(self, obj)
-        return result
-
-    def scatter(self, objs, root: int = 0) -> Iterator:
-        from repro.simmpi import collectives
-        result = yield from collectives.scatter(self, objs, root)
         return result
 
     def alltoall(self, objs) -> Iterator:

@@ -84,9 +84,9 @@ def _describe(event: TimelineEvent) -> str:
 
 
 def render_timeline(events: Iterable[TimelineEvent],
-                    limit: Optional[int] = None,
-                    title: str = "Event timeline") -> str:
+                    limit: Optional[int] = None) -> str:
     """Render events as a fixed-width virtual-time log."""
+    title = "Event timeline"
     ordered = sorted(events, key=lambda e: e.time)
     total = len(ordered)
     if limit is not None:

@@ -140,8 +140,7 @@ class Telemetry:
         )
         self.registry.gauge("kernel.virtual_now_s").set(now)
 
-    def export(self, out_dir: Union[str, Path],
-               prefix: str = "") -> Dict[str, Path]:
+    def export(self, out_dir: Union[str, Path]) -> Dict[str, Path]:
         """Write ``metrics.jsonl`` + ``trace.json`` under *out_dir*."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -153,10 +152,10 @@ class Telemetry:
             }]
         paths = {
             "metrics": write_metrics_jsonl(
-                self.registry, out / f"{prefix}metrics.jsonl"
+                self.registry, out / "metrics.jsonl"
             ),
             "trace": write_chrome_trace(
-                self.spans, out / f"{prefix}trace.json",
+                self.spans, out / "trace.json",
                 wall_events=wall_meta + self._wall,
             ),
         }

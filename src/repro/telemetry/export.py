@@ -253,9 +253,9 @@ def aggregate(samples: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
     return out
 
 
-def render_stats_table(dirs: Iterable[Union[str, Path]],
-                       title: str = "Telemetry metrics") -> str:
+def render_stats_table(dirs: Iterable[Union[str, Path]]) -> str:
     """The aggregate table ``python -m repro.cli stats`` prints."""
+    title = "Telemetry metrics"
     from repro.metrics.report import format_table
 
     rows: List[List[Any]] = []

@@ -31,13 +31,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.core.events import TimelineEvent
+from repro.simmpi.collectives import KIND_NAMES
 from repro.telemetry.registry import Registry
-
-#: Collective kinds as encoded by RankComm._next_coll_tag (tag = -(seq*16+kind)).
-_COLL_KINDS = {
-    1: "barrier", 2: "bcast", 3: "reduce", 4: "allreduce",
-    5: "gather", 6: "allgather", 7: "scatter", 8: "alltoall",
-}
 
 
 @dataclass
@@ -234,7 +229,8 @@ class SpanRecorder:
             return
         tag = e.get("tag")
         if isinstance(tag, int) and tag < 0:
-            kind = _COLL_KINDS.get((-tag) % 16, "collective")
+            # A collective's tag is -(seq * 16 + kind).
+            kind = KIND_NAMES.get((-tag) % 16, "collective")
             name = f"collective({kind})"
             cat = "collective"
         else:

@@ -118,9 +118,8 @@ def total_atoms(molecules: Iterable[Molecule]) -> int:
     return sum(len(m) for m in molecules)
 
 
-def packing_efficiency(molecules: Iterable[Molecule],
-                       limits: SlotLimits = FULL_FORMAT) -> float:
-    """Fraction of available atom slots actually used.
+def packing_efficiency(molecules: Iterable[Molecule]) -> float:
+    """Fraction of the full format's atom slots actually used.
 
     A measure of how much instruction-level parallelism the translator
     found - the quantity Table 1 is really probing.
@@ -128,4 +127,4 @@ def packing_efficiency(molecules: Iterable[Molecule],
     mols = list(molecules)
     if not mols:
         return 0.0
-    return total_atoms(mols) / (len(mols) * limits.max_atoms)
+    return total_atoms(mols) / (len(mols) * FULL_FORMAT.max_atoms)

@@ -5,13 +5,15 @@ one spelling.
 """
 
 from dataclasses import replace
+from functools import partial
+from unittest import mock
 
 import numpy as np
 
 from repro.core.events import TimelineEvent
 from repro.isa.machine import Machine
 from repro.nbody.morton import ancestor_at_level, key_level
-from repro.sched import BatchScheduler
+from repro.sched import BatchScheduler, SchedConfig, campaign
 
 
 def run_program(program, state=None, max_steps=10_000_000):
@@ -20,6 +22,14 @@ def run_program(program, state=None, max_steps=10_000_000):
     machine = Machine(state=state, max_steps=max_steps)
     stats = machine.run(program)
     return machine.state, stats
+
+
+def audited_campaign(params):
+    """``build_campaign(params)`` with ``SchedConfig(audit=True)``: the
+    same campaign, with every invariant auditor attached."""
+    with mock.patch.object(campaign, "SchedConfig",
+                           partial(SchedConfig, audit=True)):
+        return campaign.build_campaign(params)
 
 
 class EagerArrivalScheduler(BatchScheduler):

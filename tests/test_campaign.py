@@ -40,6 +40,7 @@ from repro.sched.campaign import (
     add_campaign_arguments,
     campaign_overrides,
 )
+from tests.oracles import audited_campaign
 
 
 # -- one table ---------------------------------------------------------------
@@ -187,7 +188,7 @@ def test_all_on_campaign_audits_clean_and_replays(platform, monkeypatch):
         thermal=True, thermal_accel=150.0, net_fault=True, net_mtbf=0.05,
     )
 
-    sched = build_campaign(campaign_params(2001, overrides), audit=True)
+    sched = audited_campaign(campaign_params(2001, overrides))
     outcome = sched.run()               # every auditor passed, or it raised
     assert not sched._auditors          # ... and they ran to the final audit
     assert {r.state for r in outcome.records} <= {
@@ -217,7 +218,7 @@ POLICIES = ("fcfs", "backfill")
 
 def policy_pair(params):
     """One audited scheduler per policy, built from the same parameters."""
-    return [build_campaign({**params, "policy": policy}, audit=True)
+    return [audited_campaign({**params, "policy": policy})
             for policy in POLICIES]
 
 

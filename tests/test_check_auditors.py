@@ -22,6 +22,7 @@ from repro.check.auditors import (
 from repro.core.events import EventKernel
 from repro.nbody.sim import NBodySimulation, SimConfig
 from repro.sched.allocator import BladeInterval
+from tests.oracles import audited_campaign
 
 
 # -- kernel auditors -------------------------------------------------------
@@ -148,13 +149,10 @@ def test_unbalanced_world_books_are_caught():
 # -- scheduler outcome audits ----------------------------------------------
 
 
-def _audited_outcome(**overrides):
+def _audited_outcome():
     from repro.sched import build_campaign
 
-    audit = overrides.pop("audit", False)
-    sched = build_campaign(
-        dict(seed=2001, jobs=5, **overrides), audit=audit
-    )
+    sched = build_campaign(dict(seed=2001, jobs=5))
     outcome = sched.run()
     return sched, outcome
 
@@ -162,13 +160,10 @@ def _audited_outcome(**overrides):
 def test_sched_audit_opt_in_passes_under_failures():
     # SchedConfig(audit=True) wires the full auditor stack through a
     # failure-heavy run; reaching the end means every invariant held.
-    from repro.sched import build_campaign
-
-    sched = build_campaign(
+    sched = audited_campaign(
         {"jobs": 6, "policy": "backfill", "interarrival": 0.004,
          "fail_inject": True, "mtbf": 0.05, "checkpoint": 1,
          "max_retries": 3, "seed": 7},
-        audit=True,
     )
     outcome = sched.run()
     assert outcome.records

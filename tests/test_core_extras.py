@@ -17,15 +17,6 @@ def test_peak_table_covers_every_catalog_cpu():
         assert name in PEAK_FLOPS_PER_CYCLE, name
 
 
-@pytest.mark.slow
-def test_table2_ideal_network_scales_better():
-    real = experiment_table2(n=1200, steps=1, cpu_counts=(1, 8))
-    ideal = experiment_table2(
-        n=1200, steps=1, cpu_counts=(1, 8), ideal_network=True
-    )
-    assert ideal.rows[-1][2] >= real.rows[-1][2]   # speedup column
-
-
 def test_table3_at_tiny_class():
     result = experiment_table3(letter="T")
     assert len(result.rows) == 6

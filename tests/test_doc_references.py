@@ -7,6 +7,14 @@ skipped), and every ``repro.cli SUB --flag`` spelling (or backticked
 ``SUB --flag``) names a real subcommand and flag of
 :func:`repro.cli.build_parser`.  CHANGES.md is history and exempt.
 
+In each document but the spine's README, a call spelling with keyword
+arguments (``build_campaign(params)`` has none), backticked or in a
+``python`` code block, must bind
+to its callee's signature, though it may leave arguments out: the
+callee is a dotted ``repro.*`` name or a bare name defined once under
+``src/repro``.  A spelling that does not
+parse as a call is skipped.  DESIGN.md may only shrink (item 9(i)).
+
 A roadmap item cited by slug (ROADMAP and a bracketed slug, a
 backticked bracketed slug, or a comment opening with one) in ``src/``,
 ``tests/``, README, DESIGN or EXPERIMENTS must be an item of
@@ -14,8 +22,12 @@ ROADMAP.md.
 """
 
 import argparse
+import ast
+import functools
 import importlib
+import inspect
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -25,11 +37,17 @@ from repro.cli import build_parser
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
         ".claude/skills/verify/SKILL.md", "benchmarks/spine/README.md")
+#: The documents whose call spellings must bind.
+CALLING_DOCS = DOCS[:4]
+
+#: DESIGN.md's line count: lower it when DESIGN shrinks, never raise it.
+DESIGN_LINES = 1582
 
 #: Placeholders a document may use for "any subcommand of this shape".
 PLACEHOLDERS = {"tableN"}
 
 _FENCE = re.compile(r"^```.*?^```", re.M | re.S)
+_PYTHON = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
 _SPAN = re.compile(r"`([^`\n]+)`")
 _DOTTED = re.compile(r"\brepro(?:\.\w+)+")
 _PATH = re.compile(
@@ -50,7 +68,11 @@ def _subcommands():
             for name, sub in action.choices.items()}
 
 
-def _resolves(dotted):
+_MISSING = object()
+
+
+def _resolve(dotted):
+    """The object a dotted ``repro.…`` name names, else ``_MISSING``."""
     parts = dotted.split(".")
     for cut in range(len(parts), 0, -1):
         try:
@@ -59,10 +81,76 @@ def _resolves(dotted):
             continue
         for attr in parts[cut:]:
             if not hasattr(obj, attr):
-                return False
+                return _MISSING
             obj = getattr(obj, attr)
-        return True
-    return False
+        return obj
+    return _MISSING
+
+
+@functools.cache
+def _defined_once():
+    """``bare name -> dotted name`` of each function, class or method
+    defined exactly once under ``src/repro``."""
+    defined = defaultdict(list)
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("")
+                          .parts).removesuffix(".__init__")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name].append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defined[item.name].append(
+                            f"{module}.{node.name}.{item.name}")
+    return {name: dotted for name, (dotted, *more) in defined.items()
+            if not more}
+
+
+def _signature(dotted):
+    """How a call of the ``repro.…`` name *dotted* binds: a method
+    without its ``self``."""
+    obj = _resolve(dotted)
+    if not callable(obj):
+        return None
+    signature = inspect.signature(obj)
+    owner, _, name = dotted.rpartition(".")
+    owner = _resolve(owner)
+    if inspect.isclass(owner) and not isinstance(
+            inspect.getattr_static(owner, name),
+            (staticmethod, classmethod)):
+        signature = signature.replace(
+            parameters=list(signature.parameters.values())[1:])
+    return signature
+
+
+def unbound_calls(text):
+    """Every call spelling in *text* (backticked or in a ``python``
+    block) with keyword arguments that does not bind to its callee's
+    signature."""
+    unbound = []
+    for code in _SPAN.findall(_FENCE.sub("", text)) + _PYTHON.findall(text):
+        try:
+            tree = ast.parse(code)
+        except SyntaxError:
+            continue
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call) and call.keywords):
+                continue
+            callee = ast.unparse(call.func)
+            dotted = callee if callee.startswith("repro.") else \
+                _defined_once().get(callee)
+            signature = dotted and _signature(dotted)
+            if signature is None or \
+                    any(isinstance(a, ast.Starred) for a in call.args) or \
+                    any(kw.arg is None for kw in call.keywords):
+                continue
+            try:
+                signature.bind_partial(
+                    *call.args, **{kw.arg: kw.value for kw in call.keywords})
+            except TypeError:
+                unbound.append(ast.unparse(call))
+    return unbound
 
 
 def stale_references(text):
@@ -71,7 +159,7 @@ def stale_references(text):
     prose = _FENCE.sub("", text)
     for span in _SPAN.findall(prose):
         stale += [name for name in _DOTTED.findall(span)
-                  if not _resolves(name)]
+                  if _resolve(name) is _MISSING]
     for path in _PATH.findall(text):
         path = path.rstrip(".")
         if not set("*?[{") & set(path) and not (ROOT / path).exists():
@@ -96,6 +184,35 @@ def stale_references(text):
 @pytest.mark.parametrize("doc", DOCS)
 def test_every_reference_in_the_document_resolves(doc):
     assert stale_references((ROOT / doc).read_text()) == []
+
+
+@pytest.mark.parametrize("doc", CALLING_DOCS)
+def test_every_call_spelling_in_the_document_binds(doc):
+    assert unbound_calls((ROOT / doc).read_text()) == []
+
+
+def test_unbound_call_spellings_are_caught():
+    text = ("`build_campaign(params, audit=False)`, `build_campaign(p)`,"
+            " `repro.sched.campaign.campaign_params(1, overrides=None)`,"
+            " `repro.sched.SchedConfig(audit=True, thermal=True)`,"
+            " `sched.inject_failure(0.1, 2, detail='x')`,"
+            " `Telemetry().export(d, prefix='a')`, `run(until=)`,"
+            " `NodeFailureError(rank, t, detail='x')`,"
+            " `SimMpiRuntime(fabric=f)`, `SimMpiRuntime(1, 2, 3, 4, 5, 6, x=1)`,"
+            " `repro.simmpi.RankComm.allreduce(x, op=max)`\n"
+            "```python\nsched = build_campaign(params, audit=True)\n```\n"
+            "```bash\nbuild_campaign(params, audit=True)\n```\n")
+    assert unbound_calls(text) == [
+        "build_campaign(params, audit=False)",
+        "SimMpiRuntime(1, 2, 3, 4, 5, 6, x=1)",
+        "repro.simmpi.RankComm.allreduce(x, op=max)",
+        "build_campaign(params, audit=True)",
+    ]
+
+
+def test_design_only_shrinks():
+    lines = len((ROOT / "DESIGN.md").read_text().splitlines())
+    assert lines <= DESIGN_LINES
 
 
 def test_stale_references_are_caught():

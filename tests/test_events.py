@@ -588,7 +588,7 @@ def test_governor_changes_flop_rate_mid_run():
 
 
 def test_dvfs_trajectory_trades_time_for_energy():
-    stepped, flat = dvfs_trajectory_study(ranks=3, phases=5)
+    stepped, flat = dvfs_trajectory_study()
     assert stepped.elapsed_s > flat.elapsed_s
     assert stepped.energy_j < flat.energy_j
     assert stepped.avg_power_watts < flat.avg_power_watts

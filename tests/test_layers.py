@@ -95,18 +95,31 @@ def test_layer_loads_nothing_ranked_above_it(layer):
     assert not above, f"importing repro.{layer} loaded {above}"
 
 
-def test_the_root_package_loads_no_layer():
-    # The root's public names resolve on first use, so an import of
-    # any layer (which imports ``repro`` first) pays for nothing else.
+def _loaded_by(module):
+    """The ``repro.…`` modules a fresh interpreter holds after importing
+    *module*."""
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, repro; print(sorted(m for m in sys.modules"
-         " if m.startswith('repro.')))"],
+         f"import json, sys, {module}; print(json.dumps(sorted(m for m in"
+         " sys.modules if m.startswith('repro.'))))"],
         env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return json.loads(done.stdout)
+
+
+def test_the_root_package_loads_no_layer():
+    # The root's public names resolve on first use, so an import of
+    # any layer (which imports ``repro`` first) pays for nothing else.
+    assert _loaded_by("repro") == []
+
+
+def test_the_calibrated_rates_load_no_npb_kernel():
+    # Table 1's rates and a node's flop rate run guest microkernels;
+    # only Table 3's projection needs the NPB work-alikes.
+    loaded = _loaded_by("repro.perfmodel.calibration")
+    assert [m for m in loaded if m.startswith("repro.npb")] == []
 
 
 def test_the_root_package_resolves_its_public_names():

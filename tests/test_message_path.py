@@ -20,19 +20,20 @@ from repro.simmpi.comm import Message, RecvBlock, payload_nbytes
 # ---------------------------------------------------------------------------
 
 def test_negative_user_tag_is_refused_not_matched_by_a_barrier():
-    # Collectives tag their messages -(seq*16 + kind); a barrier's first
-    # call is -17.  A user send under that tag used to be consumed by
-    # the barrier, which left the user's receive holding b"".
+    # Collectives tag their messages -(seq*16 + kind); the first
+    # allreduce (the programs' barrier) sends its reduce under -19.  A
+    # user send under that tag used to be consumed by the collective,
+    # which left the user's receive holding the collective's value.
     def program(comm):
         if comm.rank == 0:
-            comm.send(1, "user", tag=-17)
-            yield from comm.barrier()
+            comm.send(1, "user", tag=-19)
+            yield from comm.allreduce(0)
         else:
-            yield from comm.barrier()
-            got = yield from comm.recv(0, tag=-17)
+            yield from comm.allreduce(0)
+            got = yield from comm.recv(0, tag=-19)
             return got
 
-    with pytest.raises(ValueError, match="-17"):
+    with pytest.raises(ValueError, match="-19"):
         SimMpiRuntime(2).run(program)
 
 
@@ -60,34 +61,39 @@ def test_user_tags_must_be_non_negative_ints(call):
     assert len(seen) == 1 and "tag" in seen[0]
 
 
-def _bcast_then_user(comm):
-    if comm.rank == 0:
-        yield from comm.bcast("coll")
+def _collective_then_user(comm):
+    # Rank 0's alltoall posts to rank 1 before rank 1 receives; the
+    # only user message comes later, from rank 2.
+    first = None
+    if comm.rank == 1:
+        first = yield from comm.recv()
+    elif comm.rank == 2:
         comm.send(1, "user", 0)
-        return None
-    first = yield from comm.recv()
-    second = yield from comm.bcast(None)
-    return first, second
+    got = yield from comm.alltoall(["coll"] * comm.size)
+    return first, got[0]
 
 
 def _blocked_wildcard_first(comm):
     # Rank 1 is already blocked on its wildcard receive when the
-    # broadcast is posted: the waiter must not be woken by it.
+    # alltoall is posted: the waiter must not be woken by it.
+    first = None
     if comm.rank == 0:
         yield from comm.recv(1)
-        yield from comm.bcast("coll")
+        comm.send(2, "posting")
+    elif comm.rank == 1:
+        comm.send(0, "go")
+        first = yield from comm.recv()
+    else:
+        yield from comm.recv(0)
         comm.send(1, "user", 0)
-        return None
-    comm.send(0, "go")
-    first = yield from comm.recv()
-    second = yield from comm.bcast(None)
-    return first, second
+    got = yield from comm.alltoall(["coll"] * comm.size)
+    return first, got[0]
 
 
-@pytest.mark.parametrize("program", [_bcast_then_user,
+@pytest.mark.parametrize("program", [_collective_then_user,
                                      _blocked_wildcard_first])
 def test_wildcard_receive_never_takes_a_collective_message(program):
-    run = SimMpiRuntime(2).run(program)
+    run = SimMpiRuntime(3).run(program)
     assert run.results[1] == ("user", "coll")
 
 
@@ -176,13 +182,13 @@ def wildcard(comm):
             got.append((yield from comm.recv(src)))
         for _ in range(2 * peers):
             got.append((yield from comm.recv()))
-        yield from comm.barrier()
+        yield from comm.allreduce(0)
         return got
     comm.send(0, comm.rank, tag=9)
     for k in range(3):
         comm.compute(1e-6 * ((comm.rank * 5 + k) % 3))
         comm.send(0, (comm.rank, k), tag=k)
-    yield from comm.barrier()
+    yield from comm.allreduce(0)
     return comm.rank
 
 def faulted():

@@ -91,8 +91,6 @@ def test_topper_requires_performance():
     nameless = by_name("PIII Beowulf")
     with pytest.raises(ValueError, match="PIII Beowulf has no performance"):
         topper(nameless)                   # no treecode rating
-    with pytest.raises(ValueError, match="PIII Beowulf has no performance"):
-        perf_space_table([nameless])
     rated = topper(nameless, sustained_gflops=2.8)
     assert rated.usd_per_gflop > 0
 

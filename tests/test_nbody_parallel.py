@@ -91,9 +91,9 @@ def test_ideal_network_scales_better():
 @pytest.mark.slow
 def test_work_balance_beats_count_balance_at_scale():
     cfg = SimConfig(n=2500, steps=2, theta=0.7, softening=1e-2)
-    work = scaling_study(cfg, (1, 12), RATE, balance="work")[-1]
-    count = scaling_study(cfg, (1, 12), RATE, balance="count")[-1]
-    assert work.time_s <= count.time_s * 1.02
+    work = run_parallel_nbody(cfg, 12, RATE, balance="work")
+    count = run_parallel_nbody(cfg, 12, RATE, balance="count")
+    assert work.elapsed_s <= count.elapsed_s * 1.02
 
 
 def test_scaling_study_warns_on_counts_beyond_the_platform():

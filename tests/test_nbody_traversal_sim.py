@@ -225,7 +225,7 @@ def test_plummer_properties():
 
 
 def test_two_clusters_structure():
-    pos, vel, mass = two_clusters(1000, separation=6.0)
+    pos, vel, mass = two_clusters(1000)
     assert (pos[:, 0] < 0).sum() == pytest.approx(500, abs=50)
     assert mass.sum() == pytest.approx(1.0)
 

@@ -10,12 +10,12 @@ from repro.cpus.catalog import (
 )
 from repro.npb import run_suite
 from repro.npb.common import OpMix
-from repro.perfmodel import (
+from repro.perfmodel.calibration import (
     TREECODE_EFFICIENCY,
-    characterize,
     metablade_node_rate,
-    table3_mops,
 )
+from repro.perfmodel.projector import table3_mops
+from repro.perfmodel.workload import characterize
 
 
 @pytest.fixture(scope="module")

@@ -166,7 +166,7 @@ def test_smoke_passes_for_every_registry_platform(tmp_path):
 def test_run_smoke_writes_failure_reports(tmp_path, monkeypatch):
     from repro.platform import smoke as smoke_mod
 
-    def boom(spec, jobs=3, seed=2001):
+    def boom(spec):
         raise AssertionError(f"{spec.name}: deliberately broken")
 
     monkeypatch.setattr(smoke_mod, "smoke_platform", boom)
@@ -180,8 +180,8 @@ def test_run_smoke_writes_failure_reports(tmp_path, monkeypatch):
 
 
 def test_smoke_platform_summary_line():
-    line = smoke_platform(platform_by_name("loki"), jobs=2, seed=5)
-    assert "2/2 jobs" in line
+    line = smoke_platform(platform_by_name("loki"))
+    assert "3/3 jobs" in line
     assert "16 blades" in line
 
 
@@ -206,8 +206,10 @@ def test_table5_from_registry_platforms_matches_default():
         for key in ("alpha-beowulf", "athlon-beowulf", "piii-beowulf",
                     "p4-beowulf", "metablade")
     ]
-    via_platform = experiment_table5(clusters=clusters)
-    assert via_platform.text == default.text
+    assert [row[0] for row in default.rows] == [c.title for c in clusters]
+    for cluster in clusters:
+        assert default.extras[f"{cluster.title} total_usd"] == \
+            tco_for(cluster).total
 
 
 def test_table2_clips_cpu_counts_to_platform_nodes():

@@ -187,22 +187,6 @@ def test_failure_injection_bypasses():
     }
 
 
-def test_uncacheable_workload_bypasses():
-    class OpaqueSweep(MicrokernelSweep):
-        cacheable = False
-
-    specs = template_specs(workload=OpaqueSweep(passes=2))
-    _assert_all_bypassed(run_templates(specs=specs), "uncacheable")
-
-
-def test_requeued_attempt_is_vetoed_as_restart():
-    sched = BatchScheduler(platform=METABLADE)
-    record, = sched.submit_stream(template_specs(count=1))
-    assert sched._fastpath_eligible(record) is None
-    record.requeues = 1
-    assert sched._fastpath_eligible(record) == "restart"
-
-
 def test_bypass_reasons_reach_report_and_telemetry_but_not_the_digest():
     from repro.metrics.throughput import throughput_report
     from repro.telemetry import Registry

@@ -31,10 +31,22 @@ What counts as a use:
 
 Receivers are not inferred (any ``.run()`` reaches every ``run(self)``),
 so the rule finds code only a test can call, not code that merely looks
-unused.  A definition that stays anyway is on ``ALLOWED`` with the
-reason ``src/`` needs it.
+unused.  No definition is exempt.
 
-A second check fails on an import that a ``src/repro`` module (other
+A second guard does the same for options.  A defaulted parameter of a
+public top-level function, of a public method or of a public class's
+``__init__`` (a dataclass's fields are out of scope) is *passed* when a
+root call binds an argument to it, by keyword or by position, under
+the rules above: a bare name reaches a function or a class (and so the
+``__init__`` that class inherits), an attribute also a method, and
+``super().__init__(...)`` every ``__init__``.  A ``*``/``**`` call, or
+the callable used as a value (a callback, a pool worker), passes every
+parameter; an annotation, a base class or an ``isinstance`` or
+``except`` class is not a use.  An option no root passes is a constant:
+it stays only on ``ALLOWED_PARAMETERS``, as a seam, a reference or a
+size, with the test that passes it.
+
+A third check fails on an import that a ``src/repro`` module (other
 than a package ``__init__``) never uses: deleting a definition is what
 leaves one behind, and CI's lint does not select F401.
 """
@@ -53,19 +65,22 @@ from tests.test_package_boundaries import _attribute_access
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
-_COLLECTIVE = ("RankComm offers every repro.simmpi.collectives routine as a "
-               "method; an SPMD program ")
+#: Why an option no root passes may stay: a test substitutes a fake
+#: through it, it belongs to a reference implementation tests compare
+#: against, or it is a size or seed a test shrinks to keep tier-1 fast.
+SEAM, REFERENCE, SIZE = "seam", "reference", "size"
 
-#: Unreached definitions kept on purpose: qualified name -> why.
-ALLOWED = {
-    f"repro.simmpi.comm.RankComm.{name}": _COLLECTIVE + why
-    for name, why in [
-        ("barrier", "synchronises with comm.barrier()"),
-        ("bcast", "shares a root's value with comm.bcast()"),
-        ("gather", "collects per-rank results with comm.gather()"),
-        ("reduce", "combines values at a root with comm.reduce()"),
-        ("scatter", "distributes work with comm.scatter()"),
-    ]
+#: Options kept on purpose: ``"qualified(parameter=)"`` -> ``(reason,
+#: "path::test" that passes it)``.
+ALLOWED_PARAMETERS = {
+    "repro.nbody.kernels.direct_accelerations(use_karp=)": (
+        REFERENCE,
+        "tests/test_nbody_karp_kernels.py::test_direct_karp_matches_libm",
+    ),
+    "repro.nbody.kernels.direct_accelerations(chunk=)": (
+        REFERENCE,
+        "tests/test_nbody_karp_kernels.py::test_direct_chunking_invariance",
+    ),
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -156,12 +171,14 @@ def _definitions(module, tree):
 def _how(call):
     """How a call ``x.name(...)`` uses *name*: ``UNPACKED``, or its
     positional count, keyword names and whether ``x`` may be a class
-    (a bare CapWords name), which passes ``self`` itself."""
+    (a bare CapWords name), which passes ``self`` itself (``None`` for
+    a call ``name(...)``, which has no ``x``)."""
     if any(isinstance(arg, ast.Starred) for arg in call.args) or \
             any(kw.arg is None for kw in call.keywords):
         return UNPACKED
-    receiver = call.func.value
-    through_class = isinstance(receiver, ast.Name) and receiver.id[0].isupper()
+    receiver = getattr(call.func, "value", None)
+    through_class = None if receiver is None else \
+        isinstance(receiver, ast.Name) and receiver.id[0].isupper()
     return (len(call.args), tuple(sorted(kw.arg for kw in call.keywords)),
             through_class)
 
@@ -262,10 +279,7 @@ def test_every_src_definition_is_reached_from_outside_the_tests():
     sources, roots = _tree()
     assert len(sources) > 100                  # the walk found the tree
     assert ROOT / "tests" / "archives.py" in _roots()
-    unreached = set(_unreached(sources, roots))
-    assert sorted(unreached - set(ALLOWED)) == []
-    # An entry now reached, or whose definition is gone, is stale.
-    assert sorted(set(ALLOWED) - unreached) == []
+    assert _unreached(sources, roots) == []
 
 
 #: Definitions ``src/`` once held that only tests reached, deleted or
@@ -389,6 +403,15 @@ DELETED = [
     ("sched/profile_cache.py", "ProfileCache",
      "def invalidate(self):\n"
      "    self._entries.clear()\n"),
+    ("simmpi/collectives.py", None,
+     "def scatter(comm, objs, root=0):\n"
+     "    return objs[comm.rank]\n"),
+    ("simmpi/comm.py", "RankComm",
+     "def barrier(self):\n"
+     "    return self.allreduce(0)\n"),
+    ("simmpi/comm.py", "RankComm",
+     "def gather(self, obj, root=0):\n"
+     "    return self.allgather(obj)\n"),
     ("simmpi/trace.py", None,
      "def filter_timeline(events, kinds=None, rank=None):\n"
      "    return [e for e in events if e.kind in kinds]\n"),
@@ -471,8 +494,7 @@ def test_a_deleted_definition_put_back_is_unreached(module, owner,
     sources, roots = _tree()
     changed, qualified = _put_back(sources, module, owner, definition)
     assert qualified not in _unreached(sources, roots)
-    unreached = set(_unreached(changed, roots)) - set(ALLOWED)
-    assert sorted(unreached) == [qualified]
+    assert _unreached(changed, roots) == [qualified]
 
 
 def test_the_walk_bites_on_a_seeded_test_only_definition():
@@ -577,6 +599,241 @@ def test_a_method_is_reached_only_through_an_attribute_that_binds():
         "repro.box.Box.close",
         "repro.box.Box.peek",
         "repro.box.Box.size",
+    ]
+
+
+# -- options -----------------------------------------------------------------
+
+#: How a use passes arguments, besides a call's ``(positional count,
+#: keyword names, through a class)``: as the callable itself.
+VALUE = "value"
+
+
+def _named(decorator):
+    """The name a decorator ends in: ``dataclass`` for
+    ``@dataclasses.dataclass(frozen=True)``."""
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return node.attr if isinstance(node, ast.Attribute) else \
+        getattr(node, "id", None)
+
+
+def _no_uses(tree):
+    """Ids of the nodes under an annotation, a base class or an
+    ``isinstance``/``issubclass``/``except`` class: naming a class
+    there calls nothing."""
+    skip = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation:
+            skip.append(node.annotation)
+        elif isinstance(node, _FUNCTIONS) and node.returns:
+            skip.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            skip.append(node.annotation)
+        elif isinstance(node, ast.ClassDef):
+            skip += node.bases
+        elif isinstance(node, ast.ExceptHandler) and node.type:
+            skip.append(node.type)
+        elif isinstance(node, ast.Call) and \
+                getattr(node.func, "id", None) in ("isinstance",
+                                                   "issubclass"):
+            skip += node.args[1:]
+    return {id(n) for subtree in skip for n in ast.walk(subtree)}
+
+
+@functools.lru_cache(maxsize=None)
+def _passes(text):
+    """How *text* passes arguments to each name: ``name -> Counter(how)``,
+    *how* ``VALUE``, ``UNPACKED`` or ``_how`` of a call (a bare name
+    passes nothing to a method)."""
+    tree = ast.parse(text)
+    called = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and \
+                isinstance(node.func, (ast.Name, ast.Attribute)):
+            called[id(node.func)] = _how(node)
+    skip = _no_uses(tree)
+    passes = defaultdict(Counter)
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            name = getattr(node, "id", None) or node.attr
+            if id(node) in called:
+                passes[name][called[id(node)]] += 1
+            elif isinstance(node.ctx, ast.Load):
+                passes[name][VALUE] += 1
+        elif attr := _attribute_access(node):     # getattr(x, "name")
+            passes[attr[1]][VALUE] += 1
+    return passes
+
+
+def _classes(trees):
+    """``class name -> (whether it has its own __init__, base names)``;
+    a dataclass has its own."""
+    classes = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                own = "dataclass" in map(_named, node.decorator_list) or \
+                    any(isinstance(item, _FUNCTIONS)
+                        and item.name == "__init__" for item in node.body)
+                classes[node.name] = (own, [_named(b) for b in node.bases])
+    return classes
+
+
+def _heirs(classes, name):
+    """*name* and every class that inherits its ``__init__``."""
+    heirs = [name]
+    for other, (own, bases) in classes.items():
+        if not own and name in bases:
+            heirs += _heirs(classes, other)
+    return heirs
+
+
+def _options(module, tree, classes):
+    """``(qualified name, defaulted parameters, [(name, whether a bare
+    name reaches it, signatures)])`` of each public function, public
+    method and public class ``__init__`` of *tree* that has options."""
+    P = inspect.Parameter
+    for node in tree.body:
+        if not (isinstance(node, (*_FUNCTIONS, ast.ClassDef))
+                and _public(node.name)):
+            continue
+        if isinstance(node, ast.ClassDef):
+            owner = f"{module}.{node.name}."
+            dataclass = "dataclass" in map(_named, node.decorator_list)
+            methods = [item for item in node.body
+                       if isinstance(item, _FUNCTIONS)
+                       and (_public(item.name) or item.name == "__init__"
+                            and not dataclass)]
+        else:
+            owner, methods = f"{module}.", [node]
+        for fn in methods:
+            signatures = _signatures(fn)
+            if signatures in (None, ...):
+                continue
+            whole = signatures[1]
+            defaulted = [p.name for p in whole.parameters.values()
+                         if p.default is not P.empty
+                         and p.kind not in (P.VAR_POSITIONAL, P.VAR_KEYWORD)]
+            if not defaulted:
+                continue
+            if fn is node:
+                keys = [(fn.name, True, (whole, whole))]
+            elif fn.name == "__init__":
+                bound = signatures[0]
+                keys = [(heir, True, (bound, bound))
+                        for heir in _heirs(classes, node.name)]
+                keys.append(("__init__", False, signatures))
+            else:
+                keys = [(fn.name, False, signatures)]
+            yield owner + fn.name, defaulted, keys
+
+
+def _bound(signatures, how):
+    """The parameters a call *how* binds arguments to."""
+    positional, keywords, through_class = how
+    bound = set()
+    for signature in signatures[:1 + bool(through_class)]:
+        try:
+            bound |= set(signature.bind(
+                *range(positional), **dict.fromkeys(keywords)).arguments)
+        except TypeError:
+            continue
+    return bound
+
+
+def _unset(sources, roots=()):
+    """*sources* and *roots* as for :func:`_unreached` -> each option
+    no root passes, as ``"qualified(parameter=)"``."""
+    trees = [(path, ast.parse(text)) for path, text in sources]
+    passes = defaultdict(Counter)
+    for text in [text for _, text in sources] + list(roots):
+        for name, hows in _passes(text).items():
+            passes[name].update(hows)
+    classes = _classes(tree for _, tree in trees)
+    unset = []
+    for path, tree in trees:
+        module = path.removesuffix(".py").removesuffix("/__init__")
+        for qualified, defaulted, keys in _options(
+                module.replace("/", "."), tree, classes):
+            passed = set()
+            for name, by_name, signatures in keys:
+                for how in passes[name]:
+                    if how in (VALUE, UNPACKED):
+                        passed.update(defaulted)
+                    elif by_name or how[2] is not None:
+                        passed |= _bound(signatures, how)
+            unset += [f"{qualified}({parameter}=)"
+                      for parameter in defaulted if parameter not in passed]
+    return unset
+
+
+def test_every_option_is_passed_from_outside_the_tests():
+    sources, roots = _tree()
+    unset = set(_unset(sources, roots))
+    assert sorted(unset - set(ALLOWED_PARAMETERS)) == []
+    # An entry now passed, or whose parameter is gone, is stale.
+    assert sorted(set(ALLOWED_PARAMETERS) - unset) == []
+
+
+@pytest.mark.parametrize("option", ALLOWED_PARAMETERS)
+def test_a_kept_option_has_a_reason_and_the_test_that_passes_it(option):
+    reason, test = ALLOWED_PARAMETERS[option]
+    assert reason in (SEAM, REFERENCE, SIZE)
+    path, _, name = test.partition("::")
+    text = (ROOT / path).read_text()
+    tree = ast.parse(text)
+    test_fn, = [node for node in tree.body
+                if isinstance(node, _FUNCTIONS) and node.name == name]
+    sources, roots = _tree()
+    assert option not in _unset(sources, [*roots, ast.unparse(test_fn)])
+
+
+def test_the_option_walk_bites_on_seeded_unset_parameters():
+    module = (
+        "from dataclasses import dataclass\n"
+        "def scale(x, factor=2, *, offset=0, clamp=None):\n"
+        "    return x\n"
+        "def hook(x, tries=3):\n"
+        "    return x\n"
+        "def spread(x, width=1, depth=1):\n"
+        "    return x\n"
+        "class Box:\n"
+        "    def __init__(self, size, lid=False, label=''):\n"
+        "        self.size = size\n"
+        "    def fill(self, a, b=0, *, spill=False):\n"
+        "        return a\n"
+        "    def tip(self, angle=90):\n"
+        "        return angle\n"
+        "class Crate(Box):\n"
+        "    pass\n"
+        "class Tin(Box):\n"
+        "    def __init__(self, size, seal=True):\n"
+        "        super().__init__(size, lid=True)\n"
+        "@dataclass\n"
+        "class Spec:\n"
+        "    width: int = 1\n"
+    )
+    user = (
+        "from repro.box import Crate, Spec, Tin, hook, scale, spread\n"
+        "def main(run, box: Tin, args):\n"
+        "    scale(1, 3)\n"                  # factor by position
+        "    scale(1, clamp=4)\n"            # clamp by keyword
+        "    run(hook)\n"                    # a callback: every option
+        "    spread(1, *args)\n"             # unpacked: every option
+        "    Crate(4, label='c')\n"          # Box.__init__, inherited
+        "    box.fill(1, 2)\n"               # b by position
+        "    tip(30)\n"                      # a bare name: no method
+        "    isinstance(box, Tin)\n"         # names a class, calls nothing
+        "    return Spec(width=2)\n"
+    )
+    sources = [("repro/box.py", module), ("repro/user.py", user)]
+    assert _unset(sources) == [
+        "repro.box.scale(offset=)",
+        "repro.box.Box.fill(spill=)",
+        "repro.box.Box.tip(angle=)",
+        "repro.box.Tin.__init__(seal=)",
     ]
 
 

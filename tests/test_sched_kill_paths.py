@@ -173,6 +173,31 @@ def measure():
 
 
 @pytest.mark.parametrize("name", ROWS)
+def test_no_memoised_attempt_is_a_restart(name, monkeypatch):
+    # Every kill source (injected and Arrhenius faults, partitions,
+    # overtemp) vetoes the memoised route, so an attempt that restarts
+    # from a checkpoint or after a failure always runs on the shared
+    # kernel; the cached rows show the spy sees memoised attempts.
+    memoised = []
+    settle = BatchScheduler._finish_memoised
+
+    def spy(self, running, profile):
+        memoised.append(
+            (running.attempt.start_unit, running.record.failures)
+        )
+        return settle(self, running, profile)
+
+    monkeypatch.setattr(BatchScheduler, "_finish_memoised", spy)
+    outcome = _build(ROWS[name][0]).run()
+    if name.startswith("cached"):
+        assert memoised
+    else:
+        killed = [r for r in outcome.records if r.failures]
+        assert killed
+    assert [m for m in memoised if m != (0, 0)] == []
+
+
+@pytest.mark.parametrize("name", ROWS)
 def test_attempt_endings_match_the_commit_before_the_fold(name):
     must_show = ROWS[name][1]
     outcome, fingerprint = _measured(name)

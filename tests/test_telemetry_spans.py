@@ -171,8 +171,8 @@ def test_recorder_handles_every_event_family():
         _ev(1.1, "block", rank=0, src=1, tag=7),
         _ev(1.2, "send", src=1, dst=0, tag=7, nbytes=64, arrive=1.25),
         _ev(1.25, "recv", rank=0, src=1, tag=7, nbytes=64),
-        _ev(1.3, "block", rank=0, tag=-17),     # collective kind 1
-        _ev(1.3, "block", rank=1, tag=-17),
+        _ev(1.3, "block", rank=0, tag=-19),     # collective kind 3
+        _ev(1.3, "block", rank=1, tag=-19),
         _ev(1.4, "wake", rank=0),
         _ev(1.4, "wake", rank=1),
         _ev(1.45, "block", rank=1, src=None, tag=None),
@@ -190,7 +190,7 @@ def test_recorder_handles_every_event_family():
         rec(ev)
     assert rec.events_seen == 29
     names = {s.name for s in rec.spans}
-    assert "collective(barrier)" in names
+    assert "collective(reduce)" in names
     assert "recv-wait(src=1)" in names
     assert "recv-wait(src=any)" in names
     assert {"job 1", "wait", "rank 1"} <= names
