@@ -17,7 +17,7 @@ what is physical and shared by both packaging styles:
 from repro.cluster.node import ComputeNode, NodeConfig, Packaging
 from repro.cluster.blade import ServerBlade, BLADE_FORM_FACTOR
 from repro.cluster.chassis import RlxSystem324, ChassisError
-from repro.cluster.rack import Rack, RACK_FOOTPRINT_SQFT, build_hardware
+from repro.cluster.rack import Rack, build_hardware
 from repro.cluster.management import (
     ClusterOperationSim,
     LiveFailureInjector,
@@ -43,7 +43,6 @@ __all__ = [
     "OutageProfile",
     "TRADITIONAL_OUTAGES",
     "Packaging",
-    "RACK_FOOTPRINT_SQFT",
     "Rack",
     "RlxSystem324",
     "ServerBlade",

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, List, Optional
 from repro.cluster.node import Packaging
 from repro.cluster.reliability import (
     BLADED_OUTAGES,
+    HOURS_PER_YEAR,
     ClusterReliability,
     OutageProfile,
 )
@@ -130,7 +131,7 @@ class ClusterOperationSim:
             if failures_per_year is not None
             else profile.failures_per_year
         )
-        self.rate_per_hour = rate_year / 8760.0
+        self.rate_per_hour = rate_year / HOURS_PER_YEAR
 
     def run(self, hours: float,
             kernel: Optional[EventKernel] = None) -> OperationReport:
@@ -198,7 +199,7 @@ class ClusterOperationSim:
     def expected_lost_cpu_hours(self, hours: float) -> float:
         """Closed form the TCO model uses (for cross-checking)."""
         return self.profile.downtime_cpu_hours(
-            self.cluster.nodes, hours / 8760.0
+            self.cluster.nodes, hours / HOURS_PER_YEAR
         )
 
 

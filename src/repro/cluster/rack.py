@@ -12,12 +12,11 @@ from repro.cluster.node import Packaging
 if TYPE_CHECKING:                                    # pragma: no cover
     from repro.platform.spec import PlatformSpec
 
-#: Floor space of one rack including service clearance - the paper's
-#: "six square feet" for both MetaBlade and a full Green Destiny rack.
-RACK_FOOTPRINT_SQFT = 6.0
-
 #: Network/aggregation gear power for a fully-populated rack.
 RACK_GEAR_WATTS = 720.0
+
+#: Height of a standard rack.
+RACK_UNITS = 42
 
 #: Chassis mounted per rack (Green Destiny uses ten of the fourteen
 #: 3U positions).
@@ -28,8 +27,6 @@ CHASSIS_PER_RACK = 10
 class Rack:
     """A 42U rack: up to fourteen 3U chassis (ten used by Green Destiny)."""
 
-    rack_units: int = 42
-    footprint_sqft: float = RACK_FOOTPRINT_SQFT
     gear_watts: float = RACK_GEAR_WATTS
     chassis: List[RlxSystem324] = field(default_factory=list)
 
@@ -39,7 +36,7 @@ class Rack:
 
     @property
     def free_units(self) -> int:
-        return self.rack_units - self.used_units
+        return RACK_UNITS - self.used_units
 
     def mount(self, chassis: RlxSystem324) -> None:
         if chassis.dims.rack_units > self.free_units:

@@ -17,10 +17,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.cluster.node import Packaging
-from repro.cpus.power import FailureModel, ThermalModel
+from repro.cpus.power import ThermalModel, node_failure_rate
 
 if TYPE_CHECKING:                                    # pragma: no cover
     from repro.platform.spec import PlatformSpec
+
+#: Hours in a year: converts annual failure rates and lifetimes.
+HOURS_PER_YEAR = 8760.0
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,7 @@ class OutageProfile:
     @property
     def rate_per_hour(self) -> float:
         """Poisson arrival rate for the whole cluster (failures/hour)."""
-        return self.failures_per_year / 8760.0
+        return self.failures_per_year / HOURS_PER_YEAR
 
 
 #: Paper Section 4.1: 6 outages/year x 4 h, whole cluster affected.
@@ -62,7 +65,6 @@ class ClusterReliability:
 
     cluster: PlatformSpec
     thermal: ThermalModel = ThermalModel()
-    failure_model: FailureModel = FailureModel()
 
     @property
     def outage_profile(self) -> OutageProfile:
@@ -77,7 +79,5 @@ class ClusterReliability:
 
     def predicted_failures_per_year(self) -> float:
         """Physics-based estimate from CPU temperature (Arrhenius)."""
-        return self.failure_model.expected_failures(
-            self.cluster.processor, self.cluster.nodes, years=1.0,
-            thermal=self.thermal,
-        )
+        return node_failure_rate(self.cluster.processor, self.thermal) \
+            * self.cluster.nodes

@@ -12,8 +12,8 @@ The paper's Table 1/3 comparison set:
 All models share the :class:`~repro.cpus.base.Processor` interface so the
 benchmark harness treats them uniformly.  :mod:`repro.cpus.power` holds
 the power, thermal and failure models; :func:`~repro.cpus.power.arrhenius_rate`
-is the one doubling law both the static :class:`FailureModel` and the live
-:class:`~repro.thermal.reliability.ArrheniusIntensity` evaluate.
+is the one doubling law both the static :func:`~repro.cpus.power.annual_failure_rate`
+and the live :class:`~repro.thermal.reliability.ArrheniusIntensity` evaluate.
 """
 
 from repro.cpus.base import KernelResult, Processor, ProcessorSpec
@@ -32,19 +32,13 @@ from repro.cpus.catalog import (
     TM5800_800,
     cpu_by_name,
 )
-from repro.cpus.power import (
-    FailureModel,
-    PowerModel,
-    ThermalModel,
-    arrhenius_rate,
-)
+from repro.cpus.power import PowerModel, ThermalModel, arrhenius_rate
 
 __all__ = [
     "ALPHA_EV56_533",
     "ATHLON_MP_1200",
     "CPU_CATALOG",
     "CrusoeProcessor",
-    "FailureModel",
     "HardwareProcessor",
     "KernelResult",
     "PENTIUM_4_1300",

@@ -59,6 +59,10 @@ TM5800_LADDER: Tuple[LongRunStep, ...] = (
 )
 
 
+#: Static power floor of the core (W), beneath the f * V^2 term.
+STATIC_WATTS = 0.35
+
+
 @dataclass(frozen=True)
 class LongRunModel:
     """Power model over a LongRun ladder.
@@ -69,13 +73,12 @@ class LongRunModel:
 
     ladder: Tuple[LongRunStep, ...]
     rated_watts: float = param(POSITIVE)
-    static_watts: float = param(NONNEGATIVE, 0.35)
 
     def __post_init__(self) -> None:
         check_domains(self)
         if not self.ladder:
             raise ValueError("ladder cannot be empty")
-        if self.rated_watts <= self.static_watts:
+        if self.rated_watts <= STATIC_WATTS:
             raise ValueError("rated power must exceed the static floor")
 
     @property
@@ -85,12 +88,12 @@ class LongRunModel:
     @property
     def _k(self) -> float:
         top = self.top
-        return (self.rated_watts - self.static_watts) / (
+        return (self.rated_watts - STATIC_WATTS) / (
             top.mhz * top.volts ** 2
         )
 
     def power_watts(self, step: LongRunStep) -> float:
-        return self.static_watts + self._k * step.mhz * step.volts ** 2
+        return STATIC_WATTS + self._k * step.mhz * step.volts ** 2
 
     def step_for_budget(self, watts: float) -> Optional[LongRunStep]:
         """Fastest step whose power fits *watts* (None if none fits)."""

@@ -62,6 +62,20 @@ class PowerModel:
         return self.total_watts * seconds
 
 
+#: Blade-level thermal resistances (°C/W): forced air over a
+#: machine-room heatsink vs a passive blade sink.
+R_COOLED_C_PER_W = 0.35
+R_PASSIVE_C_PER_W = 0.9
+
+#: The Arrhenius rule of thumb (Section 2.1): a failure rate doubles
+#: every ``ARRHENIUS_DOUBLING_C`` degrees above ``ARRHENIUS_BASE_C``.
+ARRHENIUS_BASE_C = 40.0
+ARRHENIUS_DOUBLING_C = 10.0
+
+#: Annual failure probability of a node at ``ARRHENIUS_BASE_C``.
+BASE_FAILURES_PER_YEAR = 0.12
+
+
 @dataclass(frozen=True)
 class ThermalModel:
     """Maps dissipated power to component operating temperature.
@@ -72,51 +86,29 @@ class ThermalModel:
     """
 
     ambient_celsius: float = 24.0            # ~75 F office
-    c_per_watt_cooled: float = 0.35
-    c_per_watt_passive: float = 0.9
 
     def component_temperature(self, watts: float,
                               actively_cooled: bool) -> float:
-        r = self.c_per_watt_cooled if actively_cooled else self.c_per_watt_passive
+        r = R_COOLED_C_PER_W if actively_cooled else R_PASSIVE_C_PER_W
         return self.ambient_celsius + r * watts
 
 
-def arrhenius_rate(base_rate: float, celsius: float, base_celsius: float,
-                   doubling_celsius: float) -> float:
-    """The Arrhenius rule of thumb: *base_rate* at *base_celsius*,
-    doubling every *doubling_celsius* degrees above it."""
-    return base_rate * 2.0 ** ((celsius - base_celsius) / doubling_celsius)
+def arrhenius_rate(base_rate: float, celsius: float) -> float:
+    """The Arrhenius rule of thumb: *base_rate* at ``ARRHENIUS_BASE_C``,
+    doubling every ``ARRHENIUS_DOUBLING_C`` degrees above it."""
+    return base_rate * 2.0 ** ((celsius - ARRHENIUS_BASE_C)
+                               / ARRHENIUS_DOUBLING_C)
 
 
-@dataclass(frozen=True)
-class FailureModel:
-    """Arrhenius-style failure-rate model.
+def annual_failure_rate(celsius: float) -> float:
+    """Annual failure rate of a node's CPU at *celsius*."""
+    return arrhenius_rate(BASE_FAILURES_PER_YEAR, celsius)
 
-    ``base_rate_per_year`` is the annual failure probability of a node
-    at ``base_temperature``; the rate doubles every
-    ``doubling_celsius`` degrees above it.
-    """
 
-    base_rate_per_year: float = 0.12
-    base_temperature: float = 40.0
-    doubling_celsius: float = 10.0
-
-    def rate_at(self, celsius: float) -> float:
-        """Annual failure rate of a component at *celsius*."""
-        return arrhenius_rate(self.base_rate_per_year, celsius,
-                              self.base_temperature, self.doubling_celsius)
-
-    def node_rate(self, spec: ProcessorSpec,
-                  thermal: ThermalModel = ThermalModel()) -> float:
-        temp = thermal.component_temperature(
-            spec.cpu_watts, spec.needs_active_cooling
-        )
-        return self.rate_at(temp)
-
-    def expected_failures(self, spec: ProcessorSpec, nodes: int,
-                          years: float,
-                          thermal: ThermalModel = ThermalModel()) -> float:
-        return self.node_rate(spec, thermal) * nodes * years
+def node_failure_rate(spec: ProcessorSpec, thermal: ThermalModel) -> float:
+    """Annual failure rate of one node's CPU under *thermal*."""
+    return annual_failure_rate(thermal.component_temperature(
+        spec.cpu_watts, spec.needs_active_cooling))
 
 
 class PiecewiseGovernor(ABC):

@@ -12,7 +12,10 @@ from typing import Iterable, List, Tuple
 
 from repro.cluster.node import Packaging
 from repro.cluster.reliability import ClusterReliability
-from repro.metrics.costs import DEFAULT_COSTS, CostParameters
+from repro.metrics.costs import (
+    BLADE_MAINTENANCE_USD_PER_YEAR, BLADE_SETUP_USD, DEFAULT_COSTS,
+    LIFETIME_HOURS, YEARS, CostParameters,
+)
 from repro.platform.spec import PlatformSpec
 
 
@@ -60,10 +63,9 @@ def sysadmin_cost(cluster: PlatformSpec,
     """
     if cluster.packaging is Packaging.BLADED:
         return (
-            params.blade_setup_usd
-            + params.blade_maintenance_usd_per_year * params.years
+            BLADE_SETUP_USD + BLADE_MAINTENANCE_USD_PER_YEAR * YEARS
         )
-    return params.traditional_admin_usd_per_year * params.years
+    return params.traditional_admin_usd_per_year * YEARS
 
 
 def power_cooling_cost(cluster: PlatformSpec,
@@ -71,7 +73,7 @@ def power_cooling_cost(cluster: PlatformSpec,
     """PCC: utility cost of powering (and, if needed, cooling) the nodes."""
     return (
         cluster.total_power_kw
-        * params.total_hours
+        * LIFETIME_HOURS
         * params.utility_usd_per_kwh
     )
 
@@ -82,7 +84,7 @@ def space_cost(cluster: PlatformSpec,
     return (
         cluster.footprint_sqft
         * params.space_usd_per_sqft_year
-        * params.years
+        * YEARS
     )
 
 
@@ -90,7 +92,7 @@ def downtime_cost(cluster: PlatformSpec,
                   params: CostParameters = DEFAULT_COSTS) -> float:
     """DTC: lost CPU-hours billed at the machine-time rate."""
     reliability = ClusterReliability(cluster)
-    lost_cpu_hours = reliability.downtime_cpu_hours(params.years)
+    lost_cpu_hours = reliability.downtime_cpu_hours(YEARS)
     return lost_cpu_hours * params.downtime_usd_per_cpu_hour
 
 
@@ -99,7 +101,7 @@ def tco_for(cluster: PlatformSpec,
     """Full TCO breakdown for one cluster."""
     return TcoBreakdown(
         cluster_name=cluster.title,
-        acquisition=cluster.acquisition_usd + params.software_usd,
+        acquisition=cluster.acquisition_usd,
         sysadmin=sysadmin_cost(cluster, params),
         power_cooling=power_cooling_cost(cluster, params),
         space=space_cost(cluster, params),

@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.cpus.power import FailureModel
+from repro.cluster.reliability import HOURS_PER_YEAR
+from repro.cpus.power import annual_failure_rate
 from repro.metrics.report import format_table
 from repro.platform.spec import PlatformSpec
 
@@ -40,11 +41,10 @@ class ThermalMtbfRow:
 
 def thermal_mtbf_row(spec: PlatformSpec) -> ThermalMtbfRow:
     """One platform through the RC network and the Arrhenius model."""
-    failure = FailureModel()
     power = spec.power_model()
     network = spec.build_thermal()
     busy_c = network.max_temperature_c()
-    rate = failure.rate_at(busy_c)
+    rate = annual_failure_rate(busy_c)
     cluster_rate = rate * spec.nodes
     return ThermalMtbfRow(
         name=spec.name,
@@ -55,7 +55,7 @@ def thermal_mtbf_row(spec: PlatformSpec) -> ThermalMtbfRow:
         busy_c=busy_c,
         rate_per_year=rate,
         cluster_mtbf_h=(
-            8760.0 / cluster_rate if cluster_rate > 0 else math.inf
+            HOURS_PER_YEAR / cluster_rate if cluster_rate > 0 else math.inf
         ),
     )
 

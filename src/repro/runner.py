@@ -16,8 +16,8 @@ to a serial run:
   pre-pool code path, which is what determinism-sensitive CI runs.
 
 Wall-clock measurement does not live here: the benchmark spine
-(``benchmarks/spine``, its ``history.jsonl`` and the CI ``bench-gate``)
-is the one performance record.
+(``benchmarks/spine``) measures, the CI ``bench-gate`` gates, and the
+root ``BENCH_<workload>.json`` files are the performance record.
 """
 
 from __future__ import annotations

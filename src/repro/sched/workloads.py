@@ -33,7 +33,11 @@ from repro.nbody.sim import BUILD_FLOPS_PER_PARTICLE, SimConfig
 _NODES = whole(1)
 #: Rough flops per particle-particle interaction (walltime estimates).
 _FLOPS_PER_INTERACTION = 28.0
-#: Rough interactions per particle at theta=0.7 (walltime estimates).
+#: Opening angle and timestep of every treecode job.
+TREECODE_THETA = 0.7
+TREECODE_DT = 1e-3
+#: Rough interactions per particle at ``TREECODE_THETA`` (walltime
+#: estimates).
 _INTERACTIONS_PER_PARTICLE = 90.0
 
 
@@ -120,8 +124,6 @@ class TreecodeJob(Workload):
     n: int = param(whole(1), 240)
     steps: int = param(whole(1), 2)
     seed: int = param(whole(0), 2001)
-    theta: float = param(POSITIVE, 0.7)
-    dt: float = param(POSITIVE, 1e-3)
 
     name = "treecode"
     checkpointable = True
@@ -136,7 +138,7 @@ class TreecodeJob(Workload):
     def _sim_config(self) -> SimConfig:
         return SimConfig(
             n=self.n, steps=self.steps, seed=self.seed,
-            theta=self.theta, dt=self.dt, softening=1e-2,
+            theta=TREECODE_THETA, dt=TREECODE_DT, softening=1e-2,
         )
 
     def est_flops(self) -> float:

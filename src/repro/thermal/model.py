@@ -42,15 +42,9 @@ from repro.core.domains import (
     check_domains, param, whole,
 )
 from repro.cpus.power import (
-    COOLING_OVERHEAD_PER_WATT,
+    COOLING_OVERHEAD_PER_WATT, R_COOLED_C_PER_W, R_PASSIVE_C_PER_W,
     PowerModel,
 )
-
-#: Blade-level thermal resistances (°C/W), matching the long-standing
-#: static constants of :class:`repro.cpus.power.ThermalModel`: forced
-#: air over a machine-room heatsink vs a passive blade sink.
-R_COOLED_C_PER_W = 0.35
-R_PASSIVE_C_PER_W = 0.9
 
 #: Lumped heat capacities (J/°C).  An actively cooled tower drags a
 #: large finned sink (~40 J/°C of aluminium); a passive blade sink is

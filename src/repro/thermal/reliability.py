@@ -2,7 +2,7 @@
 
 The paper's reliability claim is the Arrhenius rule of thumb — the
 failure rate of electronics roughly doubles for every 10 °C — which is
-why the repo's :class:`~repro.cpus.power.FailureModel` prices *static*
+why :func:`~repro.cpus.power.annual_failure_rate` prices *static*
 steady-state temperatures.  This module makes the rate follow the
 *live* blade temperature of a scheduler run instead, turning the flat
 seeded Poisson process of
@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
-from repro.core.domains import FINITE, POSITIVE, check_domains, param
+from repro.core.domains import POSITIVE, check_domains, param
 from repro.core.events import EventKernel
 from repro.cpus.power import arrhenius_rate
 from repro.thermal.model import ThermalNetwork
@@ -35,24 +35,22 @@ from repro.thermal.model import ThermalNetwork
 
 @dataclass(frozen=True)
 class ArrheniusIntensity:
-    """Failure intensity doubling every ``doubling_c`` degrees.
+    """Failure intensity under the Arrhenius doubling law.
 
     ``base_rate_per_s`` is the per-blade rate at the reference
-    temperature — the same parameterization as
-    :class:`~repro.cpus.power.FailureModel`, just in virtual seconds.
+    temperature — the same law as
+    :func:`~repro.cpus.power.annual_failure_rate`, just in virtual
+    seconds.
     """
 
     base_rate_per_s: float = param(POSITIVE)
-    base_c: float = param(FINITE, 40.0)
-    doubling_c: float = param(POSITIVE, 10.0)
 
     def __post_init__(self) -> None:
         check_domains(self)
 
     def rate_at(self, temp_c: float) -> float:
         """Per-blade failure rate (1/s) at *temp_c*."""
-        return arrhenius_rate(self.base_rate_per_s, temp_c, self.base_c,
-                              self.doubling_c)
+        return arrhenius_rate(self.base_rate_per_s, temp_c)
 
 
 class ThermalFailureInjector:

@@ -37,7 +37,7 @@ from repro.cpus.longrun import (
 from repro.cpus.power import ThermalModel
 from repro.isa import programs
 from repro.metrics import CostParameters, tco_for
-from repro.metrics.costs import DEFAULT_COSTS
+from repro.metrics.costs import DEFAULT_COSTS, YEARS
 from repro.metrics.report import format_table
 from repro.metrics.throughput import throughput_report
 from repro.nbody.ic import plummer_sphere
@@ -612,12 +612,12 @@ def green_destiny_scaleout():
     blade_space = (
         GREEN_DESTINY.footprint_sqft
         * DEFAULT_COSTS.space_usd_per_sqft_year
-        * DEFAULT_COSTS.years
+        * YEARS
     )
     traditional_space = (
         (240 / 24) * 20.0
         * DEFAULT_COSTS.space_usd_per_sqft_year
-        * DEFAULT_COSTS.years
+        * YEARS
     )
     by_label = {r[0]: r for r in rows}
     # Speedup keeps improving past the chassis boundary...

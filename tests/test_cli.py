@@ -1,5 +1,9 @@
 """The command-line interface produces the paper's tables."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -161,3 +165,19 @@ def test_cli_sched_seed_is_deterministic(capsys):
 
     assert sched("3") == sched("3")
     assert sched("3") != sched("4")
+
+
+def test_the_worker_count_is_not_an_input():
+    # DESIGN §4d: a pooled seed sweep prints what the serial one prints,
+    # byte for byte.  Two seeds, so --procs 2 forks two workers.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", "sched",
+             "--seeds", "2001", "7", "--procs", procs],
+            capture_output=True, text=True, env=env, timeout=300, check=True,
+        ).stdout
+        for procs in ("1", "2")
+    ]
+    assert outs[0].count("Job-stream accounting") == 2
+    assert outs[1] == outs[0]

@@ -16,7 +16,9 @@ from repro.cpus.catalog import (
 )
 from repro.cpus.ports import PortSpec, PortTable, make_port_table
 from repro.cpus.portsim import HardwareProcessor, PortSimulator, PortTimeline
-from repro.cpus.power import FailureModel, PowerModel, ThermalModel
+from repro.cpus.power import (
+    PowerModel, ThermalModel, annual_failure_rate, node_failure_rate,
+)
 from repro.isa import programs
 from repro.isa.assembler import assemble
 from repro.isa.instructions import OpClass
@@ -198,18 +200,18 @@ def test_energy_cost_paper_example():
 
 
 def test_failure_rate_doubles_per_10c():
-    fm = FailureModel()
-    assert fm.rate_at(50.0) == pytest.approx(2.0 * fm.rate_at(40.0))
-    assert fm.rate_at(60.0) == pytest.approx(4.0 * fm.rate_at(40.0))
+    rate = annual_failure_rate
+    assert rate(50.0) == pytest.approx(2.0 * rate(40.0))
+    assert rate(60.0) == pytest.approx(4.0 * rate(40.0))
 
 
 def test_transmeta_runs_cooler_and_fails_less():
     thermal = ThermalModel()
-    fm = FailureModel()
     tm_temp = thermal.component_temperature(
         TM5600_633.spec.cpu_watts, actively_cooled=False
     )
     p4 = cpu_by_name("Intel Pentium 4").spec
     p4_temp = thermal.component_temperature(p4.cpu_watts, actively_cooled=True)
     assert tm_temp < p4_temp
-    assert fm.node_rate(TM5600_633.spec) < fm.node_rate(p4)
+    assert node_failure_rate(TM5600_633.spec, thermal) < \
+        node_failure_rate(p4, thermal)

@@ -234,6 +234,6 @@ def test_a_domain_is_an_argparse_type():
 def test_declarations_move_no_repr_equality_or_document():
     # Metadata enters no repr, ==, or asdict: cache keys and hashes hold.
     assert repr(TreecodeJob(n=160, steps=2, seed=5)) == (
-        "TreecodeJob(n=160, steps=2, seed=5, theta=0.7, dt=0.001)"
+        "TreecodeJob(n=160, steps=2, seed=5)"
     )
     assert PlatformSpec.from_dict(METABLADE.to_dict()) == METABLADE

@@ -11,6 +11,7 @@ from repro.metrics import (
     topper,
     topper_advantage,
 )
+from repro.metrics.costs import BLADE_SETUP_USD, LIFETIME_HOURS, YEARS
 from repro.metrics.tco import (
     downtime_cost,
     power_cooling_cost,
@@ -26,17 +27,17 @@ def by_name(name):
 
 def test_cost_parameters_paper_defaults():
     p = DEFAULT_COSTS
-    assert p.years == 4.0
+    assert YEARS == 4.0
     assert p.utility_usd_per_kwh == 0.10
     assert p.space_usd_per_sqft_year == 100.0
     assert p.downtime_usd_per_cpu_hour == 5.0
-    assert p.total_hours == 35_040.0
-    assert p.blade_setup_usd == 250.0
+    assert LIFETIME_HOURS == 35_040.0
+    assert BLADE_SETUP_USD == 250.0
 
 
 def test_cost_parameters_validation():
     with pytest.raises(ValueError):
-        CostParameters(years=0)
+        CostParameters(traditional_admin_usd_per_year=-1)
     with pytest.raises(ValueError):
         CostParameters(utility_usd_per_kwh=-1)
 
@@ -77,11 +78,6 @@ def test_tco_identity():
     assert b.operating == pytest.approx(
         b.sysadmin + b.power_cooling + b.space + b.downtime
     )
-
-
-def test_software_cost_parameter_flows_through():
-    params = CostParameters(software_usd=5_000.0)
-    assert tco_for(METABLADE, params).acquisition == 31_000.0
 
 
 # --- ToPPeR ----------------------------------------------------------------

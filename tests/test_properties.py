@@ -177,18 +177,3 @@ def test_tco_monotone_in_every_rate(utility, space, cpu_hour):
             assert b1.downtime >= b0.downtime
         # Totals are consistent sums.
         assert b1.total == pytest.approx(b1.acquisition + b1.operating)
-
-
-@given(years=st.floats(min_value=0.5, max_value=10.0))
-@settings(max_examples=20, deadline=None)
-def test_blade_advantage_grows_with_lifetime(years):
-    """The longer the horizon, the more the blade's low operating cost
-    dominates its acquisition premium."""
-    params = CostParameters(years=years)
-    blade = tco_for(METABLADE, params).total
-    trad = tco_for(TABLE5_CLUSTERS[2], params).total
-    short = CostParameters(years=0.5)
-    blade0 = tco_for(METABLADE, short).total
-    trad0 = tco_for(TABLE5_CLUSTERS[2], short).total
-    if years > 0.5:
-        assert trad / blade >= trad0 / blade0 - 1e-9

@@ -35,16 +35,30 @@ unused.  No definition is exempt.
 
 A second guard does the same for options.  A defaulted parameter of a
 public top-level function, of a public method or of a public class's
-``__init__`` (a dataclass's fields are out of scope) is *passed* when a
-root call binds an argument to it, by keyword or by position, under
-the rules above: a bare name reaches a function or a class (and so the
-``__init__`` that class inherits), an attribute also a method, and
-``super().__init__(...)`` every ``__init__``.  A ``*``/``**`` call, or
-the callable used as a value (a callback, a pool worker), passes every
-parameter; an annotation, a base class or an ``isinstance`` or
-``except`` class is not a use.  An option no root passes is a constant:
-it stays only on ``ALLOWED_PARAMETERS``, as a seam, a reference or a
-size, with the test that passes it.
+written ``__init__`` is *passed* when a root call binds an argument to
+it, by keyword or by position, under the rules above: a bare name
+reaches a function or a class (and so the ``__init__`` that class
+inherits), an attribute also a method, and ``super().__init__(...)``
+every ``__init__``.  A ``*``/``**`` call, or the callable used as a
+value (a callback, a pool worker), passes every parameter; an
+annotation, a base class or an ``isinstance`` or ``except`` class is
+not a use.
+
+A defaulted field of a public dataclass or NamedTuple that writes no
+``__init__`` is an option too.  It is passed by a root call of its
+class or of an heir that binds to it, by ``cls(...)`` inside one of its
+class's classmethods, or by a keyword of any ``replace`` call
+(``dataclasses.replace``, a NamedTuple's ``_replace``; receivers are
+not inferred).  A field is no option when it has ``init=False``; when
+a root stores to it or mutates it in place (``x.f = ...``, ``x.f +=
+...``, ``x.f[k] = ...``, ``x.f.append(...)``, also through a local
+bound to ``x.f``), which makes it state; or when its class is reachable
+from a ``from_dict`` through field annotations, which makes it outside
+input, hashed into the manifests.
+
+An option no root passes is a constant: it stays only on
+``ALLOWED_PARAMETERS``, as a seam, a reference or a size, with the test
+that passes it.
 
 A third check fails on an import that a ``src/repro`` module (other
 than a package ``__init__``) never uses: deleting a definition is what
@@ -80,6 +94,10 @@ ALLOWED_PARAMETERS = {
     "repro.nbody.kernels.direct_accelerations(chunk=)": (
         REFERENCE,
         "tests/test_nbody_karp_kernels.py::test_direct_chunking_invariance",
+    ),
+    "repro.network.faults.NetFaultConfig(windows=)": (
+        SEAM,
+        "tests/test_netfault.py::test_long_link_outage_partitions_and_requeues",
     ),
 }
 
@@ -317,8 +335,8 @@ DELETED = [
     ("cpus/longrun.py", None,
      "def spec_at_step(spec, step, model):\n"
      "    return spec\n"),
-    ("cpus/power.py", "FailureModel",
-     "def mtbf_hours(self, spec, nodes=1):\n"
+    ("cpus/power.py", None,
+     "def mtbf_hours(spec, nodes=1):\n"
      "    return 1.0 / nodes\n"),
     ("isa/assembler.py", None,
      "def disassemble(program):\n"
@@ -459,13 +477,25 @@ DELETED = [
 ]
 
 
+def _declared(source):
+    """The name *source* declares: a function, a class or a field."""
+    node = ast.parse(source).body[0]
+    return getattr(node, "name", None) or node.target.id
+
+
+def _case_id(module, owner, source):
+    """``Owner.name``, or ``module.name`` for a top-level one."""
+    return f"{owner or module.removesuffix('.py').rpartition('/')[2]}." \
+        f"{_declared(source)}"
+
+
 def _put_back(sources, module, owner, definition):
     """*sources* with *definition* added to ``repro/<module>`` (into
     class *owner* when given), a top-level one also imported by its
     package ``__init__``, as the deleted ones were.  -> (sources,
     qualified name)."""
     path = f"repro/{module}"
-    name = ast.parse(definition).body[0].name
+    name = _declared(definition)
     texts = dict(sources)
     text = texts.get(path, "")
     if owner is None:
@@ -486,9 +516,7 @@ def _put_back(sources, module, owner, definition):
 
 @pytest.mark.parametrize(
     "module, owner, definition", DELETED,
-    ids=[f"{owner or module.removesuffix('.py').rpartition('/')[2]}."
-         f"{ast.parse(definition).body[0].name}"
-         for module, owner, definition in DELETED])
+    ids=[_case_id(*case) for case in DELETED])
 def test_a_deleted_definition_put_back_is_unreached(module, owner,
                                                     definition):
     sources, roots = _tree()
@@ -769,9 +797,213 @@ def _unset(sources, roots=()):
     return unset
 
 
+# -- fields ------------------------------------------------------------------
+
+#: Methods that change a container in place: ``x.f.append(...)`` makes
+#: ``f`` state, not an option.
+_MUTATORS = {"append", "appendleft", "extend", "extendleft", "insert", "add",
+             "update", "setdefault", "pop", "popleft", "popitem", "remove",
+             "discard", "clear", "sort", "reverse"}
+#: A field passed by every ``replace`` call (one that unpacks ``**``).
+EVERY = "*"
+
+
+def _record(node):
+    """Whether class *node* is a dataclass or a NamedTuple."""
+    return "dataclass" in map(_named, node.decorator_list) or \
+        "NamedTuple" in map(_named, node.bases)
+
+
+def _field(item):
+    """``(name, defaulted)`` of a statement of a class body that declares
+    an ``__init__`` field, else ``None`` (a method, a ``ClassVar``, a
+    field with ``init=False``)."""
+    if not (isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)) or \
+            "ClassVar" in ast.unparse(item.annotation):
+        return None
+    value, name = item.value, item.target.id
+    if value is None:
+        return name, False
+    if isinstance(value, ast.Call) and _named(value) in ("field", "param"):
+        keywords = {kw.arg: kw.value for kw in value.keywords}
+        if getattr(keywords.get("init"), "value", True) is False:
+            return None
+        return name, bool({"default", "default_factory"} & set(keywords)) \
+            or _named(value) == "param" and len(value.args) > 1
+    return name, True
+
+
+@functools.lru_cache(maxsize=None)
+def _records(text):
+    """``class name -> (node, own fields, base names, whether it writes
+    its own __init__)`` of every class of *text*; *own fields* is
+    ``[(name, defaulted)]`` for a record, else ``None``."""
+    records = {}
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ClassDef):
+            written = any(isinstance(item, _FUNCTIONS)
+                          and item.name == "__init__" for item in node.body)
+            fields = [f for item in node.body if (f := _field(item))] \
+                if _record(node) else None
+            records[node.name] = (node, fields,
+                                  [_named(b) for b in node.bases], written)
+    return records
+
+
+def _init_fields(records, name):
+    """``{field: defaulted}`` of the ``__init__`` class *name* gets from
+    its fields, in order: its record bases' fields first."""
+    _, own, bases, _ = records[name]
+    fields = {}
+    for base in reversed(bases):
+        if base in records:
+            fields.update(_init_fields(records, base))
+    fields.update(own or ())
+    return fields
+
+
+def _field_heirs(records, name):
+    """*name* and every class whose ``__init__`` takes its fields: a
+    record that inherits them, or a class that writes no ``__init__``."""
+    heirs = [name]
+    for other, (_, _, bases, written) in records.items():
+        if name in bases and not written:
+            heirs += _field_heirs(records, other)
+    return heirs
+
+
+def _outside_input(records):
+    """Classes reachable from a ``from_dict`` through field annotations:
+    their fields come from a document, not from a caller."""
+    todo = [name for name, (node, *_) in records.items()
+            if any(isinstance(item, _FUNCTIONS) and item.name == "from_dict"
+                   for item in node.body)]
+    seen = set()
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in records:
+            continue
+        seen.add(name)
+        for item in records[name][0].body:
+            if isinstance(item, ast.AnnAssign):
+                annotation = item.annotation
+                if isinstance(annotation, ast.Constant):
+                    annotation = ast.parse(annotation.value, mode="eval")
+                todo += [n.id for n in ast.walk(annotation)
+                         if isinstance(n, ast.Name)]
+    return seen
+
+
+@functools.lru_cache(maxsize=None)
+def _field_uses(text):
+    """What *text* does to fields beyond a call of their class:
+    ``(calls of cls(...) inside a classmethod, as class name ->
+    Counter(how); keywords of replace calls; attributes it stores to or
+    mutates in place)``."""
+    tree = ast.parse(text)
+    through_cls = defaultdict(Counter)
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, _FUNCTIONS) and "classmethod" in map(
+                        _named, fn.decorator_list):
+                    for node in ast.walk(fn):
+                        if isinstance(node, ast.Call) and \
+                                getattr(node.func, "id", None) == "cls":
+                            through_cls[cls.name][_how(node)] += 1
+    # A local bound to ``x.f`` mutates ``f``: ``by = x.f; by[k] = v``.
+    aliases = {target.id: node.value.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Attribute)
+               for target in node.targets if isinstance(target, ast.Name)}
+
+    def attribute(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr
+        return aliases.get(getattr(node, "id", None))
+
+    replaced, stored = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == "replace" or \
+                    getattr(func, "attr", None) == "_replace" or \
+                    getattr(func, "attr", None) == "replace" and \
+                    getattr(func.value, "id", None) == "dataclasses":
+                replaced |= {kw.arg or EVERY for kw in node.keywords}
+            elif getattr(func, "attr", None) in _MUTATORS:
+                stored.add(attribute(func.value))    # x.f.append(...)
+            elif _named(node) in ("setattr", "__setattr__") and \
+                    len(node.args) > 1 and \
+                    isinstance(node.args[1], ast.Constant):
+                stored.add(node.args[1].value)
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, (ast.Store, ast.Del)):
+            stored.add(node.attr)                    # x.f = ..., x.f += ...
+        elif isinstance(node, ast.Subscript) and \
+                isinstance(node.ctx, (ast.Store, ast.Del)):
+            while isinstance(node, ast.Subscript):   # x.f[k] = ...
+                node = node.value
+            stored.add(attribute(node))
+    return through_cls, frozenset(replaced), frozenset(stored - {None})
+
+
+def _unset_fields(sources, roots=()):
+    """*sources* and *roots* as for :func:`_unreached` -> each defaulted
+    field of a public record no root passes, as ``"Class(field=)"``."""
+    passes, through_cls = defaultdict(Counter), defaultdict(Counter)
+    replaced, stored = set(), set()
+    for text in [text for _, text in sources] + list(roots):
+        for name, hows in _passes(text).items():
+            passes[name].update(hows)
+        by_cls, by_replace, by_store = _field_uses(text)
+        for name, hows in by_cls.items():
+            through_cls[name].update(hows)
+        replaced |= by_replace
+        stored |= by_store
+    records = {}
+    for _, text in sources:
+        records.update(_records(text))
+    outside = _outside_input(records)
+    P = inspect.Parameter
+    unset = []
+    for path, text in sources:
+        module = path.removesuffix(".py").removesuffix("/__init__") \
+            .replace("/", ".")
+        for node, own, _, written in _records(text).values():
+            if not _public(node.name) or own is None or written or \
+                    node.name in outside or node.col_offset:
+                continue
+            options = [field for field, defaulted in own if defaulted
+                       and field not in stored and field not in replaced]
+            if EVERY in replaced:
+                options = []
+            passed = set()
+            for heir in _field_heirs(records, node.name):
+                signature = inspect.Signature([
+                    P(field, P.POSITIONAL_OR_KEYWORD,
+                      default=None if defaulted else P.empty)
+                    for field, defaulted in _init_fields(records, heir).items()
+                ])
+                for how in passes[heir] + through_cls[heir]:
+                    if how in (VALUE, UNPACKED):
+                        passed.update(options)
+                    else:
+                        passed |= _bound((signature, signature), how)
+            unset += [f"{module}.{node.name}({field}=)"
+                      for field in options if field not in passed]
+    return unset
+
+
+def _unset_options(sources, roots=()):
+    """Every parameter and field no root passes."""
+    return _unset(sources, roots) + _unset_fields(sources, roots)
+
+
 def test_every_option_is_passed_from_outside_the_tests():
     sources, roots = _tree()
-    unset = set(_unset(sources, roots))
+    unset = set(_unset_options(sources, roots))
     assert sorted(unset - set(ALLOWED_PARAMETERS)) == []
     # An entry now passed, or whose parameter is gone, is stale.
     assert sorted(set(ALLOWED_PARAMETERS) - unset) == []
@@ -787,7 +1019,8 @@ def test_a_kept_option_has_a_reason_and_the_test_that_passes_it(option):
     test_fn, = [node for node in tree.body
                 if isinstance(node, _FUNCTIONS) and node.name == name]
     sources, roots = _tree()
-    assert option not in _unset(sources, [*roots, ast.unparse(test_fn)])
+    assert option not in _unset_options(sources,
+                                        [*roots, ast.unparse(test_fn)])
 
 
 def test_the_option_walk_bites_on_seeded_unset_parameters():
@@ -835,6 +1068,128 @@ def test_the_option_walk_bites_on_seeded_unset_parameters():
         "repro.box.Box.tip(angle=)",
         "repro.box.Tin.__init__(seal=)",
     ]
+
+
+#: Fields ``src/`` once held that no root passed, now constants:
+#: ``(module, class or None, source)``; a whole class when every field
+#: of it went.
+DELETED_FIELDS = [
+    ("cluster/rack.py", "Rack", "rack_units: int = 42"),
+    ("cluster/rack.py", "Rack",
+     "footprint_sqft: float = RACK_FOOTPRINT_SQFT"),
+    ("cluster/reliability.py", "ClusterReliability",
+     "failure_model: FailureModel = FailureModel()"),
+    ("cpus/longrun.py", "LongRunModel",
+     "static_watts: float = param(NONNEGATIVE, 0.35)"),
+    ("cpus/power.py", "ThermalModel", "c_per_watt_cooled: float = 0.35"),
+    ("cpus/power.py", "ThermalModel", "c_per_watt_passive: float = 0.9"),
+    ("cpus/power.py", None,
+     "@dataclass(frozen=True)\n"
+     "class FailureModel:\n"
+     "    base_rate_per_year: float = 0.12\n"
+     "    base_temperature: float = 40.0\n"
+     "    doubling_celsius: float = 10.0\n"),
+    ("metrics/costs.py", "CostParameters",
+     "years: float = param(POSITIVE, 4.0)"),
+    ("metrics/costs.py", "CostParameters",
+     "blade_setup_hours: float = param(NONNEGATIVE, 2.5)"),
+    ("metrics/costs.py", "CostParameters",
+     "labor_usd_per_hour: float = param(NONNEGATIVE, 100.0)"),
+    ("metrics/costs.py", "CostParameters",
+     "blade_maintenance_usd_per_year: float = param(NONNEGATIVE, 1_200.0)"),
+    ("metrics/costs.py", "CostParameters",
+     "software_usd: float = param(NONNEGATIVE, 0.0)"),
+    ("metrics/costs.py", "CostParameters",
+     "hours_per_year: float = param(POSITIVE, 8_760.0)"),
+    ("sched/workloads.py", "TreecodeJob",
+     "theta: float = param(POSITIVE, 0.7)"),
+    ("sched/workloads.py", "TreecodeJob",
+     "dt: float = param(POSITIVE, 1e-3)"),
+    ("thermal/reliability.py", "ArrheniusIntensity",
+     "base_c: float = param(FINITE, 40.0)"),
+    ("thermal/reliability.py", "ArrheniusIntensity",
+     "doubling_c: float = param(POSITIVE, 10.0)"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, owner, source", DELETED_FIELDS,
+    ids=[_case_id(*case) for case in DELETED_FIELDS])
+def test_a_deleted_field_put_back_is_unset(module, owner, source):
+    sources, roots = _tree()
+    changed, _ = _put_back(sources, module, owner, source)
+    dotted = "repro." + module.removesuffix(".py").replace("/", ".")
+    node = ast.parse(source).body[0]
+    if owner is None:
+        expected = [f"{dotted}.{node.name}({name}=)"
+                    for name, _ in map(_field, node.body)]
+    else:
+        expected = [f"{dotted}.{owner}({node.target.id}=)"]
+    unset = _unset_fields(sources, roots)
+    assert set(expected).isdisjoint(unset)
+    assert sorted(_unset_fields(changed, roots)) == sorted(unset + expected)
+
+
+def test_the_field_walk_bites_on_seeded_unset_fields():
+    module = (
+        "from dataclasses import dataclass, field\n"
+        "from typing import ClassVar, NamedTuple\n"
+        "@dataclass\n"
+        "class Spec:\n"
+        "    width: int\n"
+        "    depth: int = 1\n"
+        "    height: int = 2\n"
+        "    label: str = ''\n"
+        "    color: str = ''\n"
+        "    kind: ClassVar[str] = 'spec'\n"
+        "    cache: dict = field(init=False, default_factory=dict)\n"
+        "    hits: int = 0\n"
+        "    log: list = field(default_factory=list)\n"
+        "    tags: dict = field(default_factory=dict)\n"
+        "    @classmethod\n"
+        "    def cube(cls, side):\n"
+        "        return cls(side, height=side)\n"
+        "@dataclass\n"
+        "class Wide(Spec):\n"
+        "    margin: float = 0.0\n"
+        "class Point(NamedTuple):\n"
+        "    x: float\n"
+        "    y: float = 0.0\n"
+        "    z: float = 0.0\n"
+        "@dataclass\n"
+        "class Doc:\n"
+        "    inner: 'Inner'\n"
+        "    size: int = 1\n"
+        "    @classmethod\n"
+        "    def from_dict(cls, doc):\n"
+        "        return cls(doc['inner'])\n"
+        "@dataclass\n"
+        "class Inner:\n"
+        "    scale: float = 1.0\n"
+        "@dataclass\n"
+        "class _Hidden:\n"
+        "    secret: int = 0\n"
+    )
+    user = (
+        "from dataclasses import replace\n"
+        "from repro.box import Point, Wide\n"
+        "def main(spec, key):\n"
+        "    Wide(0, depth=4)\n"            # depth, to an heir
+        "    Point(1.0, 2.0)\n"             # y by position
+        "    spec.hits += 1\n"              # state: stored
+        "    spec.log.append(key)\n"        # state: mutated in place
+        "    tags = spec.tags\n"
+        "    tags[key] = 1\n"               # state: mutated through a local
+        "    return replace(spec, label='x')\n"
+    )
+    sources = [("repro/box.py", module), ("repro/user.py", user)]
+    assert _unset_fields(sources) == [
+        "repro.box.Spec(color=)",
+        "repro.box.Wide(margin=)",
+        "repro.box.Point(z=)",
+    ]
+    # A replace that unpacks ``**`` passes every field of every class.
+    assert _unset_fields(sources, ["replace(x, **changes)"]) == []
 
 
 def _unused_imports(text):

@@ -222,8 +222,7 @@ def test_spec_round_trip_and_acceleration():
 # ---------------------------------------------------------------------------
 
 def test_arrhenius_doubles_every_ten_degrees():
-    intensity = ArrheniusIntensity(base_rate_per_s=1e-6, base_c=40.0,
-                                   doubling_c=10.0)
+    intensity = ArrheniusIntensity(base_rate_per_s=1e-6)
     assert intensity.rate_at(40.0) == pytest.approx(1e-6)
     for temp in (0.0, 25.0, 40.0, 55.0, 70.0, 95.0):
         assert intensity.rate_at(temp + 10.0) == pytest.approx(
@@ -233,8 +232,6 @@ def test_arrhenius_doubles_every_ten_degrees():
     assert intensity.rate_at(70.0) == pytest.approx(8e-6)
     with pytest.raises(ValueError):
         ArrheniusIntensity(base_rate_per_s=-1.0)
-    with pytest.raises(ValueError):
-        ArrheniusIntensity(base_rate_per_s=1.0, doubling_c=0.0)
 
 
 # ---------------------------------------------------------------------------
