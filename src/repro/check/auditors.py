@@ -61,7 +61,6 @@ class ClockOrderAuditor(KernelAuditor):
     """
 
     def __init__(self) -> None:
-        self.checked = 0
         self._kernel: Optional[EventKernel] = None
         self._last_now = -math.inf
         self._last: Optional[Tuple[float, int]] = None
@@ -76,7 +75,6 @@ class ClockOrderAuditor(KernelAuditor):
         kernel.remove_fire_hook(self._on_fire)
 
     def _on_fire(self, event: Event) -> None:
-        self.checked += 1
         now = self._kernel.now
         if now < self._last_now:
             raise InvariantViolation(
@@ -198,8 +196,6 @@ class RetransmitConservationAuditor(KernelAuditor):
 
     def __init__(self) -> None:
         self.retransmits = 0
-        self.delivered = 0
-        self.gaveup = 0
         self._open: Dict[int, int] = {}   # mid -> lost frames so far
 
     def attach(self, kernel: EventKernel) -> "RetransmitConservationAuditor":
@@ -229,7 +225,6 @@ class RetransmitConservationAuditor(KernelAuditor):
             # Delivery closes the ledger (losses, if any, were retried
             # through to success).
             self._open.pop(mid, None)
-            self.delivered += 1
         elif kind == "net-giveup":
             mid = event.get("mid")
             lost = self._open.pop(mid, 0)
@@ -239,7 +234,6 @@ class RetransmitConservationAuditor(KernelAuditor):
                     f"giveup: {lost} frame loss(es) traced but the "
                     f"sender reports {event.get('attempts')} attempts"
                 )
-            self.gaveup += 1
 
     def finish(self) -> None:
         if self._open:

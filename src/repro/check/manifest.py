@@ -83,7 +83,6 @@ class RunManifest:
     events: List[TimelineEvent] = field(default_factory=list)
     #: What the trace does not say (a sched run's platform hash).
     payload: Dict[str, Any] = field(default_factory=dict)
-    version: int = MANIFEST_VERSION
 
     @classmethod
     def make(cls, kind: str, seed: int, params: Dict[str, Any],
@@ -102,7 +101,7 @@ class RunManifest:
 
     def to_json(self) -> str:
         doc = {
-            "version": self.version,
+            "version": MANIFEST_VERSION,
             "kind": self.kind,
             "seed": self.seed,
             "params": self.params,

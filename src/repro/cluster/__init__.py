@@ -15,14 +15,10 @@ what is physical and shared by both packaging styles:
 """
 
 from repro.cluster.node import ComputeNode, NodeConfig, Packaging
-from repro.cluster.blade import ServerBlade, BLADE_FORM_FACTOR
+from repro.cluster.blade import ServerBlade
 from repro.cluster.chassis import RlxSystem324, ChassisError
 from repro.cluster.rack import Rack, build_hardware
-from repro.cluster.management import (
-    ClusterOperationSim,
-    LiveFailureInjector,
-    ManagementHub,
-)
+from repro.cluster.management import ClusterOperationSim
 from repro.cluster.reliability import (
     BLADED_OUTAGES,
     TRADITIONAL_OUTAGES,
@@ -32,13 +28,10 @@ from repro.cluster.reliability import (
 
 __all__ = [
     "BLADED_OUTAGES",
-    "BLADE_FORM_FACTOR",
     "ChassisError",
     "ClusterOperationSim",
     "ClusterReliability",
     "ComputeNode",
-    "LiveFailureInjector",
-    "ManagementHub",
     "NodeConfig",
     "OutageProfile",
     "TRADITIONAL_OUTAGES",

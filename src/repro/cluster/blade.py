@@ -9,20 +9,6 @@ from repro.cpus.base import ProcessorSpec
 
 
 @dataclass(frozen=True)
-class FormFactor:
-    """Physical dimensions in inches."""
-
-    width_in: float
-    height_in: float
-    depth_in: float
-
-
-#: A ServerBlade mounts vertically, 24 side by side in a 3U chassis:
-#: each blade is under 0.7 inches wide.
-BLADE_FORM_FACTOR = FormFactor(width_in=0.68, height_in=5.0, depth_in=13.0)
-
-
-@dataclass(frozen=True)
 class ServerBlade:
     """A hot-pluggable motherboard blade carrying one compute node.
 
@@ -31,8 +17,6 @@ class ServerBlade:
     """
 
     node: ComputeNode
-    form_factor: FormFactor = BLADE_FORM_FACTOR
-    hot_pluggable: bool = True
 
     @classmethod
     def for_processor(cls, spec: ProcessorSpec) -> "ServerBlade":

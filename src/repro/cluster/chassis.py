@@ -22,10 +22,9 @@ class ChassisError(ValueError):
 
 @dataclass(frozen=True)
 class ChassisDimensions:
-    height_in: float = 5.25
-    width_in: float = 17.25
-    depth_in: float = 25.2
-    rack_units: int = 3
+    height_in: float
+    width_in: float
+    rack_units: int
 
 
 @dataclass
@@ -38,8 +37,8 @@ class RlxSystem324:
     OVERHEAD_WATTS = 112.0
     PSU_WATTS = 450.0
     PSU_COUNT = 2
+    dims = ChassisDimensions(height_in=5.25, width_in=17.25, rack_units=3)
 
-    dims: ChassisDimensions = field(default_factory=ChassisDimensions)
     _blades: List[Optional[ServerBlade]] = field(
         default_factory=lambda: [None] * 24
     )

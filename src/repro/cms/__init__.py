@@ -21,7 +21,7 @@ from repro.cms.cms import CmsConfig, CmsResult, CodeMorphingSoftware
 from repro.cms.interpreter import GuestInterpreter, InterpreterStats
 from repro.cms.profilecollect import BlockProfile, HotSpotProfile
 from repro.cms.tcache import CacheStats, TranslationCache
-from repro.cms.translator import Translation, Translator, TranslatorStats
+from repro.cms.translator import Translator, TranslatorStats
 
 __all__ = [
     "BlockProfile",
@@ -32,7 +32,6 @@ __all__ = [
     "GuestInterpreter",
     "HotSpotProfile",
     "InterpreterStats",
-    "Translation",
     "TranslationCache",
     "Translator",
     "TranslatorStats",

@@ -153,7 +153,7 @@ class CodeMorphingSoftware:
                     if (self.config.enable_chaining
                             and prev_native_pc is not None):
                         chains.add(edge)      # CMS patches the edge
-                self.engine.execute_block(translation.block, program, machine)
+                self.engine.execute_block(translation, program, machine)
                 native_blocks += 1
                 prev_native_pc = pc
                 continue

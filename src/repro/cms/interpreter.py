@@ -24,8 +24,6 @@ class InterpreterStats:
     """Cumulative interpretation statistics."""
 
     guest_instructions: int = 0
-    blocks: int = 0
-    cycles: int = 0
 
 
 class GuestInterpreter:
@@ -53,9 +51,6 @@ class GuestInterpreter:
         executed = machine.run_block(
             machine.block(program, machine.state.pc)
         )
-        cycles = executed * self.cycles_per_instr
-        self.engine.charge(cycles)
+        self.engine.charge(executed * self.cycles_per_instr)
         self.stats.guest_instructions += executed
-        self.stats.blocks += 1
-        self.stats.cycles += cycles
         return executed

@@ -13,8 +13,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.cms.translator import Translation
 from repro.core.domains import whole
+from repro.vliw.engine import TranslatedBlock
 
 #: ``CmsConfig.tcache_bytes``'s domain.
 _BYTES = whole(1)
@@ -24,8 +24,6 @@ _BYTES = whole(1)
 class CacheStats:
     hits: int = 0
     misses: int = 0
-    insertions: int = 0
-    evictions: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -34,12 +32,12 @@ class CacheStats:
 
 
 class TranslationCache:
-    """LRU cache of :class:`Translation` objects with a byte budget."""
+    """LRU cache of translated blocks with a byte budget."""
 
     def __init__(self, capacity_bytes: int = 1 << 20) -> None:
         _BYTES.check("TranslationCache.capacity_bytes", capacity_bytes)
         self.capacity_bytes = capacity_bytes
-        self._entries: "OrderedDict[int, Translation]" = OrderedDict()
+        self._entries: "OrderedDict[int, TranslatedBlock]" = OrderedDict()
         self._used_bytes = 0
         self.stats = CacheStats()
 
@@ -49,33 +47,31 @@ class TranslationCache:
     def __contains__(self, entry_pc: int) -> bool:
         return entry_pc in self._entries
 
-    def lookup(self, entry_pc: int) -> Optional[Translation]:
+    def lookup(self, entry_pc: int) -> Optional[TranslatedBlock]:
         """Return the cached translation for *entry_pc*, if present."""
-        translation = self._entries.get(entry_pc)
-        if translation is None:
+        block = self._entries.get(entry_pc)
+        if block is None:
             self.stats.misses += 1
             return None
         self._entries.move_to_end(entry_pc)
         self.stats.hits += 1
-        return translation
+        return block
 
-    def insert(self, translation: Translation) -> None:
+    def insert(self, block: TranslatedBlock) -> None:
         """Insert a translation, evicting LRU entries to fit."""
-        size = translation.block.code_bytes
+        size = block.code_bytes
         if size > self.capacity_bytes:
             # A single oversized translation cannot be cached; it will be
             # retranslated on every visit (pathological but well-defined).
             return
-        if translation.block.entry_pc in self._entries:
-            old = self._entries.pop(translation.block.entry_pc)
-            self._used_bytes -= old.block.code_bytes
+        if block.entry_pc in self._entries:
+            old = self._entries.pop(block.entry_pc)
+            self._used_bytes -= old.code_bytes
         while self._used_bytes + size > self.capacity_bytes:
             _, evicted = self._entries.popitem(last=False)
-            self._used_bytes -= evicted.block.code_bytes
-            self.stats.evictions += 1
-        self._entries[translation.block.entry_pc] = translation
+            self._used_bytes -= evicted.code_bytes
+        self._entries[block.entry_pc] = block
         self._used_bytes += size
-        self.stats.insertions += 1
 
     def flush(self) -> None:
         """Drop everything (models a CMS upgrade or chain invalidation)."""

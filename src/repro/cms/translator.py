@@ -21,23 +21,9 @@ from repro.vliw.units import TM5600_LATENCIES, LatencyTable
 _CYCLES = whole(0)
 
 
-@dataclass(frozen=True)
-class Translation:
-    """A cached native translation plus bookkeeping."""
-
-    block: TranslatedBlock
-    translation_cycles: int
-
-    @property
-    def entry_pc(self) -> int:
-        return self.block.entry_pc
-
-
 @dataclass
 class TranslatorStats:
     translations: int = 0
-    guest_instructions_translated: int = 0
-    cycles: int = 0
 
 
 class Translator:
@@ -57,14 +43,11 @@ class Translator:
         self.cycles_per_instr = cycles_per_instr
         self.stats = TranslatorStats()
 
-    def translate(self, program: Program, entry_pc: int) -> Translation:
+    def translate(self, program: Program, entry_pc: int) -> TranslatedBlock:
         """Translate the block at *entry_pc*, charging translation time."""
         block = translate_block(
             program, entry_pc, latencies=self.latencies, limits=self.limits
         )
-        cost = block.guest_count * self.cycles_per_instr
-        self.engine.charge(cost)
+        self.engine.charge(block.guest_count * self.cycles_per_instr)
         self.stats.translations += 1
-        self.stats.guest_instructions_translated += block.guest_count
-        self.stats.cycles += cost
-        return Translation(block=block, translation_cycles=cost)
+        return block

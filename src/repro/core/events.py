@@ -377,7 +377,6 @@ class Process:
         self.result: Any = None
         self.finished = False
         self.failed = False
-        self.failure: Optional[BaseException] = None
         self.resumptions = 0
         self._pending: Optional[Event] = None
 
@@ -436,11 +435,9 @@ class Process:
             # may finalize an enclosing world and must see this process
             # as failed (not still alive).  Unhandled errors un-mark.
             self.failed = True
-            self.failure = error
             if self.on_error is not None and self.on_error(self, error):
                 return
             self.failed = False
-            self.failure = None
             raise
         if self.on_block is not None:
             self.on_block(self, yielded)

@@ -46,18 +46,15 @@ from repro.platform.spec import PlatformSpec
 class ExperimentResult:
     """Structured rows plus the rendered table."""
 
-    experiment: str
     headers: List[str]
     rows: List[List]
     text: str
     extras: Dict[str, float]
 
 
-def _result(experiment: str, headers: List[str], rows: List[List],
-            title: str, extras: Optional[Dict[str, float]] = None
-            ) -> ExperimentResult:
+def _result(headers: List[str], rows: List[List], title: str,
+            extras: Optional[Dict[str, float]] = None) -> ExperimentResult:
     return ExperimentResult(
-        experiment=experiment,
         headers=headers,
         rows=rows,
         text=format_table(headers, rows, title=title),
@@ -83,7 +80,6 @@ def experiment_table1() -> ExperimentResult:
             ]
         )
     return _result(
-        "table1",
         ["Processor", "Math sqrt", "Karp sqrt"],
         rows,
         "Table 1: Mflops on the gravitational microkernel",
@@ -149,7 +145,6 @@ def experiment_table2(
         gauge("experiment.n_particles", experiment="table2").set(float(n))
         tel.export(telemetry)
     return _result(
-        "table2",
         ["# CPUs", "Time (sec)", "Speed-Up", "Efficiency", "Comm frac"],
         rows,
         f"Table 2: scalability of the N-body simulation on {spec.title}",
@@ -176,7 +171,6 @@ def experiment_table3(letter: str = "S") -> ExperimentResult:
         for name, mops in projections
     ]
     return _result(
-        "table3",
         headers,
         rows,
         f"Table 3: single-processor Mops, class {letter} NPB work-alikes",
@@ -244,7 +238,6 @@ def experiment_table4() -> ExperimentResult:
         for r in rows_structured
     ]
     return _result(
-        "table4",
         ["Machine", "CPUs", "Gflop", "Mflop/proc", "Source"],
         rows,
         "Table 4: treecode performance, historical and modelled",
@@ -262,7 +255,6 @@ def experiment_table5() -> ExperimentResult:
         rows.append([breakdown.cluster_name] + [f"${v}K" for v in k])
         extras[f"{breakdown.cluster_name} total_usd"] = breakdown.total
     return _result(
-        "table5",
         ["Cluster", "Acquisition", "System Admin", "Power & Cooling",
          "Space", "Downtime", "TCO"],
         rows,
@@ -281,7 +273,6 @@ def experiment_table6() -> ExperimentResult:
         for r in perf_space_table()
     ]
     return _result(
-        "table6",
         ["Machine", "Performance (Gflop)", "Area (ft^2)",
          "Perf/Space (Mflop/ft^2)"],
         rows,
@@ -295,7 +286,6 @@ def experiment_table7() -> ExperimentResult:
         for r in perf_power_table()
     ]
     return _result(
-        "table7",
         ["Machine", "Performance (Gflop)", "Power (kW)",
          "Perf/Power (Gflop/kW)"],
         rows,
@@ -340,7 +330,6 @@ def experiment_fig3(config: Optional[SimConfig] = None,
         ["energy drift", f"{result.energy_drift:.2e}"],
     ]
     exp = _result(
-        "fig3",
         ["Quantity", "Value"],
         rows,
         "Section 3.3 / Figure 3: gravitational N-body run on MetaBlade",
@@ -542,7 +531,6 @@ def experiment_timeline(
         tel.finish(kernel.now)
         tel.export(telemetry)
     return ExperimentResult(
-        experiment="timeline",
         headers=["Event kind", "Count"],
         rows=rows,
         text=text,
@@ -593,7 +581,6 @@ def experiment_topper() -> ExperimentResult:
         ["ToPPeR advantage", round(claim.topper_ratio, 2)],
     ]
     return _result(
-        "topper",
         ["Quantity", "Value"],
         rows,
         "Section 4.1: the ToPPeR argument",

@@ -155,24 +155,6 @@ _OP_CLASS = {
     Op.HALT: OpClass.NOP,
 }
 
-#: Opcodes whose result register is a floating-point register.
-FP_DEST_OPS = frozenset(
-    {
-        Op.FADD,
-        Op.FSUB,
-        Op.FMUL,
-        Op.FDIV,
-        Op.FSQRT,
-        Op.FMADD,
-        Op.FNEG,
-        Op.FABS,
-        Op.FLI,
-        Op.FMOV,
-        Op.ITOF,
-        Op.FLD,
-    }
-)
-
 #: Opcodes that terminate a basic block.
 BLOCK_ENDERS = frozenset(
     {

@@ -144,7 +144,6 @@ class ExecStats:
     instructions: int = 0
     flops: int = 0
     by_class: Dict[OpClass, int] = field(default_factory=dict)
-    taken_branches: int = 0
 
 
 # -- decode: one handler per instruction ---------------------------------
@@ -153,9 +152,8 @@ class ExecStats:
 # operands, immediates and fall-through pc bound in.  It applies the
 # instruction and says where control goes next:
 #
-# - fall-through (including an untaken branch): the next pc, ``>= 0``;
-# - taken branch to ``target``: ``~target`` (negative, so a branch to
-#   ``pc + 1`` still reads as taken);
+# - fall-through (including an untaken branch): the next pc;
+# - taken branch to ``target``: ``target``;
 # - HALT: ``None``.
 #
 # A fault is raised before anything is written, so a faulting handler
@@ -225,38 +223,34 @@ def _branch(test, fp=False):
     """Branch to ``imm`` if ``test(s1, s2)`` on integer or fp registers."""
     def make(d, s, imm, fimm, nxt):
         a, b = s
-        taken = ~imm
         if fp:
             def h(ir, fr, mem):
-                return taken if test(fr[a], fr[b]) else nxt
+                return imm if test(fr[a], fr[b]) else nxt
         else:
             def h(ir, fr, mem):
-                return taken if test(ir[a], ir[b]) else nxt
+                return imm if test(ir[a], ir[b]) else nxt
         return h
     return make
 
 
 def _d_beqz(d, s, imm, fimm, nxt):
     a, = s
-    taken = ~imm
 
     def h(ir, fr, mem):
-        return taken if ir[a] == 0 else nxt
+        return imm if ir[a] == 0 else nxt
     return h
 
 
 def _d_bnez(d, s, imm, fimm, nxt):
     a, = s
-    taken = ~imm
 
     def h(ir, fr, mem):
-        return taken if ir[a] != 0 else nxt
+        return imm if ir[a] != 0 else nxt
     return h
 
 
 def _d_jmp(d, s, imm, fimm, nxt):
-    taken = ~imm
-    return lambda ir, fr, mem: taken
+    return lambda ir, fr, mem: imm
 
 
 def _d_li(d, s, imm, fimm, nxt):
@@ -551,11 +545,7 @@ class Machine:
             st.pc = pc + 1
             st.halted = True
             return False
-        if nxt < 0:
-            st.pc = ~nxt
-            stats.taken_branches += 1
-        else:
-            st.pc = nxt
+        st.pc = nxt
         return True
 
     def run_block(self, block: GuestBlock) -> int:
@@ -599,9 +589,6 @@ class Machine:
         if nxt is None:
             st.pc = entry_pc + length
             st.halted = True
-        elif nxt < 0:
-            st.pc = ~nxt
-            stats.taken_branches += 1
         else:
             st.pc = nxt
         return length

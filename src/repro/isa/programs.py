@@ -21,7 +21,7 @@ against the same golden answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -385,140 +385,6 @@ def gravity_microkernel_karp_chebyshev(
     )
 
 
-_AXPY_ASM = """
-; r1=x base, r2=y base (also output), r3=n, f11=a
-    mov   r5, r1
-    mov   r6, r2
-    mov   r7, r3
-loop:
-    fld   f1, r5, 0
-    fld   f2, r6, 0
-    fmadd f3, f11, f1, f2
-    fst   r6, f3, 0
-    addi  r5, r5, 1
-    addi  r6, r6, 1
-    subi  r7, r7, 1
-    bnez  r7, loop
-    halt
-"""
-
-
-def axpy(n: int = 128, a: float = 2.5, seed: int = 7) -> GuestWorkload:
-    """y <- a*x + y over *n* elements (STREAM-style, memory bound)."""
-    program = assemble(_AXPY_ASM, name="axpy")
-    rng = _rng(seed)
-    x = rng.standard_normal(n)
-    y = rng.standard_normal(n)
-
-    def make_state() -> MachineState:
-        st = MachineState()
-        st.iregs["r1"] = INPUT_BASE
-        st.iregs["r2"] = OUTPUT_BASE
-        st.iregs["r3"] = n
-        st.fregs["f11"] = a
-        st.mem.store_array(INPUT_BASE, x)
-        st.mem.store_array(OUTPUT_BASE, y)
-        return st
-
-    return GuestWorkload(
-        name="axpy",
-        program=program,
-        make_state=make_state,
-        expected=a * x + y,
-        flops_per_element=2,
-        elements=n,
-    )
-
-
-_DOT_ASM = """
-; r1=x base, r2=y base, r3=n, result -> fpmem[r4]
-    mov   r5, r1
-    mov   r6, r2
-    mov   r7, r3
-    fli   f3, 0.0
-loop:
-    fld   f1, r5, 0
-    fld   f2, r6, 0
-    fmadd f3, f1, f2, f3
-    addi  r5, r5, 1
-    addi  r6, r6, 1
-    subi  r7, r7, 1
-    bnez  r7, loop
-    fst   r4, f3, 0
-    halt
-"""
-
-
-def dot_product(n: int = 128, seed: int = 11) -> GuestWorkload:
-    """Serial dot product (long FMA dependence chain)."""
-    program = assemble(_DOT_ASM, name="dot")
-    rng = _rng(seed)
-    x = rng.standard_normal(n)
-    y = rng.standard_normal(n)
-
-    def make_state() -> MachineState:
-        st = MachineState()
-        st.iregs["r1"] = INPUT_BASE
-        st.iregs["r2"] = INPUT2_BASE
-        st.iregs["r3"] = n
-        st.iregs["r4"] = OUTPUT_BASE
-        st.mem.store_array(INPUT_BASE, x)
-        st.mem.store_array(INPUT2_BASE, y)
-        return st
-
-    # Mirror the serial accumulation order exactly.
-    acc = 0.0
-    for xi, yi in zip(x, y):
-        acc = xi * yi + acc
-    return GuestWorkload(
-        name="dot",
-        program=program,
-        make_state=make_state,
-        expected=np.array([acc]),
-        flops_per_element=2,
-        elements=n,
-    )
-
-
-_FIB_ASM = """
-; r1=n ; result -> intmem[r4]
-    li    r2, 0        ; a
-    li    r3, 1        ; b
-loop:
-    beqz  r1, done
-    add   r5, r2, r3
-    mov   r2, r3
-    mov   r3, r5
-    subi  r1, r1, 1
-    jmp   loop
-done:
-    st    r4, r2, 0
-    halt
-"""
-
-
-def fib(n: int = 30) -> GuestWorkload:
-    """Iterative Fibonacci (pure integer/branch workload)."""
-    program = assemble(_FIB_ASM, name="fib")
-
-    def make_state() -> MachineState:
-        st = MachineState()
-        st.iregs["r1"] = n
-        st.iregs["r4"] = OUTPUT_BASE
-        return st
-
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return GuestWorkload(
-        name="fib",
-        program=program,
-        make_state=make_state,
-        expected=np.array([float(a)]),
-        elements=n,
-    )
-
-
 _TRIAD_ASM = """
 ; r1=a base(out), r2=b base, r3=c base, r7=n, f11=scalar
 loop:
@@ -535,10 +401,11 @@ loop:
 """
 
 
-def stream_triad(n: int = 128, scalar: float = 3.0, seed: int = 13) -> GuestWorkload:
+def stream_triad(n: int = 128) -> GuestWorkload:
     """a <- b + scalar*c (the STREAM triad, 2 loads + 1 store per element)."""
     program = assemble(_TRIAD_ASM, name="triad")
-    rng = _rng(seed)
+    scalar = 3.0
+    rng = _rng(13)
     b = rng.standard_normal(n)
     c = rng.standard_normal(n)
 
@@ -577,9 +444,10 @@ loop:
 """
 
 
-def int_checksum(n: int = 4096, state: int = 12345) -> GuestWorkload:
+def int_checksum(n: int = 4096) -> GuestWorkload:
     """Long-running integer/branch kernel with a bounded checksum."""
     program = assemble(_INT_CHECKSUM_ASM, name="int-checksum")
+    state = 12345
 
     def make_state() -> MachineState:
         st = MachineState()
@@ -640,10 +508,10 @@ MATMUL_B_BASE = 72_000
 MATMUL_C_BASE = 74_000
 
 
-def matmul(n: int = 8, seed: int = 17) -> GuestWorkload:
+def matmul(n: int = 8) -> GuestWorkload:
     """Dense n x n matrix multiply (triple loop, FMA inner product)."""
     program = assemble(_MATMUL_ASM, name="matmul")
-    rng = _rng(seed)
+    rng = _rng(17)
     a = rng.standard_normal((n, n))
     b = rng.standard_normal((n, n))
 
@@ -704,10 +572,10 @@ done:
 """
 
 
-def insertion_sort(n: int = 48, seed: int = 19) -> GuestWorkload:
+def insertion_sort(n: int = 48) -> GuestWorkload:
     """Data-dependent branching (the interpreter/branch stress case)."""
     program = assemble(_INSERTION_SORT_ASM, name="insertion-sort")
-    rng = _rng(seed)
+    rng = _rng(19)
     values = rng.integers(-500, 500, size=n)
 
     def make_state() -> MachineState:
@@ -740,10 +608,10 @@ loop:
 """
 
 
-def memcopy(n: int = 256, seed: int = 23) -> GuestWorkload:
+def memcopy(n: int = 256) -> GuestWorkload:
     """Pure load/store streaming (memory-system stress)."""
     program = assemble(_MEMCOPY_ASM, name="memcopy")
-    data = _rng(seed).standard_normal(n)
+    data = _rng(23).standard_normal(n)
 
     def make_state() -> MachineState:
         st = MachineState()
@@ -789,10 +657,10 @@ done:
 """
 
 
-def horner(n: int = 64, degree: int = 12, seed: int = 29) -> GuestWorkload:
+def horner(n: int = 64, degree: int = 12) -> GuestWorkload:
     """Serial FP dependence chains (latency-bound, no ILP to find)."""
     program = assemble(_HORNER_ASM, name="horner")
-    rng = _rng(seed)
+    rng = _rng(29)
     x = rng.uniform(-1.0, 1.0, n)
     coeffs = rng.standard_normal(degree + 1)    # degree..0
 
@@ -821,27 +689,3 @@ def horner(n: int = 64, degree: int = 12, seed: int = 29) -> GuestWorkload:
         flops_per_element=2 * degree,
         elements=n,
     )
-
-
-#: The SPEC-flavoured suite for the Section 4 benchmarking argument.
-SUITE_KERNELS: Tuple[Callable[[], GuestWorkload], ...] = (
-    matmul,
-    insertion_sort,
-    memcopy,
-    horner,
-)
-
-#: All supporting kernels, for parametrised tests.
-SUPPORT_KERNELS: Tuple[Callable[[], GuestWorkload], ...] = (
-    axpy,
-    dot_product,
-    fib,
-    stream_triad,
-    int_checksum,
-)
-
-#: The paper's Table 1 kernels.
-MICROKERNELS: Tuple[Callable[..., GuestWorkload], ...] = (
-    gravity_microkernel_math,
-    gravity_microkernel_karp,
-)

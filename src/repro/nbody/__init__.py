@@ -25,7 +25,7 @@ from repro.nbody.kernels import (
     direct_accelerations,
     direct_potential,
 )
-from repro.nbody.morton import morton_encode, morton_decode, particle_keys
+from repro.nbody.morton import morton_encode, particle_keys
 from repro.nbody.tree import HashedOctree, TreeNode
 from repro.nbody.traversal import tree_accelerations, TraversalStats
 from repro.nbody.ic import plummer_sphere, uniform_cube, two_clusters
@@ -51,7 +51,6 @@ __all__ = [
     "direct_potential",
     "karp_rsqrt",
     "leapfrog_step",
-    "morton_decode",
     "morton_encode",
     "parallel_nbody_step",
     "particle_keys",

@@ -12,8 +12,6 @@ which is also how the parallel decomposition slices the domain.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 #: Maximum tree depth representable in a 64-bit key.
@@ -42,14 +40,6 @@ def _spread(v: np.ndarray) -> np.ndarray:
     return x
 
 
-def _compact(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_spread`."""
-    x = v.astype(np.uint64) & _MASKS_SPREAD[-1]
-    for shift, mask in zip(reversed(_SHIFTS), reversed(_MASKS_SPREAD[:-1])):
-        x = (x | (x >> shift)) & mask
-    return x
-
-
 def morton_encode(ix: np.ndarray, iy: np.ndarray,
                   iz: np.ndarray) -> np.ndarray:
     """Interleave three 21-bit integer coordinates into Morton codes."""
@@ -57,16 +47,6 @@ def morton_encode(ix: np.ndarray, iy: np.ndarray,
         (_spread(np.asarray(ix)) << _U(2))
         | (_spread(np.asarray(iy)) << _U(1))
         | _spread(np.asarray(iz))
-    )
-
-
-def morton_decode(code: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Recover the integer coordinates from Morton codes."""
-    code = np.asarray(code, dtype=np.uint64)
-    return (
-        _compact(code >> _U(2)),
-        _compact(code >> _U(1)),
-        _compact(code),
     )
 
 

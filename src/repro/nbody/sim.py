@@ -15,7 +15,7 @@ of run).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -109,7 +109,6 @@ class NBodySimulation:
         #: Per-call flop bill from :meth:`_accel`, in order.  Entry 0 is
         #: the priming call in :meth:`run`; entries 1.. match ``records``.
         self.flops_ledger: List[int] = []
-        self._acc: Optional[np.ndarray] = None
         self._tree_cache = TreeBuildCache()
 
     def _accel(self, pos: np.ndarray) -> Tuple[np.ndarray, int]:

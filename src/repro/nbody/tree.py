@@ -45,7 +45,6 @@ import numpy as np
 from repro.nbody.morton import (
     MAX_DEPTH,
     ROOT_KEY,
-    morton_decode,
     particle_keys,
 )
 
@@ -67,7 +66,6 @@ class TreeNode:
     hi: int
     mass: float
     com: np.ndarray         # centre of mass (3,)
-    centre: np.ndarray      # geometric cell centre (3,)
     size: float             # cell edge length
     is_leaf: bool
     #: position in creation (= depth-first visit) order; the node's
@@ -148,13 +146,10 @@ class HashedOctree:
         self.box_hi = centre + half
 
         keys = particle_keys(pos, self.box_lo, self.box_hi, self.depth)
-        #: True when the cached sort permutation was still valid.
-        self.order_reused = False
         order = None
         if _order_hint is not None and _order_hint.shape == keys.shape:
             if _stable_order_valid(keys, _order_hint):
-                order = _order_hint
-                self.order_reused = True
+                order = _order_hint        # the cached sort still holds
         if order is None:
             order = np.argsort(keys, kind="stable")
         self.order = order
@@ -272,10 +267,10 @@ class HashedOctree:
         )
 
     def _finalize(self, topo: _Topology) -> None:
-        """Vectorised moments + geometry for every node at once.
+        """Vectorised moments + cell size for every node at once.
 
         Elementwise-identical to evaluating ``_moments`` and the cell
-        geometry one node at a time (the pre-batching construction), so
+        size one node at a time (the pre-batching construction), so
         the resulting nodes are bit-identical -
         ``tests/test_nbody_morton_tree.py`` keeps the per-cell geometry
         and asserts as much.
@@ -289,21 +284,10 @@ class HashedOctree:
         com = np.where(positive[:, None], com, mid)
         mass = np.where(positive, m, 0.0)
 
-        # Geometry: decode every node key in one shot.
+        # Cell size, from the level alone.
         levels = topo.level
-        sentinel = np.uint64(1) << (3 * levels).astype(np.uint64)
-        code = topo.key & ~sentinel
-        full = code << (3 * (self.depth - levels)).astype(np.uint64)
-        ix, iy, iz = morton_decode(full)
-        cells = 1 << self.depth
         span = self.box_hi - self.box_lo
-        grid = np.stack(
-            [ix.astype(np.float64), iy.astype(np.float64),
-             iz.astype(np.float64)], axis=1,
-        )
-        origin = self.box_lo + grid / cells * span
         size_vec = span[None, :] / (2.0 ** levels)[:, None]
-        centre = origin + 0.5 * size_vec
         size = np.max(size_vec, axis=1)
 
         quad = None
@@ -322,7 +306,6 @@ class HashedOctree:
         self.node_is_leaf = topo.is_leaf
         self.node_mass = mass
         self.node_com = com
-        self.node_centre = centre
         self.node_size = size
         self.node_quad = quad
         self.child_ptr = topo.child_ptr
@@ -336,18 +319,18 @@ class HashedOctree:
     def nodes(self) -> Dict[int, TreeNode]:
         """The hash table, keyed by cell key, in creation order.
 
-        Built from the flat arrays on first access (``com``, ``centre``
-        and ``quadrupole`` are views into them); a tree that is only
+        Built from the flat arrays on first access (``com`` and
+        ``quadrupole`` are views into them); a tree that is only
         ever walked by the batched traversal never pays for it.
         """
         keys = self.node_key.tolist()
         children = self.child_index.tolist()
         cptr = self.child_ptr.tolist()
-        com, centre, quad = self.node_com, self.node_centre, self.node_quad
+        com, quad = self.node_com, self.node_quad
         return {
             key: TreeNode(
                 key=key, level=level, lo=lo, hi=hi, mass=mass,
-                com=com[i], centre=centre[i], size=size,
+                com=com[i], size=size,
                 is_leaf=is_leaf, index=i,
                 children=tuple(
                     keys[j] for j in children[cptr[i]:cptr[i + 1]]
@@ -419,7 +402,8 @@ class TreeBuildCache:
     particle set, or the replicated-tree ranks of the parallel code all
     building the same step's tree).  ``build`` is a drop-in for the
     :class:`HashedOctree` constructor and returns bit-identical trees;
-    the counters record how much work each call actually did:
+    the counters record how much work each call actually did (an
+    order reuse is not counted apart from the build it speeds up):
 
     - **full reuse** - identical particles and parameters: the cached
       tree object is returned as-is;
@@ -440,7 +424,6 @@ class TreeBuildCache:
         self._bounds: Optional[tuple] = None
         self.full_reuses = 0
         self.topology_reuses = 0
-        self.order_reuses = 0
         self.rebuilds = 0
 
     @property
@@ -485,8 +468,6 @@ class TreeBuildCache:
             self.topology_reuses += 1
         else:
             self.rebuilds += 1
-        if tree.order_reused:
-            self.order_reuses += 1
         self._tree = tree
         self._pos = pos.copy()
         self._mass = mass.copy()

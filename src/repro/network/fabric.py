@@ -43,8 +43,6 @@ class Transfer(NamedTuple):
     #: known) but never reaches dst.  Delivery/retry policy lives in
     #: the SimMPI layer, not here.
     lost: bool = False
-    #: The frame detoured over a backup path (rack fabrics only).
-    rerouted: bool = False
 
 
 class Fabric:

@@ -65,15 +65,13 @@ class Calendar:
     clamp is a no-op and the answers are identical).
     """
 
-    __slots__ = ("starts", "ends", "busy_s", "transfers", "_floor")
+    __slots__ = ("starts", "ends", "_floor")
 
     _PRUNE_AT = 1024
 
     def __init__(self) -> None:
         self.starts: list = []
         self.ends: list = []
-        self.busy_s = 0.0
-        self.transfers = 0
         self._floor = 0.0
 
     def book(self, ready: float, duration: float) -> float:
@@ -82,8 +80,6 @@ class Calendar:
             ready = self._floor
         starts, ends = self.starts, self.ends
         n = len(starts)
-        self.busy_s += duration
-        self.transfers += 1
         if not n or ready >= ends[-1]:
             # The idle tail: every run ends at-or-before ready, which is
             # where the bisect below would land, with nothing after it.

@@ -193,8 +193,7 @@ class RackTopology(Fabric):
                     "net-reroute", time=arrive, src=src, dst=dst,
                     nbytes=nbytes, resource=f"chassis{src_ch}-backup",
                 )
-        t = Transfer(src, dst, nbytes, post_time, depart, arrive,
-                     lost, rerouted)
+        t = Transfer(src, dst, nbytes, post_time, depart, arrive, lost)
         self.transfers.append(t)
         if tracing:
             kernel.trace(

@@ -2,13 +2,9 @@
 
 NPB defines classes S (sample), W (workstation), A, B, ... per kernel.
 Running true Class W through a Python interpreter is impractical for
-the grid codes, so each class here carries two faces:
-
-- ``sizes``: the dimensions actually executed (scaled to finish in
-  seconds on the host while exercising the full algorithm);
-- ``nominal_ops``: the operation count of the *real* class-W problem,
-  used for the Table 3 Mops projection (the kernels' measured op counts
-  scale-check against these in the tests).
+the grid codes, so each class here carries the dimensions actually
+executed (``sizes``), scaled to finish in seconds on the host while
+exercising the full algorithm.
 
 A 'T' (tiny) class exists purely for fast unit tests.
 """
@@ -26,50 +22,43 @@ class ProblemClass:
     kernel: str
     letter: str
     sizes: Mapping[str, int]
-    #: Operations of the genuine NPB problem at this class (flop-count
-    #: scale; approximations documented in EXPERIMENTS.md).
-    nominal_ops: float
 
     def size(self, key: str) -> int:
         return self.sizes[key]
 
 
-def _pc(kernel: str, letter: str, nominal_ops: float,
-        **sizes: int) -> ProblemClass:
-    return ProblemClass(
-        kernel=kernel, letter=letter, sizes=dict(sizes),
-        nominal_ops=nominal_ops,
-    )
+def _pc(kernel: str, letter: str, **sizes: int) -> ProblemClass:
+    return ProblemClass(kernel=kernel, letter=letter, sizes=dict(sizes))
 
 
 #: class -> kernel -> ProblemClass
 CLASSES: Dict[str, Dict[str, ProblemClass]] = {
     "T": {
-        "EP": _pc("EP", "T", 2.0e5, pairs=1 << 12),
-        "IS": _pc("IS", "T", 1.0e5, keys=1 << 12, max_key=1 << 9, iters=3),
-        "MG": _pc("MG", "T", 5.0e5, n=16, cycles=2),
-        "CG": _pc("CG", "T", 4.0e5, n=256, nonzeros=8, iters=8),
-        "BT": _pc("BT", "T", 8.0e5, n=8, iters=2),
-        "SP": _pc("SP", "T", 6.0e5, n=8, iters=2),
-        "LU": _pc("LU", "T", 7.0e5, n=8, iters=2),
+        "EP": _pc("EP", "T", pairs=1 << 12),
+        "IS": _pc("IS", "T", keys=1 << 12, max_key=1 << 9, iters=3),
+        "MG": _pc("MG", "T", n=16, cycles=2),
+        "CG": _pc("CG", "T", n=256, nonzeros=8, iters=8),
+        "BT": _pc("BT", "T", n=8, iters=2),
+        "SP": _pc("SP", "T", n=8, iters=2),
+        "LU": _pc("LU", "T", n=8, iters=2),
     },
     "S": {
-        "EP": _pc("EP", "S", 8.6e8, pairs=1 << 20),
-        "IS": _pc("IS", "S", 5.2e7, keys=1 << 16, max_key=1 << 11, iters=10),
-        "MG": _pc("MG", "S", 4.7e8, n=32, cycles=4),
-        "CG": _pc("CG", "S", 6.9e7, n=1400, nonzeros=7, iters=15),
-        "BT": _pc("BT", "S", 1.7e9, n=12, iters=12),
-        "SP": _pc("SP", "S", 8.5e8, n=12, iters=20),
-        "LU": _pc("LU", "S", 1.3e9, n=12, iters=20),
+        "EP": _pc("EP", "S", pairs=1 << 20),
+        "IS": _pc("IS", "S", keys=1 << 16, max_key=1 << 11, iters=10),
+        "MG": _pc("MG", "S", n=32, cycles=4),
+        "CG": _pc("CG", "S", n=1400, nonzeros=7, iters=15),
+        "BT": _pc("BT", "S", n=12, iters=12),
+        "SP": _pc("SP", "S", n=12, iters=20),
+        "LU": _pc("LU", "S", n=12, iters=20),
     },
     "W": {
-        "EP": _pc("EP", "W", 2.7e10, pairs=1 << 22),
-        "IS": _pc("IS", "W", 8.0e8, keys=1 << 18, max_key=1 << 13, iters=10),
-        "MG": _pc("MG", "W", 1.3e10, n=64, cycles=4),
-        "CG": _pc("CG", "W", 1.9e9, n=7000, nonzeros=8, iters=15),
-        "BT": _pc("BT", "W", 7.8e10, n=24, iters=10),
-        "SP": _pc("SP", "W", 2.7e10, n=24, iters=12),
-        "LU": _pc("LU", "W", 4.1e10, n=24, iters=12),
+        "EP": _pc("EP", "W", pairs=1 << 22),
+        "IS": _pc("IS", "W", keys=1 << 18, max_key=1 << 13, iters=10),
+        "MG": _pc("MG", "W", n=64, cycles=4),
+        "CG": _pc("CG", "W", n=7000, nonzeros=8, iters=15),
+        "BT": _pc("BT", "W", n=24, iters=10),
+        "SP": _pc("SP", "W", n=24, iters=12),
+        "LU": _pc("LU", "W", n=24, iters=12),
     },
 }
 

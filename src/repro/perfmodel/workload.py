@@ -27,7 +27,6 @@ from repro.npb.common import OpMix
 class CpuCharacterization:
     """Measured per-class cycles-per-operation for one CPU."""
 
-    cpu_name: str
     clock_hz: float
     cpi_fp: float
     cpi_mem: float
@@ -74,7 +73,6 @@ def characterize(cpu: Processor) -> CpuCharacterization:
         / (cpu.spec.memory_gbs * 1e9)
     )
     result = CpuCharacterization(
-        cpu_name=cpu.name,
         clock_hz=cpu.spec.clock_hz,
         cpi_fp=karp.cycles_per_instruction,
         cpi_mem=max(triad.cycles_per_instruction, dram_cpi),

@@ -12,8 +12,8 @@ Lifecycle of a job::
           --> world completes --> finish event at the job's virtual
               end time --> blades released, next dispatch round
 
-Node failures arrive as events too: the victim blade goes down, the
-management hub logs the fault, the resident job's world is killed
+Node failures arrive as events too: the victim blade goes down (the
+allocator records the outage), the resident job's world is killed
 (every rank raises :class:`NodeFailureError`) and the job is requeued
 — resuming from its last complete checkpoint when the config enables
 checkpointing — or abandoned once it has burned ``max_retries``
@@ -40,7 +40,6 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.cluster.management import EventKind, ManagementEvent, ManagementHub
 from repro.core.domains import (
     NONNEGATIVE, POSITIVE, check_domains, param, whole,
 )
@@ -199,7 +198,6 @@ class SchedOutcome:
     flop_rate: float
     records: JobRecords
     allocator: BladeAllocator
-    hub: ManagementHub
     makespan_s: float
     failures_injected: int = 0
     thermal: Optional[ThermalSummary] = None
@@ -331,7 +329,6 @@ class BatchScheduler:
         self.nodes = platform.nodes
         self.flop_rate = platform.node_flop_rate()
         self.allocator = platform.build_allocator()
-        self.hub = ManagementHub.for_packaging(platform.packaging)
         self.power = platform.power_model()
         #: Every job's numbers, one column each, one row per job: the
         #: scheduler's only per-job store.
@@ -604,7 +601,6 @@ class BatchScheduler:
             flop_rate=self.flop_rate,
             records=JobRecords(ledger, rows),
             allocator=self.allocator,
-            hub=self.hub,
             makespan_s=makespan,
             failures_injected=self.failures_injected,
             thermal=summary,
@@ -974,25 +970,13 @@ class BatchScheduler:
         self._lose_blade(blade, detail)
 
     def _lose_blade(self, blade: int, detail: str) -> None:
-        """A blade drops out of service: log, mark down, kill resident."""
+        """A blade drops out of service: mark down, kill resident."""
         now = self.kernel.now
         job_id = self.allocator.job_on(blade)
-        self._blade_down(blade, now, detail)
+        self.allocator.mark_down(blade, now, detail)
         running = self._running.get(job_id)
         if running is not None and running.killed_at is None:
             self._kill(running, blade, now, detail)
-
-    def _blade_down(self, blade: int, now: float, detail: str) -> None:
-        """Log the fault on the hub and take the blade out of service."""
-        time_h = now / 3600.0
-        self.hub.record(ManagementEvent(time_h, EventKind.FAILURE, blade, detail))
-        self.hub.record(
-            ManagementEvent(
-                time_h + self.hub.detection_latency_h,
-                EventKind.DETECTED, blade, detail,
-            )
-        )
-        self.allocator.mark_down(blade, now, detail)
 
     def _kill(self, running: _RunningJob, blade: int, now: float,
               detail: str) -> bool:
@@ -1088,7 +1072,7 @@ class BatchScheduler:
             return
         running.overtemp = True
         self._thermal_summary.overtemp_kills += 1
-        self._blade_down(victim, now, "overtemp")
+        self.allocator.mark_down(victim, now, "overtemp")
         self.kernel.trace("overtemp-kill", job=job_id, node=victim)
 
     def _end_attempt_thermal(self, running: _RunningJob, now: float) -> None:

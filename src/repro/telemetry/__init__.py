@@ -80,7 +80,6 @@ class Telemetry:
         #: exported on their own track (never mixed into virtual time).
         self._wall: List[Dict[str, Any]] = []
         self._wall_t0 = time.perf_counter()
-        self._wall_depth = 0
 
     # -- kernel attachment -------------------------------------------------
 
@@ -102,11 +101,9 @@ class Telemetry:
     def wall_span(self, name: str, **args: Any) -> Iterator[None]:
         """Time a phase of the simulator itself (host wall clock)."""
         t0 = time.perf_counter() - self._wall_t0
-        self._wall_depth += 1
         try:
             yield
         finally:
-            self._wall_depth -= 1
             t1 = time.perf_counter() - self._wall_t0
             self._wall.append({
                 "ph": "X", "ts": round(t0 * _WALL_US, 3),

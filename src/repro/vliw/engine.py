@@ -113,9 +113,9 @@ class TranslatedBlock:
         return sum(m.width_bits // 8 for m in self.molecules)
 
     @cached_property
-    def issue_plan(self) -> Tuple[Tuple[MoleculePlan, ...], int, TimingMemo]:
-        """What the scoreboard needs of each molecule, the atom total,
-        and the translation's timing memo.
+    def issue_plan(self) -> Tuple[Tuple[MoleculePlan, ...], TimingMemo]:
+        """What the scoreboard needs of each molecule, and the
+        translation's timing memo.
 
         Derived on first execution and kept with the translation, so
         re-running a cached block never revisits its atoms, and the
@@ -140,8 +140,7 @@ class TranslatedBlock:
             plan.append(
                 (tuple(srcs), needs_fpu, tuple(writes), tuple(unpipelined))
             )
-        atoms = sum(len(molecule) for molecule in self.molecules)
-        return tuple(plan), atoms, TimingMemo()
+        return tuple(plan), TimingMemo()
 
 
 def translate_block(program: Program, entry_pc: int,
@@ -154,16 +153,6 @@ def translate_block(program: Program, entry_pc: int,
     return TranslatedBlock(entry_pc=entry_pc, atoms=atoms, molecules=molecules)
 
 
-@dataclass
-class EngineStats:
-    """Cumulative native-execution statistics."""
-
-    molecules_issued: int = 0
-    atoms_executed: int = 0
-    stall_cycles: int = 0
-    blocks_executed: int = 0
-
-
 class VliwEngine:
     """Times and executes translated blocks on the VLIW core."""
 
@@ -174,13 +163,11 @@ class VliwEngine:
         self.clock: int = 0
         self._reg_ready: Dict[str, int] = {}
         self._fpu_free: int = 0
-        self.stats = EngineStats()
 
     def reset(self) -> None:
         self.clock = 0
         self._reg_ready.clear()
         self._fpu_free = 0
-        self.stats = EngineStats()
 
     def charge(self, cycles: int) -> None:
         """Advance the clock for non-native work (interpret/translate)."""
@@ -214,18 +201,12 @@ class VliwEngine:
                 f"guest instructions, the block has {block.length}"
             )
 
-        plan, atom_total, memo = tb.issue_plan
+        plan, memo = tb.issue_plan
         if memo.cold_runs:
             memo.cold_runs -= 1
             cycles = self._walk(plan)
         else:
             cycles = self._replay_or_walk(memo, plan)
-        stats = self.stats
-        stats.molecules_issued += len(plan)
-        stats.atoms_executed += atom_total
-        stats.blocks_executed += 1
-        stats.stall_cycles += cycles - len(plan)
-
         machine.run_block(block)
         return cycles
 

@@ -18,8 +18,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterReliability
-from repro.cluster.management import ClusterOperationSim, LiveFailureInjector
+from repro.cluster import BLADED_OUTAGES, ClusterReliability
+from repro.cluster.management import ClusterOperationSim
 from repro.cms import CmsConfig, CodeMorphingSoftware
 from repro.core.experiments import experiment_fig3, experiment_table2
 from repro.cpus.catalog import (
@@ -736,9 +736,8 @@ def failure_injection():
         runtime = SimMpiRuntime(
             24, fabric=star_fabric(24), flop_rate=1e8
         )
-        injector = LiveFailureInjector(runtime)
         for time_s, rank in failures:
-            injector.fail_rank(time_s, rank, detail="injected")
+            runtime.fail_at(time_s, rank, "injected")
         run = runtime.run(_ring_program(8))
         live_rows.append(
             [
@@ -746,7 +745,8 @@ def failure_injection():
                 len(run.failed_ranks),
                 run.completed_ranks,
                 round(run.elapsed_s, 3),
-                round(injector.lost_cpu_hours(), 1),
+                # A blade failure costs its own node for the outage.
+                round(len(failures) * BLADED_OUTAGES.outage_hours, 1),
             ]
         )
     for name, expected, measured, _, _ in rows:

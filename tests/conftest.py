@@ -12,6 +12,7 @@ import pytest
 from repro.check import RunManifest
 from repro.isa import programs
 from repro.core.claims import experiment_result
+from tests import oracles
 
 DATA = Path(__file__).parent / "data"
 
@@ -66,9 +67,9 @@ def all_small_workloads(micro_math, micro_karp):
     return [
         micro_math,
         micro_karp,
-        programs.axpy(n=32),
-        programs.dot_product(n=32),
-        programs.fib(n=25),
+        oracles.axpy(n=32),
+        oracles.dot_product(n=32),
+        oracles.fib(n=25),
         programs.stream_triad(n=32),
         programs.int_checksum(n=200),
     ]

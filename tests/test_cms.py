@@ -8,7 +8,7 @@ import pytest
 
 from repro.cms import CmsConfig, CodeMorphingSoftware, GuestInterpreter
 from repro.cms.tcache import TranslationCache
-from repro.cms.translator import Translation, Translator
+from repro.cms.translator import Translator
 from repro.isa import programs
 from repro.isa.assembler import assemble
 from repro.isa.instructions import Program
@@ -119,17 +119,11 @@ def test_locality_premise(micro_karp):
 # -- translation cache -----------------------------------------------------
 
 
-def _translation(program, pc=0):
-    return Translation(
-        block=translate_block(program, pc), translation_cycles=100
-    )
-
-
 def test_tcache_hit_miss_and_lru():
     program = assemble("addi r1, r1, 1\nbnez r1, 0\naddi r2, r2, 1\nhalt")
     cache = TranslationCache(capacity_bytes=10**6)
     assert cache.lookup(0) is None
-    t0 = _translation(program, 0)
+    t0 = translate_block(program, 0)
     cache.insert(t0)
     assert cache.lookup(0) is t0
     assert cache.stats.hits == 1
@@ -140,15 +134,14 @@ def test_tcache_eviction_under_pressure():
     program = assemble(
         "\n".join("addi r1, r1, 1" for _ in range(4)) + "\nhalt"
     )
-    t = _translation(program, 0)
-    size = t.block.code_bytes
-    cache = TranslationCache(capacity_bytes=size)   # room for exactly one
+    t = translate_block(program, 0)
+    cache = TranslationCache(capacity_bytes=t.code_bytes)   # room for one
     cache.insert(t)
-    t2 = Translation(block=translate_block(program, 1), translation_cycles=1)
+    t2 = translate_block(program, 1)
     cache.insert(t2)
-    assert cache.stats.evictions == 1
-    assert cache.lookup(t.block.entry_pc) is None
-    assert cache.lookup(t2.block.entry_pc) is t2
+    assert len(cache) == 1
+    assert cache.lookup(t.entry_pc) is None
+    assert cache.lookup(t2.entry_pc) is t2
 
 
 def test_tcache_oversized_translation_not_cached():
@@ -156,14 +149,14 @@ def test_tcache_oversized_translation_not_cached():
         "\n".join("addi r1, r1, 1" for _ in range(8)) + "\nhalt"
     )
     cache = TranslationCache(capacity_bytes=4)
-    cache.insert(_translation(program, 0))
+    cache.insert(translate_block(program, 0))
     assert len(cache) == 0
 
 
 def test_tcache_flush():
     program = assemble("addi r1, r1, 1\nhalt")
     cache = TranslationCache()
-    cache.insert(_translation(program))
+    cache.insert(translate_block(program, 0))
     cache.flush()
     assert len(cache) == 0
     assert cache._used_bytes == 0

@@ -8,6 +8,10 @@ plus the forward latency ``F``; last, the receiver's overhead ``o_r``.
 The sender's overhead is charged before the post time ``t``.  Each
 formula is written in the simulator's float order, so the fabric must
 equal it bit for bit.
+
+A ring of simultaneous messages on a star contends for one thing only:
+each message has its own uplink and downlink, and the switch backplane
+forwards them one after another, in posting order.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -30,6 +34,23 @@ def _star(t, nbytes):
                  + 8.0 * nbytes / switch.backplane_bps
                  + switch.forward_latency_s)
     return _link(forwarded, nic.link, nbytes) + nic.recv_overhead_s
+
+
+def _star_ring(t, nbytes, ranks):
+    """Arrivals of *ranks* messages of *nbytes*, rank i to rank i + 1,
+    all posted at *t* in rank order: every one is off its uplink at the
+    same instant, and the k-th starts its forward once the k - 1
+    before it are through the backplane."""
+    nic, switch = METABLADE_FABRIC.nic, METABLADE_FABRIC.switch
+    forward = 8.0 * nbytes / switch.backplane_bps
+    start = _link(t, nic.link, nbytes)
+    arrivals = []
+    for _ in range(ranks):
+        forwarded = start + forward + switch.forward_latency_s
+        arrivals.append(_link(forwarded, nic.link, nbytes)
+                        + nic.recv_overhead_s)
+        start += forward
+    return arrivals
 
 
 def _rack_within(t, nbytes):
@@ -76,6 +97,16 @@ def test_an_uncontended_star_message_costs_the_closed_form(data, nodes,
     src, dst = data.draw(_pair(nodes))
     fabric = METABLADE_FABRIC.build(nodes)
     assert fabric.send(src, dst, nbytes, t).arrive_time == _star(t, nbytes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranks=st.integers(2, 24), nbytes=_NBYTES, t=_POST)
+def test_a_ring_on_a_star_serialises_on_the_backplane_in_posting_order(
+        ranks, nbytes, t):
+    fabric = METABLADE_FABRIC.build(ranks)
+    arrivals = [fabric.send(rank, (rank + 1) % ranks, nbytes, t).arrive_time
+                for rank in range(ranks)]
+    assert arrivals == _star_ring(t, nbytes, ranks)
 
 
 @settings(max_examples=300, deadline=None)

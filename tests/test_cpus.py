@@ -23,6 +23,7 @@ from repro.isa import programs
 from repro.isa.assembler import assemble
 from repro.isa.instructions import OpClass
 from repro.isa.machine import GuestFault
+from tests.oracles import dot_product
 
 
 def test_port_spec_validation():
@@ -121,7 +122,7 @@ def test_in_order_is_never_faster_than_ooo(micro_karp):
 
 
 def test_fma_support_speeds_up_fma_code():
-    wl = programs.dot_product(n=64)
+    wl = dot_product(n=64)
     table = make_port_table()
     with_fma = PortSimulator(table, issue_width=3, window=40, has_fma=True)
     without = PortSimulator(table, issue_width=3, window=40, has_fma=False)

@@ -12,10 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.cluster import (
-    BLADED_OUTAGES,
-    LiveFailureInjector,
-)
 from repro.core.experiments import experiment_timeline
 from repro.core.events import EventKernel, Process
 from repro.cpus.longrun import (
@@ -491,21 +487,6 @@ def test_fail_at_and_kill_all_refuse_a_non_rank_by_name(rank):
     with pytest.raises(ValueError, match="rank 2 outside 0..1"):
         runtime.kill_all(2)
     assert runtime.kernel.pending() == 0
-
-
-def test_live_failure_injector_bridges_hub_and_runtime():
-    runtime = SimMpiRuntime(4, flop_rate=1e8)
-    injector = LiveFailureInjector(runtime, profile=BLADED_OUTAGES)
-    injector.fail_rank(0.15, rank=2, detail="psu")
-    result = runtime.run(_ring_program(steps=40))
-    assert result.failed_ranks == (2,)
-    failures = injector.hub.failures()
-    assert [e.node for e in failures] == [2]
-    failed, detected = injector.hub.log[:2]
-    assert detected.time_h - failed.time_h == pytest.approx(
-        injector.hub.detection_latency_h
-    )
-    assert injector.lost_cpu_hours() == BLADED_OUTAGES.outage_hours
 
 
 # -- rich deadlock reporting -------------------------------------------------

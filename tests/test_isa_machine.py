@@ -81,12 +81,11 @@ def test_memory_roundtrip():
 
 
 def test_branch_taken_and_not():
-    state, stats = run_asm(
+    state, _ = run_asm(
         "beq r1, r2, 3\nli r3, 111\nhalt\nli r3, 222\nhalt",
         r1=1, r2=1,
     )
     assert state.iregs["r3"] == 222
-    assert stats.taken_branches == 1
 
 
 def test_fp_branches():

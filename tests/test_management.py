@@ -1,23 +1,35 @@
-"""Management hub, failure injection and Monte-Carlo operation."""
+"""Monte-Carlo cluster operation: failures, outages and availability."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.cluster import Packaging
-from repro.cluster.management import (
-    ClusterOperationSim,
-    EventKind,
-    ManagementHub,
-)
+from repro.cluster.management import ClusterOperationSim
 from repro.platform.registry import METABLADE, P4_BEOWULF
 
+#: ``(platform, seed, failures per year or None, hours)`` -> ``(failures,
+#: repr of lost CPU-hours, repr of availability)``, recorded from the
+#: event-kernel simulator the plain loop replaced.
+_RECORDED = [
+    ((METABLADE, 1, None, 35_040.0), (5, "5.0", "0.999994054414003")),
+    ((METABLADE, 4, None, 8_760.0), (1, "1.0", "0.9999952435312024")),
+    ((P4_BEOWULF, 1, None, 35_040.0),
+     (21, "2016.0", "0.9976027397260274")),
+    ((P4_BEOWULF, 7, 200.0, 8_760.0),
+     (198, "19008.0", "0.9095890410958904")),
+]
 
-def test_hub_detection_latency_by_packaging():
-    blade_hub = ManagementHub.for_packaging(Packaging.BLADED)
-    trad_hub = ManagementHub.for_packaging(Packaging.TRADITIONAL)
-    assert blade_hub.detection_latency_h < trad_hub.detection_latency_h
+
+@pytest.mark.parametrize("point, recorded", _RECORDED,
+                         ids=[f"{p.name}-seed{s}-{h:g}h"
+                              for (p, s, _, h), _ in _RECORDED])
+def test_the_plain_loop_keeps_every_seeded_number(point, recorded):
+    platform, seed, rate, hours = point
+    report = ClusterOperationSim(platform, seed=seed,
+                                 failures_per_year=rate).run(hours)
+    assert (report.failures, repr(report.lost_cpu_hours),
+            repr(report.availability)) == recorded
 
 
 def test_failure_blast_radius():
@@ -29,20 +41,6 @@ def test_failure_blast_radius():
                                      failures_per_year=50.0).run(8_760)
         assert report.failures > 0
         assert report.lost_cpu_hours == report.failures * per_failure
-
-
-def test_event_log_structure():
-    report = ClusterOperationSim(METABLADE, seed=4).run(hours=8_760)
-    assert report.failures == 1
-    hub = report.hub
-    kinds = [e.kind for e in hub.log]
-    assert kinds == [EventKind.FAILURE, EventKind.DETECTED,
-                     EventKind.REPAIRED]
-    assert len({e.node for e in hub.log}) == 1
-    assert hub.log[1].time_h - hub.log[0].time_h == pytest.approx(
-        hub.detection_latency_h
-    )
-    assert len(hub.failures()) == 1
 
 
 def test_operation_sim_is_deterministic():
@@ -71,7 +69,6 @@ def test_zero_hour_run_is_empty_and_fully_available():
     assert report.lost_cpu_hours == 0.0
     assert report.total_cpu_hours == 0.0
     assert report.availability == 1.0
-    assert report.hub.log == []
 
 
 def test_zero_failure_run_reports_cleanly():
@@ -123,29 +120,3 @@ def test_custom_failure_rate():
     sim = ClusterOperationSim(METABLADE, seed=3, failures_per_year=50.0)
     report = sim.run(hours=8_760)
     assert 25 < report.failures < 90     # ~Poisson(50)
-
-
-def test_hub_log_is_globally_time_ordered():
-    # Event-chained arrivals interleave detections and repairs from
-    # different failures; the kernel delivers them in time order, so
-    # the log reads as one coherent timeline rather than per-failure
-    # groups.
-    sim = ClusterOperationSim(P4_BEOWULF, seed=7, failures_per_year=200.0)
-    report = sim.run(hours=8_760)
-    assert report.failures > 100
-    times = [e.time_h for e in report.hub.log]
-    assert times == sorted(times)
-    # With 4-hour outages at this rate some failures land inside an
-    # earlier outage window, so the ordered log cannot be a simple
-    # per-failure grouping: a new FAILURE shows up between another
-    # node's FAILURE and its REPAIRED entry.
-    open_outages = 0
-    overlapped = False
-    for event in report.hub.log:
-        if event.kind is EventKind.FAILURE:
-            if open_outages > 0:
-                overlapped = True
-            open_outages += 1
-        elif event.kind is EventKind.REPAIRED:
-            open_outages -= 1
-    assert overlapped

@@ -361,7 +361,6 @@ def test_node_table_is_lazy_and_equals_the_flat_arrays(
         assert all(type(v) is int for v in (node.key, node.level, node.lo))
         assert type(node.mass) is float and type(node.is_leaf) is bool
         assert node.com.tobytes() == tree.node_com[i].tobytes()
-        assert node.centre.tobytes() == tree.node_centre[i].tobytes()
         kids = tree.child_index[tree.child_ptr[i]:tree.child_ptr[i + 1]]
         assert node.children == tuple(tree.node_key[kids].tolist())
         if quadrupoles and node.mass > 0.0:
@@ -434,7 +433,7 @@ def test_tree_cache_reuse_is_bit_identical_on_perturbation():
     moved = pos + 1e-9             # tiny drift: keys and order survive
     cached = cache.build(moved, mass, leaf_size=8)
     fresh = HashedOctree(moved, mass, leaf_size=8)
-    assert cache.reuses + cache.order_reuses >= 1
+    assert cache.reuses >= 1
     for name in ("node_key", "node_lo", "node_hi", "node_mass",
                  "node_com", "node_size", "child_ptr", "child_index"):
         assert np.array_equal(getattr(cached, name), getattr(fresh, name))

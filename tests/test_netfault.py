@@ -151,8 +151,7 @@ def test_coalesced_calendar_matches_unmerged_oracle(bookings):
     # every interval does.
     cal = Calendar()
     starts, ends = [], []
-    busy = 0.0
-    for count, (ready, duration) in enumerate(bookings, start=1):
+    for ready, duration in bookings:
         got = cal.book(ready, duration)
         if duration > 0.0:
             assert got == _oracle_book(starts, ends, ready, duration)
@@ -166,9 +165,6 @@ def test_coalesced_calendar_matches_unmerged_oracle(bookings):
             if _earliest_idle(starts, ends, want) == want:
                 assert got == want
             _oracle_book(starts, ends, got, 0.0)
-        busy += duration
-        assert cal.busy_s == busy
-        assert cal.transfers == count
     # The runs are the oracle's intervals with touching ones merged.
     covered = sum(e - s for s, e in zip(cal.starts, cal.ends))
     assert covered == sum(e - s for s, e in zip(starts, ends))
@@ -209,7 +205,6 @@ def test_coalesced_calendar_matches_oracle_across_pruning(seed, load,
         )
         if pruned_at is None and cal._floor > 0.0:
             pruned_at = n
-    assert cal.transfers == 4000
     if load == 0.2:                  # mostly isolated runs: must prune
         assert pruned_at is not None and pruned_at < 3000
     assert len(cal.starts) <= Calendar._PRUNE_AT

@@ -60,7 +60,6 @@ def test_calendar_sequential_bookings_serialise():
     t1 = cal.book(0.0, 1.0)
     assert t0 == 0.0
     assert t1 == 1.0
-    assert cal.busy_s == 2.0
 
 
 def test_calendar_backfills_out_of_order_bookings():

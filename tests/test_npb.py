@@ -172,10 +172,9 @@ def test_run_suite_returns_verified_outcomes():
 
 
 def test_class_sizes_grow():
-    for kernel in ("EP", "MG", "BT"):
-        t = problem_class(kernel, "T").nominal_ops
-        s = problem_class(kernel, "S").nominal_ops
-        w = problem_class(kernel, "W").nominal_ops
+    for kernel, key in (("EP", "pairs"), ("MG", "n"), ("BT", "n")):
+        t, s, w = (problem_class(kernel, letter).size(key)
+                   for letter in "TSW")
         assert t < s < w
 
 

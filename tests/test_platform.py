@@ -252,9 +252,9 @@ def test_rack_fabric_places_endpoints_by_allocated_blades():
     assert [fabric.chassis_of(i) for i in range(4)] == [0, 0, 1, 1]
     # Intra-chassis stays off the uplink; inter-chassis crosses it.
     fabric.send(0, 1, 1000, post_time=0.0)
-    assert fabric._chassis_up[0].busy_s == 0.0
+    assert fabric._chassis_up[0].starts == []
     fabric.send(0, 2, 1000, post_time=0.0)
-    assert fabric._chassis_up[0].busy_s > 0.0
+    assert fabric._chassis_up[0].starts != []
 
 
 def test_build_fabric_rejects_mismatched_blade_map():

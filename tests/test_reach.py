@@ -41,8 +41,8 @@ reaches a function or a class (and so the ``__init__`` that class
 inherits), an attribute also a method, and ``super().__init__(...)``
 every ``__init__``.  A ``*``/``**`` call, or the callable used as a
 value (a callback, a pool worker), passes every parameter; an
-annotation, a base class or an ``isinstance`` or ``except`` class is
-not a use.
+annotation, a base class, an ``isinstance`` or ``except`` class or a
+receiver (``Cls`` of ``Cls.attr`` or ``Cls.from_x(...)``) is not a use.
 
 A defaulted field of a public dataclass or NamedTuple that writes no
 ``__init__`` is an option too.  It is passed by a root call of its
@@ -60,7 +60,22 @@ An option no root passes is a constant: it stays only on
 ``ALLOWED_PARAMETERS``, as a seam, a reference or a size, with the test
 that passes it.
 
-A third check fails on an import that a ``src/repro`` module (other
+A third guard does the same for state.  Every piece of state
+``src/repro`` stores (a field of a dataclass or NamedTuple, an
+attribute a method stores on its ``self``, private ones too, and a
+module-level name) is *read* by a root: by an attribute load
+``x.name``, a ``getattr``/``hasattr`` string, the string a class-body
+descriptor reads by (``end_s = _column("attempt_end_s")``) or, for a
+NamedTuple, an unpacking with as many targets as it has fields; a
+module-level name also by its bare name or an import outside a package
+``__init__``.  A store, ``+=``, ``x.f[k] = ...`` or a mutator call
+whose value is dropped (``x.f.append(...)``) only writes.  Receivers
+are not inferred, so state read under a name another class shares
+passes.  Exception classes and the ``from_dict`` input classes are out
+of scope.  State no root reads goes, or stays on ``ALLOWED_STATE``
+with its reason and the test that reads it.
+
+A fourth check fails on an import that a ``src/repro`` module (other
 than a package ``__init__``) never uses: deleting a definition is what
 leaves one behind, and CI's lint does not select F401.
 """
@@ -114,6 +129,10 @@ _PROPERTY = {"property", "cached_property", "setter", "getter", "deleter"}
 #: Decorators that leave a method's call signature as written.
 _KEEPS_SIGNATURE = {"staticmethod", "classmethod", "abstractmethod",
                     "contextmanager", "lru_cache", "cache"}
+
+
+#: One syntax tree per source text, shared by every walk below.
+_parse = functools.lru_cache(maxsize=None)(ast.parse)
 
 
 def _public(name: str) -> bool:
@@ -236,7 +255,7 @@ def _module(path, text):
     """One ``src/repro`` module: the names it uses as a root, and each
     definition as ``(qualified name, name, signatures, uses inside its
     own body that reach it)``."""
-    tree = ast.parse(text)
+    tree = _parse(text)
     module = path.removesuffix(".py").removesuffix("/__init__")
     return _uses(tree, path.endswith("__init__.py")), [
         (qualified, node.name, signatures,
@@ -248,7 +267,7 @@ def _module(path, text):
 
 @functools.lru_cache(maxsize=None)
 def _root_uses(text):
-    return _uses(ast.parse(text))
+    return _uses(_parse(text))
 
 
 def _unreached(sources, roots=()):
@@ -306,12 +325,31 @@ DELETED = [
     ("check/manifest.py", None,
      "def mutate_event(manifest, index, **changes):\n"
      "    return manifest\n"),
-    ("cluster/management.py", "ManagementHub",
-     "def mean_time_to_detect_h(self):\n"
-     "    return self.poll_interval_s / 7200.0\n"),
+    ("cluster/blade.py", None,
+     "@dataclass(frozen=True)\n"
+     "class FormFactor:\n"
+     "    width_in: float\n"),
+    ("cluster/management.py", None,
+     "class EventKind(enum.Enum):\n"
+     "    FAILURE = 'failure'\n"),
+    ("cluster/management.py", None,
+     "class LiveFailureInjector:\n"
+     "    def __init__(self, runtime):\n"
+     "        self.runtime = runtime\n"),
+    ("cluster/management.py", None,
+     "@dataclass(frozen=True)\n"
+     "class ManagementEvent:\n"
+     "    time_h: float\n"),
+    ("cluster/management.py", None,
+     "@dataclass\n"
+     "class ManagementHub:\n"
+     "    detection_latency_h: float\n"),
     ("cluster/management.py", "OperationReport",
      "def downtime_cost(self, usd_per_cpu_hour=5.0):\n"
      "    return self.lost_cpu_hours * usd_per_cpu_hour\n"),
+    ("cluster/reliability.py", "OutageProfile",
+     "def mean_time_to_detect_h(self):\n"
+     "    return self.outage_hours / 20.0\n"),
     ("cluster/rack.py", "Rack",
      "@property\n"
      "def node_count(self):\n"
@@ -319,6 +357,10 @@ DELETED = [
     ("cluster/reliability.py", None,
      "def sample_failure_times(rng, rate_per_hour, horizon_h):\n"
      "    return [rng.expovariate(rate_per_hour)]\n"),
+    ("cms/translator.py", None,
+     "@dataclass(frozen=True)\n"
+     "class Translation:\n"
+     "    block: TranslatedBlock\n"),
     ("cms/profilecollect.py", "HotSpotProfile",
      "def hottest(self, n):\n"
      "    return sorted(self.counts)[:n]\n"),
@@ -354,6 +396,15 @@ DELETED = [
     ("isa/instructions.py", "Program",
      "def static_mix(self):\n"
      "    return Counter(i.opclass for i in self.instrs)\n"),
+    ("isa/programs.py", None,
+     "def axpy(n=128):\n"
+     "    return n\n"),
+    ("isa/programs.py", None,
+     "def dot_product(n=128):\n"
+     "    return n\n"),
+    ("isa/programs.py", None,
+     "def fib(n=30):\n"
+     "    return n\n"),
     ("isa/machine.py", None,
      "def run_program(program, max_steps=10_000):\n"
      "    return Machine(program).run(max_steps)\n"),
@@ -367,6 +418,9 @@ DELETED = [
      "@property\n"
      "def worst_initial_error(self):\n"
      "    return (3.0 / self.size) ** 2\n"),
+    ("nbody/morton.py", None,
+     "def morton_decode(code):\n"
+     "    return code, code, code\n"),
     ("nbody/morton.py", None,
      "def cell_geometry(key, lo, hi, depth=MAX_DEPTH):\n"
      "    return lo, float(hi[0] - lo[0])\n"),
@@ -478,9 +532,12 @@ DELETED = [
 
 
 def _declared(source):
-    """The name *source* declares: a function, a class or a field."""
+    """The name *source* declares: a function, a class, a field or a
+    module-level name."""
     node = ast.parse(source).body[0]
-    return getattr(node, "name", None) or node.target.id
+    return getattr(node, "name", None) or \
+        getattr(node, "target", None) and node.target.id or \
+        node.targets[0].id
 
 
 def _case_id(module, owner, source):
@@ -673,13 +730,16 @@ def _passes(text):
     """How *text* passes arguments to each name: ``name -> Counter(how)``,
     *how* ``VALUE``, ``UNPACKED`` or ``_how`` of a call (a bare name
     passes nothing to a method)."""
-    tree = ast.parse(text)
+    tree = _parse(text)
     called = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and \
                 isinstance(node.func, (ast.Name, ast.Attribute)):
             called[id(node.func)] = _how(node)
-    skip = _no_uses(tree)
+    # A receiver (``Cls`` of ``Cls.attr`` or ``Cls.from_x(...)``) is
+    # looked into, not passed anywhere.
+    skip = _no_uses(tree) | {id(node.value) for node in ast.walk(tree)
+                             if isinstance(node, ast.Attribute)}
     passes = defaultdict(Counter)
     for node in ast.walk(tree):
         if id(node) in skip:
@@ -774,7 +834,7 @@ def _bound(signatures, how):
 def _unset(sources, roots=()):
     """*sources* and *roots* as for :func:`_unreached` -> each option
     no root passes, as ``"qualified(parameter=)"``."""
-    trees = [(path, ast.parse(text)) for path, text in sources]
+    trees = [(path, _parse(text)) for path, text in sources]
     passes = defaultdict(Counter)
     for text in [text for _, text in sources] + list(roots):
         for name, hows in _passes(text).items():
@@ -840,7 +900,7 @@ def _records(text):
     its own __init__)`` of every class of *text*; *own fields* is
     ``[(name, defaulted)]`` for a record, else ``None``."""
     records = {}
-    for node in ast.walk(ast.parse(text)):
+    for node in ast.walk(_parse(text)):
         if isinstance(node, ast.ClassDef):
             written = any(isinstance(item, _FUNCTIONS)
                           and item.name == "__init__" for item in node.body)
@@ -901,7 +961,7 @@ def _field_uses(text):
     ``(calls of cls(...) inside a classmethod, as class name ->
     Counter(how); keywords of replace calls; attributes it stores to or
     mutates in place)``."""
-    tree = ast.parse(text)
+    tree = _parse(text)
     through_cls = defaultdict(Counter)
     for cls in ast.walk(tree):
         if isinstance(cls, ast.ClassDef):
@@ -1192,10 +1252,410 @@ def test_the_field_walk_bites_on_seeded_unset_fields():
     assert _unset_fields(sources, ["replace(x, **changes)"]) == []
 
 
+def test_a_class_named_as_a_receiver_passes_nothing():
+    module = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Spec:\n"
+        "    width: int = 1\n"
+        "    depth: int = 1\n"
+        "    SIZES = (1, 2)\n"
+        "    @classmethod\n"
+        "    def wide(cls):\n"
+        "        return cls(width=2)\n"
+        "def scale(x, factor=2):\n"
+        "    return x\n"
+    )
+    user = (
+        "from repro.box import Spec, scale\n"
+        "def main():\n"
+        "    Spec.wide()\n"                 # width, through cls(...)
+        "    print(scale.__name__)\n"       # looked into, not called
+        "    return Spec.SIZES\n"
+    )
+    sources = [("repro/box.py", module), ("repro/user.py", user)]
+    assert _unset_options(sources) == [
+        "repro.box.scale(factor=)",
+        "repro.box.Spec(depth=)",
+    ]
+
+
+# -- state -------------------------------------------------------------------
+
+#: State kept although no root reads it: ``"qualified"`` -> ``(reason,
+#: "path::test" that reads it)``.
+ALLOWED_STATE = {
+    "repro.npb.common.KernelOutcome.checksum": (
+        REFERENCE, "tests/test_npb.py::test_kernels_deterministic",
+    ),
+    "repro.npb.common.KernelOutcome.details": (
+        REFERENCE, "tests/test_npb.py::test_mg_reduces_residual",
+    ),
+}
+
+
+def _written(tree):
+    """Ids of the loads of *tree* that only write what they name: the
+    receiver of a subscript store (``x.f[k] = ...``, ``x.f[k] += ...``)
+    and of a mutator call whose value is dropped (``x.f.append(...)``)."""
+    written = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and \
+                isinstance(node.ctx, (ast.Store, ast.Del)):
+            while isinstance(node, ast.Subscript):
+                node = node.value
+            written.add(id(node))
+        elif isinstance(node, ast.Expr) and \
+                isinstance(node.value, ast.Call) and \
+                getattr(node.value.func, "attr", None) in _MUTATORS:
+            written.add(id(node.value.func.value))
+    return written
+
+
+@functools.lru_cache(maxsize=None)
+def _reads(text, package_init=False):
+    """What *text* reads: ``(names, attributes, arities)``.  A name is a
+    bare load or, outside a package ``__init__``, an import; an
+    attribute is a load ``x.name``, a ``getattr``/``hasattr`` string or
+    the string a class-body descriptor ``name = f("attribute")`` reads
+    by; an arity is the target count of a tuple unpacking."""
+    tree = _parse(text)
+    written = _written(tree)
+    names, attributes, arities = set(), set(), set()
+    for node in ast.walk(tree):
+        if id(node) in written:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and not package_init:
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Call) and \
+                _named(node) in ("getattr", "hasattr") and \
+                len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+            attributes.add(node.args[1].value)
+        elif isinstance(node, (ast.Tuple, ast.List)) and \
+                isinstance(node.ctx, ast.Store):
+            arities.add(len(node.elts))
+        elif isinstance(node, ast.ClassDef):
+            attributes.update(
+                arg.value for item in node.body
+                if isinstance(item, ast.Assign)
+                and isinstance(item.value, ast.Call)
+                for arg in item.value.args
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+            )
+    return frozenset(names), frozenset(attributes), frozenset(arities)
+
+
+def _exceptions(records):
+    """The exception classes among *records*."""
+    found, grown = set(), True
+    while grown:
+        before = len(found)
+        found |= {name for name, (_, _, bases, _) in records.items()
+                  if any(base and (base in found or base.endswith(
+                      ("Error", "Exception", "Warning"))) for base in bases)}
+        grown = len(found) > before
+    return found
+
+
+def _self_stores(cls):
+    """The attributes the methods of class *cls* store on their
+    ``self`` (``self.x = ...``, ``setattr(self, "x", ...)``)."""
+    for fn in cls.body:
+        if not isinstance(fn, _FUNCTIONS) or not fn.args.args or \
+                "staticmethod" in map(_named, fn.decorator_list):
+            continue
+        me = fn.args.args[0].arg
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Store) and \
+                    getattr(node.value, "id", None) == me:
+                yield node.attr
+            elif isinstance(node, ast.Call) and \
+                    _named(node) in ("setattr", "__setattr__") and \
+                    len(node.args) > 1 and \
+                    getattr(node.args[0], "id", None) == me and \
+                    isinstance(node.args[1], ast.Constant):
+                yield node.args[1].value
+
+
+@functools.lru_cache(maxsize=None)
+def _stored(path, text):
+    """``(qualified name, name, owner class or None)`` of each piece of
+    state module *path* stores: a module-level name, a field of a
+    dataclass or NamedTuple and an attribute stored on ``self``
+    (dunders are not state)."""
+    module = path.removesuffix(".py").removesuffix("/__init__") \
+        .replace("/", ".")
+    tree = _parse(text)
+    stored = []
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and \
+                        not name.id.startswith("__"):
+                    stored.append((f"{module}.{name.id}", name.id, None))
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        methods = {item.name for item in cls.body
+                   if isinstance(item, _FUNCTIONS)}
+        fields = [item.target.id for item in cls.body
+                  if _record(cls) and isinstance(item, ast.AnnAssign)
+                  and isinstance(item.target, ast.Name)
+                  and "ClassVar" not in ast.unparse(item.annotation)]
+        seen = set()
+        for name in fields + list(_self_stores(cls)):
+            if name not in seen and name not in methods and \
+                    not name.startswith("__"):
+                seen.add(name)
+                stored.append((f"{module}.{cls.name}.{name}", name,
+                               cls.name))
+    return stored
+
+
+def _unread(sources, roots=()):
+    """*sources* and *roots* as for :func:`_unreached` -> each piece of
+    state no root reads."""
+    names, attributes, arities = set(), set(), set()
+    for path, text in sources:
+        for into, read in zip((names, attributes, arities),
+                              _reads(text, path.endswith("__init__.py"))):
+            into |= read
+    for text in roots:
+        for into, read in zip((names, attributes, arities), _reads(text)):
+            into |= read
+    records = {}
+    for _, text in sources:
+        records.update(_records(text))
+    skip = _outside_input(records) | _exceptions(records)
+    unread = []
+    for path, text in sources:
+        for qualified, name, owner in _stored(path, text):
+            if owner in skip:
+                continue
+            if owner is None:
+                read = name in names or name in attributes
+            else:
+                _, fields, bases, _ = records[owner]
+                read = name in attributes or "NamedTuple" in bases and \
+                    len(fields) in arities         # unpacked whole
+            if not read:
+                unread.append(qualified)
+    return unread
+
+
+def test_every_piece_of_state_is_read_from_outside_the_tests():
+    sources, roots = _tree()
+    unread = set(_unread(sources, roots))
+    assert sorted(unread - set(ALLOWED_STATE)) == []
+    # An entry now read, or whose state is gone, is stale.
+    assert sorted(set(ALLOWED_STATE) - unread) == []
+
+
+@pytest.mark.parametrize("state", ALLOWED_STATE)
+def test_kept_state_has_a_reason_and_the_test_that_reads_it(state):
+    reason, test = ALLOWED_STATE[state]
+    assert reason in (SEAM, REFERENCE, SIZE)
+    path, _, name = test.partition("::")
+    tree = ast.parse((ROOT / path).read_text())
+    test_fn, = [node for node in tree.body
+                if isinstance(node, _FUNCTIONS) and node.name == name]
+    sources, roots = _tree()
+    assert state not in _unread(sources, [*roots, ast.unparse(test_fn)])
+
+
+#: State ``src/`` once stored that no root read: ``(module, class or
+#: None, source)``; a whole class when every field of it went.
+DELETED_STATE = [
+    ("check/auditors.py", "ClockOrderAuditor",
+     "def _on_fire(self, event):\n"
+     "    self.checked += 1\n"),
+    ("check/auditors.py", "RetransmitConservationAuditor",
+     "def _on_trace(self, event):\n"
+     "    self.delivered += 1\n"),
+    ("check/auditors.py", "RetransmitConservationAuditor",
+     "def _on_giveup(self, event):\n"
+     "    self.gaveup += 1\n"),
+    ("check/manifest.py", "RunManifest", "version: int = MANIFEST_VERSION"),
+    ("cluster/blade.py", "ServerBlade",
+     "form_factor: FormFactor = BLADE_FORM_FACTOR"),
+    ("cluster/blade.py", "ServerBlade", "hot_pluggable: bool = True"),
+    ("cluster/blade.py", None,
+     "BLADE_FORM_FACTOR = FormFactor(width_in=0.68, height_in=5.0)\n"),
+    ("cluster/blade.py", None,
+     "@dataclass(frozen=True)\n"
+     "class FormFactor:\n"
+     "    depth_in: float\n"),
+    ("cluster/chassis.py", "ChassisDimensions", "depth_in: float = 25.2"),
+    ("cluster/management.py", "OperationReport", "hub: ManagementHub"),
+    ("cms/tcache.py", "CacheStats", "insertions: int = 0"),
+    ("cms/tcache.py", "CacheStats", "evictions: int = 0"),
+    ("cms/translator.py", None,
+     "@dataclass(frozen=True)\n"
+     "class Translation:\n"
+     "    translation_cycles: int\n"),
+    ("cms/translator.py", "TranslatorStats",
+     "guest_instructions_translated: int = 0"),
+    ("core/events.py", "Process",
+     "def _die(self, error):\n"
+     "    self.failure = error\n"),
+    ("core/experiments.py", "ExperimentResult", "experiment: str"),
+    ("hpl/lu.py", "LinpackResult", "residual: float"),
+    ("isa/instructions.py", None,
+     "FP_DEST_OPS = frozenset({Op.FADD, Op.FSUB, Op.FMUL})\n"),
+    ("isa/machine.py", "ExecStats", "taken_branches: int = 0"),
+    ("isa/programs.py", None,
+     "SUITE_KERNELS = (matmul, insertion_sort, memcopy, horner)\n"),
+    ("isa/programs.py", None,
+     "SUPPORT_KERNELS = (axpy, dot_product, fib, stream_triad)\n"),
+    ("isa/programs.py", None,
+     "MICROKERNELS = (gravity_microkernel_math, gravity_microkernel_karp)\n"),
+    ("nbody/sim.py", "NBodySimulation",
+     "def _prime(self, acc):\n"
+     "    self._acc = acc\n"),
+    ("nbody/tree.py", "TreeNode", "centre: np.ndarray"),
+    ("nbody/tree.py", "HashedOctree",
+     "def _geometry(self, centre):\n"
+     "    self.node_centre = centre\n"),
+    ("nbody/tree.py", "HashedOctree",
+     "def _hint(self):\n"
+     "    self.order_reused = True\n"),
+    ("nbody/tree.py", "TreeBuildCache",
+     "def _count(self):\n"
+     "    self.order_reuses += 1\n"),
+    ("network/fabric.py", "Transfer", "rerouted: bool = False"),
+    ("network/link.py", "Calendar",
+     "def _bill(self, duration):\n"
+     "    self.busy_s += duration\n"),
+    ("npb/classes.py", "ProblemClass", "nominal_ops: float"),
+    ("perfmodel/workload.py", "CpuCharacterization", "cpu_name: str"),
+    ("sched/scheduler.py", "SchedOutcome", "hub: ManagementHub"),
+    ("telemetry/__init__.py", "Telemetry",
+     "def _enter(self):\n"
+     "    self._wall_depth += 1\n"),
+    ("vliw/engine.py", None,
+     "@dataclass\n"
+     "class EngineStats:\n"
+     "    molecules_issued: int = 0\n"
+     "    atoms_executed: int = 0\n"
+     "    stall_cycles: int = 0\n"
+     "    blocks_executed: int = 0\n"),
+]
+
+
+def _state_case(module, owner, source):
+    """The qualified names of the state *source* stores, put back into
+    ``repro/<module>`` (into class *owner* when given)."""
+    dotted = "repro." + module.removesuffix(".py").removesuffix(
+        "/__init__").replace("/", ".")
+    node = ast.parse(source).body[0]
+    if isinstance(node, ast.ClassDef):
+        return [f"{dotted}.{node.name}.{target}"
+                for target, _ in map(_field, node.body)]
+    if isinstance(node, _FUNCTIONS):
+        wrapper = ast.parse(f"class {owner}:\n" + textwrap.indent(source, " "))
+        return [f"{dotted}.{owner}.{name}"
+                for name in _self_stores(wrapper.body[0])]
+    target = node.target if isinstance(node, ast.AnnAssign) else \
+        node.targets[0]
+    return [".".join(filter(None, (dotted, owner, target.id)))]
+
+
+@pytest.mark.parametrize(
+    "module, owner, source", DELETED_STATE,
+    ids=[_state_case(*case)[-1].removeprefix("repro.")
+         for case in DELETED_STATE])
+def test_a_deleted_state_put_back_is_unread(module, owner, source):
+    sources, roots = _tree()
+    changed, _ = _put_back(sources, module, owner, source)
+    expected = _state_case(module, owner, source)
+    unread = _unread(sources, roots)
+    assert set(expected).isdisjoint(unread)
+    assert sorted(_unread(changed, roots)) == sorted(unread + expected)
+
+
+def test_the_state_walk_bites_on_seeded_unread_state():
+    module = (
+        "from dataclasses import dataclass, field\n"
+        "from typing import ClassVar, NamedTuple\n"
+        "LIMIT = 3\n"
+        "UNUSED = 4\n"
+        "_CACHE = {}\n"
+        "_LOG = []\n"
+        "def column(name):\n"
+        "    return property(lambda self: getattr(self.rows, name))\n"
+        "@dataclass\n"
+        "class Stats:\n"
+        "    hits: int = 0\n"
+        "    misses: int = 0\n"
+        "    bumped: int = 0\n"
+        "    kind: ClassVar[str] = 'stats'\n"
+        "    cache: dict = field(init=False, default_factory=dict)\n"
+        "    log: list = field(default_factory=list)\n"
+        "class Point(NamedTuple):\n"
+        "    x: float\n"
+        "    y: float\n"
+        "class Pair(NamedTuple):\n"
+        "    a: int\n"
+        "    b: int\n"
+        "    c: int\n"
+        "class Box:\n"
+        "    width = column('widths')\n"
+        "    def __init__(self, n):\n"
+        "        self.n = n\n"
+        "        self._seen = 0\n"
+        "        self._tally = 0\n"
+        "        self.widths = []\n"
+        "        setattr(self, 'tag', n)\n"
+        "    def open(self, key):\n"
+        "        self._seen += 1\n"
+        "        self._tally = self._tally + 1\n"
+        "        _CACHE[key] = self.n\n"
+        "        _LOG.append(key)\n"
+        "        return self.label\n"
+        "    @property\n"
+        "    def label(self):\n"
+        "        return 'box'\n"
+        "class BoxError(ValueError):\n"
+        "    def __init__(self, code):\n"
+        "        self.code = code\n"
+    )
+    user = (
+        "from repro.box import LIMIT, Point, Stats\n"
+        "def main(stats, point, key):\n"
+        "    stats.hits += 1\n"               # a write, not a read
+        "    stats.cache[key] = 1\n"          # a write through a subscript
+        "    stats.log.append(key)\n"         # a write through a mutator
+        "    x, y = point\n"                  # every field of a 2-tuple
+        "    return stats.misses, getattr(stats, 'bumped')\n"
+    )
+    sources = [("repro/box.py", module), ("repro/user.py", user)]
+    assert _unread(sources) == [
+        "repro.box.UNUSED",
+        "repro.box._CACHE",
+        "repro.box._LOG",
+        "repro.box.Stats.hits",
+        "repro.box.Stats.cache",
+        "repro.box.Stats.log",
+        "repro.box.Pair.a",
+        "repro.box.Pair.b",
+        "repro.box.Pair.c",
+        "repro.box.Box._seen",
+        "repro.box.Box.tag",
+    ]
+
+
 def _unused_imports(text):
     """``(line, name)`` of each import *text* binds and never names
     again (a string counts, for quoted annotations)."""
-    tree = ast.parse(text)
+    tree = _parse(text)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

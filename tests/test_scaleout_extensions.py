@@ -47,10 +47,10 @@ def test_rack_intra_chassis_cheaper_than_inter():
 def test_rack_uplink_carries_inter_chassis_traffic():
     rack = green_destiny_fabric(nodes=48)
     rack.send(0, 30, nbytes=50_000, post_time=0.0)
-    assert rack._chassis_up[0].busy_s > 0
+    assert rack._chassis_up[0].starts != []
     rack = green_destiny_fabric(nodes=48)
     rack.send(0, 1, nbytes=50_000, post_time=0.0)
-    assert rack._chassis_up[0].busy_s == 0.0
+    assert rack._chassis_up[0].starts == []
 
 
 def test_rack_fabric_runs_simmpi():

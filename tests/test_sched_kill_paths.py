@@ -5,8 +5,8 @@ shared kernel) and loses a blade to three causes (node failure, link
 partition, overtemp).  ``tests/data/sched_kill_paths_golden.json`` was
 generated on the commit *before* those routes and causes were folded
 into one lifecycle and one blade-loss routine; each row below exercises
-one of them hard enough that a moved event sequence number, hub-log
-entry or float would change a digest.
+one of them hard enough that a moved event sequence number, blade
+outage or float would change a digest.
 
 The golden file is regenerated on purpose only, from any commit::
 
@@ -14,7 +14,6 @@ The golden file is regenerated on purpose only, from any commit::
 """
 
 import functools
-import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -126,14 +125,8 @@ def _fingerprint(row):
     manifest = RunManifest.make(
         "sched", seed=SEED, params={}, events=recorder.events
     )
-    hub = hashlib.sha256(
-        repr([(e.time_h, e.kind.name, e.node, e.detail)
-              for e in outcome.hub.log]).encode()
-    ).hexdigest()
     return outcome, {
         "outcome": sched_outcome_digest(outcome),
-        "hub_log": hub,
-        "hub_entries": len(outcome.hub.log),
         "net": repr(outcome.net),
         "thermal": repr(outcome.thermal),
         "fired": sched.kernel.fired,

@@ -180,7 +180,6 @@ def test_engine_executes_semantics_exactly(micro_math):
         engine.execute_block(tb, micro_math.program, machine)
     assert machine.state.architectural_view() == ref_state.architectural_view()
     assert engine.clock > 0
-    assert engine.stats.molecules_issued > 0
 
 
 def test_engine_pc_mismatch_rejected(micro_math):
