@@ -18,19 +18,15 @@ from repro.cluster.node import ComputeNode, NodeConfig, Packaging
 from repro.cluster.blade import ServerBlade
 from repro.cluster.chassis import RlxSystem324, ChassisError
 from repro.cluster.rack import Rack, build_hardware
-from repro.cluster.management import ClusterOperationSim
 from repro.cluster.reliability import (
     BLADED_OUTAGES,
     TRADITIONAL_OUTAGES,
-    ClusterReliability,
     OutageProfile,
 )
 
 __all__ = [
     "BLADED_OUTAGES",
     "ChassisError",
-    "ClusterOperationSim",
-    "ClusterReliability",
     "ComputeNode",
     "NodeConfig",
     "OutageProfile",

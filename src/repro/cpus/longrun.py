@@ -124,8 +124,8 @@ class LongRunGovernor(PiecewiseGovernor):
     """A DVFS trajectory on the unified event-kernel clock.
 
     The governor holds a piecewise-constant schedule of
-    :class:`LongRunStep` operating points starting from *initial*
-    (default: the ladder's top).  Attached to a
+    :class:`LongRunStep` operating points starting from the ladder's
+    top.  Attached to a
     :class:`~repro.simmpi.runtime.SimMpiRuntime`, it scales every
     ``comm.compute_flops`` charge by the frequency of the step active
     at each instant of the work — a transition mid-computation splits
@@ -140,10 +140,8 @@ class LongRunGovernor(PiecewiseGovernor):
     """
 
     def __init__(self, model: LongRunModel,
-                 initial: Optional[LongRunStep] = None,
                  kernel: Optional[EventKernel] = None) -> None:
         self.model = model
-        self.initial = initial if initial is not None else model.top
         self.kernel = kernel
         self._times: List[float] = []
         self._steps: List[LongRunStep] = []
@@ -174,7 +172,7 @@ class LongRunGovernor(PiecewiseGovernor):
     def step_at_time(self, t: float) -> LongRunStep:
         """The operating point active at virtual time *t*."""
         i = bisect_right(self._times, t)
-        return self.initial if i == 0 else self._steps[i - 1]
+        return self.model.top if i == 0 else self._steps[i - 1]
 
     def frequency_scale(self, t: float) -> float:
         """Active frequency as a fraction of the top step's."""

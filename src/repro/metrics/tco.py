@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 from repro.cluster.node import Packaging
-from repro.cluster.reliability import ClusterReliability
 from repro.metrics.costs import (
     BLADE_MAINTENANCE_USD_PER_YEAR, BLADE_SETUP_USD, DEFAULT_COSTS,
     LIFETIME_HOURS, YEARS, CostParameters,
@@ -91,8 +90,7 @@ def space_cost(cluster: PlatformSpec,
 def downtime_cost(cluster: PlatformSpec,
                   params: CostParameters = DEFAULT_COSTS) -> float:
     """DTC: lost CPU-hours billed at the machine-time rate."""
-    reliability = ClusterReliability(cluster)
-    lost_cpu_hours = reliability.downtime_cpu_hours(YEARS)
+    lost_cpu_hours = cluster.outages.downtime_cpu_hours(cluster.nodes, YEARS)
     return lost_cpu_hours * params.downtime_usd_per_cpu_hour
 
 

@@ -174,8 +174,11 @@ def draw_fault_plan(
     rate ``len(resources) / mtbf_s`` (each resource independently fails
     with mean time between failures *mtbf_s*); each event picks a
     uniform victim and holds it down for an exponential repair time
-    with mean *mttr_s*.  Same idiom as the scheduler's node-failure
-    injector, so one seed convention covers both.
+    with mean *mttr_s*.  It is not the scheduler's node-failure draw
+    (:func:`~repro.cluster.reliability.poisson_outages`): that one has
+    a cluster-wide MTBF and no repairs, while this one's MTBF is per
+    resource and each arrival draws its repair before the next gap, so
+    one seed draws different streams from the two.
     """
     if not resources:
         return FaultTimeline()

@@ -80,9 +80,8 @@ class NpbRandom:
     real suite's ``randlc``/``vranlc`` pair.
     """
 
-    def __init__(self, seed: int = NPB_SEED, a: int = NPB_LCG_A) -> None:
+    def __init__(self, seed: int = NPB_SEED) -> None:
         self.x = seed & _MASK46
-        self.a = a & _MASK46
 
     @staticmethod
     def power(a: int, n: int) -> int:
@@ -91,7 +90,7 @@ class NpbRandom:
 
     def skip(self, n: int) -> None:
         """Advance the stream by *n* draws in O(log n)."""
-        self.x = (self.x * self.power(self.a, n)) & _MASK46
+        self.x = (self.x * self.power(NPB_LCG_A, n)) & _MASK46
 
     _BLOCK = 1 << 15
     _power_cache: Dict[int, np.ndarray] = {}
@@ -117,7 +116,7 @@ class NpbRandom:
         real suite's 23-bit split so every 46-bit product stays exact
         inside uint64.
         """
-        powers = self._power_table(self.a)
+        powers = self._power_table(NPB_LCG_A)
         a1 = powers >> np.uint64(23)
         a2 = powers & np.uint64((1 << 23) - 1)
         out = np.empty(n, dtype=np.float64)

@@ -13,9 +13,10 @@ every consumer is *derived*:
 - :meth:`PlatformSpec.power_model` — the energy-accounting model;
 - :meth:`PlatformSpec.build_thermal` — the lumped-RC blade network;
 - ``chassis_count``, ``power_kw``, ``cooling_kw``, ``total_power_kw``,
-  ``perf_space_mflops_per_sqft``, ``perf_power_gflops_per_kw``,
-  :meth:`PlatformSpec.peak_gflops`, :meth:`PlatformSpec.sustained_gflops`
-  — the physical denominators (sq ft, watts, dollars) and ratings
+  ``outages``, ``perf_space_mflops_per_sqft``,
+  ``perf_power_gflops_per_kw``, :meth:`PlatformSpec.peak_gflops`,
+  :meth:`PlatformSpec.sustained_gflops` — the physical denominators
+  (sq ft, watts, dollars, lost CPU-hours) and ratings
   :mod:`repro.metrics` and :mod:`repro.hpl` read for Tables 5-7.
 
 This module imports nothing from :mod:`repro.metrics`, :mod:`repro.hpl`
@@ -43,6 +44,9 @@ from typing import Any, Dict, Optional, Sequence
 from repro.cluster.chassis import RlxSystem324
 from repro.cluster.node import NodeConfig, Packaging
 from repro.cluster.rack import CHASSIS_PER_RACK, RACK_GEAR_WATTS
+from repro.cluster.reliability import (
+    BLADED_OUTAGES, TRADITIONAL_OUTAGES, OutageProfile,
+)
 from repro.core.domains import (
     NONNEGATIVE, POSITIVE, check_domains, check_keys, param, whole,
 )
@@ -245,6 +249,14 @@ class PlatformSpec:
     @property
     def total_power_kw(self) -> float:
         return self.power_kw + self.cooling_kw
+
+    @property
+    def outages(self) -> OutageProfile:
+        """The packaging's outage process (paper Section 4.1): a blade
+        fails alone, a traditional node takes the whole cluster down."""
+        if self.packaging is Packaging.BLADED:
+            return BLADED_OUTAGES
+        return TRADITIONAL_OUTAGES
 
     # -- identity ---------------------------------------------------------
 

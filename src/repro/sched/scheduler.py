@@ -31,7 +31,6 @@ shared timeline stays causally consistent.
 
 from __future__ import annotations
 
-import random
 from array import array
 from bisect import insort
 from collections import Counter
@@ -40,6 +39,7 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.cluster.reliability import poisson_outages
 from repro.core.domains import (
     NONNEGATIVE, POSITIVE, check_domains, param, whole,
 )
@@ -501,21 +501,16 @@ class BatchScheduler:
                                 seed: int = 0) -> List[Tuple[float, int]]:
         """Draw a Poisson fault process over the horizon (accelerated MTBF).
 
-        Job runtimes here are virtual *seconds*, so the per-hour outage
-        profiles of :mod:`repro.cluster.reliability` would never fire;
-        the bench compresses MTBF to seconds instead.
+        The draw is :func:`~repro.cluster.reliability.poisson_outages`,
+        the one Table 5's Monte-Carlo makes, at one failure per *mtbf_s*
+        for the whole cluster.  Job runtimes here are virtual seconds, so
+        the MTBF is given in seconds rather than taken from the per-year
+        outage profiles.
         """
         POSITIVE.check("mtbf_s", mtbf_s)
         POSITIVE.check("horizon_s", horizon_s)
-        rng = random.Random(seed)
-        t = 0.0
-        plan: List[Tuple[float, int]] = []
-        while True:
-            t += rng.expovariate(1.0 / mtbf_s)
-            if t >= horizon_s:
-                break
-            blade = rng.randrange(self.nodes)
-            plan.append((t, blade))
+        plan = poisson_outages(1.0 / mtbf_s, horizon_s, self.nodes, seed)
+        for t, blade in plan:
             self.inject_failure(t, blade)
         return plan
 

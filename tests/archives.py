@@ -18,8 +18,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.cluster import BLADED_OUTAGES, ClusterReliability
-from repro.cluster.management import ClusterOperationSim
+from repro.cluster import BLADED_OUTAGES
+from repro.cluster.reliability import HOURS_PER_YEAR
 from repro.cms import CmsConfig, CodeMorphingSoftware
 from repro.core.experiments import experiment_fig3, experiment_table2
 from repro.cpus.catalog import (
@@ -34,7 +34,7 @@ from repro.cpus.longrun import (
     dvfs_trajectory_study,
     energy_study,
 )
-from repro.cpus.power import ThermalModel
+from repro.cpus.power import ThermalModel, node_failure_rate
 from repro.isa import programs
 from repro.metrics import CostParameters, tco_for
 from repro.metrics.costs import DEFAULT_COSTS, YEARS
@@ -226,13 +226,11 @@ def ablation_cooling_thermal():
     for ambient_f in (65, 75, 85, 95):
         ambient_c = (ambient_f - 32) * 5.0 / 9.0
         thermal = ThermalModel(ambient_celsius=ambient_c)
-        blade = ClusterReliability(METABLADE, thermal=thermal)
-        trad = ClusterReliability(P4_BEOWULF, thermal=thermal)
         rows.append(
-            [
-                ambient_f,
-                round(blade.predicted_failures_per_year(), 2),
-                round(trad.predicted_failures_per_year(), 2),
+            [ambient_f] + [
+                round(node_failure_rate(spec.processor, thermal)
+                      * spec.nodes, 2)
+                for spec in (METABLADE, P4_BEOWULF)
             ]
         )
     blade_rates = [r[1] for r in rows]
@@ -709,15 +707,12 @@ def failure_injection():
     hours, seeds = 35_040.0, 25
     rows = []
     for cluster in TABLE5:
-        expected = ClusterOperationSim(cluster).expected_lost_cpu_hours(
-            hours
-        )
-        reports = [
-            ClusterOperationSim(cluster, seed=s).run(hours)
-            for s in range(seeds)
-        ]
-        lost = float(np.mean([r.lost_cpu_hours for r in reports]))
-        avail = float(np.mean([r.availability for r in reports]))
+        outages, nodes = cluster.outages, cluster.nodes
+        expected = outages.downtime_cpu_hours(nodes, hours / HOURS_PER_YEAR)
+        losses = [outages.lost_cpu_hours(nodes, hours, s)
+                  for s in range(seeds)]
+        lost = float(np.mean(losses))
+        avail = float(np.mean([1.0 - x / (hours * nodes) for x in losses]))
         rows.append(
             [
                 cluster.title,

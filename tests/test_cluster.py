@@ -7,7 +7,6 @@ from dataclasses import replace
 import pytest
 
 from repro.cluster import (
-    ClusterReliability,
     ComputeNode,
     Packaging,
     RlxSystem324,
@@ -18,6 +17,7 @@ from repro.cluster.chassis import ChassisError
 from repro.cluster.rack import Rack
 from repro.cluster.reliability import BLADED_OUTAGES, TRADITIONAL_OUTAGES
 from repro.cpus.catalog import TM5600_633
+from repro.cpus.power import ThermalModel, node_failure_rate
 from repro.platform.registry import (
     ALPHA_BEOWULF,
     AVALON,
@@ -179,13 +179,13 @@ def test_downtime_cpu_hours_paper_numbers():
 
 
 def test_reliability_profiles_by_packaging():
-    blade = ClusterReliability(METABLADE)
-    trad = ClusterReliability(ALPHA_BEOWULF)
-    assert blade.outage_profile is BLADED_OUTAGES
-    assert trad.outage_profile is TRADITIONAL_OUTAGES
+    assert METABLADE.outages is BLADED_OUTAGES
+    assert ALPHA_BEOWULF.outages is TRADITIONAL_OUTAGES
     # Fraction of a year's CPU-hours lost to outages.
-    lost_blade = blade.downtime_cpu_hours(1.0) / (METABLADE.nodes * 8760.0)
-    lost_trad = trad.downtime_cpu_hours(1.0) / (ALPHA_BEOWULF.nodes * 8760.0)
+    lost_blade = METABLADE.outages.downtime_cpu_hours(
+        METABLADE.nodes, 1.0) / (METABLADE.nodes * 8760.0)
+    lost_trad = ALPHA_BEOWULF.outages.downtime_cpu_hours(
+        ALPHA_BEOWULF.nodes, 1.0) / (ALPHA_BEOWULF.nodes * 8760.0)
     assert lost_blade < lost_trad
     assert lost_blade < 0.001
 
@@ -193,7 +193,7 @@ def test_reliability_profiles_by_packaging():
 def test_physics_prediction_close_to_empirical_rates():
     """The Arrhenius model should land near the paper's observed rates:
     ~6 failures/yr for hot traditional clusters, ~1 for the blades."""
-    p4 = ClusterReliability(P4_BEOWULF)
-    blade = ClusterReliability(METABLADE)
-    assert 3.0 < p4.predicted_failures_per_year() < 10.0
-    assert 0.3 < blade.predicted_failures_per_year() < 3.0
+    def per_year(spec):
+        return node_failure_rate(spec.processor, ThermalModel()) * spec.nodes
+    assert 3.0 < per_year(P4_BEOWULF) < 10.0
+    assert 0.3 < per_year(METABLADE) < 3.0

@@ -1,9 +1,13 @@
 """Parallel treecode over SimMPI: determinism, scaling, decomposition."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.nbody.parallel import (
+    ReplicatedStep,
     run_parallel_nbody,
     scaling_study,
 )
@@ -32,6 +36,40 @@ def test_parallel_matches_bit_for_bit_with_count_balance():
     work = _positions(run_parallel_nbody(CFG, 4, RATE, balance="work"))
     count = _positions(run_parallel_nbody(CFG, 4, RATE, balance="count"))
     assert np.array_equal(work, count)
+
+
+def _counted_run(config, cpus, balance):
+    """``(positions, velocities, interactions)`` of one SPMD run, the
+    interactions summed over every rank's slice of every force pass."""
+    interactions = []
+    forces = ReplicatedStep.forces
+
+    def counted(self, *args, **kwargs):
+        mine = forces(self, *args, **kwargs)
+        interactions.append(mine.interactions)
+        return mine
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ReplicatedStep, "forces", counted)
+        run = run_parallel_nbody(config, cpus, RATE, balance=balance)
+    pos, vel = (np.vstack(part) for part in zip(*run.results))
+    return pos, vel, sum(interactions)
+
+
+@given(n=st.integers(32, 500), steps=st.sampled_from([1, 2]),
+       cpus=st.integers(1, 24), balance=st.sampled_from(["work", "count"]))
+@settings(max_examples=30, deadline=None)
+def test_every_rank_count_integrates_the_same_trajectory(n, steps, cpus,
+                                                         balance):
+    # The decomposition half of "determinism across worker counts":
+    # the ranks cut one replicated tree into slices, so p ranks give
+    # the p = 1 run's positions, velocities and interactions bit for bit.
+    config = replace(CFG, n=n, steps=steps)
+    pos, vel, interactions = _counted_run(config, cpus, balance)
+    pos1, vel1, interactions1 = _counted_run(config, 1, balance)
+    assert pos.tobytes() == pos1.tobytes()
+    assert vel.tobytes() == vel1.tobytes()
+    assert interactions == interactions1
 
 
 def test_invalid_balance_rejected():

@@ -42,7 +42,7 @@ def test_lcg_batch_matches_scalar():
     r1 = NpbRandom()
     x, draws = r1.x, []
     for _ in range(40_000):                 # randlc, one draw at a time
-        x = x * r1.a % NPB_LCG_M
+        x = x * NPB_LCG_A % NPB_LCG_M
         draws.append(x / NPB_LCG_M)
     assert np.array_equal(np.array(draws), r1.batch(40_000))
     assert r1.x == x

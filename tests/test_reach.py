@@ -344,9 +344,21 @@ DELETED = [
      "@dataclass\n"
      "class ManagementHub:\n"
      "    detection_latency_h: float\n"),
-    ("cluster/management.py", "OperationReport",
+    ("cluster/management.py", None,
+     "class ClusterOperationSim:\n"
+     "    def __init__(self, cluster, seed=0):\n"
+     "        self.rng = random.Random(seed)\n"),
+    ("cluster/management.py", None,
+     "@dataclass\n"
+     "class OperationReport:\n"
+     "    lost_cpu_hours: float\n"),
+    ("cluster/reliability.py", None,
+     "@dataclass(frozen=True)\n"
+     "class ClusterReliability:\n"
+     "    cluster: PlatformSpec\n"),
+    ("cluster/reliability.py", "OutageProfile",
      "def downtime_cost(self, usd_per_cpu_hour=5.0):\n"
-     "    return self.lost_cpu_hours * usd_per_cpu_hour\n"),
+     "    return self.outage_hours * usd_per_cpu_hour\n"),
     ("cluster/reliability.py", "OutageProfile",
      "def mean_time_to_detect_h(self):\n"
      "    return self.outage_hours / 20.0\n"),
@@ -725,6 +737,17 @@ def _no_uses(tree):
     return {id(n) for subtree in skip for n in ast.walk(subtree)}
 
 
+def _init_class(node):
+    """The class ``Cls`` of an ``__init__`` loaded as ``Cls.__init__``:
+    used as a value, it passes options as ``Cls`` itself does, to its
+    own ``__init__`` or the one it inherits.  Any other receiver may be
+    any class, so that ``__init__`` passes to every one."""
+    if isinstance(node, ast.Attribute) and node.attr == "__init__" and \
+            isinstance(node.value, ast.Name) and node.value.id[0].isupper():
+        return node.value.id
+    return None
+
+
 @functools.lru_cache(maxsize=None)
 def _passes(text):
     """How *text* passes arguments to each name: ``name -> Counter(how)``,
@@ -749,7 +772,7 @@ def _passes(text):
             if id(node) in called:
                 passes[name][called[id(node)]] += 1
             elif isinstance(node.ctx, ast.Load):
-                passes[name][VALUE] += 1
+                passes[_init_class(node) or name][VALUE] += 1
         elif attr := _attribute_access(node):     # getattr(x, "name")
             passes[attr[1]][VALUE] += 1
     return passes
@@ -1137,7 +1160,7 @@ DELETED_FIELDS = [
     ("cluster/rack.py", "Rack", "rack_units: int = 42"),
     ("cluster/rack.py", "Rack",
      "footprint_sqft: float = RACK_FOOTPRINT_SQFT"),
-    ("cluster/reliability.py", "ClusterReliability",
+    ("cluster/reliability.py", "OutageProfile",
      "failure_model: FailureModel = FailureModel()"),
     ("cpus/longrun.py", "LongRunModel",
      "static_watts: float = param(NONNEGATIVE, 0.35)"),
@@ -1278,6 +1301,36 @@ def test_a_class_named_as_a_receiver_passes_nothing():
         "repro.box.scale(factor=)",
         "repro.box.Spec(depth=)",
     ]
+
+
+def test_an_init_used_as_a_value_passes_only_its_class():
+    module = (
+        "class Box:\n"
+        "    def __init__(self, size, lid=False):\n"
+        "        self.size = size\n"
+        "class Crate(Box):\n"
+        "    pass\n"
+        "class Tin(Box):\n"
+        "    def __init__(self, size, seal=True):\n"
+        "        self.size = size\n"
+        "class Jar:\n"
+        "    def __init__(self, cap=None):\n"
+        "        self.cap = cap\n"
+    )
+    user = (
+        "from repro.box import Crate\n"
+        "def main(patch):\n"
+        "    init = Crate.__init__\n"          # Box.__init__, inherited
+        "    patch(init)\n"
+    )
+    sources = [("repro/box.py", module), ("repro/user.py", user)]
+    assert _unset(sources) == [
+        "repro.box.Tin.__init__(seal=)",
+        "repro.box.Jar.__init__(cap=)",
+    ]
+    # A receiver that names no class may be any: every ``__init__``.
+    assert _unset(sources, ["def main(obj):\n    return obj.__init__\n"]) \
+        == []
 
 
 # -- state -------------------------------------------------------------------
@@ -1494,7 +1547,7 @@ DELETED_STATE = [
      "class FormFactor:\n"
      "    depth_in: float\n"),
     ("cluster/chassis.py", "ChassisDimensions", "depth_in: float = 25.2"),
-    ("cluster/management.py", "OperationReport", "hub: ManagementHub"),
+    ("cluster/reliability.py", "OutageProfile", "hub: ManagementHub"),
     ("cms/tcache.py", "CacheStats", "insertions: int = 0"),
     ("cms/tcache.py", "CacheStats", "evictions: int = 0"),
     ("cms/translator.py", None,

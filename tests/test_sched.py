@@ -504,6 +504,12 @@ def test_non_finite_inputs_raise_naming_the_field(hard_timeout, field, call,
         call(value)
 
 
+def test_a_subnormal_mtbf_is_refused_not_looped_on(hard_timeout):
+    # 1.0 / 5e-324 is inf: every gap was zero and the plan never ended.
+    with pytest.raises(ValueError, match="^rate must be finite"):
+        make_sched().inject_poisson_failures(1.0, mtbf_s=5e-324)
+
+
 @pytest.mark.parametrize("payload, field, value", [
     (TreecodeJob, "n", 0),              # was: ZeroDivisionError mid-run
     (TreecodeJob, "steps", -1),         # was: completed, computed nothing
