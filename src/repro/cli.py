@@ -11,8 +11,8 @@ Usage::
     python -m repro.cli topper
     python -m repro.cli claims               # every paper claim, checked
     python -m repro.cli green500             # Top500 vs Green500 ranking
-    python -m repro.cli timeline --ranks 6   # the unified event timeline
-    python -m repro.cli timeline --fail-rank 2 --fail-at 0.05
+    python -m repro.cli timeline --ranks 6   # one-job campaign, every event
+    python -m repro.cli timeline --fail-rank 2 --fail-at 0.05   # kill, requeue
     python -m repro.cli sched --jobs 200 --policy backfill --fail-inject
     python -m repro.cli sched --platform green-destiny-240 --jobs 100
     python -m repro.cli sched --thermal-fail --thermal-accel 50
@@ -152,32 +152,22 @@ def _sched_block(run) -> str:
     """
     from repro.metrics.throughput import throughput_report
     from repro.sched import build_campaign, campaign_params, render_gantt
+    from repro.telemetry import observe_run
 
     overrides = dict(run)
     seed = overrides.pop("seed")
     width = overrides.pop("width")
     telemetry = overrides.pop("telemetry")
     sched = build_campaign(campaign_params(seed, overrides))
-    spec = sched.platform
-    tel = None
-    if telemetry is not None:
-        from repro.telemetry import Telemetry
-        tel = Telemetry()
-        tel.attach(sched.kernel)
-        with tel.wall_span("sched.run", jobs=overrides["jobs"],
-                           policy=overrides["policy"], seed=seed):
-            outcome = sched.run()
-        tel.detach()
-        tel.ingest_sched(outcome, platform=spec)
-        tel.finish(sched.kernel.now)
-        tel.export(telemetry)
-    else:
-        outcome = sched.run()
+    outcome = observe_run(sched, sched.run, telemetry, "sched.run",
+                          jobs=overrides["jobs"],
+                          policy=overrides["policy"], seed=seed)
     gantt = render_gantt(
         outcome.allocator.intervals, outcome.nodes,
         outcome.makespan_s, width=width,
     )
-    return f"{gantt}\n\n{throughput_report(outcome, platform=spec).format()}"
+    report = throughput_report(outcome, platform=sched.platform)
+    return f"{gantt}\n\n{report.format()}"
 
 
 def _cmd_sched(args) -> None:
@@ -376,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--limit", type=whole(0), default=48,
                     help="max timeline lines to print")
     pt.add_argument("--fail-rank", type=whole(0), default=None,
-                    help="inject a node failure into this rank")
+                    help="fail the blade this rank runs on; the job is "
+                         "killed and requeued")
     pt.add_argument("--fail-at", type=NONNEGATIVE, default=0.0,
                     help="virtual time (s) of the injected failure")
     pt.add_argument("--seed", type=whole(0), default=2001,

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.core.domains import NONNEGATIVE
+from repro.core.domains import NONNEGATIVE, check_domains, param
 
 #: Hours in a year: converts annual failure rates and lifetimes.
 HOURS_PER_YEAR = 8760.0
@@ -57,9 +57,12 @@ def poisson_outages(rate: float, horizon: float, nodes: int,
 class OutageProfile:
     """Failure frequency and blast radius for one packaging style."""
 
-    failures_per_year: float
-    outage_hours: float
+    failures_per_year: float = param(NONNEGATIVE)
+    outage_hours: float = param(NONNEGATIVE)
     whole_cluster: bool
+
+    def __post_init__(self) -> None:
+        check_domains(self)
 
     def downtime_cpu_hours(self, nodes: int, years: float) -> float:
         """Expected lost CPU-hours over the period."""

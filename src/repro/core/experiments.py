@@ -361,181 +361,60 @@ def experiment_timeline(
     net_mtbf_s: float = 0.05,
     net_mttr_s: float = 0.002,
 ) -> ExperimentResult:
-    """One treecode step with the event kernel observed.
+    """One treecode step as a one-job campaign, its kernel observed.
 
-    Every layer posts onto one clock — rank starts/blocks/wakes from
-    the scheduler, link and switch occupancy from the fabric, failures
-    from the injector — so the rendered timeline is globally
-    time-coherent.  ``fail_rank`` (optionally) kills a node mid-run.
-    ``platform`` names a registry entry; its spec supplies the fabric
-    (e.g. Green Destiny's rack network) and node rate.  Default:
-    MetaBlade.
-
-    ``thermal`` attaches the lumped-RC network from
-    :mod:`repro.thermal`: each rank's blade heats while the step runs,
-    a planned trip-point crossing clamps every rank's frequency (and
-    lands on the timeline as a ``thermal-trip`` event), and the peak
-    blade temperature joins the extras.  ``thermal_accel`` compresses
-    the thermal time constants so a short step shows the effect.
-
-    ``net_fault`` injects a seeded link-outage plan (seed + 3, MTBF
-    ``net_mtbf_s``, repair ``net_mttr_s`` — virtual seconds) and turns
-    on the SimMPI reliable-delivery layer: lost frames retransmit with
-    timeout/backoff and land on the timeline as ``net-drop`` events,
-    outage windows overlapping the step as ``net-down``/``net-up``.
-
-    ``telemetry`` names a directory: a :class:`~repro.telemetry.Telemetry`
-    handle observes the same kernel and exports virtual-time spans
-    (Perfetto-loadable ``trace.json``) plus a ``metrics.jsonl`` there.
-    The timeline is itself collected by an observer, so attaching a
-    second one changes nothing — the rendered text is byte-identical
-    either way.
+    A one-step ``TreecodeJob`` on *ranks* blades of *platform* (default:
+    MetaBlade) arrives at 0; the scheduler arms ``thermal`` and
+    ``net_fault`` (outages over a 1 s horizon, seed + 3) and fails the
+    blade it placed ``fail_rank`` on at ``fail_at_s`` (kill, requeue).
+    Every number printed, or exported to ``telemetry``, is its outcome's.
     """
     from collections import Counter
 
-    from repro.core.events import EventKernel, TimelineEvent
-    from repro.nbody.parallel import run_parallel_nbody
-    from repro.simmpi import SimMpiRuntime, render_timeline
+    from repro.metrics.throughput import throughput_report
+    from repro.network.faults import NetFaultConfig
+    from repro.sched import BatchScheduler, JobSpec, SchedConfig, TreecodeJob
+    from repro.simmpi import render_timeline
+    from repro.telemetry import observe_run
 
-    spec = platform_by_name(
-        platform if platform is not None else DEFAULT_PLATFORM
+    spec = platform_by_name(platform or DEFAULT_PLATFORM)
+    sched = BatchScheduler(
+        platform=spec,
+        config=SchedConfig(thermal=thermal, thermal_accel=thermal_accel),
+        net_fault=(NetFaultConfig(net_mtbf_s, net_mttr_s, seed + 3,
+                                  horizon_s=1.0) if net_fault else None),
     )
-    if ranks > spec.nodes:
-        raise ValueError(
-            f"{ranks} ranks exceed {spec.name}'s {spec.nodes} nodes"
-        )
-    kernel = EventKernel()
-    timeline: List[TimelineEvent] = []
-    kernel.add_observer(timeline.append)
-    tel = None
-    if telemetry is not None:
-        from repro.telemetry import Telemetry
-        tel = Telemetry()
-        tel.attach(kernel)
-    network = None
-    governor = None
-    if thermal:
-        from repro.thermal import arm_attempt
+    timeline: List = []
+    sched.kernel.add_observer(timeline.append)
+    job = TreecodeJob(n=n, steps=1, seed=seed)
+    sched.submit(JobSpec(0, arrival_s=0.0, nodes=ranks, workload=job,
+                         walltime_est_s=job.est_runtime_s(ranks,
+                                                          sched.flop_rate)))
 
-        network = spec.build_thermal(ranks, accel=thermal_accel)
-        tspec = network.spec
-        plan, governor = arm_attempt(network, range(ranks), 0.0)
-        if plan.trip_at_s is not None:
-            def _trip(at: float = plan.trip_at_s) -> None:
-                for blade in range(ranks):
-                    network.set_busy(
-                        blade, at, scale=tspec.throttle_scale
-                    )
-                kernel.trace(
-                    "thermal-trip", time=at,
-                    scale=tspec.throttle_scale, blades=ranks,
-                )
+    def run():
+        if fail_rank is not None:
+            # Run to the job's start; job-start lists its blades by rank.
+            sched.run(until=0.0)
+            start = next(e for e in timeline if e.kind == "job-start")
+            blades = start.get("blades").split(",")
+            sched.inject_failure(fail_at_s, int(blades[fail_rank]))
+        return sched.run()
 
-            kernel.at(plan.trip_at_s, _trip)
-    fabric = spec.build_fabric(ranks)
-    net_plan = None
-    policy = None
-    if net_fault:
-        from repro.network.faults import (
-            RetryPolicy, draw_fault_plan, link_resource,
-        )
-
-        resources = [link_resource(r) for r in range(ranks)]
-        # The step's length is not known up front; a 1 s horizon covers
-        # any single treecode step, and windows past the end are inert
-        # lookups.  Plan seed follows the injector convention (+3).
-        net_plan = draw_fault_plan(
-            resources, horizon_s=1.0, mtbf_s=net_mtbf_s,
-            mttr_s=net_mttr_s, seed=seed + 3,
-        )
-        fabric.attach_faults(net_plan, resources=resources)
-        policy = RetryPolicy()
-    runtime = SimMpiRuntime(
-        ranks, fabric=fabric,
-        flop_rate=spec.node_flop_rate(), kernel=kernel,
-        governor=governor, net_fault=policy,
-    )
-    if fail_rank is not None:
-        runtime.fail_at(fail_at_s, fail_rank, detail="injected")
-    config = SimConfig(n=n, steps=1, seed=seed, theta=0.7, softening=1e-2)
-    with (tel.wall_span("timeline.step", ranks=ranks, n=n)
-          if tel is not None else nullcontext()):
-        run = run_parallel_nbody(
-            config, ranks, spec.node_flop_rate(), runtime=runtime
-        )
-    if net_plan is not None:
-        # Trace the outage windows the step actually lived through —
-        # emitted after the run (the timeline is sorted for rendering)
-        # so windows past the end don't clutter the view.
-        end = max(run.elapsed_s, kernel.now)
-        for window in net_plan.windows():
-            if window.start_s <= end:
-                kernel.trace(
-                    "net-down", time=window.start_s,
-                    resource=window.resource, until=window.end_s,
-                )
-                kernel.trace(
-                    "net-up", time=window.end_s, resource=window.resource,
-                )
-    # Virtual-time order; the sort is stable, so ties keep emission order.
-    events = sorted(timeline, key=lambda e: e.time)
-    counts = Counter(e.kind for e in events)
-    rows = [[kind, count] for kind, count in sorted(counts.items())]
+    outcome = observe_run(sched, run, telemetry, "timeline.run",
+                          ranks=ranks, n=n)
+    report = throughput_report(outcome, platform=spec)
     suffix = f" on {spec.title}" if platform is not None else ""
-    table = format_table(
-        ["Event kind", "Count"], rows,
-        title=f"Unified event timeline: {ranks}-rank treecode step{suffix}",
+    result = _result(
+        ["Event kind", "Count"],
+        sorted([kind, count] for kind, count
+               in Counter(e.kind for e in timeline).items()),
+        f"Unified event timeline: {ranks}-rank treecode step{suffix}",
+        extras={"events": float(len(timeline)),
+                "failures": float(report.failures)},
     )
-    text = table + "\n\n" + render_timeline(events, limit=limit)
-    extras = {
-        "events": float(len(events)),
-        "resumptions": float(run.resumptions),
-        "elapsed_s": run.elapsed_s,
-        "failed_ranks": float(len(run.failed_ranks)),
-    }
-    if net_fault:
-        retransmits = sum(s.retransmits for s in run.stats)
-        extras["net_retransmits"] = float(retransmits)
-        text += (
-            f"\n\nnetwork faults: {len(net_plan)} outage window(s) "
-            f"planned, {retransmits} frame(s) retransmitted"
-        )
-    if thermal:
-        end = max(run.elapsed_s, kernel.now)
-        network.finish(end)
-        extras["peak_temp_c"] = network.peak_c
-        extras["heat_j"] = sum(
-            network.heat_joules(blade, 0.0, end) for blade in range(ranks)
-        )
-        tripped = governor is not None
-        extras["thermal_trips"] = 1.0 if tripped else 0.0
-        text += (
-            f"\n\nthermal: peak blade {network.peak_c:.1f} C "
-            f"(trip {tspec.trip_c:.0f} C, "
-            f"{'tripped' if tripped else 'no trip'}), "
-            f"{extras['heat_j']:.1f} J rejected"
-        )
-    if tel is not None:
-        tel.detach()
-        run.publish_metrics(tel.registry, world=f"timeline-{ranks}r")
-        from repro.network.timing import publish_fabric_metrics
-        publish_fabric_metrics(
-            tel.registry, runtime.fabric, fabric_name=spec.fabric.kind
-        )
-        if network is not None:
-            network.publish_metrics(tel.registry)
-        for key, value in extras.items():
-            tel.registry.gauge(
-                f"experiment.{key}", experiment="timeline"
-            ).set(value)
-        tel.finish(kernel.now)
-        tel.export(telemetry)
-    return ExperimentResult(
-        headers=["Event kind", "Count"],
-        rows=rows,
-        text=text,
-        extras=extras,
-    )
+    result.text += (f"\n\n{render_timeline(timeline, limit=limit)}"
+                    f"\n\n{report.format()}")
+    return result
 
 
 # ---------------------------------------------------------------------------

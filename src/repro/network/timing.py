@@ -35,27 +35,6 @@ class IdealFabric(Fabric):
         return t
 
 
-def publish_fabric_metrics(registry, fabric: Fabric,
-                           fabric_name: str = "fabric") -> None:
-    """Fold a fabric's transfer log into a telemetry Registry.
-
-    Message count, byte volume, and the in-flight latency distribution
-    (arrive − post), labeled with the fabric name so multi-fabric runs
-    stay distinguishable after aggregation.
-    """
-    transfers = fabric.transfers
-    registry.counter("fabric.transfers", fabric=fabric_name).inc(
-        len(transfers)
-    )
-    if not transfers:
-        return
-    nbytes = registry.counter("fabric.bytes", fabric=fabric_name)
-    latency = registry.histogram("fabric.latency_s", fabric=fabric_name)
-    for t in transfers:
-        nbytes.inc(t.nbytes)
-        latency.observe(t.arrive_time - t.post_time)
-
-
 def star_fabric(nodes: int) -> StarTopology:
     """The MetaBlade fabric sized for *nodes* blades."""
     return METABLADE_FABRIC.build(nodes)

@@ -171,10 +171,9 @@ class PlatformSpec:
             return self.thermal
         return ThermalSpec.for_power_model(self.power_model())
 
-    def build_thermal(self, nodes: Optional[int] = None,
-                      accel: float = 1.0,
+    def build_thermal(self, accel: float = 1.0,
                       keep_ledger: bool = False) -> ThermalNetwork:
-        """The lumped-RC blade network, sized for *nodes* (default: all).
+        """The lumped-RC blade network of every blade.
 
         Its parameters are :meth:`thermal_params` (override them with
         ``replace(platform, thermal=...)``); *accel* compresses the time
@@ -182,7 +181,7 @@ class PlatformSpec:
         chassis size come from the power model and the fabric.
         """
         return ThermalNetwork(
-            self.nodes if nodes is None else nodes,
+            self.nodes,
             self.thermal_params().accelerated(accel),
             node_watts=self.power_model().node_watts,
             nodes_per_chassis=self.fabric.nodes_per_chassis,

@@ -214,11 +214,9 @@ class RankComm:
 
     def stall(self, seconds: float) -> None:
         """Advance the clock by *seconds* of non-compute I/O (checkpoint
-        writes, staging); billed separately from flops so throughput
-        accounting can tell useful work from overhead."""
+        writes, staging); no compute or flops are billed for it."""
         _check_amount("stall seconds", seconds)
         self.clock += seconds
-        self.stats.io_s += seconds
 
     def compute_flops(self, flops: float,
                       flop_rate: Optional[float] = None) -> None:

@@ -139,14 +139,6 @@ class RunResult:
             return 0.0
         return 1.0 - self.max_compute_s / self.elapsed_s
 
-    def publish_metrics(self, registry, world: str) -> None:
-        """Fold the run and every rank's comm stats into a Registry."""
-        registry.counter("simmpi.resumptions").inc(self.resumptions)
-        registry.gauge("simmpi.elapsed_s", world=world).set(self.elapsed_s)
-        registry.counter("simmpi.failed_ranks").inc(len(self.failed_ranks))
-        for stats in self.stats:
-            stats.publish_metrics(registry)
-
 
 class SimMpiRuntime:
     """Cooperative SPMD scheduler with virtual time on an event kernel.

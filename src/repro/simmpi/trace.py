@@ -28,7 +28,6 @@ class CommStats:
     bytes_sent: int = 0
     bytes_received: int = 0
     compute_s: float = 0.0
-    io_s: float = 0.0         # non-compute stalls (checkpoint writes)
     energy_j: float = 0.0     # filled when a LongRun governor is attached
     flops: float = 0.0        # work billed through compute_flops — the
                               # other side of the compute_s ledger that
@@ -36,34 +35,6 @@ class CommStats:
     retransmits: int = 0      # frames lost to link faults (each one was
                               # retried or abandoned by the delivery layer)
     drops: int = 0            # posts discarded at an already-dead dst
-
-    @property
-    def messages(self) -> int:
-        return self.sends + self.recvs
-
-    def publish_metrics(self, registry) -> None:
-        """Fold this rank's ledger into a telemetry Registry.
-
-        Counters are unlabeled totals (they aggregate across ranks and
-        worlds); the per-rank shape lands in histograms so imbalance
-        stays visible after aggregation.
-        """
-        registry.counter("comm.sends").inc(self.sends)
-        registry.counter("comm.recvs").inc(self.recvs)
-        registry.counter("comm.bytes_sent").inc(self.bytes_sent)
-        registry.counter("comm.bytes_received").inc(self.bytes_received)
-        registry.counter("comm.compute_s").inc(self.compute_s)
-        registry.counter("comm.io_s").inc(self.io_s)
-        registry.counter("comm.energy_j").inc(self.energy_j)
-        registry.counter("comm.flops").inc(self.flops)
-        # The net.* family exists only when the fault layer fired, so
-        # fault-free telemetry exports stay byte-identical.
-        if self.retransmits:
-            registry.counter("net.retransmits").inc(self.retransmits)
-        if self.drops:
-            registry.counter("net.drops").inc(self.drops)
-        registry.histogram("comm.rank_compute_s").observe(self.compute_s)
-        registry.histogram("comm.rank_messages").observe(self.messages)
 
 
 def _describe(event: TimelineEvent) -> str:

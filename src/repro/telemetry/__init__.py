@@ -15,10 +15,10 @@ the event kernel:
   behind ``python -m repro.cli stats``.
 
 A run's numbers are published by the objects that hold them: each
-result or ledger (a scheduling outcome, a SimMPI run result, a rank's
-comm stats, the allocator, the thermal network) has a
-``publish_metrics(registry)`` method, and this package names none of
-their fields.
+ledger (a scheduling outcome, its allocator, thermal and net-fault
+summaries) has a ``publish_metrics(registry)`` method, and this
+package names none of their fields.  :func:`observe_run` is the one
+sequence that observes a scheduler run and exports it.
 
 The determinism contract (enforced by ``check --telemetry-diff``):
 telemetry is **observer-only**.  With telemetry off, not one
@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 from repro.telemetry.export import (
     aggregate,
@@ -159,6 +159,28 @@ class Telemetry:
         return paths
 
 
+def observe_run(sched, run: Callable[[], Any],
+                out_dir: Optional[Union[str, Path]], phase: str,
+                **args: Any):
+    """``run()`` a scheduler's campaign; with *out_dir*, observed.
+
+    Attach to ``sched.kernel``, time *phase*, detach, publish the
+    outcome and its platform, finish, export to *out_dir*: the one
+    sequence a telemetry-on ``sched`` or ``timeline`` run takes.
+    """
+    if out_dir is None:
+        return run()
+    tel = Telemetry()
+    tel.attach(sched.kernel)
+    with tel.wall_span(phase, **args):
+        outcome = run()
+    tel.detach()
+    tel.ingest_sched(outcome, platform=sched.platform)
+    tel.finish(sched.kernel.now)
+    tel.export(out_dir)
+    return outcome
+
+
 __all__ = [
     "AsyncEvent",
     "Counter",
@@ -173,6 +195,7 @@ __all__ = [
     "chrome_trace",
     "load_metrics",
     "metrics_jsonl",
+    "observe_run",
     "render_stats_table",
     "write_chrome_trace",
     "write_metrics_jsonl",

@@ -1,13 +1,12 @@
 """The metric registry: counters, gauges and histograms in one handle.
 
-Every subsystem so far grew its own ad-hoc stats object —
+Every subsystem grew its own stats object —
 :class:`~repro.simmpi.trace.CommStats` per rank,
 :class:`~repro.nbody.traversal.TraversalStats` per force evaluation,
 :class:`~repro.sched.scheduler.ThermalSummary` per run, profile-cache
-hit/miss counters, allocator busy/down ledgers.  Those objects stay
-(they are load-bearing: tests and metrics consume them), but none of
-them can be *correlated* across a run.  The :class:`Registry` is the
-one handle they all publish into when telemetry is on: a flat,
+hit/miss counters, allocator busy/down ledgers — and none of them can
+be *correlated* across a run.  The :class:`Registry` is the one
+handle a run's ledgers publish into when telemetry is on: a flat,
 deterministic namespace of named metrics with sorted label sets,
 exportable as JSON-lines and aggregatable across runs by
 ``python -m repro.cli stats``.

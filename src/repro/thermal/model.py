@@ -357,22 +357,6 @@ class ThermalNetwork:
         for blade in range(self.nodes):
             self._advance(blade, t)
 
-    def publish_metrics(self, registry) -> None:
-        """Fold the network's thermal state into a telemetry Registry.
-
-        Publishes the observed peak, the per-blade temperature
-        distribution at each blade's last advanced instant, and the
-        segment-ledger size (zero unless ``keep_ledger`` was set).
-        """
-        registry.gauge("thermal.network.peak_c").max(self.peak_c)
-        registry.counter("thermal.network.segments").inc(
-            len(self.segments)
-        )
-        for blade in range(self.nodes):
-            registry.histogram("thermal.network.blade_c").observe(
-                self._temp[blade]
-            )
-
     # -- energy accounting -------------------------------------------------
 
     def heat_joules(self, blade: int, start_s: float,

@@ -21,6 +21,7 @@ import pytest
 
 import repro
 from repro.cluster import NodeConfig
+from repro.cluster.reliability import OutageProfile
 from repro.cms import CmsConfig
 from repro.core.domains import (
     FINITE, NONNEGATIVE, POSITIVE, UNIT_CLOSED_OPEN, UNIT_OPEN_CLOSED,
@@ -72,6 +73,8 @@ BASELINES = {
     NodeConfig: {},
     NpbKernelJob: {},
     OpMix: dict(fp=0.5, mem=0.25, int_=0.25),
+    OutageProfile: dict(failures_per_year=1.0, outage_hours=1.0,
+                        whole_cluster=False),
     PlatformSpec: _kwargs(METABLADE),
     PortSpec: dict(ports=("alu",), latency=1),
     ProcessorSpec: _kwargs(TM5600_SPEC),
@@ -167,7 +170,7 @@ def test_the_covered_classes_are_exactly_the_checked_records():
         }
     assert exported <= declaring
     assert declaring == set(BASELINES)
-    assert len(BASELINES) == 27
+    assert len(BASELINES) == 28
 
 
 def _estimate(nodes=4, flop_rate=1e9):

@@ -7,6 +7,7 @@ timeline.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -628,7 +629,36 @@ def test_render_timeline_formats_and_limits():
 def test_experiment_timeline_end_to_end():
     result = experiment_timeline(ranks=4, n=400, limit=10)
     assert result.extras["events"] > 0
-    assert result.extras["failed_ranks"] == 0
+    assert result.extras["failures"] == 0
     assert "Event timeline" in result.text
     kinds = {row[0] for row in result.rows}
     assert "send" in kinds and "wake" in kinds
+
+
+@pytest.mark.parametrize("platform, thermal, fail_at_s, blade", [
+    (None, False, 0.02, 2),
+    # Coolest-first placement puts rank 2 on blade 122, not 2.
+    ("avalon", True, 0.005, 122),
+])
+def test_timeline_fail_rank_kills_and_requeues_the_job(platform, thermal,
+                                                       fail_at_s, blade):
+    result = experiment_timeline(
+        ranks=4, n=400, fail_rank=2, fail_at_s=fail_at_s, limit=None,
+        platform=platform, thermal=thermal,
+    )
+    events = re.findall(r"^ +(\d+\.\d{6}s)  (\S+) +(.*)$", result.text,
+                        flags=re.MULTILINE)
+    first_start = next(rest for _, kind, rest in events
+                       if kind == "job-start")
+    assert f"blades={blade - 2},{blade - 1},{blade},{blade + 1} " \
+        in first_start
+    at = f"{fail_at_s:.6f}s"
+    assert (at, "node-down", f"detail=injected fault node={blade}") \
+        in events
+    assert (at, "job-kill", "rank=2 detail=injected fault") in events
+    assert (at, "job-requeue", "job=0 unit=0") in events
+    kinds = [kind for _, kind, _ in events]
+    assert kinds.count("job-start") == 2
+    assert kinds.count("job-complete") == 1
+    assert result.extras["failures"] == 1.0
+    assert "jobs completed                1" in result.text

@@ -21,6 +21,7 @@ import ast
 import contextlib
 import functools
 import io
+import json
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
@@ -106,6 +107,23 @@ def test_published_numbers_match_the_golden(row):
     assert metrics == (DATA / f"ledger_{row}.metrics.jsonl").read_text()
     if row.startswith("sched"):
         assert text == (DATA / f"ledger_{row}.txt").read_text()
+
+
+def _families(metrics):
+    return {json.loads(line)["metric"] for line in metrics.splitlines()}
+
+
+def test_the_timeline_publishes_what_a_campaign_publishes():
+    """One accounting path: the timeline's metrics are the outcome's and
+    the span recorder's, no hand-published family of its own."""
+    timeline = _families(_run("timeline")[1])
+    campaign = _families(_run("sched_metablade")[1]) | _families(
+        _run("sched_green-destiny-240")[1]
+    )
+    assert timeline <= campaign
+    hand_published = ("comm.", "fabric.", "thermal.network.", "experiment.")
+    assert not {m for m in timeline if m.startswith(hand_published)}
+    assert "simmpi.resumptions" not in timeline
 
 
 def test_report_totals_equal_the_registry_counters():

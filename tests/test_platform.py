@@ -293,7 +293,7 @@ def test_timeline_runs_on_a_rack_platform():
         ranks=3, n=300, limit=8, platform="green-destiny-240"
     )
     assert "on Green Destiny" in result.text
-    assert result.extras["failed_ranks"] == 0.0
+    assert result.extras["failures"] == 0.0
 
 
 # ---------------------------------------------------------------------------

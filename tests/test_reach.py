@@ -471,6 +471,9 @@ DELETED = [
      "@property\n"
      "def nonblocking(self):\n"
      "    return self.backplane_bps >= 2 * self.ports\n"),
+    ("network/timing.py", None,
+     "def publish_fabric_metrics(registry, fabric, fabric_name='fabric'):\n"
+     "    registry.counter('fabric.transfers').inc(len(fabric.transfers))\n"),
     ("network/topology.py", "StarTopology",
      "def uplink_busy_s(self):\n"
      "    return self.uplink.busy_s\n"),
@@ -499,9 +502,16 @@ DELETED = [
     ("simmpi/trace.py", None,
      "def filter_timeline(events, kinds=None, rank=None):\n"
      "    return [e for e in events if e.kind in kinds]\n"),
+    ("simmpi/runtime.py", "RunResult",
+     "def publish_metrics(self, registry, world):\n"
+     "    registry.gauge('simmpi.elapsed_s', world=world)\n"),
     ("simmpi/trace.py", "CommStats",
      "def merge(self, other):\n"
      "    return self\n"),
+    ("simmpi/trace.py", "CommStats",
+     "@property\n"
+     "def messages(self):\n"
+     "    return self.sends + self.recvs\n"),
     ("telemetry/registry.py", "Histogram",
      "@property\n"
      "def mean(self):\n"
@@ -1590,6 +1600,7 @@ DELETED_STATE = [
     ("npb/classes.py", "ProblemClass", "nominal_ops: float"),
     ("perfmodel/workload.py", "CpuCharacterization", "cpu_name: str"),
     ("sched/scheduler.py", "SchedOutcome", "hub: ManagementHub"),
+    ("simmpi/trace.py", "CommStats", "io_s: float = 0.0"),
     ("telemetry/__init__.py", "Telemetry",
      "def _enter(self):\n"
      "    self._wall_depth += 1\n"),

@@ -153,11 +153,11 @@ def test_rank_charges_refuse_a_non_amount_before_any_counter_moves(
                            match=f"^{name} must be finite and >= 0, got"):
             getattr(comm, method)(bad)
         s = comm.stats
-        return comm.clock, s.compute_s, s.io_s, s.flops, s.energy_j
+        return comm.clock, s.compute_s, s.flops, s.energy_j
         yield
 
     result = run(1, prog, flop_rate=1e8)
-    assert result.results[0] == (0.5, 0.5, 0.0, 0.0, 0.0)
+    assert result.results[0] == (0.5, 0.5, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1e8])
