@@ -126,9 +126,6 @@ class NBodySimulation:
             use_karp=cfg.use_karp,
             naive=cfg.naive_traversal,
         )
-        if not cfg.naive_traversal:
-            stats.tree_rebuilds = self._tree_cache.rebuilds
-            stats.tree_reuses = self._tree_cache.reuses
         flops = stats.flops + BUILD_FLOPS_PER_PARTICLE * len(pos)
         self.flops_ledger.append(flops)
         self._last_stats = stats

@@ -22,7 +22,8 @@ Two implementations of the same walk coexist:
   pairs descends all groups simultaneously in NumPy; the surviving
   interaction pairs are then evaluated in large flat arrays with
   segment reductions.  No per-group Python work, no per-group small
-  allocations.
+  allocations.  A tree of at most ``_DENSE_MAX_N`` particles walks
+  and sums densely instead: groups x nodes, then sources x targets.
 - the **naive** path (``naive=True``): the original one-group-at-a-time
   walk, kept as the executable reference.
 
@@ -40,6 +41,7 @@ whose tiles split inside a target's source list.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -71,6 +73,12 @@ _PAIR_TILE = 1 << 14
 #: do not depend on it either.
 _SWEEP_GROUPS = 32
 
+#: Largest tree (particles) whose force pass takes the dense path
+#: (``_dense_walk`` and ``_dense_direct``): O(n^2) work that beats the
+#: frontier walk and the sweeps while direct pairs dominate.  Results
+#: do not depend on it.
+_DENSE_MAX_N = 512
+
 
 @dataclass
 class TraversalStats:
@@ -79,12 +87,6 @@ class TraversalStats:
     particle_cell: int = 0
     particle_particle: int = 0
     groups: int = 0
-    nodes_opened: int = 0
-    #: tree builds that ran the full node construction vs. builds that
-    #: reused the previous step's structure (see
-    #: :class:`repro.nbody.tree.TreeBuildCache`).
-    tree_rebuilds: int = 0
-    tree_reuses: int = 0
     #: per-group records ``(lo, hi, interactions)`` in sorted index
     #: space - the raw material of work-based decomposition.
     group_work: List[Tuple[int, int, int]] = field(default_factory=list)
@@ -96,22 +98,6 @@ class TraversalStats:
     @property
     def flops(self) -> int:
         return self.interactions * INTERACTION_FLOPS
-
-    def publish_metrics(self, registry) -> None:
-        """Fold this evaluation's work counters into a telemetry Registry."""
-        registry.counter("nbody.particle_cell").inc(self.particle_cell)
-        registry.counter("nbody.particle_particle").inc(
-            self.particle_particle
-        )
-        registry.counter("nbody.groups").inc(self.groups)
-        registry.counter("nbody.nodes_opened").inc(self.nodes_opened)
-        registry.counter("nbody.tree_rebuilds").inc(self.tree_rebuilds)
-        registry.counter("nbody.tree_reuses").inc(self.tree_reuses)
-        registry.counter("nbody.flops").inc(self.flops)
-        if self.group_work:
-            observe = registry.histogram("nbody.group_interactions").observe
-            for _lo, _hi, interactions in self.group_work:
-                observe(interactions)
 
 
 def _group_geometry(tree: HashedOctree,
@@ -131,7 +117,6 @@ def _is_ancestor(node: TreeNode, leaf: TreeNode) -> bool:
 
 def interaction_lists(
     tree: HashedOctree, leaf: TreeNode, theta: float,
-    stats: Optional[TraversalStats] = None,
 ) -> Tuple[List[TreeNode], List[TreeNode]]:
     """Walk the tree for one leaf group; returns (cells, direct_leaves).
 
@@ -157,8 +142,6 @@ def interaction_lists(
             if margin > 0.0 and node.size < theta * margin:
                 cells.append(node)
                 continue
-        if stats is not None:
-            stats.nodes_opened += 1
         for ckey in node.children:
             stack.append(tree.nodes[ckey])
     return cells, direct
@@ -266,7 +249,6 @@ def _batched_interaction_pairs(
     theta: float,
     centres: np.ndarray,
     radii: np.ndarray,
-    stats: TraversalStats,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One frontier walk for all groups at once.
 
@@ -294,7 +276,6 @@ def _batched_interaction_pairs(
     cell_n: List[np.ndarray] = []
     dir_g: List[np.ndarray] = []
     dir_n: List[np.ndarray] = []
-    opened = 0
     while gidx.size:
         keep = node_mass[nidx] > 0.0
         gidx, nidx = gidx[keep], nidx[keep]
@@ -321,11 +302,9 @@ def _batched_interaction_pairs(
             cell_g.append(gi[accept])
             cell_n.append(ni[accept])
         go, no = gi[~accept], ni[~accept]
-        opened += go.size
         counts = child_ptr[no + 1] - child_ptr[no]
         nidx = child_index[_concat_ranges(child_ptr[no], counts, "cr_walk")]
         gidx = np.repeat(go, counts)
-    stats.nodes_opened += opened
 
     # Frontier order is breadth-first; the sequential walk appends in
     # depth-first pop order, which equals ascending flat node index
@@ -477,6 +456,47 @@ def _sweeps(t_sorted: np.ndarray, min_groups: int) -> List[Tuple[int, int]]:
     return list(zip([0] + stops[:-1], stops))
 
 
+def _accumulate_tile(
+    acc: np.ndarray,
+    src: np.ndarray,
+    tgt: np.ndarray,
+    mass: np.ndarray,
+    eps2: float,
+    use_karp: bool,
+) -> None:
+    """One tile of a direct-sum kernel: ``acc += sum_r mass * rinv^3 * d``.
+
+    ``acc`` is ``(3,) + cols``; ``src - tgt`` broadcasts to the tile's
+    displacements ``(r, 3) + cols`` and ``mass`` to its ``(r,) + cols``
+    plane.  The displacements are rows ``1..r`` of a scratch buffer
+    whose row 0 takes ``acc``, so one leading-axis reduction adds the
+    ``r`` source rows in order (see ``_source_major_direct``).
+    """
+    plane = (len(src),) + acc.shape[1:]
+    pairs = math.prod(plane)
+    size = 3 * (pairs + pairs // plane[0])
+    buf = _scratch("direct_buf", size, np.float64)[:size].reshape(
+        (plane[0] + 1, 3) + plane[1:])
+    d = buf[1:]
+    np.subtract(src, tgt, out=d)
+    r2 = _scratch("direct_r2", pairs, np.float64)[:pairs].reshape(plane)
+    w = _scratch("direct_w", pairs, np.float64)[:pairs].reshape(plane)
+    dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+    np.multiply(dx, dx, out=r2)
+    np.multiply(dz, dz, out=w)
+    r2 += w
+    np.multiply(dy, dy, out=w)
+    r2 += w
+    r2 += eps2
+    rinv = _fast_rsqrt_inplace(r2, use_karp, eps2 > 0.0)
+    np.multiply(rinv, rinv, out=w)
+    np.multiply(w, rinv, out=w)
+    np.multiply(w, mass, out=w)
+    np.multiply(d, w[:, None], out=d)
+    buf[0] = acc
+    np.add.reduce(buf, axis=0, out=acc)
+
+
 def _source_major_direct(
     out: np.ndarray,
     tree: HashedOctree,
@@ -537,7 +557,6 @@ def _source_major_direct(
     :class:`repro.nbody.parallel.ReplicatedStep` cut rank slices out of
     one whole-tree evaluation.
     """
-    positive = eps2 > 0.0
     n = tree.n_particles
     # Rows x, y, z, mass; column n is the sentinel pseudo-particle.
     table = np.empty((4, n + 1))
@@ -588,8 +607,6 @@ def _source_major_direct(
                 np.copyto(src[:, :k], n,
                           where=slot >= counts[j0:j0 + k] - done)
             sp = np.take(table, src, axis=1)                 # (4, r, a)
-            buf = _scratch("direct_buf", 3 * (pairs + cols), np.float64)[
-                :3 * (pairs + cols)]
             if merged:
                 # Each gathered source, copied out to its group's targets
                 # (indices are in range; "clip" lets take write into
@@ -599,38 +616,107 @@ def _source_major_direct(
                     :4 * pairs].reshape(4, r, cols)
                 sp = np.take(sp, col_group[c0:] - j0, axis=2,
                              out=cols_buf, mode="clip")      # (4, r, cols)
-                plane = (r, cols)
-                active = acc[:, c0:]
-                tgt_active = tgt[:, c0:]
+                _accumulate_tile(acc[:, c0:], sp[:3].swapaxes(0, 1),
+                                 tgt[:, c0:], sp[3], eps2, use_karp)
             else:
                 sp = sp[:, :, None, :]                       # (4, r, 1, a)
-                plane = (r, t, width - j0)
-                active = acc[:, :, j0:]
-                tgt_active = tgt[:, :, j0:]
-            buf = buf.reshape((r + 1, 3) + plane[1:])
-            d = buf[1:]
-            np.subtract(sp[:3].swapaxes(0, 1), tgt_active, out=d)
-            r2 = _scratch("direct_r2", pairs, np.float64)[
-                :pairs].reshape(plane)
-            w = _scratch("direct_w", pairs, np.float64)[
-                :pairs].reshape(plane)
-            dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
-            np.multiply(dx, dx, out=r2)
-            np.multiply(dz, dz, out=w)
-            r2 += w
-            np.multiply(dy, dy, out=w)
-            r2 += w
-            r2 += eps2
-            rinv = _fast_rsqrt_inplace(r2, use_karp, positive)
-            np.multiply(rinv, rinv, out=w)
-            np.multiply(w, rinv, out=w)
-            np.multiply(w, sp[3], out=w)
-            np.multiply(d, w[:, None], out=d)
-            buf[0] = active
-            np.add.reduce(buf, axis=0, out=active)
+                _accumulate_tile(acc[:, :, j0:], sp[:3].swapaxes(0, 1),
+                                 tgt[:, :, j0:], sp[3], eps2, use_karp)
             done += r
             j0 = bisect_right(count_list, done, j0)
         out[rows] = acc.reshape(3, -1).T
+
+
+def _dense_walk(
+    tree: HashedOctree,
+    leaf_idx: np.ndarray,
+    theta: float,
+    centres: np.ndarray,
+    radii: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frontier walk's visit set, from ``(groups, nodes)`` matrices.
+
+    Every group's MAC against every inner node at once, spelled as
+    ``_batched_interaction_pairs`` spells it; then ``go`` (visited and
+    opened) flows down one level at a time: a node is visited when its
+    parent was visited and opened.  Returns ``(cell_nodes, cell_count,
+    direct)``: cell lists as the frontier walk returns them, and the
+    boolean ``(groups, nodes)`` matrix of visited non-empty leaves.
+    """
+    node_key = tree.node_key
+    node_level = tree.node_level
+    is_leaf = tree.node_is_leaf
+    live = tree.node_mass > 0.0
+    inner = np.flatnonzero(live & ~is_leaf)
+    n_groups, n_nodes = len(leaf_idx), len(node_key)
+    dv = (tree.node_com[inner][None] - centres[:, None]).reshape(-1, 3)
+    d = np.sqrt(np.einsum("ij,ij->i", dv, dv)).reshape(n_groups, -1)
+    margin = d - radii[:, None]
+    accept = (margin > 0.0) & (tree.node_size[inner] < theta * margin)
+    # Ancestors of the group are always opened.
+    lvl = node_level[inner]
+    gl = node_level[leaf_idx][:, None]
+    shift = (3 * np.maximum(gl - lvl, 0)).astype(np.uint64)
+    accept &= ~((lvl <= gl) & ((node_key[leaf_idx][:, None] >> shift)
+                               == node_key[inner]))
+
+    parent = np.empty(n_nodes, dtype=np.int64)
+    parent[tree.child_index] = np.repeat(np.arange(n_nodes),
+                                         np.diff(tree.child_ptr))
+    parent[tree.root_index] = n_nodes       # a virtual parent, always open
+    # go[:, i]: node i visited and opened; a level at a time, downwards.
+    go = np.zeros((n_groups, n_nodes + 1), dtype=bool)
+    go[:, n_nodes] = True
+    go[:, inner] = ~accept
+    down = inner[np.argsort(lvl, kind="stable")]
+    for nodes in np.split(down, np.flatnonzero(np.diff(node_level[down]))
+                          + 1):
+        go[:, nodes] &= go[:, parent[nodes]]
+    visit = go[:, parent]
+    cell = visit[:, inner] & accept
+    # np.nonzero is row-major: (group, node)-sorted already.
+    cell_nodes = inner[np.nonzero(cell)[1]]
+    cell_count = np.count_nonzero(cell, axis=1)
+    return cell_nodes, cell_count, visit & live & is_leaf
+
+
+def _dense_direct(
+    out: np.ndarray,
+    tree: HashedOctree,
+    tgt_pos: np.ndarray,
+    tgt_group: np.ndarray,
+    direct: np.ndarray,
+    eps2: float,
+    use_karp: bool,
+) -> None:
+    """Direct-sum evaluation over every target column at once.
+
+    Every group's direct list is an ordered subsequence of one source
+    order: leaves by node index, particles ascending inside a leaf.
+    Sources sweep in that order, in tiles of rows, across all targets;
+    a pair off its target's list weighs ``mass * 0``, so its term is
+    ``+-0.0``, which never moves an accumulator that starts at ``+0.0``.
+    The per-target sums are ``_source_major_direct``'s, bit for bit.
+    """
+    n_targets = len(tgt_pos)
+    leaves = np.flatnonzero(direct.any(axis=0))
+    lo = tree.node_lo[leaves]
+    sizes = tree.node_hi[leaves] - lo
+    src = _concat_ranges(lo, sizes)
+    src_pos = tree.pos[src]
+    # Weights in (sources, targets) layout: mass, or 0 off the list.
+    member = np.repeat(direct[:, leaves].T[:, tgt_group], sizes, axis=0)
+    weight = np.multiply(member, tree.mass[src][:, None],
+                         out=_scratch("dense_weight", member.size,
+                                      np.float64)[:member.size]
+                         .reshape(member.shape))
+    tgt = np.ascontiguousarray(tgt_pos.T)[None]            # (1, 3, T)
+    acc = np.zeros((3, n_targets))
+    step = max(1, _PAIR_TILE // n_targets)
+    for s0 in range(0, len(src), step):
+        _accumulate_tile(acc, src_pos[s0:s0 + step, :, None], tgt,
+                         weight[s0:s0 + step], eps2, use_karp)
+    out[:] = acc.T
 
 
 def _batched_accelerations(
@@ -677,13 +763,25 @@ def _batched_accelerations(
     dist2 += spread[:, 2]
     radii = np.sqrt(np.maximum.reduceat(dist2, row_ptr[:-1]))
 
-    cell_nodes, cell_count, direct_src, direct_count = (
-        _batched_interaction_pairs(tree, leaf_idx, theta, centres, radii,
-                                   stats)
-    )
-    cell_ptr = np.concatenate(([0], np.cumsum(cell_count)))
-    direct_ptr = np.concatenate(([0], np.cumsum(direct_count)))
     eps2 = softening * softening
+    direct_sum = np.empty((n_targets, 3))
+    if tree.n_particles <= _DENSE_MAX_N:
+        cell_nodes, cell_count, direct = _dense_walk(
+            tree, leaf_idx, theta, centres, radii)
+        direct_count = direct @ (tree.node_hi - tree.node_lo)
+        _dense_direct(direct_sum, tree, tgt_pos, tgt_group, direct, eps2,
+                      use_karp)
+    else:
+        cell_nodes, cell_count, direct_src, direct_count = (
+            _batched_interaction_pairs(tree, leaf_idx, theta, centres,
+                                       radii)
+        )
+        direct_ptr = np.concatenate(([0], np.cumsum(direct_count)))
+        _source_major_direct(
+            direct_sum, tree, glo, sizes, row_ptr, direct_src, direct_ptr,
+            direct_count, eps2, use_karp,
+        )
+    cell_ptr = np.concatenate(([0], np.cumsum(cell_count)))
 
     acc = np.zeros((n_targets, 3))
     cell_sum = np.zeros((n_targets, 3))
@@ -692,11 +790,6 @@ def _batched_accelerations(
         cell_sum, tgt_pos, cell_count[tgt_group], cell_ptr, tgt_group,
         cell_nodes, tree.node_com, tree.node_mass, eps2, use_karp,
         tree.node_quad if use_quadrupole else None, quad_sum, g,
-    )
-    direct_sum = np.empty((n_targets, 3))
-    _source_major_direct(
-        direct_sum, tree, glo, sizes, row_ptr, direct_src, direct_ptr,
-        direct_count, eps2, use_karp,
     )
     # Same per-element addition order as the naive group evaluator:
     # zeros += g*cells, += quadrupole, += g*direct.
@@ -783,7 +876,7 @@ def tree_accelerations(
         for key in tree.node_key[groups].tolist():
             leaf = tree.nodes[key]
             before = stats.interactions
-            cells, direct = interaction_lists(tree, leaf, theta, stats)
+            cells, direct = interaction_lists(tree, leaf, theta)
             acc_sorted[leaf.lo - lo:leaf.hi - lo] = _evaluate_group(
                 tree, leaf, cells, direct, softening, g, use_karp, stats,
                 use_quadrupole=use_quadrupole,

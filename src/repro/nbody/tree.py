@@ -176,13 +176,9 @@ class HashedOctree:
         else:
             self._cum_m2 = None
 
-        #: "built" | "topology_reuse" | "full_reuse" - how the last
-        #: build of this tree object was satisfied.
-        self.build_kind = "built"
         if (_topology_hint is not None
                 and np.array_equal(self.keys, _topology_hint[0])):
             self._topology = _topology_hint[1]
-            self.build_kind = "topology_reuse"
         else:
             self._topology = self._build_topology()
 
@@ -401,9 +397,8 @@ class TreeBuildCache:
     One cache serves one stream of snapshots (an integrator advancing a
     particle set, or the replicated-tree ranks of the parallel code all
     building the same step's tree).  ``build`` is a drop-in for the
-    :class:`HashedOctree` constructor and returns bit-identical trees;
-    the counters record how much work each call actually did (an
-    order reuse is not counted apart from the build it speeds up):
+    :class:`HashedOctree` constructor and returns bit-identical trees,
+    doing only the work the last build does not prove valid:
 
     - **full reuse** - identical particles and parameters: the cached
       tree object is returned as-is;
@@ -422,14 +417,6 @@ class TreeBuildCache:
         self._mass: Optional[np.ndarray] = None
         self._params: Optional[tuple] = None
         self._bounds: Optional[tuple] = None
-        self.full_reuses = 0
-        self.topology_reuses = 0
-        self.rebuilds = 0
-
-    @property
-    def reuses(self) -> int:
-        """Builds that skipped node construction entirely."""
-        return self.full_reuses + self.topology_reuses
 
     def build(self, pos: np.ndarray, mass: np.ndarray,
               leaf_size: int = 16, depth: int = MAX_DEPTH,
@@ -451,10 +438,7 @@ class TreeBuildCache:
         )
         if (comparable and np.array_equal(pos, self._pos)
                 and np.array_equal(mass, self._mass)):
-            self.full_reuses += 1
-            tree = self._tree
-            tree.build_kind = "full_reuse"
-            return tree
+            return self._tree
         order_hint = self._tree.order if comparable else None
         topology_hint = (
             (self._tree.keys, self._tree._topology) if comparable else None
@@ -464,10 +448,6 @@ class TreeBuildCache:
             quadrupoles=quadrupoles, _order_hint=order_hint,
             _topology_hint=topology_hint,
         )
-        if tree.build_kind == "topology_reuse":
-            self.topology_reuses += 1
-        else:
-            self.rebuilds += 1
         self._tree = tree
         self._pos = pos.copy()
         self._mass = mass.copy()

@@ -41,7 +41,7 @@ DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
 CALLING_DOCS = DOCS[:4]
 
 #: DESIGN.md's line count: lower it when DESIGN shrinks, never raise it.
-DESIGN_LINES = 1540
+DESIGN_LINES = 1537
 
 #: Placeholders a document may use for "any subcommand of this shape".
 PLACEHOLDERS = {"tableN"}

@@ -37,7 +37,6 @@ def _both_paths(tree, **kw):
 def _assert_stats_equal(st_n: TraversalStats, st_b: TraversalStats):
     assert st_n.particle_cell == st_b.particle_cell
     assert st_n.particle_particle == st_b.particle_particle
-    assert st_n.nodes_opened == st_b.nodes_opened
     assert st_n.groups == st_b.groups
     assert list(st_n.group_work) == list(st_b.group_work)
 
@@ -61,14 +60,17 @@ def test_batched_bit_identical_to_naive(theta, use_quadrupole, use_karp):
     )
 
 
-def test_batched_bit_identical_zero_softening():
-    # eps = 0 exercises the masked self-pair handling in both paths.
+def test_batched_bit_identical_zero_softening(monkeypatch):
+    # eps = 0 exercises the masked self-pair handling in every path:
+    # the dense one this tree takes, and the sweeps with the cut at 0.
     pos, _, mass = two_clusters(500, seed=11)
     tree = HashedOctree(pos, mass, leaf_size=16)
-    for use_karp in (False, True):
-        _assert_batched_equals_naive(
-            tree, theta=0.7, softening=0.0, use_karp=use_karp,
-        )
+    for cut in (traversal._DENSE_MAX_N, 0):
+        monkeypatch.setattr(traversal, "_DENSE_MAX_N", cut)
+        for use_karp in (False, True):
+            _assert_batched_equals_naive(
+                tree, theta=0.7, softening=0.0, use_karp=use_karp,
+            )
 
 
 def test_batched_bit_identical_slice_mode():
@@ -96,15 +98,6 @@ def test_simulation_naive_flag_is_bit_identical():
     )
     assert fast.energy_initial == ref.energy_initial
     assert fast.energy_final == ref.energy_final
-
-
-def test_sim_reports_tree_counters_on_fast_path():
-    cfg = SimConfig(n=300, steps=2, ic="collision", seed=3)
-    sim = NBodySimulation(cfg)
-    sim.run(compute_energy=False)
-    stats = sim._last_stats
-    assert stats.tree_rebuilds + stats.tree_reuses >= 1
-    assert stats.tree_rebuilds == sim._tree_cache.rebuilds
 
 
 @given(seed=st.integers(0, (1 << 24) - 1), n=st.integers(96, 1200),
@@ -190,6 +183,7 @@ def test_direct_kernel_is_independent_of_the_tile_budget(
     # one tile, each group padded with sentinel sources up to the
     # bucket's longest list - equal bytes say padding adds nothing,
     # with zero softening too (the sentinel coincides with no target).
+    monkeypatch.setattr(traversal, "_DENSE_MAX_N", 0)
     pos, mass = _lumpy(600, seed=3, clump=63)
     tree = HashedOctree(pos, mass, leaf_size=8)
     kw = dict(theta=0.3, softening=softening, use_karp=use_karp)
@@ -214,6 +208,7 @@ def test_direct_kernel_equals_naive_on_random_leaf_aligned_slices(
         monkeypatch, seed):
     # A budget most groups overflow: tiles end inside source lists.
     monkeypatch.setattr(traversal, "_PAIR_TILE", 512)
+    monkeypatch.setattr(traversal, "_DENSE_MAX_N", 0)
     rng = np.random.default_rng(100 + seed)
     n = int(rng.integers(2, 400))
     pos, mass = _lumpy(n, seed, clump=int(rng.integers(0, min(n, 30))))
@@ -229,6 +224,54 @@ def test_direct_kernel_equals_naive_on_random_leaf_aligned_slices(
             (acc_n, st_n), (acc_b, st_b) = _both_paths(tree, **kw)
             assert acc_n.tobytes() == acc_b.tobytes(), kw
             _assert_stats_equal(st_n, st_b)
+
+
+# -- the dense path ----------------------------------------------------------
+
+
+@given(seed=st.integers(0, (1 << 24) - 1),
+       n=st.integers(1, 2 * traversal._DENSE_MAX_N),
+       leaf_size=st.sampled_from((1, 2, 8, 16)),
+       theta=st.floats(0.2, 1.5),
+       softening=st.sampled_from((0.0, 1e-2)), use_karp=st.booleans(),
+       quadrupoles=st.booleans(), clump=st.integers(0, 20),
+       signed=st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_dense_path_equals_the_sweeps_and_naive(
+        seed, n, leaf_size, theta, softening, use_karp, quadrupoles, clump,
+        signed):
+    # Trees on both sides of the cut: at or below it the batched path
+    # is the dense one, and it must equal the sweeps (the cut at 0) and
+    # the naive walk - accelerations bytes and every stats field - on a
+    # random leaf-aligned slice, coincident particles included.  Signed
+    # masses make empty cells with non-empty children, which no walk
+    # enters.
+    if seed % 2:
+        pos, _, mass = plummer_sphere(n, seed=seed)
+    else:
+        pos, mass = _lumpy(n, seed, clump=min(clump, n - 1))
+    if signed:
+        mass[::3] *= -1.0
+    tree = HashedOctree(pos, mass, leaf_size=leaf_size,
+                        quadrupoles=quadrupoles)
+    rng = np.random.default_rng(seed)
+    ends = [0] + [leaf.hi for leaf in tree.leaves()]
+    lo, hi = sorted(int(e) for e in rng.choice(ends, size=2))
+    kw = dict(theta=theta, softening=softening, use_karp=use_karp,
+              use_quadrupole=quadrupoles, target_slice=(lo, hi))
+    walks = []
+    with pytest.MonkeyPatch.context() as mp:
+        dense_walk = traversal._dense_walk
+        mp.setattr(traversal, "_dense_walk",
+                   lambda *a: walks.append(1) or dense_walk(*a))
+        acc, stats = tree_accelerations(tree, **kw)
+        assert bool(walks) == (n <= traversal._DENSE_MAX_N and hi > lo)
+        mp.setattr(traversal, "_DENSE_MAX_N", 0)
+        sweep = tree_accelerations(tree, **kw)
+    naive = tree_accelerations(tree, naive=True, **kw)
+    for other_acc, other_stats in (sweep, naive):
+        assert acc.tobytes() == other_acc.tobytes()
+        assert stats == other_stats
 
 
 # -- the sweep rule ----------------------------------------------------------
@@ -271,6 +314,7 @@ def test_direct_kernel_is_independent_of_the_sweep_rule(
     # leaf-aligned slice is the whole tree's rows.
     monkeypatch.setattr(traversal, "_SWEEP_GROUPS", sweep_groups)
     monkeypatch.setattr(traversal, "_PAIR_TILE", budget)
+    monkeypatch.setattr(traversal, "_DENSE_MAX_N", 0)
     for name, tree, kw, naive in sweep_cases:
         acc, _ = tree_accelerations(tree, target_slice=(0, tree.n_particles),
                                     **kw)
@@ -422,18 +466,16 @@ def test_tree_cache_full_reuse_identical_snapshot():
     t1 = cache.build(pos, mass, leaf_size=8)
     t2 = cache.build(pos, mass, leaf_size=8)
     assert t2 is t1
-    assert cache.rebuilds == 1
-    assert cache.full_reuses == 1
 
 
 def test_tree_cache_reuse_is_bit_identical_on_perturbation():
     pos, _, mass = two_clusters(300, seed=7)
     cache = TreeBuildCache()
-    cache.build(pos, mass, leaf_size=8)
+    first = cache.build(pos, mass, leaf_size=8)
     moved = pos + 1e-9             # tiny drift: keys and order survive
     cached = cache.build(moved, mass, leaf_size=8)
     fresh = HashedOctree(moved, mass, leaf_size=8)
-    assert cache.reuses >= 1
+    assert cached is not first and cached._topology is first._topology
     for name in ("node_key", "node_lo", "node_hi", "node_mass",
                  "node_com", "node_size", "child_ptr", "child_index"):
         assert np.array_equal(getattr(cached, name), getattr(fresh, name))
@@ -445,10 +487,9 @@ def test_tree_cache_reuse_is_bit_identical_on_perturbation():
 def test_tree_cache_rebuilds_on_parameter_change():
     pos, _, mass = two_clusters(300, seed=7)
     cache = TreeBuildCache()
-    cache.build(pos, mass, leaf_size=8)
-    cache.build(pos, mass, leaf_size=16)
-    assert cache.rebuilds == 2
-    assert cache.full_reuses == 0
+    first = cache.build(pos, mass, leaf_size=8)
+    second = cache.build(pos, mass, leaf_size=16)
+    assert second._topology is not first._topology
 
 
 # -- parallel bench runner -------------------------------------------------

@@ -390,22 +390,3 @@ def test_treecode_job_builds_and_walks_once_per_step(host_work):
     assert host_work["builds"] == JOB.steps
     assert host_work["walks"] == JOB.steps
     assert host_work["targets"] == [JOB.n] * JOB.steps
-
-
-# -- TraversalStats.publish_metrics -----------------------------------------
-
-
-def test_publish_metrics_creates_no_histogram_for_no_groups():
-    from repro.telemetry.registry import Registry
-
-    registry = Registry()
-    traversal.TraversalStats().publish_metrics(registry)
-    assert registry.get("nbody.group_interactions") is None
-
-    tree = _some_tree()
-    stats = traversal.tree_accelerations(tree)[1]
-    stats.publish_metrics(registry)
-    histogram = registry.get("nbody.group_interactions")
-    assert histogram.sample()["count"] == stats.groups == len(
-        stats.group_work
-    )
