@@ -100,6 +100,27 @@ def test_simulation_naive_flag_is_bit_identical():
     assert fast.energy_final == ref.energy_final
 
 
+def test_sim_builds_every_fast_path_tree_through_its_cache(monkeypatch):
+    # One cache build per force evaluation (the priming call, then one
+    # a step), all on the simulation's own cache; the naive reference
+    # builds fresh trees and never touches it.
+    caches = []
+    build = TreeBuildCache.build
+    monkeypatch.setattr(
+        TreeBuildCache, "build",
+        lambda self, *a, **kw: caches.append(self) or build(self, *a, **kw),
+    )
+    for naive in (False, True):
+        cfg = SimConfig(n=300, steps=2, ic="collision", seed=3,
+                        naive_traversal=naive)
+        sim = NBodySimulation(cfg)
+        sim.run(compute_energy=False)
+        assert len(sim.flops_ledger) == cfg.steps + 1
+        expected = [] if naive else [sim._tree_cache] * (cfg.steps + 1)
+        assert caches == expected
+        caches.clear()
+
+
 @given(seed=st.integers(0, (1 << 24) - 1), n=st.integers(96, 1200),
        theta=st.sampled_from((0.3, 0.5, 0.7, 0.9, 1.1)),
        leaf_size=st.sampled_from((8, 16, 32)),
