@@ -30,8 +30,3 @@ class ServerBlade:
     @property
     def watts_at_load(self) -> float:
         return self.node.watts_at_load
-
-    @property
-    def needs_active_cooling(self) -> bool:
-        """Blades rely on chassis airflow only - no per-blade fans."""
-        return False

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 from repro.core.domains import check_domains, param, whole
 from repro.cpus.base import ProcessorSpec
-from repro.cpus.power import PowerModel
 
 
 class Packaging(enum.Enum):
@@ -41,10 +40,6 @@ class ComputeNode:
 
     processor: ProcessorSpec
     config: NodeConfig = field(default_factory=NodeConfig)
-
-    @property
-    def power(self) -> PowerModel:
-        return PowerModel.for_spec(self.processor)
 
     @property
     def watts_at_load(self) -> float:

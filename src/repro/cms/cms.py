@@ -67,7 +67,6 @@ class CmsResult:
     translated_blocks: int
     native_blocks: int
     tcache_hit_rate: float
-    profile: HotSpotProfile
     dispatches: int = 0
     chained_jumps: int = 0
 
@@ -85,9 +84,7 @@ class CodeMorphingSoftware:
 
     def __init__(self, config: Optional[CmsConfig] = None) -> None:
         self.config = config or CmsConfig()
-        self.engine = VliwEngine(
-            latencies=self.config.latencies, limits=self.config.limits
-        )
+        self.engine = VliwEngine()
         self.interpreter = GuestInterpreter(
             self.engine,
             cycles_per_instr=self.config.interpret_cycles_per_instr,
@@ -171,7 +168,6 @@ class CodeMorphingSoftware:
             translated_blocks=self.translator.stats.translations,
             native_blocks=native_blocks,
             tcache_hit_rate=self.tcache.stats.hit_rate,
-            profile=self.profile,
             dispatches=dispatches,
             chained_jumps=chained_jumps,
         )

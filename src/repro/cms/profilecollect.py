@@ -16,7 +16,6 @@ from typing import Dict
 class BlockProfile:
     """Execution profile of one guest basic block (keyed by entry pc)."""
 
-    entry_pc: int
     executions: int = 0
     guest_instructions: int = 0
 
@@ -34,11 +33,7 @@ class HotSpotProfile:
     def record(self, entry_pc: int, instr_count: int) -> BlockProfile:
         profile = self.blocks.get(entry_pc)
         if profile is None:
-            profile = BlockProfile(entry_pc=entry_pc)
+            profile = BlockProfile()
             self.blocks[entry_pc] = profile
         profile.record(instr_count)
         return profile
-
-    def executions(self, entry_pc: int) -> int:
-        profile = self.blocks.get(entry_pc)
-        return profile.executions if profile else 0

@@ -306,11 +306,11 @@ class EventKernel:
             self._dead -= 1
         return heap[0][0] if heap else float("inf")
 
-    def next_times(self, limit: int = 3) -> List[float]:
-        """Fire times of the next few live events (diagnostics)."""
+    def next_times(self) -> List[float]:
+        """Fire times of the next three live events (diagnostics)."""
         return sorted(
             t for t, _, e in self._heap if not e.cancelled
-        )[:limit]
+        )[:3]
 
     # -- timeline ----------------------------------------------------------
 

@@ -11,7 +11,7 @@ Opcode classes without an entry fall back to a single-cycle ALU spec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Mapping, Tuple
 
 from repro.core.domains import check_domains, param, whole
 from repro.isa.instructions import OpClass
@@ -47,13 +47,6 @@ class PortTable:
                 if port not in names:
                     names.append(port)
         return tuple(names)
-
-    def replace(self, **overrides: PortSpec) -> "PortTable":
-        """Copy with some class specs overridden by class name."""
-        merged: Dict[OpClass, PortSpec] = dict(self.specs)
-        for name, spec in overrides.items():
-            merged[OpClass[name.upper()]] = spec
-        return PortTable(specs=merged)
 
 
 def make_port_table(

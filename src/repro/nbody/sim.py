@@ -24,7 +24,7 @@ from repro.core.domains import (
 )
 from repro.nbody.ic import plummer_sphere, two_clusters, uniform_cube
 from repro.nbody.integrator import leapfrog_step, total_energy
-from repro.nbody.tree import HashedOctree, TreeBuildCache
+from repro.nbody.tree import HashedOctree
 from repro.nbody.traversal import tree_accelerations
 
 #: Flops billed for tree construction, per particle (key generation,
@@ -79,7 +79,6 @@ class SimResult:
 
     config: SimConfig
     pos: np.ndarray
-    vel: np.ndarray
     mass: np.ndarray
     total_flops: int
     records: List[StepRecord]
@@ -109,16 +108,11 @@ class NBodySimulation:
         #: Per-call flop bill from :meth:`_accel`, in order.  Entry 0 is
         #: the priming call in :meth:`run`; entries 1.. match ``records``.
         self.flops_ledger: List[int] = []
-        self._tree_cache = TreeBuildCache()
 
     def _accel(self, pos: np.ndarray) -> Tuple[np.ndarray, int]:
         cfg = self.config
-        if cfg.naive_traversal:
-            tree = HashedOctree(pos, self.mass, leaf_size=cfg.leaf_size)
-        else:
-            tree = self._tree_cache.build(
-                pos, self.mass, leaf_size=cfg.leaf_size
-            )
+        # The particles move every step: no earlier tree is ever reused.
+        tree = HashedOctree(pos, self.mass, leaf_size=cfg.leaf_size)
         acc, stats = tree_accelerations(
             tree,
             theta=cfg.theta,
@@ -162,7 +156,6 @@ class NBodySimulation:
         result = SimResult(
             config=cfg,
             pos=self.pos,
-            vel=self.vel,
             mass=self.mass,
             total_flops=self.total_flops,
             records=self.records,

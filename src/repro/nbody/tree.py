@@ -24,14 +24,10 @@ Two layouts describe the same tree:
   the random-access API the naive walk navigates by key: a view of the
   flat arrays, materialised on first access.
 
-Between integrator steps most of this work can be reused:
-:class:`TreeBuildCache` keeps the last build and skips, in order of
-how much it can prove unchanged: the whole tree (identical particles -
-how the replicated-tree ranks of :mod:`repro.nbody.parallel` share one
-build per step), the node topology (identical sorted keys), or just
-the sort permutation (key order preserved, the common case for small
-integrator steps).  Every reuse path produces bit-identical trees to a
-from-scratch build; the cache only removes redundant work.
+:class:`TreeBuildCache` keeps the last build and returns it again for
+identical particles and parameters: how the replicated-tree ranks of
+:mod:`repro.nbody.parallel` share one build per step.  Anything else
+is a build from scratch.
 """
 
 from __future__ import annotations
@@ -80,39 +76,13 @@ class TreeNode:
         return self.hi - self.lo
 
 
-class _Topology:
-    """Node structure of one tree, independent of particle data.
-
-    Everything here is a function of the *sorted key array* alone
-    (plus ``leaf_size``/``depth``), so it is shared verbatim between a
-    build and any later build over identical sorted keys.
-    """
-
-    __slots__ = ("key", "level", "lo", "hi", "is_leaf",
-                 "child_ptr", "child_index", "leaf_order")
-
-    def __init__(self, key, level, lo, hi, is_leaf,
-                 child_ptr, child_index, leaf_order):
-        self.key = key                  # (M,) uint64
-        self.level = level              # (M,) int64
-        self.lo = lo                    # (M,) int64
-        self.hi = hi                    # (M,) int64
-        self.is_leaf = is_leaf          # (M,) bool
-        self.child_ptr = child_ptr      # (M+1,) int64 CSR offsets
-        self.child_index = child_index  # flat child indices, octant order
-        self.leaf_order = leaf_order    # leaf indices sorted by lo
-
-
 class HashedOctree:
     """Builds and owns the hashed octree for one particle snapshot."""
 
     def __init__(self, pos: np.ndarray, mass: np.ndarray,
                  leaf_size: int = 16, depth: int = MAX_DEPTH,
                  bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-                 quadrupoles: bool = False,
-                 _order_hint: Optional[np.ndarray] = None,
-                 _topology_hint: Optional[
-                     Tuple[np.ndarray, "_Topology"]] = None):
+                 quadrupoles: bool = False):
         pos = np.asarray(pos, dtype=np.float64)
         mass = np.asarray(mass, dtype=np.float64)
         n = len(pos)
@@ -146,12 +116,7 @@ class HashedOctree:
         self.box_hi = centre + half
 
         keys = particle_keys(pos, self.box_lo, self.box_hi, self.depth)
-        order = None
-        if _order_hint is not None and _order_hint.shape == keys.shape:
-            if _stable_order_valid(keys, _order_hint):
-                order = _order_hint        # the cached sort still holds
-        if order is None:
-            order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys, kind="stable")
         self.order = order
         self.keys = keys[order]
         self.pos = pos[order]
@@ -176,18 +141,14 @@ class HashedOctree:
         else:
             self._cum_m2 = None
 
-        if (_topology_hint is not None
-                and np.array_equal(self.keys, _topology_hint[0])):
-            self._topology = _topology_hint[1]
-        else:
-            self._topology = self._build_topology()
-
-        self._finalize(self._topology)
+        self._build_topology()
+        self._finalize()
 
     # -- construction ------------------------------------------------------
 
-    def _build_topology(self) -> _Topology:
-        """The stack walk: node slices, leaf flags and child lists.
+    def _build_topology(self) -> None:
+        """The stack walk: node slices, leaf flags and child lists, a
+        function of the sorted keys (and ``leaf_size``/``depth``) alone.
 
         Creation (pop) order is the depth-first order the traversal
         visits nodes in; flat node indices are assigned in that order.
@@ -251,18 +212,17 @@ class HashedOctree:
         leaf_order = leaf_indices[
             np.argsort(lo_arr[leaf_indices], kind="stable")
         ]
-        return _Topology(
-            key=np.asarray(node_key, dtype=np.uint64),
-            level=np.asarray(node_level, dtype=np.int64),
-            lo=lo_arr,
-            hi=np.asarray(node_hi, dtype=np.int64),
-            is_leaf=leaf_arr,
-            child_ptr=child_ptr,
-            child_index=child_index,
-            leaf_order=leaf_order,
-        )
+        self.node_key = np.asarray(node_key, dtype=np.uint64)
+        self.node_level = np.asarray(node_level, dtype=np.int64)
+        self.node_lo = lo_arr
+        self.node_hi = np.asarray(node_hi, dtype=np.int64)
+        self.node_is_leaf = leaf_arr
+        self.child_ptr = child_ptr                # (M+1,) CSR offsets
+        self.child_index = child_index            # octant order
+        self.leaf_order = leaf_order              # leaves sorted by lo
+        self.root_index = 0
 
-    def _finalize(self, topo: _Topology) -> None:
+    def _finalize(self) -> None:
         """Vectorised moments + cell size for every node at once.
 
         Elementwise-identical to evaluating ``_moments`` and the cell
@@ -271,7 +231,7 @@ class HashedOctree:
         ``tests/test_nbody_morton_tree.py`` keeps the per-cell geometry
         and asserts as much.
         """
-        lo, hi = topo.lo, topo.hi
+        lo, hi = self.node_lo, self.node_hi
         m = self._cum_mass[hi] - self._cum_mass[lo]
         positive = m > 0
         mid = 0.5 * (self.box_lo + self.box_hi)
@@ -281,7 +241,7 @@ class HashedOctree:
         mass = np.where(positive, m, 0.0)
 
         # Cell size, from the level alone.
-        levels = topo.level
+        levels = self.node_level
         span = self.box_hi - self.box_lo
         size_vec = span[None, :] / (2.0 ** levels)[:, None]
         size = np.max(size_vec, axis=1)
@@ -295,19 +255,10 @@ class HashedOctree:
             trace = shifted[:, 0, 0] + shifted[:, 1, 1] + shifted[:, 2, 2]
             quad = 3.0 * shifted - trace[:, None, None] * _EYE3
 
-        self.node_key = topo.key
-        self.node_level = levels
-        self.node_lo = lo
-        self.node_hi = hi
-        self.node_is_leaf = topo.is_leaf
         self.node_mass = mass
         self.node_com = com
         self.node_size = size
         self.node_quad = quad
-        self.child_ptr = topo.child_ptr
-        self.child_index = topo.child_index
-        self.leaf_order = topo.leaf_order
-        self.root_index = 0
 
     # -- queries -----------------------------------------------------------
 
@@ -372,43 +323,15 @@ class HashedOctree:
         return out
 
 
-def _stable_order_valid(keys: np.ndarray, order: np.ndarray) -> bool:
-    """Would ``argsort(keys, kind="stable")`` return exactly *order*?
-
-    True iff the keys are non-decreasing under *order* and every run of
-    equal keys keeps the original indices ascending (the stable-sort
-    tie rule).  O(N) versus the O(N log N) re-sort it avoids.
-    """
-    ks = keys[order]
-    if ks.size <= 1:
-        return True
-    nondecreasing = ks[1:] >= ks[:-1]
-    if not nondecreasing.all():
-        return False
-    ties = ks[1:] == ks[:-1]
-    if not ties.any():
-        return True
-    return bool((order[1:][ties] > order[:-1][ties]).all())
-
-
 class TreeBuildCache:
-    """Incremental rebuilds: reuse whatever the last build proves valid.
+    """Returns the last tree again for the same particles.
 
-    One cache serves one stream of snapshots (an integrator advancing a
-    particle set, or the replicated-tree ranks of the parallel code all
-    building the same step's tree).  ``build`` is a drop-in for the
-    :class:`HashedOctree` constructor and returns bit-identical trees,
-    doing only the work the last build does not prove valid:
-
-    - **full reuse** - identical particles and parameters: the cached
-      tree object is returned as-is;
-    - **topology reuse** - identical sorted keys: the node structure
-      (slices, children, leaf set) is shared and only moments and
-      geometry are recomputed (vectorised);
-    - **order reuse** - the cached sort permutation still stably sorts
-      the new keys (particles barely move between integrator steps), so
-      the O(N log N) argsort is skipped;
-    - otherwise a **rebuild** runs from scratch.
+    One cache serves one stream of snapshots (the replicated-tree ranks
+    of the parallel code all building the same step's tree).  ``build``
+    is a drop-in for the :class:`HashedOctree` constructor: identical
+    particles and parameters return the cached tree object as-is, which
+    is what the per-world partition and force memos key on; anything
+    else builds from scratch.
     """
 
     def __init__(self) -> None:
@@ -416,7 +339,6 @@ class TreeBuildCache:
         self._pos: Optional[np.ndarray] = None
         self._mass: Optional[np.ndarray] = None
         self._params: Optional[tuple] = None
-        self._bounds: Optional[tuple] = None
 
     def build(self, pos: np.ndarray, mass: np.ndarray,
               leaf_size: int = 16, depth: int = MAX_DEPTH,
@@ -424,33 +346,18 @@ class TreeBuildCache:
               quadrupoles: bool = False) -> HashedOctree:
         pos = np.asarray(pos, dtype=np.float64)
         mass = np.asarray(mass, dtype=np.float64)
-        params = (leaf_size, min(depth, MAX_DEPTH), quadrupoles)
-        bounds_key = (
-            None if bounds is None else
-            (np.asarray(bounds[0], dtype=np.float64).tobytes(),
-             np.asarray(bounds[1], dtype=np.float64).tobytes())
-        )
-        comparable = (
-            self._tree is not None
-            and self._params == params
-            and self._bounds == bounds_key
-            and self._pos.shape == pos.shape
-        )
-        if (comparable and np.array_equal(pos, self._pos)
+        params = (leaf_size, min(depth, MAX_DEPTH), quadrupoles,
+                  None if bounds is None else
+                  (np.asarray(bounds[0], dtype=np.float64).tobytes(),
+                   np.asarray(bounds[1], dtype=np.float64).tobytes()))
+        if (self._tree is not None and self._params == params
+                and np.array_equal(pos, self._pos)
                 and np.array_equal(mass, self._mass)):
             return self._tree
-        order_hint = self._tree.order if comparable else None
-        topology_hint = (
-            (self._tree.keys, self._tree._topology) if comparable else None
-        )
-        tree = HashedOctree(
-            pos, mass, leaf_size=leaf_size, depth=depth, bounds=bounds,
-            quadrupoles=quadrupoles, _order_hint=order_hint,
-            _topology_hint=topology_hint,
-        )
+        tree = HashedOctree(pos, mass, leaf_size=leaf_size, depth=depth,
+                            bounds=bounds, quadrupoles=quadrupoles)
         self._tree = tree
         self._pos = pos.copy()
         self._mass = mass.copy()
         self._params = params
-        self._bounds = bounds_key
         return tree

@@ -13,7 +13,7 @@ member a consumer reads, so nothing above this package probes for one.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, get_type_hints
 
 from repro.core.domains import (
@@ -187,9 +187,6 @@ class FabricSpec:
         if self.kind == "star":
             return self.switch.ports
         return None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "FabricSpec":

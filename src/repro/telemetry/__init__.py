@@ -35,7 +35,9 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Union,
+)
 
 from repro.telemetry.export import (
     aggregate,
@@ -53,6 +55,9 @@ from repro.telemetry.registry import (
     Registry,
 )
 from repro.telemetry.spans import AsyncEvent, Instant, Span, SpanRecorder
+
+if TYPE_CHECKING:                                    # pragma: no cover
+    from repro.sched.scheduler import SchedOutcome
 
 _WALL_US = 1e6
 
@@ -117,7 +122,7 @@ class Telemetry:
 
     # -- ingestion ---------------------------------------------------------
 
-    def ingest_sched(self, outcome, platform=None) -> None:
+    def ingest_sched(self, outcome: SchedOutcome, platform=None) -> None:
         """Publish a scheduling outcome, and the platform it ran on."""
         outcome.publish_metrics(self.registry)
         if platform is not None:

@@ -156,10 +156,7 @@ def translate_block(program: Program, entry_pc: int,
 class VliwEngine:
     """Times and executes translated blocks on the VLIW core."""
 
-    def __init__(self, latencies: LatencyTable = TM5600_LATENCIES,
-                 limits: SlotLimits = FULL_FORMAT) -> None:
-        self.latencies = latencies
-        self.limits = limits
+    def __init__(self) -> None:
         self.clock: int = 0
         self._reg_ready: Dict[str, int] = {}
         self._fpu_free: int = 0

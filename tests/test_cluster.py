@@ -44,7 +44,6 @@ def test_node_matches_paper_config():
 
 def test_blade_has_three_nics():
     assert _blade().node.config.network_interfaces == 3
-    assert not _blade().needs_active_cooling
 
 
 def test_chassis_insert_remove():

@@ -50,15 +50,17 @@ def test_second_program_is_not_timed_with_the_first_ones_translations():
     first = random_program(1, **kw)
     for seed in range(2, 40):
         program = random_program(seed, **kw)
-        fresh = CodeMorphingSoftware().run(program, random_state(seed))
+        cold = CodeMorphingSoftware()
+        fresh = cold.run(program, random_state(seed))
         cms = CodeMorphingSoftware()
-        earlier = cms.run(first, random_state(1))
+        cms.run(first, random_state(1))
+        earlier = cms.profile
         reused = cms.run(program, random_state(seed))
         assert reused.cycles == fresh.cycles, seed
         assert reused.state.architectural_view() == \
             fresh.state.architectural_view()
-        assert reused.profile.blocks == fresh.profile.blocks
-        assert reused.profile is not earlier.profile
+        assert cms.profile.blocks == cold.profile.blocks
+        assert cms.profile is not earlier
 
 
 def test_same_program_again_stays_warm():
@@ -110,9 +112,9 @@ def test_locality_premise(micro_karp):
     """A handful of hot blocks covers nearly all dynamic execution."""
     wl = programs.gravity_microkernel_karp(n=32, passes=10)
     cms = CodeMorphingSoftware(CmsConfig(hot_threshold=10**9))
-    result = cms.run(wl.program, wl.make_state(), max_steps=10**8)
+    cms.run(wl.program, wl.make_state(), max_steps=10**8)
     counts = sorted((b.guest_instructions
-                     for b in result.profile.blocks.values()), reverse=True)
+                     for b in cms.profile.blocks.values()), reverse=True)
     assert sum(counts[:2]) / sum(counts) > 0.9
 
 

@@ -41,7 +41,9 @@ DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
 CALLING_DOCS = DOCS[:4]
 
 #: DESIGN.md's line count: lower it when DESIGN shrinks, never raise it.
-DESIGN_LINES = 1537
+DESIGN_LINES = 1535
+#: The reach guard's line count, capped the same way.
+REACH_LINES = 1381
 
 #: Placeholders a document may use for "any subcommand of this shape".
 PLACEHOLDERS = {"tableN"}
@@ -213,6 +215,11 @@ def test_unbound_call_spellings_are_caught():
 def test_design_only_shrinks():
     lines = len((ROOT / "DESIGN.md").read_text().splitlines())
     assert lines <= DESIGN_LINES
+
+
+def test_the_reach_guard_only_shrinks():
+    lines = len((ROOT / "tests" / "test_reach.py").read_text().splitlines())
+    assert lines <= REACH_LINES
 
 
 def test_stale_references_are_caught():

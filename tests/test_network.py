@@ -1,5 +1,7 @@
 """Fabric models: links, calendars, switch, the three fabrics' contract."""
 
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +15,7 @@ from repro.network.topology import StarTopology
 from repro.simmpi import SimMpiRuntime
 
 NAN = float("nan")
-FABRIC_DOC = FabricSpec().to_dict()
+FABRIC_DOC = asdict(FabricSpec())
 
 
 def test_link_validation():
