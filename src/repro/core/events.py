@@ -249,7 +249,13 @@ class EventKernel:
     # -- the loop ----------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> float:
-        """Drain the queue (or stop once the clock passes *until*)."""
+        """Drain the queue (or stop once the clock passes *until*).
+
+        A NaN *until* is refused before anything fires: no event time
+        compares past it, so it would drain everything as a pause.
+        """
+        if until is not None and math.isnan(until):
+            raise ValueError(f"until must not be NaN, got {until!r}")
         self._drain(until)
         # Firing retires live entries and leaves the corpses: settle
         # them here too, so they stay bounded by the live ones.

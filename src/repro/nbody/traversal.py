@@ -19,9 +19,10 @@ the group are always opened regardless.
 Two implementations of the same walk coexist:
 
 - the **batched** path (default): one frontier of ``(group, node)``
-  pairs descends all groups simultaneously in NumPy; the surviving
-  interaction pairs are then evaluated in large flat arrays with
-  segment reductions.  No per-group Python work, no per-group small
+  pairs descends a block of up to ``_GROUP_BLOCK`` groups
+  simultaneously in NumPy; the surviving interaction pairs are then
+  evaluated in large flat arrays with segment reductions before the
+  next block walks.  No per-group Python work, no per-group small
   allocations.  A tree of at most ``_DENSE_MAX_N`` particles walks
   and sums densely instead: groups x nodes, then sources x targets.
 - the **naive** path (``naive=True``): the original one-group-at-a-time
@@ -78,6 +79,14 @@ _SWEEP_GROUPS = 32
 #: frontier walk and the sweeps while direct pairs dominate.  Results
 #: do not depend on it.
 _DENSE_MAX_N = 512
+
+#: Most leaf groups one batched walk and sum take at a time: the
+#: frontier, the pair lists, the scratch arenas and the sweeps scale
+#: with it, not with the tree.  A block is a run of the groups in
+#: target-count order - the order the direct sum sweeps them in - so
+#: its target-count buckets stay as wide as the tree's.  Results do not
+#: depend on it.
+_GROUP_BLOCK = 512
 
 
 @dataclass
@@ -250,7 +259,7 @@ def _batched_interaction_pairs(
     centres: np.ndarray,
     radii: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One frontier walk for all groups at once.
+    """One frontier walk for all the given groups at once.
 
     Returns ``(cell_nodes, cell_count, direct_src, direct_count)``:
     concatenated per-group cell node indices (each group's run sorted
@@ -331,7 +340,10 @@ def _batched_interaction_pairs(
 #: and tile arithmetic is memory-bound, and re-acquiring its
 #: intermediates from the allocator on every force evaluation costs
 #: more than the math on a small tree; keeping the arenas alive across
-#: calls removes that.
+#: calls removes that.  Each is bounded by a constant: the tile
+#: (``_PAIR_TILE``), the chunk (``_PAIR_CHUNK``), ``_DENSE_MAX_N``
+#: squared, or - the walk's and the direct-source lists' - the work of
+#: one block of ``_GROUP_BLOCK`` groups, never the whole tree.
 #: Values are only ever read through freshly written views, so reuse
 #: cannot leak state between evaluations.  (Not thread-safe, like the
 #: rest of this module.)
@@ -729,7 +741,7 @@ def _batched_accelerations(
     use_quadrupole: bool,
     stats: TraversalStats,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Fast path: walk + evaluate every group in flat NumPy arrays.
+    """Fast path: walk + evaluate one block of groups in flat arrays.
 
     Returns ``(rows, acc)`` where ``rows`` are sorted particle indices
     (the concatenation of the groups' slices) and ``acc`` their
@@ -853,7 +865,13 @@ def tree_accelerations(
     sorted order throughout).
 
     ``naive=True`` selects the one-group-at-a-time reference walk; the
-    default batched path returns bit-identical results.
+    default batched path returns bit-identical results.  It walks and
+    sums at most ``_GROUP_BLOCK`` groups at a time, writing each block's
+    rows before the next block walks, so its working memory (frontier,
+    pair lists, the ``_SCRATCH`` arenas) is bounded by the block, not by
+    the tree.  That is bit-exact because a group's sums and its
+    ``group_work`` never depend on which groups share its walk, tiles
+    or sweeps.
     """
     # NaN passes a bare ``theta <= 0``: a NaN opening angle opens every
     # node (the theta -> 0 all-pairs answer), and a NaN softening zeroes
@@ -885,12 +903,18 @@ def tree_accelerations(
             stats.group_work.append(
                 (leaf.lo, leaf.hi, stats.interactions - before)
             )
-    elif len(groups):
-        rows, acc = _batched_accelerations(
-            tree, groups, theta, softening, g, use_karp, use_quadrupole,
-            stats,
-        )
-        acc_sorted[rows - lo] = acc
+    else:
+        # Blocks are runs of the target-count order the direct sum
+        # sweeps in, each walked in leaf order (see ``_GROUP_BLOCK``).
+        by_size = np.argsort(tree.node_hi[groups] - tree.node_lo[groups],
+                             kind="stable")
+        for b0 in range(0, len(groups), _GROUP_BLOCK):
+            rows, acc = _batched_accelerations(
+                tree, groups[np.sort(by_size[b0:b0 + _GROUP_BLOCK])], theta,
+                softening, g, use_karp, use_quadrupole, stats,
+            )
+            acc_sorted[rows - lo] = acc
+        stats.group_work.sort()                 # leaf order: lo ascends
 
     if target_slice is not None:
         return acc_sorted, stats

@@ -81,6 +81,23 @@ def test_run_until_stops_before_later_events():
     assert fired == ["early", "late"]
 
 
+def test_run_refuses_a_nan_until_before_anything_fires():
+    # No event time compares past NaN, so run(until=nan) used to fire
+    # everything and return as if it had only paused.
+    kernel = EventKernel()
+    fired = []
+    kernel.at(1.0, fired.append, "early")
+    kernel.at(10.0, fired.append, "late")
+    with pytest.raises(ValueError, match="until must not be NaN, got nan"):
+        kernel.run(until=math.nan)
+    assert (fired, kernel.fired, kernel.now) == ([], 0, 0.0)
+    kernel.run(until=1.0)
+    assert kernel.run(until=0.5) == 1.0          # a past until: a no-op
+    assert fired == ["early"]
+    kernel.run(until=math.inf)
+    assert fired == ["early", "late"]
+
+
 def test_negative_times_rejected():
     kernel = EventKernel()
     with pytest.raises(ValueError):

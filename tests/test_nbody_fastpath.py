@@ -4,9 +4,12 @@ and the parallel bench runner.
 The batched traversal is only allowed to exist because it is
 bit-identical to the naive per-group walk; these tests pin that
 contract across the MAC parameter, the quadrupole expansion, the Karp
-reciprocal-sqrt kernel, slice mode, and whole simulations, then cover
+reciprocal-sqrt kernel, slice mode, the group block and whole
+simulations, bound the memory of one force pass, then cover
 the tree-reuse tiers and the deterministic process-pool runner.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,6 +330,99 @@ def test_direct_kernel_is_independent_of_the_sweep_rule(
                                              **kw)
                 assert part.tobytes() == rows[3 * lo:3 * hi].tobytes(), (
                     name, lo, hi)
+
+
+# -- group blocks ------------------------------------------------------------
+
+
+def _block_runs(tree, block, **kw):
+    """``(acc bytes, stats)`` per span (the whole tree, then the 3- and
+    7-way leaf-aligned slices) with ``_GROUP_BLOCK`` patched to *block*
+    (``naive=True`` when *block* is None), and the batched calls made."""
+    calls = []
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(traversal, "_GROUP_BLOCK", block)
+        batched = traversal._batched_accelerations
+        mp.setattr(traversal, "_batched_accelerations",
+                   lambda *a: calls.append(len(a[1])) or batched(*a))
+        spans = [None] + [span for parts in (3, 7)
+                          for span in leaf_aligned_partition(tree, parts)]
+        for span in spans:
+            acc, stats = tree_accelerations(tree, naive=block is None,
+                                            target_slice=span, **kw)
+            runs.append((acc.tobytes(), stats))
+    return runs, calls
+
+
+@given(seed=st.integers(0, (1 << 24) - 1),
+       n=st.integers(traversal._DENSE_MAX_N + 1, 1500),
+       kind=st.sampled_from(("plummer", "clump", "massless")),
+       leaf_size=st.sampled_from((4, 8, 16)),
+       theta=st.sampled_from((0.3, 0.7, 1.1)),
+       softening=st.sampled_from((0.0, 1e-2)), use_karp=st.booleans(),
+       quadrupoles=st.booleans())
+@settings(max_examples=3, deadline=None)
+def test_group_blocks_are_independent(
+        seed, n, kind, leaf_size, theta, softening, use_karp, quadrupoles):
+    # A group's sums and its group_work never depend on which groups
+    # share its walk, tiles or sweeps, so walking the tree a block of
+    # groups at a time moves no byte: one group per block, odd blocks,
+    # wide ones and one block past the group count all equal the naive
+    # walk - accelerations and every stats field - on the whole tree
+    # and on every slice.  The blocks must be real: the widest batched
+    # call takes exactly one block.
+    if kind == "plummer":
+        pos, _, mass = plummer_sphere(n, seed=seed)
+    else:
+        pos, mass = _lumpy(n, seed, clump=min(63, n // 8))
+        if kind == "massless":
+            mass[np.random.default_rng(seed).integers(0, n, n // 5)] = 0.0
+    tree = HashedOctree(pos, mass, leaf_size=leaf_size,
+                        quadrupoles=quadrupoles)
+    kw = dict(theta=theta, softening=softening, use_karp=use_karp,
+              use_quadrupole=quadrupoles)
+    naive, _ = _block_runs(tree, None, **kw)
+    n_groups = len(tree.leaf_order)
+    unblocked, calls = _block_runs(tree, n_groups + 1, **kw)
+    assert max(calls) == n_groups
+    for block in (1, 3, 64):
+        runs, calls = _block_runs(tree, block, **kw)
+        assert max(calls) == min(block, n_groups)
+        for (acc, stats), (acc_u, stats_u), (acc_n, stats_n) in zip(
+                runs, unblocked, naive):
+            assert acc == acc_u == acc_n, block
+            assert stats == stats_u == stats_n, block
+
+
+def test_group_blocks_bound_the_memory_of_a_force_pass(monkeypatch):
+    # One n = 6000 whole-tree evaluation (the spine's treecode_scaling
+    # tree): with the shipped block, the traced peak and the scratch
+    # arenas left behind are both at most 3/4 of one block past the
+    # group count (both about 0.52 when this was written).
+    pos, _, mass = plummer_sphere(6000, seed=2001)
+    tree = HashedOctree(pos, mass, leaf_size=16)
+    n_groups = len(tree.leaf_order)
+    assert n_groups > 2 * traversal._GROUP_BLOCK
+
+    def footprint(block):
+        monkeypatch.setattr(traversal, "_GROUP_BLOCK", block)
+        monkeypatch.setattr(traversal, "_SCRATCH", {})
+        tracemalloc.start()
+        try:
+            tree_accelerations(tree, theta=0.7, softening=1e-2,
+                               target_slice=(0, tree.n_particles))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arenas = sum(buf.nbytes for buf in traversal._SCRATCH.values())
+        return peak, arenas
+
+    shipped = footprint(traversal._GROUP_BLOCK)
+    whole = footprint(n_groups + 1)
+    assert shipped[0] <= 0.75 * whole[0], (shipped, whole)
+    assert shipped[1] <= 0.75 * whole[1], (shipped, whole)
 
 
 def _sorted_leaf_sizes(n):

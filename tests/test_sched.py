@@ -638,6 +638,20 @@ def test_a_paused_run_keeps_its_ledgers_open():
     assert len(outcome.completed) == 4
 
 
+def test_run_refuses_a_nan_until_before_anything_fires():
+    # run(until=nan) used to fire every event and then skip the settle
+    # step (wedge check, allocator and thermal books, audit) as if the
+    # run were only paused.
+    sched = make_sched(config=SchedConfig(audit=True, thermal=True))
+    sched.submit_stream(synthetic_stream(4, 12, RATE, seed=1))
+    pending = sched.kernel.pending()
+    with pytest.raises(ValueError, match="until must not be NaN, got nan"):
+        sched.run(until=math.nan)
+    assert (sched.kernel.fired, sched.kernel.pending()) == (0, pending)
+    outcome = sched.run()               # audited, or it raised
+    assert len(outcome.completed) == 4
+
+
 # ---------------------------------------------------------------------------
 # Job ids, the records sequence, the slotted JobSpec
 # ---------------------------------------------------------------------------
