@@ -17,8 +17,8 @@ This package turns that convention into a checked property:
   message conservation per world, retransmit-ledger conservation under
   the network fault layer) plus outcome-level audits (flop vs
   compute-time ledger, energy vs PowerModel, allocator busy/down
-  interval consistency).  Opt in via ``SchedConfig(audit=True)`` or
-  ``SimConfig(audit=True)``.
+  interval consistency).  Opt in via ``SchedConfig(audit=True)``;
+  every serial ``NBodySimulation.run`` audits its flop ledger.
 - :mod:`repro.check.differential` — the one differential harness
   behind ``python -m repro.cli check --cache-diff`` (cache-on vs
   cache-off) and ``--telemetry-diff`` (the fully instrumented

@@ -17,8 +17,9 @@ Two layers:
   job attempts), and :func:`audit_sim_result` checks the N-body flop
   ledger against the per-step traversal stats.
 
-Opt in via ``SchedConfig(audit=True)`` / ``SimConfig(audit=True)``;
-the hooks cost nothing when no auditor is registered.
+Opt in via ``SchedConfig(audit=True)``; the hooks cost nothing when no
+auditor is registered.  Every serial ``NBodySimulation.run`` calls
+:func:`audit_sim_result`.
 """
 
 from __future__ import annotations

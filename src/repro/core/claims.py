@@ -275,11 +275,11 @@ CLAIMS: List[Claim] = _table5() + [
 ]
 
 
-def evaluate(claims: Optional[Sequence[Claim]] = None) -> List[Verdict]:
-    """Measure every claim (default :data:`CLAIMS`); a claim that
-    raises becomes an error verdict and the rest are still measured."""
+def evaluate() -> List[Verdict]:
+    """Measure every claim of :data:`CLAIMS`; a claim that raises
+    becomes an error verdict and the rest are still measured."""
     verdicts = []
-    for claim in CLAIMS if claims is None else claims:
+    for claim in CLAIMS:
         try:
             values = claim.measure()
             verdicts.append(Verdict(claim, min(

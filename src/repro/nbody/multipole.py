@@ -23,7 +23,7 @@ import numpy as np
 
 
 def quadrupole_acceleration(
-    diff: np.ndarray, rinv: np.ndarray, quads: np.ndarray, g: float
+    diff: np.ndarray, rinv: np.ndarray, quads: np.ndarray
 ) -> np.ndarray:
     """Quadrupole acceleration corrections, vectorised.
 
@@ -31,11 +31,11 @@ def quadrupole_acceleration(
     convention), ``rinv`` is (t, m), ``quads`` is (m, 3, 3).  Returns
     the (t, m, 3) per-cell corrections (sum over axis 1 to accumulate).
 
-    In the d = target - com frame the correction is
-    ``a = G [Q d / r^5 - 2.5 (d.Q.d) d / r^7]``; substituting
-    d = -diff flips the sign of the linear Q d term only::
+    In the d = target - com frame the correction (G = 1, the
+    treecode's units) is ``a = Q d / r^5 - 2.5 (d.Q.d) d / r^7``;
+    substituting d = -diff flips the sign of the linear Q d term only::
 
-        a = -G (Q diff) / r^5 + 2.5 G (diff.Q.diff) diff / r^7
+        a = -(Q diff) / r^5 + 2.5 (diff.Q.diff) diff / r^7
     """
     rinv2 = rinv * rinv
     rinv5 = rinv2 * rinv2 * rinv
@@ -43,6 +43,6 @@ def quadrupole_acceleration(
     q_diff = np.einsum("mab,tmb->tma", quads, diff)      # (t, m, 3)
     dqd = np.einsum("tma,tma->tm", q_diff, diff)         # diff.Q.diff
     return (
-        -g * q_diff * rinv5[..., None]
-        + 2.5 * g * dqd[..., None] * diff * rinv7[..., None]
+        -q_diff * rinv5[..., None]
+        + 2.5 * dqd[..., None] * diff * rinv7[..., None]
     )

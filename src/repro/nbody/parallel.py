@@ -139,12 +139,11 @@ class ReplicatedStep:
         return spans
 
     def forces(self, tree: HashedOctree, span: Tuple[int, int],
-               theta: float, softening: float,
-               use_karp: bool = False) -> SliceForces:
+               theta: float, softening: float) -> SliceForces:
         """Accelerations and work of the leaf-aligned slice *span*."""
         lo, hi = span
         first, last = leaf_run(tree, lo, hi)
-        walk = (theta, softening, use_karp)
+        walk = (theta, softening)
         memo = self._forces
         if memo is None or memo[0] is not tree or memo[1] != walk:
             memo = self._forces = (tree, walk, *self._evaluate(tree, *walk))
@@ -156,11 +155,11 @@ class ReplicatedStep:
         )
 
     @staticmethod
-    def _evaluate(tree: HashedOctree, theta: float, softening: float,
-                  use_karp: bool) -> tuple:
+    def _evaluate(tree: HashedOctree, theta: float,
+                  softening: float) -> tuple:
         """The one whole-tree walk every rank's slice is cut from."""
         acc, stats = tree_accelerations(
-            tree, theta=theta, softening=softening, use_karp=use_karp,
+            tree, theta=theta, softening=softening,
             target_slice=(0, tree.n_particles),
         )
         group_lo, group_hi, inter = np.array(
@@ -214,10 +213,7 @@ def parallel_nbody_step(comm, pos_local, vel_local, mass_local,
             if balance == "work" else None
         )
         lo, hi = shared.partition(tree, comm.size, all_work)[comm.rank]
-        mine = shared.forces(
-            tree, (lo, hi), config.theta, config.softening,
-            use_karp=config.use_karp,
-        )
+        mine = shared.forces(tree, (lo, hi), config.theta, config.softening)
         comm.compute_flops(mine.flops, flop_rate)
 
         # Exchange accelerations (and fresh per-particle work for next

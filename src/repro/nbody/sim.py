@@ -15,7 +15,7 @@ of run).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import ClassVar, List, Tuple
 
 import numpy as np
 
@@ -41,14 +41,9 @@ class SimConfig:
     dt: float = param(POSITIVE, 1e-3)
     theta: float = param(POSITIVE, 0.7)
     softening: float = param(NONNEGATIVE, 1e-2)
-    leaf_size: int = param(whole(1), 16)
     seed: int = param(whole(0), 2001)
     ic: str = "plummer"            # plummer | cube | collision
-    use_karp: bool = False
-    naive_traversal: bool = False  # reference path: per-group python walk
-    #: Audit the flop ledger against the per-step traversal stats at
-    #: the end of every run (repro.check.auditors.audit_sim_result).
-    audit: bool = False
+    leaf_size: ClassVar[int] = 16
 
     def __post_init__(self) -> None:
         check_domains(self)
@@ -114,11 +109,7 @@ class NBodySimulation:
         # The particles move every step: no earlier tree is ever reused.
         tree = HashedOctree(pos, self.mass, leaf_size=cfg.leaf_size)
         acc, stats = tree_accelerations(
-            tree,
-            theta=cfg.theta,
-            softening=cfg.softening,
-            use_karp=cfg.use_karp,
-            naive=cfg.naive_traversal,
+            tree, theta=cfg.theta, softening=cfg.softening
         )
         flops = stats.flops + BUILD_FLOPS_PER_PARTICLE * len(pos)
         self.flops_ledger.append(flops)
@@ -127,6 +118,8 @@ class NBodySimulation:
         return acc, flops
 
     def run(self, compute_energy: bool = True) -> SimResult:
+        """Run every step, then audit the flop ledger against the step
+        records (:func:`repro.check.auditors.audit_sim_result`)."""
         cfg = self.config
         e0 = (
             total_energy(self.pos, self.vel, self.mass,
@@ -162,10 +155,9 @@ class NBodySimulation:
             energy_initial=e0,
             energy_final=e1,
         )
-        if cfg.audit:
-            from repro.check.auditors import audit_sim_result
+        from repro.check.auditors import audit_sim_result
 
-            audit_sim_result(self, result)
+        audit_sim_result(self, result)
         return result
 
 

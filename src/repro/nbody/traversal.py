@@ -50,14 +50,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.domains import NONNEGATIVE, POSITIVE
-from repro.nbody.karp import karp_rsqrt, masked_rsqrt
+from repro.nbody.karp import masked_rsqrt
 from repro.nbody.kernels import INTERACTION_FLOPS
 from repro.nbody.morton import ancestor_at_level
 from repro.nbody.multipole import quadrupole_acceleration
 from repro.nbody.tree import HashedOctree, TreeNode
-
-#: Shared zero-safe reciprocal square root (see :mod:`repro.nbody.karp`).
-_rsqrt = masked_rsqrt
 
 #: Pair-batch size for the cell-family evaluator.  Sized so one batch's
 #: working set stays cache-resident; batches always end on a target
@@ -159,8 +156,7 @@ def interaction_lists(
 def _evaluate_group(
     tree: HashedOctree, leaf: TreeNode,
     cells: List[TreeNode], direct: List[TreeNode],
-    softening: float, g: float, use_karp: bool,
-    stats: TraversalStats, use_quadrupole: bool = False,
+    softening: float, stats: TraversalStats, use_quadrupole: bool = False,
 ) -> np.ndarray:
     """Reference per-group evaluation (one NumPy expression per list)."""
     targets = tree.pos[leaf.lo:leaf.hi]
@@ -172,13 +168,13 @@ def _evaluate_group(
         masses = np.array([c.mass for c in cells])         # (m,)
         diff = coms[None, :, :] - targets[:, None, :]      # (g, m, 3)
         r2 = np.einsum("ijk,ijk->ij", diff, diff) + eps2
-        rinv = _rsqrt(r2, use_karp)
+        rinv = masked_rsqrt(r2)
         rinv3 = rinv * rinv * rinv
-        acc += g * np.einsum("ij,ijk->ik", masses * rinv3, diff)
+        acc += np.einsum("ij,ijk->ik", masses * rinv3, diff)
         stats.particle_cell += targets.shape[0] * len(cells)
         if use_quadrupole:
             quads = np.array([c.quadrupole for c in cells])
-            acc += quadrupole_acceleration(diff, rinv, quads, g).sum(axis=1)
+            acc += quadrupole_acceleration(diff, rinv, quads).sum(axis=1)
             # The expansion term costs roughly another interaction's
             # worth of flops per particle-cell pair.
             stats.particle_cell += targets.shape[0] * len(cells)
@@ -191,10 +187,10 @@ def _evaluate_group(
         src_mass = tree.mass[idx]
         diff = src_pos[None, :, :] - targets[:, None, :]
         r2 = np.einsum("ijk,ijk->ij", diff, diff) + eps2
-        rinv = _rsqrt(r2, use_karp)
+        rinv = masked_rsqrt(r2)
         rinv3 = rinv * rinv * rinv
         # Self-pairs have diff = 0 and contribute nothing.
-        acc += g * np.einsum("ij,ijk->ik", src_mass * rinv3, diff)
+        acc += np.einsum("ij,ijk->ik", src_mass * rinv3, diff)
         stats.particle_particle += targets.shape[0] * len(idx)
 
     return acc
@@ -359,8 +355,7 @@ def _scratch(name: str, size: int, dtype) -> np.ndarray:
     return buf
 
 
-def _fast_rsqrt_inplace(r2: np.ndarray, use_karp: bool,
-                        positive: bool) -> np.ndarray:
+def _fast_rsqrt_inplace(r2: np.ndarray, positive: bool) -> np.ndarray:
     """``masked_rsqrt`` minus the positivity scan when ``positive``,
     written into ``r2`` where the path allows it.
 
@@ -369,9 +364,7 @@ def _fast_rsqrt_inplace(r2: np.ndarray, use_karp: bool,
     the values computed are identical either way.
     """
     if not positive:
-        return masked_rsqrt(r2, use_karp)
-    if use_karp:
-        return karp_rsqrt(r2)
+        return masked_rsqrt(r2)
     np.sqrt(r2, out=r2)
     np.divide(1.0, r2, out=r2)
     return r2
@@ -387,10 +380,8 @@ def _segment_accumulate(
     src_pos: np.ndarray,
     src_mass: np.ndarray,
     eps2: float,
-    use_karp: bool,
     quads: Optional[np.ndarray],
     quad_out: Optional[np.ndarray],
-    g: float,
 ) -> None:
     """Flat-array evaluation of one pair family (cells or direct).
 
@@ -428,7 +419,7 @@ def _segment_accumulate(
             )[:n_pairs]
             np.einsum("ij,ij->i", diff, diff, out=r2)
             r2 += eps2
-            rinv = _fast_rsqrt_inplace(r2, use_karp, positive)
+            rinv = _fast_rsqrt_inplace(r2, positive)
             rinv3 = _scratch(
                 "seg_w", max(n_pairs, _PAIR_CHUNK), np.float64
             )[:n_pairs]
@@ -441,7 +432,7 @@ def _segment_accumulate(
                 )
             if quads is not None:
                 qa = quadrupole_acceleration(
-                    diff[None], rinv[None], quads[src], g
+                    diff[None], rinv[None], quads[src]
                 )[0]
                 for k in range(3):
                     quad_out[t0:t1, k] = np.bincount(
@@ -474,7 +465,6 @@ def _accumulate_tile(
     tgt: np.ndarray,
     mass: np.ndarray,
     eps2: float,
-    use_karp: bool,
 ) -> None:
     """One tile of a direct-sum kernel: ``acc += sum_r mass * rinv^3 * d``.
 
@@ -500,7 +490,7 @@ def _accumulate_tile(
     np.multiply(dy, dy, out=w)
     r2 += w
     r2 += eps2
-    rinv = _fast_rsqrt_inplace(r2, use_karp, eps2 > 0.0)
+    rinv = _fast_rsqrt_inplace(r2, eps2 > 0.0)
     np.multiply(rinv, rinv, out=w)
     np.multiply(w, rinv, out=w)
     np.multiply(w, mass, out=w)
@@ -519,7 +509,6 @@ def _source_major_direct(
     direct_ptr: np.ndarray,
     direct_count: np.ndarray,
     eps2: float,
-    use_karp: bool,
 ) -> None:
     """Direct-sum evaluation, source-major (the dominant pair family).
 
@@ -629,11 +618,11 @@ def _source_major_direct(
                 sp = np.take(sp, col_group[c0:] - j0, axis=2,
                              out=cols_buf, mode="clip")      # (4, r, cols)
                 _accumulate_tile(acc[:, c0:], sp[:3].swapaxes(0, 1),
-                                 tgt[:, c0:], sp[3], eps2, use_karp)
+                                 tgt[:, c0:], sp[3], eps2)
             else:
                 sp = sp[:, :, None, :]                       # (4, r, 1, a)
                 _accumulate_tile(acc[:, :, j0:], sp[:3].swapaxes(0, 1),
-                                 tgt[:, :, j0:], sp[3], eps2, use_karp)
+                                 tgt[:, :, j0:], sp[3], eps2)
             done += r
             j0 = bisect_right(count_list, done, j0)
         out[rows] = acc.reshape(3, -1).T
@@ -699,7 +688,6 @@ def _dense_direct(
     tgt_group: np.ndarray,
     direct: np.ndarray,
     eps2: float,
-    use_karp: bool,
 ) -> None:
     """Direct-sum evaluation over every target column at once.
 
@@ -727,7 +715,7 @@ def _dense_direct(
     step = max(1, _PAIR_TILE // n_targets)
     for s0 in range(0, len(src), step):
         _accumulate_tile(acc, src_pos[s0:s0 + step, :, None], tgt,
-                         weight[s0:s0 + step], eps2, use_karp)
+                         weight[s0:s0 + step], eps2)
     out[:] = acc.T
 
 
@@ -736,8 +724,6 @@ def _batched_accelerations(
     leaf_indices: Sequence[int],
     theta: float,
     softening: float,
-    g: float,
-    use_karp: bool,
     use_quadrupole: bool,
     stats: TraversalStats,
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -781,8 +767,7 @@ def _batched_accelerations(
         cell_nodes, cell_count, direct = _dense_walk(
             tree, leaf_idx, theta, centres, radii)
         direct_count = direct @ (tree.node_hi - tree.node_lo)
-        _dense_direct(direct_sum, tree, tgt_pos, tgt_group, direct, eps2,
-                      use_karp)
+        _dense_direct(direct_sum, tree, tgt_pos, tgt_group, direct, eps2)
     else:
         cell_nodes, cell_count, direct_src, direct_count = (
             _batched_interaction_pairs(tree, leaf_idx, theta, centres,
@@ -791,7 +776,7 @@ def _batched_accelerations(
         direct_ptr = np.concatenate(([0], np.cumsum(direct_count)))
         _source_major_direct(
             direct_sum, tree, glo, sizes, row_ptr, direct_src, direct_ptr,
-            direct_count, eps2, use_karp,
+            direct_count, eps2,
         )
     cell_ptr = np.concatenate(([0], np.cumsum(cell_count)))
 
@@ -800,15 +785,15 @@ def _batched_accelerations(
     quad_sum = np.zeros((n_targets, 3)) if use_quadrupole else None
     _segment_accumulate(
         cell_sum, tgt_pos, cell_count[tgt_group], cell_ptr, tgt_group,
-        cell_nodes, tree.node_com, tree.node_mass, eps2, use_karp,
-        tree.node_quad if use_quadrupole else None, quad_sum, g,
+        cell_nodes, tree.node_com, tree.node_mass, eps2,
+        tree.node_quad if use_quadrupole else None, quad_sum,
     )
     # Same per-element addition order as the naive group evaluator:
-    # zeros += g*cells, += quadrupole, += g*direct.
-    acc += g * cell_sum
+    # zeros += cells, += quadrupole, += direct.
+    acc += cell_sum
     if use_quadrupole:
         acc += quad_sum
-    acc += g * direct_sum
+    acc += direct_sum
 
     stats.groups += n_groups
     pc = sizes * cell_count
@@ -851,8 +836,6 @@ def tree_accelerations(
     tree: HashedOctree,
     theta: float = 0.7,
     softening: float = 1e-3,
-    g: float = 1.0,
-    use_karp: bool = False,
     target_slice: Optional[Tuple[int, int]] = None,
     use_quadrupole: bool = False,
     naive: bool = False,
@@ -896,7 +879,7 @@ def tree_accelerations(
             before = stats.interactions
             cells, direct = interaction_lists(tree, leaf, theta)
             acc_sorted[leaf.lo - lo:leaf.hi - lo] = _evaluate_group(
-                tree, leaf, cells, direct, softening, g, use_karp, stats,
+                tree, leaf, cells, direct, softening, stats,
                 use_quadrupole=use_quadrupole,
             )
             stats.groups += 1
@@ -911,7 +894,7 @@ def tree_accelerations(
         for b0 in range(0, len(groups), _GROUP_BLOCK):
             rows, acc = _batched_accelerations(
                 tree, groups[np.sort(by_size[b0:b0 + _GROUP_BLOCK])], theta,
-                softening, g, use_karp, use_quadrupole, stats,
+                softening, use_quadrupole, stats,
             )
             acc_sorted[rows - lo] = acc
         stats.group_work.sort()                 # leaf order: lo ascends

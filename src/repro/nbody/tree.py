@@ -71,10 +71,6 @@ class TreeNode:
     #: Traceless quadrupole tensor (3x3) when the tree carries them.
     quadrupole: Optional[np.ndarray] = None
 
-    @property
-    def count(self) -> int:
-        return self.hi - self.lo
-
 
 class HashedOctree:
     """Builds and owns the hashed octree for one particle snapshot."""

@@ -75,9 +75,9 @@ class ProfileKeys:
       ``repr`` (its full declarative content — particle counts, seeds,
       kernel names); the platform's content-hash (covers node rate,
       NIC/switch/link parameters, power model — everything the fabric
-      and billing read); the checkpoint plan (cadence, latency,
-      bandwidth), which stalls rank clocks mid-run; and the frequency
-      plan (constant: governed attempts bypass);
+      and billing read); the checkpoint plan (cadence and latency; the
+      bandwidth is a constant), which stalls rank clocks mid-run; and
+      the frequency plan (constant: governed attempts bypass);
     - the job width (``spec.nodes``);
     - the fabric *placement signature*: on a two-level rack fabric the
       chassis grouping of the allocated blades changes message timing,
@@ -102,8 +102,7 @@ class ProfileKeys:
         #: What every workload's content tuple ends with.
         self._plan = (
             platform.content_hash(),
-            (config.checkpoint_every, config.checkpoint_latency_s,
-             config.checkpoint_bandwidth_bps),
+            (config.checkpoint_every, config.checkpoint_latency_s),
             NOMINAL_FREQUENCY_PLAN,
         )
         #: id(workload) -> (workload, content tuple)

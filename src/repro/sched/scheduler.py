@@ -74,6 +74,9 @@ from repro.thermal.throttle import arm_attempt
 #: Virtual seconds a failed blade stays down before repair.
 REPAIR_S = 0.5
 
+#: Checkpoint write bandwidth (bytes per virtual second).
+CHECKPOINT_BANDWIDTH_BPS = 50e6
+
 _BLADE = whole(0)
 
 
@@ -96,9 +99,9 @@ class SchedConfig:
 
     #: Units between checkpoints; ``None`` disables checkpointing.
     checkpoint_every: Optional[int] = param(whole(1).or_none(), None)
-    #: Checkpoint write path: latency plus bytes over bandwidth.
+    #: Checkpoint write path: latency plus bytes over
+    #: :data:`CHECKPOINT_BANDWIDTH_BPS`.
     checkpoint_latency_s: float = param(NONNEGATIVE, 5e-3)
-    checkpoint_bandwidth_bps: float = param(POSITIVE, 50e6)
     #: Requeues granted before a job is abandoned.
     max_retries: int = param(whole(0), 3)
     #: Register repro.check invariant auditors on the kernel and audit
@@ -132,7 +135,7 @@ class SchedConfig:
         check_domains(self)
 
     def checkpoint_io_s(self, nbytes: int) -> float:
-        return self.checkpoint_latency_s + nbytes / self.checkpoint_bandwidth_bps
+        return self.checkpoint_latency_s + nbytes / CHECKPOINT_BANDWIDTH_BPS
 
 
 @dataclass

@@ -77,8 +77,8 @@ class Telemetry:
         tel.export("telemetry_out")       # metrics.jsonl + trace.json
     """
 
-    def __init__(self, registry: Optional[Registry] = None) -> None:
-        self.registry = registry if registry is not None else Registry()
+    def __init__(self) -> None:
+        self.registry = Registry()
         self.spans = SpanRecorder(self.registry)
         self._kernel = None
         #: Wall-clock self-profiling spans of the *simulator* process,

@@ -80,7 +80,8 @@ def validate_tree(tree) -> None:
         if node.index < 0 or int(tree.node_key[node.index]) != node.key:
             raise AssertionError("flat index out of sync with key")
         if node.is_leaf:
-            if node.count > tree.leaf_size and node.level < tree.depth:
+            if node.hi - node.lo > tree.leaf_size and \
+                    node.level < tree.depth:
                 raise AssertionError("oversized leaf above max depth")
             continue
         spans = [

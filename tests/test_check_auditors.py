@@ -213,11 +213,25 @@ def test_phantom_busy_interval_is_caught():
 # -- N-body flop-ledger audits ---------------------------------------------
 
 
-def test_sim_audit_opt_in_passes():
+def test_every_sim_run_is_audited():
     result = NBodySimulation(
-        SimConfig(n=200, steps=2, ic="collision", seed=3, audit=True)
+        SimConfig(n=200, steps=2, ic="collision", seed=3)
     ).run()
     assert result.total_flops > 0
+
+
+def test_a_run_that_bills_off_its_ledger_is_refused(monkeypatch):
+    # Each force evaluation bills its step one flop more than it writes
+    # into the ledger: the run itself raises, no caller opts in.
+    accel = NBodySimulation._accel
+
+    def overbilled(self, pos):
+        acc, flops = accel(self, pos)
+        return acc, flops + 1
+
+    monkeypatch.setattr(NBodySimulation, "_accel", overbilled)
+    with pytest.raises(InvariantViolation, match="tile the total"):
+        NBodySimulation(SimConfig(n=150, steps=1, ic="collision")).run()
 
 
 def test_sim_ledger_tampering_is_caught():

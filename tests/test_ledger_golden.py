@@ -185,4 +185,4 @@ def test_report_declares_only_what_it_derives():
         f.name for f in fields(SchedOutcome)
     }
     assert not copied
-    assert len(fields(SchedConfig)) == 9
+    assert len(fields(SchedConfig)) == 8

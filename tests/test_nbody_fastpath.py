@@ -3,19 +3,20 @@ and the parallel bench runner.
 
 The batched traversal is only allowed to exist because it is
 bit-identical to the naive per-group walk; these tests pin that
-contract across the MAC parameter, the quadrupole expansion, the Karp
-reciprocal-sqrt kernel, slice mode, the group block and whole
-simulations, bound the memory of one force pass, then cover
-the tree-reuse tiers and the deterministic process-pool runner.
+contract across the MAC parameter, the quadrupole expansion, slice
+mode, the group block and whole simulations, bound the memory of one
+force pass, then cover the tree-reuse tiers and the deterministic
+process-pool runner.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nbody import traversal
+from repro.nbody import sim as sim_module, traversal
 from repro.nbody.ic import plummer_sphere, two_clusters
 from repro.nbody.sim import NBodySimulation, SimConfig
 from repro.nbody.traversal import (
@@ -52,14 +53,12 @@ def _assert_batched_equals_naive(tree, **kw):
 
 @pytest.mark.parametrize("theta", [0.3, 0.7, 1.1])
 @pytest.mark.parametrize("use_quadrupole", [False, True])
-@pytest.mark.parametrize("use_karp", [False, True])
-def test_batched_bit_identical_to_naive(theta, use_quadrupole, use_karp):
+def test_batched_bit_identical_to_naive(theta, use_quadrupole):
     pos, _, mass = two_clusters(700, seed=2001)
     tree = HashedOctree(pos, mass, leaf_size=8,
                         quadrupoles=use_quadrupole)
     _assert_batched_equals_naive(
-        tree, theta=theta, softening=1e-2, use_karp=use_karp,
-        use_quadrupole=use_quadrupole,
+        tree, theta=theta, softening=1e-2, use_quadrupole=use_quadrupole,
     )
 
 
@@ -70,10 +69,7 @@ def test_batched_bit_identical_zero_softening(monkeypatch):
     tree = HashedOctree(pos, mass, leaf_size=16)
     for cut in (traversal._DENSE_MAX_N, 0):
         monkeypatch.setattr(traversal, "_DENSE_MAX_N", cut)
-        for use_karp in (False, True):
-            _assert_batched_equals_naive(
-                tree, theta=0.7, softening=0.0, use_karp=use_karp,
-            )
+        _assert_batched_equals_naive(tree, theta=0.7, softening=0.0)
 
 
 def test_batched_bit_identical_slice_mode():
@@ -85,11 +81,14 @@ def test_batched_bit_identical_slice_mode():
         )
 
 
-def test_simulation_naive_flag_is_bit_identical():
+def test_simulation_naive_flag_is_bit_identical(monkeypatch):
     sims, results = {}, {}
+    cfg = SimConfig(n=400, steps=3, ic="collision", seed=13)
     for naive in (False, True):
-        cfg = SimConfig(n=400, steps=3, ic="collision", seed=13,
-                        naive_traversal=naive)
+        if naive:
+            monkeypatch.setattr(sim_module, "tree_accelerations",
+                                functools.partial(tree_accelerations,
+                                                  naive=True))
         sims[naive] = NBodySimulation(cfg)
         results[naive] = sims[naive].run()
     fast, ref = results[False], results[True]
@@ -107,19 +106,17 @@ def test_simulation_naive_flag_is_bit_identical():
 @given(seed=st.integers(0, (1 << 24) - 1), n=st.integers(96, 1200),
        theta=st.sampled_from((0.3, 0.5, 0.7, 0.9, 1.1)),
        leaf_size=st.sampled_from((8, 16, 32)),
-       softening=st.sampled_from((0.0, 1e-2)), use_karp=st.booleans(),
-       quadrupoles=st.booleans(),
+       softening=st.sampled_from((0.0, 1e-2)), quadrupoles=st.booleans(),
        make_ic=st.sampled_from((two_clusters, plummer_sphere)))
 @settings(max_examples=4, deadline=None)
 def test_fuzz_oracle_randomized_equivalence(
-        seed, n, theta, leaf_size, softening, use_karp, quadrupoles, make_ic):
+        seed, n, theta, leaf_size, softening, quadrupoles, make_ic):
     # Parameter combinations nobody thought to enumerate by hand.
     pos, _, mass = make_ic(n, seed=seed)
     tree = HashedOctree(pos, mass, leaf_size=leaf_size,
                         quadrupoles=quadrupoles)
     _assert_batched_equals_naive(
-        tree, theta=theta, softening=softening, use_karp=use_karp,
-        use_quadrupole=quadrupoles,
+        tree, theta=theta, softening=softening, use_quadrupole=quadrupoles,
     )
 
 
@@ -175,10 +172,9 @@ def test_einsum_squared_norm_association_is_the_one_the_kernel_spells():
                           ((x + z) + y).reshape(50, 1000))
 
 
-@pytest.mark.parametrize("softening,use_karp",
-                         [(0.0, False), (1e-2, True)])
+@pytest.mark.parametrize("softening", [0.0, 1e-2])
 def test_direct_kernel_is_independent_of_the_tile_budget(
-        monkeypatch, softening, use_karp):
+        monkeypatch, softening):
     # 63 coincident particles make a 64-target group that sees ~490 of
     # the 600 particles directly: 31 000 pairs, about two default tiles
     # on its own.  At budget 8 every tile is a single source row
@@ -190,7 +186,7 @@ def test_direct_kernel_is_independent_of_the_tile_budget(
     monkeypatch.setattr(traversal, "_DENSE_MAX_N", 0)
     pos, mass = _lumpy(600, seed=3, clump=63)
     tree = HashedOctree(pos, mass, leaf_size=8)
-    kw = dict(theta=0.3, softening=softening, use_karp=use_karp)
+    kw = dict(theta=0.3, softening=softening)
     acc_n, st_n = tree_accelerations(tree, naive=True, **kw)
     fat = max(st_n.group_work, key=lambda g: g[2])
     assert fat[1] - fat[0] == 64 and fat[2] > 1.5 * traversal._PAIR_TILE
@@ -220,14 +216,12 @@ def test_direct_kernel_equals_naive_on_random_leaf_aligned_slices(
     tree = HashedOctree(pos, mass, leaf_size=int(rng.integers(1, 24)))
     ends = [0] + [leaf.hi for leaf in tree.leaves()]
     for softening in (0.0, 1e-3):
-        for use_karp in (False, True):
-            lo, hi = sorted(rng.choice(ends, size=2))
-            kw = dict(theta=float(rng.choice([0.3, 0.7, 1.2])),
-                      softening=softening, use_karp=use_karp,
-                      target_slice=(int(lo), int(hi)))
-            (acc_n, st_n), (acc_b, st_b) = _both_paths(tree, **kw)
-            assert acc_n.tobytes() == acc_b.tobytes(), kw
-            _assert_stats_equal(st_n, st_b)
+        lo, hi = sorted(rng.choice(ends, size=2))
+        kw = dict(theta=float(rng.choice([0.3, 0.7, 1.2])),
+                  softening=softening, target_slice=(int(lo), int(hi)))
+        (acc_n, st_n), (acc_b, st_b) = _both_paths(tree, **kw)
+        assert acc_n.tobytes() == acc_b.tobytes(), kw
+        _assert_stats_equal(st_n, st_b)
 
 
 # -- the dense path ----------------------------------------------------------
@@ -237,13 +231,11 @@ def test_direct_kernel_equals_naive_on_random_leaf_aligned_slices(
        n=st.integers(1, 2 * traversal._DENSE_MAX_N),
        leaf_size=st.sampled_from((1, 2, 8, 16)),
        theta=st.floats(0.2, 1.5),
-       softening=st.sampled_from((0.0, 1e-2)), use_karp=st.booleans(),
-       quadrupoles=st.booleans(), clump=st.integers(0, 20),
-       signed=st.booleans())
+       softening=st.sampled_from((0.0, 1e-2)), quadrupoles=st.booleans(),
+       clump=st.integers(0, 20), signed=st.booleans())
 @settings(max_examples=10, deadline=None)
 def test_dense_path_equals_the_sweeps_and_naive(
-        seed, n, leaf_size, theta, softening, use_karp, quadrupoles, clump,
-        signed):
+        seed, n, leaf_size, theta, softening, quadrupoles, clump, signed):
     # Trees on both sides of the cut: at or below it the batched path
     # is the dense one, and it must equal the sweeps (the cut at 0) and
     # the naive walk - accelerations bytes and every stats field - on a
@@ -261,8 +253,8 @@ def test_dense_path_equals_the_sweeps_and_naive(
     rng = np.random.default_rng(seed)
     ends = [0] + [leaf.hi for leaf in tree.leaves()]
     lo, hi = sorted(int(e) for e in rng.choice(ends, size=2))
-    kw = dict(theta=theta, softening=softening, use_karp=use_karp,
-              use_quadrupole=quadrupoles, target_slice=(lo, hi))
+    kw = dict(theta=theta, softening=softening, use_quadrupole=quadrupoles,
+              target_slice=(lo, hi))
     walks = []
     with pytest.MonkeyPatch.context() as mp:
         dense_walk = traversal._dense_walk
@@ -296,7 +288,7 @@ def sweep_cases():
         cases.append((f"lumpy{seed}",
                       HashedOctree(pos, mass,
                                    leaf_size=int(rng.integers(1, 24))),
-                      dict(theta=0.7, softening=1e-3, use_karp=seed == 1)))
+                      dict(theta=0.7, softening=1e-3)))
     for n in (160, 240, 320):
         pos, _, mass = plummer_sphere(n, seed=2001)
         cases.append((f"plummer{n}", HashedOctree(pos, mass, leaf_size=16),
@@ -361,11 +353,10 @@ def _block_runs(tree, block, **kw):
        kind=st.sampled_from(("plummer", "clump", "massless")),
        leaf_size=st.sampled_from((4, 8, 16)),
        theta=st.sampled_from((0.3, 0.7, 1.1)),
-       softening=st.sampled_from((0.0, 1e-2)), use_karp=st.booleans(),
-       quadrupoles=st.booleans())
+       softening=st.sampled_from((0.0, 1e-2)), quadrupoles=st.booleans())
 @settings(max_examples=3, deadline=None)
 def test_group_blocks_are_independent(
-        seed, n, kind, leaf_size, theta, softening, use_karp, quadrupoles):
+        seed, n, kind, leaf_size, theta, softening, quadrupoles):
     # A group's sums and its group_work never depend on which groups
     # share its walk, tiles or sweeps, so walking the tree a block of
     # groups at a time moves no byte: one group per block, odd blocks,
@@ -381,8 +372,7 @@ def test_group_blocks_are_independent(
             mass[np.random.default_rng(seed).integers(0, n, n // 5)] = 0.0
     tree = HashedOctree(pos, mass, leaf_size=leaf_size,
                         quadrupoles=quadrupoles)
-    kw = dict(theta=theta, softening=softening, use_karp=use_karp,
-              use_quadrupole=quadrupoles)
+    kw = dict(theta=theta, softening=softening, use_quadrupole=quadrupoles)
     naive, _ = _block_runs(tree, None, **kw)
     n_groups = len(tree.leaf_order)
     unblocked, calls = _block_runs(tree, n_groups + 1, **kw)

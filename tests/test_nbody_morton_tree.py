@@ -157,7 +157,7 @@ def test_duplicate_positions_handled():
     tree = HashedOctree(pos, mass, leaf_size=4)
     validate_tree(tree)
     # Identical keys cannot split: a single max-depth leaf holds all.
-    big = max(leaf.count for leaf in tree.leaves())
+    big = max(leaf.hi - leaf.lo for leaf in tree.leaves())
     assert big == 50
 
 

@@ -135,14 +135,12 @@ def _reference_partition(tree, parts, weights):
     theta=st.sampled_from([0.3, 0.7, 1.2]),
     ranks=st.integers(1, 9),
     balance=st.sampled_from(["work", "count", "skewed"]),
-    use_karp=st.booleans(),
 )
 # Rank 1 gets the slice (4, 5): see the one-target test below.
-@example(seed=0, n=7, leaf_size=1, theta=0.3, ranks=3, balance="work",
-         use_karp=False)
+@example(seed=0, n=7, leaf_size=1, theta=0.3, ranks=3, balance="work")
 @settings(max_examples=60, deadline=None)
 def test_slices_of_the_shared_evaluation_equal_per_rank_evaluations(
-        seed, n, leaf_size, theta, ranks, balance, use_karp):
+        seed, n, leaf_size, theta, ranks, balance):
     rng = np.random.default_rng(seed)
     pos = rng.normal(size=(n, 3))
     if n > 8:
@@ -164,7 +162,7 @@ def test_slices_of_the_shared_evaluation_equal_per_rank_evaluations(
     assert spans == _reference_partition(tree, ranks, weights)
     assert shared.partition(tree, ranks, work) is spans         # memo hit
 
-    kwargs = dict(theta=theta, softening=1e-2, use_karp=use_karp)
+    kwargs = dict(theta=theta, softening=1e-2)
     total = 0
     for lo, hi in spans:
         mine = shared.forces(tree, (lo, hi), **kwargs)
@@ -218,8 +216,8 @@ def _some_tree(n=300, leaf_size=8, seed=5):
 def test_misaligned_and_out_of_range_slices_are_refused(evaluate):
     tree = _some_tree()
     n = tree.n_particles
-    fat = max(tree.leaves(), key=lambda leaf: leaf.count)
-    assert fat.count > 1, "need a leaf with an interior index"
+    fat = max(tree.leaves(), key=lambda leaf: leaf.hi - leaf.lo)
+    assert fat.hi - fat.lo > 1, "need a leaf with an interior index"
     inside = fat.lo + 1
     if evaluate == "shared":
         shared = parallel.ReplicatedStep()

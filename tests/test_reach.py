@@ -5,15 +5,16 @@ definitions, defaulted parameters, record fields, stored attributes,
 module-level names and imports of ``src/repro``, and every use of a name
 in a *root* (``src/repro``, where a package ``__init__``'s imports are no
 use; ``tests/test_artifacts.py`` and the ``tests`` modules it imports;
-``benchmarks/spine``; ``examples``).  A use keeps its receiver's type
-where the source states one (a field or ``self.x: T`` annotation, a
-parameter or return annotation, ``x = T(...)``, ``self`` and ``cls``) and
-then binds only to that class, the classes it inherits from and those
-that inherit from it; an untyped use binds by name.  Four queries read
-the table, by the rules DESIGN.md §1 states: unreached definitions,
-unpassed options, unread state and unused imports.  What no root uses
-goes, or stays on ``ALLOWED_*`` with its reason and the test that uses
-it.  A put-back case patches one module into the table and queries again.
+``benchmarks/spine``; ``examples``), outside any ``test_*`` function.  A
+use keeps its receiver's type where the source states one (a field or
+``self.x: T`` annotation, a parameter or return annotation, ``x =
+T(...)``, ``self``, ``cls`` and ``super()``) and then binds only to that
+class, the classes it inherits from and those that inherit from it; an
+untyped use binds by name.  Four queries read the table, by the rules
+DESIGN.md §1 states: unreached definitions, unpassed options, unread
+state and unused imports.  What no root uses goes, or stays on
+``ALLOWED_*`` with its reason and the test that uses it.  A put-back
+case patches one module into the table and queries again.
 """
 
 import ast
@@ -41,6 +42,8 @@ ALLOWED_PARAMETERS = {
         REFERENCE, "tests/test_nbody_karp_kernels.py::test_direct_chunking_invariance"),
     "repro.network.faults.NetFaultConfig(windows=)": (
         SEAM, "tests/test_netfault.py::test_long_link_outage_partitions_and_requeues"),
+    "repro.nbody.traversal.tree_accelerations(naive=)": (
+        REFERENCE, "tests/test_nbody_fastpath.py::test_dense_path_equals_the_sweeps_and_naive"),
 }
 #: ``"qualified"`` -> ``(reason, "path::test" reading it)``.
 ALLOWED_STATE = {
@@ -81,8 +84,7 @@ def _signatures(fn):
     """What a call ``x.fn(...)`` may bind to: ``None`` for a property,
     ``...`` behind an unknown decorator, else the :func:`_signature` keys
     ``(through an instance, through the class)``."""
-    decorators = {d.attr if isinstance(d, ast.Attribute) else
-                  getattr(d, "id", None) for d in fn.decorator_list}
+    decorators = set(map(_named, fn.decorator_list))
     if decorators & _PROPERTY:
         return None
     if decorators - _KEEPS_SIGNATURE:
@@ -132,19 +134,6 @@ def _reaches(signatures, how):
         return how == FORMATTED and signatures is None
     return how == UNPACKED or signatures is ... or \
         _bound(signatures, how) is not None
-
-
-def _how(call):
-    """How a call ``x.name(...)`` uses *name*: ``UNPACKED``, or its
-    positional count, keyword names and whether ``x`` may be a class (a
-    bare CapWords name; ``None`` for a call ``name(...)``)."""
-    if any(isinstance(arg, ast.Starred) for arg in call.args) or \
-            any(kw.arg is None for kw in call.keywords):
-        return UNPACKED
-    receiver = getattr(call.func, "value", None)
-    return (len(call.args), tuple(sorted(kw.arg for kw in call.keywords)),
-            None if receiver is None else
-            isinstance(receiver, ast.Name) and receiver.id[0].isupper())
 
 
 def _annotation(node):
@@ -258,6 +247,8 @@ class _Walk:
             base = self.sym(node.value)
             return base and ("attr", base, node.attr)
         if isinstance(node, ast.Call):
+            if getattr(node.func, "id", None) == "super" and self.me:
+                return ("super", tuple(self.me[0].bases))
             if isinstance(node.func, ast.Name):
                 return ("new", self, self.chain, node.func.id)
             base = isinstance(node.func, ast.Attribute) and \
@@ -266,8 +257,32 @@ class _Walk:
         if isinstance(node, (ast.IfExp, ast.BoolOp)):
             return ("union", tuple(map(self.sym, getattr(
                 node, "values", None) or [node.body, node.orelse])))
-        return NONE if isinstance(node, ast.Constant) and \
-            node.value is None else None
+        return node if isinstance(node, ast.Dict) else NONE if isinstance(
+            node, ast.Constant) and node.value is None else None
+
+    def how(self, call):
+        """How a call ``x.name(...)`` uses *name*: ``UNPACKED``, or its
+        positional count, keyword names (``**`` a ``dict`` literal, or a
+        name bound once so far to one and never changed, passes its keys)
+        and whether ``x`` may be a class (a bare CapWords name; ``None``
+        for a call ``name(...)``)."""
+        if any(isinstance(arg, ast.Starred) for arg in call.args):
+            return UNPACKED
+        keywords = []
+        for kw in call.keywords:
+            node, name = kw.value, getattr(kw.value, "id", None)
+            bound = name not in self.alias_stores and \
+                _bound_to(self, self.chain, name)
+            node = bound[0] if bound and len(bound) == 1 else node
+            keys = [getattr(k, "value", None) for k in node.keys] \
+                if isinstance(node, ast.Dict) else [None]
+            if not (kw.arg or all(isinstance(k, str) for k in keys)):
+                return UNPACKED
+            keywords += [kw.arg] if kw.arg else keys
+        receiver = getattr(call.func, "value", None)
+        return (len(call.args), tuple(sorted(keywords)),
+                None if receiver is None else
+                isinstance(receiver, ast.Name) and receiver.id[0].isupper())
 
     def add(self, kind, name, key=None):
         self.uses[kind, name][key] += 1
@@ -347,9 +362,9 @@ class _Walk:
         self.generic_visit(node)
 
     def visit_Call(self, node):
-        func, named = node.func, _named(node)
+        func, named, how = node.func, _named(node), self.how(node)
         if isinstance(func, (ast.Name, ast.Attribute)):
-            self.called[id(func)] = _how(node)
+            self.called[id(func)] = how
         if named in ("isinstance", "issubclass") and \
                 isinstance(func, ast.Name):
             self.skip(node.args[1:])
@@ -369,13 +384,13 @@ class _Walk:
                     self.me[0].stores.append(string)
         if named == "_replace" or named == "replace" and (isinstance(
                 func, ast.Name) or _named(func.value) == "dataclasses"):
-            for kw in node.keywords:
-                self.add("replace", kw.arg or EVERY)
+            for field in (EVERY,) if how == UNPACKED else how[1]:
+                self.add("replace", field)
         elif isinstance(func, ast.Attribute) and named in _MUTATORS:
             self.store_through(func.value)
         if named == "cls" and isinstance(func, ast.Name) and \
                 self.classmethod_of:
-            self.add("cls", self.classmethod_of, (_how(node), None))
+            self.add("pass", self.classmethod_of, (how, None))
         self.generic_visit(node)
 
     def visit_ExceptHandler(self, node):
@@ -483,6 +498,9 @@ class _Walk:
         del self.where[depth:]
 
     def visit_FunctionDef(self, node):
+        if not self.module and id(node) in self.top and \
+                node.name.startswith("test_"):
+            return                             # a test in a root: no use
         a, decorators = node.args, set(map(_named, node.decorator_list))
         arguments = a.posonlyargs + a.args + a.kwonlyargs + \
             [x for x in (a.vararg, a.kwarg) if x]
@@ -650,6 +668,8 @@ class _Table:
 
     def _resolve(self, kind, *rest):
         name, classes = rest[-1], self.classes
+        if kind == "super":                    # the bases ``src`` declares
+            return frozenset(b for b in name if b in classes)
         if kind in ("var", "new"):
             name = _imported(*rest)
             if kind == "var":
@@ -677,15 +697,11 @@ class _Table:
         return receivers and self.resolve(("union", tuple(
             self.member(r, name, kind == "method") for r in receivers)))
 
-    def mro(self, name):
-        info = self.classes.get(name)
-        return [info, *(c for b in info.bases for c in self.mro(b))] \
-            if info else []
-
     def member(self, cls, name, called):
         """The declared type of *cls*'s attribute *name* (of what calling
         it returns, when *called*)."""
-        for info in self.mro(cls):
+        for info in filter(None, map(self.classes.get, (
+                cls, *self.kin(cls, "bases")))):
             if name in (info.methods if called else info.properties):
                 return info.returns.get(name)
             declared = not called and (info.annotated.get(name) or
@@ -767,15 +783,15 @@ def _unset(t):
     """Each defaulted parameter, and each defaulted field of a public
     record with no ``__init__`` of its own, that no root passes, as
     ``"qualified(name=)"``."""
-    # (qualified, options, [(name used, class a use must bind to,
-    # signatures, kind of use)]) per callable
+    # (qualified, options, [(name passed to, class a use must bind to,
+    # signatures)]) per callable
     outside, callables = _out_of_scope(t), []
     for qualified, owner, fn, defaulted, signatures in t.options:
         callables.append((qualified, defaulted, [
-            (fn, None, signatures[1:] * 2, "pass")] if owner is None else [
-            (heir, None, signatures[:1] * 2, "pass")
+            (fn, None, signatures[1:] * 2)] if owner is None else [
+            (heir, None, signatures[:1] * 2)
             for heir in _heirs(t, owner)] * (fn == "__init__") + [
-            (fn, owner, signatures, "pass")]))
+            (fn, owner, signatures)]))
     for f in t.src:
         for name, info in f.classes.items():
             if not _public(name) or info.fields is None or info.written or \
@@ -788,14 +804,13 @@ def _unset(t):
                     t.binds(name, recv) for recv in t.count("store", field))
             ], [(heir, None, ((", ".join(
                 field + "=None" * defaulted for field, defaulted in
-                _init_fields(t, heir).items()),),) * 2, kind)
-                for heir in _heirs(t, name, fields=True)
-                for kind in ("pass", "cls")]))
+                _init_fields(t, heir).items()),),) * 2)
+                for heir in _heirs(t, name, fields=True)]))
     unset = []
     for qualified, defaulted, keys in callables:
         passed = set()
-        for name, member, signatures, kind in keys:
-            for how, recv in t.count(kind, name):
+        for name, member, signatures in keys:
+            for how, recv in t.count("pass", name):
                 if member and not t.binds(member, recv):
                     continue
                 if how in (VALUE, UNPACKED):
@@ -889,6 +904,7 @@ def _with_test(test):
     path, _, name = test.partition("::")
     fn, = [node for node in ast.parse((ROOT / path).read_text()).body
            if isinstance(node, _FUNCTIONS) and node.name == name]
+    fn.name = "uses"                           # a test would be skipped
     return _checkout().patched({test: ast.unparse(fn)})
 
 
@@ -1004,6 +1020,7 @@ nbody/multipole.py: def quadrupole_tensor(pos, mass, com): return mass @ (pos - 
 nbody/sph.py: class SphSystem:\n    def __init__(self, pos, mass, h): self.pos, self.mass, self.h = pos, mass, h
 nbody/traversal.py: def work_per_particle(stats, n): return stats.interactions / n
 nbody/tree.py HashedOctree: def validate(self): return len(self.nodes)
+nbody/tree.py TreeNode: @property\ndef count(self): return self.hi - self.lo
 nbody/vortex.py: def vortex_ring(n, radius=1.0): return n * radius
 network/fabric.py FabricSpec: @property\ndef oversubscription(self): return self.nodes_per_chassis * self.nic.link.bandwidth_bps
 network/link.py: class LinkSchedule:\n    def __init__(self, link): self.link = link
@@ -1052,6 +1069,11 @@ metrics/costs.py CostParameters: labor_usd_per_hour: float = param(NONNEGATIVE, 
 metrics/costs.py CostParameters: blade_maintenance_usd_per_year: float = param(NONNEGATIVE, 1_200.0)
 metrics/costs.py CostParameters: software_usd: float = param(NONNEGATIVE, 0.0)
 metrics/costs.py CostParameters: hours_per_year: float = param(POSITIVE, 8_760.0)
+nbody/sim.py SimConfig: leaf_size: int = param(whole(1), 16)
+nbody/sim.py SimConfig: use_karp: bool = False
+nbody/sim.py SimConfig: naive_traversal: bool = False
+nbody/sim.py SimConfig: audit: bool = False
+sched/scheduler.py SchedConfig: checkpoint_bandwidth_bps: float = param(POSITIVE, 50e6)
 sched/workloads.py TreecodeJob: theta: float = param(POSITIVE, 0.7)
 sched/workloads.py TreecodeJob: dt: float = param(POSITIVE, 1e-3)
 thermal/reliability.py ArrheniusIntensity: base_c: float = param(FINITE, 40.0)
@@ -1265,6 +1287,44 @@ def test_the_field_walk_bites_on_seeded_unset_fields():
         "repro.box.Point(z=)"]
     # A replace that unpacks ``**`` passes every field of every class.
     assert _unset(_table(sources, ["replace(x, **changes)"])) == []
+
+
+def test_an_unpacked_literal_passes_only_its_keys():
+    module = ("from dataclasses import dataclass\n@dataclass\nclass Spec:\n"
+              "    width: int = 1\n    depth: int = 1\n    color: str = ''\n")
+    user = ("from repro.box import Spec\ndef main():\n"
+            "    size = {'width': 2}\n"
+            "    return Spec(**size, **{'depth': 3})\n")   # their keys only
+    sources = [("repro/box.py", module)]
+    assert _unset(_table(sources, [user])) == ["repro.box.Spec(color=)"]
+    assert _unset(_table(sources, ["replace(s, **{'color': '', 'depth': 0})"])) \
+        == ["repro.box.Spec(width=)"]
+    # A name bound again, or changed in place, may hold any key.
+    for change in ("size = dict(size)", "size['color'] = ''"):
+        assert _unset(_table(sources, [user.replace(
+            "    return", f"    {change}\n    return")])) == []
+
+
+def test_a_test_function_in_a_root_is_no_use():
+    module = "def knob(x, flag=False): return x\ndef probe(): pass\n"
+    root = ("from repro import box\ndef produce(): return box.knob(1)\n"
+            "def test_knob():\n    box.probe()\n"
+            "    assert box.knob(1, flag=True)\n")
+    t = _table([("repro/box.py", module)], [root])
+    assert (_unreached(t), _unset(t)) == (
+        ["repro.box.probe"], ["repro.box.knob(flag=)"])
+
+
+def test_super_init_passes_only_to_the_bases():
+    module = ("class Box:\n    def __init__(self, size, lid=False): pass\n"
+              "class Tin(Box):\n    def __init__(self):\n"
+              "        super().__init__(1, lid=True)\n"
+              "class Cork(ValueError):\n    def __init__(self):\n"
+              "        super().__init__(lid=True)\n"     # no src base
+              "class Jar:\n    def __init__(self, lid=False): pass\n")
+    user = "from repro.box import Cork, Jar, Tin\nTin(), Cork(), Jar()\n"
+    assert _unset(_table([("repro/box.py", module)], [user])) == [
+        "repro.box.Jar.__init__(lid=)"]
 
 
 def test_a_class_named_as_a_receiver_passes_nothing():

@@ -330,10 +330,7 @@ def test_failure_kills_requeues_and_completes():
 def test_checkpoint_restart_resumes_midway():
     job = MicrokernelSweep(passes=10, flops_per_pass=2.5e6)
     runtime = job.est_runtime_s(4, RATE)
-    config = SchedConfig(
-        checkpoint_every=2, checkpoint_latency_s=1e-5,
-        checkpoint_bandwidth_bps=1e9,
-    )
+    config = SchedConfig(checkpoint_every=2, checkpoint_latency_s=1e-5)
     sched = make_sched(config=config)
     sched.submit(JobSpec(0, 0.0, 4, runtime * 2, job))
     sched.inject_failure(runtime * 0.6, blade=2)
@@ -480,8 +477,6 @@ _NON_FINITE = [
     ("horizon_s", lambda v: NetFaultConfig(horizon_s=v)),
     ("arrival_s", lambda v: JobSpec(0, v, 1, 1.0, MicrokernelSweep())),
     ("thermal_accel", lambda v: SchedConfig(thermal_accel=v)),
-    ("checkpoint_bandwidth_bps",
-     lambda v: SchedConfig(checkpoint_bandwidth_bps=v)),
     ("checkpoint_latency_s", lambda v: SchedConfig(checkpoint_latency_s=v)),
 ]
 
