@@ -94,10 +94,10 @@ def golden_table2():
 def golden_fig3():
     """Fig. 3 (the flagship N-body run) at n = 500 for one step: its
     rows, exact flop count and energies, rendered text and art."""
-    params = {"n": 500, "steps": 1, "seed": 2001}
-    exp, result, art = experiment_fig3(SimConfig(
-        **params, ic="collision", theta=0.7, softening=1e-2,
-    ))
+    config = SimConfig(n=500, steps=1, seed=2001, ic="collision",
+                       theta=0.7, softening=1e-2)
+    exp, result, art = experiment_fig3(config)
+    params = {"n": config.n, "steps": config.steps, "seed": config.seed}
     return {"params": params, "headers": exp.headers, "rows": exp.rows,
             "total_flops": result.total_flops,
             "energy_initial": result.energy_initial,

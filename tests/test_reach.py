@@ -6,15 +6,13 @@ module-level names and imports of ``src/repro``, and every use of a name
 in a *root* (``src/repro``, where a package ``__init__``'s imports are no
 use; ``tests/test_artifacts.py`` and the ``tests`` modules it imports;
 ``benchmarks/spine``; ``examples``), outside any ``test_*`` function.  A
-use keeps its receiver's type where the source states one (a field or
-``self.x: T`` annotation, a parameter or return annotation, ``x =
-T(...)``, ``self``, ``cls`` and ``super()``) and then binds only to that
-class, the classes it inherits from and those that inherit from it; an
-untyped use binds by name.  Four queries read the table, by the rules
-DESIGN.md §1 states: unreached definitions, unpassed options, unread
-state and unused imports.  What no root uses goes, or stays on
-``ALLOWED_*`` with its reason and the test that uses it.  A put-back
-case patches one module into the table and queries again.
+use through a receiver whose type the source states binds only to that
+class, its bases and its heirs; an untyped use binds by name.  Four
+queries read the table, by the rules DESIGN.md §1 states: unreached
+definitions, unpassed options, unread state and unused imports.  What
+no root uses goes, or stays on ``ALLOWED_*`` with its reason and the
+test that uses it.  A put-back case patches one module into the table
+and queries again.
 """
 
 import ast
@@ -193,7 +191,6 @@ class _Class:
         self.dataclass = "dataclass" in map(_named, node.decorator_list)
         methods = {i.name: i for i in node.body if isinstance(i, _FUNCTIONS)}
         self.methods, self.written = set(methods), "__init__" in methods
-        self.from_dict = "from_dict" in methods
         self.properties = {name for name, fn in methods.items()
                            if set(map(_named, fn.decorator_list)) & _PROPERTY}
         record = self.dataclass or self.namedtuple
@@ -211,18 +208,27 @@ class _Class:
         self.returns, self.end = {}, node.end_lineno
 
 
-_VISITORS = {}                 # AST node class -> its _Walk method
+def _sealed(tree):
+    """``name -> {...}`` of each ``name = {...}`` in *tree* whose name the
+    file spells nowhere else but in ``**name``: no other binding, change,
+    alias or call can give that dict another key."""
+    nodes = list(ast.walk(tree))
+    names = Counter(n.id for n in nodes if isinstance(n, ast.Name))
+    names.subtract(getattr(n.value, "id", None) for n in nodes
+                   if isinstance(n, ast.keyword) and n.arg is None)
+    return {n.targets[0].id: n.value for n in nodes if isinstance(
+        n, ast.Assign) and isinstance(n.value, ast.Dict) and [
+        names[getattr(target, "id", None)] for target in n.targets] == [1]}
 
 
-class _Walk:
+class _Walk(ast.NodeVisitor):
     """The one walk over one file: what it declares, and each use with
     its receiver's type as a symbol for :class:`_Table` to resolve."""
 
     def __init__(self, path, text):
         self.init = path.endswith("__init__.py")
-        self.module = path.removesuffix(".py").removesuffix(
-            "/__init__").replace("/", ".") if path.startswith("repro/") \
-            else None
+        self.module = path.startswith("repro/") and path.removesuffix(
+            ".py").removesuffix("/__init__").replace("/", ".")
         self.uses = defaultdict(Counter)       # (kind, name) -> Counter
         self.defs, self.options, self.state = [], [], []
         self.classes, self.functions, self.imports = {}, {}, {}
@@ -233,11 +239,12 @@ class _Walk:
         self.skipped, self.receivers, self.written, self.typed, \
             self.formatted = set(), set(), set(), set(), set()
         tree = ast.parse(text)
-        self.top = set(map(id, tree.body))
+        tree.body = [n for n in tree.body if self.module or not getattr(
+            n, "name", "").startswith("test_")]    # a test in a root: no use
+        self.top, self.sealed = set(map(id, tree.body)), _sealed(tree)
         self.visit(tree)
-        for name in self.alias_stores:         # ``by = x.f; by[k] = v``
-            if name in self.aliases:
-                self.add("store", *self.aliases[name])
+        for name in self.aliases.keys() & self.alias_stores:
+            self.add("store", *self.aliases[name])   # ``by = x.f; by[k] = v``
 
     def sym(self, node):
         """The type of expression *node*, symbolically."""
@@ -263,22 +270,19 @@ class _Walk:
     def how(self, call):
         """How a call ``x.name(...)`` uses *name*: ``UNPACKED``, or its
         positional count, keyword names (``**`` a ``dict`` literal, or a
-        name bound once so far to one and never changed, passes its keys)
+        name :func:`_sealed` to the one its scope binds, passes its keys)
         and whether ``x`` may be a class (a bare CapWords name; ``None``
         for a call ``name(...)``)."""
-        if any(isinstance(arg, ast.Starred) for arg in call.args):
-            return UNPACKED
         keywords = []
         for kw in call.keywords:
-            node, name = kw.value, getattr(kw.value, "id", None)
-            bound = name not in self.alias_stores and \
-                _bound_to(self, self.chain, name)
-            node = bound[0] if bound and len(bound) == 1 else node
-            keys = [getattr(k, "value", None) for k in node.keys] \
-                if isinstance(node, ast.Dict) else [None]
-            if not (kw.arg or all(isinstance(k, str) for k in keys)):
-                return UNPACKED
-            keywords += [kw.arg] if kw.arg else keys
+            name = getattr(kw.value, "id", None)
+            node = self.sealed[name] if name in self.sealed and _bound_to(
+                self, self.chain, name) == [self.sealed[name]] else kw.value
+            keywords += [kw.arg] if kw.arg else [
+                getattr(k, "value", None) for k in getattr(node, "keys", [None])]
+        if any(isinstance(arg, ast.Starred) for arg in call.args) or \
+                not all(isinstance(k, str) for k in keywords):
+            return UNPACKED
         receiver = getattr(call.func, "value", None)
         return (len(call.args), tuple(sorted(keywords)),
                 None if receiver is None else
@@ -306,19 +310,6 @@ class _Walk:
             self.add("store", node.attr, self.sym(node.value))
         elif isinstance(node, ast.Name):
             self.alias_stores.append(node.id)
-
-    def visit(self, node):
-        kind = type(node)
-        if kind not in _VISITORS:              # contexts and operators: leaves
-            _VISITORS[kind] = getattr(_Walk, "visit_" + kind.__name__, None) \
-                or ((lambda walk, node: None) if issubclass(kind, (
-                    ast.expr_context, ast.operator, ast.cmpop, ast.boolop,
-                    ast.unaryop)) else _Walk.generic_visit)
-        _VISITORS[kind](self, node)
-
-    def generic_visit(self, node):
-        for child in ast.iter_child_nodes(node):
-            self.visit(child)
 
     def skip(self, nodes):
         """Mark *nodes* as naming nothing they call (an annotation, a
@@ -498,9 +489,6 @@ class _Walk:
         del self.where[depth:]
 
     def visit_FunctionDef(self, node):
-        if not self.module and id(node) in self.top and \
-                node.name.startswith("test_"):
-            return                             # a test in a root: no use
         a, decorators = node.args, set(map(_named, node.decorator_list))
         arguments = a.posonlyargs + a.args + a.kwonlyargs + \
             [x for x in (a.vararg, a.kwarg) if x]
@@ -563,10 +551,8 @@ class _Walk:
         if signatures in (NAME, None, ...) or cls and cls.dataclass and \
                 node.name == "__init__":
             return own
-        P = inspect.Parameter
         defaulted = [p.name for p in _signature(*signatures[1]).parameters
-                     .values() if p.default is not P.empty
-                     and p.kind not in (P.VAR_POSITIONAL, P.VAR_KEYWORD)]
+                     .values() if p.default is not inspect.Parameter.empty]
         if defaulted:
             self.options.append((qualified, cls and cls.name, node.name,
                                  defaulted, signatures))
@@ -752,19 +738,15 @@ def _out_of_scope(t, exceptions=False):
     """Classes a ``from_dict`` reaches through field annotations (and the
     exception classes, with *exceptions*)."""
     todo, seen = [name for name, info in t.classes.items()
-                  if info.from_dict], set()
+                  if "from_dict" in info.methods], set()
     while todo:
         name = todo.pop()
         if name in t.classes and name not in seen:
             seen.add(name)
             todo += t.classes[name].annotation_names
-    found = set()
-    while exceptions and (grown := {
-            name for name, info in t.classes.items() if name not in found
-            and any(b and (b in found or b.endswith((
-                "Error", "Exception", "Warning"))) for b in info.bases)}):
-        found |= grown
-    return seen | found
+    return seen | {name for name in t.classes if exceptions and any(
+        b and b.endswith(("Error", "Exception", "Warning"))
+        for b in t.kin(name, "bases"))}
 
 
 def _unreached(t):
@@ -792,20 +774,18 @@ def _unset(t):
             (heir, None, signatures[:1] * 2)
             for heir in _heirs(t, owner)] * (fn == "__init__") + [
             (fn, owner, signatures)]))
-    for f in t.src:
-        for name, info in f.classes.items():
-            if not _public(name) or info.fields is None or info.written or \
-                    name in outside or not info.top or \
-                    t.count("replace", EVERY):
-                continue
-            callables.append((f"{f.module}.{name}", [
-                field for field, defaulted in info.fields if defaulted
-                and not t.count("replace", field) and not any(
-                    t.binds(name, recv) for recv in t.count("store", field))
-            ], [(heir, None, ((", ".join(
-                field + "=None" * defaulted for field, defaulted in
-                _init_fields(t, heir).items()),),) * 2)
-                for heir in _heirs(t, name, fields=True)]))
+    for name, info in t.classes.items():
+        if not _public(name) or info.fields is None or info.written or \
+                name in outside or not info.top or t.count("replace", EVERY):
+            continue
+        callables.append((info.qualified, [
+            field for field, defaulted in info.fields if defaulted
+            and not t.count("replace", field) and not any(
+                t.binds(name, recv) for recv in t.count("store", field))
+        ], [(heir, None, ((", ".join(
+            field + "=None" * defaulted for field, defaulted in
+            _init_fields(t, heir).items()),),) * 2)
+            for heir in _heirs(t, name, fields=True)]))
     unset = []
     for qualified, defaulted, keys in callables:
         passed = set()
@@ -926,31 +906,30 @@ def test_kept_state_has_a_reason_and_the_test_that_reads_it(state):
 
 
 def _case(module, owner, source):
-    """``(dotted module, qualified name, members)`` of *source* put back
-    into ``repro/<module>``: a class's fields, or what a method stores."""
+    """``(qualified name, [(holder, member)])`` of *source* put back into
+    ``repro/<module>``: a class's fields, what a method stores, else the
+    name itself."""
     node = ast.parse(source).body[0]
     name = getattr(node, "name", None) or (
         getattr(node, "target", None) or node.targets[0]).id
-    dotted = "repro." + module.removesuffix(".py").removesuffix(
-        "/__init__").replace("/", ".")
-    members = [i.target.id for i in node.body if isinstance(
-        i, ast.AnnAssign)] if isinstance(node, ast.ClassDef) else [
-        n.attr for n in ast.walk(node)
-        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)]
-    return dotted, ".".join(filter(None, (dotted, owner, name))), members
+    holder = ".".join(filter(None, ("repro." + module.removesuffix(
+        ".py").removesuffix("/__init__").replace("/", "."), owner)))
+    qualified = f"{holder}.{name}"
+    if isinstance(node, ast.ClassDef):
+        return qualified, [(qualified, i.target.id) for i in node.body
+                           if isinstance(i, ast.AnnAssign)]
+    return qualified, [(holder, n.attr) for n in ast.walk(node) if isinstance(
+        n, ast.Attribute) and isinstance(n.ctx, ast.Store)] or [(holder, name)]
 
 
 def _case_id(module, owner, source):
     """``Owner.name``, or ``module.name`` for a top-level one."""
-    return ".".join(_case(module, owner, source)[1].split(".")[-2:])
+    return ".".join(_case(module, owner, source)[0].split(".")[-2:])
 
 
 def _state_case(module, owner, source):
     """The qualified names of the state *source* stores."""
-    dotted, qualified, members = _case(module, owner, source)
-    if isinstance(ast.parse(source).body[0], ast.ClassDef):
-        return [f"{qualified}.{member}" for member in members]
-    return [f"{dotted}.{owner}.{m}" for m in members] or [qualified]
+    return [f"{h}.{member}" for h, member in _case(module, owner, source)[1]]
 
 
 def _put_back(t, module, owner, source):
@@ -961,7 +940,7 @@ def _put_back(t, module, owner, source):
     if owner is None:
         package = path.rpartition("/")[0] + "/__init__.py"
         stem, name = module.rpartition("/")[2].removesuffix(".py"), \
-            _case(module, owner, source)[1].rpartition(".")[2]
+            _case(module, owner, source)[0].rpartition(".")[2]
         return t.patched({path: text + "\n\n" + source, package: t.texts[
             package] + f"from .{stem} import {name}\n"})
     lines = text.splitlines(keepends=True)
@@ -1137,7 +1116,7 @@ HIDDEN_STATE = {
                          ids=[_case_id(*case) for case in DELETED])
 def test_a_deleted_definition_put_back_is_unreached(module, owner,
                                                     definition):
-    t, (_, qualified, _) = _checkout(), _case(module, owner, definition)
+    t, (qualified, _) = _checkout(), _case(module, owner, definition)
     assert qualified not in _unreached(t)
     assert _unreached(_put_back(t, module, owner, definition)) == [qualified]
 
@@ -1145,9 +1124,8 @@ def test_a_deleted_definition_put_back_is_unreached(module, owner,
 @pytest.mark.parametrize("module, owner, source", DELETED_FIELDS,
                          ids=[_case_id(*case) for case in DELETED_FIELDS])
 def test_a_deleted_field_put_back_is_unset(module, owner, source):
-    t, (dotted, qualified, members) = _checkout(), _case(module, owner, source)
-    expected = [f"{qualified}({m}=)" for m in members] or \
-        [f"{dotted}.{owner}({qualified.rpartition('.')[2]}=)"]
+    t, expected = _checkout(), [f"{holder}({member}=)" for holder, member
+                                in _case(module, owner, source)[1]]
     unset = _unset(t)
     assert set(expected).isdisjoint(unset)
     assert sorted(_unset(_put_back(t, module, owner, source))) == \
@@ -1292,17 +1270,19 @@ def test_the_field_walk_bites_on_seeded_unset_fields():
 def test_an_unpacked_literal_passes_only_its_keys():
     module = ("from dataclasses import dataclass\n@dataclass\nclass Spec:\n"
               "    width: int = 1\n    depth: int = 1\n    color: str = ''\n")
-    user = ("from repro.box import Spec\ndef main():\n"
-            "    size = {'width': 2}\n"
-            "    return Spec(**size, **{'depth': 3})\n")   # their keys only
+    user = ("from repro.box import Spec\ndef main(runs):\n"
+            "    size = {'width': 2}\n    for run in runs:\n"
+            "        Spec(**size, **{'depth': 3})\n")   # their keys only
     sources = [("repro/box.py", module)]
     assert _unset(_table(sources, [user])) == ["repro.box.Spec(color=)"]
     assert _unset(_table(sources, ["replace(s, **{'color': '', 'depth': 0})"])) \
         == ["repro.box.Spec(width=)"]
-    # A name bound again, or changed in place, may hold any key.
-    for change in ("size = dict(size)", "size['color'] = ''"):
-        assert _unset(_table(sources, [user.replace(
-            "    return", f"    {change}\n    return")])) == []
+    # A dict bound again, changed (after the call too: the loop comes
+    # back), aliased or passed on, or a name its scope binds to no
+    # literal, may hold any key.
+    for change in ("size = dict(size)", "size['color'] = ''", "sizes = size",
+                   "run(size)", "\ndef rerun(size):\n    Spec(**size)"):
+        assert _unset(_table(sources, [user + f"        {change}\n"])) == []
 
 
 def test_a_test_function_in_a_root_is_no_use():
