@@ -1,23 +1,28 @@
 """The parallel treecode over SimMPI (Table 2: scalability on MetaBlade).
 
 Decomposition follows Warren-Salmon: particles are sorted along the
-Morton curve and each rank owns a contiguous, leaf-aligned slice,
-balanced by **work** - each particle carries the interaction count it
-cost last step, and slice boundaries equalise that work (first step
-falls back to equal counts).  Each timestep:
+Morton curve and each rank owns a contiguous, leaf-aligned slice.
+:func:`replicated_forces` is the one force pass of both SPMD treecodes
+(this module's :func:`parallel_nbody_step`, every scheduled
+``TreecodeJob``):
 
-1. **allgather** every rank's (positions, masses, work) - the real
+1. **allgather** every rank's (positions, masses[, work]) - the real
    communication, billed byte-for-byte on the Fast Ethernet star;
 2. every rank builds the tree over the full set (replicated tree; at
    MetaBlade's scale the locally-essential-tree optimisation the real
    code uses is unnecessary, and replication is honest about costs);
-3. every rank computes accelerations for its own leaves, charging its
+3. every rank computes accelerations for its own slice, charging its
    *measured* interaction flops to virtual time at the node's sustained
-   rate, then allgathers the accelerations and integrates its slice.
+   rate, then allgathers the accelerations[, work] back to their owners.
+
+``parallel_nbody_step`` balances the slices by **work** (each particle
+carries the interaction count it cost last pass; the first pass has
+equal work), ``TreecodeJob`` by particle count.  Only the integrators
+differ: a primed kick-drift-kick here, kick-then-drift in the job.
 
 Because every rank computes the same tree and the same per-group
 accelerations, trajectories are bit-identical for any rank count -
-a property the test suite checks.
+a property the test suite checks for both programs.
 
 The replication is in the *modelled* algorithm, not something the host
 has to repeat: :class:`ReplicatedStep` computes what the ranks of one
@@ -114,10 +119,9 @@ class ReplicatedStep:
         # whole-tree evaluation, the arrays in sorted order.
         self._forces: Optional[tuple] = None
 
-    def tree(self, pos: np.ndarray, mass: np.ndarray,
-             leaf_size: int) -> HashedOctree:
+    def tree(self, pos: np.ndarray, mass: np.ndarray) -> HashedOctree:
         """The replicated tree over the gathered particles."""
-        return self._trees.build(pos, mass, leaf_size=leaf_size)
+        return self._trees.build(pos, mass)
 
     def partition(self, tree: HashedOctree, parts: int,
                   work: Optional[np.ndarray] = None
@@ -176,61 +180,70 @@ class ReplicatedStep:
         return acc, work, stats.group_work
 
 
-def parallel_nbody_step(comm, pos_local, vel_local, mass_local,
-                        config: SimConfig, flop_rate: float,
-                        shared: ReplicatedStep,
-                        balance: str = "work"):
-    """SPMD program: advance the local slice by ``config.steps`` steps.
+def replicated_forces(comm, pos, mass, work: Optional[np.ndarray],
+                      config: SimConfig, flop_rate: float,
+                      shared: ReplicatedStep):
+    """SPMD force pass (generator-style for SimMPI): this rank's
+    ``(acc, work)`` for its particles ``(pos, mass)``.
 
-    Written generator-style for SimMPI; returns the final local
-    ``(pos, vel)`` slice.  ``balance`` picks the decomposition:
-    ``"work"`` (Warren-Salmon work counters) or ``"count"``.
+    Slices are balanced by last pass's per-particle *work*, or by
+    particle count when *work* is ``None``: then neither allgather
+    carries a work array and the returned work is ``None`` too.
 
     ``shared`` is the world's :class:`ReplicatedStep` - the same object
     on every rank.  It saves host work only: the modelled build flops
     and each rank's own interaction flops are charged to every rank's
     virtual clock as if it had computed them alone.
     """
-    if balance not in ("work", "count"):
-        raise ValueError("balance must be 'work' or 'count'")
-    pos, vel, mass = pos_local, vel_local, mass_local
+    gathered = yield from comm.allgather(
+        (pos, mass) if work is None else (pos, mass, work)
+    )
+    all_pos = np.vstack([g[0] for g in gathered])
+    all_mass = np.concatenate([g[1] for g in gathered])
+    offsets = np.cumsum([0] + [len(g[0]) for g in gathered])
+    my_lo, my_hi = offsets[comm.rank], offsets[comm.rank + 1]
+
+    tree = shared.tree(all_pos, all_mass)
+    comm.compute_flops(BUILD_FLOPS_PER_PARTICLE * len(all_pos), flop_rate)
+    all_work = (
+        None if work is None else np.concatenate([g[2] for g in gathered])
+    )
+    lo, hi = shared.partition(tree, comm.size, all_work)[comm.rank]
+    mine = shared.forces(tree, (lo, hi), config.theta, config.softening)
+    comm.compute_flops(mine.flops, flop_rate)
+
+    # Ownership is by original index.
+    idx = tree.order[lo:hi]
+    parts = yield from comm.allgather(
+        (idx, mine.acc) if work is None else (idx, mine.acc, mine.work)
+    )
+    acc_full = np.zeros_like(all_pos)
+    for part in parts:
+        acc_full[part[0]] = part[1]
+    if work is None:
+        return acc_full[my_lo:my_hi], None
+    work_full = np.zeros(len(all_pos))
+    for part in parts:
+        work_full[part[0]] = part[2]
+    return acc_full[my_lo:my_hi], work_full[my_lo:my_hi]
+
+
+def parallel_nbody_step(comm, pos, vel, mass,
+                        config: SimConfig, flop_rate: float,
+                        shared: ReplicatedStep):
+    """SPMD program: advance the local slice by ``config.steps`` steps.
+
+    Written generator-style for SimMPI; returns the final local
+    ``(pos, vel)`` slice.  Each step is one :func:`replicated_forces`
+    pass balanced by work (the first by equal work, which is equal
+    counts), and a priming pass computes the initial accelerations.
+    """
     work = np.ones(len(pos))
     acc = None
     for _ in range(config.steps + 1):   # first pass computes initial acc
-        gathered = yield from comm.allgather((pos, mass, work))
-        all_pos = np.vstack([g[0] for g in gathered])
-        all_mass = np.concatenate([g[1] for g in gathered])
-        offsets = np.cumsum([0] + [len(g[0]) for g in gathered])
-        my_lo, my_hi = offsets[comm.rank], offsets[comm.rank + 1]
-
-        tree = shared.tree(all_pos, all_mass, config.leaf_size)
-        comm.compute_flops(
-            BUILD_FLOPS_PER_PARTICLE * len(all_pos), flop_rate
+        acc_mine, work = yield from replicated_forces(
+            comm, pos, mass, work, config, flop_rate, shared
         )
-
-        all_work = (
-            np.concatenate([g[2] for g in gathered])
-            if balance == "work" else None
-        )
-        lo, hi = shared.partition(tree, comm.size, all_work)[comm.rank]
-        mine = shared.forces(tree, (lo, hi), config.theta, config.softening)
-        comm.compute_flops(mine.flops, flop_rate)
-
-        # Exchange accelerations (and fresh per-particle work for next
-        # step's decomposition) so each rank gets its own particles
-        # back: ownership is by original index.
-        my_sorted_idx = tree.order[lo:hi]          # original indices
-        acc_parts = yield from comm.allgather(
-            (my_sorted_idx, mine.acc, mine.work)
-        )
-        acc_full = np.zeros_like(all_pos)
-        work_full = np.zeros(len(all_pos))
-        for idx, part, wpart in acc_parts:
-            acc_full[idx] = part
-            work_full[idx] = wpart
-        acc_mine = acc_full[my_lo:my_hi]
-        work = work_full[my_lo:my_hi]
-
         if acc is None:
             acc = acc_mine
             continue
@@ -241,14 +254,15 @@ def parallel_nbody_step(comm, pos_local, vel_local, mass_local,
     return pos, vel
 
 
-def _split(arr: np.ndarray, parts: int) -> List[np.ndarray]:
+def split_evenly(arr: np.ndarray, parts: int) -> List[np.ndarray]:
+    """*arr* cut into *parts* contiguous runs of (nearly) equal length:
+    every SPMD treecode's initial decomposition."""
     bounds = np.linspace(0, len(arr), parts + 1).astype(int)
     return [arr[bounds[i]:bounds[i + 1]] for i in range(parts)]
 
 
 def run_parallel_nbody(config: SimConfig, cpus: int, flop_rate: float,
                        ideal_network: bool = False,
-                       balance: str = "work",
                        fabric=None,
                        runtime: Optional[SimMpiRuntime] = None):
     """Run the SPMD treecode on a modelled MetaBlade of *cpus* blades.
@@ -258,7 +272,6 @@ def run_parallel_nbody(config: SimConfig, cpus: int, flop_rate: float,
     ``runtime`` overrides the whole scheduler — pass one prebuilt on a
     shared event kernel to trace timelines or inject failures.
     """
-    pos, vel, mass = config.make_ic()
     if runtime is None:
         if fabric is None:
             fabric = IdealFabric(cpus) if ideal_network else star_fabric(cpus)
@@ -267,21 +280,13 @@ def run_parallel_nbody(config: SimConfig, cpus: int, flop_rate: float,
         raise ValueError(
             f"runtime has {runtime.size} ranks but cpus={cpus}"
         )
-    pos_parts = _split(pos, cpus)
-    vel_parts = _split(vel, cpus)
-    mass_parts = _split(mass, cpus)
+    # (pos, vel, mass) per rank.
+    parts = list(zip(*(split_evenly(a, cpus) for a in config.make_ic())))
     shared = ReplicatedStep()
 
     def program(comm):
         result = yield from parallel_nbody_step(
-            comm,
-            pos_parts[comm.rank],
-            vel_parts[comm.rank],
-            mass_parts[comm.rank],
-            config,
-            flop_rate,
-            shared,
-            balance=balance,
+            comm, *parts[comm.rank], config, flop_rate, shared
         )
         return result
 

@@ -24,7 +24,7 @@ from repro.core.domains import (
 )
 from repro.nbody.ic import plummer_sphere, two_clusters, uniform_cube
 from repro.nbody.integrator import leapfrog_step, total_energy
-from repro.nbody.tree import HashedOctree
+from repro.nbody.tree import LEAF_SIZE, HashedOctree
 from repro.nbody.traversal import tree_accelerations
 
 #: Flops billed for tree construction, per particle (key generation,
@@ -43,7 +43,7 @@ class SimConfig:
     softening: float = param(NONNEGATIVE, 1e-2)
     seed: int = param(whole(0), 2001)
     ic: str = "plummer"            # plummer | cube | collision
-    leaf_size: ClassVar[int] = 16
+    leaf_size: ClassVar[int] = LEAF_SIZE
 
     def __post_init__(self) -> None:
         check_domains(self)

@@ -25,7 +25,7 @@ Two layouts describe the same tree:
   flat arrays, materialised on first access.
 
 :class:`TreeBuildCache` keeps the last build and returns it again for
-identical particles and parameters: how the replicated-tree ranks of
+identical particles: how the replicated-tree ranks of
 :mod:`repro.nbody.parallel` share one build per step.  Anything else
 is a build from scratch.
 """
@@ -44,6 +44,8 @@ from repro.nbody.morton import (
     particle_keys,
 )
 
+#: Particles per leaf of every tree the simulator builds.
+LEAF_SIZE = 16
 _EYE3 = np.eye(3)
 _OCTANTS = np.arange(1, 8, dtype=np.uint64)
 
@@ -76,8 +78,7 @@ class HashedOctree:
     """Builds and owns the hashed octree for one particle snapshot."""
 
     def __init__(self, pos: np.ndarray, mass: np.ndarray,
-                 leaf_size: int = 16, depth: int = MAX_DEPTH,
-                 bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+                 leaf_size: int = LEAF_SIZE, depth: int = MAX_DEPTH,
                  quadrupoles: bool = False):
         pos = np.asarray(pos, dtype=np.float64)
         mass = np.asarray(mass, dtype=np.float64)
@@ -98,11 +99,8 @@ class HashedOctree:
         self.leaf_size = leaf_size
         self.depth = min(depth, MAX_DEPTH)
 
-        if bounds is None:
-            lo = pos.min(axis=0)
-            hi = pos.max(axis=0)
-        else:
-            lo, hi = (np.asarray(b, dtype=np.float64) for b in bounds)
+        lo = pos.min(axis=0)
+        hi = pos.max(axis=0)
         # Cubify with a little padding so every particle is interior.
         span = float(np.max(hi - lo)) or 1.0
         pad = 1e-6 * span
@@ -324,36 +322,25 @@ class TreeBuildCache:
 
     One cache serves one stream of snapshots (the replicated-tree ranks
     of the parallel code all building the same step's tree).  ``build``
-    is a drop-in for the :class:`HashedOctree` constructor: identical
-    particles and parameters return the cached tree object as-is, which
+    returns the cached tree object as-is for identical particles, which
     is what the per-world partition and force memos key on; anything
-    else builds from scratch.
+    else builds from scratch with the default parameters.
     """
 
     def __init__(self) -> None:
         self._tree: Optional[HashedOctree] = None
         self._pos: Optional[np.ndarray] = None
         self._mass: Optional[np.ndarray] = None
-        self._params: Optional[tuple] = None
 
-    def build(self, pos: np.ndarray, mass: np.ndarray,
-              leaf_size: int = 16, depth: int = MAX_DEPTH,
-              bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-              quadrupoles: bool = False) -> HashedOctree:
+    def build(self, pos: np.ndarray, mass: np.ndarray) -> HashedOctree:
         pos = np.asarray(pos, dtype=np.float64)
         mass = np.asarray(mass, dtype=np.float64)
-        params = (leaf_size, min(depth, MAX_DEPTH), quadrupoles,
-                  None if bounds is None else
-                  (np.asarray(bounds[0], dtype=np.float64).tobytes(),
-                   np.asarray(bounds[1], dtype=np.float64).tobytes()))
-        if (self._tree is not None and self._params == params
+        if (self._tree is not None
                 and np.array_equal(pos, self._pos)
                 and np.array_equal(mass, self._mass)):
             return self._tree
-        tree = HashedOctree(pos, mass, leaf_size=leaf_size, depth=depth,
-                            bounds=bounds, quadrupoles=quadrupoles)
+        tree = HashedOctree(pos, mass)
         self._tree = tree
         self._pos = pos.copy()
         self._mass = mass.copy()
-        self._params = params
         return tree

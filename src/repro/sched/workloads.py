@@ -11,8 +11,10 @@ scratch.
 
 All three payload families exercise code the repo already trusts:
 
-- :class:`TreecodeJob` — Warren-Salmon treecode steps (allgather +
-  tree build + traversal flops billed at the node rate);
+- :class:`TreecodeJob` — Warren-Salmon treecode steps, each one
+  count-balanced ``repro.nbody.parallel.replicated_forces`` pass (the
+  replicated tree's exchange, build and traversal flops billed at the
+  node rate);
 - :class:`NpbKernelJob` — the parallel NPB kernels (EP's allreduce,
   IS's alltoall);
 - :class:`MicrokernelSweep` — repeated gravity-microkernel passes
@@ -27,7 +29,11 @@ from typing import Any, Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.domains import POSITIVE, check_domains, param, whole
-from repro.nbody.parallel import ReplicatedStep
+from repro.nbody.parallel import (
+    ReplicatedStep,
+    replicated_forces,
+    split_evenly,
+)
 from repro.nbody.sim import BUILD_FLOPS_PER_PARTICLE, SimConfig
 
 _NODES = whole(1)
@@ -113,9 +119,9 @@ class JobContext:
 class TreecodeJob(Workload):
     """N-body treecode steps: the paper's flagship code as a batch job.
 
-    Each unit is one KD step: allgather all slices, build the (shared)
-    tree, compute accelerations for the local leaf-aligned span at the
-    node's sustained rate, allgather accelerations, integrate.  State
+    Each unit is one kick-then-drift step on one count-balanced
+    :func:`~repro.nbody.parallel.replicated_forces` pass (the force
+    pass Table 2's program runs, without the work counters).  State
     per unit is the local ``(pos, vel, mass)`` slice, so restarts are
     genuine: the re-run integrates only the remaining steps from the
     checkpointed phase-space coordinates.
@@ -152,17 +158,10 @@ class TreecodeJob(Workload):
                      ctx: JobContext) -> Callable:
         config = self._sim_config()
         start_unit, states = ctx.restore()
-        if states is None:
-            pos, vel, mass = config.make_ic()
-            bounds = np.linspace(0, self.n, nodes + 1).astype(int)
-            parts = [
-                (pos[bounds[r]:bounds[r + 1]],
-                 vel[bounds[r]:bounds[r + 1]],
-                 mass[bounds[r]:bounds[r + 1]])
-                for r in range(nodes)
-            ]
-        else:
-            parts = list(states)
+        # (pos, vel, mass) per rank.
+        parts = list(states) if states is not None else list(
+            zip(*(split_evenly(a, nodes) for a in config.make_ic()))
+        )
         # One per attempt: a requeued job never sees a killed
         # attempt's trees or forces.
         shared = ReplicatedStep()
@@ -172,34 +171,10 @@ class TreecodeJob(Workload):
                 a.copy() for a in parts[comm.rank]
             )
             for unit in range(start_unit, self.steps):
-                gathered = yield from comm.allgather((pos_l, mass_l))
-                all_pos = np.vstack([g[0] for g in gathered])
-                all_mass = np.concatenate([g[1] for g in gathered])
-                offsets = np.cumsum(
-                    [0] + [len(g[0]) for g in gathered]
+                acc, _ = yield from replicated_forces(
+                    comm, pos_l, mass_l, None, config, flop_rate, shared
                 )
-                my_lo, my_hi = offsets[comm.rank], offsets[comm.rank + 1]
-
-                tree = shared.tree(all_pos, all_mass, config.leaf_size)
-                comm.compute_flops(
-                    BUILD_FLOPS_PER_PARTICLE * len(all_pos), flop_rate
-                )
-                lo, hi = shared.partition(tree, comm.size)[comm.rank]
-                mine = shared.forces(
-                    tree, (lo, hi), config.theta, config.softening
-                )
-                comm.compute_flops(mine.flops, flop_rate)
-
-                my_sorted_idx = tree.order[lo:hi]
-                acc_parts = yield from comm.allgather(
-                    (my_sorted_idx, mine.acc)
-                )
-                acc_full = np.zeros_like(all_pos)
-                for idx, part in acc_parts:
-                    acc_full[idx] = part
-                acc_mine = acc_full[my_lo:my_hi]
-
-                vel_l = vel_l + config.dt * acc_mine
+                vel_l = vel_l + config.dt * acc
                 pos_l = pos_l + config.dt * vel_l
                 ctx.unit_done(
                     comm, unit, state=(pos_l, vel_l, mass_l)

@@ -9,14 +9,18 @@ The sender's overhead is charged before the post time ``t``.  Each
 formula is written in the simulator's float order, so the fabric must
 equal it bit for bit.
 
-A ring of simultaneous messages on a star contends for one thing only:
-each message has its own uplink and downlink, and the switch backplane
-forwards them one after another, in posting order.
+A ring of messages on a star contends for one thing only: each message
+has its own uplink and downlink, and the switch backplane forwards them
+one after another, in posting order.  The ring allgather (the collective
+the treecode's force pass posts twice) is p - 1 such rings chained: each
+rank forwards the block it received one send overhead after receiving.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.network.fabric import GREEN_DESTINY_FABRIC, METABLADE_FABRIC
+from repro.simmpi import SimMpiRuntime
+from repro.simmpi.comm import payload_nbytes
 
 _NBYTES = st.integers(0, 1 << 20)
 _POST = st.floats(0.0, 100.0, allow_nan=False)
@@ -36,20 +40,22 @@ def _star(t, nbytes):
     return _link(forwarded, nic.link, nbytes) + nic.recv_overhead_s
 
 
-def _star_ring(t, nbytes, ranks):
-    """Arrivals of *ranks* messages of *nbytes*, rank i to rank i + 1,
-    all posted at *t* in rank order: every one is off its uplink at the
-    same instant, and the k-th starts its forward once the k - 1
-    before it are through the backplane."""
+def _star_ring(posts, nbytes):
+    """Arrivals of messages of *nbytes*, rank i to rank i + 1, the k-th
+    posted at ``posts[k]`` (in time order): the k-th starts its forward
+    once it is off its uplink and the one before it is through the
+    backplane."""
     nic, switch = METABLADE_FABRIC.nic, METABLADE_FABRIC.switch
     forward = 8.0 * nbytes / switch.backplane_bps
-    start = _link(t, nic.link, nbytes)
-    arrivals = []
-    for _ in range(ranks):
+    arrivals, free = [], None
+    for t in posts:
+        start = _link(t, nic.link, nbytes)
+        if free is not None and free > start:
+            start = free
+        free = start + forward
         forwarded = start + forward + switch.forward_latency_s
         arrivals.append(_link(forwarded, nic.link, nbytes)
                         + nic.recv_overhead_s)
-        start += forward
     return arrivals
 
 
@@ -106,7 +112,28 @@ def test_a_ring_on_a_star_serialises_on_the_backplane_in_posting_order(
     fabric = METABLADE_FABRIC.build(ranks)
     arrivals = [fabric.send(rank, (rank + 1) % ranks, nbytes, t).arrive_time
                 for rank in range(ranks)]
-    assert arrivals == _star_ring(t, nbytes, ranks)
+    assert arrivals == _star_ring([t] * ranks, nbytes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ranks=st.integers(2, 24), size=st.integers(0, 1 << 16))
+def test_a_ring_allgather_on_a_star_is_p_minus_one_chained_rings(ranks,
+                                                                 size):
+    block = bytes(size)
+    runtime = SimMpiRuntime(ranks, fabric=METABLADE_FABRIC.build(ranks))
+
+    def program(comm):
+        yield from comm.allgather(block)
+
+    clocks = list(runtime.run(program).clocks)
+    # Step s's k-th message leaves rank s + k, which received step
+    # s - 1's k-th; the last step's k-th lands on rank k - 1.
+    send_overhead = METABLADE_FABRIC.nic.send_overhead_s
+    posts = [send_overhead] * ranks
+    for _ in range(ranks - 1):
+        arrivals = _star_ring(posts, payload_nbytes(block))
+        posts = [a + send_overhead for a in arrivals]
+    assert clocks == arrivals[1:] + arrivals[:1]
 
 
 @settings(max_examples=300, deadline=None)

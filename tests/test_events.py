@@ -23,8 +23,8 @@ from repro.cpus.longrun import (
 )
 from repro.nbody.parallel import (
     ReplicatedStep,
-    _split,
     parallel_nbody_step,
+    split_evenly,
 )
 from repro.nbody.sim import SimConfig
 from repro.network.timing import star_fabric
@@ -348,9 +348,9 @@ def _treecode_program(config: SimConfig, cpus: int, flop_rate: float):
     nothing.  Wake-on-delivery pays exactly one resumption per block.
     """
     pos, vel, mass = config.make_ic()
-    pos_parts = _split(pos, cpus)
-    vel_parts = _split(vel, cpus)
-    mass_parts = _split(mass, cpus)
+    pos_parts = split_evenly(pos, cpus)
+    vel_parts = split_evenly(vel, cpus)
+    mass_parts = split_evenly(mass, cpus)
     shared = ReplicatedStep()       # one world per program built here
 
     def program(comm):

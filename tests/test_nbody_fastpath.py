@@ -550,17 +550,9 @@ def test_sorted_pairs_matches_lexsort():
 def test_tree_cache_full_reuse_identical_snapshot():
     pos, _, mass = two_clusters(300, seed=7)
     cache = TreeBuildCache()
-    t1 = cache.build(pos, mass, leaf_size=8)
-    t2 = cache.build(pos, mass, leaf_size=8)
+    t1 = cache.build(pos, mass)
+    t2 = cache.build(pos, mass)
     assert t2 is t1
-
-
-def test_tree_cache_rebuilds_on_parameter_change():
-    pos, _, mass = two_clusters(300, seed=7)
-    cache = TreeBuildCache()
-    first = cache.build(pos, mass, leaf_size=8)
-    second = cache.build(pos, mass, leaf_size=16)
-    assert second is not first and second.leaf_size == 16
 
 
 # -- parallel bench runner -------------------------------------------------

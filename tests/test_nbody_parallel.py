@@ -14,6 +14,8 @@ from repro.nbody.parallel import (
 from repro.nbody.sim import NBodySimulation, SimConfig
 from repro.nbody.traversal import tree_accelerations
 from repro.nbody.tree import HashedOctree
+from repro.sched.workloads import JobContext, TreecodeJob
+from repro.simmpi import SimMpiRuntime
 
 RATE = 87.5e6
 CFG = SimConfig(n=1200, steps=2, dt=1e-3, theta=0.7, softening=1e-2)
@@ -31,14 +33,7 @@ def test_trajectories_identical_for_any_rank_count():
         assert np.array_equal(base, other), cpus
 
 
-@pytest.mark.slow
-def test_parallel_matches_bit_for_bit_with_count_balance():
-    work = _positions(run_parallel_nbody(CFG, 4, RATE, balance="work"))
-    count = _positions(run_parallel_nbody(CFG, 4, RATE, balance="count"))
-    assert np.array_equal(work, count)
-
-
-def _counted_run(config, cpus, balance):
+def _counted_run(config, cpus):
     """``(positions, velocities, interactions)`` of one SPMD run, the
     interactions summed over every rank's slice of every force pass."""
     interactions = []
@@ -51,30 +46,51 @@ def _counted_run(config, cpus, balance):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ReplicatedStep, "forces", counted)
-        run = run_parallel_nbody(config, cpus, RATE, balance=balance)
+        run = run_parallel_nbody(config, cpus, RATE)
     pos, vel = (np.vstack(part) for part in zip(*run.results))
     return pos, vel, sum(interactions)
 
 
 @given(n=st.integers(32, 500), steps=st.sampled_from([1, 2]),
-       cpus=st.integers(1, 24), balance=st.sampled_from(["work", "count"]))
+       cpus=st.integers(1, 24))
 @settings(max_examples=30, deadline=None)
-def test_every_rank_count_integrates_the_same_trajectory(n, steps, cpus,
-                                                         balance):
+def test_every_rank_count_integrates_the_same_trajectory(n, steps, cpus):
     # The decomposition half of "determinism across worker counts":
-    # the ranks cut one replicated tree into slices, so p ranks give
-    # the p = 1 run's positions, velocities and interactions bit for bit.
+    # the ranks cut one replicated tree into work-balanced slices, so
+    # p ranks give the p = 1 run's positions, velocities and
+    # interactions bit for bit.
     config = replace(CFG, n=n, steps=steps)
-    pos, vel, interactions = _counted_run(config, cpus, balance)
-    pos1, vel1, interactions1 = _counted_run(config, 1, balance)
+    pos, vel, interactions = _counted_run(config, cpus)
+    pos1, vel1, interactions1 = _counted_run(config, 1)
     assert pos.tobytes() == pos1.tobytes()
     assert vel.tobytes() == vel1.tobytes()
     assert interactions == interactions1
 
 
-def test_invalid_balance_rejected():
-    with pytest.raises(ValueError):
-        run_parallel_nbody(CFG, 2, RATE, balance="vibes")
+def _job_run(job, ranks):
+    """Final ``(positions, velocities)`` of a treecode job's program,
+    stacked in rank order from each rank's last reported state."""
+    last = {}
+
+    def on_unit(comm, unit, state):
+        last[comm.rank] = state
+
+    program = job.make_program(RATE, ranks, JobContext(on_unit=on_unit))
+    SimMpiRuntime(ranks).run(program)
+    return (np.vstack([last[r][i] for r in range(ranks)]) for i in (0, 1))
+
+
+@given(n=st.integers(32, 300), steps=st.sampled_from([1, 2]),
+       ranks=st.integers(1, 8))
+@settings(max_examples=30, deadline=None)
+def test_every_rank_count_runs_the_same_count_balanced_job(n, steps, ranks):
+    # The count-balanced half: a scheduled treecode job cuts the same
+    # replicated tree into equal-count slices.
+    job = TreecodeJob(n=n, steps=steps)
+    pos, vel = _job_run(job, ranks)
+    pos1, vel1 = _job_run(job, 1)
+    assert pos.tobytes() == pos1.tobytes()
+    assert vel.tobytes() == vel1.tobytes()
 
 
 
@@ -126,12 +142,22 @@ def test_ideal_network_scales_better():
     assert ideal.comm_fraction < real.comm_fraction
 
 
-@pytest.mark.slow
 def test_work_balance_beats_count_balance_at_scale():
+    # Slices cut by last pass's per-particle work carry less of the
+    # busiest rank's interactions than slices cut by particle count.
     cfg = SimConfig(n=2500, steps=2, theta=0.7, softening=1e-2)
-    work = run_parallel_nbody(cfg, 12, RATE, balance="work")
-    count = run_parallel_nbody(cfg, 12, RATE, balance="count")
-    assert work.elapsed_s <= count.elapsed_s * 1.02
+    pos, _, mass = cfg.make_ic()
+    tree = HashedOctree(pos, mass)
+    shared = ReplicatedStep()
+    whole = shared.forces(tree, (0, cfg.n), cfg.theta, cfg.softening)
+
+    def busiest(work):
+        return max(
+            shared.forces(tree, span, cfg.theta, cfg.softening).interactions
+            for span in shared.partition(tree, 12, work)
+        )
+
+    assert busiest(tree.unsort(whole.work)) < busiest(None)
 
 
 def test_scaling_study_warns_on_counts_beyond_the_platform():

@@ -1,8 +1,9 @@
 """Replicated work computed once per world, and nothing else moved.
 
 Both SPMD treecodes (``nbody.parallel.parallel_nbody_step`` and
-``sched.workloads.TreecodeJob``) model a *replicated* tree: every rank
-of a world derives the same tree, partition and per-group forces.
+``sched.workloads.TreecodeJob``) run ``nbody.parallel.replicated_forces``,
+which models a *replicated* tree: every rank of a world derives the
+same tree, partition and per-group forces.
 ``ReplicatedStep`` makes the host do that once per world and step.
 These tests pin that the sharing is invisible:
 
@@ -47,8 +48,9 @@ GOLDEN = Path(__file__).parent / "data" / "replicated_worlds_golden.json"
 
 RATE = 1e8
 CONFIG = SimConfig(n=600, steps=2, theta=0.7, softening=1e-2, seed=7)
-WORLDS = [(cpus, balance)
-          for cpus in (1, 3, 8) for balance in ("work", "count")]
+#: Rank counts of the pinned worlds; every world balances by work
+#: (the golden's keys still say so).
+CPUS = (1, 3, 8)
 
 JOB = TreecodeJob(n=240, steps=3, seed=11)
 JOB_NODES = 4
@@ -66,8 +68,8 @@ def _sha(*arrays):
     return h.hexdigest()[:16]
 
 
-def _world(cpus, balance):
-    run = parallel.run_parallel_nbody(CONFIG, cpus, RATE, balance=balance)
+def _world(cpus):
+    run = parallel.run_parallel_nbody(CONFIG, cpus, RATE)
     return {
         "positions": _sha(*[r[0] for r in run.results]),
         "velocities": _sha(*[r[1] for r in run.results]),
@@ -95,8 +97,7 @@ def measure():
     record = outcome.records[0]
     return {
         "worlds": {
-            f"cpus={cpus},balance={balance}": _world(cpus, balance)
-            for cpus, balance in WORLDS
+            f"cpus={cpus},balance=work": _world(cpus) for cpus in CPUS
         },
         "requeued_job": {
             "digest": sched_outcome_digest(outcome),
@@ -154,7 +155,7 @@ def test_slices_of_the_shared_evaluation_equal_per_rank_evaluations(
         "skewed": np.where(np.arange(n) < 3, 1e6, 1e-3),
     }[balance]
     shared = parallel.ReplicatedStep()
-    tree = shared.tree(pos, mass, leaf_size)
+    tree = HashedOctree(pos, mass, leaf_size=leaf_size)
 
     spans = shared.partition(tree, ranks, work)
     weights = None if work is None else work[tree.order]
@@ -258,17 +259,17 @@ def test_a_rank_with_other_particles_gets_its_own_answer():
     shared = parallel.ReplicatedStep()
     answers = []
     for pos in (pos_a, pos_b, pos_a):
-        tree = shared.tree(pos, mass, 8)
+        tree = shared.tree(pos, mass)
         mine = shared.forces(tree, (0, 200), 0.7, 1e-2)
         alone = traversal.tree_accelerations(
-            HashedOctree(pos, mass, leaf_size=8), theta=0.7,
+            HashedOctree(pos, mass), theta=0.7,
             softening=1e-2, target_slice=(0, 200),
         )[0]
         assert mine.acc.tobytes() == alone.tobytes()
         answers.append(mine.acc)
     assert answers[0].tobytes() != answers[1].tobytes()
     # Same tree, different walk parameters: also recomputed.
-    tree = shared.tree(pos_a, mass, 8)
+    tree = shared.tree(pos_a, mass)
     tight = shared.forces(tree, (0, 200), 0.3, 1e-2)
     assert tight.interactions > shared.forces(
         tree, (0, 200), 0.7, 1e-2).interactions
@@ -277,10 +278,10 @@ def test_a_rank_with_other_particles_gets_its_own_answer():
 # -- (b) whole worlds against the parent commit ------------------------------
 
 
-@pytest.mark.parametrize("cpus,balance", WORLDS)
-def test_world_matches_the_parent_commit(cpus, balance):
+@pytest.mark.parametrize("cpus", CPUS)
+def test_world_matches_the_parent_commit(cpus):
     golden = json.loads(GOLDEN.read_text())["worlds"]
-    key = f"cpus={cpus},balance={balance}"
+    key = f"cpus={cpus},balance=work"
     assert measure()["worlds"][key] == golden[key]
 
 
