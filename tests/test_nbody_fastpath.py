@@ -27,7 +27,7 @@ from repro.nbody.traversal import (
     leaf_aligned_partition,
     tree_accelerations,
 )
-from repro.nbody.tree import HashedOctree, TreeBuildCache
+from repro.nbody.tree import LEAF_SIZE, HashedOctree, TreeBuildCache
 from repro.runner import parallel_map
 from tests.oracles import validate_tree
 
@@ -553,6 +553,24 @@ def test_tree_cache_full_reuse_identical_snapshot():
     t1 = cache.build(pos, mass)
     t2 = cache.build(pos, mass)
     assert t2 is t1
+
+
+def test_tree_cache_rebuilds_on_new_masses():
+    # The masses are half the key: same positions, other masses, other
+    # tree; and the cache holds one snapshot, so the first comes back new.
+    pos, _, mass = two_clusters(300, seed=7)
+    cache = TreeBuildCache()
+    first = cache.build(pos, mass)
+    heavier = cache.build(pos, 2.0 * mass)
+    assert heavier is not first
+    assert cache.build(pos, mass) is not first
+
+
+def test_one_leaf_size_for_config_tree_and_cache():
+    pos, _, mass = two_clusters(100, seed=3)
+    assert SimConfig.leaf_size == LEAF_SIZE
+    assert HashedOctree(pos, mass).leaf_size == LEAF_SIZE
+    assert TreeBuildCache().build(pos, mass).leaf_size == LEAF_SIZE
 
 
 # -- parallel bench runner -------------------------------------------------

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.nbody.parallel import (
     ReplicatedStep,
+    replicated_forces,
     run_parallel_nbody,
     scaling_study,
+    split_evenly,
 )
 from repro.nbody.sim import NBodySimulation, SimConfig
 from repro.nbody.traversal import tree_accelerations
@@ -31,6 +33,36 @@ def test_trajectories_identical_for_any_rank_count():
     for cpus in (2, 3, 8):
         other = _positions(run_parallel_nbody(CFG, cpus, RATE))
         assert np.array_equal(base, other), cpus
+
+
+def test_parallel_matches_bit_for_bit_with_count_balance():
+    # One force pass cut by last pass's work and one cut by particle
+    # count give every particle the same acceleration, bit for bit; the
+    # count-balanced pass carries and returns no work.
+    ranks = 4
+    parts = list(zip(*(split_evenly(a, ranks) for a in CFG.make_ic())))
+    shares = [ReplicatedStep() for _ in range(3)]
+
+    def program(comm):
+        pos, _, mass = parts[comm.rank]
+        _, work = yield from replicated_forces(
+            comm, pos, mass, np.ones(len(pos)), CFG, RATE, shares[0])
+        by_work, _ = yield from replicated_forces(
+            comm, pos, mass, work, CFG, RATE, shares[1])
+        by_count, none = yield from replicated_forces(
+            comm, pos, mass, None, CFG, RATE, shares[2])
+        assert none is None
+        return by_work, by_count, work
+
+    results = SimMpiRuntime(ranks).run(program).results
+    by_work, by_count = (np.vstack([r[i] for r in results]) for i in (0, 1))
+    # The two cuts differ, so this compares two decompositions.
+    pos, _, mass = CFG.make_ic()
+    tree = HashedOctree(pos, mass)
+    work = np.concatenate([r[2] for r in results])
+    assert (shares[1].partition(tree, ranks, work)
+            != shares[2].partition(tree, ranks, None))
+    assert by_work.tobytes() == by_count.tobytes()
 
 
 def _counted_run(config, cpus):
@@ -65,6 +97,17 @@ def test_every_rank_count_integrates_the_same_trajectory(n, steps, cpus):
     assert pos.tobytes() == pos1.tobytes()
     assert vel.tobytes() == vel1.tobytes()
     assert interactions == interactions1
+
+
+@given(n=st.integers(0, 400), parts=st.integers(1, 24))
+@settings(max_examples=50, deadline=None)
+def test_split_evenly_cuts_contiguous_runs_of_near_equal_length(n, parts):
+    arr = np.arange(n)
+    runs = split_evenly(arr, parts)
+    assert len(runs) == parts
+    assert np.array_equal(np.concatenate(runs), arr)
+    lengths = [len(run) for run in runs]
+    assert max(lengths) - min(lengths) <= 1
 
 
 def _job_run(job, ranks):
