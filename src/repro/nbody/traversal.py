@@ -18,11 +18,12 @@ the group are always opened regardless.
 
 Two implementations of the same walk coexist:
 
-- the **batched** path (default): one frontier of ``(group, node)``
-  pairs descends a block of up to ``_GROUP_BLOCK`` groups
-  simultaneously in NumPy; the surviving interaction pairs are then
-  evaluated in large flat arrays with segment reductions before the
-  next block walks.  No per-group Python work, no per-group small
+- the **batched** path (default): one frontier of packed ``(group,
+  node)`` pairs descends the tree's live children for a block of up
+  to ``_GROUP_BLOCK`` groups simultaneously in NumPy, in persistent
+  arenas; the surviving interaction pairs are then evaluated in large
+  flat arrays (the direct family in component-planar tiles) before
+  the next block walks.  No per-group Python work, no per-group small
   allocations.  A tree of at most ``_DENSE_MAX_N`` particles walks
   and sums densely instead: groups x nodes, then sources x targets.
 - the **naive** path (``naive=True``): the original one-group-at-a-time
@@ -37,7 +38,9 @@ sources sequentially in depth-first tree order (the order the
 sequential walk appends them in) - ``np.bincount`` over target-major
 pairs for the cell family, whose chunks split between targets; a
 row-by-row reduction with a carried accumulator for the direct family,
-whose tiles split inside a target's source list.
+whose tiles split inside a target's source list.  Both batched walks
+open a group's ancestors by slice containment, which the naive walk
+tests by key prefix; no node is empty, so the two agree.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -84,6 +87,9 @@ _DENSE_MAX_N = 512
 #: its target-count buckets stay as wide as the tree's.  Results do not
 #: depend on it.
 _GROUP_BLOCK = 512
+
+#: The node half of a packed ``(group << 32) | node`` walk pair.
+_NODE_BITS = np.int64(0xFFFFFFFF)
 
 
 @dataclass
@@ -229,25 +235,6 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray,
     return np.repeat(starts, counts) + offsets
 
 
-def _sorted_pairs(
-    g_parts: List[np.ndarray], n_parts: List[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate per-depth (group, node) chunks, sorted by group then
-    node.  The pairs are unique (a node enters a group's list at most
-    once) and both ids fit in 32 bits, so packing them into one int64
-    key and running a single unstable sort reproduces the stable
-    lexsort order at a fraction of its cost.
-    """
-    if not g_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    combo = np.concatenate(g_parts)
-    combo <<= np.int64(32)
-    combo |= np.concatenate(n_parts)
-    combo.sort()
-    return combo >> np.int64(32), combo & np.int64(0xFFFFFFFF)
-
-
 def _batched_interaction_pairs(
     tree: HashedOctree,
     leaf_idx: np.ndarray,
@@ -257,87 +244,126 @@ def _batched_interaction_pairs(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One frontier walk for all the given groups at once.
 
+    The walk follows the tree's live children
+    (:attr:`HashedOctree.live_children`), so the frontier holds only
+    inner nodes of positive mass and an opened node's leaf children go
+    straight to the direct pairs.  A ``(group, node)`` pair is one
+    int64, ``(group << 32) | node``; the frontier, the opened pairs, the
+    two pair families and the MAC's temporaries all live in ``_SCRATCH``
+    arenas sized by the block.
+
     Returns ``(cell_nodes, cell_count, direct_src, direct_count)``:
     concatenated per-group cell node indices (each group's run sorted
     by flat node index = depth-first order) with per-group counts, and
     likewise concatenated direct-source particle indices.
     """
-    node_key = tree.node_key
-    node_level = tree.node_level
-    node_mass = tree.node_mass
-    node_com = tree.node_com
-    node_size = tree.node_size
-    node_is_leaf = tree.node_is_leaf
-    child_ptr = tree.child_ptr
-    child_index = tree.child_index
-
+    leaf_ptr, leaf_kids, inner_ptr, inner_kids = tree.live_children
     n_groups = len(leaf_idx)
-    leaf_key = node_key[leaf_idx]
-    leaf_level = node_level[leaf_idx]
+    glo = tree.node_lo[leaf_idx]
+    ghi = tree.node_hi[leaf_idx]
 
-    gidx = np.arange(n_groups, dtype=np.int64)
-    nidx = np.full(n_groups, tree.root_index, dtype=np.int64)
-    cell_g: List[np.ndarray] = []
-    cell_n: List[np.ndarray] = []
-    dir_g: List[np.ndarray] = []
-    dir_n: List[np.ndarray] = []
-    while gidx.size:
-        keep = node_mass[nidx] > 0.0
-        gidx, nidx = gidx[keep], nidx[keep]
-        if not gidx.size:
+    # Every group first opens the root's virtual parent.
+    opened = _arena("walk_opened", n_groups)
+    np.left_shift(np.arange(n_groups, dtype=np.int64), 32, out=opened)
+    opened |= len(tree.node_lo)
+    n_cells = n_direct = 0
+    while True:
+        n_direct = _push_children(opened, leaf_ptr, leaf_kids,
+                                  "walk_direct", n_direct)
+        k = _push_children(opened, inner_ptr, inner_kids, "walk_frontier", 0)
+        if not k:
             break
-        at_leaf = node_is_leaf[nidx]
-        if at_leaf.any():
-            dir_g.append(gidx[at_leaf])
-            dir_n.append(nidx[at_leaf])
-        gi, ni = gidx[~at_leaf], nidx[~at_leaf]
-        if not gi.size:
-            break
-        # Ancestors of the group are always opened.
-        lvl = node_level[ni]
-        gl = leaf_level[gi]
-        shift = (3 * np.maximum(gl - lvl, 0)).astype(np.uint64)
-        ancestor = (lvl <= gl) & ((leaf_key[gi] >> shift) == node_key[ni])
-        # Group-radius MAC, same einsum contraction as the naive walk.
-        dv = node_com[ni] - centres[gi]
-        d = np.sqrt(np.einsum("ij,ij->i", dv, dv))
-        margin = d - radii[gi]
-        accept = ~ancestor & (margin > 0.0) & (node_size[ni] < theta * margin)
-        if accept.any():
-            cell_g.append(gi[accept])
-            cell_n.append(ni[accept])
-        go, no = gi[~accept], ni[~accept]
-        counts = child_ptr[no + 1] - child_ptr[no]
-        nidx = child_index[_concat_ranges(child_ptr[no], counts, "cr_walk")]
-        gidx = np.repeat(go, counts)
+        frontier = _arena_tail("walk_frontier", 0, k)
+        accept = _accepted(tree, frontier, glo, ghi, theta, centres, radii)
+        n_acc = int(np.count_nonzero(accept))
+        np.compress(accept, frontier,
+                    out=_arena_tail("walk_cells", n_cells, n_acc))
+        n_cells += n_acc
+        opened = np.compress(np.logical_not(accept, out=accept), frontier,
+                             out=_arena("walk_opened", k - n_acc))
 
-    # Frontier order is breadth-first; the sequential walk appends in
-    # depth-first pop order, which equals ascending flat node index
-    # (nodes are created in pop order).  Sorting each group's pairs by
-    # node index therefore restores the exact sequential list order.
-    # A node appears at most once per group, so the fused (group, node)
-    # keys are unique and one unstable sort of the packed key replaces
-    # the two stable passes of a lexsort.
-    cg, cn = _sorted_pairs(cell_g, cell_n)
-    cell_count = np.bincount(cg, minlength=n_groups).astype(np.int64)
-
-    dg, dn = _sorted_pairs(dir_g, dir_n)
-    src_counts = tree.node_hi[dn] - tree.node_lo[dn]
-    direct_src = _concat_ranges(tree.node_lo[dn], src_counts,
-                                "cr_direct_src")
-    # Exact in float64: counts are far below 2**53.
-    direct_count = np.bincount(
-        dg, weights=src_counts, minlength=n_groups
-    ).astype(np.int64)
-    return cn, cell_count, direct_src, direct_count
+    cell_ptr, cell_nodes = _sorted_pairs("walk_cells", n_cells, n_groups)
+    pair_ptr, leaves = _sorted_pairs("walk_direct", n_direct, n_groups)
+    lo = tree.node_lo[leaves]
+    src_counts = tree.node_hi[leaves] - lo
+    direct_src = _concat_ranges(lo, src_counts, "cr_direct_src")
+    # Sources listed before each group's first direct leaf.
+    src_ptr = np.concatenate(([0], np.cumsum(src_counts)))[pair_ptr]
+    return cell_nodes, np.diff(cell_ptr), direct_src, np.diff(src_ptr)
 
 
-#: Persistent scratch buffers for the batched evaluators.  The chunk
-#: and tile arithmetic is memory-bound, and re-acquiring its
+def _push_children(opened: np.ndarray, ptr: np.ndarray, kids: np.ndarray,
+                   name: str, fill: int) -> int:
+    """Append the packed pair of each child (by the CSR *ptr*/*kids*) of
+    each opened packed pair to the named arena; returns its new fill."""
+    nodes = opened & _NODE_BITS
+    counts = ptr[nodes + 1] - ptr[nodes]
+    k = int(counts.sum())
+    out = _arena_tail(name, fill, k)
+    np.take(kids, _concat_ranges(ptr[nodes], counts, "cr_push"), out=out)
+    out |= np.repeat(opened - nodes, counts)        # group << 32
+    return fill + k
+
+
+def _accepted(tree: HashedOctree, frontier: np.ndarray, glo: np.ndarray,
+              ghi: np.ndarray, theta: float, centres: np.ndarray,
+              radii: np.ndarray) -> np.ndarray:
+    """Which packed frontier pairs take their node as a cell: the
+    group-radius MAC, with the naive walk's einsum contraction, on a
+    node that is no ancestor of the group's leaf (an arena view)."""
+    k = len(frontier)
+    g = np.right_shift(frontier, 32, out=_arena("walk_g", k))
+    n = np.bitwise_and(frontier, _NODE_BITS, out=_arena("walk_n", k))
+    dv = _gather(tree.node_com, n, "walk_dv")
+    dv -= _gather(centres, g, "walk_centre")
+    margin = np.einsum("ij,ij->i", dv, dv,
+                       out=_arena("walk_margin", k, np.float64))
+    np.sqrt(margin, out=margin)
+    margin -= _gather(radii, g, "walk_f")
+    accept = np.greater(margin, 0.0, out=_arena("walk_accept", k, bool))
+    margin *= theta
+    test = _arena("walk_test", k, bool)
+    accept &= np.less(_gather(tree.node_size, n, "walk_f"), margin,
+                      out=test)
+    # Ancestors of the group are always opened.  No node is empty, so
+    # the inner nodes whose slice holds the leaf's are its ancestors.
+    # (Each gather is consumed before its arena is written again.)
+    outside = np.greater(_gather(tree.node_lo, n, "walk_i"),
+                         _gather(glo, g, "walk_j"),
+                         out=_arena("walk_outside", k, bool))
+    outside |= np.greater(_gather(ghi, g, "walk_i"),
+                          _gather(tree.node_hi, n, "walk_j"), out=test)
+    accept &= outside
+    return accept
+
+
+def _sorted_pairs(name: str, fill: int,
+                  n_groups: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Sort the named arena's first *fill* packed pairs in place;
+    returns ``(ptr, nodes)``: group ``g``'s nodes, in an arena view, are
+    ``nodes[ptr[g]:ptr[g + 1]]``.
+
+    Frontier order is breadth-first; the sequential walk appends in
+    depth-first pop order, which equals ascending flat node index
+    (nodes are created in pop order), so sorting each group's pairs by
+    node restores the exact sequential list order.  A node enters a
+    group's list at most once, so the packed keys are unique and one
+    unstable sort reproduces the stable lexsort by (group, node).
+    """
+    keys = _arena_tail(name, 0, fill)
+    keys.sort()
+    ptr = np.searchsorted(keys, np.arange(n_groups + 1, dtype=np.int64) << 32)
+    keys &= _NODE_BITS
+    return ptr, keys
+
+
+#: Persistent scratch buffers for the batched evaluators.  The walk,
+#: chunk and tile arithmetic is memory-bound, and re-acquiring its
 #: intermediates from the allocator on every force evaluation costs
-#: more than the math on a small tree; keeping the arenas alive across
-#: calls removes that.  Each is bounded by a constant: the tile
-#: (``_PAIR_TILE``), the chunk (``_PAIR_CHUNK``), ``_DENSE_MAX_N``
+#: more than the math on a small tree (and, once glibc hands them back
+#: to the kernel, a page fault per page touched); keeping the arenas
+#: alive across calls removes that.  Each is bounded by a constant: the
+#: tile (``_PAIR_TILE``), the chunk (``_PAIR_CHUNK``), ``_DENSE_MAX_N``
 #: squared, or - the walk's and the direct-source lists' - the work of
 #: one block of ``_GROUP_BLOCK`` groups, never the whole tree.
 #: Values are only ever read through freshly written views, so reuse
@@ -353,6 +379,32 @@ def _scratch(name: str, size: int, dtype) -> np.ndarray:
         buf = np.empty(size, dtype=dtype)
         _SCRATCH[name] = buf
     return buf
+
+
+def _arena(name: str, shape: Union[int, Tuple[int, ...]],
+           dtype=np.int64) -> np.ndarray:
+    """A view of exactly *shape* into the named ``_scratch`` buffer."""
+    size = math.prod(shape) if isinstance(shape, tuple) else shape
+    return _scratch(name, size, dtype)[:size].reshape(shape)
+
+
+def _arena_tail(name: str, fill: int, size: int) -> np.ndarray:
+    """*size* int64 slots after the first *fill* of the named arena,
+    which survive its growth."""
+    buf = _SCRATCH.get(name)
+    if buf is None or buf.size < fill + size:
+        grown = np.empty(fill + size, dtype=np.int64)
+        if fill:
+            grown[:fill] = buf[:fill]
+        _SCRATCH[name] = buf = grown
+    return buf[fill:fill + size]
+
+
+def _gather(values: np.ndarray, idx: np.ndarray, name: str) -> np.ndarray:
+    """``values[idx]``, written into the named arena."""
+    return np.take(values, idx, axis=0,
+                   out=_arena(name, idx.shape + values.shape[1:],
+                              values.dtype))
 
 
 def _fast_rsqrt_inplace(r2: np.ndarray, positive: bool) -> np.ndarray:
@@ -468,22 +520,23 @@ def _accumulate_tile(
 ) -> None:
     """One tile of a direct-sum kernel: ``acc += sum_r mass * rinv^3 * d``.
 
-    ``acc`` is ``(3,) + cols``; ``src - tgt`` broadcasts to the tile's
-    displacements ``(r, 3) + cols`` and ``mass`` to its ``(r,) + cols``
-    plane.  The displacements are rows ``1..r`` of a scratch buffer
-    whose row 0 takes ``acc``, so one leading-axis reduction adds the
-    ``r`` source rows in order (see ``_source_major_direct``).
+    ``acc`` is ``(3,) + cols``; ``src`` (``(3, r, ...)``) minus ``tgt``
+    (``(3, 1, ...)``) broadcasts to the tile's displacements
+    ``(3, r) + cols`` and ``mass`` to its ``(r,) + cols`` plane.  The
+    displacements are rows ``1..r`` of a component-planar scratch
+    buffer ``(3, r + 1) + cols`` whose row 0 takes ``acc``, so dx, dy,
+    dz, ``r2``, the weight and ``d * w`` are each one contiguous plane,
+    and one middle-axis reduction adds the ``r`` source rows in order
+    (see ``_source_major_direct``).
     """
-    plane = (len(src),) + acc.shape[1:]
-    pairs = math.prod(plane)
-    size = 3 * (pairs + pairs // plane[0])
-    buf = _scratch("direct_buf", size, np.float64)[:size].reshape(
-        (plane[0] + 1, 3) + plane[1:])
-    d = buf[1:]
+    rows = src.shape[1]
+    plane = (rows,) + acc.shape[1:]
+    buf = _arena("direct_buf", (3, rows + 1) + plane[1:], np.float64)
+    d = buf[:, 1:]
     np.subtract(src, tgt, out=d)
-    r2 = _scratch("direct_r2", pairs, np.float64)[:pairs].reshape(plane)
-    w = _scratch("direct_w", pairs, np.float64)[:pairs].reshape(plane)
-    dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+    r2 = _arena("direct_r2", plane, np.float64)
+    w = _arena("direct_w", plane, np.float64)
+    dx, dy, dz = d
     np.multiply(dx, dx, out=r2)
     np.multiply(dz, dz, out=w)
     r2 += w
@@ -494,9 +547,14 @@ def _accumulate_tile(
     np.multiply(rinv, rinv, out=w)
     np.multiply(w, rinv, out=w)
     np.multiply(w, mass, out=w)
-    np.multiply(d, w[:, None], out=d)
-    buf[0] = acc
-    np.add.reduce(buf, axis=0, out=acc)
+    np.multiply(d, w, out=d)
+    buf[:, 0] = acc
+    if r2.size == rows:
+        # One column: the reduction would run along a contiguous 1-D
+        # axis, which numpy sums pairwise; accumulate is sequential.
+        acc[...] = np.add.accumulate(buf, axis=1)[:, -1]
+    else:
+        np.add.reduce(buf, axis=1, out=acc)
 
 
 def _source_major_direct(
@@ -521,17 +579,19 @@ def _source_major_direct(
     Groups run in ascending ``m``, so finished groups drop off the
     front, padding is confined to the tile a group ends in and scratch
     is bounded by the tile.  Sources are gathered once per
-    ``(slot, group)`` from a ``(4, N+1)`` table of x, y, z, mass; every
-    ufunc then runs on planes whose inner loop is long (the reference
-    layout ``(targets, sources, 3)`` has inner loops of length 3):
+    ``(slot, group)`` from a ``(4, N+1)`` table of x, y, z, mass, so
+    they arrive component-planar, ``(3, r, ...)``, as the tile wants
+    them; every ufunc then runs on contiguous planes whose inner loop is
+    long (the reference layout ``(targets, sources, 3)`` has inner loops
+    of length 3):
 
     - a sweep of one ``t`` lays columns out ``(t, a)``, ``a`` the active
       groups, and broadcasts each gathered source over its ``t``
-      targets: displacements are ``(r, 3, t, a)``;
+      targets: displacements are ``(3, r, t, a)``;
     - a merged sweep lays out one column per target, grouped by group
       (``cols`` in all), and copies each gathered source out to its
       group's target columns (a ``take`` along the column-to-group map,
-      into scratch): displacements are ``(r, 3, cols)``.  The copy costs
+      into scratch): displacements are ``(3, r, cols)``.  The copy costs
       more than the broadcast when buckets are wide, which is why only
       narrow buckets merge.
 
@@ -541,13 +601,13 @@ def _source_major_direct(
     - ``r2`` is spelled ``(dx*dx + dz*dz) + dy*dy``: that is the
       association of the reference's ``einsum("ijk,ijk->ij")`` over a
       length-3 axis (a test pins it against the installed numpy);
-    - the per-target sum is a leading-axis ``np.add.reduce`` over a
-      buffer whose row 0 holds the running accumulator (``+0.0`` at
-      first, as einsum's output starts): with more than one column that
-      is a row-by-row, i.e. source-order, accumulation, carried across
-      tiles.  The three components ride in one reduction, so there are
-      never fewer than three columns - a single column would collapse
-      to a contiguous 1-D sum, which numpy adds *pairwise*;
+    - the per-target sum is a middle-axis ``np.add.reduce`` over a
+      ``(3, r + 1) + cols`` buffer whose row 0 holds the running
+      accumulator (``+0.0`` at first, as einsum's output starts): with
+      more than one column that is a row-by-row, i.e. source-order,
+      accumulation, carried across tiles.  A single column would
+      collapse to a contiguous 1-D sum, which numpy adds *pairwise*, so
+      a one-column tile accumulates sequentially instead;
     - padded slots point at a sentinel pseudo-particle of mass 0 placed
       strictly below every coordinate: each padded term is exactly
       ``+0.0 * negative = -0.0``, and adding ``-0.0`` never changes an
@@ -597,7 +657,6 @@ def _source_major_direct(
         while done < m_max:
             cols = col_ptr[-1] - col_ptr[j0]
             r = min(max(1, _PAIR_TILE // cols), m_max - done)
-            pairs = r * cols
             slot = steps[:r]
             idx = slot + (ptr[j0:] + done)
             np.minimum(idx, last, out=idx)
@@ -613,16 +672,16 @@ def _source_major_direct(
                 # (indices are in range; "clip" lets take write into
                 # ``out`` without an intermediate copy).
                 c0 = col_ptr[j0]
-                cols_buf = _scratch("direct_cols", 4 * pairs, np.float64)[
-                    :4 * pairs].reshape(4, r, cols)
                 sp = np.take(sp, col_group[c0:] - j0, axis=2,
-                             out=cols_buf, mode="clip")      # (4, r, cols)
-                _accumulate_tile(acc[:, c0:], sp[:3].swapaxes(0, 1),
-                                 tgt[:, c0:], sp[3], eps2)
+                             out=_arena("direct_cols", (4, r, cols),
+                                        np.float64),
+                             mode="clip")                    # (4, r, cols)
+                _accumulate_tile(acc[:, c0:], sp[:3], tgt[:, None, c0:],
+                                 sp[3], eps2)
             else:
                 sp = sp[:, :, None, :]                       # (4, r, 1, a)
-                _accumulate_tile(acc[:, :, j0:], sp[:3].swapaxes(0, 1),
-                                 tgt[:, :, j0:], sp[3], eps2)
+                _accumulate_tile(acc[:, :, j0:], sp[:3],
+                                 tgt[:, None, :, j0:], sp[3], eps2)
             done += r
             j0 = bisect_right(count_list, done, j0)
         out[rows] = acc.reshape(3, -1).T
@@ -644,22 +703,22 @@ def _dense_walk(
     direct)``: cell lists as the frontier walk returns them, and the
     boolean ``(groups, nodes)`` matrix of visited non-empty leaves.
     """
-    node_key = tree.node_key
+    node_lo = tree.node_lo
+    node_hi = tree.node_hi
     node_level = tree.node_level
     is_leaf = tree.node_is_leaf
     live = tree.node_mass > 0.0
     inner = np.flatnonzero(live & ~is_leaf)
-    n_groups, n_nodes = len(leaf_idx), len(node_key)
+    n_groups, n_nodes = len(leaf_idx), len(node_lo)
     dv = (tree.node_com[inner][None] - centres[:, None]).reshape(-1, 3)
     d = np.sqrt(np.einsum("ij,ij->i", dv, dv)).reshape(n_groups, -1)
     margin = d - radii[:, None]
     accept = (margin > 0.0) & (tree.node_size[inner] < theta * margin)
-    # Ancestors of the group are always opened.
+    # Ancestors of the group are always opened (the frontier's range
+    # test: an inner node whose slice holds the leaf's).
+    accept &= ((node_lo[inner] > node_lo[leaf_idx][:, None])
+               | (node_hi[leaf_idx][:, None] > node_hi[inner]))
     lvl = node_level[inner]
-    gl = node_level[leaf_idx][:, None]
-    shift = (3 * np.maximum(gl - lvl, 0)).astype(np.uint64)
-    accept &= ~((lvl <= gl) & ((node_key[leaf_idx][:, None] >> shift)
-                               == node_key[inner]))
 
     parent = np.empty(n_nodes, dtype=np.int64)
     parent[tree.child_index] = np.repeat(np.arange(n_nodes),
@@ -703,18 +762,17 @@ def _dense_direct(
     lo = tree.node_lo[leaves]
     sizes = tree.node_hi[leaves] - lo
     src = _concat_ranges(lo, sizes)
-    src_pos = tree.pos[src]
+    src_pos = tree.pos[src].T                               # (3, S)
     # Weights in (sources, targets) layout: mass, or 0 off the list.
     member = np.repeat(direct[:, leaves].T[:, tgt_group], sizes, axis=0)
     weight = np.multiply(member, tree.mass[src][:, None],
-                         out=_scratch("dense_weight", member.size,
-                                      np.float64)[:member.size]
-                         .reshape(member.shape))
-    tgt = np.ascontiguousarray(tgt_pos.T)[None]            # (1, 3, T)
+                         out=_arena("dense_weight", member.shape,
+                                    np.float64))
+    tgt = np.ascontiguousarray(tgt_pos.T)[:, None]         # (3, 1, T)
     acc = np.zeros((3, n_targets))
     step = max(1, _PAIR_TILE // n_targets)
     for s0 in range(0, len(src), step):
-        _accumulate_tile(acc, src_pos[s0:s0 + step, :, None], tgt,
+        _accumulate_tile(acc, src_pos[:, s0:s0 + step, None], tgt,
                          weight[s0:s0 + step], eps2)
     out[:] = acc.T
 

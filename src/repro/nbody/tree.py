@@ -288,6 +288,31 @@ class HashedOctree:
             )
         }
 
+    @cached_property
+    def live_children(self) -> Tuple[np.ndarray, ...]:
+        """``(leaf_ptr, leaf_kids, inner_ptr, inner_kids)``: each node's
+        children of positive mass, as two CSRs in octant order - its
+        leaf children and its inner children.
+
+        A force walk never enters a node of mass <= 0, nor so its
+        subtree; walking these lists from the root reaches exactly the
+        nodes it does enter.  Row ``M`` (one past the last node) is a
+        virtual parent whose only child is the root, so a walk starts by
+        opening it.  Built from the flat arrays on first access.
+        """
+        m = len(self.node_key)
+        kids = np.append(self.child_index, self.root_index)
+        parent = np.repeat(np.arange(m + 1),
+                           np.append(np.diff(self.child_ptr), 1))
+        live = self.node_mass[kids] > 0.0
+        leaf = self.node_is_leaf[kids]
+        csr: List[np.ndarray] = []
+        for sel in (live & leaf, live & ~leaf):
+            ptr = np.zeros(m + 2, dtype=np.int64)
+            np.cumsum(np.bincount(parent[sel], minlength=m + 1), out=ptr[1:])
+            csr += [ptr, kids[sel]]
+        return tuple(csr)
+
     @property
     def root(self) -> TreeNode:
         return self.nodes[ROOT_KEY]

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.nbody import sim as sim_module, traversal
 from repro.nbody.ic import plummer_sphere, two_clusters
+from repro.nbody.morton import ancestor_at_level
 from repro.nbody.sim import NBodySimulation, SimConfig
 from repro.nbody.traversal import (
     TraversalStats,
@@ -172,6 +173,42 @@ def test_einsum_squared_norm_association_is_the_one_the_kernel_spells():
                           ((x + z) + y).reshape(50, 1000))
 
 
+@pytest.mark.parametrize("columns", [1, 2, 3])
+def test_tile_adds_its_rows_in_order_for_any_column_count(columns):
+    # Trap 2: a tile's per-target sum adds its source rows one after
+    # the other, carried on from the accumulator, whatever the column
+    # count; a plain middle-axis reduce of one column sums pairwise.
+    rng = np.random.default_rng(columns)
+    rows = 17
+    src = rng.normal(size=(3, rows, columns)) * 10.0 ** rng.integers(
+        -3, 3, (1, rows, columns))
+    tgt = rng.normal(size=(3, 1, columns))
+    mass = rng.uniform(0.5, 1.5, (rows, columns)) * 10.0 ** rng.integers(
+        -3, 3, (rows, columns))
+    acc = rng.normal(size=(3, columns))
+    eps2 = 1e-4
+    d = src - tgt
+    dx, dy, dz = d
+    r2 = (dx * dx + dz * dz) + dy * dy + eps2
+    rinv = 1.0 / np.sqrt(r2)
+    terms = d * (rinv * rinv * rinv * mass)
+    expected = acc.copy()
+    for k in range(3):
+        for c in range(columns):
+            total = float(acc[k, c])
+            for j in range(rows):
+                total += float(terms[k, j, c])
+            expected[k, c] = total
+    # Each (component, column) list summed as a contiguous 1-D array:
+    # pairwise, and not the sequential answer on this data.
+    lists = np.concatenate((acc[:, None], terms), axis=1)
+    pairwise = np.add.reduce(
+        np.ascontiguousarray(lists.transpose(0, 2, 1)), axis=2)
+    assert not np.array_equal(pairwise, expected)
+    traversal._accumulate_tile(acc, src, tgt, mass, eps2)
+    assert acc.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("softening", [0.0, 1e-2])
 def test_direct_kernel_is_independent_of_the_tile_budget(
         monkeypatch, softening):
@@ -268,6 +305,67 @@ def test_dense_path_equals_the_sweeps_and_naive(
     for other_acc, other_stats in (sweep, naive):
         assert acc.tobytes() == other_acc.tobytes()
         assert stats == other_stats
+
+
+# -- the walks' rules ---------------------------------------------------------
+
+
+@given(seed=st.integers(0, (1 << 24) - 1), n=st.integers(2, 400),
+       leaf_size=st.integers(1, 24), clump=st.integers(0, 40))
+@settings(max_examples=25, deadline=None)
+def test_range_containment_is_key_prefix_ancestry(seed, n, leaf_size, clump):
+    # The batched walks open a group's ancestors by slice containment;
+    # the naive walk by key prefix.  Coincident particles make a fat
+    # leaf at the depth cap; leaf_size + 1 particles 1e-9 apart, far
+    # out, a chain of one-child cells down to another.
+    pos, mass = _lumpy(n, seed, clump=min(clump, n - 1))
+    far = min(leaf_size + 1, n - 1)
+    pos[n - far:] = 50.0
+    pos[n - far:, 0] += 1e-9 * np.arange(far)
+    tree = HashedOctree(pos, mass, leaf_size=leaf_size)
+    lo, hi, level = tree.node_lo, tree.node_hi, tree.node_level
+    leaves = tree.leaf_order
+    inner = np.flatnonzero(~tree.node_is_leaf)
+    contains = ((lo[inner][:, None] <= lo[leaves])
+                & (hi[leaves] <= hi[inner][:, None]))
+    keys = tree.node_key.tolist()
+    prefix = np.array([[level[i] <= level[g] and ancestor_at_level(
+        keys[g], int(level[i])) == keys[i] for g in leaves] for i in inner],
+        dtype=bool).reshape(contains.shape)
+    assert np.array_equal(contains, prefix)
+    if far > leaf_size:
+        assert (np.diff(tree.child_ptr)[inner] == 1).sum() > 10
+        assert level[leaves].max() == tree.depth
+
+
+@given(seed=st.integers(0, (1 << 24) - 1), n=st.integers(40, 700),
+       leaf_size=st.integers(1, 12), pick=st.integers(0, 1 << 16),
+       softening=st.sampled_from((0.0, 1e-2)))
+@settings(max_examples=10, deadline=None)
+def test_a_dead_subtree_is_skipped_whole(seed, n, leaf_size, pick, softening):
+    # An inner node whose net mass is <= 0 (one heavy negative particle)
+    # with a child of positive mass: the naive walk skips the node and
+    # so its whole subtree, and so must the live-children frontier and
+    # the dense walk, bit for bit.
+    pos, mass = _lumpy(n, seed, clump=n // 10)
+    tree = HashedOctree(pos, mass, leaf_size=leaf_size)
+    kids = np.diff(tree.child_ptr)
+    inner = np.flatnonzero(kids >= 2)
+    node = int(inner[pick % len(inner)])
+    first, second = tree.child_index[tree.child_ptr[node]:][:2]
+    victim = int(tree.node_lo[second])         # in the second child
+    net = float(tree.node_mass[node]) - float(tree.mass[victim])
+    mass[tree.order[victim]] = -net - 0.5
+    tree = HashedOctree(pos, mass, leaf_size=leaf_size)
+    assert tree.node_mass[node] <= 0.0 < tree.node_mass[first]
+    kw = dict(theta=0.7, softening=softening)
+    naive = tree_accelerations(tree, naive=True, **kw)
+    for cut in (0, n):                  # the frontier walk, then dense
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(traversal, "_DENSE_MAX_N", cut)
+            acc, stats = tree_accelerations(tree, **kw)
+        assert acc.tobytes() == naive[0].tobytes(), cut
+        assert stats == naive[1], cut
 
 
 # -- the sweep rule ----------------------------------------------------------
@@ -528,20 +626,27 @@ def test_concat_ranges_matches_listcomp():
         )
 
 
-def test_sorted_pairs_matches_lexsort():
+def test_sorted_pairs_matches_lexsort(monkeypatch):
+    # The walk appends packed (group << 32) | node pairs to an arena a
+    # depth at a time; the arena grows under earlier chunks, keeping them.
     rng = np.random.default_rng(1)
     for _ in range(30):
+        monkeypatch.setattr(traversal, "_SCRATCH", {})
         g = rng.integers(0, 40, 300).astype(np.int64)
         n = rng.integers(0, 1000, 300).astype(np.int64)
         _, idx = np.unique(g * 10_000 + n, return_index=True)
         g, n = g[idx], n[idx]   # pairs must be unique, as in the walk
-        chunks = np.array_split(np.arange(len(g)), 4)
-        rg, rn = _sorted_pairs([g[c] for c in chunks],
-                               [n[c] for c in chunks])
+        fill = 0
+        for c in np.array_split(np.arange(len(g)), 4):
+            tail = traversal._arena_tail("pairs", fill, len(c))
+            tail[:] = (g[c] << 32) | n[c]
+            fill += len(c)
+        ptr, rn = _sorted_pairs("pairs", fill, 40)
         order = np.lexsort((n, g))
-        assert np.array_equal(rg, g[order])
+        assert np.array_equal(np.repeat(np.arange(40), np.diff(ptr)),
+                              g[order])
         assert np.array_equal(rn, n[order])
-    assert _sorted_pairs([], [])[0].size == 0
+    assert _sorted_pairs("no_pairs", 0, 3)[0].tolist() == [0, 0, 0, 0]
 
 
 # -- incremental tree reuse ------------------------------------------------
