@@ -50,29 +50,27 @@ def morton_encode(ix: np.ndarray, iy: np.ndarray,
     )
 
 
-def quantize(pos: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-             depth: int = MAX_DEPTH) -> np.ndarray:
-    """Map positions inside box [lo, hi) to integer grid coordinates."""
-    if depth < 1 or depth > MAX_DEPTH:
-        raise ValueError(f"depth must be 1..{MAX_DEPTH}")
-    cells = 1 << depth
+def quantize(pos: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Map positions inside box [lo, hi) to integer grid coordinates at
+    ``MAX_DEPTH``."""
+    cells = 1 << MAX_DEPTH
     span = np.maximum(hi - lo, 1e-300)
     scaled = (pos - lo) / span * cells
     grid = np.clip(scaled.astype(np.int64), 0, cells - 1)
     return grid
 
 
-def particle_keys(pos: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                  depth: int = MAX_DEPTH) -> np.ndarray:
-    """Warren-Salmon keys at *depth* for particles in box [lo, hi).
+def particle_keys(pos: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> np.ndarray:
+    """Warren-Salmon keys at ``MAX_DEPTH`` for particles in box [lo, hi).
 
-    The key is ``(1 << 3*depth) | morton``, i.e. the sentinel bit
-    followed by the interleaved coordinates - so keys of different
-    depths never collide in the hash table.
+    The key is ``(1 << 3*MAX_DEPTH) | morton``, i.e. the sentinel bit
+    followed by the interleaved coordinates - so cell keys of different
+    levels never collide in the hash table.
     """
-    grid = quantize(pos, lo, hi, depth)
+    grid = quantize(pos, lo, hi)
     codes = morton_encode(grid[:, 0], grid[:, 1], grid[:, 2])
-    return codes | (_U(1) << _U(3 * depth))
+    return codes | (_U(1) << _U(3 * MAX_DEPTH))
 
 
 def key_level(key: int) -> int:

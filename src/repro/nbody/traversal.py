@@ -21,26 +21,26 @@ Two implementations of the same walk coexist:
 - the **batched** path (default): one frontier of packed ``(group,
   node)`` pairs descends the tree's live children for a block of up
   to ``_GROUP_BLOCK`` groups simultaneously in NumPy, in persistent
-  arenas; the surviving interaction pairs are then evaluated in large
-  flat arrays (the direct family in component-planar tiles) before
-  the next block walks.  No per-group Python work, no per-group small
-  allocations.  A tree of at most ``_DENSE_MAX_N`` particles walks
-  and sums densely instead: groups x nodes, then sources x targets.
+  arenas; both pair families are then summed in component-planar tiles
+  before the next block walks.  No per-group Python work, no per-group
+  small allocations.  A tree of at most ``_DENSE_MAX_N`` particles
+  walks and sums densely instead: groups x nodes, then sources x
+  targets.
 - the **naive** path (``naive=True``): the original one-group-at-a-time
   walk, kept as the executable reference.
 
 The two are bit-identical - same accelerations, same interaction
 counts, same ``group_work`` records - which the equivalence tests
-assert.  The batched evaluators are careful to replicate the reference
-path's floating-point operation order: squared distances associate as
-the reference einsum contraction does, every per-target sum adds its
-sources sequentially in depth-first tree order (the order the
-sequential walk appends them in) - ``np.bincount`` over target-major
-pairs for the cell family, whose chunks split between targets; a
-row-by-row reduction with a carried accumulator for the direct family,
-whose tiles split inside a target's source list.  Both batched walks
-open a group's ancestors by slice containment, which the naive walk
-tests by key prefix; no node is empty, so the two agree.
+assert.  A cell is a pseudo-particle at its centre of mass, so one
+pairwise-sum kernel per tree size serves both families: the sweeps of
+``_source_major_direct`` above the cut, ``_dense_direct`` at or below
+it.  Each replicates the reference path's floating-point operation
+order: squared distances associate as the reference einsum
+contraction does, and every per-target sum adds its sources
+sequentially in depth-first tree order (the order the sequential walk
+appends them in), row by row with a carried accumulator.  Both batched
+walks open a group's ancestors by slice containment, which the naive
+walk tests by key prefix; no node is empty, so the two agree.
 """
 
 from __future__ import annotations
@@ -59,17 +59,12 @@ from repro.nbody.morton import ancestor_at_level
 from repro.nbody.multipole import quadrupole_acceleration
 from repro.nbody.tree import HashedOctree, TreeNode
 
-#: Pair-batch size for the cell-family evaluator.  Sized so one batch's
-#: working set stays cache-resident; batches always end on a target
-#: boundary so partial accumulation never changes any summation order.
-_PAIR_CHUNK = 1 << 16
-
-#: Pair budget of one tile of the direct-sum kernel: five float64 per
+#: Pair budget of one tile of the pairwise sums: five float64 per
 #: pair of scratch, so a tile's working set stays L2-resident.  Results
 #: do not depend on it (the accumulator is carried across tiles).
 _PAIR_TILE = 1 << 14
 
-#: Fewest groups a sweep of the direct-sum kernel holds: narrower
+#: Fewest groups a sweep of ``_source_major_direct`` holds: narrower
 #: target-count buckets merge into one sweep (see ``_sweeps``).  Results
 #: do not depend on it either.
 _SWEEP_GROUPS = 32
@@ -83,7 +78,7 @@ _DENSE_MAX_N = 512
 #: Most leaf groups one batched walk and sum take at a time: the
 #: frontier, the pair lists, the scratch arenas and the sweeps scale
 #: with it, not with the tree.  A block is a run of the groups in
-#: target-count order - the order the direct sum sweeps them in - so
+#: target-count order - the order the pairwise sums sweep them in - so
 #: its target-count buckets stay as wide as the tree's.  Results do not
 #: depend on it.
 _GROUP_BLOCK = 512
@@ -357,15 +352,15 @@ def _sorted_pairs(name: str, fill: int,
     return ptr, keys
 
 
-#: Persistent scratch buffers for the batched evaluators.  The walk,
-#: chunk and tile arithmetic is memory-bound, and re-acquiring its
-#: intermediates from the allocator on every force evaluation costs
-#: more than the math on a small tree (and, once glibc hands them back
-#: to the kernel, a page fault per page touched); keeping the arenas
-#: alive across calls removes that.  Each is bounded by a constant: the
-#: tile (``_PAIR_TILE``), the chunk (``_PAIR_CHUNK``), ``_DENSE_MAX_N``
-#: squared, or - the walk's and the direct-source lists' - the work of
-#: one block of ``_GROUP_BLOCK`` groups, never the whole tree.
+#: Persistent scratch buffers for the batched evaluators.  The walk and
+#: tile arithmetic is memory-bound, and re-acquiring its intermediates
+#: from the allocator on every force evaluation costs more than the
+#: math on a small tree (and, once glibc hands them back to the kernel,
+#: a page fault per page touched); keeping the arenas alive across
+#: calls removes that.  Each is bounded by a constant: the tile
+#: (``_PAIR_TILE``, shared by the cell and the direct sums),
+#: ``_DENSE_MAX_N`` squared, or - the walk's and the source lists' - the
+#: work of one block of ``_GROUP_BLOCK`` groups, never the whole tree.
 #: Values are only ever read through freshly written views, so reuse
 #: cannot leak state between evaluations.  (Not thread-safe, like the
 #: rest of this module.)
@@ -422,77 +417,6 @@ def _fast_rsqrt_inplace(r2: np.ndarray, positive: bool) -> np.ndarray:
     return r2
 
 
-def _segment_accumulate(
-    out: np.ndarray,
-    tgt_pos: np.ndarray,
-    per_target_count: np.ndarray,
-    seg_ptr: np.ndarray,
-    tgt_group: np.ndarray,
-    src_flat: np.ndarray,
-    src_pos: np.ndarray,
-    src_mass: np.ndarray,
-    eps2: float,
-    quads: Optional[np.ndarray],
-    quad_out: Optional[np.ndarray],
-) -> None:
-    """Flat-array evaluation of one pair family (cells or direct).
-
-    For each target ``t`` the sources are
-    ``src_flat[seg_ptr[g]:seg_ptr[g+1]]`` with ``g = tgt_group[t]``.
-    Pairs are processed target-major in chunks that end on target
-    boundaries; per-target sums use ``np.bincount``, whose sequential
-    accumulation in pair order is bit-identical to the reference
-    einsum contraction over a ``(targets, sources, 3)`` block.
-    """
-    n_targets = len(tgt_pos)
-    positive = eps2 > 0.0
-    cum = np.concatenate(([0], np.cumsum(per_target_count)))
-    t0 = 0
-    while t0 < n_targets:
-        t1 = int(np.searchsorted(cum, cum[t0] + _PAIR_CHUNK, side="right")) - 1
-        t1 = max(t1, t0 + 1)
-        counts = per_target_count[t0:t1]
-        n_local = t1 - t0
-        local = np.repeat(np.arange(n_local, dtype=np.int64), counts)
-        if local.size:
-            n_pairs = local.size
-            groups = tgt_group[t0:t1]
-            src = src_flat[_concat_ranges(seg_ptr[groups], counts,
-                                          "cr_seg")]
-            diff = _scratch(
-                "seg_diff", max(n_pairs, _PAIR_CHUNK) * 3, np.float64
-            )[:n_pairs * 3].reshape(n_pairs, 3)
-            np.take(src_pos, src, axis=0, out=diff)
-            np.subtract(
-                diff, np.repeat(tgt_pos[t0:t1], counts, axis=0), out=diff
-            )
-            r2 = _scratch(
-                "seg_r2", max(n_pairs, _PAIR_CHUNK), np.float64
-            )[:n_pairs]
-            np.einsum("ij,ij->i", diff, diff, out=r2)
-            r2 += eps2
-            rinv = _fast_rsqrt_inplace(r2, positive)
-            rinv3 = _scratch(
-                "seg_w", max(n_pairs, _PAIR_CHUNK), np.float64
-            )[:n_pairs]
-            np.multiply(rinv, rinv, out=rinv3)
-            np.multiply(rinv3, rinv, out=rinv3)
-            weighted = (src_mass[src] * rinv3)[:, None] * diff
-            for k in range(3):
-                out[t0:t1, k] = np.bincount(
-                    local, weights=weighted[:, k], minlength=n_local
-                )
-            if quads is not None:
-                qa = quadrupole_acceleration(
-                    diff[None], rinv[None], quads[src]
-                )[0]
-                for k in range(3):
-                    quad_out[t0:t1, k] = np.bincount(
-                        local, weights=qa[:, k], minlength=n_local
-                    )
-        t0 = t1
-
-
 def _sweeps(t_sorted: np.ndarray, min_groups: int) -> List[Tuple[int, int]]:
     """Cut groups sorted by target count into the direct kernel's sweeps.
 
@@ -518,7 +442,7 @@ def _accumulate_tile(
     mass: np.ndarray,
     eps2: float,
 ) -> None:
-    """One tile of a direct-sum kernel: ``acc += sum_r mass * rinv^3 * d``.
+    """One tile of a pairwise sum: ``acc += sum_r mass * rinv^3 * d``.
 
     ``acc`` is ``(3,) + cols``; ``src`` (``(3, r, ...)``) minus ``tgt``
     (``(3, 1, ...)``) broadcasts to the tile's displacements
@@ -557,33 +481,49 @@ def _accumulate_tile(
         np.add.reduce(buf, axis=1, out=acc)
 
 
+def _source_table(tree: HashedOctree, pos: np.ndarray,
+                  mass: np.ndarray) -> np.ndarray:
+    """Sources as the ``(4, S + 1)`` table of x, y, z, mass the sweeps
+    gather from: particles, or nodes as pseudo-particles at their
+    centres of mass.  Column ``S`` is the padding sentinel, mass 0,
+    strictly below every particle (node centres of mass lie inside the
+    particle hull, so below every node too)."""
+    table = np.empty((4, len(mass) + 1))
+    table[:3, :-1] = pos.T
+    table[:3, -1] = tree.pos.min(axis=0) - 1.0
+    table[3, :-1] = mass
+    table[3, -1] = 0.0
+    return table
+
+
 def _source_major_direct(
     out: np.ndarray,
-    tree: HashedOctree,
-    glo: np.ndarray,
+    tgt: np.ndarray,
     sizes: np.ndarray,
     row_ptr: np.ndarray,
-    direct_src: np.ndarray,
-    direct_ptr: np.ndarray,
-    direct_count: np.ndarray,
+    table: np.ndarray,
+    sources: np.ndarray,
+    src_count: np.ndarray,
     eps2: float,
 ) -> None:
-    """Direct-sum evaluation, source-major (the dominant pair family).
+    """Pairwise sum, source-major, of one pair family (cells or direct).
 
-    Every particle of a leaf group interacts with the same source list.
-    Groups are sorted by target count ``t`` and source count ``m`` and
-    cut into **sweeps** (:func:`_sweeps`): consecutive ``t``-buckets
-    merge until a sweep holds ``_SWEEP_GROUPS`` groups.  A sweep is
-    swept in **tiles** of ``r`` consecutive source slots (rows) by the
-    target columns of the groups whose list is not yet exhausted.
-    Groups run in ascending ``m``, so finished groups drop off the
-    front, padding is confined to the tile a group ends in and scratch
-    is bounded by the tile.  Sources are gathered once per
-    ``(slot, group)`` from a ``(4, N+1)`` table of x, y, z, mass, so
-    they arrive component-planar, ``(3, r, ...)``, as the tile wants
-    them; every ufunc then runs on contiguous planes whose inner loop is
-    long (the reference layout ``(targets, sources, 3)`` has inner loops
-    of length 3):
+    Every particle of a leaf group interacts with the same source list:
+    group ``g``'s targets are the columns ``row_ptr[g]:row_ptr[g + 1]``
+    of the planar ``(3, T)`` *tgt*, and its sources the next
+    ``src_count[g]`` columns of *table* (:func:`_source_table`) listed
+    in *sources*.  Groups are sorted by target count ``t`` and source
+    count ``m`` and cut into **sweeps** (:func:`_sweeps`): consecutive
+    ``t``-buckets merge until a sweep holds ``_SWEEP_GROUPS`` groups.
+    A sweep is swept in **tiles** of ``r`` consecutive source slots
+    (rows) by the target columns of the groups whose list is not yet
+    exhausted.  Groups run in ascending ``m``, so finished groups drop
+    off the front, padding is confined to the tile a group ends in and
+    scratch is bounded by the tile.  Sources are gathered once per
+    ``(slot, group)`` from the table, so they arrive component-planar,
+    ``(3, r, ...)``, as the tile wants them; every ufunc then runs on
+    contiguous planes whose inner loop is long (the reference layout
+    ``(targets, sources, 3)`` has inner loops of length 3):
 
     - a sweep of one ``t`` lays columns out ``(t, a)``, ``a`` the active
       groups, and broadcasts each gathered source over its ``t``
@@ -608,50 +548,44 @@ def _source_major_direct(
       accumulation, carried across tiles.  A single column would
       collapse to a contiguous 1-D sum, which numpy adds *pairwise*, so
       a one-column tile accumulates sequentially instead;
-    - padded slots point at a sentinel pseudo-particle of mass 0 placed
-      strictly below every coordinate: each padded term is exactly
-      ``+0.0 * negative = -0.0``, and adding ``-0.0`` never changes an
-      IEEE sum.
+    - padded slots point at the table's sentinel: each padded term is
+      exactly ``+0.0 * negative = -0.0``, and adding ``-0.0`` never
+      changes an IEEE sum.
 
     A group's result therefore never depends on which groups share its
     tiles or its sweep, which is what lets
     :class:`repro.nbody.parallel.ReplicatedStep` cut rank slices out of
     one whole-tree evaluation.
     """
-    n = tree.n_particles
-    # Rows x, y, z, mass; column n is the sentinel pseudo-particle.
-    table = np.empty((4, n + 1))
-    table[:3, :n] = tree.pos.T
-    table[:3, n] = tree.pos.min(axis=0) - 1.0
-    table[3, :n] = tree.mass
-    table[3, n] = 0.0
-    last = len(direct_src) - 1
-    steps = np.arange(int(direct_count.max()), dtype=np.int64)[:, None]
-    order = np.lexsort((direct_count, sizes))
+    sentinel = table.shape[1] - 1
+    src_ptr = np.concatenate(([0], np.cumsum(src_count)))
+    last = len(sources) - 1
+    steps = np.arange(int(src_count.max()), dtype=np.int64)[:, None]
+    order = np.lexsort((src_count, sizes))
     for lo, hi in _sweeps(sizes[order], _SWEEP_GROUPS):
         gs = order[lo:hi]
         merged = sizes[gs[0]] != sizes[gs[-1]]
         if merged:
-            gs = gs[np.argsort(direct_count[gs], kind="stable")]
+            gs = gs[np.argsort(src_count[gs], kind="stable")]
         t_g = sizes[gs]
         width = len(gs)
-        counts = direct_count[gs]
+        counts = src_count[gs]
         count_list = counts.tolist()
         m_max = count_list[-1]
-        ptr = direct_ptr[gs]
+        ptr = src_ptr[gs]
         # Columns owned by groups before each one.
         col_ptr = np.concatenate(([0], np.cumsum(t_g))).tolist()
         if merged:
             rows = _concat_ranges(row_ptr[gs], t_g)
             col_group = np.repeat(np.arange(width, dtype=np.int64), t_g)
-            tgt = table[:3, _concat_ranges(glo[gs], t_g)]   # (3, cols)
-            acc = np.zeros((3, len(rows)))
+            shape = (3, len(rows))
         else:
             t = int(t_g[0])
-            lanes = np.arange(t, dtype=np.int64)[:, None]
-            rows = (row_ptr[gs] + lanes).ravel()
-            tgt = table[:3, glo[gs] + lanes]                 # (3, t, width)
-            acc = np.zeros((3, t, width))
+            rows = (row_ptr[gs] + np.arange(t, dtype=np.int64)[:, None]
+                    ).ravel()
+            shape = (3, t, width)
+        acc = np.zeros(shape)
+        tgt_cols = tgt[:, rows].reshape(shape)
         done = 0
         j0 = bisect_right(count_list, 0)
         while done < m_max:
@@ -660,11 +594,11 @@ def _source_major_direct(
             slot = steps[:r]
             idx = slot + (ptr[j0:] + done)
             np.minimum(idx, last, out=idx)
-            src = np.take(direct_src, idx)                   # (r, a)
+            src = np.take(sources, idx)                      # (r, a)
             # Groups ending inside this tile: the only padded columns.
             k = bisect_left(count_list, done + r, j0) - j0
             if k:
-                np.copyto(src[:, :k], n,
+                np.copyto(src[:, :k], sentinel,
                           where=slot >= counts[j0:j0 + k] - done)
             sp = np.take(table, src, axis=1)                 # (4, r, a)
             if merged:
@@ -676,12 +610,12 @@ def _source_major_direct(
                              out=_arena("direct_cols", (4, r, cols),
                                         np.float64),
                              mode="clip")                    # (4, r, cols)
-                _accumulate_tile(acc[:, c0:], sp[:3], tgt[:, None, c0:],
-                                 sp[3], eps2)
+                _accumulate_tile(acc[:, c0:], sp[:3],
+                                 tgt_cols[:, None, c0:], sp[3], eps2)
             else:
                 sp = sp[:, :, None, :]                       # (4, r, 1, a)
                 _accumulate_tile(acc[:, :, j0:], sp[:3],
-                                 tgt[:, None, :, j0:], sp[3], eps2)
+                                 tgt_cols[:, None, :, j0:], sp[3], eps2)
             done += r
             j0 = bisect_right(count_list, done, j0)
         out[rows] = acc.reshape(3, -1).T
@@ -693,15 +627,15 @@ def _dense_walk(
     theta: float,
     centres: np.ndarray,
     radii: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The frontier walk's visit set, from ``(groups, nodes)`` matrices.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The frontier walk's visit set, as ``(groups, nodes)`` matrices.
 
     Every group's MAC against every inner node at once, spelled as
     ``_batched_interaction_pairs`` spells it; then ``go`` (visited and
     opened) flows down one level at a time: a node is visited when its
-    parent was visited and opened.  Returns ``(cell_nodes, cell_count,
-    direct)``: cell lists as the frontier walk returns them, and the
-    boolean ``(groups, nodes)`` matrix of visited non-empty leaves.
+    parent was visited and opened.  Returns ``(cell, direct)``: the
+    boolean ``(groups, nodes)`` matrices of the visited live nodes not
+    opened - accepted inner nodes, and non-empty leaves.
     """
     node_lo = tree.node_lo
     node_hi = tree.node_hi
@@ -732,47 +666,42 @@ def _dense_walk(
     for nodes in np.split(down, np.flatnonzero(np.diff(node_level[down]))
                           + 1):
         go[:, nodes] &= go[:, parent[nodes]]
-    visit = go[:, parent]
-    cell = visit[:, inner] & accept
-    # np.nonzero is row-major: (group, node)-sorted already.
-    cell_nodes = inner[np.nonzero(cell)[1]]
-    cell_count = np.count_nonzero(cell, axis=1)
-    return cell_nodes, cell_count, visit & live & is_leaf
+    # Visited, live and not opened: an accepted inner node, or a leaf.
+    stop = go[:, parent] & live
+    stop &= ~go[:, :n_nodes]
+    return stop & ~is_leaf, stop & is_leaf
 
 
 def _dense_direct(
     out: np.ndarray,
-    tree: HashedOctree,
-    tgt_pos: np.ndarray,
-    tgt_group: np.ndarray,
-    direct: np.ndarray,
+    src_pos: np.ndarray,
+    src_mass: np.ndarray,
+    member: np.ndarray,
+    tgt: np.ndarray,
     eps2: float,
 ) -> None:
-    """Direct-sum evaluation over every target column at once.
+    """Pairwise sum of one pair family over every target column at once.
 
-    Every group's direct list is an ordered subsequence of one source
-    order: leaves by node index, particles ascending inside a leaf.
-    Sources sweep in that order, in tiles of rows, across all targets;
-    a pair off its target's list weighs ``mass * 0``, so its term is
-    ``+-0.0``, which never moves an accumulator that starts at ``+0.0``.
-    The per-target sums are ``_source_major_direct``'s, bit for bit.
+    *member* is the boolean ``(sources, targets)`` matrix of which
+    targets' groups list each source: every group's list (cells or
+    direct) is an ordered subsequence of the one source order of
+    *src_pos* - nodes by node index, particles by leaf node index and
+    ascending inside a leaf.  Sources sweep in that order, in tiles of
+    rows, across all the planar ``(3, T)`` targets *tgt*; a pair off its
+    target's list weighs ``mass * 0``, so its term is ``+-0.0``, which
+    never moves an accumulator that starts at ``+0.0``.  The per-target
+    sums are ``_source_major_direct``'s, bit for bit.
     """
-    n_targets = len(tgt_pos)
-    leaves = np.flatnonzero(direct.any(axis=0))
-    lo = tree.node_lo[leaves]
-    sizes = tree.node_hi[leaves] - lo
-    src = _concat_ranges(lo, sizes)
-    src_pos = tree.pos[src].T                               # (3, S)
+    n_targets = tgt.shape[1]
     # Weights in (sources, targets) layout: mass, or 0 off the list.
-    member = np.repeat(direct[:, leaves].T[:, tgt_group], sizes, axis=0)
-    weight = np.multiply(member, tree.mass[src][:, None],
+    weight = np.multiply(member, src_mass[:, None],
                          out=_arena("dense_weight", member.shape,
                                     np.float64))
-    tgt = np.ascontiguousarray(tgt_pos.T)[:, None]         # (3, 1, T)
+    src = src_pos.T                                         # (3, S)
     acc = np.zeros((3, n_targets))
     step = max(1, _PAIR_TILE // n_targets)
-    for s0 in range(0, len(src), step):
-        _accumulate_tile(acc, src_pos[:, s0:s0 + step, None], tgt,
+    for s0 in range(0, len(src_mass), step):
+        _accumulate_tile(acc, src[:, s0:s0 + step, None], tgt[:, None],
                          weight[s0:s0 + step], eps2)
     out[:] = acc.T
 
@@ -820,51 +749,66 @@ def _batched_accelerations(
     radii = np.sqrt(np.maximum.reduceat(dist2, row_ptr[:-1]))
 
     eps2 = softening * softening
+    tgt = np.ascontiguousarray(tgt_pos.T)                   # (3, T)
+    cell_sum = np.empty((n_targets, 3))
     direct_sum = np.empty((n_targets, 3))
     if tree.n_particles <= _DENSE_MAX_N:
-        cell_nodes, cell_count, direct = _dense_walk(
-            tree, leaf_idx, theta, centres, radii)
+        cell, direct = _dense_walk(tree, leaf_idx, theta, centres, radii)
+        nodes = np.flatnonzero(cell.any(axis=0))
+        _dense_direct(cell_sum, tree.node_com[nodes], tree.node_mass[nodes],
+                      cell[:, nodes].T[:, tgt_group], tgt, eps2)
+        leaves = np.flatnonzero(direct.any(axis=0))
+        lo = tree.node_lo[leaves]
+        counts = tree.node_hi[leaves] - lo
+        src = _concat_ranges(lo, counts)
+        _dense_direct(direct_sum, pos[src], tree.mass[src],
+                      np.repeat(direct[:, leaves].T[:, tgt_group], counts,
+                                axis=0), tgt, eps2)
+        # np.nonzero is row-major: (group, node)-sorted already.
+        cell_nodes = np.nonzero(cell)[1]
+        cell_count = np.count_nonzero(cell, axis=1)
         direct_count = direct @ (tree.node_hi - tree.node_lo)
-        _dense_direct(direct_sum, tree, tgt_pos, tgt_group, direct, eps2)
     else:
         cell_nodes, cell_count, direct_src, direct_count = (
             _batched_interaction_pairs(tree, leaf_idx, theta, centres,
                                        radii)
         )
-        direct_ptr = np.concatenate(([0], np.cumsum(direct_count)))
         _source_major_direct(
-            direct_sum, tree, glo, sizes, row_ptr, direct_src, direct_ptr,
-            direct_count, eps2,
+            cell_sum, tgt, sizes, row_ptr,
+            _source_table(tree, tree.node_com, tree.node_mass),
+            cell_nodes, cell_count, eps2,
         )
-    cell_ptr = np.concatenate(([0], np.cumsum(cell_count)))
+        _source_major_direct(
+            direct_sum, tgt, sizes, row_ptr,
+            _source_table(tree, pos, tree.mass),
+            direct_src, direct_count, eps2,
+        )
 
-    acc = np.zeros((n_targets, 3))
-    cell_sum = np.zeros((n_targets, 3))
-    quad_sum = np.zeros((n_targets, 3)) if use_quadrupole else None
-    _segment_accumulate(
-        cell_sum, tgt_pos, cell_count[tgt_group], cell_ptr, tgt_group,
-        cell_nodes, tree.node_com, tree.node_mass, eps2,
-        tree.node_quad if use_quadrupole else None, quad_sum,
-    )
     # Same per-element addition order as the naive group evaluator:
     # zeros += cells, += quadrupole, += direct.
+    acc = np.zeros((n_targets, 3))
     acc += cell_sum
     if use_quadrupole:
-        acc += quad_sum
+        # The reference expression, per group with cells.
+        cell_ptr = np.concatenate(([0], np.cumsum(cell_count))).tolist()
+        bounds = row_ptr.tolist()
+        for g in np.flatnonzero(cell_count).tolist():
+            cells = cell_nodes[cell_ptr[g]:cell_ptr[g + 1]]
+            r0, r1 = bounds[g], bounds[g + 1]
+            diff = tree.node_com[cells][None] - tgt_pos[r0:r1, None]
+            rinv = masked_rsqrt(np.einsum("ijk,ijk->ij", diff, diff) + eps2)
+            acc[r0:r1] += quadrupole_acceleration(
+                diff, rinv, tree.node_quad[cells]).sum(axis=1)
     acc += direct_sum
 
     stats.groups += n_groups
-    pc = sizes * cell_count
-    if use_quadrupole:
-        pc = 2 * pc
+    # A quadrupole term costs about another interaction per pair.
+    pc = sizes * cell_count * (2 if use_quadrupole else 1)
     pp = sizes * direct_count
     stats.particle_cell += int(pc.sum())
     stats.particle_particle += int(pp.sum())
-    work = pc + pp
-    glo_l = glo.tolist()
-    ghi_l = ghi.tolist()
-    work_l = work.tolist()
-    stats.group_work.extend(zip(glo_l, ghi_l, work_l))
+    stats.group_work.extend(zip(glo.tolist(), ghi.tolist(),
+                                (pc + pp).tolist()))
     return rows, acc
 
 
@@ -983,6 +927,8 @@ def leaf_aligned_partition(
         weights = np.asarray(particle_weights, dtype=np.float64)
         if weights.shape != (n,):
             raise ValueError("weights must be one per particle")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights must be finite")
         if np.any(weights < 0):
             raise ValueError("weights cannot be negative")
         if weights.sum() <= 0:

@@ -78,8 +78,7 @@ class HashedOctree:
     """Builds and owns the hashed octree for one particle snapshot."""
 
     def __init__(self, pos: np.ndarray, mass: np.ndarray,
-                 leaf_size: int = LEAF_SIZE, depth: int = MAX_DEPTH,
-                 quadrupoles: bool = False):
+                 leaf_size: int = LEAF_SIZE, quadrupoles: bool = False):
         pos = np.asarray(pos, dtype=np.float64)
         mass = np.asarray(mass, dtype=np.float64)
         n = len(pos)
@@ -97,7 +96,6 @@ class HashedOctree:
                 first = int(np.argmin(finite.reshape(n, -1).all(axis=1)))
                 raise ValueError(f"particle {first} has a non-finite {name}")
         self.leaf_size = leaf_size
-        self.depth = min(depth, MAX_DEPTH)
 
         lo = pos.min(axis=0)
         hi = pos.max(axis=0)
@@ -109,7 +107,7 @@ class HashedOctree:
         self.box_lo = centre - half
         self.box_hi = centre + half
 
-        keys = particle_keys(pos, self.box_lo, self.box_hi, self.depth)
+        keys = particle_keys(pos, self.box_lo, self.box_hi)
         order = np.argsort(keys, kind="stable")
         self.order = order
         self.keys = keys[order]
@@ -142,7 +140,7 @@ class HashedOctree:
 
     def _build_topology(self) -> None:
         """The stack walk: node slices, leaf flags and child lists, a
-        function of the sorted keys (and ``leaf_size``/``depth``) alone.
+        function of the sorted keys (and ``leaf_size``) alone.
 
         Creation (pop) order is the depth-first order the traversal
         visits nodes in; flat node indices are assigned in that order.
@@ -163,7 +161,7 @@ class HashedOctree:
             key, level, lo, hi, parent = stack.pop()
             index = len(node_key)
             count = hi - lo
-            is_leaf = count <= self.leaf_size or level >= self.depth
+            is_leaf = count <= self.leaf_size or level >= MAX_DEPTH
             node_key.append(key)
             node_level.append(level)
             node_lo.append(lo)
@@ -172,7 +170,7 @@ class HashedOctree:
             parents.append(parent)
             if is_leaf:
                 continue
-            shift = np.uint64(3 * (self.depth - level - 1))
+            shift = np.uint64(3 * (MAX_DEPTH - level - 1))
             base = key << 3
             # First key of octants 1..7: one bisection for all seven.
             probes = (np.uint64(base) + _OCTANTS) << shift

@@ -19,7 +19,7 @@ from repro.isa.programs import (
     OUTPUT_BASE,
     GuestWorkload,
 )
-from repro.nbody.morton import ancestor_at_level, key_level
+from repro.nbody.morton import MAX_DEPTH, ancestor_at_level, key_level
 from repro.sched import BatchScheduler, SchedConfig, campaign
 
 
@@ -81,7 +81,7 @@ def validate_tree(tree) -> None:
             raise AssertionError("flat index out of sync with key")
         if node.is_leaf:
             if node.hi - node.lo > tree.leaf_size and \
-                    node.level < tree.depth:
+                    node.level < MAX_DEPTH:
                 raise AssertionError("oversized leaf above max depth")
             continue
         spans = [

@@ -43,7 +43,7 @@ DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
 CALLING_DOCS = DOCS[:4]
 
 #: DESIGN.md's line count: lower it when DESIGN shrinks, never raise it.
-DESIGN_LINES = 1534
+DESIGN_LINES = 1533
 #: The reach guard's line count, capped the same way.
 REACH_LINES = 1421
 

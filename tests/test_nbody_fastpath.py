@@ -14,11 +14,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.nbody import sim as sim_module, traversal
 from repro.nbody.ic import plummer_sphere, two_clusters
-from repro.nbody.morton import ancestor_at_level
+from repro.nbody.morton import MAX_DEPTH, ancestor_at_level
 from repro.nbody.sim import NBodySimulation, SimConfig
 from repro.nbody.traversal import (
     TraversalStats,
@@ -271,6 +271,18 @@ def test_direct_kernel_equals_naive_on_random_leaf_aligned_slices(
        softening=st.sampled_from((0.0, 1e-2)), quadrupoles=st.booleans(),
        clump=st.integers(0, 20), signed=st.booleans())
 @settings(max_examples=10, deadline=None)
+# The empty edges of the pairwise-sum kernels, on every run: a tree
+# whose 59 slice groups accept no cell at theta 0.2 (an empty cell list
+# in every block, quadrupoles on), and a one-leaf tree of coincident
+# points at zero softening (no inner node at all).  Then theta 1.5 at
+# one particle a leaf, where nodes under an accepted cell fail the MAC
+# themselves: a walk that visits them double-counts.
+@example(seed=2, n=300, leaf_size=8, theta=0.2, softening=1e-2,
+         quadrupoles=True, clump=0, signed=False)
+@example(seed=2, n=7, leaf_size=8, theta=0.7, softening=0.0,
+         quadrupoles=False, clump=3, signed=False)
+@example(seed=0, n=60, leaf_size=1, theta=1.5, softening=1e-2,
+         quadrupoles=True, clump=0, signed=False)
 def test_dense_path_equals_the_sweeps_and_naive(
         seed, n, leaf_size, theta, softening, quadrupoles, clump, signed):
     # Trees on both sides of the cut: at or below it the batched path
@@ -335,7 +347,7 @@ def test_range_containment_is_key_prefix_ancestry(seed, n, leaf_size, clump):
     assert np.array_equal(contains, prefix)
     if far > leaf_size:
         assert (np.diff(tree.child_ptr)[inner] == 1).sum() > 10
-        assert level[leaves].max() == tree.depth
+        assert level[leaves].max() == MAX_DEPTH
 
 
 @given(seed=st.integers(0, (1 << 24) - 1), n=st.integers(40, 700),

@@ -84,16 +84,14 @@ def test_quantize_bounds():
     lo = np.zeros(3)
     hi = np.ones(3)
     pos = np.array([[0.0, 0.5, 0.999999], [1.0 - 1e-12, 0.0, 0.5]])
-    grid = quantize(pos, lo, hi, depth=4)
+    grid = quantize(pos, lo, hi)
     assert grid.min() >= 0
-    assert grid.max() < 16
-    with pytest.raises(ValueError):
-        quantize(pos, lo, hi, depth=0)
+    assert grid.max() < 1 << MAX_DEPTH
 
 
 def test_particle_keys_have_sentinel():
     pos = np.array([[0.1, 0.2, 0.3]])
-    keys = particle_keys(pos, np.zeros(3), np.ones(3), depth=MAX_DEPTH)
+    keys = particle_keys(pos, np.zeros(3), np.ones(3))
     assert key_level(int(keys[0])) == MAX_DEPTH
 
 
@@ -117,7 +115,7 @@ def test_tree_geometry_is_the_per_cell_geometry_bit_for_bit():
     tree = HashedOctree(pos, mass, leaf_size=8)
     for key, size in zip(tree.node_key, tree.node_size):
         _, want_size = cell_geometry(
-            int(key), tree.box_lo, tree.box_hi, tree.depth)
+            int(key), tree.box_lo, tree.box_hi)
         assert float(size) == want_size
 
 
@@ -173,7 +171,7 @@ def _enclosing_leaf(tree, sorted_index):
     """The leaf owning the particle at *sorted_index*, found by walking
     the levels of its own key through the hash table."""
     pkey = int(tree.keys[sorted_index])
-    for level in range(tree.depth + 1):
+    for level in range(MAX_DEPTH + 1):
         node = tree.nodes.get(ancestor_at_level(pkey, level))
         if node is not None and node.is_leaf:
             if node.lo <= sorted_index < node.hi:
@@ -281,9 +279,16 @@ def test_topology_equals_the_per_octant_walk(seed):
     if seed % 2 and n > 8:
         # Coincident particles: equal keys, a fat leaf at the depth cap.
         pos[n // 3:n // 3 + int(rng.integers(2, 40))] = pos[0]
-    depth = (MAX_DEPTH, 4)[seed % 3 == 2]
-    tree = HashedOctree(pos, np.ones(n), leaf_size=int(rng.integers(1, 20)),
-                        depth=depth)
-    expected = _reference_topology(tree.keys, tree.leaf_size, tree.depth)
+    leaf_size = int(rng.integers(1, 20))
+    chain = seed % 3 == 2 and n > leaf_size + 1
+    if chain:
+        # leaf_size + 1 distinct points 1e-9 apart, far out, closer
+        # together than the finest cell: one-child cells to the cap.
+        pos[n - leaf_size - 1:] = 50.0
+        pos[n - leaf_size - 1:, 0] += 1e-9 * np.arange(leaf_size + 1)
+    tree = HashedOctree(pos, np.ones(n), leaf_size=leaf_size)
+    if chain:
+        assert tree.node_level[tree.leaf_order].max() == MAX_DEPTH
+    expected = _reference_topology(tree.keys, leaf_size, MAX_DEPTH)
     for name, values in expected.items():
         assert getattr(tree, name).tolist() == values, name

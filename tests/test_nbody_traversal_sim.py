@@ -106,6 +106,18 @@ def test_partition_covers_and_balances(snapshot):
         leaf_aligned_partition(tree, 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_partition_refuses_non_finite_weights(bad):
+    # NaN and +inf pass a bare ``weights < 0``: all-NaN weights cut
+    # arbitrary ranges, and one inf hands every particle to part 0.
+    pos, _, mass = plummer_sphere(300, seed=3)
+    tree = HashedOctree(pos, mass)
+    for weights in (np.full(300, bad), np.where(np.arange(300) == 7, bad,
+                                                 1.0)):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            leaf_aligned_partition(tree, 4, weights)
+
+
 def test_work_weighted_partition_balances_work(snapshot):
     _, _, tree = snapshot
     _, stats = tree_accelerations(tree, theta=0.7, softening=1e-2)
